@@ -9,7 +9,7 @@ to z^2 - 4xy.
 from .arith import BinForm, NumberField, scalar_is_zero
 from .errors import CommonComponent, ConicNotSmooth, PointNotOnConic
 from .forms import Form, ProjPoint, all_monomial_points, compose_form
-from .linalg import mat_inv, mat_mul, rank_naive
+from .linalg import kernel_basis, mat_inv, mat_mul, rank_bareiss
 from .scalars import QQ, ZERO, ONE
 
 NOT_CONTACT = "not_contact"
@@ -36,7 +36,7 @@ def conic_matrix(q):
 
 def classify_conic(q):
     """Rank of the symmetric matrix: 3 -> smooth, 2 -> line pair, 1 -> double line."""
-    rank = rank_naive(conic_matrix(q))
+    rank = rank_bareiss(conic_matrix(q))
     return {3: "smooth", 2: "rank_two", 1: "rank_one"}[rank]
 
 
@@ -97,18 +97,16 @@ def parametrize_conic(q, base):
                 candidates.append([x + y for x, y in zip(u, w)])
     tangents = []
     for v in candidates:
-        if _bilinear(a, b, v) == 0 and rank_naive([b, v]) == 2:
+        if _bilinear(a, b, v) == 0 and rank_bareiss([b, v]) == 2:
             tangents.append(v)
     if not tangents:
         # solve b^T A v = 0 directly
-        from .linalg import kernel_basis
-
         for vec in kernel_basis([row], 3):
-            if rank_naive([b, vec]) == 2:
+            if rank_bareiss([b, vec]) == 2:
                 tangents.append(vec)
     for v_t in tangents:
         for u in candidates:
-            if rank_naive([b, v_t, u]) != 3:
+            if rank_bareiss([b, v_t, u]) != 3:
                 continue
             # direction D = s*u + t*v_t ; second intersection of the line base+D
             qd = [ZERO, ZERO, ZERO]  # q(D) as binary quadratic s^2, st, t^2
@@ -124,7 +122,7 @@ def parametrize_conic(q, base):
                 t2 = qd[2] * b[k] - 2 * bd[1] * v_t[k]
                 comps.append(BinForm(2, [t2, st, s2]))
             rows = [[p.coeffs[2], p.coeffs[1], p.coeffs[0]] for p in comps]
-            if rank_naive(rows) != 3:
+            if rank_bareiss(rows) != 3:
                 continue
             param = ConicParam(q, ProjPoint([QQ(c) for c in b]), *comps)
             if restrict_to_conic(q, param).is_zero():

@@ -13,7 +13,7 @@ import random
 from .arith import NFElem, NumberField, UPoly, upoly_factor, upoly_gcd, scalar_is_zero
 from .errors import CannotCertify, FieldMismatch, ShearExhausted, TooManyNodes
 from .forms import compose_form, transform_point
-from .linalg import mat_det, mat_inv, rank_bareiss
+from .linalg import mat_det, mat_inv, rank_bareiss, rref
 from .scalars import QQ, ZERO, ONE
 
 
@@ -210,28 +210,16 @@ def _x_minimal_polynomial(xi):
     if not isinstance(xi, NFElem):
         return UPoly([-QQ(xi), ONE])
     n = xi.owner.degree
-    rows = []
+    powers = []
     power = xi.owner.one()
     for _ in range(n + 1):
-        rows.append(list(power.coords))
+        powers.append(power.coords)
         power = power * xi
-    # first linear dependency among successive powers
-    from .linalg import rref
-
-    for k in range(1, n + 2):
-        sub = rows[:k]
-        m, pivots = rref([list(r) for r in sub], n)
-        if len(pivots) < k:
-            # rows[k-1] depends on the earlier ones; solve for the relation
-            from .linalg import solve_linear
-
-            cols = list(zip(*rows[: k - 1]))
-            sol = solve_linear([list(c) for c in cols], rows[k - 1])
-            if sol is None:
-                continue
-            coeffs = [-c for c in sol] + [ONE]
-            return UPoly(coeffs)
-    raise AssertionError("no minimal polynomial found")
+    # columns 1, xi, ..., xi^n: the first free column k is the first power
+    # that depends on the earlier ones, and its RREF column the relation
+    m, pivots = rref(list(zip(*powers)))
+    k = next(c for c in range(n + 1) if c >= len(pivots) or pivots[c] != c)
+    return UPoly([-m[r][k] for r in range(k)] + [ONE])
 
 
 def _upoly_over_field(biv, field, alpha):

@@ -201,6 +201,12 @@ class Form:
         return "Form(%s)" % form_to_str(self)
 
 
+# Every BiForm keys its terms by the same (i, j) tuple objects: own key
+# tuples would be about a third of the memory of a biform that is kept
+# (a pullback, a factor).
+_EXPONENT_PAIRS = {}
+
+
 class BiForm:
     """Bihomogeneous form on P1 x P1 in (s,t) x (u,v).
 
@@ -218,7 +224,8 @@ class BiForm:
                 continue
             if not (0 <= i <= d1 and 0 <= j <= d2):
                 raise NotHomogeneous("exponent (%d,%d) outside bidegree" % (i, j))
-            clean[(i, j)] = coeff
+            key = (i, j)
+            clean[_EXPONENT_PAIRS.setdefault(key, key)] = coeff
         self.bidegree = (d1, d2)
         self.terms = clean
 
@@ -830,18 +837,6 @@ def biform_to_str(f):
     for sign, body in chunks[1:]:
         out += " %s %s" % (sign, body)
     return out
-
-
-PLANE_VARS = ("x", "y", "z")
-SPACE_VARS = ("x", "y", "z", "w")
-
-
-def plane_form(text):
-    return parse_form(text, PLANE_VARS)
-
-
-def space_form(text):
-    return parse_form(text, SPACE_VARS)
 
 
 def all_monomial_points(height, dim):

@@ -1,78 +1,99 @@
 """Small dense exact linear algebra over the rationals.
 
-Rank is computed fraction-free (Bareiss) on integer-cleared rows; kernels
-come from the (unique) reduced row echelon form, normalized to primitive
-integer vectors, so every result is deterministic.
+Every exact solve runs through one fraction-free integer elimination
+(Bareiss 1968).  Each row is first scaled to coprime integers, which
+changes neither rank, pivots, reduced echelon form, kernel nor solutions.
+The forward pass alone gives the rank and, on integer rows taken as they
+are, the determinant.  A back-reduction on the same integers then turns
+every pivot row into d times the corresponding row of the unique reduced
+row echelon form, d being the last pivot, so kernels, solutions and
+inverses are read off with a single division and every result is
+deterministic.  ``rank_naive`` is plain rational Gaussian elimination, kept
+as the oracle the tests compare the core against.
 """
 
 import math
 
-from .scalars import QQ, ZERO, ONE, clear_denominators
+from .scalars import QQ, ZERO, ONE, clear_denominators, denom, numer
 
 
 def _int_rows(rows):
     return [clear_denominators([QQ(x) for x in row]) for row in rows]
 
 
-def rank_bareiss(rows):
-    """Rank by fraction-free (Bareiss) elimination on integer-cleared rows.
+def _bareiss(m, ncols):
+    """Forward fraction-free elimination of integer rows ``m``, in place.
 
-    Pivot selection: in column order, the candidate entry of largest height
-    (absolute value), ties broken by the lowest row index.
+    Pivots are searched in the first ``ncols`` columns, in column order,
+    taking the first row with a nonzero entry; row operations span the
+    whole row.  After the pass, row k is zero left of its pivot and every
+    entry is a minor of the row-permuted input, so each division is exact.
+    Returns (pivot columns, sign of the row permutation).
     """
-    if not rows:
-        return 0
-    m = _int_rows(rows)
-    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    sign = 1
     prev = 1
-    rank = 0
     row = 0
     for col in range(ncols):
-        if row >= nrows:
+        if row == len(m):
             break
-        best = None
-        for i in range(row, nrows):
-            if m[i][col]:
-                if best is None or abs(m[i][col]) > abs(m[best][col]):
-                    best = i
-        if best is None:
+        sel = next((i for i in range(row, len(m)) if m[i][col]), None)
+        if sel is None:
             continue
-        m[row], m[best] = m[best], m[row]
-        piv = m[row][col]
-        for i in range(row + 1, nrows):
-            if any(m[i][col:]):
-                coef = m[i][col]
-                for j in range(col, ncols):
-                    m[i][j] = (m[i][j] * piv - coef * m[row][j]) // prev
+        if sel != row:
+            m[row], m[sel] = m[sel], m[row]
+            sign = -sign
+        top = m[row]
+        piv = top[col]
+        for i in range(row + 1, len(m)):
+            coef = m[i][col]
+            m[i] = [(x * piv - coef * y) // prev for x, y in zip(m[i], top)]
         prev = piv
-        rank += 1
+        pivots.append(col)
         row += 1
-    return rank
+    return pivots, sign
+
+
+def _reduced(rows, ncols):
+    """Integer reduced echelon form: (m, pivots, d) with RREF = m / d.
+
+    ``d`` is the last Bareiss pivot, the maximal minor of the pivot rows at
+    the pivot columns, so d times the RREF is integral and the division in
+    the back-reduction is exact.  Rows past the rank keep their forward-pass
+    entries; they vanish in the first ``ncols`` columns.
+    """
+    m = _int_rows(rows)
+    pivots, _sign = _bareiss(m, ncols)
+    if not pivots:
+        return m, pivots, 1
+    d = m[len(pivots) - 1][pivots[-1]]
+    for k in range(len(pivots) - 2, -1, -1):
+        row = m[k]
+        acc = [d * x for x in row]
+        for j in range(k + 1, len(pivots)):
+            c = row[pivots[j]]
+            if c:
+                acc = [a - c * y for a, y in zip(acc, m[j])]
+        pk = row[pivots[k]]
+        m[k] = [a // pk for a in acc]
+    return m, pivots, d
+
+
+def rank_bareiss(rows):
+    """Rank by the fraction-free forward pass on integer-cleared rows."""
+    if not rows:
+        return 0
+    return len(_bareiss(_int_rows(rows), len(rows[0]))[0])
 
 
 def det_bareiss(m_int):
-    """Determinant of a square integer matrix by Bareiss elimination."""
+    """Determinant of a square integer matrix by the fraction-free forward pass."""
     m = [list(r) for r in m_int]
     n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    pivots, sign = _bareiss(m, n)
+    if len(pivots) < n:
+        return 0
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def rank_naive(rows):
@@ -106,32 +127,15 @@ def rank_naive(rows):
 
 
 def rref(rows, ncols=None):
-    """Reduced row echelon form over QQ; returns (matrix, pivot columns)."""
-    m = [[QQ(x) for x in row] for row in rows]
+    """Reduced row echelon form over QQ; returns (matrix, pivot columns).
+
+    Pivots are taken in the first ``ncols`` columns (all by default).
+    """
     if ncols is None:
-        ncols = len(m[0]) if m else 0
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        if row >= len(m):
-            break
-        sel = None
-        for i in range(row, len(m)):
-            if m[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[row], m[sel] = m[sel], m[row]
-        inv = ONE / m[row][col]
-        m[row] = [a * inv for a in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-    return m, pivots
+        ncols = len(rows[0]) if rows else 0
+    m, pivots, d = _reduced(rows, ncols)
+    d = QQ(d)
+    return [[QQ(x) / d for x in row] for row in m], pivots
 
 
 def primitive_vector(vec):
@@ -151,17 +155,13 @@ def kernel_basis(rows, ncols):
     Derived from the unique RREF, so the basis (and its order, by free
     column) is deterministic.
     """
-    if not rows:
-        return [
-            primitive_vector([ONE if i == j else ZERO for i in range(ncols)])
-            for j in range(ncols)
-        ]
-    m, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    m, pivots, d = _reduced(rows, ncols)
     basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = d
         for r, pc in enumerate(pivots):
             v[pc] = -m[r][f]
         basis.append(primitive_vector(v))
@@ -173,14 +173,13 @@ def solve_linear(rows, rhs):
     if not rows:
         return []
     ncols = len(rows[0])
-    aug = [list(map(QQ, row)) + [QQ(b)] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug, ncols)
-    for r in range(len(m)):
-        if all(m[r][c] == 0 for c in range(ncols)) and m[r][ncols] != 0:
-            return None
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    m, pivots, d = _reduced(aug, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [ZERO] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
+        x[pc] = QQ(m[r][ncols]) / QQ(d)
     return x
 
 
@@ -199,25 +198,23 @@ def mat_inv(a):
     """Exact inverse of a square rational matrix (None if singular)."""
     n = len(a)
     aug = [
-        [QQ(x) for x in row] + [ONE if i == j else ZERO for j in range(n)]
+        list(row) + [ONE if i == j else ZERO for j in range(n)]
         for i, row in enumerate(a)
     ]
-    m, pivots = rref(aug, n)
+    m, pivots, d = _reduced(aug, n)
     if len(pivots) != n:
         return None
-    return [row[n:] for row in m]
+    d = QQ(d)
+    return [[QQ(x) / d for x in row[n:]] for row in m]
 
 
 def mat_det(a):
-    """Exact determinant: scale to integers, Bareiss, undo the scaling."""
-    n = len(a)
-    flat = [QQ(x) for row in a for x in row]
-    lcm = 1
-    for v in flat:
-        lcm = lcm * int(v.denominator) // math.gcd(lcm, int(v.denominator))
-    m_int = [
-        [int(v.numerator) * (lcm // int(v.denominator)) for v in row2]
-        for row2 in [[QQ(x) for x in row] for row in a]
-    ]
-    d = det_bareiss(m_int)
-    return QQ(d) / QQ(lcm) ** n
+    """Exact determinant: scale each row to integers, Bareiss, undo the scaling."""
+    m_int = []
+    scale = 1
+    for row in a:
+        row = [QQ(x) for x in row]
+        lcm = math.lcm(*(denom(x) for x in row))
+        m_int.append([numer(x) * (lcm // denom(x)) for x in row])
+        scale *= lcm
+    return QQ(det_bareiss(m_int)) / QQ(scale)

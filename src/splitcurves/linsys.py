@@ -4,8 +4,9 @@ Conditions (incidence, singularity, divisor divisibility on a conic) become
 rational rows indexed by a fixed monomial basis; a conjugate point over
 QQ[a]/(p) contributes deg(p) rows, one per power-basis coordinate, which
 encodes vanishing along its whole Galois orbit.  Dimensions and kernels are
-exact: rank by fraction-free elimination, kernel from the reduced echelon
-form with content-normalized vectors.
+exact: one fraction-free elimination gives the kernel, as content-normalized
+vectors read off the reduced echelon form, and the rank is the number of
+columns minus the kernel dimension.
 """
 
 from .arith import NFElem
@@ -218,8 +219,8 @@ def system_solve(space, conditions):
     for r in rows:
         if len(r) != ncols:
             raise FieldMismatch("condition row length does not match the space")
-    rank = rank_bareiss(rows) if rows else 0
     kernel_vecs = kernel_basis(rows, ncols)
+    rank = ncols - len(kernel_vecs)
     kernel = [space.from_vector(v) for v in kernel_vecs]
     return LinSysReport(
         space=space,

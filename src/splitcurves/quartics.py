@@ -62,10 +62,6 @@ class QuarticSurface:
         self.move = move
 
     @classmethod
-    def from_node_centered(cls, g2, g3, g4):
-        return cls(g2, g3, g4)
-
-    @classmethod
     def from_raw(cls, quartic, node):
         """Recenter a raw quartic so a verified node sits at (0:0:0:1)."""
         if len(quartic.variables) != 4 or quartic.degree != 4:
@@ -119,16 +115,6 @@ def _lift(plane_form_):
         plane_form_.degree,
         {(e[0], e[1], e[2], 0): c for e, c in plane_form_.terms.items()},
     )
-
-
-def _drop_w(space_form_):
-    """A form in (x, y, z, w) not involving w, viewed in the plane."""
-    terms = {}
-    for (ex, ey, ez, ew), c in space_form_.terms.items():
-        if ew != 0:
-            raise FieldMismatch("form involves w")
-        terms[(ex, ey, ez)] = c
-    return Form(PLANE_VARS, space_form_.degree, terms)
 
 
 def verify_surface_node(quartic, p):

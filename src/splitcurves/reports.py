@@ -8,7 +8,6 @@ and to plain text; both are byte-identical across runs.
 """
 
 import itertools
-import json
 
 from .arith import NFElem
 from .conics import SIMPLE_CONTACT, contact_profile
@@ -23,6 +22,7 @@ from .splitting import (
     criterion_24_7nodal,
     normalize_configuration,
     splitting_type,
+    splitting_type_normalized,
     verify_certificate,
     SplitCertificate,
     _match_scalar,
@@ -94,9 +94,6 @@ class VerificationReport:
             "checks": self.checks,
             "splitting": self.splitting,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_text(self):
         lines = ["example %s: %s" % (self.example_id, self.label)]
@@ -184,13 +181,8 @@ def run_verify_example(example_id, height=50, shear_start=0):
 
     _example_specific_checks(report, record, config)
 
-    split_report = splitting_type(
-        gamma,
-        conic,
-        nodes,
-        height=height,
-        shear_start=shear_start,
-        verify_inputs=False,
+    split_report = splitting_type_normalized(
+        config, shear_start=shear_start, verify_inputs=False
     )
     report.splitting = _splitting_summary(split_report)
     report.undetermined = split_report.outcome == "undetermined"
@@ -209,11 +201,12 @@ def run_verify_example(example_id, height=50, shear_start=0):
     )
     if claim["outcome"] == "split" and split_report.outcome == "split":
         if split_report.factor is not None:
+            verified = split_report.factor.verify(pullback_curve(config.gamma))
             report.add(
                 "pullback factorization verified",
-                split_report.factor.verify(pullback_curve(config.gamma)),
+                verified,
                 expected=True,
-                actual=True,
+                actual=verified,
             )
         witness_alpha = None
         for entry in split_report.evidence:

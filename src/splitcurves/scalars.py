@@ -3,9 +3,7 @@
 All coefficient arithmetic in this package runs in exact rational numbers.
 Two interchangeable backends are supported and one is selected at import
 time: the compiled ``gmpy2.mpq`` type when gmpy2 is installed, and the
-pure-Python ``fractions.Fraction`` otherwise.  Setting the environment
-variable ``SPLITCURVES_PURE_RATIONALS=1`` forces the pure backend (used by
-``benchmarks/bench_backends.py`` to compare the two).
+pure-Python ``fractions.Fraction`` otherwise.
 
 Both types are kept in canonical reduced form by their constructors, and
 their arithmetic semantics agree exactly, so every result of this package
@@ -13,20 +11,15 @@ is byte-identical under either backend.
 """
 
 import math
-import os
 from fractions import Fraction
 
-if os.environ.get("SPLITCURVES_PURE_RATIONALS") == "1":
+try:
+    from gmpy2 import mpq as QQ  # type: ignore
+
+    BACKEND = "gmpy2"
+except ImportError:  # pragma: no cover - environment dependent
     QQ = Fraction
     BACKEND = "fraction"
-else:
-    try:
-        from gmpy2 import mpq as QQ  # type: ignore
-
-        BACKEND = "gmpy2"
-    except ImportError:  # pragma: no cover - environment dependent
-        QQ = Fraction
-        BACKEND = "fraction"
 
 ZERO = QQ(0)
 ONE = QQ(1)
@@ -75,10 +68,6 @@ def rat_sqrt(q):
     if den is None:
         return None
     return QQ(num) / QQ(den)
-
-
-def is_square(q):
-    return rat_sqrt(q) is not None
 
 
 def rat_str(q):

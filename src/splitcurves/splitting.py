@@ -998,12 +998,32 @@ def splitting_type(
 ):
     """Decide the splitting type of a nodal curve with a simple contact conic.
 
+    Normalizes the conic to z^2 - 4xy, then decides as
+    ``splitting_type_normalized``.
+    """
+    return splitting_type_normalized(
+        normalize_configuration(gamma, conic, nodes, height),
+        shear_start=shear_start,
+        budget=budget,
+        extensions=extensions,
+        verify_inputs=verify_inputs,
+    )
+
+
+def splitting_type_normalized(
+    config,
+    shear_start=0,
+    budget=2000,
+    extensions=DEFAULT_EXTENSIONS,
+    verify_inputs=True,
+):
+    """Decide the splitting type of an already normalized configuration.
+
     Runs, for every candidate type (m, n) in order: the node-count filter,
     the necessary dimension conditions, the exact (2,4) criterion when it
     applies, and finally the pullback factorization search whose verified
     product is the only source of a positive verdict.
     """
-    config = normalize_configuration(gamma, conic, nodes, height)
     if config.profile.kind != SIMPLE_CONTACT:
         raise SplitCurvesError(
             "the conic is not a simple contact conic of the curve (profile: %s)"

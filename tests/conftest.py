@@ -1,9 +1,18 @@
 import random
+import zlib
 
 import pytest
 
 from splitcurves.arith import NumberField, UPoly
 from splitcurves.forms import Form, ProjPoint, parse_form, point
+from splitcurves.linalg import (
+    kernel_basis,
+    mat_det,
+    mat_inv,
+    rank_bareiss,
+    rank_naive,
+    solve_linear,
+)
 from splitcurves.scalars import QQ
 
 PLANE = ("x", "y", "z")
@@ -11,14 +20,66 @@ SPACE = ("x", "y", "z", "w")
 
 
 def rng_for(name):
-    """Deterministic per-test RNG."""
-    return random.Random(0x5EED ^ hash(name) % (2**32))
+    """Deterministic per-test RNG; crc32, unlike hash(), is stable across processes."""
+    return random.Random(0x5EED ^ zlib.crc32(name.encode()))
 
 
 def random_rat(rng, height=9):
     num = rng.randint(-height, height)
     den = rng.randint(1, height)
     return QQ(num) / QQ(den)
+
+
+def _dot(row, vec):
+    return sum((a * b for a, b in zip(row, vec)), QQ(0))
+
+
+def _cofactor_det(m):
+    if not m:
+        return QQ(1)
+    return sum(
+        (
+            (-1) ** j * m[0][j] * _cofactor_det([r[:j] + r[j + 1:] for r in m[1:]])
+            for j in range(len(m))
+        ),
+        QQ(0),
+    )
+
+
+def check_elimination(rng, mat):
+    """Every view of the elimination core on one matrix, against the oracles.
+
+    rank_naive gives the rank, direct products check kernels, solutions and
+    inverses, and cofactor expansion checks determinants up to 4 x 4 (on the
+    leading square block of ``mat``).
+    """
+    nrows, ncols = len(mat), len(mat[0])
+    rank = rank_naive(mat)
+    assert rank_bareiss(mat) == rank
+    kernel = kernel_basis(mat, ncols)
+    assert len(kernel) == ncols - rank
+    assert all(_dot(row, v) == 0 for v in kernel for row in mat)
+    if rng.random() < 0.5:
+        x0 = [random_rat(rng, 6) for _ in range(ncols)]
+        rhs = [_dot(row, x0) for row in mat]
+    else:
+        rhs = [random_rat(rng, 6) for _ in range(nrows)]
+    x = solve_linear(mat, rhs)
+    if rank_naive([list(row) + [b] for row, b in zip(mat, rhs)]) > rank:
+        assert x is None
+    else:
+        assert [_dot(row, x) for row in mat] == rhs
+    k = min(nrows, ncols)
+    square = [list(row[:k]) for row in mat[:k]]
+    det = mat_det(square)
+    if k <= 4:
+        assert det == _cofactor_det(square)
+    inv = mat_inv(square)
+    if det == 0:
+        assert inv is None
+    else:
+        identity = [[QQ(int(i == j)) for j in range(k)] for i in range(k)]
+        assert [[_dot(row, col) for col in zip(*square)] for row in inv] == identity
 
 
 def random_form(rng, degree, nvars=3, height=9, sparsity=0.8):

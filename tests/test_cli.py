@@ -29,6 +29,30 @@ def test_verify_example_json_is_byte_identical(capsys):
     assert payload["splitting"]["unassigned_base_points"] == "not certified"
 
 
+def test_failed_factor_verification_shows_in_report(capsys, monkeypatch):
+    # the search itself accepts only verified factors, so the re-check in the
+    # report is made to fail after the decision has been taken
+    from splitcurves import reports
+    from splitcurves.splitting import PullbackFactor
+
+    decide = reports.splitting_type_normalized
+
+    def decide_then_break_verify(*args, **kwargs):
+        rep = decide(*args, **kwargs)
+        monkeypatch.setattr(PullbackFactor, "verify", lambda self, f_pull: False)
+        return rep
+
+    monkeypatch.setattr(reports, "splitting_type_normalized", decide_then_break_verify)
+    code, out, _ = run_cli(capsys, "verify-example", "split6", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    check = next(
+        c for c in payload["checks"] if c["name"] == "pullback factorization verified"
+    )
+    assert check["passed"] is False and check["actual"] is False
+    assert payload["overall"] is False
+
+
 def test_zariski_triple_command(capsys):
     code, out, _ = run_cli(capsys, "verify-example", "zariski-triple", "--json")
     assert code == 0
