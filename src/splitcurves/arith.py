@@ -2,9 +2,11 @@
 
 Univariate polynomials over the rationals or over a number field
 ``QQ[a]/(p)``, complete factorization over the rationals (squarefree
-decomposition, bounded rational-root scan, then Berlekamp + Hensel lifting
-+ Zassenhaus recombination from a single good prime), and binary forms in
-two variables with exact square-root extraction.
+decomposition, a scan for the rational roots p/q with |p|, q <= 30 that
+tries only the divisors the rational root theorem allows and evaluates in
+integers, then Berlekamp + Hensel lifting + Zassenhaus recombination from a
+single good prime), and binary forms in two variables with exact
+square-root extraction.
 
 Everything here is immutable after construction and all operations are
 pure functions, so values can be shared freely between threads.
@@ -659,21 +661,32 @@ def upoly_squarefree(p):
 
 
 def _bounded_rational_roots(ints, bound=30):
-    """Rational roots p/q with |p|, q <= bound of a primitive int poly."""
-    roots = []
-    f = upoly_from_int(ints)
+    """Rational roots p/q with |p|, q <= bound of a primitive int poly.
+
+    By the rational root theorem a root p/q in lowest terms has p dividing
+    the lowest nonzero coefficient and q dividing the leading one, so only
+    those divisors up to ``bound`` are tried, and each candidate is tested
+    in integers as sum a_i p^i q^(n-i) == 0 (n the degree).  Root 0 is
+    present exactly when the constant term is 0.
+    """
+    low = next(a for a in ints if a)
+    nums = [p for p in range(1, bound + 1) if low % p == 0]
+    roots = [ZERO] if ints[0] == 0 else []
     for q in range(1, bound + 1):
         if ints[-1] % q:
             continue
-        for p in range(-bound, bound + 1):
-            if math.gcd(abs(p), q) != 1:
+        for p in nums:
+            if math.gcd(p, q) != 1:
                 continue
-            if ints[0] and p == 0:
-                continue
-            r = QQ(p) / QQ(q)
-            if f.eval(r) == 0:
-                roots.append(r)
-    return sorted(set(roots))
+            for sp in (p, -p):
+                acc = 0
+                qpow = 1
+                for a in reversed(ints):
+                    acc = acc * sp + a * qpow
+                    qpow *= q
+                if acc == 0:
+                    roots.append(QQ(sp, q))
+    return sorted(roots)
 
 
 def upoly_factor(p, max_degree=FACTOR_DEGREE_BOUND):
@@ -931,7 +944,7 @@ class BinForm:
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree, coeffs):
-        coeffs = [QQ(c) for c in coeffs]
+        coeffs = [c if type(c) is QQ else QQ(c) for c in coeffs]
         if len(coeffs) != degree + 1:
             raise ValueError("need %d coefficients" % (degree + 1))
         self.degree = degree

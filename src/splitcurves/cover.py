@@ -47,7 +47,13 @@ def pullback_curve(f, variables=None):
     images = cover_images(variables or f.variables)
     if f.is_zero():
         return BiForm.zero((f.degree, f.degree))
-    return substitute_form(f, images)
+    terms = substitute_form(f, images).terms
+    # The pullback is invariant under the deck involution, so the terms
+    # (i, j) and (j, i) are equal: keep one coefficient object for both.
+    return BiForm(
+        (f.degree, f.degree),
+        {(i, j): terms[(j, i)] if i > j else c for (i, j), c in terms.items()},
+    )
 
 
 def involution_biform(biform):

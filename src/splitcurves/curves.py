@@ -266,9 +266,7 @@ def _infinity_singular_points_exist(partials):
     g = nonzero[0]
     for r in nonzero[1:]:
         g = binform_gcd(g, r)
-    if len(nonzero) < len(restricted):
-        # some partial vanishes identically on z=0: any root of g is singular
-        return g.degree >= 1
+    # a partial that vanishes identically on z = 0 adds no condition there
     return g.degree >= 1
 
 
@@ -294,7 +292,6 @@ def singular_locus_complete(gamma, claimed, max_shears=20, shear_start=0):
     for idx in range(shear_start, shear_start + max_shears):
         m = shear_matrix(idx)
         minv = mat_inv(m)
-        g = compose_form(gamma, m)
         moved = [transform_point(minv, p) for p in claimed]
         if any(scalar_is_zero(p.coords[2]) for p in moved):
             continue
@@ -312,7 +309,7 @@ def singular_locus_complete(gamma, claimed, max_shears=20, shear_start=0):
         if len({u[2].coeffs for u in units}) != len(units):
             continue
 
-        partials = g.partials()
+        partials = compose_form(gamma, m).partials()
         if _infinity_singular_points_exist(partials):
             return False
         affs = [_affine_xy(p) for p in partials]

@@ -1,9 +1,10 @@
 """Homogeneous forms over the rationals, biforms on P1 x P1, and points.
 
 Forms are sparse term maps from exponent vectors to rational coefficients,
-always homogeneous; the text grammar accepted by ``parse_form`` is the wire
-format used by the CLI.  Printing iterates terms in descending
-graded-lexicographic order so output is reproducible, and
+always homogeneous; a biform keeps a dense tuple of its coefficients and
+shows the same term map as ``terms``.  The text grammar accepted by
+``parse_form`` is the wire format used by the CLI.  Printing iterates terms
+in descending graded-lexicographic order so output is reproducible, and
 ``parse_form(form_to_str(f)) == f`` exactly.
 """
 
@@ -39,6 +40,11 @@ def plane_basis_size(degree):
     return (degree + 1) * (degree + 2) // 2
 
 
+# Every Form keys its terms by the same exponent tuple objects: own key
+# tuples would be about a third of the memory of a form that is kept.
+_EXPONENTS = {}
+
+
 class Form:
     """Homogeneous multivariate form in 3 or 4 variables over QQ."""
 
@@ -50,7 +56,8 @@ class Form:
             raise ValueError("forms live in 3 or 4 variables")
         clean = {}
         for expo, coeff in terms.items():
-            coeff = QQ(coeff)
+            if type(coeff) is not QQ:
+                coeff = QQ(coeff)
             if coeff == 0:
                 continue
             expo = tuple(int(e) for e in expo)
@@ -58,7 +65,7 @@ class Form:
                 raise NotHomogeneous(
                     "exponent %r does not have total degree %d" % (expo, degree)
                 )
-            clean[expo] = coeff
+            clean[_EXPONENTS.setdefault(expo, expo)] = coeff
         self.variables = variables
         self.degree = degree
         self.terms = clean
@@ -201,50 +208,81 @@ class Form:
         return "Form(%s)" % form_to_str(self)
 
 
-# Every BiForm keys its terms by the same (i, j) tuple objects: own key
-# tuples would be about a third of the memory of a biform that is kept
-# (a pullback, a factor).
-_EXPONENT_PAIRS = {}
+# A biform of bidegree (d1, d2) keeps its coefficients densely: the
+# coefficient of s^i t^(d1-i) u^j v^(d2-j) sits at index i * (d2 + 1) + j.
+# A kept biform (a pullback, a factor) is mostly its coefficient store, and
+# a tuple holds a (6, 6) pullback in a fifth of the memory of a dict.  Each
+# bidegree has one shared bidegree tuple and one tuple of (i, j) keys.
+_LAYOUTS = {}
+
+
+def _layout(d1, d2):
+    """(bidegree, keys in index order) of the given bidegree, shared."""
+    layout = _LAYOUTS.get((d1, d2))
+    if layout is None:
+        keys = tuple((i, j) for i in range(d1 + 1) for j in range(d2 + 1))
+        layout = _LAYOUTS.setdefault((d1, d2), ((d1, d2), keys))
+    return layout
 
 
 class BiForm:
     """Bihomogeneous form on P1 x P1 in (s,t) x (u,v).
 
-    ``terms[(i, j)]`` is the coefficient of s^i t^(d1-i) u^j v^(d2-j).
+    ``terms[(i, j)]`` is the coefficient of s^i t^(d1-i) u^j v^(d2-j);
+    ``coeffs`` holds all (d1+1)(d2+1) coefficients, zeros included, with
+    that of (i, j) at index i * (d2 + 1) + j.
     """
 
-    __slots__ = ("bidegree", "terms")
+    __slots__ = ("bidegree", "coeffs")
 
     def __init__(self, bidegree, terms):
         d1, d2 = bidegree
-        clean = {}
+        coeffs = [ZERO] * ((d1 + 1) * (d2 + 1))
         for (i, j), coeff in terms.items():
-            coeff = QQ(coeff)
+            if type(coeff) is not QQ:
+                coeff = QQ(coeff)
             if coeff == 0:
                 continue
             if not (0 <= i <= d1 and 0 <= j <= d2):
                 raise NotHomogeneous("exponent (%d,%d) outside bidegree" % (i, j))
-            key = (i, j)
-            clean[_EXPONENT_PAIRS.setdefault(key, key)] = coeff
-        self.bidegree = (d1, d2)
-        self.terms = clean
+            coeffs[i * (d2 + 1) + j] = coeff
+        self.bidegree = _layout(d1, d2)[0]
+        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def _dense(cls, bidegree, coeffs):
+        """A biform from rational coefficients already in dense order."""
+        out = cls.__new__(cls)
+        out.bidegree = _layout(*bidegree)[0]
+        out.coeffs = tuple(coeffs)
+        return out
 
     @classmethod
     def zero(cls, bidegree):
         return cls(bidegree, {})
 
+    def _nonzero(self):
+        """((i, j), coefficient) pairs of the nonzero terms, in index order."""
+        keys = _layout(*self.bidegree)[1]
+        return [(e, c) for e, c in zip(keys, self.coeffs) if c]
+
+    @property
+    def terms(self):
+        """The nonzero coefficients, keyed by (i, j)."""
+        return dict(self._nonzero())
+
     def is_zero(self):
-        return not self.terms
+        return not any(self.coeffs)
 
     def __eq__(self, other):
         return (
             isinstance(other, BiForm)
             and self.bidegree == other.bidegree
-            and self.terms == other.terms
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.bidegree, tuple(sorted(self.terms.items()))))
+        return hash((self.bidegree, tuple(self._nonzero())))
 
     def __add__(self, other):
         if self.is_zero():
@@ -256,34 +294,46 @@ class BiForm:
                 "adding biforms of bidegrees %r and %r"
                 % (self.bidegree, other.bidegree)
             )
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, ZERO) + c
-        return BiForm(self.bidegree, terms)
+        # a zero summand keeps the other coefficient object as it is
+        return BiForm._dense(
+            self.bidegree,
+            [
+                (a + b if b else a) if a else b
+                for a, b in zip(self.coeffs, other.coeffs)
+            ],
+        )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return BiForm(self.bidegree, {e: -c for e, c in self.terms.items()})
+        return BiForm._dense(
+            self.bidegree, [-c if c else ZERO for c in self.coeffs]
+        )
 
     def scale(self, c):
         c = QQ(c)
         if c == 0:
             return BiForm.zero(self.bidegree)
-        return BiForm(self.bidegree, {e: c * v for e, v in self.terms.items()})
+        return BiForm._dense(
+            self.bidegree, [c * v if v else ZERO for v in self.coeffs]
+        )
 
     def __mul__(self, other):
         if not isinstance(other, BiForm):
             return self.scale(other)
         d1 = self.bidegree[0] + other.bidegree[0]
         d2 = self.bidegree[1] + other.bidegree[1]
-        terms = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                terms[key] = terms.get(key, ZERO) + c1 * c2
-        return BiForm((d1, d2), terms)
+        # index (i1 + i2) * w + (j1 + j2) is the sum of the factors' indices
+        w = d2 + 1
+        left = [(i * w + j, c) for (i, j), c in self._nonzero()]
+        right = [(i * w + j, c) for (i, j), c in other._nonzero()]
+        coeffs = [ZERO] * ((d1 + 1) * w)
+        for k1, c1 in left:
+            for k2, c2 in right:
+                k = k1 + k2
+                coeffs[k] = coeffs[k] + c1 * c2
+        return BiForm._dense((d1, d2), coeffs)
 
     __rmul__ = __mul__
 
@@ -299,15 +349,16 @@ class BiForm:
 
     def involution(self):
         """Swap the rulings: (s,t) <-> (u,v); bidegree (d1,d2) -> (d2,d1)."""
-        return BiForm(
-            (self.bidegree[1], self.bidegree[0]),
-            {(j, i): c for (i, j), c in self.terms.items()},
+        d1, d2 = self.bidegree
+        w = d2 + 1
+        return BiForm._dense(
+            (d2, d1), [c for j in range(w) for c in self.coeffs[j::w]]
         )
 
     def eval(self, s, t, u, v):
         d1, d2 = self.bidegree
         total = None
-        for (i, j), coeff in sorted(self.terms.items()):
+        for (i, j), coeff in self._nonzero():
             term = coeff * s**i * t ** (d1 - i) * u**j * v ** (d2 - j)
             total = term if total is None else total + term
         return ZERO if total is None else total
@@ -323,14 +374,15 @@ class BiForm:
         d1, d2 = self.bidegree
         u0, v0 = QQ(u0), QQ(v0)
         coeffs = [ZERO] * (d1 + 1)
-        for (i, j), coeff in self.terms.items():
+        for (i, j), coeff in self._nonzero():
             coeffs[i] = coeffs[i] + coeff * u0**j * v0 ** (d2 - j)
         return BinForm(d1, coeffs)
 
     def coefficient_vector(self, basis=None):
         if basis is None:
             basis = biform_basis(*self.bidegree)
-        return [self.terms.get(e, ZERO) for e in basis]
+        terms = self.terms
+        return [terms.get(e, ZERO) for e in basis]
 
     @classmethod
     def from_coefficient_vector(cls, bidegree, vec):

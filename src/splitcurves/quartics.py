@@ -77,7 +77,6 @@ class QuarticSurface:
             if len(cols) == 4:
                 break
         # matrix sending e4 to the node: columns (c2, c3, c4, node)
-        move = [[cols[(j + 1) % 4][i] for j in range(4)] for i in range(4)]
         move = [[cols[1][i], cols[2][i], cols[3][i], cols[0][i]] for i in range(4)]
         recentered = compose_form(quartic, move)
         slices = _w_slices(recentered)

@@ -716,9 +716,9 @@ def _pullback_preimage(target, degree, variables=("x", "y", "z")):
     cols = []
     for expo in space.basis:
         img = pullback_curve(Form.monomial(variables, expo))
-        cols.append([img.terms.get(e, ZERO) for e in basis])
+        cols.append(img.coefficient_vector(basis))
     rows = [list(r) for r in zip(*cols)]
-    rhs = [target.terms.get(e, ZERO) for e in basis]
+    rhs = target.coefficient_vector(basis)
     sol = solve_linear(rows, rhs)
     if sol is None:
         return None
@@ -812,9 +812,9 @@ def _divide_by_ram(biform):
     for (i, j) in q_basis:
         mono = BiForm((d1 - 1, d2 - 1), {(i, j): ONE})
         img = mono * r
-        cols.append([img.terms.get(e, ZERO) for e in target_basis])
+        cols.append(img.coefficient_vector(target_basis))
     rows = [list(rw) for rw in zip(*cols)]
-    rhs = [biform.terms.get(e, ZERO) for e in target_basis]
+    rhs = biform.coefficient_vector(target_basis)
     sol = solve_linear(rows, rhs)
     if sol is None:
         return None

@@ -1,9 +1,14 @@
+import math
+
 import pytest
 
 from splitcurves.arith import (
     BinForm,
     NumberField,
     UPoly,
+    _bounded_rational_roots,
+    _zz_mul,
+    _zz_primitive,
     binary_form_sqrt,
     upoly_factor,
     upoly_gcd,
@@ -108,6 +113,54 @@ def test_factor_reconstruction_deterministic_random():
         assert rebuilt == f
         for g, _m in facs:
             assert g.lc() == 1
+
+
+def brute_force_rational_roots(ints, bound=30):
+    """Oracle: evaluate every p/q with |p|, q <= bound in rationals."""
+    f = UPoly([QQ(c) for c in ints])
+    roots = set()
+    for q in range(1, bound + 1):
+        for p in range(-bound, bound + 1):
+            if math.gcd(abs(p), q) == 1 and f.eval(QQ(p) / QQ(q)) == 0:
+                roots.add(QQ(p) / QQ(q))
+    return sorted(roots)
+
+
+def test_rational_root_scan_matches_brute_force():
+    rng = rng_for("rational-root-scan")
+    zero_constant = repeated = beyond_bound = 0
+    for _ in range(80):
+        ints = [rng.choice([-3, -2, -1, 1, 2, 3, 5]) for _ in range(rng.randint(1, 3))]
+        linears = []
+        for _k in range(rng.randint(0, 4)):
+            # roots p/q up to 35, so some lie outside the scan bound of 30
+            p, q = rng.randint(-35, 35), rng.randint(1, 35)
+            linears.append([-p, q])
+            beyond_bound += abs(p) > 30 or q > 30
+        if linears and rng.random() < 0.3:
+            linears.append(linears[0])
+            repeated += 1
+        if rng.random() < 0.25:
+            ints = [0] * rng.randint(1, 2) + ints
+            zero_constant += 1
+        for lin in linears:
+            ints = _zz_mul(ints, lin)
+        ints, _ = _zz_primitive(ints)
+        if len(ints) < 2:
+            continue
+        assert _bounded_rational_roots(ints) == brute_force_rational_roots(ints), ints
+    assert zero_constant and repeated and beyond_bound
+
+
+def test_linear_factor_outside_scan_bound():
+    # 31x - 2 has its root 2/31 outside the scan; Zassenhaus still finds it
+    f = poly(-2, 31) * poly(1, 0, 1)
+    assert _bounded_rational_roots([-2, 31, -2, 31]) == []
+    facs = upoly_factor(f)
+    assert [(g.coeffs, m) for g, m in facs] == [
+        ((QQ(-2, 31), QQ(1)), 1),
+        ((QQ(1), QQ(0), QQ(1)), 1),
+    ]
 
 
 def test_multiplicities():

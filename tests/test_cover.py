@@ -4,7 +4,7 @@ from splitcurves.cover import (
     pullback_curve,
     ram_form,
 )
-from splitcurves.forms import BiForm, Form, parse_form
+from splitcurves.forms import BiForm, Form, parse_form, substitute_form
 from splitcurves.scalars import QQ
 
 from conftest import PLANE, rng_for, random_form
@@ -55,7 +55,10 @@ def test_involution_is_an_involution_200_cases():
                 if rng.random() < 0.5:
                     terms[(i, j)] = QQ(rng.randint(-9, 9))
         b = BiForm((d1, d2), terms)
-        assert involution_biform(involution_biform(b)) == b
+        swapped = involution_biform(b)
+        assert swapped.bidegree == (d2, d1)
+        assert swapped.terms == {(j, i): c for (i, j), c in b.terms.items()}
+        assert involution_biform(swapped) == b
 
 
 def test_pullback_multiplicative_200_cases():
@@ -72,3 +75,14 @@ def test_involution_fixes_pullbacks_200_cases():
         f = random_form(rng, rng.randint(1, 4))
         image = pullback_curve(f)
         assert involution_biform(image) == image
+
+
+def test_pullback_shares_mirrored_coefficients():
+    rng = rng_for("pullback-shared")
+    images = CoverContext().images
+    for _ in range(40):
+        f = random_form(rng, rng.randint(1, 6))
+        image = pullback_curve(f)
+        assert image == substitute_form(f, images)
+        for (i, j), c in image.terms.items():
+            assert image.terms[(j, i)] is c

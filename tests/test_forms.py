@@ -1,6 +1,6 @@
 import pytest
 
-from splitcurves.arith import NumberField, UPoly
+from splitcurves.arith import BinForm, NumberField, UPoly
 from splitcurves.errors import NotHomogeneous, ParseError
 from splitcurves.forms import (
     BiForm,
@@ -182,3 +182,29 @@ def test_compose_form_matrix_action():
         if all(c == 0 for c in image):
             continue
         assert compose_form(f, m).eval(coords) == f.eval(image)
+
+
+def test_forms_share_exponent_keys():
+    f = parse_form("x^2 + 3yz", PLANE)
+    g = parse_form("2x^2 - yz", PLANE)
+    for expo in f.terms:
+        (key,) = [e for e in g.terms if e == expo]
+        assert key is expo
+    a = BiForm((1, 1), {(1, 0): 1})
+    b = BiForm((1, 1), {(1, 0): 2, (0, 1): 1})
+    assert next(iter(a.terms)) is next(e for e in b.terms if e == (1, 0))
+
+
+def test_constructors_convert_to_rationals_and_keep_rationals():
+    half = QQ(1, 2)
+    f = Form(PLANE, 1, {(1, 0, 0): 2, (0, 1, 0): "3/4", (0, 0, 1): half})
+    b = BiForm((1, 1), {(1, 0): 2, (0, 1): "-5/3", (1, 1): half})
+    bin_form = BinForm(2, [2, "7/2", half])
+    f_coeffs = [f.terms[e] for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    b_coeffs = [b.terms[e] for e in ((1, 0), (0, 1), (1, 1))]
+    assert f_coeffs == [QQ(2), QQ(3, 4), half]
+    assert b_coeffs == [QQ(2), QQ(-5, 3), half]
+    assert list(bin_form.coeffs) == [QQ(2), QQ(7, 2), half]
+    for coeffs in (f_coeffs, b_coeffs, list(bin_form.coeffs)):
+        assert all(type(c) is QQ for c in coeffs)
+        assert coeffs[2] is half
