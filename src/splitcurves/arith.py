@@ -826,11 +826,6 @@ class NFElem:
     def is_rational(self):
         return all(c == 0 for c in self.coords[1:])
 
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return self.coords[0]
-
     def __bool__(self):
         return not self.is_zero()
 

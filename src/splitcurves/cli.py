@@ -62,7 +62,7 @@ def _emit(payload, as_json, text):
 
 def _cmd_verify_example(args):
     if args.id == "zariski-triple":
-        outcomes = zariski_triple_outcomes(height=args.height)
+        outcomes = zariski_triple_outcomes()
         distinct = len(set(outcomes.values())) == 3
         _emit(
             {"outcomes": outcomes, "pairwise_distinct": distinct},
@@ -71,9 +71,7 @@ def _cmd_verify_example(args):
             % (outcomes, distinct),
         )
         return 0 if distinct else 1
-    report = run_verify_example(
-        args.id, height=args.height, shear_start=args.seed_shear
-    )
+    report = run_verify_example(args.id)
     _emit(report.to_json_dict(), args.json, report.to_text())
     if report.undetermined:
         return 2
@@ -88,15 +86,7 @@ def _cmd_analyze(args):
         "conic": form_to_str(conic),
         "conic_class": classify_conic(conic),
     }
-    from .conics import find_rational_point, parametrize_conic
-    from .errors import PointNotOnConic
-
-    base = find_rational_point(conic, args.height)
-    if base is None:
-        raise PointNotOnConic(
-            "no rational point of height <= %d on the conic" % args.height
-        )
-    profile = contact_profile(gamma, conic, parametrize_conic(conic, base))
+    profile = contact_profile(gamma, conic)
     payload["contact"] = {
         "kind": profile.kind,
         "tangent_count": profile.tangent_count,
@@ -109,18 +99,13 @@ def _cmd_analyze(args):
         payload["nodes"] = [jsonable(p) for p in nodes]
         reports = [verify_node(gamma, p) for p in nodes]
         payload["nodes_are_nodes"] = [r.is_node for r in reports]
-        payload["singular_locus_complete"] = singular_locus_complete(
-            gamma, nodes, shear_start=args.seed_shear
-        )
+        payload["singular_locus_complete"] = singular_locus_complete(gamma, nodes)
         if gamma.degree == 6:
             try:
                 payload["irreducible"] = irreducibility_sextic(gamma, nodes)
             except CannotCertify as exc:
                 payload["irreducible"] = "not certified: %s" % exc
-        split = splitting_type(
-            gamma, conic, nodes, height=args.height,
-            shear_start=args.seed_shear, verify_inputs=False,
-        )
+        split = splitting_type(gamma, conic, nodes, verify_inputs=False)
         payload["splitting"] = {
             "outcome": split.outcome,
             "type": [split.m, split.n] if split.outcome == "split" else None,
@@ -157,9 +142,7 @@ def _cmd_split_type(args):
     gamma = parse_form(_read_expr(args.curve), PLANE_VARS)
     conic = parse_form(_read_expr(args.conic), PLANE_VARS)
     nodes = _load_nodes(args.nodes)
-    report = splitting_type(
-        gamma, conic, nodes, height=args.height, shear_start=args.seed_shear
-    )
+    report = splitting_type(gamma, conic, nodes)
     payload = {
         "outcome": report.outcome,
         "type": [report.m, report.n] if report.outcome == "split" else None,
@@ -241,14 +224,6 @@ def build_parser():
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--height", type=int, default=50,
-            help="height bound for rational point searches (default 50)",
-        )
-        p.add_argument(
-            "--seed-shear", type=int, default=0,
-            help="starting index in the deterministic shear sequence",
-        )
 
     p = sub.add_parser("verify-example", help="run a catalog example end to end")
     p.add_argument(

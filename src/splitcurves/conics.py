@@ -1,16 +1,20 @@
 """Smooth-conic handling.
 
-Rational parametrization by stereographic projection from a rational point,
-restriction of plane curves to the conic (giving the intersection divisor as
-a binary form), contact analysis, and exact normalization of a smooth conic
-to z^2 - 4xy.
+An exact decision whether a conic has a rational point (Legendre's descent,
+with integers factored by trial division up to a fixed bound), rational
+parametrization by stereographic projection from such a point, restriction
+of plane curves to the conic (giving the intersection divisor as a binary
+form), contact analysis, and exact normalization of a smooth conic to
+z^2 - 4xy.
 """
 
+from itertools import combinations
+
 from .arith import BinForm, NumberField, scalar_is_zero
-from .errors import CommonComponent, ConicNotSmooth, PointNotOnConic
-from .forms import Form, ProjPoint, all_monomial_points, compose_form
+from .errors import CannotCertify, CommonComponent, ConicNotSmooth, PointNotOnConic
+from .forms import Form, ProjPoint, compose_form
 from .linalg import kernel_basis, mat_inv, mat_mul, rank_bareiss
-from .scalars import QQ, ZERO, ONE
+from .scalars import QQ, ZERO, ONE, denom, numer
 
 NOT_CONTACT = "not_contact"
 CONTACT = "contact"
@@ -68,6 +72,16 @@ class ConicParam:
         return ProjPoint(coords)
 
 
+def _with_sums(vectors):
+    """The vectors, then their pairwise sums, in a fixed order."""
+    sums = [[x + y for x, y in zip(u, w)] for u, w in combinations(vectors, 2)]
+    return vectors + sums
+
+
+_UNITS = [[ONE if j == k else ZERO for j in range(3)] for k in range(3)]
+_CANDIDATES = _with_sums(_UNITS)  # the directions tried first
+
+
 def _bilinear(a, x, y):
     return sum(
         (x[i] * sum((a[i][j] * y[j] for j in range(3)), ZERO) for i in range(3)),
@@ -85,49 +99,28 @@ def parametrize_conic(q, base):
     if q.eval(b) != 0:
         raise PointNotOnConic("%r does not lie on the conic" % (base,))
     a = conic_matrix(q)
-    # tangent direction at the base point: second basis vector of ker(b^T A)
-    row = [_bilinear(a, b, [ONE if j == k else ZERO for j in range(3)]) for k in range(3)]
-    candidates = []
-    units = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
-    for u in units:
-        candidates.append(u)
-    for u in units:
-        for w in units:
-            if u != w:
-                candidates.append([x + y for x, y in zip(u, w)])
-    tangents = []
-    for v in candidates:
-        if _bilinear(a, b, v) == 0 and rank_bareiss([b, v]) == 2:
-            tangents.append(v)
-    if not tangents:
-        # solve b^T A v = 0 directly
-        for vec in kernel_basis([row], 3):
-            if rank_bareiss([b, vec]) == 2:
-                tangents.append(vec)
-    for v_t in tangents:
-        for u in candidates:
-            if rank_bareiss([b, v_t, u]) != 3:
-                continue
-            # direction D = s*u + t*v_t ; second intersection of the line base+D
-            qd = [ZERO, ZERO, ZERO]  # q(D) as binary quadratic s^2, st, t^2
-            qd[0] = _bilinear(a, u, u)
-            qd[1] = 2 * _bilinear(a, u, v_t)
-            qd[2] = _bilinear(a, v_t, v_t)
-            bd = [_bilinear(a, b, u), _bilinear(a, b, v_t)]  # linear in s, t
-            comps = []
-            for k in range(3):
-                # q(D)*b_k - 2*(b^T A D)*D_k  as binary quadratic in (s, t)
-                s2 = qd[0] * b[k] - 2 * bd[0] * u[k]
-                st = qd[1] * b[k] - 2 * (bd[0] * v_t[k] + bd[1] * u[k])
-                t2 = qd[2] * b[k] - 2 * bd[1] * v_t[k]
-                comps.append(BinForm(2, [t2, st, s2]))
-            rows = [[p.coeffs[2], p.coeffs[1], p.coeffs[0]] for p in comps]
-            if rank_bareiss(rows) != 3:
-                continue
-            param = ConicParam(q, ProjPoint([QQ(c) for c in b]), *comps)
-            if restrict_to_conic(q, param).is_zero():
-                return param
-    raise ConicNotSmooth("no valid parametrization found for %r" % (q,))
+    # tangent direction v_t at the base point: a vector of ker(b^T A) other
+    # than b; any u off the tangent line then completes the basis
+    row = [_bilinear(a, b, e) for e in _UNITS]
+    v_t = next(
+        v for v in _CANDIDATES + kernel_basis([row], 3)
+        if _bilinear(a, b, v) == 0 and rank_bareiss([b, v]) == 2
+    )
+    u = next(u for u in _CANDIDATES if rank_bareiss([b, v_t, u]) == 3)
+    # direction D = s*u + t*v_t ; second intersection of the line base+D
+    qd = [_bilinear(a, u, u), 2 * _bilinear(a, u, v_t), _bilinear(a, v_t, v_t)]
+    bd = [_bilinear(a, b, u), _bilinear(a, b, v_t)]  # b^T A D, linear in s, t
+    comps = []
+    for k in range(3):
+        # q(D)*b_k - 2*(b^T A D)*D_k  as binary quadratic in (s, t)
+        s2 = qd[0] * b[k] - 2 * bd[0] * u[k]
+        st = qd[1] * b[k] - 2 * (bd[0] * v_t[k] + bd[1] * u[k])
+        t2 = qd[2] * b[k] - 2 * bd[1] * v_t[k]
+        comps.append(BinForm(2, [t2, st, s2]))
+    param = ConicParam(q, ProjPoint([QQ(c) for c in b]), *comps)
+    if not restrict_to_conic(q, param).is_zero():
+        raise ConicNotSmooth("parametrization identity failed for %r" % (q,))
+    return param
 
 
 def restrict_to_conic(f, param):
@@ -156,12 +149,128 @@ def restrict_to_conic(f, param):
     return acc
 
 
-def find_rational_point(q, height=50):
-    """First rational point on the conic in the deterministic height order."""
-    for p in all_monomial_points(height, 2):
-        if q.eval(list(p.coords)) == 0:
-            return p
-    return None
+# Integers are factored by trial division by 2, 3, 5, ... up to this bound,
+# so every |n| < _TRIAL_DIVISION_BOUND**2 factors completely; a larger
+# cofactor with no prime factor below the bound raises CannotCertify.
+_TRIAL_DIVISION_BOUND = 10**5
+
+
+def _factor(n):
+    """Prime factorization {p: e} of a nonzero integer, by trial division."""
+    n, factors, p = abs(n), {}, 2
+    while p * p <= n:
+        if p > _TRIAL_DIVISION_BOUND:
+            raise CannotCertify("cannot factor %d by trial division" % n)
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
+def _squarefree(r):
+    """(k, m) with r = k * m^2, k a square-free integer and m rational > 0."""
+    n, d = numer(r), denom(r)
+    k = m = 1
+    for p, e in _factor(n * d).items():
+        k *= p ** (e % 2)
+        m *= p ** (e // 2)
+    return (k if n > 0 else -k), QQ(m) / d
+
+
+def _sqrt_mod_prime(n, p):
+    """Some r with r^2 = n (mod p), or None (Tonelli-Shanks)."""
+    n %= p
+    if n == 0 or p == 2:
+        return n
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _legendre(a, b):
+    """Integers (x, y, z), not all zero, with x^2 = a y^2 + b z^2, or None.
+
+    a and b are nonzero square-free integers.  Legendre's descent: with
+    |a| >= |b|, a solution forces t^2 = b (mod |a|); then t^2 - b = a k m^2
+    with k square-free, |k| < |a|, and multiplying norms from Q(sqrt b) maps
+    a solution of X^2 = k Y^2 + b Z^2 to one of the original equation.
+    """
+    if a == 1:
+        return 1, 1, 0
+    if b == 1:
+        return 1, 0, 1
+    if a < 0 and b < 0:
+        return None  # no real point
+    if abs(a) < abs(b):
+        sol = _legendre(b, a)
+        return sol and (sol[0], sol[2], sol[1])
+    t, mod = 0, 1  # the square root of b modulo |a|, assembled by CRT
+    for p in _factor(a):
+        r = _sqrt_mod_prime(b, p)
+        if r is None:
+            return None  # no p-adic point
+        t, mod = t + mod * ((r - t) * pow(mod, -1, p) % p), mod * p
+    if 2 * t > mod:
+        t -= mod
+    k, m = _squarefree(QQ((t * t - b) // a))
+    sol = _legendre(k, b)
+    if sol is None:
+        return None
+    x, y, z = sol
+    return t * x + b * z, k * numer(m) * y, x + t * z
+
+
+def find_rational_point(q):
+    """A rational point of the smooth conic q = 0, or None if it has none.
+
+    Decided exactly: an orthogonal basis v1, v2, v3 for the form turns q
+    into d1 X^2 + d2 Y^2 + d3 Z^2, which Legendre's descent solves after
+    the coefficients are made square-free integers.  The point returned is
+    checked on the conic; a singular conic raises ConicNotSmooth.
+    """
+    if classify_conic(q) != "smooth":
+        raise ConicNotSmooth(repr(q))
+    a = conic_matrix(q)
+    basis = []
+    while len(basis) < 3:
+        rows = [[_bilinear(a, v, e) for e in _UNITS] for v in basis]
+        space = kernel_basis(rows, 3) if rows else _UNITS
+        basis.append(next(v for v in _with_sums(space) if _bilinear(a, v, v) != 0))
+    d1, d2, d3 = (_bilinear(a, v, v) for v in basis)
+    # X^2 = -(d2/d1) Y^2 - (d3/d1) Z^2, and -(d2/d1) Y^2 = ka (wa Y)^2
+    (ka, wa), (kb, wb) = (_squarefree(-d / d1) for d in (d2, d3))
+    sol = _legendre(ka, kb)
+    if sol is None:
+        return None
+    coeffs = (sol[0], sol[1] / wa, sol[2] / wb)
+    p = ProjPoint([sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(3)])
+    if q.eval(list(p.coords)) != 0:
+        raise CannotCertify("descent gave a point off the conic %r" % (q,))
+    return ProjPoint(p.primitive())
+
+
+def rational_parametrization(q):
+    """Stereographic parametrization of q from its decided rational point."""
+    base = find_rational_point(q)
+    if base is None:
+        raise PointNotOnConic("conic has no rational point")
+    return parametrize_conic(q, base)
 
 
 class ContactProfile:
@@ -208,10 +317,7 @@ def contact_profile(gamma, q, param=None):
     if classify_conic(q) != "smooth":
         raise ConicNotSmooth(repr(q))
     if param is None:
-        base = find_rational_point(q)
-        if base is None:
-            raise PointNotOnConic("no rational point of small height on the conic")
-        param = parametrize_conic(q, base)
+        param = rational_parametrization(q)
     restriction = restrict_to_conic(gamma, param)
     if restriction.is_zero():
         raise CommonComponent("curve contains the conic")
@@ -242,13 +348,6 @@ def contact_profile(gamma, q, param=None):
     return ContactProfile(CONTACT, squarefree, tangent_count, mults, content)
 
 
-DELTA2_PARAM_MATRIX = [
-    [ONE, ZERO, ZERO],
-    [ZERO, ZERO, ONE],
-    [ZERO, QQ(2), ZERO],
-]
-
-
 def delta2(variables=("x", "y", "z")):
     """The normalized conic z^2 - 4xy."""
     return Form(
@@ -270,29 +369,23 @@ def delta2_param():
     )
 
 
-def normalize_conic(q, base):
+def normalize_conic(q):
     """Invertible rational M with (q o M^{-1}) = lambda * (z^2 - 4xy).
 
     As a point map, M carries the conic q = 0 onto z^2 - 4xy = 0; it is
     built by matching the coefficient matrices of the two stereographic
-    parametrizations, and the identity is verified by exact expansion.
+    parametrizations (that of q from its decided rational point), and the
+    identity is verified by exact expansion.
     """
-    param = parametrize_conic(q, base)
+    param = rational_parametrization(q)
     pq = param.coefficient_matrix()
-    pstar_inv = mat_inv(DELTA2_PARAM_MATRIX)
+    pstar_inv = mat_inv(delta2_param().coefficient_matrix())
     m_map = mat_mul(pq, pstar_inv)  # delta2 points -> q points
     m = mat_inv(m_map)
     if m is None:
         raise ConicNotSmooth("degenerate parametrization")
     transformed = compose_form(q, m_map)  # = q o M^{-1}
-    target = delta2(q.variables)
-    lam = None
-    for expo, c in transformed.terms.items():
-        tc = target.terms.get(expo)
-        if tc is None:
-            raise ConicNotSmooth("normalization failed")
-        lam = c / tc
-        break
-    if transformed != target.scale(lam):
+    lam = transformed.terms.get((0, 0, 2), ZERO)  # z^2 has coefficient 1 in delta2
+    if lam == 0 or transformed != delta2(q.variables).scale(lam):
         raise ConicNotSmooth("normalization identity failed")
     return m

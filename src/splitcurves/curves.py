@@ -83,6 +83,9 @@ def verify_node(gamma, p):
 # deterministic shears
 # ---------------------------------------------------------------------------
 
+# The completeness and reducedness checks try shears 0, 1, ..., MAX_SHEARS - 1.
+MAX_SHEARS = 20
+
 
 def shear_matrix(index, size=3):
     """Deterministic invertible integer matrix number ``index``."""
@@ -270,7 +273,7 @@ def _infinity_singular_points_exist(partials):
     return g.degree >= 1
 
 
-def singular_locus_complete(gamma, claimed, max_shears=20, shear_start=0):
+def singular_locus_complete(gamma, claimed):
     """Is the claimed point list exactly the singular locus of the curve?
 
     Number-field points stand for their whole conjugate orbit.  The check
@@ -289,7 +292,7 @@ def singular_locus_complete(gamma, claimed, max_shears=20, shear_start=0):
         if not rep.is_singular:
             return False
 
-    for idx in range(shear_start, shear_start + max_shears):
+    for idx in range(MAX_SHEARS):
         m = shear_matrix(idx)
         minv = mat_inv(m)
         moved = [transform_point(minv, p) for p in claimed]
@@ -388,7 +391,7 @@ def singular_locus_complete(gamma, claimed, max_shears=20, shear_start=0):
             return False
         return True
     raise ShearExhausted(
-        "%d shears failed to separate the configuration" % max_shears
+        "%d shears failed to separate the configuration" % MAX_SHEARS
     )
 
 
@@ -408,13 +411,13 @@ def _fiber_gcd_rational(affine_partials, alpha):
     return g
 
 
-def curve_is_reduced(gamma, max_shears=20):
+def curve_is_reduced(gamma):
     """Is the plane curve squarefree?
 
     After a shear making the curve monic in y, squarefreeness is exactly
     the nonvanishing of Res_y(g, dg/dy) for the dehomogenized curve.
     """
-    for idx in range(max_shears):
+    for idx in range(MAX_SHEARS):
         m = shear_matrix(idx)
         g = compose_form(gamma, m)
         if g.terms.get((0, gamma.degree, 0), ZERO) == 0:

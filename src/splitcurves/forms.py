@@ -8,8 +8,6 @@ in descending graded-lexicographic order so output is reproducible, and
 ``parse_form(form_to_str(f)) == f`` exactly.
 """
 
-import itertools
-
 from .arith import NFElem, scalar_is_zero
 from .errors import (
     FieldMismatch,
@@ -34,10 +32,6 @@ def monomial_basis(nvars, degree):
 
     rec(tuple(), degree, nvars)
     return out
-
-
-def plane_basis_size(degree):
-    return (degree + 1) * (degree + 2) // 2
 
 
 # Every Form keys its terms by the same exponent tuple objects: own key
@@ -890,19 +884,3 @@ def biform_to_str(f):
         out += " %s %s" % (sign, body)
     return out
 
-
-def all_monomial_points(height, dim):
-    """Deterministic enumeration of primitive rational points by height."""
-    seen = set()
-    for h in range(1, height + 1):
-        for coords in itertools.product(range(-h, h + 1), repeat=dim + 1):
-            if max(abs(c) for c in coords) != h and h != 1:
-                continue
-            if all(c == 0 for c in coords):
-                continue
-            p = ProjPoint([QQ(c) for c in coords])
-            key = tuple(QQ(c) for c in p.primitive())
-            if key in seen:
-                continue
-            seen.add(key)
-            yield p

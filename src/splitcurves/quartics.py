@@ -11,21 +11,22 @@ shape, which is what makes the projected sextic split with type (2, 4).
 
 import itertools
 
-from .arith import binform_gcd
+from .arith import binary_form_sqrt, binform_divides, binform_gcd, scalar_is_zero
 from .conics import (
+    NOT_CONTACT,
     classify_conic,
     contact_profile,
-    find_rational_point,
-    parametrize_conic,
+    rational_parametrization,
     restrict_to_conic,
 )
-from .curves import hessian_node_report, singular_locus_complete
+from .curves import curve_is_reduced, hessian_node_report, singular_locus_complete
 from .errors import (
     CannotCertify,
     FieldMismatch,
     HyperplaneThroughNode,
     LineThroughNode,
     NodeDegenerate,
+    PointNotOnConic,
     QuadricSingularAtNode,
     SplitCurvesError,
 )
@@ -128,7 +129,9 @@ def project_quartic(surface, check_contact=True):
 
     Returns (gamma_x, delta_x, info); the conic is g2 verbatim and the
     sextic is g3^2 - g2 g4.  Raises when the center is degenerate or the
-    surface contains a line through it.
+    surface contains a line through it.  The line and contact checks run on
+    a rational parametrization of g2; they are skipped, and info says so,
+    only when g2 has no rational point.
     """
     g2, g3, g4 = surface.g2, surface.g3, surface.g4
     if classify_conic(g2) != "smooth":
@@ -137,26 +140,24 @@ def project_quartic(surface, check_contact=True):
     delta_x = g2
     info = {}
     if check_contact:
-        from .curves import curve_is_reduced
-
         info["reduced"] = curve_is_reduced(gamma_x)
         if not info["reduced"]:
             # degenerate construction; the correspondence hypotheses fail,
             # so the flag is reported instead of analyzing contact
             return gamma_x, delta_x, info
-    base = find_rational_point(g2)
-    if base is not None:
-        param = parametrize_conic(g2, base)
-        r3 = restrict_to_conic(g3, param)
-        r4 = restrict_to_conic(g4, param)
-        if r3.is_zero() or r4.is_zero():
-            raise LineThroughNode("a ruling line lies on the surface")
-        if binform_gcd(r3, r4).degree >= 1:
-            raise LineThroughNode("the surface contains a line through the node")
-        if check_contact:
-            info["contact"] = contact_profile(gamma_x, delta_x, param)
-    else:
-        info["line_check"] = "skipped (no small rational point on the conic)"
+    try:
+        param = rational_parametrization(g2)
+    except PointNotOnConic:
+        info["line_check"] = "skipped (the conic has no rational point)"
+        return gamma_x, delta_x, info
+    r3 = restrict_to_conic(g3, param)
+    r4 = restrict_to_conic(g4, param)
+    if r3.is_zero() or r4.is_zero():
+        raise LineThroughNode("a ruling line lies on the surface")
+    if binform_gcd(r3, r4).degree >= 1:
+        raise LineThroughNode("the surface contains a line through the node")
+    if check_contact:
+        info["contact"] = contact_profile(gamma_x, delta_x, param)
     return gamma_x, delta_x, info
 
 
@@ -201,18 +202,20 @@ def alpha2_map(surface, a1, a2):
 
 
 def _check_contact_divisor(surface, curve):
-    """The image curve meets the conic exactly along the tangency divisor."""
-    base = find_rational_point(surface.g2)
-    if base is None:
+    """The image curve meets the conic exactly along the tangency divisor.
+
+    Checked on a rational parametrization of g2, so skipped only when g2
+    has no rational point.
+    """
+    try:
+        param = rational_parametrization(surface.g2)
+    except PointNotOnConic:
         return
-    param = parametrize_conic(surface.g2, base)
     restriction = restrict_to_conic(curve, param)
     if restriction.is_zero():
         raise SplitCurvesError("image curve contains the contact conic")
     r3 = restrict_to_conic(surface.g3, param)
     # restriction of g3 cuts the tangency divisor; divisibility must hold
-    from .arith import binform_divides
-
     if not binform_divides(r3.primitive(), restriction):
         raise SplitCurvesError("image curve misses the tangency divisor")
 
@@ -342,7 +345,7 @@ def detect_33_configuration(surface, nodes):
     return None
 
 
-def surface_singular_locus_complete(surface, claimed, shear_start=0):
+def surface_singular_locus_complete(surface, claimed):
     """Are the claimed points exactly the singular locus of the surface?
 
     Uses the projection correspondence: away from the center, singular
@@ -361,22 +364,13 @@ def surface_singular_locus_complete(surface, claimed, shear_start=0):
             rest.append(p)
     if not saw_center:
         return False
-    if classify_conic(surface.g2) != "smooth":
-        raise NodeDegenerate("center is not a node")
     gamma_x, delta_x, _info = project_quartic(surface, check_contact=False)
-    base = find_rational_point(delta_x)
-    if base is None:
-        raise CannotCertify("no rational point on the contact conic")
-    from .conics import NOT_CONTACT
-
-    profile = contact_profile(gamma_x, delta_x, parametrize_conic(delta_x, base))
+    profile = contact_profile(gamma_x, delta_x)
     if profile.kind == NOT_CONTACT:
         raise CannotCertify(
             "projection is not an even-contact configuration; the "
             "correspondence-based completeness check does not apply"
         )
-    from .arith import scalar_is_zero
-
     projections = []
     for p in rest:
         rep = hessian_node_report(quartic, p)
@@ -393,7 +387,7 @@ def surface_singular_locus_complete(surface, claimed, shear_start=0):
     keys = [q.canonical_key() for q in projections]
     if len(set(keys)) != len(keys):
         return False
-    return singular_locus_complete(gamma_x, projections, shear_start=shear_start)
+    return singular_locus_complete(gamma_x, projections)
 
 
 def quartic_from_sextic(gamma, conic):
@@ -404,12 +398,7 @@ def quartic_from_sextic(gamma, conic):
     The curve may need the recorded rational rescaling c for the square
     root to be rational; no uniqueness is claimed.
     """
-    from .arith import binary_form_sqrt
-
-    base = find_rational_point(conic)
-    if base is None:
-        raise CannotCertify("conic has no small rational point")
-    param = parametrize_conic(conic, base)
+    param = rational_parametrization(conic)
     restriction = restrict_to_conic(gamma, param)
     if restriction.is_zero():
         raise SplitCurvesError("curve contains the conic")

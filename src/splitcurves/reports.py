@@ -134,7 +134,7 @@ def _splitting_summary(rep):
     return summary
 
 
-def run_verify_example(example_id, height=50, shear_start=0):
+def run_verify_example(example_id):
     """Execute the full pipeline for a catalog example and grade it."""
     record = load_example(example_id)
     report = VerificationReport(example_id, record.label)
@@ -154,14 +154,14 @@ def run_verify_example(example_id, height=50, shear_start=0):
     )
 
     try:
-        complete = singular_locus_complete(gamma, nodes, shear_start=shear_start)
+        complete = singular_locus_complete(gamma, nodes)
     except SplitCurvesError as exc:
         complete = False
         report.add("singular locus complete", False, True, str(exc))
     else:
         report.add("singular locus complete", complete, True, complete)
 
-    config = normalize_configuration(gamma, conic, nodes, height=height)
+    config = normalize_configuration(gamma, conic, nodes)
     profile = config.profile
     report.add(
         "contact profile",
@@ -181,9 +181,7 @@ def run_verify_example(example_id, height=50, shear_start=0):
 
     _example_specific_checks(report, record, config)
 
-    split_report = splitting_type_normalized(
-        config, shear_start=shear_start, verify_inputs=False
-    )
+    split_report = splitting_type_normalized(config, verify_inputs=False)
     report.splitting = _splitting_summary(split_report)
     report.undetermined = split_report.outcome == "undetermined"
     expected_outcome = {"outcome": claim["outcome"]}
@@ -482,14 +480,13 @@ def _nonsplit7_checks(report, record, config):
     )
 
 
-def zariski_triple_outcomes(height=50):
+def zariski_triple_outcomes():
     """Splitting outcomes of the three 7-nodal examples (pairwise distinct)."""
     outcomes = {}
     for example_id in ("split7-33", "split7-24", "nonsplit7"):
         record = load_example(example_id)
         rep = splitting_type(
-            record.curve, record.conic, record.nodes, height=height,
-            verify_inputs=False,
+            record.curve, record.conic, record.nodes, verify_inputs=False
         )
         if rep.outcome == "split":
             outcomes[example_id] = "split(%d,%d)" % (rep.m, rep.n)

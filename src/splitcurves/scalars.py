@@ -46,11 +46,6 @@ def denom(q):
     return int(q.denominator)
 
 
-def height(q):
-    """Naive height max(|numerator|, denominator) of a rational."""
-    return max(abs(numer(q)), denom(q))
-
-
 def isqrt_exact(n):
     """Integer square root of ``n`` if ``n`` is a perfect square, else None."""
     if n < 0:

@@ -25,8 +25,8 @@ from .conics import (
     contact_profile,
     delta2,
     delta2_param,
-    find_rational_point,
     normalize_conic,
+    rational_parametrization,
     restrict_to_conic,
 )
 from .cover import involution_biform, pullback_curve, ram_form
@@ -142,13 +142,7 @@ def verify_certificate(gamma, delta, cert):
         return False
     if k > 0:
         line = cert.line
-        from .conics import parametrize_conic
-
-        base = find_rational_point(delta)
-        if base is None:
-            raise PointNotOnConic("conic has no small rational point")
-        param = parametrize_conic(delta, base)
-        restr = restrict_to_conic(line, param)
+        restr = restrict_to_conic(line, rational_parametrization(delta))
         # tangency: the restricted binary quadratic has a double root
         disc = restr.coeffs[1] ** 2 - 4 * restr.coeffs[0] * restr.coeffs[2]
         if restr.is_zero() or disc != 0:
@@ -962,7 +956,7 @@ class NormalizedConfiguration:
         self.profile = profile
 
 
-def normalize_configuration(gamma, conic, nodes, height=50):
+def normalize_configuration(gamma, conic, nodes):
     """Move (curve, conic, nodes) so the conic becomes z^2 - 4xy."""
     if classify_conic(conic) != "smooth":
         raise PointNotOnConic("branch conic must be smooth")
@@ -972,12 +966,7 @@ def normalize_configuration(gamma, conic, nodes, height=50):
         matrix = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
         gamma_n, nodes_n = gamma, list(nodes)
     else:
-        base = find_rational_point(conic, height)
-        if base is None:
-            raise PointNotOnConic(
-                "no rational point of height <= %d on the conic" % height
-            )
-        matrix = normalize_conic(conic, base)
+        matrix = normalize_conic(conic)
         inv = mat_inv(matrix)
         gamma_n = compose_form(gamma, inv)
         nodes_n = [transform_point(matrix, p) for p in nodes]
@@ -986,37 +975,18 @@ def normalize_configuration(gamma, conic, nodes, height=50):
     return NormalizedConfiguration(gamma_n, nodes_n, matrix, param, profile)
 
 
-def splitting_type(
-    gamma,
-    conic,
-    nodes,
-    height=50,
-    shear_start=0,
-    budget=2000,
-    extensions=DEFAULT_EXTENSIONS,
-    verify_inputs=True,
-):
+def splitting_type(gamma, conic, nodes, verify_inputs=True):
     """Decide the splitting type of a nodal curve with a simple contact conic.
 
     Normalizes the conic to z^2 - 4xy, then decides as
     ``splitting_type_normalized``.
     """
     return splitting_type_normalized(
-        normalize_configuration(gamma, conic, nodes, height),
-        shear_start=shear_start,
-        budget=budget,
-        extensions=extensions,
-        verify_inputs=verify_inputs,
+        normalize_configuration(gamma, conic, nodes), verify_inputs=verify_inputs
     )
 
 
-def splitting_type_normalized(
-    config,
-    shear_start=0,
-    budget=2000,
-    extensions=DEFAULT_EXTENSIONS,
-    verify_inputs=True,
-):
+def splitting_type_normalized(config, verify_inputs=True):
     """Decide the splitting type of an already normalized configuration.
 
     Runs, for every candidate type (m, n) in order: the node-count filter,
@@ -1041,7 +1011,7 @@ def splitting_type_normalized(
             rep = verify_node(gamma_n, p)
             if not rep.is_node:
                 raise SplitCurvesError("claimed node %r is not a node" % (p,))
-        if not singular_locus_complete(gamma_n, nodes_n, shear_start=shear_start):
+        if not singular_locus_complete(gamma_n, nodes_n):
             raise SplitCurvesError("claimed nodes are not the full singular locus")
 
     f_pull = pullback_curve(gamma_n)
@@ -1091,7 +1061,7 @@ def splitting_type_normalized(
                 continue
         if split_hit is None:
             try:
-                factor = factor_pullback(f_pull, m, n, extensions, budget)
+                factor = factor_pullback(f_pull, m, n)
             except SearchBudgetExceeded as exc:
                 entry["status"] = "inconclusive"
                 entry["reason"] = "factor_search_budget"

@@ -95,6 +95,50 @@ def test_split_type_command(tmp_path, capsys):
     assert payload["outcome"] == "non_splitting"
 
 
+def test_split_type_on_conic_without_small_points(tmp_path, capsys):
+    # the configuration of test_split_type_command moved by M: every
+    # rational point of the moved conic is N*(s^2, t^2, 2st) with N = M^-1
+    # unimodular, so its height is at least 51 s^2 + 52 t^2 > 50
+    from splitcurves.conics import delta2
+    from splitcurves.forms import compose_form, form_to_str, parse_form
+    from splitcurves.scalars import QQ
+
+    m = [[QQ(c) for c in row] for row in ([-1, 52, 0], [1, -51, 0], [0, 0, 1])]
+    n = [[51, 52, 0], [1, 1, 0], [0, 0, 1]]
+    curve = parse_form(
+        "(2x^3-x^2y+3x^2z-2xy^2-4xz^2+y^3+yz^2)^2"
+        "-z*(x-y)*(2x-y)*(x+y-2z)*(z^2-4xy)",
+        ("x", "y", "z"),
+    )
+    nodes = tmp_path / "nodes.json"
+    points = [[1, 1, 0], [1, 2, 0], [1, -1, 0], [0, 0, 1], [1, 1, 1], [2, 4, 3]]
+    nodes.write_text(
+        json.dumps([[sum(a * b for a, b in zip(row, p)) for row in n] for p in points])
+    )
+    curve_text = form_to_str(compose_form(curve, m))
+    conic_text = form_to_str(compose_form(delta2(), m))
+    code, out, _ = run_cli(
+        capsys, "split-type", "--curve", curve_text, "--conic", conic_text,
+        "--nodes", str(nodes), "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["outcome"] == "non_splitting"
+    code, out, _ = run_cli(
+        capsys, "analyze", "--curve", curve_text, "--conic", conic_text, "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["contact"]["kind"] == "simple_contact"
+
+
+def test_conic_without_rational_point_exits_data_error(capsys):
+    # x^2 + y^2 = 3 z^2 has no 3-adic point
+    code, _out, err = run_cli(
+        capsys, "analyze", "--curve", "x^2+y^2+z^2", "--conic", "x^2+y^2-3z^2"
+    )
+    assert code == 65
+    assert "conic has no rational point" in err
+
+
 def test_analyze_with_orbit_nodes(tmp_path, capsys):
     nodes = tmp_path / "orbit.json"
     nodes.write_text(
@@ -181,3 +225,10 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])  # missing required arguments
     assert exc.value.code == 64
+
+
+def test_removed_search_flags_are_usage_errors(capsys):
+    for flag in (["--height", "5"], ["--seed-shear", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-example", "split6"] + flag)
+        assert exc.value.code == 64

@@ -1,3 +1,6 @@
+import itertools
+from math import gcd
+
 import pytest
 
 from splitcurves.arith import binary_form_sqrt
@@ -15,9 +18,14 @@ from splitcurves.conics import (
     parametrize_conic,
     restrict_to_conic,
 )
-from splitcurves.errors import CommonComponent, PointNotOnConic
+from splitcurves.errors import (
+    CannotCertify,
+    CommonComponent,
+    ConicNotSmooth,
+    PointNotOnConic,
+)
 from splitcurves.forms import compose_form, form_to_str, parse_form, point
-from splitcurves.linalg import mat_inv
+from splitcurves.linalg import mat_det, mat_inv
 from splitcurves.scalars import QQ
 
 from conftest import PLANE, rng_for, random_form
@@ -122,15 +130,71 @@ def test_common_component_detection(gamma6):
         contact_profile(gamma6 * delta2(), delta2(), delta2_param())
 
 
+def _height_search(q, height):
+    """The old height-ordered point search, kept as an oracle: a point of
+    max-norm <= height on q = 0, or None."""
+    scale = 1
+    for c in q.terms.values():
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    terms = [(expo, int(c * scale)) for expo, c in q.terms.items()]
+    for coords in itertools.product(range(-height, height + 1), repeat=3):
+        value = 0
+        for (a, b, c), k in terms:
+            value += k * coords[0] ** a * coords[1] ** b * coords[2] ** c
+        if value == 0 and any(coords):
+            return coords
+    return None
+
+
 def test_find_rational_point():
     c2 = parse_form("-61*x^2+20*x*y+4*x*z+4*y^2-4*y*z+z^2", PLANE)
     p = find_rational_point(c2)
     assert p is not None and c2.eval(list(p.coords)) == 0
-    assert find_rational_point(parse_form("x^2+y^2+z^2", PLANE), height=25) is None
+    # no real point; no 3-adic point; no 7-adic point
+    for text in ("x^2+y^2+z^2", "x^2+y^2-3z^2", "x^2+y^2-7z^2"):
+        assert find_rational_point(parse_form(text, PLANE)) is None
+
+
+def test_find_rational_point_singular_conic_raises():
+    with pytest.raises(ConicNotSmooth):
+        find_rational_point(parse_form("x^2-2y^2", PLANE))
+
+
+def test_find_rational_point_beyond_trial_division_raises():
+    # 100003 * 100019 has no prime factor below the trial-division bound
+    with pytest.raises(CannotCertify):
+        find_rational_point(parse_form("x^2+y^2-10002200057z^2", PLANE))
+
+
+def test_descent_agrees_with_height_search():
+    # random conics, and transformed copies of z^2 - 4xy (which all carry
+    # rational points): every point is on the conic, and the descent finds
+    # a point whenever the height search finds one
+    rng = rng_for("legendre-descent")
+    counts = {True: 0, False: 0}
+    done = 0
+    while done < 200:
+        if done % 2:
+            q = random_form(rng, 2)
+        else:
+            m = [[QQ(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
+            if mat_det(m) == 0:
+                continue
+            q = compose_form(delta2(), m)
+        if q.is_zero() or classify_conic(q) != "smooth":
+            continue
+        done += 1
+        p = find_rational_point(q)
+        if p is not None:
+            assert q.eval(list(p.coords)) == 0
+        if _height_search(q, 6) is not None:
+            assert p is not None
+        counts[p is not None] += 1
+    assert counts[True] >= 60 and counts[False] >= 20
 
 
 def test_normalize_conic_identity_cases():
-    m = normalize_conic(delta2(), point(1, 0, 0))
+    m = normalize_conic(delta2())
     transformed = compose_form(delta2(), mat_inv(m))
     lam = transformed.terms[(0, 0, 2)]
     assert transformed == delta2().scale(lam)
@@ -138,8 +202,7 @@ def test_normalize_conic_identity_cases():
 
 def test_normalize_conic_nonsplit7():
     c2 = parse_form("-61*x^2+20*x*y+4*x*z+4*y^2-4*y*z+z^2", PLANE)
-    base = find_rational_point(c2)
-    m = normalize_conic(c2, base)
+    m = normalize_conic(c2)
     transformed = compose_form(c2, mat_inv(m))
     lam = transformed.terms[(0, 0, 2)]
     assert lam != 0 and transformed == delta2().scale(lam)
@@ -175,7 +238,7 @@ def test_parametrize_random_transformed_conics():
         from splitcurves.linalg import rank_naive
 
         assert rank_naive(param.coefficient_matrix()) == 3
-        norm = normalize_conic(q, base)
+        norm = normalize_conic(q)
         transformed = compose_form(q, mat_inv(norm))
         lam = None
         for expo, c in transformed.terms.items():
