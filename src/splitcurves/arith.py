@@ -15,7 +15,12 @@ pure functions, so values can be shared freely between threads.
 import itertools
 import math
 
-from .errors import DegreeTooLarge, FieldMismatch, ReducibleMinimalPolynomial
+from .errors import (
+    DegreeMismatch,
+    DegreeTooLarge,
+    FieldMismatch,
+    ReducibleMinimalPolynomial,
+)
 from .scalars import QQ, ZERO, ONE, clear_denominators, rat_sqrt, rat_str
 
 FACTOR_DEGREE_BOUND = 24
@@ -230,11 +235,13 @@ def _gf_nullspace(mat, p):
     return basis
 
 
-def _gf_berlekamp(f, p):
-    """Monic irreducible factors of a monic squarefree f over GF(p)."""
+def _gf_berlekamp_basis(f, p):
+    """Nullspace basis of Q - I for a monic squarefree f over GF(p).
+
+    Q is the Berlekamp matrix, whose row i is x^(i*p) mod f; the basis has
+    one vector per irreducible factor of f.
+    """
     n = len(f) - 1
-    if n <= 1:
-        return [f]
     xp = _gf_pow_mod([0, 1], p, f, p)
     rows = []
     cur = [1]
@@ -243,7 +250,14 @@ def _gf_berlekamp(f, p):
         cur = _gf_divmod(_gf_mul(cur, xp, p), f, p)[1]
     for i in range(n):
         rows[i][i] = (rows[i][i] - 1) % p
-    basis = _gf_nullspace(rows, p)
+    return _gf_nullspace(rows, p)
+
+
+def _gf_berlekamp(f, p, basis):
+    """Monic irreducible factors of a monic squarefree f over GF(p).
+
+    ``basis`` is ``_gf_berlekamp_basis(f, p)``.
+    """
     r = len(basis)
     factors = [f]
     if r == 1:
@@ -271,19 +285,6 @@ def _gf_berlekamp(f, p):
         if len(factors) == r:
             break
     return sorted(factors)
-
-
-def _berlekamp_factor_count(f, p):
-    n = len(f) - 1
-    xp = _gf_pow_mod([0, 1], p, f, p)
-    rows = []
-    cur = [1]
-    for _ in range(n):
-        rows.append(cur + [0] * (n - len(cur)))
-        cur = _gf_divmod(_gf_mul(cur, xp, p), f, p)[1]
-    for i in range(n):
-        rows[i][i] = (rows[i][i] - 1) % p
-    return len(_gf_nullspace(rows, p))
 
 
 # Hensel lifting -----------------------------------------------------------
@@ -371,10 +372,9 @@ def _zassenhaus(f):
             break
     if not candidates:
         raise ArithmeticError("no good prime found")
-    scored = [(_berlekamp_factor_count(fp, p), p, fp) for p, fp in candidates]
-    scored.sort()
-    _, p, fp = scored[0]
-    modular = _gf_berlekamp(fp, p)
+    bases = [(_gf_berlekamp_basis(fp, p), p, fp) for p, fp in candidates]
+    basis, p, fp = min(bases, key=lambda bpf: (len(bpf[0]), bpf[1]))
+    modular = _gf_berlekamp(fp, p, basis)
     if len(modular) == 1:
         return [f]
     l = max(1, math.ceil(math.log(2 * B + 1, p)))
@@ -1040,22 +1040,6 @@ class BinForm:
             raise ValueError("zero form")
         return self.degree - self.s_degree()
 
-    def content(self):
-        g = ZERO
-        for c in self.coeffs:
-            if c != 0:
-                g = c if g == 0 else None
-                break
-        ints = clear_denominators(list(self.coeffs))
-        prim, _ = _zz_primitive(ints)
-        if all(c == 0 for c in ints):
-            return ZERO
-        # content = original / primitive on the first nonzero slot
-        for orig, pr in zip(self.coeffs, prim):
-            if pr != 0:
-                return orig / QQ(pr)
-        raise AssertionError("unreachable")
-
     def primitive(self):
         """Integer-primitive representative with positive leading coefficient."""
         ints = clear_denominators(list(self.coeffs))
@@ -1117,16 +1101,21 @@ def binform_gcd(f, g):
     return core.primitive()
 
 
-def binform_divides(t, f):
-    """Does the binary form t divide f exactly?"""
+def binform_quotient(f, g):
+    """The exact quotient f / g of binary forms, or None when g does not divide f.
+
+    The quotient has degree deg f - deg g, also when f is the zero form.
+    """
+    if g.is_zero() or g.degree > f.degree:
+        return None
     if f.is_zero():
-        return True
-    if t.is_zero():
-        return False
-    if t.t_multiplicity() > f.t_multiplicity():
-        return False
-    _q, r = f.to_upoly().divmod(t.to_upoly())
-    return r.is_zero()
+        return BinForm.zero(f.degree - g.degree)
+    if g.t_multiplicity() > f.t_multiplicity():
+        return None
+    q, r = f.to_upoly().divmod(g.to_upoly())
+    if not r.is_zero():
+        return None
+    return BinForm.from_upoly(q, f.degree - g.degree)
 
 
 def binary_form_sqrt(f):

@@ -170,7 +170,7 @@ def _factor(n):
     return factors
 
 
-def _squarefree(r):
+def square_class(r):
     """(k, m) with r = k * m^2, k a square-free integer and m rational > 0."""
     n, d = numer(r), denom(r)
     k = m = 1
@@ -228,7 +228,7 @@ def _legendre(a, b):
         t, mod = t + mod * ((r - t) * pow(mod, -1, p) % p), mod * p
     if 2 * t > mod:
         t -= mod
-    k, m = _squarefree(QQ((t * t - b) // a))
+    k, m = square_class(QQ((t * t - b) // a))
     sol = _legendre(k, b)
     if sol is None:
         return None
@@ -254,7 +254,7 @@ def find_rational_point(q):
         basis.append(next(v for v in _with_sums(space) if _bilinear(a, v, v) != 0))
     d1, d2, d3 = (_bilinear(a, v, v) for v in basis)
     # X^2 = -(d2/d1) Y^2 - (d3/d1) Z^2, and -(d2/d1) Y^2 = ka (wa Y)^2
-    (ka, wa), (kb, wb) = (_squarefree(-d / d1) for d in (d2, d3))
+    (ka, wa), (kb, wb) = (square_class(-d / d1) for d in (d2, d3))
     sol = _legendre(ka, kb)
     if sol is None:
         return None

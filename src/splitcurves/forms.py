@@ -190,11 +190,6 @@ class Form:
             basis = monomial_basis(len(self.variables), self.degree)
         return [self.terms.get(e, ZERO) for e in basis]
 
-    @classmethod
-    def from_coefficient_vector(cls, variables, degree, vec):
-        basis = monomial_basis(len(variables), degree)
-        return cls(variables, degree, dict(zip(basis, vec)))
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
@@ -377,11 +372,6 @@ class BiForm:
             basis = biform_basis(*self.bidegree)
         terms = self.terms
         return [terms.get(e, ZERO) for e in basis]
-
-    @classmethod
-    def from_coefficient_vector(cls, bidegree, vec):
-        basis = biform_basis(*bidegree)
-        return cls(bidegree, dict(zip(basis, vec)))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)

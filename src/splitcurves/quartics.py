@@ -11,7 +11,7 @@ shape, which is what makes the projected sextic split with type (2, 4).
 
 import itertools
 
-from .arith import binary_form_sqrt, binform_divides, binform_gcd, scalar_is_zero
+from .arith import binary_form_sqrt, binform_gcd, binform_quotient, scalar_is_zero
 from .conics import (
     NOT_CONTACT,
     classify_conic,
@@ -38,14 +38,7 @@ from .scalars import QQ, ZERO, ONE
 SPACE_VARS = ("x", "y", "z", "w")
 PLANE_VARS = ("x", "y", "z")
 
-CENTER = None  # initialized below
-
-
-def _center():
-    global CENTER
-    if CENTER is None:
-        CENTER = ProjPoint([ZERO, ZERO, ZERO, ONE])
-    return CENTER
+CENTER = ProjPoint([ZERO, ZERO, ZERO, ONE])
 
 
 class QuarticSurface:
@@ -216,7 +209,7 @@ def _check_contact_divisor(surface, curve):
         raise SplitCurvesError("image curve contains the contact conic")
     r3 = restrict_to_conic(surface.g3, param)
     # restriction of g3 cuts the tangency divisor; divisibility must hold
-    if not binform_divides(r3.primitive(), restriction):
+    if binform_quotient(restriction, r3.primitive()) is None:
         raise SplitCurvesError("image curve misses the tangency divisor")
 
 
@@ -297,8 +290,7 @@ def detect_33_configuration(surface, nodes):
     Searches 6-subsets of the given nodes (the center (0:0:0:1) excluded);
     returns (subset, hyperplane kernel vector, conic witness) or None.
     """
-    center = _center()
-    rest = [p for p in nodes if not p.eq_proj(center)]
+    rest = [p for p in nodes if not p.eq_proj(CENTER)]
     if any(p.field is not None for p in rest):
         raise CannotCertify("conjugate surface nodes are not supported here")
     for subset in itertools.combinations(range(len(rest)), 6):
@@ -353,12 +345,11 @@ def surface_singular_locus_complete(surface, claimed):
     sextic, the lift over a node P being w = -g3(P) / g2(P).  The claim is
     therefore reduced to the plane-curve completeness check.
     """
-    center = _center()
     quartic = surface.form()
     rest = []
     saw_center = False
     for p in claimed:
-        if p.field is None and p.eq_proj(center):
+        if p.field is None and p.eq_proj(CENTER):
             saw_center = True
         else:
             rest.append(p)

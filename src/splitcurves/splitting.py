@@ -6,8 +6,9 @@ along a smooth conic decomposes, for each candidate type (m, n):
 * a node-count filter (2r >= m^2 + n^2 - d) rules types out cheaply;
 * necessary linear-system conditions on node subsets rule out more;
 * a specialization/interpolation search reconstructs an exact biform factor
-  A with A * sigma(A) equal to the pullback, which is the only way a
-  positive verdict is ever produced;
+  A with A * sigma(A) equal to the pullback, over QQ or over a field
+  QQ(sqrt(e)) named by a quadratic factor of a specialization; it is the
+  only way a positive verdict is ever produced;
 * for 7-nodal sextics the four configuration conditions of the syzygetic
   criterion decide type (2, 4) outright.
 
@@ -18,7 +19,7 @@ reported as undetermined.
 
 import itertools
 
-from .arith import BinForm
+from .arith import BinForm, binform_quotient
 from .conics import (
     SIMPLE_CONTACT,
     classify_conic,
@@ -28,14 +29,15 @@ from .conics import (
     normalize_conic,
     rational_parametrization,
     restrict_to_conic,
+    square_class,
 )
 from .cover import involution_biform, pullback_curve, ram_form
 from .curves import singular_locus_complete, verify_node
 from .errors import (
     CannotCertify,
+    ConicNotSmooth,
     DegreeMismatch,
     NotTangentLine,
-    PointNotOnConic,
     SearchBudgetExceeded,
     SplitCurvesError,
     WrongNodeCount,
@@ -43,9 +45,10 @@ from .errors import (
 from .forms import BiForm, Form, compose_form, transform_point
 from .linalg import kernel_basis, mat_inv, rank_bareiss, solve_linear
 from .linsys import FormSpace, cond_point, cond_divisible_on_conic, system_solve
-from .scalars import QQ, ZERO, ONE, rat_sqrt
+from .scalars import QQ, ZERO, ONE, numer, rat_sqrt
 
-DEFAULT_EXTENSIONS = (-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10)
+# groupings the factor search tries before it gives up
+FACTOR_SEARCH_BUDGET = 2000
 
 _SPECIALIZATION_POINTS = [
     (1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (-1, 2), (2, -1),
@@ -301,37 +304,105 @@ class PullbackFactor:
         return "PullbackFactor(bidegree=%r, ext=sqrt(%d))" % (self.bidegree, self.ext)
 
 
-def _degree_m_divisors(factors, m):
-    """All monic-normalized degree-m divisors from (factor, mult) pairs."""
+def _discriminant(h):
+    c0, c1, c2 = h.coeffs
+    return c1 * c1 - 4 * c2 * c0
+
+
+def _split_quadratic(h, ext):
+    """Split an irreducible binary quadratic over QQ(sqrt(ext)).
+
+    Returns the pair representation (g1, g2) of one root factor
+    g1 + sqrt(ext) g2 (degree 1), or None when h stays irreducible.
+    """
+    c2, c1 = h.coeffs[2], h.coeffs[1]
+    if c2 == 0:
+        return None
+    ratio = _discriminant(h) / QQ(ext)
+    w = rat_sqrt(ratio) if ratio > 0 else (None if ratio != 0 else ZERO)
+    if w is None or w == 0:
+        return None
+    g1 = BinForm(1, [c1, 2 * c2])
+    g2 = BinForm(1, [-w, ZERO])
+    return (g1, g2)
+
+
+def _quadratic_fields(factored):
+    """The fields QQ(sqrt(e)) that split a quadratic factor of a specialization.
+
+    Each irreducible quadratic factor with discriminant D splits over
+    QQ(sqrt(D)) and over no other quadratic field; e is the square-free part
+    of D, or D itself when trial division cannot reduce it (it names the
+    same field).  Sorted by |e|, positive first.
+    """
+    fields = set()
+    for _content, factors in factored:
+        for h, _mult in factors:
+            if h.degree == 2:
+                disc = _discriminant(h)
+                try:
+                    fields.add(square_class(disc)[0])
+                except CannotCertify:
+                    fields.add(numer(disc))
+    return sorted(fields, key=lambda e: (abs(e), e < 0))
+
+
+def _pair_mul(a, b, ext):
+    """(a1 + sqrt(ext) a2)(b1 + sqrt(ext) b2) in pair form.
+
+    Over QQ (ext None) the surd parts are zero.
+    """
+    a1, a2 = a
+    b1, b2 = b
+    if ext is None:
+        return (a1 * b1, BinForm.zero(a1.degree + b1.degree))
+    return (a1 * b1 + (a2 * b2).scale(ext), a1 * b2 + a2 * b1)
+
+
+def _degree_m_divisors(factors, m, ext=None):
+    """Degree-m divisors of a factored binary form in pair form (g1, g2).
+
+    Over QQ (ext None): the distinct primitive rational divisors.  Over
+    QQ(sqrt(ext)): the divisors that are not rational, built from the
+    halves of the quadratic factors that split there.  Sorted by coefficients.
+    """
     pool = []
     for h, mult in factors:
-        pool.extend([h] * mult)
+        halves = None
+        if ext is not None and h.degree == 2:
+            halves = _split_quadratic(h, ext)
+        if halves is None:
+            pool.extend([(h, BinForm.zero(h.degree))] * mult)
+        else:
+            pool.extend([halves, (halves[0], -halves[1])] * mult)
     seen = {}
     for take in range(len(pool) + 1):
         for subset in itertools.combinations(range(len(pool)), take):
-            deg = sum(pool[i].degree for i in subset)
-            if deg != m:
+            if sum(pool[i][0].degree for i in subset) != m:
                 continue
-            prod = BinForm(0, [ONE])
+            prod = (BinForm(0, [ONE]), BinForm.zero(0))
             for i in subset:
-                prod = prod * pool[i]
-            prod = prod.primitive()
-            seen[prod.coeffs] = prod
+                prod = _pair_mul(prod, pool[i], ext)
+            if ext is None:
+                prod = (prod[0].primitive(), prod[1])
+            elif prod[1].is_zero():
+                continue  # rational: listed by the ext=None enumeration
+            seen[(prod[0].coeffs, prod[1].coeffs)] = prod
     return [seen[k] for k in sorted(seen)]
 
 
-def _binform_div_exact(f, g):
-    """Exact binary-form quotient f / g, or None when g does not divide f."""
-    if g.is_zero():
+def _cofactor(f, g, ext):
+    """Exact cofactor of f by g1 + sqrt(ext) g2 in pair form, or None."""
+    g1, g2 = g
+    if g2.is_zero():
+        h1 = binform_quotient(f, g1)
+        return None if h1 is None else (h1, BinForm.zero(h1.degree))
+    norm = g1 * g1 - (g2 * g2).scale(ext)
+    h1 = binform_quotient(f * g1, norm)
+    h2 = binform_quotient(-(f * g2), norm)
+    if h1 is None or h2 is None:
         return None
-    if f.is_zero():
-        return BinForm.zero(0)
-    if g.t_multiplicity() > f.t_multiplicity() or g.degree > f.degree:
-        return None
-    q, r = f.to_upoly().divmod(g.to_upoly())
-    if not r.is_zero():
-        return None
-    return BinForm.from_upoly(q, f.degree - g.degree)
+    return (h1, h2)
 
 
 def _match_scalar(candidate, target):
@@ -344,17 +415,35 @@ def _match_scalar(candidate, target):
     return c if candidate == target.scale(c) else None
 
 
-def factor_pullback(f_pull, m, n, extensions=DEFAULT_EXTENSIONS, budget=2000):
+def _search_passes(factored, m):
+    """(ext, divisor lists) for QQ, then for each field the specializations name.
+
+    Over QQ(sqrt(e)) the lists hold the rational divisors followed by the
+    irrational ones; a field whose specializations give no irrational
+    divisor is skipped.
+    """
+    rational = [_degree_m_divisors(factors, m) for _content, factors in factored]
+    yield None, rational
+    for ext in _quadratic_fields(factored):
+        irrational = [_degree_m_divisors(factors, m, ext) for _c, factors in factored]
+        if any(irrational):
+            yield ext, [r + i for r, i in zip(rational, irrational)]
+
+
+def factor_pullback(f_pull, m, n):
     """Search for A of bidegree (m, n) with A * sigma(A) = pullback.
 
-    Specializes the second ruling at n+1 rational parameters, factors each
-    specialized binary form, enumerates groupings of its irreducible
-    factors into candidate degree-m divisors, interpolates A with one
-    scalar unknown per specialization, and verifies every candidate by
-    exact expansion.  Quadratic extensions QQ(sqrt(e)) are tried after the
-    rational pass (splitting quadratic factors whose discriminant lies in
-    e * QQ^2).  The search may miss factorizations; it never fabricates
-    one, since only exactly verified products are returned.
+    Specializes the second ruling at n+1 rational parameters and factors
+    each specialized binary form.  Every grouping of the factors into one
+    degree-m divisor per specialization gives a linear system for A with one
+    scalar unknown per specialization and ruling; each kernel candidate is
+    verified by exact expansion.  The rational pass comes first, then one
+    pass over each field QQ(sqrt(e)) that splits a quadratic factor of a
+    specialization, where A = A1 + sqrt(e) A2.  A factor whose irrational
+    part does not show in quadratic factors of the specializations is not
+    found.  The search may miss factorizations; it never fabricates one,
+    since only exactly verified products are returned.  More than
+    FACTOR_SEARCH_BUDGET groupings raise SearchBudgetExceeded.
     """
     d1, d2 = f_pull.bidegree
     if d1 != d2 or m + n != d1 or not 0 < m <= n:
@@ -371,22 +460,51 @@ def factor_pullback(f_pull, m, n, extensions=DEFAULT_EXTENSIONS, budget=2000):
     if len(specs) < n + 1:
         raise SearchBudgetExceeded("could not find enough good specializations")
 
-    budget_left = [budget]
     factored = [b.factor() for (_u, _v, b) in specs]
-
-    result = _factor_search_rational(f_pull, m, n, specs, factored, budget_left)
-    if result is not None:
-        return result
-    for ext in extensions:
-        result = _factor_search_extension(
-            f_pull, m, n, specs, factored, ext, budget_left
-        )
-        if result is not None:
-            return result
+    groupings = 0
+    for ext, divisor_lists in _search_passes(factored, m):
+        for combo in itertools.product(*divisor_lists):
+            if ext is not None and all(g2.is_zero() for _g1, g2 in combo):
+                continue  # all rational: tried in the rational pass
+            if groupings >= FACTOR_SEARCH_BUDGET:
+                raise SearchBudgetExceeded("factor grouping budget exhausted")
+            groupings += 1
+            factor = _factor_from_grouping(f_pull, m, n, specs, combo, ext)
+            if factor is not None:
+                return factor
     return None
 
 
-def _consistency_rows(m, n, specs, gs, hs):
+def _factor_from_grouping(f_pull, m, n, specs, combo, ext):
+    """The first verified factor whose specializations are the divisors in combo."""
+    cofactors = []
+    for (_u0, _v0, b), g in zip(specs, combo):
+        h = _cofactor(b, g, ext)
+        if h is None:
+            return None
+        cofactors.append(h)
+    rows, na, nl, ncols = _consistency_rows(m, n, specs, combo, cofactors, ext)
+    for vec in _kernel_candidates(kernel_basis(rows, ncols)):
+        factor = _candidate_factor(vec, m, n, na, nl, ext, f_pull)
+        if factor is not None:
+            return factor
+    return None
+
+
+def _scalar_table(g, ext):
+    """table[p][q]: coefficients of part q of a scalar in part p of scalar * g.
+
+    Over QQ one part; over QQ(sqrt(e)), (rho + sqrt(e) omega)(g1 + sqrt(e) g2)
+    = (rho g1 + e omega g2) + sqrt(e) (rho g2 + omega g1).
+    """
+    g1, g2 = g[0].coeffs, g[1].coeffs
+    if ext is None:
+        return ((g1,),)
+    e = QQ(ext)
+    return ((g1, [e * c for c in g2]), (g2, g1))
+
+
+def _consistency_rows(m, n, specs, gs, hs, ext):
     """Linear system pinning A from both rulings of each specialization.
 
     For every specialization k the candidate divisor G_k and its exact
@@ -395,79 +513,42 @@ def _consistency_rows(m, n, specs, gs, hs):
         A(s, t; u_k, v_k)      = lambda_k * G_k(s, t)
         A(u_k, v_k; s, t)      = mu_k     * H_k(s, t),
 
-    linear in the (m+1)(n+1) coefficients of A and the 2K scalars.
-    Unknown layout: a_{ij} (flattened i*(n+1)+j), lambdas, mus.
+    linear in the (m+1)(n+1) coefficients of A and the 2K scalars.  Over
+    QQ(sqrt(ext)) each unknown and each equation has a rational and a surd
+    part.  Columns: the parts of A (a_{ij} flattened i*(n+1)+j), then the
+    parts of the lambdas, then those of the mus; rows per specialization,
+    per coefficient, per part.
     """
+    parts = 1 if ext is None else 2
     na = (m + 1) * (n + 1)
     nl = len(specs)
-    ncols = na + 2 * nl
+    ncols = parts * (na + 2 * nl)
+    off_lambda = parts * na
+    off_mu = off_lambda + parts * nl
     rows = []
     for kk, (u0, v0, _b) in enumerate(specs):
         upow_n = [u0**j * v0 ** (n - j) for j in range(n + 1)]
         upow_m = [u0**i * v0 ** (m - i) for i in range(m + 1)]
-        g = gs[kk]
-        h = hs[kk]
-        for i in range(m + 1):
-            row = [ZERO] * ncols
-            for j in range(n + 1):
-                row[i * (n + 1) + j] = upow_n[j]
-            row[na + kk] = -g[i]
-            rows.append(row)
-        for j in range(n + 1):
-            row = [ZERO] * ncols
-            for i in range(m + 1):
-                row[i * (n + 1) + j] = upow_m[i]
-            row[na + nl + kk] = -h[j]
-            rows.append(row)
-    return rows, na, nl, ncols
-
-
-def _consistency_rows_ext(m, n, specs, gs, hs, ext):
-    """Extension-field version of the consistency system.
-
-    Coefficients and scalars split into rational and surd parts; layout:
-    x_{ij}, y_{ij} (A = X + sqrt(ext) Y), then rho/omega (lambda) and
-    rho'/omega' (mu) per specialization.
-    """
-    e = QQ(ext)
-    na = (m + 1) * (n + 1)
-    nl = len(specs)
-    ncols = 2 * na + 4 * nl
-    off_y = na
-    off_rho = 2 * na
-    off_omega = 2 * na + nl
-    off_rho2 = 2 * na + 2 * nl
-    off_omega2 = 2 * na + 3 * nl
-    rows = []
-    for kk, (u0, v0, _b) in enumerate(specs):
-        upow_n = [u0**j * v0 ** (n - j) for j in range(n + 1)]
-        upow_m = [u0**i * v0 ** (m - i) for i in range(m + 1)]
-        g1, g2 = gs[kk]
-        h1, h2 = hs[kk]
-        for i in range(m + 1):
-            row_r = [ZERO] * ncols
-            row_s = [ZERO] * ncols
-            for j in range(n + 1):
-                row_r[i * (n + 1) + j] = upow_n[j]
-                row_s[off_y + i * (n + 1) + j] = upow_n[j]
-            row_r[off_rho + kk] = -g1[i]
-            row_r[off_omega + kk] = -e * g2[i]
-            row_s[off_rho + kk] = -g2[i]
-            row_s[off_omega + kk] = -g1[i]
-            rows.append(row_r)
-            rows.append(row_s)
-        for j in range(n + 1):
-            row_r = [ZERO] * ncols
-            row_s = [ZERO] * ncols
-            for i in range(m + 1):
-                row_r[i * (n + 1) + j] = upow_m[i]
-                row_s[off_y + i * (n + 1) + j] = upow_m[i]
-            row_r[off_rho2 + kk] = -h1[j]
-            row_r[off_omega2 + kk] = -e * h2[j]
-            row_s[off_rho2 + kk] = -h2[j]
-            row_s[off_omega2 + kk] = -h1[j]
-            rows.append(row_r)
-            rows.append(row_s)
+        # coefficient i of A(s, t; u_k, v_k) involves a_{i, *}, and
+        # coefficient j of A(u_k, v_k; s, t) involves a_{*, j}
+        by_g = [
+            [(i * (n + 1) + j, upow_n[j]) for j in range(n + 1)] for i in range(m + 1)
+        ]
+        by_h = [
+            [(i * (n + 1) + j, upow_m[i]) for i in range(m + 1)] for j in range(n + 1)
+        ]
+        for cells, table, off in (
+            (by_g, _scalar_table(gs[kk], ext), off_lambda),
+            (by_h, _scalar_table(hs[kk], ext), off_mu),
+        ):
+            for c, a_cells in enumerate(cells):
+                for p in range(parts):
+                    row = [ZERO] * ncols
+                    for col, val in a_cells:
+                        row[p * na + col] = val
+                    for q in range(parts):
+                        row[off + q * nl + kk] = -table[p][q][c]
+                    rows.append(row)
     return rows, na, nl, ncols
 
 
@@ -494,177 +575,32 @@ def _kernel_candidates(kern):
                     yield [x + sb * y for x, y in zip(kern[a], kern[b])]
 
 
-def _factor_search_rational(f_pull, m, n, specs, factored, budget_left):
-    divisor_lists = []
-    for _content, factors in factored:
-        divs = _degree_m_divisors(factors, m)
-        if not divs:
-            return None
-        divisor_lists.append(divs)
-    for combo in itertools.product(*divisor_lists):
-        if budget_left[0] <= 0:
-            raise SearchBudgetExceeded("factor grouping budget exhausted")
-        budget_left[0] -= 1
-        gs = []
-        hs = []
-        bad = False
-        for (_u0, _v0, b), g in zip(specs, combo):
-            h = _binform_div_exact(b, g)
-            if h is None:
-                bad = True
-                break
-            gs.append(g.coeffs)
-            hs.append(h.coeffs)
-        if bad:
-            continue
-        rows, na, nl, ncols = _consistency_rows(m, n, specs, gs, hs)
-        kern = kernel_basis(rows, ncols)
-        for vec in _kernel_candidates(kern):
-            lambdas = vec[na : na + nl]
-            mus = vec[na + nl : na + 2 * nl]
-            if any(l == 0 for l in lambdas) or any(mu == 0 for mu in mus):
-                continue
-            a = _biform_from_block(vec, m, n)
-            if a.is_zero():
-                continue
-            prod = a * involution_biform(a)
-            c = _match_scalar(prod, f_pull)
-            if c is None or c == 0:
-                continue
-            root = rat_sqrt(c) if c > 0 else None
-            if root is not None:
-                return PullbackFactor(a.scale(ONE / root))
-            return PullbackFactor(a, scalar=c)
-    return None
+def _candidate_factor(vec, m, n, na, nl, ext, f_pull):
+    """The verified factor a kernel vector describes, or None.
 
-
-def _split_quadratic(h, ext):
-    """Split an irreducible binary quadratic over QQ(sqrt(ext)).
-
-    Returns the pair representation (g1, g2) of one root factor
-    g1 + sqrt(ext) g2 (degree 1), or None when h stays irreducible.
+    Every lambda and mu must be nonzero, and over QQ(sqrt(ext)) the surd
+    part of A too (a rational A belongs to the rational pass).  A rational
+    factor is scaled so that A * sigma(A) = F when the scalar is a square.
     """
-    c2, c1, c0 = h.coeffs[2], h.coeffs[1], h.coeffs[0]
-    if c2 == 0:
+    parts = 1 if ext is None else 2
+    for off in (parts * na, parts * (na + nl)):
+        for kk in range(nl):
+            if all(vec[off + q * nl + kk] == 0 for q in range(parts)):
+                return None
+    blocks = [_biform_from_block(vec, m, n, p * na) for p in range(parts)]
+    if blocks[-1].is_zero():
         return None
-    disc = c1 * c1 - 4 * c2 * c0
-    ratio = disc / QQ(ext)
-    w = rat_sqrt(ratio) if ratio > 0 else (None if ratio != 0 else ZERO)
-    if w is None or w == 0:
+    cand = PullbackFactor(blocks[0], blocks[1] if ext is not None else None, ext)
+    real, surd = cand.sigma_product()
+    c = _match_scalar(real, f_pull)
+    c_surd = ZERO if surd is None else _match_scalar(surd, f_pull)
+    if c is None or c_surd is None or c == c_surd == 0:
         return None
-    g1 = BinForm(1, [c1, 2 * c2])
-    g2 = BinForm(1, [-w, ZERO])
-    return (g1, g2)
-
-
-def _pair_mul(a, b, ext):
-    a1, a2 = a
-    b1, b2 = b
-    return (a1 * b1 + (a2 * b2).scale(ext), a1 * b2 + a2 * b1)
-
-
-def _pair_key(p):
-    return (p[0].degree, p[0].coeffs, p[1].coeffs)
-
-
-def _degree_m_divisors_ext(factors, m, ext):
-    """Degree-m divisors over QQ(sqrt(ext)) in pair representation."""
-    pool = []
-    for h, mult in factors:
-        if h.degree == 2:
-            halves = _split_quadratic(h, ext)
-            if halves is not None:
-                conj = (halves[0], -halves[1])
-                pool.extend([halves, conj] * mult)
-                continue
-        pool.extend([(h, BinForm.zero(h.degree))] * mult)
-    seen = {}
-    for take in range(len(pool) + 1):
-        for subset in itertools.combinations(range(len(pool)), take):
-            deg = sum(pool[i][0].degree for i in subset)
-            if deg != m:
-                continue
-            prod = (BinForm(0, [ONE]), BinForm(0, [ZERO]))
-            for i in subset:
-                prod = _pair_mul(prod, pool[i], ext)
-            if prod[1].is_zero():
-                continue  # rational divisor: already covered by the QQ pass
-            seen[_pair_key(prod)] = prod
-    return [seen[k] for k in sorted(seen)]
-
-
-def _pair_cofactor(f, g_pair, ext):
-    """Exact cofactor of f by g1 + sqrt(ext) g2, in pair representation."""
-    g1, g2 = g_pair
-    norm = g1 * g1 - (g2 * g2).scale(ext)
-    if norm.is_zero():
-        return None
-    h1 = _binform_div_exact(f * g1, norm)
-    h2 = _binform_div_exact(-(f * g2), norm)
-    if h1 is None or h2 is None:
-        return None
-    return (h1, h2)
-
-
-def _factor_search_extension(f_pull, m, n, specs, factored, ext, budget_left):
-    divisor_lists = []
-    any_irrational = False
-    for _content, factors in factored:
-        ext_divs = _degree_m_divisors_ext(factors, m, ext)
-        if ext_divs:
-            any_irrational = True
-        divs = [(g, BinForm.zero(m)) for g in _degree_m_divisors(factors, m)]
-        divisor_lists.append(divs + ext_divs)
-    if not any_irrational:
-        return None
-    for combo in itertools.product(*divisor_lists):
-        if all(g2.is_zero() for (_g1, g2) in combo):
-            continue
-        if budget_left[0] <= 0:
-            raise SearchBudgetExceeded("factor grouping budget exhausted")
-        budget_left[0] -= 1
-        gs = []
-        hs = []
-        bad = False
-        for (_u0, _v0, b), g_pair in zip(specs, combo):
-            h_pair = _pair_cofactor(b, g_pair, ext)
-            if h_pair is None:
-                bad = True
-                break
-            gs.append((g_pair[0].coeffs, g_pair[1].coeffs))
-            hs.append((h_pair[0].coeffs, h_pair[1].coeffs))
-        if bad:
-            continue
-        rows, na, nl, ncols = _consistency_rows_ext(m, n, specs, gs, hs, ext)
-        kern = kernel_basis(rows, ncols)
-        for vec in _kernel_candidates(kern):
-            scalars_ok = True
-            for kk in range(nl):
-                if (
-                    vec[2 * na + kk] == 0
-                    and vec[2 * na + nl + kk] == 0
-                ) or (
-                    vec[2 * na + 2 * nl + kk] == 0
-                    and vec[2 * na + 3 * nl + kk] == 0
-                ):
-                    scalars_ok = False
-                    break
-            if not scalars_ok:
-                continue
-            a1 = _biform_from_block(vec, m, n)
-            a2 = _biform_from_block(vec, m, n, offset=na)
-            if a2.is_zero():
-                continue
-            cand = PullbackFactor(a1, a2, ext)
-            real, surd = cand.sigma_product()
-            c1 = _match_scalar(real, f_pull)
-            c2 = _match_scalar(surd, f_pull)
-            if c1 is None or c2 is None or (c1 == 0 and c2 == 0):
-                continue
-            cand.scalar = c1
-            cand.scalar_surd = c2
-            return cand
-    return None
+    root = rat_sqrt(c) if surd is None and c > 0 else None
+    if root is not None:
+        return PullbackFactor(cand.a1.scale(ONE / root))
+    cand.scalar, cand.scalar_surd = c, c_surd
+    return cand
 
 
 # ---------------------------------------------------------------------------
@@ -959,7 +895,7 @@ class NormalizedConfiguration:
 def normalize_configuration(gamma, conic, nodes):
     """Move (curve, conic, nodes) so the conic becomes z^2 - 4xy."""
     if classify_conic(conic) != "smooth":
-        raise PointNotOnConic("branch conic must be smooth")
+        raise ConicNotSmooth("branch conic must be smooth")
     target = delta2(gamma.variables)
     lam = _match_scalar(conic, target)
     if lam is not None:

@@ -10,11 +10,16 @@ from splitcurves.arith import (
     _zz_mul,
     _zz_primitive,
     binary_form_sqrt,
+    binform_quotient,
     upoly_factor,
     upoly_gcd,
     upoly_is_irreducible,
 )
-from splitcurves.errors import DegreeTooLarge, ReducibleMinimalPolynomial
+from splitcurves.errors import (
+    DegreeMismatch,
+    DegreeTooLarge,
+    ReducibleMinimalPolynomial,
+)
 from splitcurves.scalars import QQ
 
 from conftest import rng_for, random_rat
@@ -243,3 +248,25 @@ def test_rational_canonical_form():
     assert QQ(2, 4) == QQ(1, 2)
     assert str(QQ(2, 4)) == "1/2"
     assert QQ(-3, -6) == QQ(1, 2)
+
+
+def test_binform_sum_of_different_degrees_raises():
+    with pytest.raises(DegreeMismatch):
+        BinForm(1, [1, 2]) + BinForm(2, [1, 0, 1])
+    with pytest.raises(DegreeMismatch):
+        BinForm(2, [1, 0, 1]) - BinForm(1, [1, 2])
+
+
+def test_binform_quotient():
+    g = BinForm(2, [1, 0, 1])  # s^2 + t^2
+    h = BinForm(2, [0, 3, -1])  # 3 s t - s^2
+    t = BinForm(1, [1, 0])
+    assert binform_quotient(g * h, g) == h
+    assert binform_quotient(g * h * t, h) == g * t
+    assert binform_quotient(g * h + t**4, g) is None
+    assert binform_quotient(h, t) is None
+    assert binform_quotient(g, g * g) is None
+    assert binform_quotient(g, BinForm.zero(1)) is None
+    # the zero form divided by g is the zero form of the quotient's degree
+    assert binform_quotient(BinForm.zero(5), g) == BinForm.zero(3)
+    assert binform_quotient(BinForm.zero(1), g) is None

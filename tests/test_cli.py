@@ -232,3 +232,14 @@ def test_removed_search_flags_are_usage_errors(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify-example", "split6"] + flag)
         assert exc.value.code == 64
+
+
+def test_split_type_on_singular_conic_exits_data_error(tmp_path, capsys):
+    nodes = tmp_path / "nodes.json"
+    nodes.write_text("[]")
+    code, _out, err = run_cli(
+        capsys, "split-type", "--curve", "x^2+y^2+z^2", "--conic", "x^2-y^2",
+        "--nodes", str(nodes),
+    )
+    assert code == 65
+    assert "branch conic must be smooth" in err

@@ -1,8 +1,9 @@
 import pytest
 
+from splitcurves import splitting
 from splitcurves.conics import contact_profile, delta2, delta2_param
 from splitcurves.cover import involution_biform, pullback_curve, ram_form
-from splitcurves.errors import SearchBudgetExceeded, WrongNodeCount
+from splitcurves.errors import ConicNotSmooth, SearchBudgetExceeded, WrongNodeCount
 from splitcurves.forms import Form, parse_form, point
 from splitcurves.splitting import (
     SplitCertificate,
@@ -147,10 +148,11 @@ def test_certificate_extraction(gamma6):
     )
 
 
-def test_factor_search_budget():
+def test_factor_search_budget(monkeypatch):
     gamma6 = parse_form("(x^3+y^3+z^3)^2-(z^2-4xy)*(xy+yz+zx)^2", PLANE)
+    monkeypatch.setattr(splitting, "FACTOR_SEARCH_BUDGET", 0)
     with pytest.raises(SearchBudgetExceeded):
-        factor_pullback(pullback_curve(gamma6), 3, 3, budget=0)
+        factor_pullback(pullback_curve(gamma6), 3, 3)
 
 
 def test_factor_pullback_extension_case():
@@ -159,7 +161,6 @@ def test_factor_pullback_extension_case():
     line = parse_form("x+y+z", PLANE)
     gamma = line * line - delta2().scale(2)
     f = pullback_curve(gamma)
-    assert factor_pullback(f, 1, 1, extensions=()) is None
     factor = factor_pullback(f, 1, 1)
     assert factor is not None
     assert not factor.is_rational() and factor.ext == 2
@@ -185,6 +186,26 @@ def test_factor_pullback_extension_case():
     assert sol is not None
 
 
+@pytest.mark.parametrize(
+    "square, e",
+    [
+        # specialized at (1 : 0) the pullback is rational (s^2), elsewhere an
+        # irreducible quadratic, so groupings mix both kinds of divisor
+        ("x^2", 3),
+        # no fixed list of fields needed: the specializations name QQ(sqrt(11))
+        ("(x+y+z)^2", 11),
+    ],
+)
+def test_factor_pullback_over_the_field_the_specializations_name(square, e):
+    # gamma = l^2 - e*delta splits only over QQ(sqrt(e)): A = pullback(l) + sqrt(e) r
+    gamma = parse_form(square, PLANE) - delta2().scale(e)
+    f = pullback_curve(gamma)
+    factor = factor_pullback(f, 1, 1)
+    assert factor is not None
+    assert not factor.is_rational() and factor.ext == e
+    assert factor.verify(f)
+
+
 def test_factor_pullback_extension_beyond_quadratic_fibers_is_best_effort():
     # here every specialized fiber is an irreducible quartic over QQ whose
     # extension factors have degree two; splitting those is out of scope,
@@ -194,6 +215,11 @@ def test_factor_pullback_extension_beyond_quadratic_fibers_is_best_effort():
     gamma = c2 * c2 - (delta2() * line * line).scale(2)
     f = pullback_curve(gamma)
     assert factor_pullback(f, 2, 2) is None
+
+
+def test_splitting_type_rejects_singular_branch_conic(gamma6):
+    with pytest.raises(ConicNotSmooth):
+        splitting_type(gamma6, parse_form("x^2-y^2", PLANE), [])
 
 
 def test_criterion_24_on_both_7nodal_configurations(gamma7_prime, gamma7_prime_nodes):
