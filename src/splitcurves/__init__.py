@@ -31,6 +31,7 @@ from .curves import (
     NodeReport,
     irreducibility_sextic,
     singular_locus_complete,
+    singular_points,
     verify_node,
 )
 from .forms import (

@@ -17,13 +17,10 @@ import math
 
 from .errors import (
     DegreeMismatch,
-    DegreeTooLarge,
     FieldMismatch,
     ReducibleMinimalPolynomial,
 )
 from .scalars import QQ, ZERO, ONE, clear_denominators, rat_sqrt, rat_str
-
-FACTOR_DEGREE_BOUND = 24
 
 _PRIMES = []
 
@@ -689,7 +686,7 @@ def _bounded_rational_roots(ints, bound=30):
     return sorted(roots)
 
 
-def upoly_factor(p, max_degree=FACTOR_DEGREE_BOUND):
+def upoly_factor(p):
     """Factor a nonzero rational polynomial into monic irreducibles.
 
     Returns a list of (factor, multiplicity) pairs, sorted by degree then
@@ -700,10 +697,6 @@ def upoly_factor(p, max_degree=FACTOR_DEGREE_BOUND):
         raise FieldMismatch("factorization is only over the rationals")
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    if p.degree() > max_degree:
-        raise DegreeTooLarge(
-            "degree %d exceeds bound %d" % (p.degree(), max_degree)
-        )
     result = {}
     for part, mult in upoly_squarefree(p):
         ints = _to_primitive_int(part)
@@ -720,8 +713,8 @@ def upoly_factor(p, max_degree=FACTOR_DEGREE_BOUND):
     return sorted(result.items(), key=lambda fm: (fm[0].degree(), fm[0].coeffs))
 
 
-def upoly_is_irreducible(p, max_degree=FACTOR_DEGREE_BOUND):
-    facs = upoly_factor(p, max_degree)
+def upoly_is_irreducible(p):
+    facs = upoly_factor(p)
     return len(facs) == 1 and facs[0][1] == 1 and facs[0][0].degree() == p.degree()
 
 
@@ -1049,7 +1042,7 @@ class BinForm:
             prim = [-c for c in prim]
         return BinForm(self.degree, prim)
 
-    def factor(self, max_degree=FACTOR_DEGREE_BOUND):
+    def factor(self):
         """Full factorization: (content, [(primitive irreducible, mult)]).
 
         The root (1:0) appears as the factor ``t`` (that is, BinForm(1,[1,0])).
@@ -1062,7 +1055,7 @@ class BinForm:
             out.append((BinForm(1, [ONE, ZERO]), tmult))
         dehom = self.to_upoly()
         if dehom.degree() > 0:
-            for fac, mult in upoly_factor(dehom, max_degree):
+            for fac, mult in upoly_factor(dehom):
                 b = BinForm.from_upoly(fac, fac.degree()).primitive()
                 out.append((b, mult))
         ordered = sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))

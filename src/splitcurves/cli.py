@@ -4,9 +4,10 @@ Subcommands: verify-example, analyze, pullback, split-type,
 project-quartic, syzygetic.  Polynomials are written in the text grammar
 (rational coefficients, + - * ^, parentheses, juxtaposition like 4xy);
 node files are JSON arrays of coordinate lists or {"minpoly": ...,
-"point": [...]} orbits.  Exit codes: 0 all checks pass, 1 a check
-contradicts the claim, 2 an undetermined outcome, 64 usage errors, 65
-malformed input data.
+"point": [...]} orbits.  A node file is a claim, checked against the
+computed singular locus; split-type computes the nodes when it has none.
+Exit codes: 0 all checks pass, 1 a check contradicts the claim, 2 an
+undetermined outcome, 64 usage errors, 65 malformed input data.
 """
 
 import argparse
@@ -22,7 +23,7 @@ from .forms import biform_to_str, form_to_str, parse_form
 from .registry import example_ids, parse_node_spec
 from .reports import jsonable, run_verify_example, zariski_triple_outcomes
 from .quartics import QuarticSurface, project_quartic, syzygetic_test
-from .splitting import splitting_type
+from .splitting import normalize_configuration, splitting_type, splitting_type_normalized
 
 PLANE_VARS = ("x", "y", "z")
 SPACE_VARS = ("x", "y", "z", "w")
@@ -99,20 +100,27 @@ def _cmd_analyze(args):
         payload["nodes"] = [jsonable(p) for p in nodes]
         reports = [verify_node(gamma, p) for p in nodes]
         payload["nodes_are_nodes"] = [r.is_node for r in reports]
-        payload["singular_locus_complete"] = singular_locus_complete(gamma, nodes)
+        complete = singular_locus_complete(gamma, nodes)
+        payload["singular_locus_complete"] = complete
         if gamma.degree == 6:
             try:
                 payload["irreducible"] = irreducibility_sextic(gamma, nodes)
             except CannotCertify as exc:
                 payload["irreducible"] = "not certified: %s" % exc
-        split = splitting_type(gamma, conic, nodes, verify_inputs=False)
-        payload["splitting"] = {
-            "outcome": split.outcome,
-            "type": [split.m, split.n] if split.outcome == "split" else None,
-            "evidence": split.evidence,
-        }
-        if split.outcome == "undetermined":
-            exit_code = 2
+        if complete and all(r.is_node for r in reports):
+            # the claim is checked: decide without checking it again
+            split = splitting_type_normalized(
+                normalize_configuration(gamma, conic, nodes)
+            )
+            payload["splitting"] = {
+                "outcome": split.outcome,
+                "type": [split.m, split.n] if split.outcome == "split" else None,
+                "evidence": split.evidence,
+            }
+            if split.outcome == "undetermined":
+                exit_code = 2
+        else:
+            exit_code = 1
     text_lines = ["analysis of %s" % payload["curve"]]
     for key in sorted(payload):
         if key == "curve":
@@ -141,9 +149,10 @@ def _cmd_pullback(args):
 def _cmd_split_type(args):
     gamma = parse_form(_read_expr(args.curve), PLANE_VARS)
     conic = parse_form(_read_expr(args.conic), PLANE_VARS)
-    nodes = _load_nodes(args.nodes)
+    nodes = _load_nodes(args.nodes) if args.nodes else None
     report = splitting_type(gamma, conic, nodes)
     payload = {
+        "nodes": [jsonable(p) for p in report.nodes],
         "outcome": report.outcome,
         "type": [report.m, report.n] if report.outcome == "split" else None,
         "evidence": report.evidence,
@@ -249,7 +258,7 @@ def build_parser():
     p = sub.add_parser("split-type", help="decide the splitting type")
     p.add_argument("--curve", required=True)
     p.add_argument("--conic", required=True)
-    p.add_argument("--nodes", required=True, help="JSON node file")
+    p.add_argument("--nodes", help="JSON node file (a claim; computed when absent)")
     common(p)
     p.set_defaults(func=_cmd_split_type)
 

@@ -10,7 +10,7 @@ z^2 - 4xy.
 
 from itertools import combinations
 
-from .arith import BinForm, NumberField, scalar_is_zero
+from .arith import BinForm, binform_gcd
 from .errors import CannotCertify, CommonComponent, ConicNotSmooth, PointNotOnConic
 from .forms import Form, ProjPoint, compose_form
 from .linalg import kernel_basis, mat_inv, mat_mul, rank_bareiss
@@ -289,24 +289,6 @@ class ContactProfile:
         return "ContactProfile(%s, tangents=%d)" % (self.kind, self.tangent_count)
 
 
-def _contact_points(factors, param):
-    """One representative point per irreducible factor of the contact form."""
-    points = []
-    for h, _ in factors:
-        if h.degree == 1 and h.coeffs == (ONE, ZERO):
-            s0, t0 = ONE, ZERO
-            points.append(param.point_at(s0, t0))
-        elif h.degree == 1:
-            s0, t0 = h.coeffs[0], -h.coeffs[1]
-            points.append(param.point_at(s0, t0))
-        else:
-            field = NumberField(h.to_upoly().monic(), check=False)
-            alpha = field.gen()
-            coords = [p.eval(alpha, field.one()) for p in param.components()]
-            points.append(ProjPoint(coords))
-    return points
-
-
 def contact_profile(gamma, q, param=None):
     """Classify the contact of a curve with a smooth conic.
 
@@ -332,12 +314,15 @@ def contact_profile(gamma, q, param=None):
     if any(m == 1 for m in mults):
         return ContactProfile(NOT_CONTACT, squarefree, tangent_count, mults, content)
 
-    partials = gamma.partials()
-    for pt in _contact_points(factors, param):
-        values = [p.eval(list(pt.coords)) for p in partials]
-        if all(scalar_is_zero(v) for v in values):
-            # intersection at a singular point of the curve
-            return ContactProfile(NOT_CONTACT, squarefree, tangent_count, mults, content)
+    # the contact meets Sing(gamma) iff the contact form shares a root with
+    # the restrictions of all three partials
+    common = squarefree
+    for p in gamma.partials():
+        if common.degree == 0:
+            break
+        common = binform_gcd(common, restrict_to_conic(p, param))
+    if common.degree >= 1:
+        return ContactProfile(NOT_CONTACT, squarefree, tangent_count, mults, content)
 
     if all(m == 2 for m in mults):
         return ContactProfile(

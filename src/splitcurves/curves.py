@@ -1,18 +1,36 @@
 """Singularity analysis of plane curves.
 
 Node verification works in an affine chart at the point (over the rationals
-or a number field); completeness of a claimed singular locus is established
-by resultant elimination under a deterministic shear, matching every
-irreducible factor of the eliminant against the claimed points and proving
-all remaining fibers empty.
+or a number field).  The singular locus is computed by one elimination core
+under a deterministic shear: y is eliminated by resultants, the eliminant is
+factored over the rationals, and each irreducible factor whose fiber is one
+point gives one Galois orbit of singular points.  ``singular_points`` returns
+those orbits; ``singular_locus_complete`` checks a claimed point list
+against them.
 """
 
+import functools
 import itertools
 import random
 
-from .arith import NFElem, NumberField, UPoly, upoly_factor, upoly_gcd, scalar_is_zero
-from .errors import CannotCertify, FieldMismatch, ShearExhausted, TooManyNodes
-from .forms import compose_form, transform_point
+from .arith import (
+    BinForm,
+    NFElem,
+    NumberField,
+    UPoly,
+    binform_gcd,
+    scalar_is_zero,
+    upoly_factor,
+    upoly_gcd,
+)
+from .errors import (
+    CannotCertify,
+    CommonComponent,
+    FieldMismatch,
+    ShearExhausted,
+    TooManyNodes,
+)
+from .forms import ProjPoint, compose_form, transform_point
 from .linalg import mat_det, mat_inv, rank_bareiss, rref
 from .scalars import QQ, ZERO, ONE
 
@@ -204,7 +222,7 @@ def resultant_y(biv1, biv2):
 
 
 # ---------------------------------------------------------------------------
-# singular locus completeness
+# the singular locus
 # ---------------------------------------------------------------------------
 
 
@@ -225,190 +243,146 @@ def _x_minimal_polynomial(xi):
     return UPoly([-m[r][k] for r in range(k)] + [ONE])
 
 
-def _upoly_over_field(biv, field, alpha):
-    """Substitute x = alpha in a bivariate dict; UPoly in y over the field."""
-    dy = max((j for (_i, j) in biv), default=0)
-    coeffs = [field.zero() for _ in range(dy + 1)]
-    pows = {0: field.one()}
-
-    def apow(e):
-        if e not in pows:
-            pows[e] = alpha**e
-        return pows[e]
-
-    for (i, j), c in biv.items():
-        coeffs[j] = coeffs[j] + apow(i) * c
-    return UPoly(coeffs, field)
-
-
-def _fiber_gcd(affine_partials, field, alpha):
-    """Monic gcd over QQ[a]/(q) of the partials specialized at x = alpha."""
-    polys = [_upoly_over_field(b, field, alpha) for b in affine_partials]
-    g = polys[0]
-    for p in polys[1:]:
-        g = upoly_gcd(g, p)
-        if g.degree() == 0 and not g.is_zero():
-            return g
+def _fiber_gcd(combos, field, alpha):
+    """Monic gcd in y of the combinations at x = alpha (field None: alpha in QQ)."""
+    zero, one = (ZERO, ONE) if field is None else (field.zero(), field.one())
+    powers = [one]
+    g = None
+    for biv in combos:
+        coeffs = [zero] * (max(j for (_i, j) in biv) + 1)
+        for (i, j), c in biv.items():
+            while len(powers) <= i:
+                powers.append(powers[-1] * alpha)
+            coeffs[j] = coeffs[j] + powers[i] * c
+        p = UPoly(coeffs, field)
+        g = p if g is None else upoly_gcd(g, p)
+        if g.degree() == 0:
+            break
     return g
 
 
 def _infinity_singular_points_exist(partials):
     """Do the three partials share a zero on the line z = 0?"""
-    from .arith import BinForm, binform_gcd
-
-    restricted = []
-    for p in partials:
-        coeffs = [ZERO] * (p.degree + 1)
-        for (i, j, k), c in p.terms.items():
-            if k == 0:
-                coeffs[i] = coeffs[i] + c
-        restricted.append(BinForm(p.degree, coeffs))
-    if all(r.is_zero() for r in restricted):
-        return True
-    nonzero = [r for r in restricted if not r.is_zero()]
-    g = nonzero[0]
-    for r in nonzero[1:]:
-        g = binform_gcd(g, r)
+    restricted = [
+        BinForm(p.degree, [p.terms.get((i, p.degree - i, 0), ZERO) for i in range(p.degree + 1)])
+        for p in partials
+    ]
     # a partial that vanishes identically on z = 0 adds no condition there
-    return g.degree >= 1
+    g = functools.reduce(binform_gcd, restricted)
+    return g.is_zero() or g.degree >= 1
+
+
+def _sheared_locus(gamma, m, idx):
+    """Singular points of gamma o m in the chart z = 1, one per Galois orbit.
+
+    Returns {q: (x, y)}: q is the monic minimal polynomial of x, and x, y
+    are rational (q linear) or lie in QQ[a]/(q) with x = a.  y is eliminated
+    by resultants of two of three generic combinations of the dehomogenized
+    partials (a common zero of the partials is one of all three, and
+    conversely: Vandermonde in the weights); the eliminant is factored and
+    each factor's fiber is the gcd of the combinations over it.  Returns
+    None when the shear leaves a singular point on z = 0, two on one line
+    x = const, or a vanishing resultant; raises CommonComponent when a whole
+    line x = const is singular.
+    """
+    partials = compose_form(gamma, m).partials()
+    if _infinity_singular_points_exist(partials):
+        return None
+    affs = [_affine_xy(p) for p in partials]
+    combos = []
+    for w in _elimination_weights(idx):
+        out = {}
+        for wt, biv in zip((1, w, w * w), affs):
+            for k, c in biv.items():
+                v = out.get(k, ZERO) + wt * c
+                if v == 0:
+                    out.pop(k, None)
+                else:
+                    out[k] = v
+        combos.append(out)
+    r1 = resultant_y(combos[0], combos[1])
+    r2 = resultant_y(combos[1], combos[2])
+    if r1.is_zero() or r2.is_zero():
+        return None
+    locus = {}
+    for q, _mult in upoly_factor(upoly_gcd(r1, r2)):
+        field = None if q.degree() == 1 else NumberField(q, check=False)
+        x = -q.coeffs[0] if field is None else field.gen()
+        fiber = _fiber_gcd(combos, field, x)
+        if fiber.is_zero():
+            raise CommonComponent("the curve is singular along a line")
+        if fiber.degree() >= 2:
+            # a multiple root is still one point; distinct roots over one
+            # x-coordinate need another shear
+            fiber = fiber // upoly_gcd(fiber, fiber.derivative())
+            if fiber.degree() >= 2:
+                return None
+        if fiber.degree() == 1:
+            locus[q] = (x, -fiber.monic().coeffs[0])
+    return locus
+
+
+def singular_points(gamma):
+    """The singular points of a plane curve, one ProjPoint per Galois orbit.
+
+    They come in the eliminant's factor order at the first shear that
+    separates them.  A curve that is not reduced has a singular line and
+    raises ShearExhausted or CommonComponent.
+    """
+    if len(gamma.variables) != 3:
+        raise FieldMismatch("plane curves only")
+    for idx in range(MAX_SHEARS):
+        m = shear_matrix(idx)
+        locus = _sheared_locus(gamma, m, idx)
+        if locus is not None:
+            return [transform_point(m, ProjPoint([x, y, ONE])) for x, y in locus.values()]
+    raise ShearExhausted("%d shears failed to separate the singular points" % MAX_SHEARS)
 
 
 def singular_locus_complete(gamma, claimed):
     """Is the claimed point list exactly the singular locus of the curve?
 
-    Number-field points stand for their whole conjugate orbit.  The check
-    shears coordinates so claimed points are affine with separated
-    x-coordinates, eliminates y by resultants of two generic combinations
-    of the dehomogenized partials, factors the eliminant, and matches every
-    irreducible factor to a claimed point (or proves its fiber empty).
+    Number-field points stand for their whole conjugate orbit.  At the
+    first shear that makes the claimed points affine with distinct x
+    minimal polynomials (a check on the claim alone), the claim holds when
+    its x minimal polynomials are those of the locus and its y-coordinates
+    agree; a point so matched is singular, so no node test is needed.
     """
     if len(gamma.variables) != 3:
         raise FieldMismatch("plane curves only")
     keys = [p.canonical_key() for p in claimed]
     if len(set(keys)) != len(keys):
         raise ValueError("claimed points must be pairwise distinct")
-    for p in claimed:
-        rep = verify_node(gamma, p)
-        if not rep.is_singular:
-            return False
-
     for idx in range(MAX_SHEARS):
         m = shear_matrix(idx)
         minv = mat_inv(m)
         moved = [transform_point(minv, p) for p in claimed]
         if any(scalar_is_zero(p.coords[2]) for p in moved):
             continue
-        units = []
-        ok = True
+        units = {}
         for p in moved:
-            aff = p.affine(2)
-            minpoly = _x_minimal_polynomial(aff[0])
-            if p.field is not None and minpoly.degree() != p.field.degree:
-                ok = False
+            x, y, _ = p.affine(2)
+            q = _x_minimal_polynomial(x)
+            if q in units or (p.field is not None and q.degree() != p.field.degree):
                 break
-            units.append((p, aff, minpoly))
-        if not ok:
-            continue
-        if len({u[2].coeffs for u in units}) != len(units):
-            continue
-
-        partials = compose_form(gamma, m).partials()
-        if _infinity_singular_points_exist(partials):
-            return False
-        affs = [_affine_xy(p) for p in partials]
-        # three generic combinations; any common zero of the partials is a
-        # common zero of all three, and conversely (Vandermonde in w)
-        combos = []
-        for w in _elimination_weights(idx):
-            out = {}
-            for wt, biv in zip((1, w, w * w), affs):
-                for k, c in biv.items():
-                    v = out.get(k, ZERO) + wt * c
-                    if v == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = v
-            combos.append(out)
-        r1 = resultant_y(combos[0], combos[1])
-        r2 = resultant_y(combos[1], combos[2])
-        if r1.is_zero() or r2.is_zero():
-            continue
-        eliminant = upoly_gcd(r1, r2)
-        if eliminant.degree() == 0:
-            factors = []
+            units[q] = (x, y)
         else:
-            factors = upoly_factor(eliminant, max_degree=max(eliminant.degree(), 24))
-        matched = set()
-        collision = False
-        for q, _mult in factors:
-            hit = None
-            for ui, (_p, _aff, minpoly) in enumerate(units):
-                if minpoly == q:
-                    hit = ui
-                    break
-            if q.degree() == 1:
-                field = None
-                fiber = _fiber_gcd_rational(combos, -q.coeffs[0])
-            else:
-                field = NumberField(q, check=False)
-                fiber = _fiber_gcd(combos, field, field.gen())
-            if hit is None:
-                if fiber.is_zero() or fiber.degree() >= 1:
-                    return False
+            try:
+                locus = _sheared_locus(gamma, m, idx)
+            except CommonComponent:
+                return False
+            if locus is None:
                 continue
-            if fiber.is_zero():
+            if locus.keys() != units.keys():
                 return False
-            if fiber.degree() == 0:
-                # claimed point's fiber came out empty: inconsistent claim
-                return False
-            if fiber.degree() >= 2:
-                # a multiple root is still a single point; only distinct
-                # roots over one x-coordinate force another shear
-                fiber = fiber.monic() // upoly_gcd(fiber, fiber.derivative())
-                if fiber.degree() >= 2:
-                    collision = True
-                    break
-                if fiber.degree() == 0:
+            for q, (x, y) in units.items():
+                # the locus y lies in QQ[a]/(q): compare it at a = claimed x
+                eta = locus[q][1]
+                lift = UPoly(eta.coords if isinstance(eta, NFElem) else [eta])
+                if not scalar_is_zero(lift.eval(x) - y):
                     return False
-            _p, aff, _ = units[hit]
-            eta = -fiber.monic().coeffs[0]
-            if field is None:
-                if not scalar_is_zero(aff[1] - eta):
-                    return False
-            else:
-                # embed QQ[a]/(q) via a -> claimed x-coordinate and compare y
-                xi = aff[0]
-                emb = None
-                for k, c in enumerate(eta.coords):
-                    term = xi**k * c
-                    emb = term if emb is None else emb + term
-                if not scalar_is_zero(emb - aff[1]):
-                    return False
-            matched.add(hit)
-        if collision:
-            continue
-        if len(matched) != len(units):
-            return False
-        return True
-    raise ShearExhausted(
-        "%d shears failed to separate the configuration" % MAX_SHEARS
-    )
-
-
-def _fiber_gcd_rational(affine_partials, alpha):
-    polys = []
-    for biv in affine_partials:
-        dy = max((j for (_i, j) in biv), default=0)
-        coeffs = [ZERO] * (dy + 1)
-        for (i, j), c in biv.items():
-            coeffs[j] = coeffs[j] + c * alpha**i
-        polys.append(UPoly(coeffs))
-    g = polys[0]
-    for p in polys[1:]:
-        g = upoly_gcd(g, p)
-        if g.degree() == 0 and not g.is_zero():
-            return g
-    return g
+            return True
+    raise ShearExhausted("%d shears failed to separate the configuration" % MAX_SHEARS)
 
 
 def curve_is_reduced(gamma):

@@ -5,10 +5,6 @@ class SplitCurvesError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DegreeTooLarge(SplitCurvesError):
-    pass
-
-
 class ReducibleMinimalPolynomial(SplitCurvesError):
     pass
 

@@ -123,8 +123,8 @@ def project_quartic(surface, check_contact=True):
     Returns (gamma_x, delta_x, info); the conic is g2 verbatim and the
     sextic is g3^2 - g2 g4.  Raises when the center is degenerate or the
     surface contains a line through it.  The line and contact checks run on
-    a rational parametrization of g2; they are skipped, and info says so,
-    only when g2 has no rational point.
+    a rational parametrization of g2, which info keeps as "param"; they are
+    skipped, and info says so, only when g2 has no rational point.
     """
     g2, g3, g4 = surface.g2, surface.g3, surface.g4
     if classify_conic(g2) != "smooth":
@@ -149,6 +149,7 @@ def project_quartic(surface, check_contact=True):
         raise LineThroughNode("a ruling line lies on the surface")
     if binform_gcd(r3, r4).degree >= 1:
         raise LineThroughNode("the surface contains a line through the node")
+    info["param"] = param
     if check_contact:
         info["contact"] = contact_profile(gamma_x, delta_x, param)
     return gamma_x, delta_x, info
@@ -355,8 +356,8 @@ def surface_singular_locus_complete(surface, claimed):
             rest.append(p)
     if not saw_center:
         return False
-    gamma_x, delta_x, _info = project_quartic(surface, check_contact=False)
-    profile = contact_profile(gamma_x, delta_x)
+    gamma_x, delta_x, info = project_quartic(surface, check_contact=False)
+    profile = contact_profile(gamma_x, delta_x, info.get("param"))
     if profile.kind == NOT_CONTACT:
         raise CannotCertify(
             "projection is not an even-contact configuration; the "

@@ -208,21 +208,44 @@ def raw_record(example_id):
     return _RAW[example_id]
 
 
+def _rational(c):
+    """A JSON number or numeric string as a rational; ValueError otherwise."""
+    if isinstance(c, bool) or not isinstance(c, (int, float, str)):
+        raise ValueError("coordinate %r is not a number or a string" % (c,))
+    try:
+        return QQ(c)
+    except (ArithmeticError, TypeError, ValueError):
+        raise ValueError("coordinate %r is not a finite rational" % (c,)) from None
+
+
 def parse_node_spec(spec, ambient=3):
-    """A node entry: coordinate list, or {minpoly, point} conjugate orbit."""
+    """A node entry: a list of ``ambient`` numbers or numeric strings, or an
+    orbit {"minpoly": text, "point": ``ambient`` numbers or texts in a}.
+
+    Any other shape raises ValueError; a bad polynomial, a SplitCurvesError.
+    """
     if isinstance(spec, (list, tuple)):
         if len(spec) != ambient:
             raise ValueError("expected %d coordinates" % ambient)
-        return point(*[QQ(c) for c in spec])
-    minpoly = parse_univariate(spec["minpoly"], "a")
-    field = NumberField(minpoly)
+        return point(*[_rational(c) for c in spec])
+    if not isinstance(spec, dict) or not isinstance(spec.get("minpoly"), str):
+        raise ValueError(
+            'a node is a coordinate list or an object with a string "minpoly"'
+        )
+    exprs = spec.get("point")
+    if not isinstance(exprs, (list, tuple)) or len(exprs) != ambient:
+        raise ValueError('"point" must be a list of %d entries' % ambient)
+    field = NumberField(parse_univariate(spec["minpoly"], "a"))
     gen = field.gen()
     coords = []
-    for expr in spec["point"]:
-        poly = parse_univariate(expr, "a")
-        coords.append(poly.eval(gen) if poly.degree() >= 1 else field.from_rat(
-            poly.coeffs[0] if poly.coeffs else QQ(0)
-        ))
+    for expr in exprs:
+        if isinstance(expr, str):
+            poly = parse_univariate(expr, "a")
+            coords.append(poly.eval(gen) if poly.degree() >= 1 else field.from_rat(
+                poly.coeffs[0] if poly.coeffs else QQ(0)
+            ))
+        else:
+            coords.append(field.from_rat(_rational(expr)))
     return ProjPoint(coords)
 
 

@@ -21,7 +21,6 @@ from .scalars import rat_str
 from .splitting import (
     criterion_24_7nodal,
     normalize_configuration,
-    splitting_type,
     splitting_type_normalized,
     verify_certificate,
     SplitCertificate,
@@ -181,7 +180,7 @@ def run_verify_example(example_id):
 
     _example_specific_checks(report, record, config)
 
-    split_report = splitting_type_normalized(config, verify_inputs=False)
+    split_report = splitting_type_normalized(config)
     report.splitting = _splitting_summary(split_report)
     report.undetermined = split_report.outcome == "undetermined"
     expected_outcome = {"outcome": claim["outcome"]}
@@ -485,8 +484,8 @@ def zariski_triple_outcomes():
     outcomes = {}
     for example_id in ("split7-33", "split7-24", "nonsplit7"):
         record = load_example(example_id)
-        rep = splitting_type(
-            record.curve, record.conic, record.nodes, verify_inputs=False
+        rep = splitting_type_normalized(
+            normalize_configuration(record.curve, record.conic, record.nodes)
         )
         if rep.outcome == "split":
             outcomes[example_id] = "split(%d,%d)" % (rep.m, rep.n)

@@ -15,6 +15,9 @@ along a smooth conic decomposes, for each candidate type (m, n):
 Positive answers always carry an exactly verified identity; negative
 answers always cite a failed necessary condition; anything else is
 reported as undetermined.
+
+``splitting_type`` computes the nodes when none are given and checks a
+given list once, as a claim; ``splitting_type_normalized`` trusts its nodes.
 """
 
 import itertools
@@ -32,7 +35,7 @@ from .conics import (
     square_class,
 )
 from .cover import involution_biform, pullback_curve, ram_form
-from .curves import singular_locus_complete, verify_node
+from .curves import singular_locus_complete, singular_points, verify_node
 from .errors import (
     CannotCertify,
     ConicNotSmooth,
@@ -848,7 +851,8 @@ class SplittingReport:
     """Outcome of the splitting-type decision.
 
     outcome is one of "split", "non_splitting", "undetermined"; evidence
-    carries one entry per candidate type explaining how it was settled.
+    carries one entry per candidate type explaining how it was settled, and
+    its node subsets index ``nodes`` (set by ``splitting_type``).
     """
 
     __slots__ = (
@@ -860,6 +864,7 @@ class SplittingReport:
         "evidence",
         "notes",
         "normalization",
+        "nodes",
     )
 
     def __init__(self, outcome, m=None, n=None, certificate=None, factor=None,
@@ -872,6 +877,7 @@ class SplittingReport:
         self.evidence = evidence or []
         self.notes = notes or []
         self.normalization = normalization
+        self.nodes = None
 
     def __repr__(self):
         if self.outcome == "split":
@@ -893,9 +899,10 @@ class NormalizedConfiguration:
 
 
 def normalize_configuration(gamma, conic, nodes):
-    """Move (curve, conic, nodes) so the conic becomes z^2 - 4xy."""
-    if classify_conic(conic) != "smooth":
-        raise ConicNotSmooth("branch conic must be smooth")
+    """Move (curve, conic, nodes) so the conic becomes z^2 - 4xy.
+
+    A singular conic raises ConicNotSmooth from its rational point search.
+    """
     target = delta2(gamma.variables)
     lam = _match_scalar(conic, target)
     if lam is not None:
@@ -911,22 +918,34 @@ def normalize_configuration(gamma, conic, nodes):
     return NormalizedConfiguration(gamma_n, nodes_n, matrix, param, profile)
 
 
-def splitting_type(gamma, conic, nodes, verify_inputs=True):
+def splitting_type(gamma, conic, nodes=None):
     """Decide the splitting type of a nodal curve with a simple contact conic.
 
-    Normalizes the conic to z^2 - 4xy, then decides as
-    ``splitting_type_normalized``.
+    Checks the branch conic, then the nodes (computed when ``nodes`` is
+    None, else a claim that must be the singular locus), each of which must
+    be a node; then normalizes the conic to z^2 - 4xy and decides as
+    ``splitting_type_normalized``.  The report keeps the nodes as ``nodes``.
     """
-    return splitting_type_normalized(
-        normalize_configuration(gamma, conic, nodes), verify_inputs=verify_inputs
-    )
+    if classify_conic(conic) != "smooth":
+        raise ConicNotSmooth("branch conic must be smooth")
+    if nodes is None:
+        nodes = singular_points(gamma)
+    elif not singular_locus_complete(gamma, nodes):
+        raise SplitCurvesError("claimed nodes are not the full singular locus")
+    for p in nodes:
+        if not verify_node(gamma, p).is_node:
+            raise SplitCurvesError("singular point %r is not a node" % (p,))
+    report = splitting_type_normalized(normalize_configuration(gamma, conic, nodes))
+    report.nodes = nodes
+    return report
 
 
-def splitting_type_normalized(config, verify_inputs=True):
+def splitting_type_normalized(config):
     """Decide the splitting type of an already normalized configuration.
 
-    Runs, for every candidate type (m, n) in order: the node-count filter,
-    the necessary dimension conditions, the exact (2,4) criterion when it
+    Its nodes are taken to be the singular locus, all nodes.  Runs, for
+    every candidate type (m, n) in order: the node-count filter, the
+    necessary dimension conditions, the exact (2,4) criterion when it
     applies, and finally the pullback factorization search whose verified
     product is the only source of a positive verdict.
     """
@@ -942,13 +961,6 @@ def splitting_type_normalized(config, verify_inputs=True):
     d = gamma_n.degree
     r = sum(p.orbit_size() for p in nodes_n)
     notes = []
-    if verify_inputs:
-        for p in nodes_n:
-            rep = verify_node(gamma_n, p)
-            if not rep.is_node:
-                raise SplitCurvesError("claimed node %r is not a node" % (p,))
-        if not singular_locus_complete(gamma_n, nodes_n):
-            raise SplitCurvesError("claimed nodes are not the full singular locus")
 
     f_pull = pullback_curve(gamma_n)
     evidence = []

@@ -127,7 +127,7 @@ def test_criterion_3_nonsplit6b():
     assert singular_locus_complete(curve, record.nodes)
     profile = contact_profile(curve, record.conic, delta2_param())
     assert profile.kind == SIMPLE_CONTACT and profile.tangent_count == 6
-    rep = splitting_type(curve, record.conic, record.nodes, verify_inputs=False)
+    rep = splitting_type(curve, record.conic, record.nodes)
     assert rep.outcome == "non_splitting"
     reasons = {tuple(e["type"]): e["reason"] for e in rep.evidence}
     assert reasons == {

@@ -17,7 +17,6 @@ from splitcurves.arith import (
 )
 from splitcurves.errors import (
     DegreeMismatch,
-    DegreeTooLarge,
     ReducibleMinimalPolynomial,
 )
 from splitcurves.scalars import QQ
@@ -175,11 +174,8 @@ def test_multiplicities():
     assert facs[(QQ(1), QQ(0), QQ(1))] == 1
 
 
-def test_degree_bound_enforced():
-    f = poly(1, 1) ** 25
-    with pytest.raises(DegreeTooLarge):
-        upoly_factor(f)
-    assert upoly_factor(f, max_degree=25)
+def test_factor_has_no_degree_bound():
+    assert upoly_factor(poly(1, 1) ** 25) == [(poly(1, 1), 25)]
 
 
 def test_gcd_and_divmod():

@@ -93,6 +93,76 @@ def test_split_type_command(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["outcome"] == "non_splitting"
+    assert payload["nodes"][:2] == ["(1 : 1 : 0)", "(1 : 2 : 0)"]
+
+
+def test_split_type_computes_the_nodes_when_none_are_given(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "split-type",
+        "--curve",
+        "(x^3+y^3+z^3)^2-(z^2-4xy)*(xy+yz+zx)^2",
+        "--conic",
+        "z^2-4xy",
+        "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["outcome"], payload["type"]) == ("split", [3, 3])
+    # one orbit of six conjugate nodes
+    assert len(payload["nodes"]) == 1 and " over " in payload["nodes"][0]
+
+
+def test_split_type_on_cuspidal_curve_exits_data_error(capsys):
+    code, _out, err = run_cli(
+        capsys, "split-type", "--curve", "y^2z-x^3", "--conic", "z^2-4xy"
+    )
+    assert code == 65
+    assert "not a node" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '[{"minpoly": 5}]',
+        '[{"point": [1, 2, 3]}]',
+        "[null]",
+        '[{"minpoly": "a^2-2", "point": [1, 2]}]',
+        "[[1e400, 1, 1]]",
+    ],
+)
+def test_malformed_node_file_exits_data_error(tmp_path, capsys, text):
+    nodes = tmp_path / "nodes.json"
+    nodes.write_text(text)
+    code, _out, err = run_cli(
+        capsys, "split-type", "--curve", "x^2+y^2+z^2", "--conic", "z^2-4xy",
+        "--nodes", str(nodes),
+    )
+    assert code == 65
+    assert err.startswith("input error:")
+
+
+def test_analyze_decides_nothing_on_an_incomplete_node_claim(tmp_path, capsys):
+    # five of the six nodes of nonsplit6a
+    nodes = tmp_path / "nodes.json"
+    nodes.write_text(json.dumps([[1, 1, 0], [1, 2, 0], [1, -1, 0], [0, 0, 1], [1, 1, 1]]))
+    code, out, _ = run_cli(
+        capsys,
+        "analyze",
+        "--curve",
+        "(2x^3-x^2y+3x^2z-2xy^2-4xz^2+y^3+yz^2)^2"
+        "-z*(x-y)*(2x-y)*(x+y-2z)*(z^2-4xy)",
+        "--conic",
+        "z^2-4xy",
+        "--nodes",
+        str(nodes),
+        "--json",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["nodes_are_nodes"] == [True] * 5
+    assert payload["singular_locus_complete"] is False
+    assert "splitting" not in payload
 
 
 def test_split_type_on_conic_without_small_points(tmp_path, capsys):

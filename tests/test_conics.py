@@ -125,6 +125,16 @@ def test_contact_at_singular_point_rejected():
     assert prof.kind == NOT_CONTACT
 
 
+def test_contact_at_conjugate_singular_points_rejected():
+    # gamma = C (C + delta) restricts to h^2 with h = C|delta an irreducible
+    # quartic: every multiplicity is 2, but each contact point lies on both
+    # components, so it is a node and the conic is no contact conic
+    c = parse_form("x^2+y^2-3z^2+xz", PLANE)
+    prof = contact_profile(c * (c + delta2()), delta2(), delta2_param())
+    assert prof.multiplicities == [2] and prof.contact_form.degree == 4
+    assert prof.kind == NOT_CONTACT
+
+
 def test_common_component_detection(gamma6):
     with pytest.raises(CommonComponent):
         contact_profile(gamma6 * delta2(), delta2(), delta2_param())

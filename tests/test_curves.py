@@ -4,10 +4,13 @@ import pytest
 
 from splitcurves.arith import NumberField, UPoly
 from splitcurves.curves import (
+    MAX_SHEARS,
+    _x_minimal_polynomial,
     curve_is_reduced,
     irreducibility_sextic,
     shear_matrix,
     singular_locus_complete,
+    singular_points,
     verify_node,
 )
 from splitcurves.errors import TooManyNodes
@@ -19,6 +22,7 @@ from splitcurves.forms import (
     transform_point,
 )
 from splitcurves.linalg import mat_det, mat_inv
+from splitcurves.registry import load_example
 from splitcurves.scalars import QQ
 
 from conftest import PLANE
@@ -153,3 +157,43 @@ def test_curve_is_reduced(gamma6):
     assert curve_is_reduced(gamma6)
     doubled = parse_form("(x^2+y*z)^2", PLANE)
     assert not curve_is_reduced(doubled)
+
+
+def test_singular_points_place_the_erratum_node():
+    # the sixth node of nonsplit6b circulates as (-3:36:38), off the curve
+    curve = load_example("nonsplit6b").curve
+    nodes = singular_points(curve)
+    assert any(p.eq_proj(point(-3, 36, 28)) for p in nodes)
+    assert not any(p.eq_proj(point(-3, 36, 38)) for p in nodes)
+    circulated = [p for p in nodes if not p.eq_proj(point(-3, 36, 28))]
+    assert not singular_locus_complete(curve, circulated + [point(-3, 36, 38)])
+
+
+def _settled_shear(nodes):
+    """First shear at which the claimed points are affine with distinct x."""
+    for idx in range(MAX_SHEARS):
+        moved = [transform_point(mat_inv(shear_matrix(idx)), p) for p in nodes]
+        if any(p.coords[2] == 0 for p in moved):
+            continue
+        xs = [_x_minimal_polynomial(p.affine(2)[0]) for p in moved]
+        if len(set(xs)) == len(xs) and all(
+            p.field is None or q.degree() == p.field.degree for p, q in zip(moved, xs)
+        ):
+            return idx
+    return None
+
+
+@pytest.mark.parametrize("example_id, k", [("split6", 0), ("nonsplit6a", 3)])
+def test_claim_with_a_wrong_y_coordinate_is_rejected(example_id, k):
+    # in the sheared chart the check settles on, move one node along its
+    # line x = const: the x minimal polynomials still match the locus, so
+    # only the y comparison can reject the claim
+    record = load_example(example_id)
+    idx = _settled_shear(record.nodes)
+    m = shear_matrix(idx)
+    x, y, _ = transform_point(mat_inv(m), record.nodes[k]).affine(2)
+    nodes = list(record.nodes)
+    nodes[k] = transform_point(m, ProjPoint([x, y + 1, QQ(1)]))
+    assert _settled_shear(nodes) == idx
+    assert singular_locus_complete(record.curve, record.nodes)
+    assert not singular_locus_complete(record.curve, nodes)

@@ -105,8 +105,8 @@ def test_quartic_curve_type_22_over_gaussian_nodes():
 
 
 def test_splitting_type_is_deterministic(gamma6, gamma6_orbit):
-    rep1 = splitting_type(gamma6, delta2(), [gamma6_orbit], verify_inputs=False)
-    rep2 = splitting_type(gamma6, delta2(), [gamma6_orbit], verify_inputs=False)
+    rep1 = splitting_type(gamma6, delta2(), [gamma6_orbit])
+    rep2 = splitting_type(gamma6, delta2(), [gamma6_orbit])
     assert jsonable(rep1.evidence) == jsonable(rep2.evidence)
     assert rep1.factor.a1 == rep2.factor.a1
     assert rep1.certificate.c_n == rep2.certificate.c_n
@@ -117,8 +117,8 @@ def test_splitting_type_rejects_non_simple_contact():
     gamma = parse_form(
         "(x+y+z)*(x-y+2*z)*(x^4+y^4+z^4+x*y*z*(x+3*y+7*z))", PLANE
     )
-    with pytest.raises(SplitCurvesError):
-        splitting_type(gamma, delta2(), [])
+    with pytest.raises(SplitCurvesError, match="not a simple contact conic"):
+        splitting_type(gamma, delta2())
 
 
 def test_splitting_type_rejects_wrong_node_claims(gamma6_prime, gamma6_prime_nodes):

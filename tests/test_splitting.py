@@ -2,9 +2,11 @@ import pytest
 
 from splitcurves import splitting
 from splitcurves.conics import contact_profile, delta2, delta2_param
+from splitcurves.curves import singular_locus_complete, singular_points
 from splitcurves.cover import involution_biform, pullback_curve, ram_form
 from splitcurves.errors import ConicNotSmooth, SearchBudgetExceeded, WrongNodeCount
 from splitcurves.forms import Form, parse_form, point
+from splitcurves.registry import example_ids, load_example
 from splitcurves.splitting import (
     SplitCertificate,
     alpha_of,
@@ -304,7 +306,7 @@ def test_certificate_extraction_with_tangent_line():
     from splitcurves.registry import load_example
 
     record = load_example("split7-24")
-    rep = splitting_type(record.curve, record.conic, record.nodes, verify_inputs=False)
+    rep = splitting_type(record.curve, record.conic, record.nodes)
     assert rep.outcome == "split" and (rep.m, rep.n) == (2, 4)
     cert = rep.certificate
     assert cert is not None and cert.line is not None
@@ -324,3 +326,24 @@ def test_split_positive_satisfies_node_bound(gamma6, gamma6_orbit):
 def test_intersection_accounting():
     for m, n in ((3, 3), (2, 4), (1, 5)):
         assert 2 * alpha_of(m, n) + (m + n) == m * m + n * n
+
+
+@pytest.mark.parametrize("example_id", example_ids())
+def test_splitting_type_computes_the_catalog_nodes(example_id):
+    record = load_example(example_id)
+    nodes = singular_points(record.curve)
+    assert sorted(p.orbit_size() for p in nodes) == sorted(
+        p.orbit_size() for p in record.nodes
+    )
+    rational = lambda pts: {p.canonical_key() for p in pts if p.field is None}
+    assert rational(nodes) == rational(record.nodes)
+    assert singular_locus_complete(record.curve, nodes)
+    rep = splitting_type(record.curve, record.conic)
+    assert [p.canonical_key() for p in rep.nodes] == [p.canonical_key() for p in nodes]
+    claim = record.claim
+    assert rep.outcome == claim["outcome"]
+    if claim["outcome"] == "split":
+        assert [rep.m, rep.n] == claim["type"]
+    for label, reason in claim.get("exclusions", {}).items():
+        entry = next(e for e in rep.evidence if "(%d,%d)" % e["type"] == label)
+        assert (entry["status"], entry["reason"]) == ("excluded", reason)
