@@ -594,10 +594,54 @@ def _content_scale(p):
     return ONE
 
 
+def _zz_prem(f, g):
+    """A pseudo-remainder of f by g: lc(g)^k * f mod g for some k >= 0."""
+    r = list(f)
+    dg = len(g) - 1
+    lc = g[-1]
+    while len(r) > dg:
+        c = r[-1]
+        shift = len(r) - 1 - dg
+        r = [lc * a for a in r]
+        for j, b in enumerate(g):
+            r[shift + j] -= c * b
+        r.pop()
+        _trim(r)
+    return r
+
+
+def _zz_gcd(f, g):
+    """Primitive gcd, positive leading coefficient, of nonzero integer lists.
+
+    The primitive remainder sequence: each pseudo-remainder is divided by
+    its content, which keeps the coefficients no larger than the gcd's
+    cofactors need.
+    """
+    f = _zz_primitive(f)[0]
+    g = _zz_primitive(g)[0]
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f, g = g, _zz_primitive(_zz_prem(f, g))[0]
+    return f
+
+
 def upoly_gcd(a, b):
-    """Monic gcd over the coefficient field (Euclidean algorithm)."""
+    """Monic gcd over the coefficient field.
+
+    Over the rationals it runs in integers: both operands are scaled to
+    integer coefficients and the primitive pseudo-remainder sequence of
+    ``_zz_gcd`` gives the gcd up to a rational unit, which ``monic`` removes.
+    Over a number field it is the Euclidean algorithm with each remainder
+    rescaled by ``_content_scale``.
+    """
     if a.field != b.field:
         raise FieldMismatch("mixed coefficient fields")
+    if a.field is None:
+        if a.is_zero() or b.is_zero():
+            return (b if a.is_zero() else a).monic()
+        g = _zz_gcd(clear_denominators(list(a.coeffs)), clear_denominators(list(b.coeffs)))
+        return UPoly([QQ(c, g[-1]) for c in g])
     while not b.is_zero():
         r = a % b
         a, b = b, r.scale(_content_scale(r))

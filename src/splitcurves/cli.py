@@ -19,7 +19,7 @@ from .conics import classify_conic, contact_profile
 from .cover import pullback_curve
 from .curves import irreducibility_sextic, singular_locus_complete, verify_node
 from .errors import CannotCertify, SplitCurvesError
-from .forms import biform_to_str, form_to_str, parse_form
+from .forms import biform_to_str, form_to_str, parse_form, parse_univariate
 from .registry import example_ids, parse_node_spec
 from .reports import jsonable, run_verify_example, zariski_triple_outcomes
 from .quartics import QuarticSurface, project_quartic, syzygetic_test
@@ -46,11 +46,29 @@ def _read_expr(value):
     return value
 
 
-def _load_nodes(path, ambient=3):
+def _load_nodes(path, form):
+    """The node claim of a file, for a plane curve or (in four variables)
+    the quartic surface ``form``.
+
+    An orbit cannot be larger than the most singular points the input can
+    have: d(d-1)/2 for a reduced plane curve of degree d, 16 for a quartic
+    surface.  A minimal polynomial of larger degree is rejected before its
+    number field (and its irreducibility test) is built.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, list):
         raise ValueError("node file must hold a JSON array")
+    ambient = len(form.variables)
+    bound = 16 if ambient == 4 else form.degree * (form.degree - 1) // 2
+    for spec in data:
+        if isinstance(spec, dict) and isinstance(spec.get("minpoly"), str):
+            degree = parse_univariate(spec["minpoly"], "a").degree()
+            if degree > bound:
+                raise ValueError(
+                    "an orbit of %d points is more than the %d singular points "
+                    "this input can have" % (degree, bound)
+                )
     return [parse_node_spec(spec, ambient) for spec in data]
 
 
@@ -96,7 +114,7 @@ def _cmd_analyze(args):
     }
     exit_code = 0
     if args.nodes:
-        nodes = _load_nodes(args.nodes)
+        nodes = _load_nodes(args.nodes, gamma)
         payload["nodes"] = [jsonable(p) for p in nodes]
         reports = [verify_node(gamma, p) for p in nodes]
         payload["nodes_are_nodes"] = [r.is_node for r in reports]
@@ -149,7 +167,7 @@ def _cmd_pullback(args):
 def _cmd_split_type(args):
     gamma = parse_form(_read_expr(args.curve), PLANE_VARS)
     conic = parse_form(_read_expr(args.conic), PLANE_VARS)
-    nodes = _load_nodes(args.nodes) if args.nodes else None
+    nodes = _load_nodes(args.nodes, gamma) if args.nodes else None
     report = splitting_type(gamma, conic, nodes)
     payload = {
         "nodes": [jsonable(p) for p in report.nodes],
@@ -207,7 +225,7 @@ def _cmd_project_quartic(args):
 
 def _cmd_syzygetic(args):
     surface = parse_form(_read_expr(args.surface), SPACE_VARS)
-    nodes = _load_nodes(args.nodes, ambient=4)
+    nodes = _load_nodes(args.nodes, surface)
     result = syzygetic_test(surface, nodes)
     payload = {"syzygetic": bool(result)}
     if result:

@@ -7,6 +7,13 @@ factored over the rationals, and each irreducible factor whose fiber is one
 point gives one Galois orbit of singular points.  ``singular_points`` returns
 those orbits; ``singular_locus_complete`` checks a claimed point list
 against them.
+
+The resultants are exact and run in integers.  Each bivariate is scaled to
+coprime integer coefficients, so its Sylvester matrix at an integer x has
+integer entries and a fraction-free determinant; the scaled resultant lies
+in Z[x], and the divided differences of a polynomial in Z[x] at distinct
+integer nodes are integers, so the Newton interpolation divides exactly.
+One rational rescaling at the end gives the resultant of the inputs.
 """
 
 import functools
@@ -18,6 +25,8 @@ from .arith import (
     NFElem,
     NumberField,
     UPoly,
+    _trim,
+    _zz_mul,
     binform_gcd,
     scalar_is_zero,
     upoly_factor,
@@ -31,8 +40,8 @@ from .errors import (
     TooManyNodes,
 )
 from .forms import ProjPoint, compose_form, transform_point
-from .linalg import mat_det, mat_inv, rank_bareiss, rref
-from .scalars import QQ, ZERO, ONE
+from .linalg import det_bareiss, mat_det, mat_inv, rank_bareiss, rref
+from .scalars import QQ, ZERO, ONE, clear_denominators, denom, numer
 
 
 class NodeReport:
@@ -147,78 +156,113 @@ def _affine_xy(form):
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _y_coefficients(biv):
-    """List of UPoly in x: coefficient of y^j."""
-    dy = max((j for (_i, j) in biv), default=0)
-    dx = max((i for (i, _j) in biv), default=0)
-    cols = [[ZERO] * (dx + 1) for _ in range(dy + 1)]
-    for (i, j), c in biv.items():
-        cols[j][i] = c
-    return [UPoly(col) for col in cols]
+def _scaled_y_columns(biv):
+    """(columns, c): c * biv has coprime integer coefficients, c > 0 rational,
+    and columns[j] is the integer coefficient list (constant first) of y^j.
+
+    There is one column per power of y up to the largest one keyed, so an
+    empty polynomial has the single column [] (the zero polynomial).
+    """
+    values = [QQ(v) for v in biv.values()]
+    ints = clear_denominators(values)
+    cols = [[] for _ in range(max((j for (_i, j) in biv), default=0) + 1)]
+    for (i, j), a in zip(biv, ints):
+        if a:
+            col = cols[j]
+            col.extend([0] * (i + 1 - len(col)))
+            col[i] = a
+    k = next((k for k, a in enumerate(ints) if a), None)
+    scale = ONE if k is None else QQ(ints[k] * denom(values[k]), numer(values[k]))
+    return [_trim(col) for col in cols], scale
 
 
-def _interpolate(xs, ys):
-    """Exact Lagrange interpolation through (xs[i], ys[i]); returns UPoly."""
+def _horner(col, x):
+    acc = 0
+    for a in reversed(col):
+        acc = acc * x + a
+    return acc
+
+
+def _zz_pow(col, e):
+    out = [1]
+    for _ in range(e):
+        out = _zz_mul(out, col)
+    return out
+
+
+def _zz_newton(xs, ys):
+    """The integer polynomial of degree < len(xs) through (xs[i], ys[i]).
+
+    The values are those of a polynomial in Z[x] at distinct integer nodes,
+    so every divided difference is an integer (the divided differences of
+    x^k are complete symmetric polynomials in the nodes) and each division
+    is exact; a remainder means the values were not such a polynomial.
+    """
     n = len(xs)
-    # Newton divided differences
     coef = list(ys)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = UPoly([coef[-1]])
+            q, r = divmod(coef[i] - coef[i - 1], xs[i] - xs[i - j])
+            if r:
+                raise ArithmeticError("inexact divided difference in resultant interpolation")
+            coef[i] = q
+    poly = [coef[-1]]
     for i in range(n - 2, -1, -1):
-        poly = poly * UPoly([-xs[i], ONE]) + UPoly([coef[i]])
-    return poly
+        # poly * (x - xs[i]) + coef[i]
+        shifted = [0] + poly
+        for k, a in enumerate(poly):
+            shifted[k] -= xs[i] * a
+        shifted[0] += coef[i]
+        poly = shifted
+    return _trim(poly)
 
 
 def resultant_y(biv1, biv2):
     """Res_y of two bivariate polynomials, as a UPoly in x.
 
-    Computed as the determinant of the formal Sylvester matrix by
-    evaluation and interpolation, which is exact.
+    The formal Sylvester determinant, computed in integers: with c, d the
+    rationals that scale biv1, biv2 to coprime integer polynomials,
+    Res_y(c f, d g) = c^n d^m Res_y(f, g) (m, n the y-degrees), and
+    Res_y(c f, d g) lies in Z[x].  It is evaluated at the integer nodes
+    0, 1, -1, 2, ... (integer Horner for the y-coefficients, an integer
+    Sylvester matrix, a fraction-free Bareiss determinant) up to a degree
+    bound, then interpolated by Newton divided differences, which are
+    integers for a polynomial in Z[x] at integer nodes, so every division
+    is exact.  The scaling is undone once at the end.
     """
-    c1 = _y_coefficients(biv1)
-    c2 = _y_coefficients(biv2)
+    c1, s1 = _scaled_y_columns(biv1)
+    c2, s2 = _scaled_y_columns(biv2)
     m = len(c1) - 1
     n = len(c2) - 1
-    if m < 0 or n < 0:
-        return UPoly.zero()
     if m == 0:
-        return c1[0] ** n
-    if n == 0:
-        return c2[0] ** m
-    # Bezout-type bound: the resultant degree is at most the product of the
-    # total degrees of the two polynomials
-    tot1 = max(i + j for (i, j) in biv1)
-    tot2 = max(i + j for (i, j) in biv2)
-    max_deg = min(
-        tot1 * tot2,
-        m * max((p.degree() for p in c2 if not p.is_zero()), default=0)
-        + n * max((p.degree() for p in c1 if not p.is_zero()), default=0),
-    )
-    xs = []
-    ys = []
-    x0 = 0
-    size = m + n
-    while len(xs) < max_deg + 1:
-        xv = QQ(x0)
-        x0 = -x0 + (0 if x0 > 0 else 1)
-        rows = []
-        v1 = [p.eval(xv) for p in c1]
-        v2 = [p.eval(xv) for p in c2]
-        for k in range(n):
-            row = [ZERO] * size
-            for j, c in enumerate(reversed(v1)):
-                row[k + j] = c
-            rows.append(row)
-        for k in range(m):
-            row = [ZERO] * size
-            for j, c in enumerate(reversed(v2)):
-                row[k + j] = c
-            rows.append(row)
-        xs.append(xv)
-        ys.append(mat_det(rows))
-    return _interpolate(xs, ys)
+        res = _zz_pow(c1[0], n)
+    elif n == 0:
+        res = _zz_pow(c2[0], m)
+    else:
+        # Bezout-type bound: the resultant degree is at most the product of
+        # the total degrees of the two polynomials
+        tot1 = max(i + j for (i, j) in biv1)
+        tot2 = max(i + j for (i, j) in biv2)
+        max_deg = min(
+            tot1 * tot2,
+            m * max((len(col) - 1 for col in c2 if col), default=0)
+            + n * max((len(col) - 1 for col in c1 if col), default=0),
+        )
+        xs = []
+        ys = []
+        x0 = 0
+        while len(xs) < max_deg + 1:
+            v1 = [_horner(col, x0) for col in reversed(c1)]
+            v2 = [_horner(col, x0) for col in reversed(c2)]
+            rows = [[0] * k + v1 + [0] * (n - 1 - k) for k in range(n)]
+            rows += [[0] * k + v2 + [0] * (m - 1 - k) for k in range(m)]
+            xs.append(x0)
+            ys.append(det_bareiss(rows))
+            x0 = -x0 + (0 if x0 > 0 else 1)
+        res = _zz_newton(xs, ys)
+    scale = s1**n * s2**m
+    num, den = denom(scale), numer(scale)
+    return UPoly([QQ(a * num, den) for a in res])
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +370,8 @@ def singular_points(gamma):
     """The singular points of a plane curve, one ProjPoint per Galois orbit.
 
     They come in the eliminant's factor order at the first shear that
-    separates them.  A curve that is not reduced has a singular line and
-    raises ShearExhausted or CommonComponent.
+    separates them.  A curve that is not reduced has a singular component
+    and raises CommonComponent.
     """
     if len(gamma.variables) != 3:
         raise FieldMismatch("plane curves only")
@@ -336,6 +380,7 @@ def singular_points(gamma):
         locus = _sheared_locus(gamma, m, idx)
         if locus is not None:
             return [transform_point(m, ProjPoint([x, y, ONE])) for x, y in locus.values()]
+    _raise_if_not_reduced(gamma)
     raise ShearExhausted("%d shears failed to separate the singular points" % MAX_SHEARS)
 
 
@@ -382,7 +427,15 @@ def singular_locus_complete(gamma, claimed):
                 if not scalar_is_zero(lift.eval(x) - y):
                     return False
             return True
+    _raise_if_not_reduced(gamma)
     raise ShearExhausted("%d shears failed to separate the configuration" % MAX_SHEARS)
+
+
+def _raise_if_not_reduced(gamma):
+    """Name the usual reason no shear works: a multiple component meets z = 0
+    at every shear, so the elimination core never accepts one."""
+    if not curve_is_reduced(gamma):
+        raise CommonComponent("the curve is not reduced: it has a multiple component")
 
 
 def curve_is_reduced(gamma):

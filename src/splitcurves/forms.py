@@ -8,6 +8,8 @@ in descending graded-lexicographic order so output is reproducible, and
 ``parse_form(form_to_str(f)) == f`` exactly.
 """
 
+import math
+
 from .arith import NFElem, scalar_is_zero
 from .errors import (
     FieldMismatch,
@@ -16,7 +18,7 @@ from .errors import (
     ParseError,
 )
 from .linalg import mat_vec, primitive_vector
-from .scalars import QQ, ZERO, ONE, rat_str
+from .scalars import QQ, ZERO, ONE, denom, numer, rat_str
 
 
 def monomial_basis(nvars, degree):
@@ -154,18 +156,29 @@ class Form:
         return out
 
     def eval(self, coords):
-        """Exact value at coordinates (rationals or NFElem of one field)."""
+        """Exact value at coordinates (rationals or NFElem of one field).
+
+        The powers c, c^2, ..., c^k of each coordinate, k its largest
+        exponent in the form, are built once per call with one product
+        each; a term then costs one product per variable it contains.
+        """
         if len(coords) != len(self.variables):
             raise FieldMismatch(
                 "point has %d coordinates, form has %d variables"
                 % (len(coords), len(self.variables))
             )
+        powers = []
+        for i, c in enumerate(coords):
+            pw = [None, c]
+            for _ in range(max((expo[i] for expo in self.terms), default=0) - 1):
+                pw.append(pw[-1] * c)
+            powers.append(pw)
         total = None
         for expo, coeff in sorted(self.terms.items()):
             term = coeff
-            for c, e in zip(coords, expo):
+            for pw, e in zip(powers, expo):
                 if e:
-                    term = term * c**e
+                    term = term * pw[e]
             total = term if total is None else total + term
         if total is None:
             first = coords[0]
@@ -523,20 +536,73 @@ def substitute_form(f, images):
 
 
 def compose_form(f, matrix):
-    """f(M x): substitute variable i by the linear form with row M[i]."""
-    variables = f.variables
-    images = {}
-    for i, v in enumerate(variables):
-        terms = {}
-        for j in range(len(variables)):
-            expo = tuple(1 if k == j else 0 for k in range(len(variables)))
-            c = QQ(matrix[i][j])
-            if c != 0:
-                terms[expo] = c
-        images[v] = Form(variables, 1, terms)
+    """f(M x): substitute variable i by the linear form with row M[i].
+
+    Expanded in integers.  Row i of M is scaled to integers by the lcm s_i
+    of its denominators, L_i = L'_i / s_i, and the coefficients of f are
+    put over one denominator D, c_e = a_e / D.  With d = deg f,
+
+        f(M x) = sum_e a_e prod_i s_i^(d - e_i) L'_i^(e_i) / (D prod_i s_i^d),
+
+    so the powers of each L'_i are built once as integer polynomials, every
+    term is an integer product, and the division happens once at the end.
+    Exponent vectors are packed into one integer in base d + 1 while the
+    products are taken, so adding exponents is adding keys.
+    """
     if f.is_zero():
         return f
-    return substitute_form(f, images)
+    n = len(f.variables)
+    d = f.degree
+    if d == 0:
+        raise InhomogeneousImage("constant form cannot be substituted")
+    base = d + 1
+    places = [base**j for j in range(n)]
+    scales = []
+    linear = []
+    for i in range(n):
+        row = [QQ(matrix[i][j]) for j in range(n)]
+        s = math.lcm(*(denom(c) for c in row))
+        scales.append(s)
+        linear.append({places[j]: numer(c) * (s // denom(c)) for j, c in enumerate(row) if c})
+    den = math.lcm(*(denom(c) for c in f.terms.values()))
+    top = [max(expo[i] for expo in f.terms) for i in range(n)]
+    powers = []
+    for i in range(n):
+        pw = [{0: 1}]
+        for _ in range(top[i]):
+            pw.append(_packed_mul(pw[-1], linear[i]))
+        powers.append(pw)
+    total = {}
+    for expo, c in f.terms.items():
+        scalar = numer(c) * (den // denom(c))
+        for s, e in zip(scales, expo):
+            scalar *= s ** (d - e)
+        term = {0: scalar}
+        for pw, e in zip(powers, expo):
+            if e:
+                term = _packed_mul(term, pw[e])
+        for k, v in term.items():
+            total[k] = total.get(k, 0) + v
+    den *= math.prod(scales) ** d
+    terms = {}
+    for k, v in total.items():
+        if v:
+            expo = []
+            for _ in range(n):
+                k, e = divmod(k, base)
+                expo.append(e)
+            terms[tuple(expo)] = QQ(v, den)
+    return Form(f.variables, d, terms)
+
+
+def _packed_mul(a, b):
+    """Product of two integer polynomials keyed by packed exponent vectors."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
 
 
 def transform_point(matrix, p):

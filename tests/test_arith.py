@@ -7,6 +7,7 @@ from splitcurves.arith import (
     NumberField,
     UPoly,
     _bounded_rational_roots,
+    _zz_gcd,
     _zz_mul,
     _zz_primitive,
     binary_form_sqrt,
@@ -184,6 +185,60 @@ def test_gcd_and_divmod():
     assert upoly_gcd(a, b) == b
     q, r = a.divmod(b)
     assert q * b + r == a and r.is_zero()
+
+
+# -- gcd over Q: the rational Euclidean algorithm, kept as an oracle ---------
+
+
+def _upoly_gcd_oracle(a, b):
+    """Monic gcd by Euclid on rational remainders, as the parent computed it."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def _random_upoly(rng, degree):
+    return UPoly([random_rat(rng) for _ in range(degree + 1)])
+
+
+def test_gcd_matches_rational_oracle():
+    rng = rng_for("gcd-oracle")
+    zero = UPoly.zero()
+    for _ in range(300):
+        a = _random_upoly(rng, rng.randint(-1, 6))
+        b = _random_upoly(rng, rng.randint(-1, 6))
+        if rng.random() < 0.5:
+            c = _random_upoly(rng, rng.randint(0, 5))
+            a, b = a * c, b * c
+        assert upoly_gcd(a, b) == _upoly_gcd_oracle(a, b)
+    assert upoly_gcd(zero, zero) == zero
+    p = poly(QQ(3, 2), 0, QQ(-1, 4))
+    assert upoly_gcd(p, zero) == upoly_gcd(zero, p) == p.monic()
+    assert upoly_gcd(poly(-1, 1), poly(1, 1)) == poly(1)
+
+
+def test_gcd_finds_a_shared_factor_of_degree_three_or_more():
+    rng = rng_for("gcd-shared")
+    for degree in (3, 4, 5):
+        for _ in range(20):
+            c = _random_upoly(rng, degree)
+            a = _random_upoly(rng, rng.randint(1, 5))
+            b = _random_upoly(rng, rng.randint(1, 5))
+            expected = _upoly_gcd_oracle(a * c, b * c)
+            assert expected.degree() >= degree
+            assert upoly_gcd(a * c, b * c) == expected
+            # the integer kernel returns the primitive part, lc > 0
+            ints = _zz_gcd(_ints(a * c), _ints(b * c))
+            assert ints == _ints(expected)
+
+
+def _ints(p):
+    """Primitive integer coefficients of p, leading one positive."""
+    lcm = math.lcm(*(int(c.denominator) for c in p.coeffs))
+    ints = [int(c * lcm) for c in p.coeffs]
+    g = math.gcd(*ints)
+    sign = 1 if ints[-1] > 0 else -1
+    return [sign * v // g for v in ints]
 
 
 # -- binary form square roots ------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -140,6 +141,34 @@ def test_malformed_node_file_exits_data_error(tmp_path, capsys, text):
     )
     assert code == 65
     assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("claim", [None, "[[2, 0, 1]]"])
+def test_split_type_on_a_non_reduced_curve_exits_data_error(tmp_path, capsys, claim):
+    argv = ["split-type", "--curve", "(x-2z)^2*(x^2+y^2-4z^2)", "--conic", "z^2-4xy"]
+    if claim is not None:
+        nodes = tmp_path / "nodes.json"
+        nodes.write_text(claim)
+        argv += ["--nodes", str(nodes)]
+    code, _out, err = run_cli(capsys, *argv)
+    assert code == 65
+    assert err == "error: the curve is not reduced: it has a multiple component\n"
+
+
+def test_node_orbit_larger_than_the_singular_locus_is_rejected_at_once(tmp_path, capsys):
+    from splitcurves.registry import raw_record
+
+    nodes = tmp_path / "nodes.json"
+    nodes.write_text('[{"minpoly": "a^400+a+1", "point": ["a", "1", "1"]}]')
+    record = raw_record("split6")
+    start = time.perf_counter()
+    code, _out, err = run_cli(
+        capsys, "split-type", "--curve", record["curve"], "--conic", record["conic"],
+        "--nodes", str(nodes),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 65
+    assert "an orbit of 400 points is more than the 15 singular points" in err
 
 
 def test_analyze_decides_nothing_on_an_incomplete_node_claim(tmp_path, capsys):

@@ -6,14 +6,16 @@ from splitcurves.arith import NumberField, UPoly
 from splitcurves.curves import (
     MAX_SHEARS,
     _x_minimal_polynomial,
+    _zz_newton,
     curve_is_reduced,
     irreducibility_sextic,
+    resultant_y,
     shear_matrix,
     singular_locus_complete,
     singular_points,
     verify_node,
 )
-from splitcurves.errors import TooManyNodes
+from splitcurves.errors import CommonComponent, TooManyNodes
 from splitcurves.forms import (
     ProjPoint,
     compose_form,
@@ -25,7 +27,7 @@ from splitcurves.linalg import mat_det, mat_inv
 from splitcurves.registry import load_example
 from splitcurves.scalars import QQ
 
-from conftest import PLANE
+from conftest import PLANE, random_rat, rng_for
 
 
 def test_node_versus_cusp():
@@ -197,3 +199,118 @@ def test_claim_with_a_wrong_y_coordinate_is_rejected(example_id, k):
     assert _settled_shear(nodes) == idx
     assert singular_locus_complete(record.curve, record.nodes)
     assert not singular_locus_complete(record.curve, nodes)
+
+
+def test_non_reduced_curve_is_named():
+    curve = parse_form("(x-2z)^2*(x^2+y^2-4z^2)", PLANE)
+    message = "the curve is not reduced: it has a multiple component"
+    with pytest.raises(CommonComponent, match=message):
+        singular_points(curve)
+    with pytest.raises(CommonComponent, match=message):
+        singular_locus_complete(curve, [point(2, 0, 1)])
+
+
+# -- resultants: the rational Sylvester determinant, kept as an oracle -------
+
+
+def _resultant_y_oracle(biv1, biv2):
+    """Res_y as the parent computed it: y-coefficients as rational UPolys,
+    rational Sylvester determinants (mat_det) at x = 0, 1, -1, 2, ..., and
+    rational Newton interpolation."""
+
+    def y_coefficients(biv):
+        dy = max((j for (_i, j) in biv), default=0)
+        dx = max((i for (i, _j) in biv), default=0)
+        cols = [[QQ(0)] * (dx + 1) for _ in range(dy + 1)]
+        for (i, j), c in biv.items():
+            cols[j][i] = c
+        return [UPoly(col) for col in cols]
+
+    c1, c2 = y_coefficients(biv1), y_coefficients(biv2)
+    m, n = len(c1) - 1, len(c2) - 1
+    if m == 0:
+        return c1[0] ** n
+    if n == 0:
+        return c2[0] ** m
+    max_deg = min(
+        max(i + j for (i, j) in biv1) * max(i + j for (i, j) in biv2),
+        m * max((p.degree() for p in c2 if not p.is_zero()), default=0)
+        + n * max((p.degree() for p in c1 if not p.is_zero()), default=0),
+    )
+    xs, ys, x0 = [], [], 0
+    while len(xs) < max_deg + 1:
+        xv = QQ(x0)
+        x0 = -x0 + (0 if x0 > 0 else 1)
+        v1 = [p.eval(xv) for p in reversed(c1)]
+        v2 = [p.eval(xv) for p in reversed(c2)]
+        rows = [[QQ(0)] * k + v1 + [QQ(0)] * (n - 1 - k) for k in range(n)]
+        rows += [[QQ(0)] * k + v2 + [QQ(0)] * (m - 1 - k) for k in range(m)]
+        xs.append(xv)
+        ys.append(mat_det(rows))
+    coef = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    out = UPoly([coef[-1]])
+    for i in range(len(xs) - 2, -1, -1):
+        out = out * UPoly([-xs[i], QQ(1)]) + UPoly([coef[i]])
+    return out
+
+
+def _random_bivariate(rng, dx, dy):
+    biv = {}
+    for i in range(dx + 1):
+        for j in range(dy + 1):
+            if rng.random() < 0.7:
+                c = random_rat(rng)
+                if c != 0:
+                    biv[(i, j)] = c
+    return biv
+
+
+def test_resultant_matches_rational_oracle():
+    rng = rng_for("resultant-oracle")
+    for _ in range(120):
+        f = _random_bivariate(rng, rng.randint(0, 4), rng.randint(0, 4))
+        g = _random_bivariate(rng, rng.randint(0, 4), rng.randint(0, 4))
+        assert resultant_y(f, g) == _resultant_y_oracle(f, g)
+
+
+def test_resultant_edge_cases_match_oracle():
+    rng = rng_for("resultant-edges")
+    f = {(0, 2): QQ(3, 2), (1, 0): QQ(-5, 7), (2, 1): QQ(1, 3)}
+    y_free = {(0, 0): QQ(2, 3), (3, 0): QQ(-1, 4)}
+    x_free = {(0, 0): QQ(-4, 5), (0, 3): QQ(7, 2)}
+    cases = [({}, {}), ({}, f), (f, {}), ({}, y_free), (y_free, f), (f, y_free),
+             (x_free, f), (f, x_free), (x_free, y_free), (y_free, y_free)]
+    for _ in range(20):
+        # a common factor makes the resultant zero
+        h = _random_bivariate(rng, 1, 1)
+        h[(0, 1)] = QQ(1)
+        a = _random_bivariate(rng, 2, 2)
+        b = _random_bivariate(rng, 2, 1)
+        cases.append((_biv_mul(h, a), _biv_mul(h, b)))
+    for f1, f2 in cases:
+        assert resultant_y(f1, f2) == _resultant_y_oracle(f1, f2)
+    assert resultant_y({}, {}) == UPoly([1])
+    assert resultant_y({}, f).is_zero()
+    assert resultant_y(x_free, f) == _resultant_y_oracle(x_free, f) != UPoly.zero()
+    assert all(resultant_y(f1, f2).is_zero() for f1, f2 in cases[-20:])
+
+
+def _biv_mul(a, b):
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, QQ(0)) + c1 * c2
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def test_newton_interpolation_is_exact_or_raises():
+    # 3 x^2 - 2 x + 5 at the resultant's nodes
+    xs = [0, 1, -1, 2]
+    assert _zz_newton(xs, [3 * x * x - 2 * x + 5 for x in xs]) == [5, -2, 3]
+    # x (x + 1) / 2 is integer-valued at integers but not in Z[x]
+    with pytest.raises(ArithmeticError):
+        _zz_newton([0, 1, -1], [0, 1, 0])

@@ -1,7 +1,7 @@
 import pytest
 
 from splitcurves.arith import BinForm, NumberField, UPoly
-from splitcurves.errors import NotHomogeneous, ParseError
+from splitcurves.errors import InhomogeneousImage, NotHomogeneous, ParseError
 from splitcurves.forms import (
     BiForm,
     Form,
@@ -16,7 +16,7 @@ from splitcurves.forms import (
 )
 from splitcurves.scalars import QQ
 
-from conftest import PLANE, rng_for, random_form, random_rat
+from conftest import PLANE, SPACE, rng_for, random_form, random_rat
 
 
 def test_parse_basic_forms():
@@ -182,6 +182,95 @@ def test_compose_form_matrix_action():
         if all(c == 0 for c in image):
             continue
         assert compose_form(f, m).eval(coords) == f.eval(image)
+
+
+# -- f(M x) by substitution of linear forms, kept as an oracle ---------------
+
+
+def _compose_form_oracle(f, matrix):
+    """f(M x) as the parent computed it: substitute_form with the rows of M
+    as linear Form images, so every product is a rational Form product."""
+    n = len(f.variables)
+    images = {}
+    for i, v in enumerate(f.variables):
+        terms = {}
+        for j in range(n):
+            if matrix[i][j] != 0:
+                terms[tuple(int(k == j) for k in range(n))] = QQ(matrix[i][j])
+        images[v] = Form(f.variables, 1, terms)
+    if f.is_zero():
+        return f
+    return substitute_form(f, images)
+
+
+def _random_matrix(rng, n, kind):
+    if kind == "integer":
+        return [[QQ(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+    # rows with different denominators: row i has entries p / (i + 2)^k
+    m = [[QQ(rng.randint(-5, 5), (i + 2) ** rng.randint(0, 2)) for _ in range(n)]
+         for i in range(n)]
+    if kind == "singular":
+        m[-1] = [a + QQ(1, 3) * b for a, b in zip(m[0], m[1])]
+    elif kind == "zero-row":
+        m[rng.randrange(n)] = [QQ(0)] * n
+    return m
+
+
+@pytest.mark.parametrize("variables", [PLANE, SPACE])
+def test_compose_form_matches_substitution_oracle(variables):
+    rng = rng_for("compose-oracle-%d" % len(variables))
+    n = len(variables)
+    for kind in ("integer", "rational", "singular", "zero-row"):
+        for _ in range(15):
+            f = random_form(rng, rng.randint(1, 5 if n == 3 else 4), nvars=n)
+            m = _random_matrix(rng, n, kind)
+            assert compose_form(f, m) == _compose_form_oracle(f, m)
+
+
+def test_compose_form_edge_cases():
+    m = [[QQ(1, 2), QQ(1), QQ(0)], [QQ(0), QQ(2, 3), QQ(1)], [QQ(1), QQ(0), QQ(5)]]
+    zero = Form.zero(PLANE, 3)
+    assert compose_form(zero, m) is zero
+    constant = Form(PLANE, 0, {(0, 0, 0): QQ(7)})
+    with pytest.raises(InhomogeneousImage, match="constant form"):
+        compose_form(constant, m)
+    with pytest.raises(InhomogeneousImage, match="constant form"):
+        _compose_form_oracle(constant, m)
+    # a matrix that kills the form gives the zero form of the same degree
+    collapse = [[QQ(2), QQ(0), QQ(0)], [QQ(1), QQ(0), QQ(0)], [QQ(0), QQ(0), QQ(1)]]
+    killed = compose_form(parse_form("x - 2y", PLANE), collapse)
+    assert killed.is_zero() and killed.degree == 1
+
+
+# -- evaluation with a power per monomial, kept as an oracle -----------------
+
+
+def _eval_oracle(f, coords):
+    total = None
+    for expo, coeff in sorted(f.terms.items()):
+        term = coeff
+        for c, e in zip(coords, expo):
+            if e:
+                term = term * c**e
+        total = term if total is None else total + term
+    return total
+
+
+def test_eval_matches_oracle_at_rational_and_number_field_points():
+    rng = rng_for("eval-oracle")
+    field = NumberField(UPoly([1, 3, 3, 1, 3, 3, 1]))
+    a = field.gen()
+    for _ in range(60):
+        f = random_form(rng, rng.randint(1, 6))
+        rational = [random_rat(rng, 5) for _ in range(3)]
+        assert f.eval(rational) == _eval_oracle(f, rational)
+        conjugate = [field.elem([random_rat(rng, 3) for _ in range(rng.randint(1, 6))])
+                     for _ in range(2)] + [a]
+        value = f.eval(conjugate)
+        assert value == _eval_oracle(f, conjugate) and value.owner == field
+    g = random_form(rng, 4, nvars=4)
+    point4 = [random_rat(rng, 5) for _ in range(4)]
+    assert g.eval(point4) == _eval_oracle(g, point4)
 
 
 def test_forms_share_exponent_keys():
