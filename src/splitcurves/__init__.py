@@ -26,7 +26,7 @@ from .conics import (
     parametrize_conic,
     restrict_to_conic,
 )
-from .cover import CoverContext, involution_biform, pullback_curve, ram_form
+from .cover import involution_biform, pullback_curve, ram_form
 from .curves import (
     NodeReport,
     irreducibility_sextic,

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from .arith import BinForm, binform_gcd
 from .errors import CannotCertify, CommonComponent, ConicNotSmooth, PointNotOnConic
-from .forms import Form, ProjPoint, compose_form
+from .forms import Form, ProjPoint, compose_form, substitute_form
 from .linalg import kernel_basis, mat_inv, mat_mul, rank_bareiss
 from .scalars import QQ, ZERO, ONE, denom, numer
 
@@ -124,29 +124,15 @@ def parametrize_conic(q, base):
 
 
 def restrict_to_conic(f, param):
-    """The binary form f(p0, p1, p2) of degree 2*deg(f)."""
+    """The binary form f(p0, p1, p2) of degree 2*deg(f).
+
+    A constant restricts to itself, as a binary form of degree 0.
+    """
     if len(f.variables) != 3:
         raise ValueError("restriction needs a plane form")
-    comps = param.components()
-    powers = [dict() for _ in comps]
-
-    def power(i, e):
-        cache = powers[i]
-        if e not in cache:
-            if e == 0:
-                cache[e] = BinForm(0, [ONE])
-            else:
-                cache[e] = comps[i] ** e
-        return cache[e]
-
-    acc = BinForm.zero(2 * f.degree)
-    for expo, coeff in f.sorted_terms():
-        term = BinForm(0, [ONE])
-        for i, e in enumerate(expo):
-            if e:
-                term = term * power(i, e)
-        acc = acc + term.scale(coeff)
-    return acc
+    if f.degree == 0:
+        return BinForm(0, [f.terms.get((0, 0, 0), ZERO)])
+    return substitute_form(f, dict(zip(f.variables, param.components())))
 
 
 # Integers are factored by trial division by 2, 3, 5, ... up to this bound,

@@ -25,35 +25,14 @@ def cover_images(variables=("x", "y", "z")):
     }
 
 
-class CoverContext:
-    """Fixed data of the normalized double cover."""
-
-    def __init__(self, variables=("x", "y", "z")):
-        from .conics import delta2
-
-        self.variables = tuple(variables)
-        self.delta2 = delta2(self.variables)
-        self.r = ram_form()
-        self.images = cover_images(self.variables)
-
-    def pullback(self, f):
-        return pullback_curve(f, self.variables)
-
-
 def pullback_curve(f, variables=None):
     """Pullback of a plane curve under the cover; bidegree (d, d)."""
     if len(f.variables) != 3:
         raise ValueError("the cover pulls back plane curves only")
-    images = cover_images(variables or f.variables)
-    if f.is_zero():
-        return BiForm.zero((f.degree, f.degree))
-    terms = substitute_form(f, images).terms
     # The pullback is invariant under the deck involution, so the terms
-    # (i, j) and (j, i) are equal: keep one coefficient object for both.
-    return BiForm(
-        (f.degree, f.degree),
-        {(i, j): terms[(j, i)] if i > j else c for (i, j), c in terms.items()},
-    )
+    # (i, j) and (j, i) are equal; substitute_form keeps one coefficient
+    # object for both.
+    return substitute_form(f, cover_images(variables or f.variables))
 
 
 def involution_biform(biform):

@@ -10,7 +10,7 @@ in descending graded-lexicographic order so output is reproducible, and
 
 import math
 
-from .arith import NFElem, scalar_is_zero
+from .arith import BinForm, NFElem, scalar_is_zero
 from .errors import (
     FieldMismatch,
     InhomogeneousImage,
@@ -371,8 +371,6 @@ class BiForm:
         The result is a list c of length d1+1 with c[i] the coefficient of
         s^i t^(d1-i).
         """
-        from .arith import BinForm
-
         d1, d2 = self.bidegree
         u0, v0 = QQ(u0), QQ(v0)
         coeffs = [ZERO] * (d1 + 1)
@@ -492,86 +490,90 @@ def point(*coords):
 
 
 def substitute_form(f, images):
-    """Ring-homomorphism substitution variable -> Form/BiForm.
+    """f(images): substitute each variable by its image, exactly.
 
-    All images must share a degree pattern (same class, same degree or
-    bidegree) so the composite is again (bi)homogeneous.
+    The images are all ``Form``s, all ``BinForm``s or all ``BiForm``s of one
+    degree k (or bidegree), so the composite is again homogeneous, of degree
+    d k for d = deg f, and of the images' kind.  A zero f gives the zero of
+    that kind and degree; a nonzero constant cannot be substituted.
+
+    Expanded in integers.  Image i is scaled to an integer polynomial P_i by
+    the lcm s_i of its denominators, and the coefficients of f are put over
+    one denominator D, c_e = a_e / D.  Then
+
+        f(images) = sum_e a_e prod_i s_i^(d - e_i) P_i^(e_i) / (D prod_i s_i^d),
+
+    so the powers of each P_i are built once as integer polynomials, every
+    term is an integer product, and the one division happens at the end;
+    the result is exact.  Exponents are packed into one integer key whose
+    digits in base d k + 1 (the largest exponent of the result, plus one)
+    are the exponents, so multiplying monomials is adding keys.
     """
     vals = [images[v] for v in f.variables]
-    kinds = {type(v) for v in vals}
-    if len(kinds) != 1:
-        raise InhomogeneousImage("images must all be Form or all BiForm")
-    if isinstance(vals[0], Form):
-        degs = {v.degree for v in vals}
-        varsets = {v.variables for v in vals}
-        if len(degs) != 1 or len(varsets) != 1:
-            raise InhomogeneousImage("images of mixed degree")
-        img_deg = vals[0].degree
-        acc = Form.zero(vals[0].variables, f.degree * img_deg)
-    else:
-        bidegs = {v.bidegree for v in vals}
-        if len(bidegs) != 1:
-            raise InhomogeneousImage("images of mixed bidegree")
-        d1, d2 = vals[0].bidegree
-        acc = BiForm.zero((f.degree * d1, f.degree * d2))
-    powers = [dict() for _ in vals]
-
-    def power(i, e):
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = vals[i] ** e
-        return cache[e]
-
-    for expo, coeff in f.sorted_terms():
-        term = None
-        for i, e in enumerate(expo):
-            if e == 0:
-                continue
-            p = power(i, e)
-            term = p if term is None else term * p
-        if term is None:
-            raise InhomogeneousImage("constant form cannot be substituted")
-        acc = acc + term.scale(coeff)
-    return acc
-
-
-def compose_form(f, matrix):
-    """f(M x): substitute variable i by the linear form with row M[i].
-
-    Expanded in integers.  Row i of M is scaled to integers by the lcm s_i
-    of its denominators, L_i = L'_i / s_i, and the coefficients of f are
-    put over one denominator D, c_e = a_e / D.  With d = deg f,
-
-        f(M x) = sum_e a_e prod_i s_i^(d - e_i) L'_i^(e_i) / (D prod_i s_i^d),
-
-    so the powers of each L'_i are built once as integer polynomials, every
-    term is an integer product, and the division happens once at the end.
-    Exponent vectors are packed into one integer in base d + 1 while the
-    products are taken, so adding exponents is adding keys.
-    """
-    if f.is_zero():
-        return f
-    n = len(f.variables)
+    kind = type(vals[0])
+    if kind not in (Form, BinForm, BiForm) or any(type(v) is not kind for v in vals):
+        raise InhomogeneousImage("images must all be Form, all BinForm or all BiForm")
     d = f.degree
+    if kind is Form:
+        if len({(v.variables, v.degree) for v in vals}) != 1:
+            raise InhomogeneousImage("images of mixed degree")
+        variables, k = vals[0].variables, vals[0].degree
+        base = d * k + 1
+        places = [base**j for j in range(len(variables))]
+        rows = [
+            [(sum(e * p for e, p in zip(expo, places)), c)
+             for expo, c in v.terms.items()]
+            for v in vals
+        ]
+
+        def build(coeffs):
+            terms = {}
+            for key, c in coeffs.items():
+                expo = []
+                for _ in variables:
+                    key, e = divmod(key, base)
+                    expo.append(e)
+                terms[tuple(expo)] = c
+            return Form(variables, d * k, terms)
+
+    elif kind is BinForm:
+        if len({v.degree for v in vals}) != 1:
+            raise InhomogeneousImage("images of mixed degree")
+        k = vals[0].degree
+        # the key of s^i t^(k - i) is i, the index of its coefficient
+        rows = [[(i, c) for i, c in enumerate(v.coeffs) if c] for v in vals]
+
+        def build(coeffs):
+            return BinForm(d * k, [coeffs.get(i, ZERO) for i in range(d * k + 1)])
+
+    else:
+        if len({v.bidegree for v in vals}) != 1:
+            raise InhomogeneousImage("images of mixed bidegree")
+        k1, k2 = vals[0].bidegree
+        # the key of (i, j) is its index in the result's dense layout
+        w = d * k2 + 1
+        rows = [[(i * w + j, c) for (i, j), c in v._nonzero()] for v in vals]
+
+        def build(coeffs):
+            dense = [coeffs.get(i, ZERO) for i in range((d * k1 + 1) * w)]
+            return BiForm._dense((d * k1, d * k2), dense)
+
+    if f.is_zero():
+        return build({})
     if d == 0:
         raise InhomogeneousImage("constant form cannot be substituted")
-    base = d + 1
-    places = [base**j for j in range(n)]
     scales = []
-    linear = []
-    for i in range(n):
-        row = [QQ(matrix[i][j]) for j in range(n)]
-        s = math.lcm(*(denom(c) for c in row))
-        scales.append(s)
-        linear.append({places[j]: numer(c) * (s // denom(c)) for j, c in enumerate(row) if c})
-    den = math.lcm(*(denom(c) for c in f.terms.values()))
-    top = [max(expo[i] for expo in f.terms) for i in range(n)]
     powers = []
-    for i in range(n):
+    top = [max(expo[i] for expo in f.terms) for i in range(len(vals))]
+    for row, e_max in zip(rows, top):
+        s = math.lcm(*(denom(c) for _, c in row))
+        scales.append(s)
+        poly = {key: numer(c) * (s // denom(c)) for key, c in row}
         pw = [{0: 1}]
-        for _ in range(top[i]):
-            pw.append(_packed_mul(pw[-1], linear[i]))
+        for _ in range(e_max):
+            pw.append(_packed_mul(pw[-1], poly))
         powers.append(pw)
+    den = math.lcm(*(denom(c) for c in f.terms.values()))
     total = {}
     for expo, c in f.terms.items():
         scalar = numer(c) * (den // denom(c))
@@ -581,18 +583,26 @@ def compose_form(f, matrix):
         for pw, e in zip(powers, expo):
             if e:
                 term = _packed_mul(term, pw[e])
-        for k, v in term.items():
-            total[k] = total.get(k, 0) + v
+        for key, v in term.items():
+            total[key] = total.get(key, 0) + v
     den *= math.prod(scales) ** d
-    terms = {}
-    for k, v in total.items():
-        if v:
-            expo = []
-            for _ in range(n):
-                k, e = divmod(k, base)
-                expo.append(e)
-            terms[tuple(expo)] = QQ(v, den)
-    return Form(f.variables, d, terms)
+    # equal coefficients share one object (a kept pullback has ~d^2/2
+    # mirrored pairs of them)
+    values = {v: QQ(v, den) for v in set(total.values()) if v}
+    return build({key: values[v] for key, v in total.items() if v})
+
+
+def compose_form(f, matrix):
+    """f(M x): substitute variable i by the linear form with row M[i]."""
+    if f.is_zero():
+        return f
+    n = len(f.variables)
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    images = {
+        v: Form(f.variables, 1, {units[j]: c for j, c in enumerate(row)})
+        for v, row in zip(f.variables, matrix)
+    }
+    return substitute_form(f, images)
 
 
 def _packed_mul(a, b):

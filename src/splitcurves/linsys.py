@@ -9,7 +9,7 @@ vectors read off the reduced echelon form, and the rank is the number of
 columns minus the kernel dimension.
 """
 
-from .arith import NFElem
+from .arith import NFElem, UPoly
 from .errors import FieldMismatch
 from .forms import BiForm, Form, biform_basis, monomial_basis
 from .linalg import kernel_basis, rank_bareiss
@@ -169,9 +169,10 @@ def cond_singular(space, p, provenance=None):
 def cond_divisible_on_conic(degree, param, t_form, provenance=None):
     """Rows forcing the conic restriction of a candidate to be divisible by T.
 
-    Obtained by polynomial division with a symbolic numerator: the deg(T)
-    remainder coefficients, each a linear functional of the candidate's
-    coefficients.
+    Restriction is linear in the candidate's coefficients, so the
+    remainder of its restriction by T is the combination of the remainders
+    of the monomials' restrictions: remainder row i holds coefficient i of
+    each monomial's remainder.
     """
     from .conics import restrict_to_conic
 
@@ -179,36 +180,24 @@ def cond_divisible_on_conic(degree, param, t_form, provenance=None):
     if t_form.degree == 0:
         return []
     prov = provenance or "contact-divisor divisibility"
-    nmono = space.size()
     big = 2 * degree
-    # symbolic restriction: sym[i][m] = coeff of s^i t^(big-i) in restrict(mono_m)
-    sym = [[ZERO] * nmono for _ in range(big + 1)]
-    for m, expo in enumerate(space.basis):
-        r = restrict_to_conic(Form.monomial(space.variables, expo), param)
-        for i, c in enumerate(r.coeffs):
-            sym[i][m] = c
-    rows = []
-    tm = t_form.t_multiplicity()
+    # column m: the coefficients of s^i t^(big-i) in restrict(mono_m)
+    cols = [
+        restrict_to_conic(Form.monomial(space.variables, expo), param).coeffs
+        for expo in space.basis
+    ]
     # t^tm divides the restriction: top s-coefficients vanish
-    for i in range(big - tm + 1, big + 1):
-        rows.append(LinCondition(sym[i], "%s [t-power row]" % prov))
+    tm = t_form.t_multiplicity()
+    rows = [
+        LinCondition([col[i] for col in cols], "%s [t-power row]" % prov)
+        for i in range(big - tm + 1, big + 1)
+    ]
     t0 = t_form.to_upoly()
-    L = t0.degree()
-    if L > 0:
-        rem = [list(r) for r in sym]
-        lead = t0.lc()
-        for i in range(big, L - 1, -1):
-            coefvec = [c / lead for c in rem[i]]
-            if all(c == 0 for c in coefvec):
-                continue
-            for j in range(L + 1):
-                tc = t0[j]
-                if tc != 0:
-                    rem[i - L + j] = [
-                        a - tc * b for a, b in zip(rem[i - L + j], coefvec)
-                    ]
-        for i in range(L):
-            rows.append(LinCondition(rem[i], "%s [remainder row %d]" % (prov, i)))
+    rems = [UPoly(col) % t0 for col in cols]
+    for i in range(t0.degree()):
+        rows.append(
+            LinCondition([r[i] for r in rems], "%s [remainder row %d]" % (prov, i))
+        )
     return rows
 
 

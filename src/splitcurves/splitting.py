@@ -45,7 +45,7 @@ from .errors import (
     SplitCurvesError,
     WrongNodeCount,
 )
-from .forms import BiForm, Form, compose_form, transform_point
+from .forms import BiForm, Form, compose_form, substitute_form, transform_point
 from .linalg import kernel_basis, mat_inv, rank_bareiss, solve_linear
 from .linsys import FormSpace, cond_point, cond_divisible_on_conic, system_solve
 from .scalars import QQ, ZERO, ONE, numer, rat_sqrt
@@ -113,16 +113,9 @@ def _line_param(line):
 def _restrict_to_line(f, line):
     """f composed with a rational parametrization of the line, as a binary form."""
     p1, p2 = _line_param(line)
-    d = f.degree
-    # interpolate f(s*p1 + t*p2) from d+1 parameter values
-    rows = []
-    rhs = []
-    for i in range(d + 1):
-        s0, t0 = QQ(i), ONE
-        coords = [s0 * a + t0 * b for a, b in zip(p1, p2)]
-        rows.append([s0**k * t0 ** (d - k) for k in range(d + 1)])
-        rhs.append(f.eval(coords))
-    return BinForm(d, solve_linear(rows, rhs))
+    return substitute_form(
+        f, {v: BinForm(1, [b, a]) for v, a, b in zip(f.variables, p1, p2)}
+    )
 
 
 def _binform_squarefree(b):
@@ -461,7 +454,9 @@ def factor_pullback(f_pull, m, n):
         if len(specs) == n + 1:
             break
     if len(specs) < n + 1:
-        raise SearchBudgetExceeded("could not find enough good specializations")
+        raise SearchBudgetExceeded(
+            "found %d nonzero specializations of the %d needed" % (len(specs), n + 1)
+        )
 
     factored = [b.factor() for (_u, _v, b) in specs]
     groupings = 0
@@ -470,7 +465,10 @@ def factor_pullback(f_pull, m, n):
             if ext is not None and all(g2.is_zero() for _g1, g2 in combo):
                 continue  # all rational: tried in the rational pass
             if groupings >= FACTOR_SEARCH_BUDGET:
-                raise SearchBudgetExceeded("factor grouping budget exhausted")
+                raise SearchBudgetExceeded(
+                    "factor grouping budget of %d groupings exhausted"
+                    % FACTOR_SEARCH_BUDGET
+                )
             groupings += 1
             factor = _factor_from_grouping(f_pull, m, n, specs, combo, ext)
             if factor is not None:

@@ -98,6 +98,39 @@ def random_form(rng, degree, nvars=3, height=9, sparsity=0.8):
     return Form(variables, degree, terms)
 
 
+def substitute_form_oracle(f, images):
+    """Substitution as the parent computed it, kept as an oracle: rational
+    Form or BiForm products, each power of an image built once per call."""
+    from splitcurves.errors import InhomogeneousImage
+    from splitcurves.forms import BiForm
+
+    vals = [images[v] for v in f.variables]
+    if len({type(v) for v in vals}) != 1:
+        raise InhomogeneousImage("images must all be Form or all BiForm")
+    if isinstance(vals[0], Form):
+        if len({v.degree for v in vals}) != 1 or len({v.variables for v in vals}) != 1:
+            raise InhomogeneousImage("images of mixed degree")
+        acc = Form.zero(vals[0].variables, f.degree * vals[0].degree)
+    else:
+        if len({v.bidegree for v in vals}) != 1:
+            raise InhomogeneousImage("images of mixed bidegree")
+        d1, d2 = vals[0].bidegree
+        acc = BiForm.zero((f.degree * d1, f.degree * d2))
+    powers = [dict() for _ in vals]
+    for expo, coeff in f.sorted_terms():
+        term = None
+        for i, e in enumerate(expo):
+            if e == 0:
+                continue
+            if e not in powers[i]:
+                powers[i][e] = vals[i] ** e
+            term = powers[i][e] if term is None else term * powers[i][e]
+        if term is None:
+            raise InhomogeneousImage("constant form cannot be substituted")
+        acc = acc + term.scale(coeff)
+    return acc
+
+
 @pytest.fixture(scope="session")
 def delta2():
     from splitcurves.conics import delta2 as d2

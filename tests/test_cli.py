@@ -342,3 +342,21 @@ def test_split_type_on_singular_conic_exits_data_error(tmp_path, capsys):
     )
     assert code == 65
     assert "branch conic must be smooth" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("pullback", "--curve", "1"), 65, "constant form cannot be substituted"),
+        (("split-type", "--curve", "1", "--conic", "z^2-4xy"), 65,
+         "constant form cannot be substituted"),
+        (("analyze", "--curve", "1", "--conic", "z^2-4xy"), 0, "'multiplicities': []"),
+        (("analyze", "--curve", "x", "--conic", "z^2-4xy"), 0,
+         "'contact_form': '2*s + t'"),
+    ],
+)
+def test_constant_and_linear_curves(capsys, argv, code, message):
+    # a line's partials are constants, which restrict to the conic as themselves
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert message in (out if code == 0 else err)

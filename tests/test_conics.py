@@ -16,6 +16,7 @@ from splitcurves.conics import (
     find_rational_point,
     normalize_conic,
     parametrize_conic,
+    rational_parametrization,
     restrict_to_conic,
 )
 from splitcurves.errors import (
@@ -24,9 +25,17 @@ from splitcurves.errors import (
     ConicNotSmooth,
     PointNotOnConic,
 )
-from splitcurves.forms import compose_form, form_to_str, parse_form, point
+from splitcurves.arith import BinForm
+from splitcurves.forms import (
+    Form,
+    compose_form,
+    form_to_str,
+    monomial_basis,
+    parse_form,
+    point,
+)
 from splitcurves.linalg import mat_det, mat_inv
-from splitcurves.scalars import QQ
+from splitcurves.scalars import ONE, QQ
 
 from conftest import PLANE, rng_for, random_form
 
@@ -255,3 +264,55 @@ def test_parametrize_random_transformed_conics():
             lam = c / delta2().terms[expo]
             break
         assert transformed == delta2().scale(lam)
+
+
+# -- restriction with rational binary-form products, kept as an oracle ------
+
+
+def _restrict_to_conic_oracle(f, param):
+    """f(p0, p1, p2) as the parent computed it: rational BinForm products,
+    each power of a component built once per call."""
+    comps = param.components()
+    powers = [dict() for _ in comps]
+
+    def power(i, e):
+        if e not in powers[i]:
+            powers[i][e] = BinForm(0, [ONE]) if e == 0 else comps[i] ** e
+        return powers[i][e]
+
+    acc = BinForm.zero(2 * f.degree)
+    for expo, coeff in f.sorted_terms():
+        term = BinForm(0, [ONE])
+        for i, e in enumerate(expo):
+            if e:
+                term = term * power(i, e)
+        acc = acc + term.scale(coeff)
+    return acc
+
+
+def test_restriction_matches_oracle_on_sextics_and_monomials():
+    rng = rng_for("restrict-oracle")
+    # the normalized conic, and one whose base point (27 : 74 : -49) comes
+    # from Legendre's descent, so the components have rational coefficients
+    params = [
+        delta2_param(),
+        rational_parametrization(parse_form("1/2*x^2+1/3*y^2-5/6*z^2+1/7*x*z", PLANE)),
+    ]
+    for param in params:
+        for _ in range(20):
+            f = random_form(rng, 6, sparsity=0.6)
+            assert restrict_to_conic(f, param) == _restrict_to_conic_oracle(f, param)
+        for expo in monomial_basis(3, 4):
+            c = QQ(rng.randint(1, 9), rng.randint(1, 9))
+            mono = Form.monomial(PLANE, expo, c)
+            assert restrict_to_conic(mono, param) == _restrict_to_conic_oracle(mono, param)
+
+
+def test_restriction_of_a_constant_is_the_constant():
+    for param in (delta2_param(), rational_parametrization(delta2())):
+        for c in (QQ(0), QQ(-3, 2)):
+            constant = Form(PLANE, 0, {(0, 0, 0): c})
+            expected = _restrict_to_conic_oracle(constant, param)
+            assert restrict_to_conic(constant, param) == expected == BinForm(0, [c])
+        zero = Form.zero(PLANE, 3)
+        assert restrict_to_conic(zero, param) == BinForm.zero(6)

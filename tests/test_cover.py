@@ -1,13 +1,17 @@
+import pytest
+
+from splitcurves.conics import delta2
 from splitcurves.cover import (
-    CoverContext,
+    cover_images,
     involution_biform,
     pullback_curve,
     ram_form,
 )
+from splitcurves.errors import InhomogeneousImage
 from splitcurves.forms import BiForm, Form, parse_form, substitute_form
 from splitcurves.scalars import QQ
 
-from conftest import PLANE, rng_for, random_form
+from conftest import PLANE, rng_for, random_form, substitute_form_oracle
 
 
 def test_pullback_of_coordinates():
@@ -19,9 +23,8 @@ def test_pullback_of_coordinates():
 
 
 def test_branch_conic_pulls_back_to_ramification_square():
-    ctx = CoverContext()
     r = ram_form()
-    assert ctx.pullback(ctx.delta2) == r * r
+    assert pullback_curve(delta2()) == r * r
     assert involution_biform(r) == -r
 
 
@@ -79,10 +82,20 @@ def test_involution_fixes_pullbacks_200_cases():
 
 def test_pullback_shares_mirrored_coefficients():
     rng = rng_for("pullback-shared")
-    images = CoverContext().images
+    images = cover_images()
     for _ in range(40):
         f = random_form(rng, rng.randint(1, 6))
         image = pullback_curve(f)
-        assert image == substitute_form(f, images)
+        expected = substitute_form_oracle(f, images)
+        assert image == expected and substitute_form(f, images) == expected
         for (i, j), c in image.terms.items():
             assert image.terms[(j, i)] is c
+
+
+def test_pullback_edge_cases():
+    zero = pullback_curve(Form.zero(PLANE, 4))
+    assert zero.is_zero() and zero.bidegree == (4, 4)
+    with pytest.raises(InhomogeneousImage, match="constant form"):
+        pullback_curve(Form(PLANE, 0, {(0, 0, 0): QQ(3)}))
+    with pytest.raises(ValueError):
+        pullback_curve(Form.variable(("x", "y", "z", "w"), "w"))

@@ -16,7 +16,14 @@ from splitcurves.forms import (
 )
 from splitcurves.scalars import QQ
 
-from conftest import PLANE, SPACE, rng_for, random_form, random_rat
+from conftest import (
+    PLANE,
+    SPACE,
+    rng_for,
+    random_form,
+    random_rat,
+    substitute_form_oracle,
+)
 
 
 def test_parse_basic_forms():
@@ -188,8 +195,8 @@ def test_compose_form_matrix_action():
 
 
 def _compose_form_oracle(f, matrix):
-    """f(M x) as the parent computed it: substitute_form with the rows of M
-    as linear Form images, so every product is a rational Form product."""
+    """f(M x) as the parent computed it: the rows of M as linear Form images,
+    substituted with rational Form products."""
     n = len(f.variables)
     images = {}
     for i, v in enumerate(f.variables):
@@ -200,7 +207,7 @@ def _compose_form_oracle(f, matrix):
         images[v] = Form(f.variables, 1, terms)
     if f.is_zero():
         return f
-    return substitute_form(f, images)
+    return substitute_form_oracle(f, images)
 
 
 def _random_matrix(rng, n, kind):
@@ -297,3 +304,75 @@ def test_constructors_convert_to_rationals_and_keep_rationals():
     for coeffs in (f_coeffs, b_coeffs, list(bin_form.coeffs)):
         assert all(type(c) is QQ for c in coeffs)
         assert coeffs[2] is half
+
+
+# -- one substitution kernel for every image kind, against the oracle -------
+
+
+def _random_form_images(rng, variables, degree, nvars):
+    """Images with a different denominator in each: image i has entries
+    p / (i + 2)^k, so every image scales by its own lcm."""
+    images = {}
+    for i, v in enumerate(variables):
+        g = random_form(rng, degree, nvars=nvars, sparsity=0.7)
+        images[v] = g.scale(QQ(rng.choice([1, -1]), (i + 2) ** rng.randint(1, 2)))
+    return images
+
+
+@pytest.mark.parametrize("variables", [PLANE, SPACE])
+def test_substitute_form_matches_oracle_on_form_images(variables):
+    rng = rng_for("substitute-forms-%d" % len(variables))
+    for _ in range(40):
+        f = random_form(rng, rng.randint(1, 4 if variables is PLANE else 3),
+                        nvars=len(variables))
+        target = rng.choice([3, 4])
+        images = _random_form_images(rng, variables, rng.randint(1, 2), target)
+        assert substitute_form(f, images) == substitute_form_oracle(f, images)
+
+
+def test_substitute_form_on_binary_images_matches_products():
+    # oracle: the products of the images' powers, term by term
+    rng = rng_for("substitute-binforms")
+    for _ in range(60):
+        k = rng.randint(1, 3)
+        f = random_form(rng, rng.randint(1, 4))
+        images = {v: BinForm(k, [random_rat(rng, 6) for _ in range(k + 1)])
+                  for v in PLANE}
+        expected = BinForm.zero(f.degree * k)
+        for expo, c in f.terms.items():
+            term = BinForm(0, [c])
+            for v, e in zip(PLANE, expo):
+                term = term * images[v] ** e
+            expected = expected + term
+        assert substitute_form(f, images) == expected
+
+
+def test_substitute_form_edge_cases():
+    w = Form.variable(SPACE, "w")
+    plane_images = {v: Form.variable(SPACE, v) + w for v in PLANE}
+    binary_images = {v: BinForm(2, [QQ(1), QQ(i), QQ(1, 2)])
+                     for i, v in enumerate(PLANE)}
+    cover = {
+        "x": BiForm((1, 1), {(1, 1): 1}),
+        "y": BiForm((1, 1), {(0, 0): 1}),
+        "z": BiForm((1, 1), {(1, 0): 1, (0, 1): 1}),
+    }
+    zero = Form.zero(PLANE, 3)
+    assert substitute_form(zero, plane_images) == Form.zero(SPACE, 3)
+    assert substitute_form(zero, binary_images) == BinForm.zero(6)
+    assert substitute_form(zero, cover) == BiForm.zero((3, 3))
+    constant = Form(PLANE, 0, {(0, 0, 0): QQ(5)})
+    for images in (plane_images, binary_images, cover):
+        with pytest.raises(InhomogeneousImage, match="constant form"):
+            substitute_form(constant, images)
+    f = parse_form("x^2 + yz", PLANE)
+    mixed_kind = dict(cover, z=Form.variable(PLANE, "z"))
+    mixed_degree = [
+        dict(plane_images, z=Form.variable(SPACE, "z") ** 2),
+        dict(plane_images, z=Form.variable(PLANE, "z")),
+        dict(binary_images, z=BinForm(1, [1, 1])),
+        dict(cover, z=BiForm((1, 2), {(1, 0): 1})),
+    ]
+    for images in [mixed_kind] + mixed_degree:
+        with pytest.raises(InhomogeneousImage):
+            substitute_form(f, images)

@@ -18,11 +18,15 @@ from splitcurves.splitting import (
     normalize_configuration,
     splitting_type,
     verify_certificate,
+    _line_param,
     _match_scalar,
+    _restrict_to_line,
 )
-from splitcurves.scalars import QQ
+from splitcurves.arith import BinForm
+from splitcurves.linalg import solve_linear
+from splitcurves.scalars import ONE, QQ
 
-from conftest import PLANE
+from conftest import PLANE, random_form, rng_for
 
 
 def test_alpha_of():
@@ -153,8 +157,41 @@ def test_certificate_extraction(gamma6):
 def test_factor_search_budget(monkeypatch):
     gamma6 = parse_form("(x^3+y^3+z^3)^2-(z^2-4xy)*(xy+yz+zx)^2", PLANE)
     monkeypatch.setattr(splitting, "FACTOR_SEARCH_BUDGET", 0)
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded, match="budget of 0 groupings exhausted"):
         factor_pullback(pullback_curve(gamma6), 3, 3)
+    monkeypatch.setattr(splitting, "_SPECIALIZATION_POINTS", [(1, 0), (0, 1)])
+    with pytest.raises(SearchBudgetExceeded, match="found 2 nonzero .* of the 4 needed"):
+        factor_pullback(pullback_curve(gamma6), 3, 3)
+
+
+# -- restriction to a line by interpolation, kept as an oracle ---------------
+
+
+def _restrict_to_line_oracle(f, line):
+    """f(s p1 + t p2) as the parent computed it: f evaluated at d + 1
+    parameter values, then the Vandermonde system solved."""
+    p1, p2 = _line_param(line)
+    d = f.degree
+    rows = []
+    rhs = []
+    for i in range(d + 1):
+        s0, t0 = QQ(i), ONE
+        coords = [s0 * a + t0 * b for a, b in zip(p1, p2)]
+        rows.append([s0**k * t0 ** (d - k) for k in range(d + 1)])
+        rhs.append(f.eval(coords))
+    return BinForm(d, solve_linear(rows, rhs))
+
+
+def test_restriction_to_a_line_matches_interpolation_oracle():
+    rng = rng_for("restrict-line-oracle")
+    lines = [parse_form("x", PLANE), parse_form("x - 2y + z", PLANE)]
+    lines += [random_form(rng, 1, height=5) for _ in range(6)]
+    for line in lines:
+        for _ in range(6):
+            f = random_form(rng, rng.randint(1, 6))
+            assert _restrict_to_line(f, line) == _restrict_to_line_oracle(f, line)
+        # a multiple of the line restricts to zero
+        assert _restrict_to_line(line * line, line) == BinForm.zero(2)
 
 
 def test_factor_pullback_extension_case():
