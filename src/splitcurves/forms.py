@@ -709,12 +709,18 @@ def _split_name_run(run, variables, pos):
     return out
 
 
+# Parentheses nest at most this deep: each level costs the recursive
+# descent three stack frames, and deeper input would exhaust the stack.
+MAX_NESTING = 200
+
+
 class _Parser:
     """Recursive-descent parser for the polynomial grammar."""
 
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.variables = tuple(variables)
         self.nvars = len(variables)
 
@@ -831,7 +837,13 @@ class _Parser:
             expo[self.variables.index(names[-1])] += e if e is not None else 1
             return {tuple(expo): sign}, False
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    "parentheses nest deeper than %d levels" % MAX_NESTING, at
+                )
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect_op(")")
             e = self._parse_exponent()
             if e is not None:

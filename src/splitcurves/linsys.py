@@ -166,26 +166,25 @@ def cond_singular(space, p, provenance=None):
     return rows
 
 
-def cond_divisible_on_conic(degree, param, t_form, provenance=None):
-    """Rows forcing the conic restriction of a candidate to be divisible by T.
+def cond_divisible_on_conic(degree, t_form, provenance=None):
+    """Rows forcing the restriction of a candidate to z^2 - 4xy to be divisible by T.
 
-    Restriction is linear in the candidate's coefficients, so the
-    remainder of its restriction by T is the combination of the remainders
-    of the monomials' restrictions: remainder row i holds coefficient i of
-    each monomial's remainder.
+    On the parametrization (s^2 : t^2 : 2st) the monomial x^a y^b z^c
+    restricts to 2^c s^(2a+c) t^(2b+c).  Restriction is linear in the
+    candidate's coefficients, so the remainder of its restriction by T is
+    the combination of the remainders of the monomials' restrictions:
+    remainder row i holds coefficient i of each monomial's remainder.
     """
-    from .conics import restrict_to_conic
-
-    space = FormSpace(degree, param.conic.variables)
     if t_form.degree == 0:
         return []
     prov = provenance or "contact-divisor divisibility"
     big = 2 * degree
     # column m: the coefficients of s^i t^(big-i) in restrict(mono_m)
-    cols = [
-        restrict_to_conic(Form.monomial(space.variables, expo), param).coeffs
-        for expo in space.basis
-    ]
+    cols = []
+    for a, _b, c in monomial_basis(3, degree):
+        col = [ZERO] * (big + 1)
+        col[2 * a + c] = QQ(2**c)
+        cols.append(col)
     # t^tm divides the restriction: top s-coefficients vanish
     tm = t_form.t_multiplicity()
     rows = [

@@ -10,7 +10,7 @@ and to plain text; both are byte-identical across runs.
 import itertools
 
 from .arith import NFElem
-from .conics import SIMPLE_CONTACT, contact_profile
+from .conics import SIMPLE_CONTACT, contact_profile, delta2_param
 from .cover import involution_biform, pullback_curve
 from .curves import irreducibility_sextic, singular_locus_complete, verify_node
 from .errors import SplitCurvesError
@@ -415,8 +415,8 @@ def _split7_24_checks(report, record, config):
         detail="the alternative reading ending in the linear coefficient is "
         "not bihomogeneous, so exact verification selects the quadratic one",
     )
-    prof = contact_profile(gamma_x, delta_x, config.param)
-    crit = criterion_24_7nodal(gamma_x, record.nodes, prof.contact_form, config.param)
+    prof = contact_profile(gamma_x, delta_x, delta2_param())
+    crit = criterion_24_7nodal(gamma_x, record.nodes, prof.contact_form)
     report.add(
         "type-(2,4) criterion holds",
         crit.holds,
@@ -444,7 +444,6 @@ def claim_dim(record):
 def _nonsplit7_checks(report, record, config):
     gamma_n = config.gamma
     nodes_n = config.nodes
-    param = config.param
     contact_form = config.profile.contact_form
     space2 = FormSpace(2, PLANE_VARS)
     dims = []
@@ -460,7 +459,7 @@ def _nonsplit7_checks(report, record, config):
         actual=dims,
     )
     space4 = FormSpace(4, PLANE_VARS)
-    conds = cond_divisible_on_conic(4, param, contact_form)
+    conds = cond_divisible_on_conic(4, contact_form)
     for p in nodes_n:
         conds.extend(cond_point(space4, p))
     rep = system_solve(space4, conds)
@@ -470,7 +469,7 @@ def _nonsplit7_checks(report, record, config):
         expected=record.claim["quartic_system_dimension"],
         actual=rep.dimension,
     )
-    crit = criterion_24_7nodal(gamma_n, nodes_n, contact_form, param)
+    crit = criterion_24_7nodal(gamma_n, nodes_n, contact_form)
     report.add(
         "type-(2,4) criterion fails at (iii-b)",
         (not crit.holds) and crit.failed == "iii-b",

@@ -34,7 +34,13 @@ from .conics import (
     restrict_to_conic,
     square_class,
 )
-from .cover import involution_biform, pullback_curve, ram_form
+from .cover import (
+    descend,
+    divide_by_ram,
+    involution_biform,
+    pullback_curve,
+    tangent_line,
+)
 from .curves import singular_locus_complete, singular_points, verify_node
 from .errors import (
     CannotCertify,
@@ -45,8 +51,8 @@ from .errors import (
     SplitCurvesError,
     WrongNodeCount,
 )
-from .forms import BiForm, Form, compose_form, substitute_form, transform_point
-from .linalg import kernel_basis, mat_inv, rank_bareiss, solve_linear
+from .forms import BiForm, compose_form, substitute_form, transform_point
+from .linalg import kernel_basis, mat_inv, rank_bareiss
 from .linsys import FormSpace, cond_point, cond_divisible_on_conic, system_solve
 from .scalars import QQ, ZERO, ONE, numer, rat_sqrt
 
@@ -191,7 +197,7 @@ def _alpha_subsets(nodes, alpha):
     return out
 
 
-def necessary_dim_check(gamma, nodes, contact_form, param, m, n):
+def necessary_dim_check(gamma, nodes, contact_form, m, n):
     """Necessary conditions for splitting type (m, n) via linear systems.
 
     Passes when some alpha-subset S of the nodes admits both a degree-n
@@ -208,7 +214,7 @@ def necessary_dim_check(gamma, nodes, contact_form, param, m, n):
             [{"reason": "alpha_exceeds_nodes", "alpha": alpha, "nodes": r}],
             alpha,
         )
-    div_rows = cond_divisible_on_conic(n, param, contact_form)
+    div_rows = cond_divisible_on_conic(n, contact_form)
     space_n = FormSpace(n, gamma.variables)
     space_n1 = FormSpace(n - 1, gamma.variables)
     witnesses = []
@@ -609,83 +615,16 @@ def _candidate_factor(vec, m, n, na, nl, ext, f_pull):
 # ---------------------------------------------------------------------------
 
 
-def _split_11_biform(q):
-    """Factor a (1,1)-biform as (a s + b t)(c u + d v), or None.
-
-    Possible exactly when the 2x2 coefficient matrix has rank one, i.e.
-    for pullbacks of lines tangent to the conic.
-    """
-    msu = q.terms.get((1, 1), ZERO)
-    msv = q.terms.get((1, 0), ZERO)
-    mtu = q.terms.get((0, 1), ZERO)
-    mtv = q.terms.get((0, 0), ZERO)
-    if msu * mtv - msv * mtu != 0:
-        return None
-    # rows (a*c, a*d; b*c, b*d) = ((su, sv), (tu, tv))
-    if msu != 0 or msv != 0:
-        a, b = ONE, (mtu / msu if msu != 0 else mtv / msv)
-    else:
-        a, b = ZERO, ONE
-    # now (c, d) from a row with a nonzero entry
-    if a != 0:
-        c, d = msu / a, msv / a
-    else:
-        c, d = mtu / b, mtv / b
-    left = BiForm((1, 0), {(1, 0): a, (0, 0): b})
-    right = BiForm((0, 1), {(0, 1): c, (0, 0): d})
-    if left * right != q:
-        return None
-    return left, right
-
-
-def _pullback_preimage(target, degree, variables=("x", "y", "z")):
-    """Solve pullback(c) == target for a plane form c of the given degree."""
-    space = FormSpace(degree, variables)
-    from .forms import biform_basis
-
-    basis = biform_basis(degree, degree)
-    cols = []
-    for expo in space.basis:
-        img = pullback_curve(Form.monomial(variables, expo))
-        cols.append(img.coefficient_vector(basis))
-    rows = [list(r) for r in zip(*cols)]
-    rhs = target.coefficient_vector(basis)
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        return None
-    return space.from_vector(sol)
-
-
-def tangent_line_at(param, s0, t0):
-    """The tangent line of the conic at the parameter point (s0 : t0)."""
-    from .conics import conic_matrix
-
-    p = param.point_at(QQ(s0), QQ(t0))
-    a = conic_matrix(param.conic)
-    coeffs = [
-        sum((p.coords[i] * a[i][j] for i in range(3)), ZERO) for j in range(3)
-    ]
-    return Form(
-        param.conic.variables,
-        1,
-        {
-            (1, 0, 0): coeffs[0],
-            (0, 1, 0): coeffs[1],
-            (0, 0, 1): coeffs[2],
-        },
-    )
-
-
-def _pick_tangent_line(gamma, param):
-    """First tangent line at parameters (1 : j) transversal to the curve."""
+def _pick_tangent_line(gamma):
+    """(line, l): the first tangent line at (1 : j) transversal to the curve."""
     for j in range(0, 21):
-        line = tangent_line_at(param, 1, j)
+        line, l = tangent_line(1, j)
         if _binform_squarefree(_restrict_to_line(gamma, line)):
-            return line
+            return line, l
     raise NotTangentLine("no transversal tangent line among the first 21")
 
 
-def certificate_from_factor(gamma, factor, m, n, param):
+def certificate_from_factor(gamma, factor, m, n):
     """Build and verify a rational certificate from a rational factor A."""
     if not factor.is_rational() or factor.scalar != 1:
         return None
@@ -695,27 +634,15 @@ def certificate_from_factor(gamma, factor, m, n, param):
     if k == 0:
         d_plus = a
     else:
-        line = _pick_tangent_line(gamma, param)
-        pull_line = pullback_curve(line)
-        split = _split_11_biform(pull_line)
-        if split is None:
-            raise NotTangentLine("pullback of the tangent line did not split")
-        l_plus, _l_minus = split
-        # rescale the line form so its pullback is exactly l_plus * sigma(l_plus)
-        line = _pullback_preimage(
-            l_plus * involution_biform(l_plus), 1, gamma.variables
-        )
-        if line is None:
-            raise NotTangentLine("ruling product is not a pullback")
-        d_plus = a * l_plus**k
+        # the line pulls back to exactly l * sigma(l)
+        line, l = _pick_tangent_line(gamma)
+        d_plus = a * l**k
     d_minus = involution_biform(d_plus)
-    c_n = _pullback_preimage(d_plus + d_minus, n, gamma.variables)
-    diff = d_plus - d_minus
-    # divide by the ramification form: solve w * r == diff
-    w = _divide_by_ram(diff)
+    c_n = descend(d_plus + d_minus, gamma.variables)
+    w = divide_by_ram(d_plus - d_minus)
     if c_n is None or w is None:
         return None
-    c_n1 = _pullback_preimage(w, n - 1, gamma.variables)
+    c_n1 = descend(w, gamma.variables)
     if c_n1 is None:
         return None
     cert = SplitCertificate(
@@ -727,30 +654,6 @@ def certificate_from_factor(gamma, factor, m, n, param):
     except SplitCurvesError:
         return None
     return cert if ok else None
-
-
-def _divide_by_ram(biform):
-    """Exact quotient by r = sv - tu, or None when not divisible."""
-    d1, d2 = biform.bidegree
-    if d1 == 0 or d2 == 0:
-        return None if not biform.is_zero() else BiForm.zero((0, 0))
-    from .forms import biform_basis
-
-    q_basis = biform_basis(d1 - 1, d2 - 1)
-    target_basis = biform_basis(d1, d2)
-    r = ram_form()
-    cols = []
-    for (i, j) in q_basis:
-        mono = BiForm((d1 - 1, d2 - 1), {(i, j): ONE})
-        img = mono * r
-        cols.append(img.coefficient_vector(target_basis))
-    rows = [list(rw) for rw in zip(*cols)]
-    rhs = biform.coefficient_vector(target_basis)
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        return None
-    quot = BiForm((d1 - 1, d2 - 1), dict(zip(q_basis, sol)))
-    return quot if quot * r == biform else None
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +675,7 @@ class Criterion24Result:
         return "Criterion24Result(fails at %s)" % self.failed
 
 
-def criterion_24_7nodal(gamma, nodes, contact_form, param):
+def criterion_24_7nodal(gamma, nodes, contact_form):
     """The four configuration conditions equivalent to splitting type (2,4).
 
     (a) no conic through the seven nodes; (b) the quartic system through
@@ -801,7 +704,7 @@ def criterion_24_7nodal(gamma, nodes, contact_form, param):
         return Criterion24Result(False, "iii-a", details)
 
     space4 = FormSpace(4, gamma.variables)
-    conds = cond_divisible_on_conic(4, param, contact_form)
+    conds = cond_divisible_on_conic(4, contact_form)
     for p in nodes:
         conds.extend(cond_point(space4, p))
     rep = system_solve(space4, conds)
@@ -810,7 +713,7 @@ def criterion_24_7nodal(gamma, nodes, contact_form, param):
         return Criterion24Result(False, "iii-b", details)
 
     space3 = FormSpace(3, gamma.variables)
-    div_rows = cond_divisible_on_conic(3, param, contact_form)
+    div_rows = cond_divisible_on_conic(3, contact_form)
     collinear = []
     for triple in itertools.combinations(range(7), 3):
         rows = [nodes[i].primitive() for i in triple]
@@ -823,7 +726,7 @@ def criterion_24_7nodal(gamma, nodes, contact_form, param):
             conds.extend(cond_point(space3, nodes[i]))
         rep = system_solve(space3, conds)
         for member in rep.kernel:
-            if not restrict_to_conic(member, param).is_zero():
+            if not restrict_to_conic(member, delta2_param()).is_zero():
                 details["bad_triple"] = triple
                 return Criterion24Result(False, "iii-c", details)
 
@@ -886,13 +789,12 @@ class SplittingReport:
 class NormalizedConfiguration:
     """Curve, nodes and contact data moved to the normalized conic."""
 
-    __slots__ = ("gamma", "nodes", "matrix", "param", "profile")
+    __slots__ = ("gamma", "nodes", "matrix", "profile")
 
-    def __init__(self, gamma, nodes, matrix, param, profile):
+    def __init__(self, gamma, nodes, matrix, profile):
         self.gamma = gamma
         self.nodes = nodes
         self.matrix = matrix
-        self.param = param
         self.profile = profile
 
 
@@ -911,9 +813,8 @@ def normalize_configuration(gamma, conic, nodes):
         inv = mat_inv(matrix)
         gamma_n = compose_form(gamma, inv)
         nodes_n = [transform_point(matrix, p) for p in nodes]
-    param = delta2_param()
-    profile = contact_profile(gamma_n, target, param)
-    return NormalizedConfiguration(gamma_n, nodes_n, matrix, param, profile)
+    profile = contact_profile(gamma_n, target, delta2_param())
+    return NormalizedConfiguration(gamma_n, nodes_n, matrix, profile)
 
 
 def splitting_type(gamma, conic, nodes=None):
@@ -954,17 +855,23 @@ def splitting_type_normalized(config):
         )
     gamma_n = config.gamma
     nodes_n = config.nodes
-    param = config.param
     contact_form = config.profile.contact_form
     d = gamma_n.degree
     r = sum(p.orbit_size() for p in nodes_n)
     notes = []
 
     f_pull = pullback_curve(gamma_n)
+    candidates = type_candidates(d)
+    if not candidates:
+        # no verdict could cite a condition
+        raise DegreeMismatch(
+            "a curve of degree %d has no splitting type (m, n) with "
+            "0 < m <= n and m + n = %d" % (d, d)
+        )
     evidence = []
     split_hit = None
     inconclusive = []
-    for m, n in type_candidates(d):
+    for m, n in candidates:
         entry = {"type": (m, n)}
         if not node_bound_filter(r, m, n, d):
             entry["status"] = "excluded"
@@ -975,7 +882,7 @@ def splitting_type_normalized(config):
             )
             evidence.append(entry)
             continue
-        nec = necessary_dim_check(gamma_n, nodes_n, contact_form, param, m, n)
+        nec = necessary_dim_check(gamma_n, nodes_n, contact_form, m, n)
         if not nec.passes:
             entry["status"] = "excluded"
             entry["reason"] = "necessary_dim"
@@ -991,7 +898,7 @@ def splitting_type_normalized(config):
             and contact_form.degree == 6
             and all(p.field is None for p in nodes_n)
         ):
-            crit = criterion_24_7nodal(gamma_n, nodes_n, contact_form, param)
+            crit = criterion_24_7nodal(gamma_n, nodes_n, contact_form)
             entry["criterion_24"] = {
                 "holds": crit.holds,
                 "failed": crit.failed,
@@ -1018,7 +925,7 @@ def splitting_type_normalized(config):
             if factor is not None and factor.verify(f_pull):
                 cert = None
                 if factor.is_rational() and factor.scalar == 1:
-                    cert = certificate_from_factor(gamma_n, factor, m, n, param)
+                    cert = certificate_from_factor(gamma_n, factor, m, n)
                 entry["status"] = "split"
                 entry["reason"] = "verified_factorization"
                 evidence.append(entry)

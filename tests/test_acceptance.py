@@ -209,9 +209,7 @@ def test_criterion_5_split7_24():
             + v2 * pullback_curve(parse_form("x", PLANE))
         )
     profile = contact_profile(gamma_x, delta_x, delta2_param())
-    crit = criterion_24_7nodal(
-        gamma_x, record.nodes, profile.contact_form, delta2_param()
-    )
+    crit = criterion_24_7nodal(gamma_x, record.nodes, profile.contact_form)
     assert crit.holds
     rep = splitting_type(gamma_x, delta_x, record.nodes)
     assert rep.outcome == "split" and (rep.m, rep.n) == (2, 4)
@@ -231,14 +229,12 @@ def test_criterion_6_nonsplit7():
             conds.extend(cond_point(space2, config.nodes[i]))
         assert system_solve(space2, conds).dimension == -1
     space4 = FormSpace(4, PLANE)
-    conds = cond_divisible_on_conic(
-        4, config.param, config.profile.contact_form
-    )
+    conds = cond_divisible_on_conic(4, config.profile.contact_form)
     for p in config.nodes:
         conds.extend(cond_point(space4, p))
     assert system_solve(space4, conds).dimension == 1
     crit = criterion_24_7nodal(
-        config.gamma, config.nodes, config.profile.contact_form, config.param
+        config.gamma, config.nodes, config.profile.contact_form
     )
     assert not crit.holds and crit.failed == "iii-b"
     rep = splitting_type(record.curve, record.conic, record.nodes)

@@ -1,9 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
 from splitcurves.cli import main
+from splitcurves.forms import MAX_NESTING
 
 
 def run_cli(capsys, *argv):
@@ -353,6 +358,9 @@ def test_split_type_on_singular_conic_exits_data_error(tmp_path, capsys):
         (("analyze", "--curve", "1", "--conic", "z^2-4xy"), 0, "'multiplicities': []"),
         (("analyze", "--curve", "x", "--conic", "z^2-4xy"), 0,
          "'contact_form': '2*s + t'"),
+        # a tangent line splits, as (s - t)(u - v), but no type 0 < m <= n fits d = 1
+        (("split-type", "--curve", "x+y-z", "--conic", "z^2-4xy"), 65,
+         "a curve of degree 1 has no splitting type"),
     ],
 )
 def test_constant_and_linear_curves(capsys, argv, code, message):
@@ -360,3 +368,51 @@ def test_constant_and_linear_curves(capsys, argv, code, message):
     got, out, err = run_cli(capsys, *argv)
     assert got == code
     assert message in (out if code == 0 else err)
+
+
+def test_a_line_with_an_empty_node_file_has_no_verdict(tmp_path, capsys):
+    nodes = tmp_path / "nodes.json"
+    nodes.write_text("[]")
+    code, _out, err = run_cli(
+        capsys,
+        "analyze",
+        "--curve",
+        "x+y-z",
+        "--conic",
+        "z^2-4xy",
+        "--nodes",
+        str(nodes),
+    )
+    assert code == 65
+    assert "a curve of degree 1 has no splitting type" in err
+
+
+def _cli_process(*argv):
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "splitcurves.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("depth", [400, 5000])
+def test_deep_nesting_exits_data_error_without_traceback(tmp_path, depth):
+    curve = tmp_path / "curve.txt"
+    curve.write_text("(" * depth + "x" + ")" * depth)
+    proc = _cli_process("pullback", "--curve", str(curve))
+    assert proc.returncode == 65
+    assert "Traceback" not in proc.stderr
+    assert "parentheses nest deeper than %d levels" % MAX_NESTING in proc.stderr
+
+
+def test_nesting_up_to_the_limit_parses(tmp_path):
+    assert MAX_NESTING >= 200
+    curve = tmp_path / "curve.txt"
+    curve.write_text("(" * 200 + "x" + ")" * 200)
+    proc = _cli_process("pullback", "--curve", str(curve))
+    assert proc.returncode == 0, proc.stderr
+    assert "pullback (bidegree (1, 1)): s*u" in proc.stdout

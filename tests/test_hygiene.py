@@ -1,0 +1,90 @@
+"""Static hygiene of the package: no unused import, no private helper nothing calls.
+
+Both checks read the source with ``ast`` only; nothing is imported.
+"""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "splitcurves"
+
+
+def _modules():
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def _used_names(tree):
+    """Every name read as a variable or attribute anywhere in the tree."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def _imported_names(tree):
+    """(bound name, line) of each import, at any depth."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out.append(((alias.asname or alias.name).split(".")[0], node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                out.append((alias.asname or alias.name, node.lineno))
+    return out
+
+
+def _private_definitions(tree):
+    """Module-level names that start with one underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names.extend(t.id for t in node.targets if isinstance(t, ast.Name))
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__":
+            continue  # the package namespace re-exports what it imports
+        used = _used_names(tree)
+        unused.extend(
+            "%s.py:%d imports %s" % (name, line, bound)
+            for bound, line in _imported_names(tree)
+            if bound not in used
+        )
+    assert unused == []
+
+
+def test_every_private_name_is_referenced():
+    modules = _modules()
+    referenced = set()
+    for tree in modules.values():
+        referenced |= _used_names(tree)
+        referenced |= {bound for bound, _line in _imported_names(tree)}
+    unreferenced = [
+        "%s.%s" % (name, private)
+        for name, tree in modules.items()
+        for private in _private_definitions(tree)
+        if private not in referenced
+    ]
+    assert unreferenced == []
+
+
+def test_the_checks_see_a_violation():
+    tree = ast.parse(
+        "import os\nfrom math import comb\n\ndef _helper():\n    return comb(3, 1)\n"
+    )
+    used = _used_names(tree)
+    assert [b for b, _l in _imported_names(tree) if b not in used] == ["os"]
+    assert _private_definitions(tree) == ["_helper"]
+    assert "_helper" not in used

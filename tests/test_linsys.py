@@ -1,17 +1,20 @@
-from splitcurves.arith import NumberField, UPoly
-from splitcurves.conics import delta2_param
-from splitcurves.forms import ProjPoint, parse_form, point
+from splitcurves.arith import BinForm, NumberField, UPoly
+from splitcurves.conics import delta2_param, restrict_to_conic
+from splitcurves.forms import Form, ProjPoint, parse_form, point
 from splitcurves.linalg import rank_bareiss
 from splitcurves.linsys import (
     BiFormSpace,
     FormSpace,
+    LinCondition,
     cond_divisible_on_conic,
     cond_point,
     cond_singular,
     general_position_p1xp1,
     system_solve,
 )
+from splitcurves.registry import example_ids, load_example
 from splitcurves.scalars import QQ, ZERO
+from splitcurves.splitting import normalize_configuration
 
 from conftest import PLANE, SPACE, check_elimination, rng_for, random_rat
 
@@ -81,17 +84,15 @@ def test_divisibility_rows_on_split6_contact_form(gamma6):
 
     profile = contact_profile(gamma6, delta2(), delta2_param())
     t_form = profile.contact_form
-    rows = cond_divisible_on_conic(3, delta2_param(), t_form)
+    rows = cond_divisible_on_conic(3, t_form)
     assert len(rows) == 6
     c3 = parse_form("x^3+y^3+z^3", PLANE).coefficient_vector()
     assert all(dot(r.row, c3) == 0 for r in rows)
 
 
 def test_divisibility_line_through_two_points():
-    from splitcurves.arith import BinForm
-
     t_form = BinForm(2, [0, 1, 0])  # s*t: parameters (1:0) and (0:1)
-    rows = cond_divisible_on_conic(1, delta2_param(), t_form)
+    rows = cond_divisible_on_conic(1, t_form)
     assert len(rows) == 2
     z_vec = parse_form("z", PLANE).coefficient_vector()
     assert all(dot(r.row, z_vec) == 0 for r in rows)
@@ -100,9 +101,7 @@ def test_divisibility_line_through_two_points():
 
 
 def test_divisibility_trivial_form():
-    from splitcurves.arith import BinForm
-
-    assert cond_divisible_on_conic(3, delta2_param(), BinForm(0, [QQ(1)])) == []
+    assert cond_divisible_on_conic(3, BinForm(0, [QQ(1)])) == []
 
 
 def test_system_examples(gamma6_prime_nodes, gamma7_prime, gamma7_prime_nodes):
@@ -119,9 +118,7 @@ def test_system_examples(gamma6_prime_nodes, gamma7_prime, gamma7_prime_nodes):
 
     config = normalize_configuration(gamma, conic, gamma7_prime_nodes)
     space4 = FormSpace(4)
-    conds = cond_divisible_on_conic(
-        4, config.param, config.profile.contact_form
-    )
+    conds = cond_divisible_on_conic(4, config.profile.contact_form)
     for p in config.nodes:
         conds.extend(cond_point(space4, p))
     assert system_solve(space4, conds).dimension == 1
@@ -248,3 +245,45 @@ def test_eight_general_space_points_quadric_dimension():
         for p in pts:
             conds.extend(cond_point(space, p))
         assert 1 <= system_solve(space, conds).dimension <= 2
+
+
+def _divisibility_rows_oracle(degree, t_form, provenance=None):
+    """The parent's rows: each monomial restricted to the conic by substitution."""
+    space = FormSpace(degree)
+    if t_form.degree == 0:
+        return []
+    prov = provenance or "contact-divisor divisibility"
+    big = 2 * degree
+    cols = [
+        restrict_to_conic(Form.monomial(space.variables, expo), delta2_param()).coeffs
+        for expo in space.basis
+    ]
+    tm = t_form.t_multiplicity()
+    rows = [
+        LinCondition([col[i] for col in cols], "%s [t-power row]" % prov)
+        for i in range(big - tm + 1, big + 1)
+    ]
+    t0 = t_form.to_upoly()
+    rems = [UPoly(col) % t0 for col in cols]
+    for i in range(t0.degree()):
+        rows.append(
+            LinCondition([r[i] for r in rems], "%s [remainder row %d]" % (prov, i))
+        )
+    return rows
+
+
+def test_divisibility_rows_match_oracle_on_catalog_contact_forms():
+    t_forms = []
+    for example_id in example_ids():
+        record = load_example(example_id)
+        config = normalize_configuration(record.curve, record.conic, record.nodes)
+        t_forms.append(config.profile.contact_form)
+    # forms with a root at (1 : 0), which the t-power rows handle
+    t_forms += [BinForm(2, [0, 1, 0]), BinForm(4, [2, -1, 3, 0, 0])]
+    for t_form in t_forms:
+        for degree in range(1, 7):
+            got = cond_divisible_on_conic(degree, t_form)
+            expected = _divisibility_rows_oracle(degree, t_form)
+            assert [(r.row, r.provenance) for r in got] == [
+                (r.row, r.provenance) for r in expected
+            ]

@@ -48,7 +48,7 @@ def _profile_for(gamma):
 def test_necessary_check_positive(gamma6, gamma6_orbit):
     prof = _profile_for(gamma6)
     out = necessary_dim_check(
-        gamma6, [gamma6_orbit], prof.contact_form, delta2_param(), 3, 3
+        gamma6, [gamma6_orbit], prof.contact_form, 3, 3
     )
     assert out.passes
     assert out.witnesses[0]["subset"] == (0,)
@@ -58,7 +58,7 @@ def test_necessary_check_positive(gamma6, gamma6_orbit):
 def test_necessary_check_negative(gamma6_prime, gamma6_prime_nodes):
     prof = _profile_for(gamma6_prime)
     out = necessary_dim_check(
-        gamma6_prime, gamma6_prime_nodes, prof.contact_form, delta2_param(), 3, 3
+        gamma6_prime, gamma6_prime_nodes, prof.contact_form, 3, 3
     )
     assert not out.passes
     assert all(f["reason"] == "degree_n_minus_1_system" for f in out.failures)
@@ -68,7 +68,7 @@ def test_necessary_check_seven_subsets(gamma7_prime, gamma7_prime_nodes):
     gamma, conic = gamma7_prime
     config = normalize_configuration(gamma, conic, gamma7_prime_nodes)
     out = necessary_dim_check(
-        config.gamma, config.nodes, config.profile.contact_form, config.param, 3, 3
+        config.gamma, config.nodes, config.profile.contact_form, 3, 3
     )
     assert not out.passes and len(out.failures) == 7
 
@@ -79,7 +79,6 @@ def test_alpha_exceeds_nodes():
         parse_form("(x^3+y^3+z^3)^2-(z^2-4xy)*(xy+yz+zx)^2", PLANE),
         [point(0, 0, 1)],
         prof_dummy.contact_form,
-        delta2_param(),
         3,
         3,
     )
@@ -145,7 +144,7 @@ def test_factor_pullback_split6(gamma6):
 def test_certificate_extraction(gamma6):
     f = pullback_curve(gamma6)
     factor = factor_pullback(f, 3, 3)
-    cert = certificate_from_factor(gamma6, factor, 3, 3, delta2_param())
+    cert = certificate_from_factor(gamma6, factor, 3, 3)
     assert cert is not None
     assert verify_certificate(gamma6, delta2(), cert)
     assert cert.c_n in (
@@ -276,14 +275,14 @@ def test_criterion_24_on_both_7nodal_configurations(gamma7_prime, gamma7_prime_n
         point(-1, 1, 1), point(1, -1, 1), point(1, 1, -1),
     ]
     prof = _profile_for(gamma_x)
-    crit = criterion_24_7nodal(gamma_x, nodes, prof.contact_form, delta2_param())
+    crit = criterion_24_7nodal(gamma_x, nodes, prof.contact_form)
     assert crit.holds
 
     # the non-splitting curve fails exactly at the dimension condition
     gamma, conic = gamma7_prime
     config = normalize_configuration(gamma, conic, gamma7_prime_nodes)
     crit = criterion_24_7nodal(
-        config.gamma, config.nodes, config.profile.contact_form, config.param
+        config.gamma, config.nodes, config.profile.contact_form
     )
     assert not crit.holds and crit.failed == "iii-b"
     assert crit.details["quartic_dimension"] == 1
@@ -299,7 +298,7 @@ def test_criterion_24_conic_through_all_seven(gamma6):
         pts.append(p)
         k += 1
     prof = _profile_for(gamma6)
-    crit = criterion_24_7nodal(gamma6, pts, prof.contact_form, delta2_param())
+    crit = criterion_24_7nodal(gamma6, pts, prof.contact_form)
     assert not crit.holds and crit.failed == "iii-a"
 
 
@@ -310,7 +309,6 @@ def test_criterion_24_node_count():
             parse_form("(x^3+y^3+z^3)^2-(z^2-4xy)*(xy+yz+zx)^2", PLANE),
             [point(0, 0, 1)],
             prof.contact_form,
-            delta2_param(),
         )
 
 
