@@ -48,7 +48,6 @@ from .forms import (
 from .linsys import (
     BiFormSpace,
     FormSpace,
-    LinCondition,
     LinSysReport,
     cond_divisible_on_conic,
     cond_point,

@@ -56,7 +56,10 @@ def _load_nodes(path, form):
     number field (and its irreducibility test) is built.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError("node file nests too deeply") from None
     if not isinstance(data, list):
         raise ValueError("node file must hold a JSON array")
     ambient = len(form.variables)

@@ -494,15 +494,13 @@ def irreducibility_sextic(gamma, nodes):
 
     units = sorted(nodes, key=lambda p: -p.orbit_size())
     space = FormSpace(2, gamma.variables)
+    rows = [cond_point(space, p) for p in units]
     for take in range(len(units), 0, -1):
-        for subset in itertools.combinations(units, take):
-            k = sum(p.orbit_size() for p in subset)
+        for subset in itertools.combinations(range(len(units)), take):
+            k = sum(units[i].orbit_size() for i in subset)
             if k < r - 2:
                 continue
-            conds = []
-            for p in subset:
-                conds.extend(cond_point(space, p))
-            report = system_solve(space, conds)
+            report = system_solve(space, [row for i in subset for row in rows[i]])
             if report.dimension < 0:
                 continue
             for conic in report.kernel:

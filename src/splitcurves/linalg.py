@@ -18,7 +18,7 @@ from .scalars import QQ, ZERO, ONE, clear_denominators, denom, numer
 
 
 def _int_rows(rows):
-    return [clear_denominators([QQ(x) for x in row]) for row in rows]
+    return [clear_denominators(row) for row in rows]
 
 
 def _bareiss(m, ncols):
@@ -140,7 +140,7 @@ def rref(rows, ncols=None):
 
 def primitive_vector(vec):
     """Scale a rational vector to coprime integers, first nonzero positive."""
-    ints = clear_denominators([QQ(x) for x in vec])
+    ints = clear_denominators(vec)
     for v in ints:
         if v:
             if v < 0:

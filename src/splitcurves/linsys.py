@@ -1,13 +1,17 @@
 """Linear systems of plane curves, space quadrics, and biforms.
 
-Conditions (incidence, singularity, divisor divisibility on a conic) become
-rational rows indexed by a fixed monomial basis; a conjugate point over
-QQ[a]/(p) contributes deg(p) rows, one per power-basis coordinate, which
-encodes vanishing along its whole Galois orbit.  Dimensions and kernels are
+A condition (incidence, singularity, divisor divisibility on a conic) is a
+row: a plain tuple of rationals indexed by a fixed monomial basis.  A
+conjugate point over QQ[a]/(p) contributes deg(p) rows, one per power-basis
+coordinate, which encodes vanishing along its whole Galois orbit.  Rows are
+immutable, so a caller that solves over many subsets of one node list builds
+each node's rows once and joins them per subset.  Dimensions and kernels are
 exact: one fraction-free elimination gives the kernel, as content-normalized
 vectors read off the reduced echelon form, and the rank is the number of
 columns minus the kernel dimension.
 """
+
+import itertools
 
 from .arith import NFElem, UPoly
 from .errors import FieldMismatch
@@ -54,27 +58,13 @@ class BiFormSpace:
         return "biforms of bidegree (%d,%d)" % self.bidegree
 
 
-class LinCondition:
-    """One rational linear condition on the coefficient vector of a form."""
-
-    __slots__ = ("row", "provenance")
-
-    def __init__(self, row, provenance=""):
-        self.row = tuple(QQ(c) for c in row)
-        self.provenance = provenance
-
-    def __repr__(self):
-        return "LinCondition(%s)" % self.provenance
-
-
 class LinSysReport:
     """Exact outcome of a linear system of curves."""
 
-    __slots__ = ("space", "n_conditions", "rank", "dimension", "kernel")
+    __slots__ = ("space", "rank", "dimension", "kernel")
 
-    def __init__(self, space, n_conditions, rank, dimension, kernel):
+    def __init__(self, space, rank, dimension, kernel):
         self.space = space
-        self.n_conditions = n_conditions
         self.rank = rank
         self.dimension = dimension
         self.kernel = kernel
@@ -98,36 +88,30 @@ def _monomial_eval(coords, expo):
     return term
 
 
-def _rows_from_values(values, field, provenance):
+def _rows_from_values(values, field):
     """Turn per-monomial scalar values into 1 (rational) or deg (NF) rows."""
     if field is None:
-        return [LinCondition([QQ(v) for v in values], provenance)]
-    rows = []
-    for k in range(field.degree):
-        rows.append(
-            LinCondition(
-                [
-                    v.coords[k] if isinstance(v, NFElem) else (QQ(v) if k == 0 else ZERO)
-                    for v in values
-                ],
-                "%s [power-basis row %d]" % (provenance, k),
-            )
+        return [tuple(values)]
+    return [
+        tuple(
+            v.coords[k] if isinstance(v, NFElem) else (v if k == 0 else ZERO)
+            for v in values
         )
-    return rows
+        for k in range(field.degree)
+    ]
 
 
-def cond_point(space, p, provenance=None):
+def cond_point(space, p):
     """Vanishing at a point (or at its full conjugate orbit)."""
     if isinstance(space, BiFormSpace):
-        return cond_point_biform(space, p, provenance)
+        return cond_point_biform(space, p)
     if len(p.coords) != len(space.variables):
         raise FieldMismatch("point dimension does not match the space")
-    prov = provenance or "through %r" % (p,)
     values = [_monomial_eval(p.coords, e) for e in space.basis]
-    return _rows_from_values(values, p.field, prov)
+    return _rows_from_values(values, p.field)
 
 
-def cond_point_biform(space, pair, provenance=None):
+def cond_point_biform(space, pair):
     """Vanishing of a biform at a point of P1 x P1 given as a pair."""
     p, q = pair
     if p.field is not None or q.field is not None:
@@ -135,12 +119,12 @@ def cond_point_biform(space, pair, provenance=None):
     s, t = p.coords
     u, v = q.coords
     d1, d2 = space.bidegree
-    prov = provenance or "through (%r, %r)" % (p, q)
-    row = [s**i * t ** (d1 - i) * u**j * v ** (d2 - j) for (i, j) in space.basis]
-    return [LinCondition(row, prov)]
+    return [
+        tuple(s**i * t ** (d1 - i) * u**j * v ** (d2 - j) for (i, j) in space.basis)
+    ]
 
 
-def cond_singular(space, p, provenance=None):
+def cond_singular(space, p):
     """Vanishing of all partial derivatives at a point (orbit-aware).
 
     The Euler relation makes the value condition redundant; all partial rows
@@ -149,7 +133,6 @@ def cond_singular(space, p, provenance=None):
     nvars = len(space.variables)
     if len(p.coords) != nvars:
         raise FieldMismatch("point dimension does not match the space")
-    prov = provenance or "singular at %r" % (p,)
     rows = []
     for k in range(nvars):
         values = []
@@ -160,13 +143,11 @@ def cond_singular(space, p, provenance=None):
             de = list(expo)
             de[k] -= 1
             values.append(expo[k] * _monomial_eval(p.coords, tuple(de)))
-        rows.extend(
-            _rows_from_values(values, p.field, "%s [d/d%s]" % (prov, space.variables[k]))
-        )
+        rows.extend(_rows_from_values(values, p.field))
     return rows
 
 
-def cond_divisible_on_conic(degree, t_form, provenance=None):
+def cond_divisible_on_conic(degree, t_form):
     """Rows forcing the restriction of a candidate to z^2 - 4xy to be divisible by T.
 
     On the parametrization (s^2 : t^2 : 2st) the monomial x^a y^b z^c
@@ -177,7 +158,6 @@ def cond_divisible_on_conic(degree, t_form, provenance=None):
     """
     if t_form.degree == 0:
         return []
-    prov = provenance or "contact-divisor divisibility"
     big = 2 * degree
     # column m: the coefficients of s^i t^(big-i) in restrict(mono_m)
     cols = []
@@ -187,35 +167,25 @@ def cond_divisible_on_conic(degree, t_form, provenance=None):
         cols.append(col)
     # t^tm divides the restriction: top s-coefficients vanish
     tm = t_form.t_multiplicity()
-    rows = [
-        LinCondition([col[i] for col in cols], "%s [t-power row]" % prov)
-        for i in range(big - tm + 1, big + 1)
-    ]
+    rows = [tuple(col[i] for col in cols) for i in range(big - tm + 1, big + 1)]
     t0 = t_form.to_upoly()
     rems = [UPoly(col) % t0 for col in cols]
-    for i in range(t0.degree()):
-        rows.append(
-            LinCondition([r[i] for r in rems], "%s [remainder row %d]" % (prov, i))
-        )
+    rows.extend(tuple(r[i] for r in rems) for i in range(t0.degree()))
     return rows
 
 
-def system_solve(space, conditions):
+def system_solve(space, rows):
     """Exact dimension and kernel basis of a linear system of curves."""
     ncols = space.size()
-    rows = [c.row for c in conditions]
-    for r in rows:
-        if len(r) != ncols:
-            raise FieldMismatch("condition row length does not match the space")
+    if any(len(r) != ncols for r in rows):
+        raise FieldMismatch("condition row length does not match the space")
     kernel_vecs = kernel_basis(rows, ncols)
     rank = ncols - len(kernel_vecs)
-    kernel = [space.from_vector(v) for v in kernel_vecs]
     return LinSysReport(
         space=space,
-        n_conditions=len(rows),
         rank=rank,
         dimension=ncols - rank - 1,
-        kernel=kernel,
+        kernel=[space.from_vector(v) for v in kernel_vecs],
     )
 
 
@@ -234,13 +204,8 @@ def general_position_p1xp1(points):
             if counts[k] > 2:
                 return False
     space = BiFormSpace((1, 1))
-    if len(points) >= 5:
-        import itertools
-
-        for subset in itertools.combinations(points, 5):
-            rows = []
-            for pair in subset:
-                rows.extend(c.row for c in cond_point_biform(space, pair))
-            if rank_bareiss(rows) < 4:
-                return False
+    rows = [cond_point_biform(space, pair)[0] for pair in points]
+    for subset in itertools.combinations(rows, 5):
+        if rank_bareiss(subset) < 4:
+            return False
     return True

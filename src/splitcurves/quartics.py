@@ -272,14 +272,11 @@ def syzygetic_test(surface_form, nodes):
     if len(nodes) < 8:
         return SyzygeticResult(False)
     space = FormSpace(2, surface_form.variables)
+    rows = [cond_point(space, p) for p in nodes]
     for subset in itertools.combinations(range(len(nodes)), 8):
-        pts = [nodes[i] for i in subset]
-        if not general_position_p3(pts):
+        if not general_position_p3([nodes[i] for i in subset]):
             continue
-        conds = []
-        for p in pts:
-            conds.extend(cond_point(space, p))
-        report = system_solve(space, conds)
+        report = system_solve(space, [r for i in subset for r in rows[i]])
         if report.dimension == 2:
             return SyzygeticResult(True, subset, report)
     return SyzygeticResult(False)

@@ -446,12 +446,11 @@ def _nonsplit7_checks(report, record, config):
     nodes_n = config.nodes
     contact_form = config.profile.contact_form
     space2 = FormSpace(2, PLANE_VARS)
-    dims = []
-    for subset in itertools.combinations(range(7), 6):
-        conds = []
-        for i in subset:
-            conds.extend(cond_point(space2, nodes_n[i]))
-        dims.append(system_solve(space2, conds).dimension)
+    rows2 = [cond_point(space2, p) for p in nodes_n]
+    dims = [
+        system_solve(space2, [r for i in subset for r in rows2[i]]).dimension
+        for subset in itertools.combinations(range(7), 6)
+    ]
     report.add(
         "all seven 6-node conic systems are empty",
         all(d == -1 for d in dims),

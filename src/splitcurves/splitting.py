@@ -217,13 +217,12 @@ def necessary_dim_check(gamma, nodes, contact_form, m, n):
     div_rows = cond_divisible_on_conic(n, contact_form)
     space_n = FormSpace(n, gamma.variables)
     space_n1 = FormSpace(n - 1, gamma.variables)
+    rows_n = [cond_point(space_n, p) for p in nodes]
+    rows_n1 = [cond_point(space_n1, p) for p in nodes]
     witnesses = []
     failures = []
     for subset in _alpha_subsets(nodes, alpha):
-        conds2 = []
-        for i in subset:
-            conds2.extend(cond_point(space_n1, nodes[i]))
-        rep2 = system_solve(space_n1, conds2)
+        rep2 = system_solve(space_n1, [r for i in subset for r in rows_n1[i]])
         if rep2.dimension < 0:
             failures.append(
                 {
@@ -234,10 +233,7 @@ def necessary_dim_check(gamma, nodes, contact_form, m, n):
                 }
             )
             continue
-        conds = list(div_rows)
-        for i in subset:
-            conds.extend(cond_point(space_n, nodes[i]))
-        rep1 = system_solve(space_n, conds)
+        rep1 = system_solve(space_n, div_rows + [r for i in subset for r in rows_n[i]])
         if rep1.dimension < n - m:
             failures.append(
                 {
@@ -695,25 +691,24 @@ def criterion_24_7nodal(gamma, nodes, contact_form):
     details = {}
 
     space2 = FormSpace(2, gamma.variables)
-    conds = []
-    for p in nodes:
-        conds.extend(cond_point(space2, p))
-    rep = system_solve(space2, conds)
+    rep = system_solve(space2, [r for p in nodes for r in cond_point(space2, p)])
     details["conic_dimension"] = rep.dimension
     if rep.dimension >= 0:
         return Criterion24Result(False, "iii-a", details)
 
     space4 = FormSpace(4, gamma.variables)
-    conds = cond_divisible_on_conic(4, contact_form)
-    for p in nodes:
-        conds.extend(cond_point(space4, p))
-    rep = system_solve(space4, conds)
+    rep = system_solve(
+        space4,
+        cond_divisible_on_conic(4, contact_form)
+        + [r for p in nodes for r in cond_point(space4, p)],
+    )
     details["quartic_dimension"] = rep.dimension
     if rep.dimension < 2:
         return Criterion24Result(False, "iii-b", details)
 
     space3 = FormSpace(3, gamma.variables)
     div_rows = cond_divisible_on_conic(3, contact_form)
+    rows3 = [cond_point(space3, p) for p in nodes]
     collinear = []
     for triple in itertools.combinations(range(7), 3):
         rows = [nodes[i].primitive() for i in triple]
@@ -721,20 +716,14 @@ def criterion_24_7nodal(gamma, nodes, contact_form):
             collinear.append(triple)
     details["collinear_triples"] = collinear
     for triple in collinear:
-        conds = list(div_rows)
-        for i in triple:
-            conds.extend(cond_point(space3, nodes[i]))
-        rep = system_solve(space3, conds)
+        rep = system_solve(space3, div_rows + [r for i in triple for r in rows3[i]])
         for member in rep.kernel:
             if not restrict_to_conic(member, delta2_param()).is_zero():
                 details["bad_triple"] = triple
                 return Criterion24Result(False, "iii-c", details)
 
     for five in itertools.combinations(range(7), 5):
-        conds = list(div_rows)
-        for i in five:
-            conds.extend(cond_point(space3, nodes[i]))
-        rep = system_solve(space3, conds)
+        rep = system_solve(space3, div_rows + [r for i in five for r in rows3[i]])
         if rep.dimension >= 0:
             details["bad_five"] = five
             details["cubic_dimension"] = rep.dimension

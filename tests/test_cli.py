@@ -409,6 +409,23 @@ def test_deep_nesting_exits_data_error_without_traceback(tmp_path, depth):
     assert "parentheses nest deeper than %d levels" % MAX_NESTING in proc.stderr
 
 
+def test_deeply_nested_node_file_exits_data_error_without_traceback(tmp_path):
+    nodes = tmp_path / "deep.json"
+    nodes.write_text("[" * 100000)
+    proc = _cli_process(
+        "split-type",
+        "--curve",
+        "x^2+y^2-z^2",
+        "--conic",
+        "z^2-4xy",
+        "--nodes",
+        str(nodes),
+    )
+    assert proc.returncode == 65
+    assert "Traceback" not in proc.stderr
+    assert "node file nests too deeply" in proc.stderr
+
+
 def test_nesting_up_to_the_limit_parses(tmp_path):
     assert MAX_NESTING >= 200
     curve = tmp_path / "curve.txt"

@@ -15,7 +15,7 @@ from splitcurves.curves import (
     singular_points,
     verify_node,
 )
-from splitcurves.errors import CommonComponent, TooManyNodes
+from splitcurves.errors import CannotCertify, CommonComponent, TooManyNodes
 from splitcurves.forms import (
     ProjPoint,
     compose_form,
@@ -147,6 +147,16 @@ def test_irreducibility_five_collinear(gamma6):
         point(0, 0, 1),
     ]
     assert not irreducibility_sextic(gamma6, bad)
+
+
+def test_irreducibility_five_collinear_beside_a_conjugate_pair(gamma6):
+    # every conic through five of the seven nodes holds three collinear ones,
+    # so it contains their line and no smooth conic witness exists
+    field = NumberField(UPoly([-2, 0, 1]))
+    pair = ProjPoint([field.gen(), field.one(), field.one()])
+    line = [point(k, 0, 1) for k in range(5)]
+    with pytest.raises(CannotCertify):
+        irreducibility_sextic(gamma6, [pair] + line)
 
 
 def test_irreducibility_node_count_cap(gamma6):

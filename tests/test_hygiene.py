@@ -1,12 +1,15 @@
-"""Static hygiene of the package: no unused import, no private helper nothing calls.
+"""Static hygiene of the package: no unused import, no private helper nothing
+calls, and no benchmark tracer target that the package no longer defines.
 
-Both checks read the source with ``ast`` only; nothing is imported.
+The checks read the source with ``ast`` only; nothing is imported.
 """
 
 import ast
 import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "splitcurves"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "splitcurves"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _modules():
@@ -88,3 +91,43 @@ def test_the_checks_see_a_violation():
     assert [b for b, _l in _imported_names(tree) if b not in used] == ["os"]
     assert _private_definitions(tree) == ["_helper"]
     assert "_helper" not in used
+
+
+def _tracer_targets():
+    """(module, attribute) of each entry of ``TARGETS`` in the benchmark tracer."""
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return [
+                (entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts
+            ]
+    raise AssertionError("perfbench/spans.py defines no TARGETS")
+
+
+def _definitions(tree):
+    """Module-level functions and ``Class.method`` names of a module."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names.update(
+                "%s.%s" % (node.name, item.name)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            )
+    return names
+
+
+def test_every_tracer_target_is_defined():
+    modules = _modules()
+    targets = _tracer_targets()
+    assert targets
+    missing = [
+        "%s.%s" % (module, attribute)
+        for module, attribute in targets
+        if module not in modules or attribute not in _definitions(modules[module])
+    ]
+    assert missing == []

@@ -1,13 +1,13 @@
-from splitcurves.arith import BinForm, NumberField, UPoly
+from splitcurves.arith import BinForm, NFElem, NumberField, UPoly
 from splitcurves.conics import delta2_param, restrict_to_conic
 from splitcurves.forms import Form, ProjPoint, parse_form, point
 from splitcurves.linalg import rank_bareiss
 from splitcurves.linsys import (
     BiFormSpace,
     FormSpace,
-    LinCondition,
     cond_divisible_on_conic,
     cond_point,
+    cond_point_biform,
     cond_singular,
     general_position_p1xp1,
     system_solve,
@@ -28,7 +28,7 @@ def test_cond_point_rational_row():
     rows = cond_point(space, point(0, 0, 1))
     assert len(rows) == 1
     # single row selecting the z^2 coefficient
-    assert [c for c in rows[0].row] == [
+    assert [c for c in rows[0]] == [
         QQ(1) if expo == (0, 0, 2) else ZERO for expo in space.basis
     ]
 
@@ -42,15 +42,15 @@ def test_cond_point_conjugate_orbit_rows():
     assert len(rows) == 2
     # monomials x^2, xy, xz, y^2, yz, z^2 at (b, 1, 0) with b^2 = 1 + b:
     # constant part [1, 0, 0, 1, 0, 0], b-part [1, 1, 0, 0, 0, 0]
-    assert list(rows[0].row) == [QQ(1), ZERO, ZERO, QQ(1), ZERO, ZERO]
-    assert list(rows[1].row) == [QQ(1), QQ(1), ZERO, ZERO, ZERO, ZERO]
+    assert list(rows[0]) == [QQ(1), ZERO, ZERO, QQ(1), ZERO, ZERO]
+    assert list(rows[1]) == [QQ(1), QQ(1), ZERO, ZERO, ZERO, ZERO]
 
 
 def test_cond_point_all_ones():
     space = FormSpace(3)
     rows = cond_point(space, point(1, 1, 1))
-    assert len(rows) == 1 and len(rows[0].row) == 10
-    assert all(c == 1 for c in rows[0].row)
+    assert len(rows) == 1 and len(rows[0]) == 10
+    assert all(c == 1 for c in rows[0])
 
 
 def test_cond_singular_space_point():
@@ -76,7 +76,7 @@ def test_cond_singular_plane_point():
 def test_cond_singular_generic_rank_three():
     space = FormSpace(4)
     rows = cond_singular(space, point(1, 2, 3))
-    assert rank_bareiss([r.row for r in rows]) == 3
+    assert rank_bareiss(rows) == 3
 
 
 def test_divisibility_rows_on_split6_contact_form(gamma6):
@@ -87,7 +87,7 @@ def test_divisibility_rows_on_split6_contact_form(gamma6):
     rows = cond_divisible_on_conic(3, t_form)
     assert len(rows) == 6
     c3 = parse_form("x^3+y^3+z^3", PLANE).coefficient_vector()
-    assert all(dot(r.row, c3) == 0 for r in rows)
+    assert all(dot(r, c3) == 0 for r in rows)
 
 
 def test_divisibility_line_through_two_points():
@@ -95,9 +95,9 @@ def test_divisibility_line_through_two_points():
     rows = cond_divisible_on_conic(1, t_form)
     assert len(rows) == 2
     z_vec = parse_form("z", PLANE).coefficient_vector()
-    assert all(dot(r.row, z_vec) == 0 for r in rows)
+    assert all(dot(r, z_vec) == 0 for r in rows)
     x_vec = parse_form("x", PLANE).coefficient_vector()
-    assert any(dot(r.row, x_vec) != 0 for r in rows)
+    assert any(dot(r, x_vec) != 0 for r in rows)
 
 
 def test_divisibility_trivial_form():
@@ -137,7 +137,7 @@ def test_kernel_vectors_satisfy_conditions():
         rep = system_solve(space, conds)
         for member in rep.kernel:
             vec = member.coefficient_vector()
-            assert all(dot(c.row, vec) == 0 for c in conds)
+            assert all(dot(c, vec) == 0 for c in conds)
 
 
 def test_fraction_free_rank_matches_naive_200_cases():
@@ -247,6 +247,129 @@ def test_eight_general_space_points_quadric_dimension():
         assert 1 <= system_solve(space, conds).dimension <= 2
 
 
+# The parent's condition functions, kept as oracles: each condition was a
+# LinCondition whose row held QQ(c) of every entry, labelled by provenance.
+
+
+class LinCondition:
+    __slots__ = ("row", "provenance")
+
+    def __init__(self, row, provenance=""):
+        self.row = tuple(QQ(c) for c in row)
+        self.provenance = provenance
+
+
+def _monomial_eval_oracle(coords, expo):
+    term = None
+    for c, e in zip(coords, expo):
+        if e:
+            p = c**e
+            term = p if term is None else term * p
+    if term is None:
+        return QQ(1)
+    return term
+
+
+def _rows_from_values_oracle(values, field, provenance):
+    if field is None:
+        return [LinCondition([QQ(v) for v in values], provenance)]
+    rows = []
+    for k in range(field.degree):
+        rows.append(
+            LinCondition(
+                [
+                    v.coords[k] if isinstance(v, NFElem) else (QQ(v) if k == 0 else ZERO)
+                    for v in values
+                ],
+                "%s [power-basis row %d]" % (provenance, k),
+            )
+        )
+    return rows
+
+
+def _cond_point_oracle(space, p, provenance=None):
+    if isinstance(space, BiFormSpace):
+        return _cond_point_biform_oracle(space, p, provenance)
+    prov = provenance or "through %r" % (p,)
+    values = [_monomial_eval_oracle(p.coords, e) for e in space.basis]
+    return _rows_from_values_oracle(values, p.field, prov)
+
+
+def _cond_point_biform_oracle(space, pair, provenance=None):
+    p, q = pair
+    s, t = p.coords
+    u, v = q.coords
+    d1, d2 = space.bidegree
+    prov = provenance or "through (%r, %r)" % (p, q)
+    row = [s**i * t ** (d1 - i) * u**j * v ** (d2 - j) for (i, j) in space.basis]
+    return [LinCondition(row, prov)]
+
+
+def _cond_singular_oracle(space, p, provenance=None):
+    nvars = len(space.variables)
+    prov = provenance or "singular at %r" % (p,)
+    rows = []
+    for k in range(nvars):
+        values = []
+        for expo in space.basis:
+            if expo[k] == 0:
+                values.append(ZERO if p.field is None else p.field.zero())
+                continue
+            de = list(expo)
+            de[k] -= 1
+            values.append(expo[k] * _monomial_eval_oracle(p.coords, tuple(de)))
+        rows.extend(
+            _rows_from_values_oracle(
+                values, p.field, "%s [d/d%s]" % (prov, space.variables[k])
+            )
+        )
+    return rows
+
+
+def _random_points(rng, nvars):
+    """Rational points and conjugate points over fields of degree 2 and 3."""
+    fields = [
+        NumberField(UPoly([-1, -1, 1])),  # b^2 = b + 1
+        NumberField(UPoly([-2, 0, 0, 1])),  # b^3 = 2
+    ]
+    pts = [ProjPoint([random_rat(rng) for _ in range(nvars - 1)] + [QQ(1)])]
+    pts.append(ProjPoint([QQ(0)] * (nvars - 1) + [random_rat(rng) or QQ(1)]))
+    for field in fields:
+        for _ in range(2):
+            coords = [
+                field.elem([random_rat(rng) for _ in range(field.degree)])
+                for _ in range(nvars - 1)
+            ]
+            pts.append(ProjPoint(coords + [field.one()]))
+    return pts
+
+
+def test_point_and_singular_rows_match_oracle():
+    rng = rng_for("rows-oracle")
+    for variables in (PLANE, SPACE):
+        for degree in range(1, 7):
+            space = FormSpace(degree, variables)
+            for p in _random_points(rng, len(variables)):
+                rows = cond_point(space, p)
+                assert rows == [c.row for c in _cond_point_oracle(space, p)]
+                assert all(type(x) is type(ZERO) for r in rows for x in r)
+                assert cond_singular(space, p) == [
+                    c.row for c in _cond_singular_oracle(space, p)
+                ]
+
+
+def test_biform_rows_match_oracle():
+    rng = rng_for("biform-rows-oracle")
+    for d1 in range(1, 4):
+        for d2 in range(1, 4):
+            space = BiFormSpace((d1, d2))
+            for _ in range(5):
+                pair = (_random_p1(rng), _random_p1(rng))
+                expected = [c.row for c in _cond_point_biform_oracle(space, pair)]
+                assert cond_point_biform(space, pair) == expected
+                assert cond_point(space, pair) == expected
+
+
 def _divisibility_rows_oracle(degree, t_form, provenance=None):
     """The parent's rows: each monomial restricted to the conic by substitution."""
     space = FormSpace(degree)
@@ -284,6 +407,4 @@ def test_divisibility_rows_match_oracle_on_catalog_contact_forms():
         for degree in range(1, 7):
             got = cond_divisible_on_conic(degree, t_form)
             expected = _divisibility_rows_oracle(degree, t_form)
-            assert [(r.row, r.provenance) for r in got] == [
-                (r.row, r.provenance) for r in expected
-            ]
+            assert got == [r.row for r in expected]

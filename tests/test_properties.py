@@ -1,12 +1,17 @@
 """Property tests (Hypothesis, derandomized so every run draws the same cases)."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from splitcurves import cli
+from splitcurves.arith import UPoly
 from splitcurves.errors import SplitCurvesError
-from splitcurves.forms import ProjPoint
+from splitcurves.forms import Form, ProjPoint, parse_form, parse_univariate
 from splitcurves.registry import parse_node_spec
 
 # short texts over the polynomial alphabet: long enough to parse, short
@@ -33,3 +38,40 @@ def test_parse_node_spec_returns_a_point_or_a_data_error(spec):
     except (ValueError, SplitCurvesError):
         return
     assert isinstance(node, ProjPoint) and len(node.coords) == 3
+
+
+# short texts over the grammar's alphabet, with a letter that names no variable
+_FORM_TEXT = st.text(alphabet="xyza0123456789+-*/^() .", max_size=8)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_FORM_TEXT)
+def test_parse_form_returns_a_form_or_a_data_error(text):
+    try:
+        form = parse_form(text, ("x", "y", "z"))
+    except (ValueError, SplitCurvesError):
+        return
+    assert isinstance(form, Form)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_TEXT)
+def test_parse_univariate_returns_a_polynomial_or_a_data_error(text):
+    try:
+        poly = parse_univariate(text, "a")
+    except (ValueError, SplitCurvesError):
+        return
+    assert isinstance(poly, UPoly)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_FORM_TEXT)
+def test_pullback_command_exits_0_or_65(text):
+    try:
+        # a pullback of degree d has (d + 1)^2 coefficients: keep draws small
+        assume(parse_form(text, ("x", "y", "z")).degree <= 6)
+    except (ValueError, SplitCurvesError):
+        pass
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = cli.main(["pullback", "--curve=" + text])
+    assert code in (0, 65)
