@@ -94,27 +94,6 @@ def _zz_primitive(f):
     return [a // g for a in f], g
 
 
-def _zz_divmod_monic(f, g, m=None):
-    """Divide by g with unit leading coefficient, optionally modulo m."""
-    f = list(f)
-    dg = len(g) - 1
-    inv_lc = g[-1]
-    if m is not None:
-        inv_lc = pow(g[-1], -1, m)
-    q = [0] * max(0, len(f) - dg)
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i] * inv_lc if m is None else (f[i] * inv_lc) % m
-        if m is None and g[-1] not in (1, -1):
-            raise ArithmeticError("non-unit leading coefficient")
-        q[i - dg] = c
-        if c:
-            for j, b in enumerate(g):
-                f[i - dg + j] -= c * b
-                if m is not None:
-                    f[i - dg + j] %= m
-    return _trim(q), _trim(f[:dg])
-
-
 # mod-p helpers -------------------------------------------------------------
 
 
@@ -294,7 +273,7 @@ def _hensel_step(m, f, g, h, s, t):
     """
     M = m * m
     e = _zz_trunc(_zz_sub(f, _zz_mul(g, h)), M)
-    q, r = _zz_divmod_monic(_zz_mul(s, e), h, M)
+    q, r = _gf_divmod(_zz_mul(s, e), h, M)
     q = _zz_trunc(q, M)
     r = _zz_trunc(r, M)
     u = _zz_add(_zz_mul(t, e), _zz_mul(q, g))
@@ -302,7 +281,7 @@ def _hensel_step(m, f, g, h, s, t):
     H = _zz_trunc(_zz_add(h, r), M)
     u = _zz_add(_zz_mul(s, G), _zz_mul(t, H))
     b = _zz_trunc(_zz_sub(u, [1]), M)
-    c, d = _zz_divmod_monic(_zz_mul(s, b), H, M)
+    c, d = _gf_divmod(_zz_mul(s, b), H, M)
     c = _zz_trunc(c, M)
     d = _zz_trunc(d, M)
     u = _zz_add(_zz_mul(t, b), _zz_mul(c, G))

@@ -18,10 +18,15 @@ import sys
 from .conics import classify_conic, contact_profile
 from .cover import pullback_curve
 from .curves import irreducibility_sextic, singular_locus_complete, verify_node
-from .errors import CannotCertify, SplitCurvesError
+from .errors import CannotCertify, ParseError, SplitCurvesError
 from .forms import biform_to_str, form_to_str, parse_form, parse_univariate
 from .registry import example_ids, parse_node_spec
-from .reports import jsonable, run_verify_example, zariski_triple_outcomes
+from .reports import (
+    certificate_payload,
+    jsonable,
+    run_verify_example,
+    zariski_triple_outcomes,
+)
 from .quartics import QuarticSurface, project_quartic, syzygetic_test
 from .splitting import normalize_configuration, splitting_type, splitting_type_normalized
 
@@ -39,11 +44,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EX_USAGE)
 
 
-def _read_expr(value):
-    if os.path.exists(value):
-        with open(value, "r", encoding="utf-8") as handle:
-            return handle.read()
-    return value
+def _read_form(value, variables):
+    """The form an expression option names: the value itself when it
+    parses, else the text of the regular file it names.  A value that
+    neither parses nor names a regular file keeps its parse error."""
+    try:
+        return parse_form(value, variables)
+    except ParseError:
+        if not os.path.isfile(value):
+            raise
+    with open(value, "r", encoding="utf-8") as handle:
+        return parse_form(handle.read(), variables)
 
 
 def _load_nodes(path, form):
@@ -101,8 +112,8 @@ def _cmd_verify_example(args):
 
 
 def _cmd_analyze(args):
-    gamma = parse_form(_read_expr(args.curve), PLANE_VARS)
-    conic = parse_form(_read_expr(args.conic), PLANE_VARS)
+    gamma = _read_form(args.curve, PLANE_VARS)
+    conic = _read_form(args.conic, PLANE_VARS)
     payload = {
         "curve": form_to_str(gamma),
         "conic": form_to_str(conic),
@@ -152,7 +163,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_pullback(args):
-    gamma = parse_form(_read_expr(args.curve), PLANE_VARS)
+    gamma = _read_form(args.curve, PLANE_VARS)
     image = pullback_curve(gamma)
     payload = {
         "curve": form_to_str(gamma),
@@ -168,8 +179,8 @@ def _cmd_pullback(args):
 
 
 def _cmd_split_type(args):
-    gamma = parse_form(_read_expr(args.curve), PLANE_VARS)
-    conic = parse_form(_read_expr(args.conic), PLANE_VARS)
+    gamma = _read_form(args.curve, PLANE_VARS)
+    conic = _read_form(args.conic, PLANE_VARS)
     nodes = _load_nodes(args.nodes, gamma) if args.nodes else None
     report = splitting_type(gamma, conic, nodes)
     payload = {
@@ -180,13 +191,7 @@ def _cmd_split_type(args):
         "notes": report.notes,
     }
     if report.certificate is not None:
-        payload["certificate"] = {
-            "c_n": form_to_str(report.certificate.c_n),
-            "c_n1": form_to_str(report.certificate.c_n1),
-            "line": form_to_str(report.certificate.line)
-            if report.certificate.line is not None
-            else None,
-        }
+        payload["certificate"] = certificate_payload(report.certificate)
     text = "splitting outcome: %s" % report.outcome
     if report.outcome == "split":
         text += " of type (%d,%d)" % (report.m, report.n)
@@ -195,9 +200,9 @@ def _cmd_split_type(args):
 
 
 def _cmd_project_quartic(args):
-    g2 = parse_form(_read_expr(args.g2), PLANE_VARS)
-    g3 = parse_form(_read_expr(args.g3), PLANE_VARS)
-    g4 = parse_form(_read_expr(args.g4), PLANE_VARS)
+    g2 = _read_form(args.g2, PLANE_VARS)
+    g3 = _read_form(args.g3, PLANE_VARS)
+    g4 = _read_form(args.g4, PLANE_VARS)
     surface = QuarticSurface(g2, g3, g4)
     gamma_x, delta_x, info = project_quartic(surface)
     payload = {
@@ -227,7 +232,7 @@ def _cmd_project_quartic(args):
 
 
 def _cmd_syzygetic(args):
-    surface = parse_form(_read_expr(args.surface), SPACE_VARS)
+    surface = _read_form(args.surface, SPACE_VARS)
     nodes = _load_nodes(args.nodes, surface)
     result = syzygetic_test(surface, nodes)
     payload = {"syzygetic": bool(result)}

@@ -3,8 +3,9 @@
 Node verification works in an affine chart at the point (over the rationals
 or a number field).  The singular locus is computed by one elimination core
 under a deterministic shear: y is eliminated by resultants, the eliminant is
-factored over the rationals, and each irreducible factor whose fiber is one
-point gives one Galois orbit of singular points.  ``singular_points`` returns
+factored over the rationals, and the fiber over each irreducible factor
+gives the singular points there: rational points over a rational root, one
+Galois orbit over an irrational one.  ``singular_points`` returns
 those orbits; ``singular_locus_complete`` checks a claimed point list
 against them.
 
@@ -317,17 +318,19 @@ def _infinity_singular_points_exist(partials):
 
 
 def _sheared_locus(gamma, m, idx):
-    """Singular points of gamma o m in the chart z = 1, one per Galois orbit.
+    """Singular points of gamma o m in the chart z = 1, by x-orbit.
 
-    Returns {q: (x, y)}: q is the monic minimal polynomial of x, and x, y
-    are rational (q linear) or lie in QQ[a]/(q) with x = a.  y is eliminated
-    by resultants of two of three generic combinations of the dehomogenized
-    partials (a common zero of the partials is one of all three, and
-    conversely: Vandermonde in the weights); the eliminant is factored and
-    each factor's fiber is the gcd of the combinations over it.  Returns
-    None when the shear leaves a singular point on z = 0, two on one line
-    x = const, or a vanishing resultant; raises CommonComponent when a whole
-    line x = const is singular.
+    Returns {q: (x, ys)}: q is the monic minimal polynomial of x.  For a
+    linear q, x and the ys are rational, one y per point on the line over
+    x; otherwise x = a in QQ[a]/(q) and ys is [y] with y in that field, one
+    Galois orbit of points over the x-orbit.  y is eliminated by resultants
+    of two of three generic combinations of the dehomogenized partials (a
+    common zero of the partials is one of all three, and conversely:
+    Vandermonde in the weights); the eliminant is factored and each
+    factor's fiber is the gcd of the combinations over it.  Returns None
+    when the shear leaves a singular point on z = 0, conjugate points on
+    one line x = const, or a vanishing resultant; raises CommonComponent
+    when a whole line x = const is singular.
     """
     partials = compose_form(gamma, m).partials()
     if _infinity_singular_points_exist(partials):
@@ -356,14 +359,30 @@ def _sheared_locus(gamma, m, idx):
         if fiber.is_zero():
             raise CommonComponent("the curve is singular along a line")
         if fiber.degree() >= 2:
-            # a multiple root is still one point; distinct roots over one
-            # x-coordinate need another shear
+            # a multiple root is still one point
             fiber = fiber // upoly_gcd(fiber, fiber.derivative())
-            if fiber.degree() >= 2:
-                return None
-        if fiber.degree() == 1:
-            locus[q] = (x, -fiber.monic().coeffs[0])
+        if fiber.degree() >= 2 and field is None:
+            ys = [-f.coeffs[0] for f, _mult in upoly_factor(fiber) if f.degree() == 1]
+        else:
+            ys = [-fiber.monic().coeffs[0]] if fiber.degree() == 1 else []
+        if len(ys) < fiber.degree():
+            # conjugate points over one x-coordinate need another shear
+            return None
+        if ys:
+            locus[q] = (x, ys)
     return locus
+
+
+def _first_locus(gamma):
+    """(shear, locus): the first shear matrix at which ``_sheared_locus``
+    separates the singular points, and the locus it gives there."""
+    for idx in range(MAX_SHEARS):
+        m = shear_matrix(idx)
+        locus = _sheared_locus(gamma, m, idx)
+        if locus is not None:
+            return m, locus
+    _raise_if_not_reduced(gamma)
+    raise ShearExhausted("%d shears failed to separate the singular points" % MAX_SHEARS)
 
 
 def singular_points(gamma):
@@ -375,60 +394,56 @@ def singular_points(gamma):
     """
     if len(gamma.variables) != 3:
         raise FieldMismatch("plane curves only")
-    for idx in range(MAX_SHEARS):
-        m = shear_matrix(idx)
-        locus = _sheared_locus(gamma, m, idx)
-        if locus is not None:
-            return [transform_point(m, ProjPoint([x, y, ONE])) for x, y in locus.values()]
-    _raise_if_not_reduced(gamma)
-    raise ShearExhausted("%d shears failed to separate the singular points" % MAX_SHEARS)
+    m, locus = _first_locus(gamma)
+    points = [(x, y) for x, ys in locus.values() for y in ys]
+    return [transform_point(m, ProjPoint([x, y, ONE])) for x, y in points]
 
 
 def singular_locus_complete(gamma, claimed):
     """Is the claimed point list exactly the singular locus of the curve?
 
-    Number-field points stand for their whole conjugate orbit.  At the
-    first shear that makes the claimed points affine with distinct x
-    minimal polynomials (a check on the claim alone), the claim holds when
-    its x minimal polynomials are those of the locus and its y-coordinates
-    agree; a point so matched is singular, so no node test is needed.
+    Number-field points stand for their whole conjugate orbit.  The claim
+    is moved to the shear of ``singular_points``, where no singular point
+    lies on z = 0, the points over a rational x are rational, and an
+    irrational x-orbit holds one orbit of points.  So a claimed point on
+    z = 0, an orbit whose x generates a smaller field than its own, or two
+    orbits with one x minimal polynomial, is not singular there.  Otherwise
+    the claim holds when its x minimal polynomials are those of the locus
+    and its y-coordinates are the locus's; a point so matched is singular,
+    so no node test is needed.
     """
     if len(gamma.variables) != 3:
         raise FieldMismatch("plane curves only")
     keys = [p.canonical_key() for p in claimed]
     if len(set(keys)) != len(keys):
         raise ValueError("claimed points must be pairwise distinct")
-    for idx in range(MAX_SHEARS):
-        m = shear_matrix(idx)
-        minv = mat_inv(m)
-        moved = [transform_point(minv, p) for p in claimed]
-        if any(scalar_is_zero(p.coords[2]) for p in moved):
-            continue
-        units = {}
-        for p in moved:
-            x, y, _ = p.affine(2)
-            q = _x_minimal_polynomial(x)
-            if q in units or (p.field is not None and q.degree() != p.field.degree):
-                break
-            units[q] = (x, y)
-        else:
-            try:
-                locus = _sheared_locus(gamma, m, idx)
-            except CommonComponent:
-                return False
-            if locus is None:
-                continue
-            if locus.keys() != units.keys():
-                return False
-            for q, (x, y) in units.items():
-                # the locus y lies in QQ[a]/(q): compare it at a = claimed x
-                eta = locus[q][1]
-                lift = UPoly(eta.coords if isinstance(eta, NFElem) else [eta])
-                if not scalar_is_zero(lift.eval(x) - y):
-                    return False
-            return True
-    _raise_if_not_reduced(gamma)
-    raise ShearExhausted("%d shears failed to separate the configuration" % MAX_SHEARS)
+    m, locus = _first_locus(gamma)
+    minv = mat_inv(m)
+    units = {}
+    for p in claimed:
+        moved = transform_point(minv, p)
+        if scalar_is_zero(moved.coords[2]):
+            return False
+        x, y, _ = moved.affine(2)
+        q = _x_minimal_polynomial(x)
+        if q.degree() != moved.orbit_size() or (q.degree() > 1 and q in units):
+            return False
+        units.setdefault(q, (x, []))[1].append(y)
+    if locus.keys() != units.keys():
+        return False
+    for q, (x, ys) in units.items():
+        # each locus y lies in QQ[a]/(q): compare it at a = claimed x; the
+        # locus ys are distinct, so each claimed y meets at most one
+        lifts = [
+            UPoly(eta.coords if isinstance(eta, NFElem) else [eta])
+            for eta in locus[q][1]
+        ]
+        hits = sorted(
+            i for i, lift in enumerate(lifts) for y in ys if scalar_is_zero(lift.eval(x) - y)
+        )
+        if len(ys) != len(lifts) or hits != list(range(len(lifts))):
+            return False
+    return True
 
 
 def _raise_if_not_reduced(gamma):

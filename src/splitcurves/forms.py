@@ -158,32 +158,29 @@ class Form:
     def eval(self, coords):
         """Exact value at coordinates (rationals or NFElem of one field).
 
-        The powers c, c^2, ..., c^k of each coordinate, k its largest
-        exponent in the form, are built once per call with one product
-        each; a term then costs one product per variable it contains.
+        One substitution: a rational coordinate c is the constant BinForm
+        (c), an element of a degree-n field QQ[a]/(p) is its power-basis
+        polynomial in a, a BinForm of degree n - 1.  The value is then a
+        polynomial in a, reduced modulo p once.  A zero form is zero (in
+        the first coordinate's field), a constant form its coefficient.
         """
         if len(coords) != len(self.variables):
             raise FieldMismatch(
                 "point has %d coordinates, form has %d variables"
                 % (len(coords), len(self.variables))
             )
-        powers = []
-        for i, c in enumerate(coords):
-            pw = [None, c]
-            for _ in range(max((expo[i] for expo in self.terms), default=0) - 1):
-                pw.append(pw[-1] * c)
-            powers.append(pw)
-        total = None
-        for expo, coeff in sorted(self.terms.items()):
-            term = coeff
-            for pw, e in zip(powers, expo):
-                if e:
-                    term = term * pw[e]
-            total = term if total is None else total + term
-        if total is None:
+        if not self.terms:
             first = coords[0]
             return first * 0 if isinstance(first, NFElem) else ZERO
-        return total
+        if self.degree == 0:
+            return self.terms[(0,) * len(coords)]
+        field = next((c.owner for c in coords if isinstance(c, NFElem)), None)
+        if field is None:
+            images = [BinForm(0, [c]) for c in coords]
+        else:
+            images = [BinForm(field.degree - 1, field.coerce(c).coords) for c in coords]
+        value = substitute_form(self, dict(zip(self.variables, images)))
+        return value.coeffs[0] if field is None else field.elem(value.coeffs)
 
     def partial(self, i):
         terms = {}

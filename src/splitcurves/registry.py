@@ -236,14 +236,10 @@ def parse_node_spec(spec, ambient=3):
     if not isinstance(exprs, (list, tuple)) or len(exprs) != ambient:
         raise ValueError('"point" must be a list of %d entries' % ambient)
     field = NumberField(parse_univariate(spec["minpoly"], "a"))
-    gen = field.gen()
     coords = []
     for expr in exprs:
         if isinstance(expr, str):
-            poly = parse_univariate(expr, "a")
-            coords.append(poly.eval(gen) if poly.degree() >= 1 else field.from_rat(
-                poly.coeffs[0] if poly.coeffs else QQ(0)
-            ))
+            coords.append(field.elem(parse_univariate(expr, "a").coeffs))
         else:
             coords.append(field.from_rat(_rational(expr)))
     return ProjPoint(coords)

