@@ -65,7 +65,6 @@ from .quartics import (
     quartic_from_sextic,
     surface_singular_locus_complete,
     syzygetic_test,
-    verify_surface_node,
 )
 from .registry import example_ids, load_example
 from .reports import run_verify_example, zariski_triple_outcomes

@@ -415,12 +415,6 @@ class UPoly:
     def zero(cls, field=None):
         return cls([], field)
 
-    @classmethod
-    def x(cls, field=None):
-        if field is None:
-            return cls([0, 1])
-        return cls([field.zero(), field.one()], field)
-
     def degree(self):
         return len(self.coeffs) - 1
 

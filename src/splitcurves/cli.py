@@ -130,7 +130,7 @@ def _cmd_analyze(args):
     if args.nodes:
         nodes = _load_nodes(args.nodes, gamma)
         payload["nodes"] = [jsonable(p) for p in nodes]
-        reports = [verify_node(gamma, p) for p in nodes]
+        reports = verify_node(gamma, nodes)
         payload["nodes_are_nodes"] = [r.is_node for r in reports]
         complete = singular_locus_complete(gamma, nodes)
         payload["singular_locus_complete"] = complete

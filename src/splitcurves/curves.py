@@ -1,11 +1,12 @@
 """Singularity analysis of plane curves.
 
-Node verification works in an affine chart at the point (over the rationals
-or a number field).  The singular locus is computed by one elimination core
-under a deterministic shear: y is eliminated by resultants, the eliminant is
-factored over the rationals, and the fiber over each irreducible factor
-gives the singular points there: rational points over a rational root, one
-Galois orbit over an irrational one.  ``singular_points`` returns
+Node verification reads the Hessian at the point (over the rationals or a
+number field), for plane curves and for surfaces in P^3.  The singular locus
+is computed by one elimination core under a deterministic shear: y is
+eliminated by resultants, the eliminant is factored over the rationals, and
+the fiber over each irreducible factor gives the singular points there:
+rational points over a rational root, one Galois orbit over an irrational
+one.  ``singular_points`` returns
 those orbits; ``singular_locus_complete`` checks a claimed point list
 against them.
 
@@ -20,6 +21,7 @@ One rational rescaling at the end gives the resultant of the inputs.
 import functools
 import itertools
 import random
+from operator import mul
 
 from .arith import (
     BinForm,
@@ -64,47 +66,49 @@ class NodeReport:
         )
 
 
-def hessian_node_report(gamma, p):
-    """Generic node test (plane curves and surfaces in P^3).
+def verify_node(form, points):
+    """One ``NodeReport`` per point of a plane curve or a surface in P^3.
 
-    A singular point is a node when the quadratic part of the affine local
-    expansion is nondegenerate: for curves the 2x2 discriminant of second
-    partials is nonzero, for surfaces the 3x3 one.
+    The Hessian H is built once.  For degree d >= 2, Euler's identities
+    H(p) p = (d - 1) grad F(p) and p . grad F(p) = d F(p) make p singular
+    iff H(p) p = 0.  Then adj H(p) = lam p p^T, and p is a node iff the
+    principal minor of H(p) at a nonzero coordinate c of p, lam p_c^2, is
+    nonzero; it is the report's ``local_quadratic_discriminant``.  A form
+    of degree below 2 is singular only when it is zero, and then no node.
     """
-    n = len(gamma.variables)
-    if len(p.coords) != n:
+    n = len(form.variables)
+    if any(len(p.coords) != n for p in points):
         raise FieldMismatch("point/form dimension mismatch")
-    coords = list(p.coords)
-    partials = gamma.partials()
-    vals = [q.eval(coords) for q in partials]
-    singular = scalar_is_zero(gamma.eval(coords)) and all(
-        scalar_is_zero(v) for v in vals
+    if form.degree < 2:
+        singular = form.is_zero()
+        disc = ZERO if singular else None
+        return [NodeReport(p, singular, False, disc) for p in points]
+    first = form.partials()
+    second = {(i, j): first[i].partial(j) for i in range(n) for j in range(i, n)}
+    reports = []
+    for p in points:
+        coords = list(p.coords)
+        # a constant second partial evaluates to a rational
+        to_field = QQ if p.field is None else p.field.coerce
+        vals = {key: to_field(q.eval(coords)) for key, q in second.items()}
+        hess = [[vals[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+        if not all(scalar_is_zero(sum(map(mul, coords, row))) for row in hess):
+            reports.append(NodeReport(p, False, False, None))
+            continue
+        rest = [i for i in range(n) if i != p.last_nonzero()]
+        minor = _det([[hess[i][j] for j in rest] for i in rest])
+        reports.append(NodeReport(p, True, not scalar_is_zero(minor), minor))
+    return reports
+
+
+def _det(m):
+    """Determinant by cofactor expansion (the minors here are 2x2 or 3x3)."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j, a in enumerate(m[0])
     )
-    if not singular:
-        return NodeReport(p, False, False, None)
-    chart = p.last_nonzero()
-    aff = p.affine(chart)
-    others = [i for i in range(n) if i != chart]
-    second = [
-        [partials[i].partial(j).eval(aff) for j in others] for i in others
-    ]
-    if n == 3:
-        disc = second[0][1] * second[0][1] - second[0][0] * second[1][1]
-    else:
-        a = second
-        disc = (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-    return NodeReport(p, True, not scalar_is_zero(disc), disc)
-
-
-def verify_node(gamma, p):
-    """Node test for a plane curve at a rational or number-field point."""
-    if len(gamma.variables) != 3:
-        raise FieldMismatch("verify_node expects a plane curve")
-    return hessian_node_report(gamma, p)
 
 
 # ---------------------------------------------------------------------------

@@ -428,9 +428,6 @@ class ProjPoint:
         self.coords = tuple(coords)
         self.field = field
 
-    def dim(self):
-        return len(self.coords) - 1
-
     def orbit_size(self):
         return 1 if self.field is None else self.field.degree
 

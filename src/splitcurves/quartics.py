@@ -13,13 +13,12 @@ import itertools
 
 from .arith import binary_form_sqrt, binform_gcd, binform_quotient, scalar_is_zero
 from .conics import (
-    NOT_CONTACT,
     classify_conic,
     contact_profile,
     rational_parametrization,
     restrict_to_conic,
 )
-from .curves import curve_is_reduced, hessian_node_report, singular_locus_complete
+from .curves import curve_is_reduced, singular_locus_complete, verify_node
 from .errors import (
     CannotCertify,
     FieldMismatch,
@@ -60,8 +59,7 @@ class QuarticSurface:
         """Recenter a raw quartic so a verified node sits at (0:0:0:1)."""
         if len(quartic.variables) != 4 or quartic.degree != 4:
             raise FieldMismatch("need a quartic form in four variables")
-        report = hessian_node_report(quartic, node)
-        if not report.is_node:
+        if not verify_node(quartic, [node])[0].is_node:
             raise NodeDegenerate("%r is not a node of the quartic" % (node,))
         cols = [list(node.primitive())]
         for k in range(4):
@@ -108,13 +106,6 @@ def _lift(plane_form_):
         plane_form_.degree,
         {(e[0], e[1], e[2], 0): c for e, c in plane_form_.terms.items()},
     )
-
-
-def verify_surface_node(quartic, p):
-    """Node test for a surface point: rank-3 quadratic part."""
-    if len(quartic.variables) != 4:
-        raise FieldMismatch("verify_surface_node expects a surface")
-    return hessian_node_report(quartic, p)
 
 
 def project_quartic(surface, check_contact=True):
@@ -342,6 +333,14 @@ def surface_singular_locus_complete(surface, claimed):
     points of the surface are in bijection with the nodes of the projected
     sextic, the lift over a node P being w = -g3(P) / g2(P).  The claim is
     therefore reduced to the plane-curve completeness check.
+
+    The correspondence needs g2 to be an even contact conic of the sextic,
+    and ``project_quartic``'s line check settles that.  On g2 = 0 the
+    sextic restricts to r3^2, so every contact multiplicity is even.  Each
+    partial of the sextic restricts to 2 r3 (dg3)| - r4 (dg2)|, and grad g2
+    vanishes nowhere on a smooth conic, so at a root of r3 the partials all
+    vanish only where r4 does, which the line check excludes.  Without a
+    rational point on g2 that check cannot run: ``PointNotOnConic``.
     """
     quartic = surface.form()
     rest = []
@@ -353,18 +352,13 @@ def surface_singular_locus_complete(surface, claimed):
             rest.append(p)
     if not saw_center:
         return False
-    gamma_x, delta_x, info = project_quartic(surface, check_contact=False)
-    profile = contact_profile(gamma_x, delta_x, info.get("param"))
-    if profile.kind == NOT_CONTACT:
-        raise CannotCertify(
-            "projection is not an even-contact configuration; the "
-            "correspondence-based completeness check does not apply"
-        )
+    gamma_x, _delta_x, info = project_quartic(surface, check_contact=False)
+    if "param" not in info:
+        raise PointNotOnConic("conic has no rational point")
+    if not all(rep.is_singular for rep in verify_node(quartic, rest)):
+        return False
     projections = []
     for p in rest:
-        rep = hessian_node_report(quartic, p)
-        if not rep.is_singular:
-            return False
         proj = ProjPoint(list(p.coords[:3]))
         # the lift over the projection must be the claimed point itself:
         # g2(P) * w + g3(P) = 0 homogeneously (g3 evaluated on (x, y, z))

@@ -15,7 +15,7 @@ from .cover import involution_biform, pullback_curve
 from .curves import irreducibility_sextic, singular_locus_complete, verify_node
 from .errors import SplitCurvesError
 from .forms import BiForm, Form, biform_to_str, form_to_str, parse_form
-from .linsys import FormSpace, cond_point, cond_divisible_on_conic, system_solve
+from .linsys import FormSpace, cond_point, system_solve
 from .registry import load_example
 from .scalars import rat_str
 from .splitting import (
@@ -146,7 +146,7 @@ def run_verify_example(example_id):
 
     _construction_checks(report, record)
 
-    node_reports = [verify_node(gamma, p) for p in nodes]
+    node_reports = verify_node(gamma, nodes)
     report.add(
         "nodes verify as nodes",
         all(rep.is_node for rep in node_reports),
@@ -181,9 +181,8 @@ def run_verify_example(example_id):
     else:
         report.add("irreducible", irred, True, irred)
 
-    _example_specific_checks(report, record, config)
-
     split_report = splitting_type_normalized(config)
+    _example_specific_checks(report, record, config, split_report)
     report.splitting = _splitting_summary(split_report)
     report.undetermined = split_report.outcome == "undetermined"
     expected_outcome = {"outcome": claim["outcome"]}
@@ -273,7 +272,7 @@ def _construction_checks(report, record):
         )
 
 
-def _example_specific_checks(report, record, config):
+def _example_specific_checks(report, record, config, split_report):
     example_id = record.example_id
     claim = record.claim
     gamma = record.curve
@@ -334,7 +333,7 @@ def _example_specific_checks(report, record, config):
             expected=True,
         )
     elif example_id == "split7-24":
-        _split7_24_checks(report, record, config)
+        _split7_24_checks(report, record, split_report)
     elif example_id == "nonsplit7":
         _nonsplit7_checks(report, record, config)
 
@@ -345,12 +344,11 @@ def _vanishes(form, p):
     return scalar_is_zero(form.eval(list(p.coords)))
 
 
-def _split7_24_checks(report, record, config):
+def _split7_24_checks(report, record, split_report):
     from .quartics import (
         general_position_p3,
         surface_singular_locus_complete,
         syzygetic_test,
-        verify_surface_node,
     )
 
     surface = record.surface
@@ -366,7 +364,7 @@ def _split7_24_checks(report, record, config):
         expected=True,
         actual=built == quartic,
     )
-    node_reports = [verify_surface_node(quartic, p) for p in record.surface_nodes]
+    node_reports = verify_node(quartic, record.surface_nodes)
     report.add(
         "eight surface nodes verify",
         all(rep.is_node for rep in node_reports),
@@ -417,13 +415,16 @@ def _split7_24_checks(report, record, config):
         detail="the alternative reading ending in the linear coefficient is "
         "not bihomogeneous, so exact verification selects the quadratic one",
     )
-    # the conic is already z^2 - 4xy, so config holds the record's curve
-    crit = criterion_24_7nodal(record.curve, config.nodes, config.profile.contact_form)
+    # the decision ran the criterion on this curve, its nodes and contact form
+    crit = next(
+        (e["criterion_24"] for e in split_report.evidence if "criterion_24" in e),
+        None,
+    )
     report.add(
         "type-(2,4) criterion holds",
-        crit.holds,
+        crit is not None and crit["holds"],
         expected=True,
-        actual={"holds": crit.holds, "failed": crit.failed},
+        actual=crit and {"holds": crit["holds"], "failed": crit["failed"]},
     )
 
 
@@ -444,9 +445,7 @@ def claim_dim(record):
 
 
 def _nonsplit7_checks(report, record, config):
-    gamma_n = config.gamma
     nodes_n = config.nodes
-    contact_form = config.profile.contact_form
     space2 = FormSpace(2, PLANE_VARS)
     rows2 = [cond_point(space2, p) for p in nodes_n]
     dims = [
@@ -459,18 +458,15 @@ def _nonsplit7_checks(report, record, config):
         expected=[-1] * 7,
         actual=dims,
     )
-    space4 = FormSpace(4, PLANE_VARS)
-    conds = cond_divisible_on_conic(4, contact_form)
-    for p in nodes_n:
-        conds.extend(cond_point(space4, p))
-    rep = system_solve(space4, conds)
+    # the quartic system is the criterion's (iii-b) system
+    crit = criterion_24_7nodal(config.gamma, nodes_n, config.profile.contact_form)
+    quartic_dim = crit.details.get("quartic_dimension")
     report.add(
         "quartics through nodes and contact divisor: dimension",
-        rep.dimension == record.claim["quartic_system_dimension"],
+        quartic_dim == record.claim["quartic_system_dimension"],
         expected=record.claim["quartic_system_dimension"],
-        actual=rep.dimension,
+        actual=quartic_dim,
     )
-    crit = criterion_24_7nodal(gamma_n, nodes_n, contact_form)
     report.add(
         "type-(2,4) criterion fails at (iii-b)",
         (not crit.holds) and crit.failed == "iii-b",

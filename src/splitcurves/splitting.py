@@ -26,11 +26,11 @@ from .arith import BinForm, binform_quotient, upoly_gcd
 from .conics import (
     SIMPLE_CONTACT,
     classify_conic,
+    conic_matrix,
     contact_profile,
     delta2,
     delta2_param,
     normalize_conic,
-    rational_parametrization,
     restrict_to_conic,
     square_class,
 )
@@ -111,8 +111,7 @@ class SplitCertificate:
 
 def _line_param(line):
     """Rational parametrization of a line in the plane (two basis points)."""
-    vec = [line.terms.get(e, ZERO) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    basis = kernel_basis([vec], 3)
+    basis = kernel_basis([line.coefficient_vector()], 3)
     return basis[0], basis[1]
 
 
@@ -140,7 +139,8 @@ def verify_certificate(gamma, delta, cert):
 
     Checks the defining identity and, for m < n, that the chosen line is
     tangent to the conic and transversal to the curve, with c_n and c_{n-1}
-    not vanishing on it.
+    not vanishing on it.  The line l is tangent to the conic A iff its
+    pole A^-1 l, a rational point, lies on the conic: l^T A^-1 l = 0.
     """
     d = gamma.degree
     m, n = cert.m, cert.n
@@ -151,10 +151,13 @@ def verify_certificate(gamma, delta, cert):
         return False
     if k > 0:
         line = cert.line
-        restr = restrict_to_conic(line, rational_parametrization(delta))
-        # tangency: the restricted binary quadratic has a double root
-        disc = restr.coeffs[1] ** 2 - 4 * restr.coeffs[0] * restr.coeffs[2]
-        if restr.is_zero() or disc != 0:
+        inv = mat_inv(conic_matrix(delta))
+        if inv is None:
+            raise ConicNotSmooth(repr(delta))
+        vec = line.coefficient_vector()
+        if line.degree != 1 or line.is_zero() or sum(
+            vec[i] * inv[i][j] * vec[j] for i in range(3) for j in range(3)
+        ):
             raise NotTangentLine("line is not tangent to the conic")
         if not _binform_squarefree(_restrict_to_line(gamma, line)):
             raise NotTangentLine("line is not transversal to the curve")
@@ -616,12 +619,23 @@ def _candidate_factor(vec, m, n, na, nl, ext, f_pull):
 
 
 def _pick_tangent_line(gamma):
-    """(line, l): the first tangent line at (1 : j) transversal to the curve."""
-    for j in range(0, 21):
+    """(line, l): the first tangent line at (1 : j) transversal to the curve.
+
+    The tangent line at the image of (u : v) meets the curve as F(s, t; u, v),
+    F the pullback, and the discriminant of that binary form in (s, t) is a
+    form of degree 2d(d - 1) in (u, v).  It vanishes identically only when
+    the curve has a multiple component or contains the conic; otherwise
+    one of the 2d(d - 1) + 1 points (1 : j), j = 0, 1, ..., is not a root.
+    """
+    bound = 2 * gamma.degree * (gamma.degree - 1)
+    for j in range(bound + 1):
         line, l = tangent_line(1, j)
         if _binform_squarefree(_restrict_to_line(gamma, line)):
             return line, l
-    raise NotTangentLine("no transversal tangent line among the first 21")
+    raise NotTangentLine(
+        "no tangent line at (1 : j), j = 0..%d, is transversal: the curve has a "
+        "multiple component or contains the conic" % bound
+    )
 
 
 def certificate_from_factor(gamma, factor, m, n):
@@ -824,9 +838,9 @@ def splitting_type(gamma, conic, nodes=None):
         nodes = singular_points(gamma)
     elif not singular_locus_complete(gamma, nodes):
         raise SplitCurvesError("claimed nodes are not the full singular locus")
-    for p in nodes:
-        if not verify_node(gamma, p).is_node:
-            raise SplitCurvesError("singular point %r is not a node" % (p,))
+    for rep in verify_node(gamma, nodes):
+        if not rep.is_node:
+            raise SplitCurvesError("singular point %r is not a node" % (rep.point,))
     report = splitting_type_normalized(normalize_configuration(gamma, conic, nodes))
     report.nodes = nodes
     return report

@@ -79,8 +79,8 @@ def test_criterion_1_split6():
     field = NumberField(UPoly([1, 3, 3, 1, 3, 3, 1]))
     assert record.nodes[0].field == field
     assert record.nodes[0].orbit_size() == 6
-    for p in record.nodes:
-        assert verify_node(record.curve, p).is_node
+    for rep in verify_node(record.curve, record.nodes):
+        assert rep.is_node
     profile = contact_profile(record.curve, record.conic, delta2_param())
     assert profile.kind == SIMPLE_CONTACT and profile.tangent_count == 6
     rep = splitting_type(record.curve, record.conic, record.nodes)
@@ -92,8 +92,8 @@ def test_criterion_1_split6():
 @_stamp("criterion 2: 6-nodal non-split 1", 5)
 def test_criterion_2_nonsplit6a():
     record = load_example("nonsplit6a")
-    for p in record.nodes:
-        assert p.field is None and verify_node(record.curve, p).is_node
+    for p, rep in zip(record.nodes, verify_node(record.curve, record.nodes)):
+        assert p.field is None and rep.is_node
     space = FormSpace(2, PLANE)
     conds = []
     for p in record.nodes:
@@ -119,8 +119,8 @@ def test_criterion_3_nonsplit6b():
     curve = c3 * c3 - (delta2() * c4).scale(432)
     record = load_example("nonsplit6b")
     assert curve == record.curve
-    for p in record.nodes:
-        assert verify_node(curve, p).is_node
+    for rep in verify_node(curve, record.nodes):
+        assert rep.is_node
     # the catalog erratum: the circulated sixth point is not on the curve
     assert curve.eval([QQ(-3), QQ(36), QQ(38)]) != 0
     assert curve.eval([QQ(-3), QQ(36), QQ(28)]) == 0
@@ -144,8 +144,8 @@ def test_criterion_4_split7_33():
     assert sum(p.orbit_size() for p in record.nodes) == 7
     sizes = sorted(p.orbit_size() for p in record.nodes)
     assert sizes == [1, 2, 4]
-    for p in record.nodes:
-        assert verify_node(record.curve, p).is_node
+    for rep in verify_node(record.curve, record.nodes):
+        assert rep.is_node
     w2 = parse_form("z^2 - x*y - y^2 + x^2", PLANE)
     from splitcurves.arith import scalar_is_zero
 
@@ -167,7 +167,6 @@ def test_criterion_5_split7_24():
         general_position_p3,
         project_quartic,
         syzygetic_test,
-        verify_surface_node,
     )
 
     raw = raw_record("split7-24")
@@ -177,8 +176,8 @@ def test_criterion_5_split7_24():
     quartic = f3 * f3 - (f1 * f2).scale(4)
     record = load_example("split7-24")
     assert record.surface.form() == quartic
-    for p in record.surface_nodes:
-        assert verify_surface_node(quartic, p).is_node
+    for rep in verify_node(quartic, record.surface_nodes):
+        assert rep.is_node
     assert bool(general_position_p3(record.surface_nodes))
     syz = syzygetic_test(quartic, record.surface_nodes)
     assert syz and syz.report.dimension == 2
@@ -219,8 +218,8 @@ def test_criterion_5_split7_24():
 @_stamp("criterion 6: 7-nodal non-split", 10)
 def test_criterion_6_nonsplit7():
     record = load_example("nonsplit7")
-    for p in record.nodes:
-        assert p.field is None and verify_node(record.curve, p).is_node
+    for p, rep in zip(record.nodes, verify_node(record.curve, record.nodes)):
+        assert p.field is None and rep.is_node
     config = normalize_configuration(record.curve, record.conic, record.nodes)
     space2 = FormSpace(2, PLANE)
     for subset in itertools.combinations(range(7), 6):
@@ -372,3 +371,39 @@ def test_criterion_9_coordinate_robustness():
         nodes_t = [transform_point(m, p) for p in record.nodes]
         rep = splitting_type(gamma_t, conic_t, nodes_t)
         assert rep.outcome == "split" and (rep.m, rep.n) == (3, 3)
+
+
+def test_verify_example_split7_24_analyzes_contact_and_criterion_once(monkeypatch):
+    import sys
+
+    from splitcurves import conics, splitting
+
+    calls = {}
+    targets = ((conics, "contact_profile"), (splitting, "criterion_24_7nodal"))
+    for module, name in targets:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        # a function imported by name is replaced in every module holding it
+        for held in list(sys.modules.values()):
+            if held.__name__.startswith("splitcurves"):
+                if getattr(held, name, None) is fn:
+                    monkeypatch.setattr(held, name, counted)
+    assert run_verify_example("split7-24").overall
+    assert calls == {"contact_profile": 1, "criterion_24_7nodal": 1}
+
+
+def test_split7_24_criterion_check_fails_when_the_decision_skipped_it():
+    from types import SimpleNamespace
+
+    from splitcurves.reports import VerificationReport, _split7_24_checks
+
+    record = load_example("split7-24")
+    report = VerificationReport(record.example_id, record.label)
+    _split7_24_checks(report, record, SimpleNamespace(evidence=[{"type": (2, 4)}]))
+    last = report.checks[-1]
+    assert last["name"] == "type-(2,4) criterion holds"
+    assert not last["passed"] and last["actual"] is None

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from splitcurves.arith import NumberField, UPoly
+from splitcurves.arith import NumberField, UPoly, scalar_is_zero
 from splitcurves import curves
 from splitcurves.curves import (
     _first_locus,
@@ -15,8 +16,14 @@ from splitcurves.curves import (
     singular_points,
     verify_node,
 )
-from splitcurves.errors import CannotCertify, CommonComponent, TooManyNodes
+from splitcurves.errors import (
+    CannotCertify,
+    CommonComponent,
+    FieldMismatch,
+    TooManyNodes,
+)
 from splitcurves.forms import (
+    Form,
     ProjPoint,
     compose_form,
     parse_form,
@@ -25,28 +32,28 @@ from splitcurves.forms import (
 )
 from splitcurves.linalg import mat_det, mat_inv
 from splitcurves.registry import load_example, parse_node_spec
-from splitcurves.scalars import QQ
+from splitcurves.scalars import QQ, isqrt_exact
 
-from conftest import PLANE, random_rat, rng_for
+from conftest import PLANE, SPACE, random_form, random_rat, rng_for
 
 
 def test_node_versus_cusp():
-    rep = verify_node(parse_form("xy", PLANE), point(0, 0, 1))
-    assert rep.is_singular and rep.is_node
-    assert rep.local_quadratic_discriminant != 0
-    rep = verify_node(parse_form("y^2*z-x^3", PLANE), point(0, 0, 1))
+    xy = parse_form("xy", PLANE)
+    node, smooth = verify_node(xy, [point(0, 0, 1), point(1, 1, 1)])
+    assert node.is_singular and node.is_node
+    assert node.local_quadratic_discriminant != 0
+    (rep,) = verify_node(parse_form("y^2*z-x^3", PLANE), [point(0, 0, 1)])
     assert rep.is_singular and not rep.is_node
-    rep = verify_node(parse_form("xy", PLANE), point(1, 1, 1))
-    assert not rep.is_singular and not rep.is_node
+    assert not smooth.is_singular and not smooth.is_node
 
 
 def test_registry_rational_node(gamma6_prime):
-    rep = verify_node(gamma6_prime, point(1, 1, 1))
+    (rep,) = verify_node(gamma6_prime, [point(1, 1, 1)])
     assert rep.is_node
 
 
 def test_conjugate_orbit_node(gamma6, gamma6_orbit):
-    rep = verify_node(gamma6, gamma6_orbit)
+    (rep,) = verify_node(gamma6, [gamma6_orbit])
     assert rep.is_singular and rep.is_node
 
 
@@ -63,7 +70,193 @@ def test_node_verdict_projective_invariance(gamma6_prime):
         minv = mat_inv(m)
         moved_curve = compose_form(gamma6_prime, m)
         moved_point = transform_point(minv, p)
-        assert verify_node(moved_curve, moved_point).is_node
+        assert verify_node(moved_curve, [moved_point])[0].is_node
+
+
+def _parent_node_verdict(gamma, p):
+    """(is_singular, is_node) as the parent's ``hessian_node_report`` decided
+    it, kept as an oracle: the partials vanish at p, and the 2x2 or 3x3
+    determinant of second partials in the affine chart at p is nonzero."""
+    n = len(gamma.variables)
+    coords = list(p.coords)
+    partials = gamma.partials()
+    singular = scalar_is_zero(gamma.eval(coords)) and all(
+        scalar_is_zero(q.eval(coords)) for q in partials
+    )
+    if not singular:
+        return False, False
+    chart = p.last_nonzero()
+    aff = p.affine(chart)
+    others = [i for i in range(n) if i != chart]
+    a = [[partials[i].partial(j).eval(aff) for j in others] for i in others]
+    if n == 3:
+        disc = a[0][1] * a[0][1] - a[0][0] * a[1][1]
+    else:
+        disc = (
+            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+        )
+    return True, not scalar_is_zero(disc)
+
+
+def _orbit_and_ideal(rng, nvars, quadratic):
+    """(point, generators): a rational point, or one of a conjugate pair, and
+    forms generating the ideal of its orbit.  The generators are linear
+    forms, then (for a pair) the homogenized minimal polynomial of its first
+    coordinate; the last variable is 1 at the point."""
+    variables = PLANE if nvars == 3 else SPACE
+    first, last = variables[0], variables[-1]
+    if quadratic:
+        while True:
+            b, c = rng.randint(-4, 4), rng.randint(-4, 4)
+            if isqrt_exact(b * b - 4 * c) is None:
+                break
+        field = NumberField(UPoly([c, b, 1]))
+        theta = field.gen()
+        quad = parse_form(
+            "%s^2 + %d*%s*%s + %d*%s^2" % (first, b, first, last, c, last), variables
+        )
+    coords, gens = [], []
+    for k, v in enumerate(variables[:-1]):
+        a, e = rng.randint(-3, 3), rng.randint(-3, 3)
+        if not quadratic:
+            coords.append(QQ(a))
+            gens.append(parse_form("%s - %d*%s" % (v, a, last), variables))
+        elif k == 0:
+            coords.append(theta)
+        else:
+            coords.append(theta * e + a)
+            line = "%s - %d*%s - %d*%s" % (v, a, last, e, first)
+            gens.append(parse_form(line, variables))
+    coords.append(field.one() if quadratic else QQ(1))
+    return ProjPoint(coords), gens + ([quad] if quadratic else [])
+
+
+def _in_ideal(rng, nvars, degree, products):
+    """A random form of the given degree in the ideal the products generate."""
+    out = Form.zero(PLANE if nvars == 3 else SPACE, degree)
+    for prod in products:
+        if prod.degree <= degree:
+            out = out + prod * random_form(rng, degree - prod.degree, nvars, height=4)
+    return out
+
+
+def _random_point(rng, nvars, field):
+    """A point with small coordinates, rational or in the field."""
+    if field is None:
+        coords = [QQ(rng.randint(-3, 3)) for _ in range(nvars)]
+    else:
+        coords = [
+            field.elem([rng.randint(-2, 2) for _ in range(field.degree)])
+            for _ in range(nvars)
+        ]
+    if all(scalar_is_zero(c) for c in coords):
+        coords[-1] = coords[-1] + 1
+    return ProjPoint(coords)
+
+
+def _oracle_cases():
+    """(form, points): seeded curves of degree 2-6 and quartic surfaces,
+    each with a node or a worse singularity at a rational point or a
+    conjugate pair, or passing smoothly through it, moved by a random
+    integer matrix; the points are that point and rational, quadratic and
+    sextic points off it."""
+    rng = rng_for("verify_node oracle")
+    sextic = NumberField(UPoly([1, 3, 3, 1, 3, 3, 1]))
+    cases = []
+    shapes = [(3, d) for d in range(2, 7)] + [(4, 4)] * 3
+    for nvars, degree in shapes:
+        for quadratic in (False, True):
+            p, gens = _orbit_and_ideal(rng, nvars, quadratic)
+            pairs = [g * h for g, h in itertools.combinations_with_replacement(gens, 2)]
+            # a tangent cone in fewer than nvars - 1 linear forms: not a node
+            flat = gens[0] * gens[0] if nvars == 3 else gens[0] * gens[1]
+            worse = [flat, gens[-1] * gens[-1] * gens[-1]]
+            if nvars == 4:
+                worse += [gens[0] * gens[0], gens[1] * gens[1]]
+            for products in (pairs, worse, gens):
+                form = _in_ideal(rng, nvars, degree, products)
+                while True:
+                    m = [[QQ(rng.randint(-2, 2)) for _ in p.coords] for _ in p.coords]
+                    if mat_det(m) != 0:
+                        break
+                quadratic_field = p.field or NumberField(UPoly([2, 0, 1]))
+                points = [transform_point(mat_inv(m), p)] + [
+                    _random_point(rng, nvars, field)
+                    for field in (None, quadratic_field, sextic)
+                ]
+                cases.append((compose_form(form, m), points))
+    return cases
+
+
+def _special_cases(gamma6, gamma6_orbit):
+    """(form, points): a cusp, a tacnode, a sextic node orbit, and forms of
+    degree 0 and 1 and zero forms, in 3 and 4 variables."""
+    cusp = parse_form("y^2*z - x^3", PLANE)
+    tacnode = parse_form("y^2*z^2 - x^4", PLANE)
+    corners = [point(0, 0, 1), point(0, 1, 0), point(1, 0, 0), point(1, 1, 1)]
+    field = NumberField(UPoly([1, 0, 1]))
+    pair = ProjPoint([field.gen(), field.one(), field.zero()])
+    cases = [(cusp, corners + [pair]), (tacnode, corners + [pair])]
+    cases.append((gamma6, [gamma6_orbit, point(1, 0, 0), pair]))
+    space_points = [point(0, 0, 0, 1), point(1, 2, 3, 4)]
+    for variables, pts in ((PLANE, corners + [pair]), (SPACE, space_points)):
+        seven = Form(variables, 0, {(0,) * len(variables): QQ(7)})
+        line = parse_form("x - 2*y", variables)
+        for degree in (0, 1, 3):
+            cases.append((Form.zero(variables, degree), pts))
+        cases += [(seven, pts), (line, pts)]
+    return cases
+
+
+def test_verify_node_matches_the_parent_chart_test(gamma6, gamma6_orbit):
+    seen = set()
+    for form, points in _oracle_cases() + _special_cases(gamma6, gamma6_orbit):
+        reports = verify_node(form, points)
+        assert [rep.point for rep in reports] == points
+        for p, rep in zip(points, reports):
+            verdict = (rep.is_singular, rep.is_node)
+            assert verdict == _parent_node_verdict(form, p)
+            disc = rep.local_quadratic_discriminant
+            if rep.is_singular:
+                assert scalar_is_zero(disc) == (not rep.is_node)
+            else:
+                assert disc is None
+            seen.add((len(form.variables), p.orbit_size(), verdict))
+    # nodes, worse points and smooth points, on curves and on surfaces, both
+    # at rational points and at conjugate pairs
+    for nvars in (3, 4):
+        for size in (1, 2):
+            for verdict in ((True, True), (True, False), (False, False)):
+                assert (nvars, size, verdict) in seen
+
+
+@pytest.mark.parametrize("nvars", [3, 4])
+def test_verify_node_builds_the_hessian_once_per_call(monkeypatch, nvars):
+    rng = rng_for("hessian builds %d" % nvars)
+    form = random_form(rng, 4, nvars)
+    points = [_random_point(rng, nvars, None) for _ in range(6)]
+    builds = []
+    partial = Form.partial
+
+    def counted(self, i):
+        builds.append(i)
+        return partial(self, i)
+
+    monkeypatch.setattr(Form, "partial", counted)
+    counts = []
+    for k in (1, 2, 6):
+        del builds[:]
+        verify_node(form, points[:k])
+        counts.append(len(builds))
+    # the nvars first partials and the nvars (nvars + 1) / 2 second ones
+    assert counts == [nvars + nvars * (nvars + 1) // 2] * 3
+
+
+def test_verify_node_rejects_a_point_of_another_dimension():
+    with pytest.raises(FieldMismatch):
+        verify_node(parse_form("x*y", PLANE), [point(0, 0, 1), point(0, 0, 0, 1)])
 
 
 def test_completeness_rational(gamma6_prime, gamma6_prime_nodes):
@@ -112,8 +305,8 @@ def test_completeness_implies_each_point_is_a_node(
     gamma6_prime, gamma6_prime_nodes
 ):
     assert singular_locus_complete(gamma6_prime, gamma6_prime_nodes)
-    for p in gamma6_prime_nodes:
-        assert verify_node(gamma6_prime, p).is_node
+    for rep in verify_node(gamma6_prime, gamma6_prime_nodes):
+        assert rep.is_node
 
 
 def test_registry_node_counts(gamma6_orbit, gamma6_prime_nodes, gamma7_prime_nodes):
@@ -258,7 +451,7 @@ def test_rational_points_over_one_x_are_kept_and_conjugate_ones_are_not():
     orbit = ProjPoint([field.zero(), field.gen(), field.one()])
     assert singular_locus_complete(gamma, [orbit])
     (found,) = singular_points(gamma)
-    assert found.field.degree == 2 and verify_node(gamma, found).is_node
+    assert found.field.degree == 2 and verify_node(gamma, [found])[0].is_node
 
 
 def test_a_node_claimed_twice_does_not_stand_in_for_another_on_its_line():

@@ -1,15 +1,21 @@
-"""Static hygiene of the package: no unused import, no private helper nothing
-calls, and no benchmark tracer target that the package no longer defines.
+"""Static hygiene of the package: no unused import, no private helper or
+method nothing calls, and no benchmark tracer target that the package no
+longer defines.
 
-The checks read the source with ``ast`` only; nothing is imported.
+The checks read the source with ``ast`` only; nothing of the package is
+imported (a base class from the standard library is, to see what it defines).
 """
 
 import ast
+import builtins
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "splitcurves"
 SPANS = ROOT / "perfbench" / "spans.py"
+# the code whose reads keep a method of the package alive
+READERS = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
 
 
 def _modules():
@@ -83,6 +89,61 @@ def test_every_private_name_is_referenced():
     assert unreferenced == []
 
 
+def _classes(modules):
+    """{name: class node} of every class of the package, at any depth."""
+    return {
+        node.name: node
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def _inherited(cls, classes):
+    """Names a class finds on its bases: package classes are read from their
+    source, a builtin or ``module.Class`` base from the standard library."""
+    names = set()
+    for base in cls.bases:
+        if isinstance(base, ast.Name) and base.id in classes:
+            parent = classes[base.id]
+            names |= {i.name for i in parent.body if isinstance(i, ast.FunctionDef)}
+            names |= _inherited(parent, classes)
+        elif isinstance(base, ast.Name):
+            names |= set(dir(getattr(builtins, base.id)))
+        else:
+            module = importlib.import_module(base.value.id)
+            names |= set(dir(getattr(module, base.attr)))
+    return names
+
+
+def _attributes_read(tree):
+    """Every attribute name read in the tree: a method is reached as one."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _unread_methods(classes, read):
+    """``Class.method`` of each method no reader reads as an attribute:
+    dunders and overrides of a base-class method are called by the language
+    or the base."""
+    return [
+        "%s.%s" % (cls.name, item.name)
+        for cls in classes.values()
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef)
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+        and item.name not in _inherited(cls, classes)
+        and item.name not in read
+    ]
+
+
+def test_every_method_is_read():
+    read = set()
+    for root in READERS:
+        for path in sorted(root.rglob("*.py")):
+            read |= _attributes_read(ast.parse(path.read_text(encoding="utf-8")))
+    assert _unread_methods(_classes(_modules()), read) == []
+
+
 def test_the_checks_see_a_violation():
     tree = ast.parse(
         "import os\nfrom math import comb\n\ndef _helper():\n    return comb(3, 1)\n"
@@ -91,6 +152,20 @@ def test_the_checks_see_a_violation():
     assert [b for b, _l in _imported_names(tree) if b not in used] == ["os"]
     assert _private_definitions(tree) == ["_helper"]
     assert "_helper" not in used
+    tree = ast.parse(
+        "import argparse\n"
+        "class P(argparse.ArgumentParser):\n"
+        "    def error(self, message): pass\n"
+        "    def spare(self): pass\n"
+        "class Q(P):\n"
+        "    def spare(self): pass\n"
+        "    def used(self): pass\n"
+        "    def __len__(self): return 0\n"
+        "Q().used()\n"
+        "spare = 1\n"
+    )
+    classes = _classes({"m": tree})
+    assert _unread_methods(classes, _attributes_read(tree)) == ["P.spare"]
 
 
 def _tracer_targets():

@@ -1,10 +1,11 @@
 import pytest
 
-from splitcurves.conics import EVEN_CONTACT, SIMPLE_CONTACT, delta2
+from splitcurves.conics import EVEN_CONTACT, SIMPLE_CONTACT, contact_profile, delta2
 from splitcurves.curves import verify_node
 from splitcurves.errors import (
     LineThroughNode,
     NodeDegenerate,
+    PointNotOnConic,
     QuadricSingularAtNode,
 )
 from splitcurves.forms import Form, ProjPoint, parse_form, point
@@ -19,11 +20,10 @@ from splitcurves.quartics import (
     quartic_from_sextic,
     surface_singular_locus_complete,
     syzygetic_test,
-    verify_surface_node,
 )
 from splitcurves.scalars import QQ
 
-from conftest import PLANE, SPACE, rng_for
+from conftest import PLANE, SPACE, random_form, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -129,11 +129,10 @@ def test_alpha2_examples(syz_surface):
 
 def test_surface_nodes(syz_surface):
     quartic, _surface, nodes, _fs = syz_surface
-    for p in nodes:
-        rep = verify_surface_node(quartic, p)
+    for rep in verify_node(quartic, nodes):
         assert rep.is_node
     degenerate = parse_form("x^2*w^2 + y^4 + z^4", SPACE)
-    rep = verify_surface_node(degenerate, point(0, 0, 0, 1))
+    (rep,) = verify_node(degenerate, [point(0, 0, 0, 1)])
     assert rep.is_singular and not rep.is_node
 
 
@@ -226,12 +225,55 @@ def test_surface_completeness(syz_surface):
     assert not surface_singular_locus_complete(surface, nodes[1:])
 
 
+def test_surface_completeness_takes_even_contact_from_the_line_check(
+    syz_surface, monkeypatch
+):
+    from splitcurves import conics, quartics
+
+    _quartic, surface, nodes, _fs = syz_surface
+
+    def refuse(*_args):
+        raise AssertionError("contact analysis rerun")
+
+    monkeypatch.setattr(quartics, "contact_profile", refuse)
+    monkeypatch.setattr(conics, "contact_profile", refuse)
+    assert surface_singular_locus_complete(surface, nodes)
+
+
+def test_line_check_implies_even_contact():
+    # project_quartic's line check leaves the sextic's contact with g2 even
+    rng = rng_for("line check implies even contact")
+    checked = 0
+    for _ in range(6):
+        g3 = random_form(rng, 3, height=3, sparsity=0.5)
+        g4 = random_form(rng, 4, height=3, sparsity=0.5)
+        surface = QuarticSurface(delta2(), g3, g4)
+        try:
+            gamma_x, delta_x, info = project_quartic(surface, check_contact=False)
+        except LineThroughNode:
+            continue
+        profile = contact_profile(gamma_x, delta_x, info["param"])
+        assert profile.kind in (SIMPLE_CONTACT, EVEN_CONTACT)
+        checked += 1
+    assert checked >= 3
+
+
+def test_surface_completeness_needs_a_rational_point_on_the_center_conic():
+    surface = QuarticSurface(
+        parse_form("x^2 + y^2 + z^2", PLANE),
+        parse_form("x^3 + y^2*z", PLANE),
+        parse_form("x^4 + y^4 + z^4 + x*y*z^2", PLANE),
+    )
+    with pytest.raises(PointNotOnConic):
+        surface_singular_locus_complete(surface, [point(0, 0, 0, 1)])
+
+
 def test_projected_nodes_are_curve_nodes(syz_surface):
     _quartic, surface, nodes, _fs = syz_surface
     gamma_x, _delta_x, _info = project_quartic(surface, check_contact=False)
-    for p in nodes[1:]:
-        proj = ProjPoint(list(p.coords[:3]))
-        assert verify_node(gamma_x, proj).is_node
+    projections = [ProjPoint(list(p.coords[:3])) for p in nodes[1:]]
+    for rep in verify_node(gamma_x, projections):
+        assert rep.is_node
 
 
 def test_quartic_from_sextic_roundtrip(gamma6):

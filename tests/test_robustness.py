@@ -92,7 +92,7 @@ def test_quartic_curve_type_22_over_gaussian_nodes():
     field = NumberField(UPoly([1, 0, 1]))
     i = field.gen()
     orbit = ProjPoint([field.zero(), i, field.one()])
-    assert verify_node(gamma, orbit).is_node
+    assert verify_node(gamma, [orbit])[0].is_node
     assert singular_locus_complete(gamma, [orbit])
 
     rep = splitting_type(gamma, delta2(), [orbit])

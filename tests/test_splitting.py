@@ -4,8 +4,13 @@ from splitcurves import splitting
 from splitcurves.conics import contact_profile, delta2, delta2_param
 from splitcurves.curves import singular_locus_complete, singular_points
 from splitcurves.cover import involution_biform, pullback_curve, ram_form
-from splitcurves.errors import ConicNotSmooth, SearchBudgetExceeded, WrongNodeCount
-from splitcurves.forms import Form, parse_form, point
+from splitcurves.errors import (
+    ConicNotSmooth,
+    NotTangentLine,
+    SearchBudgetExceeded,
+    WrongNodeCount,
+)
+from splitcurves.forms import Form, compose_form, monomial_basis, parse_form, point
 from splitcurves.registry import example_ids, load_example
 from splitcurves.splitting import (
     SplitCertificate,
@@ -409,3 +414,78 @@ def test_splitting_type_computes_the_catalog_nodes(example_id):
     for label, reason in claim.get("exclusions", {}).items():
         entry = next(e for e in rep.evidence if "(%d,%d)" % e["type"] == label)
         assert (entry["status"], entry["reason"]) == ("excluded", reason)
+
+
+def _parent_is_tangent(line, conic):
+    """The parent's tangency test, kept as an oracle: the line restricted to
+    a rational parametrization of the conic has a double root."""
+    from splitcurves.conics import rational_parametrization, restrict_to_conic
+
+    restr = restrict_to_conic(line, rational_parametrization(conic))
+    disc = restr.coeffs[1] ** 2 - 4 * restr.coeffs[0] * restr.coeffs[2]
+    return not restr.is_zero() and disc == 0
+
+
+def _passes_tangency(line, conic):
+    """Whether verify_certificate takes the line as tangent to the conic."""
+    cert = SplitCertificate(
+        1, 3, line, parse_form("x^3 + y^2*z", PLANE), parse_form("x*y - z^2", PLANE)
+    )
+    try:
+        verify_certificate(parse_form("x^4 + y^4 - z^4", PLANE), conic, cert)
+    except NotTangentLine as exc:
+        return "not tangent" not in str(exc)
+    return True
+
+
+def test_tangency_in_closed_form_matches_the_parametrization_test():
+    from splitcurves.conics import conic_matrix, rational_parametrization
+
+    rng = rng_for("closed-form tangency")
+    conics = [
+        delta2(),
+        parse_form("x^2 + y^2 - z^2", PLANE),
+        compose_form(delta2(), [[1, 2, 0], [-1, 1, 3], [2, 0, 1]]),
+    ]
+    tangent = 0
+    for conic in conics:
+        param = rational_parametrization(conic)
+        a = conic_matrix(conic)
+        lines = []
+        for _ in range(12):
+            s, t = rng.randint(-4, 4), rng.randint(-4, 4)
+            if (s, t) == (0, 0):
+                continue
+            # the tangent line at a point P of the conic has coefficients A P
+            p = param.point_at(QQ(s), QQ(t)).coords
+            vec = [sum(r * x for r, x in zip(row, p)) for row in a]
+            lines.append(Form(PLANE, 1, dict(zip(monomial_basis(3, 1), vec))))
+            lines.append(random_form(rng, 1, height=5))
+        for line in lines:
+            expected = _parent_is_tangent(line, conic)
+            tangent += expected
+            assert _passes_tangency(line, conic) == expected
+    assert 20 <= tangent < 3 * 24
+
+
+def test_no_rational_line_is_tangent_to_a_conic_without_rational_points():
+    conic = parse_form("x^2 + y^2 + z^2", PLANE)
+    for text in ("x", "x + y", "x - 3*y + 2*z"):
+        assert not _passes_tangency(parse_form(text, PLANE), conic)
+    with pytest.raises(ConicNotSmooth):
+        _passes_tangency(parse_form("x", PLANE), parse_form("x*y", PLANE))
+
+
+def test_tangent_line_pick_is_settled_within_the_degree_bound():
+    from splitcurves.cover import tangent_line
+    from splitcurves.splitting import _pick_tangent_line
+
+    # the first 21 tangent lines are components of the curve, so not transversal
+    gamma = tangent_line(1, 0)[0]
+    for j in range(1, 21):
+        gamma = gamma * tangent_line(1, j)[0]
+    line, l = _pick_tangent_line(gamma)
+    assert (line, l) == tangent_line(1, 21)
+    # a multiple component meets every line twice: the bound is reached
+    with pytest.raises(NotTangentLine, match="j = 0..12.*multiple component"):
+        _pick_tangent_line(parse_form("(x - y)^2*z", PLANE))
