@@ -20,7 +20,16 @@ from .errors import (
     FieldMismatch,
     ReducibleMinimalPolynomial,
 )
-from .scalars import QQ, ZERO, ONE, clear_denominators, rat_sqrt, rat_str
+from .linalg import solve_linear
+from .scalars import (
+    QQ,
+    ZERO,
+    ONE,
+    clear_denominators,
+    over_common_denominator,
+    rat_sqrt,
+    rat_str,
+)
 
 _PRIMES = []
 
@@ -568,19 +577,22 @@ def _content_scale(p):
 
 
 def _zz_prem(f, g):
-    """A pseudo-remainder of f by g: lc(g)^k * f mod g for some k >= 0."""
-    r = list(f)
+    """A pseudo-remainder of f by g: (r, k) with r = lc(g)^k * f mod g."""
+    r = _trim(list(f))
     dg = len(g) - 1
     lc = g[-1]
+    k = 0
     while len(r) > dg:
         c = r[-1]
         shift = len(r) - 1 - dg
-        r = [lc * a for a in r]
+        if lc != 1:
+            r = [lc * a for a in r]
+            k += 1
         for j, b in enumerate(g):
             r[shift + j] -= c * b
         r.pop()
         _trim(r)
-    return r
+    return r, k
 
 
 def _zz_gcd(f, g):
@@ -595,7 +607,7 @@ def _zz_gcd(f, g):
     if len(f) < len(g):
         f, g = g, f
     while g:
-        f, g = g, _zz_primitive(_zz_prem(f, g))[0]
+        f, g = g, _zz_primitive(_zz_prem(f, g)[0])[0]
     return f
 
 
@@ -619,26 +631,6 @@ def upoly_gcd(a, b):
         r = a % b
         a, b = b, r.scale(_content_scale(r))
     return a.monic() if not a.is_zero() else a
-
-
-def upoly_gcdex(a, b):
-    """Extended Euclid: returns (s, t, g) monic g = gcd with s*a + t*b = g."""
-    field = a.field
-    one = UPoly([1] if field is None else [field.one()], field)
-    zero = UPoly.zero(field)
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        scale = _content_scale(r)
-        r0, r1 = r1, r.scale(scale)
-        s0, s1 = s1, (s0 - q * s1).scale(scale)
-        t0, t1 = t1, (t0 - q * t1).scale(scale)
-    if r0.is_zero():
-        return s0, t0, r0
-    inv = ONE / r0.lc() if field is None else r0.lc().inv()
-    return s0.scale(inv), t0.scale(inv), r0.scale(inv)
 
 
 def upoly_from_int(coeffs):
@@ -740,8 +732,25 @@ def upoly_is_irreducible(p):
 # ---------------------------------------------------------------------------
 
 
+def _times_gen(vec, p):
+    """Coordinates of P_n a v for v in QQ[a]/(p), P the integer vector of p.
+
+    v is shifted up one place and its top term cancelled against P,
+    P_n a v = P_n shift(v) - v_(n-1) P, so an integer v gives integers.
+    """
+    top = vec[-1]
+    return [p[-1] * x - top * c for x, c in zip([0] + vec[:-1], p)]
+
+
 class NumberField:
-    """The field QQ[a]/(p) for a monic irreducible rational polynomial p."""
+    """The field QQ[a]/(p) for a monic irreducible rational polynomial p.
+
+    Products, reductions and inverses run in integers.  At construction p
+    is scaled to a primitive integer vector P = (P_0, ..., P_n), P_n > 0,
+    and a^k mod p for k = n .. 2n - 2 is stored as an integer row over one
+    common denominator P_n^(n - 1): a^n = -(P_0 + ... + P_(n-1) a^(n-1)) / P_n,
+    and each further power is one shift and one fold of the top term.
+    """
 
     def __init__(self, minimal_polynomial, name="a", check=True):
         mp = minimal_polynomial.monic()
@@ -750,18 +759,19 @@ class NumberField:
         if check and mp.degree() > 1 and not upoly_is_irreducible(mp):
             raise ReducibleMinimalPolynomial(repr(minimal_polynomial))
         self.minimal_polynomial = mp
-        self.degree = mp.degree()
+        self.degree = n = mp.degree()
         self.name = name
-        # reduction table: a^k mod p for k = degree .. 2*degree-2
-        self._red = []
-        n = self.degree
-        cur = [-c for c in mp.coeffs[:-1]]
-        for _ in range(n - 1):
-            self._red.append(tuple(cur))
-            cur = [ZERO] + cur
-            top = cur.pop()
-            if top != 0:
-                cur = [c + top * r for c, r in zip(cur, self._red[0])]
+        # monic p has coprime integer coefficients after one lcm scaling
+        self._int_poly = ints = clear_denominators(list(mp.coeffs))
+        lc = ints[-1]
+        # row j is lc^(j + 1) a^(n + j), then all are put over lc^(n - 1)
+        rows = [[-c for c in ints[:-1]]] if n > 1 else []
+        while len(rows) < n - 1:
+            rows.append(_times_gen(rows[-1], ints))
+        self._red_den = lc ** (n - 1)
+        self._red_rows = [
+            [x * lc ** (n - 2 - j) for x in r] for j, r in enumerate(rows)
+        ]
 
     def __eq__(self, other):
         return (
@@ -801,24 +811,21 @@ class NumberField:
         return self.from_rat(v)
 
     def elem(self, coeffs):
-        """Element from a coefficient list in the power basis (low first)."""
-        coords = [QQ(c) for c in coeffs]
-        if len(coords) > self.degree:
-            poly = UPoly(coords) % self.minimal_polynomial
-            coords = list(poly.coeffs)
-        coords += [ZERO] * (self.degree - len(coords))
-        return NFElem(self, tuple(coords))
+        """Element from a coefficient list in the power basis (low first).
 
-    def reduce_product(self, conv):
-        """Reduce a raw convolution (length <= 2*degree-1) into the field."""
+        A list longer than the degree is reduced modulo p in integers: put
+        over one denominator, its pseudo-remainder by the scaled P is
+        P_n^k times the reduction.
+        """
         n = self.degree
-        coords = list(conv[:n]) + [ZERO] * max(0, n - len(conv))
-        for k in range(n, len(conv)):
-            c = conv[k]
-            if c != 0:
-                red = self._red[k - n]
-                coords = [a + c * b for a, b in zip(coords, red)]
-        return NFElem(self, tuple(coords))
+        coords = [QQ(c) for c in coeffs]
+        if len(coords) <= n:
+            return NFElem(self, tuple(coords) + (ZERO,) * (n - len(coords)))
+        ints, den = over_common_denominator(coords)
+        rem, k = _zz_prem(ints, self._int_poly)
+        den *= self._int_poly[-1] ** k
+        rem += [0] * (n - len(rem))
+        return NFElem(self, tuple(QQ(x, den) for x in rem))
 
 
 class NFElem:
@@ -874,28 +881,64 @@ class NFElem:
         return NFElem(self.owner, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
+        """Product: both operands over integers, one convolution, one fold.
+
+        With a = A / s and b = B / t (A, B integer vectors), the convolution
+        A * B has its top n - 1 terms folded in with the integer rows of
+        a^k mod p, and each coordinate is one rational over s t P_n^(n - 1).
+        """
         if not isinstance(other, NFElem):
             q = QQ(other)
             return NFElem(self.owner, tuple(a * q for a in self.coords))
         other = self._coerce(other)
-        a, b = self.coords, other.coords
-        conv = [ZERO] * (2 * len(a) - 1)
+        field = self.owner
+        n = field.degree
+        a, s = over_common_denominator(self.coords)
+        b, t = over_common_denominator(other.coords)
+        conv = [0] * (2 * n - 1)
         for i, x in enumerate(a):
-            if x != 0:
+            if x:
                 for j, y in enumerate(b):
-                    conv[i + j] = conv[i + j] + x * y
-        return self.owner.reduce_product(conv)
+                    conv[i + j] += x * y
+        den = s * t
+        coords = conv[:n]
+        red_den = field._red_den
+        if red_den != 1:
+            coords = [x * red_den for x in coords]
+            den *= red_den
+        for c, row in zip(conv[n:], field._red_rows):
+            if c:
+                coords = [x + c * r for x, r in zip(coords, row)]
+        return NFElem(field, tuple(QQ(x, den) for x in coords))
 
     __rmul__ = __mul__
 
     def inv(self):
+        """Inverse by one exact solve: M x = e_0, column i of M being a * a^i.
+
+        The columns are built in integers, a * a^(i + 1) from a * a^i by a
+        shift and a fold of the top term against P, and are put over one
+        denominator s P_n^(n - 1) (a = A / s); x is that denominator times
+        the solution of the integer system.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in number field")
-        poly = UPoly(list(self.coords))
-        s, _, g = upoly_gcdex(poly, self.owner.minimal_polynomial)
-        if g.degree() != 0:
+        field = self.owner
+        n = field.degree
+        p = field._int_poly
+        lc = p[-1]
+        col, s = over_common_denominator(self.coords)
+        cols = [col]
+        while len(cols) < n:
+            cols.append(_times_gen(cols[-1], p))
+        rows = [
+            [v[r] * lc ** (n - 1 - i) for i, v in enumerate(cols)] for r in range(n)
+        ]
+        x = solve_linear(rows, [1] + [0] * (n - 1))
+        if x is None:
             raise ZeroDivisionError("zero divisor in number field")
-        return self.owner.elem(list(s.coeffs))
+        scale = s * lc ** (n - 1)
+        return NFElem(field, tuple(v * scale for v in x))
 
     def __truediv__(self, other):
         other = self._coerce(other)

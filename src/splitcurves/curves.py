@@ -88,9 +88,7 @@ def verify_node(form, points):
     reports = []
     for p in points:
         coords = list(p.coords)
-        # a constant second partial evaluates to a rational
-        to_field = QQ if p.field is None else p.field.coerce
-        vals = {key: to_field(q.eval(coords)) for key, q in second.items()}
+        vals = {key: q.eval(coords) for key, q in second.items()}
         hess = [[vals[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
         if not all(scalar_is_zero(sum(map(mul, coords, row))) for row in hess):
             reports.append(NodeReport(p, False, False, None))

@@ -158,23 +158,24 @@ class Form:
     def eval(self, coords):
         """Exact value at coordinates (rationals or NFElem of one field).
 
-        One substitution: a rational coordinate c is the constant BinForm
-        (c), an element of a degree-n field QQ[a]/(p) is its power-basis
-        polynomial in a, a BinForm of degree n - 1.  The value is then a
-        polynomial in a, reduced modulo p once.  A zero form is zero (in
-        the first coordinate's field), a constant form its coefficient.
+        The value lies in the point's field: an ``NFElem`` when any
+        coordinate is one, also for a zero or constant form, and a rational
+        otherwise.  One substitution: a rational coordinate c is the
+        constant BinForm (c), an element of a degree-n field QQ[a]/(p) is
+        its power-basis polynomial in a, a BinForm of degree n - 1.  The
+        value is then a polynomial in a, reduced modulo p once.
         """
         if len(coords) != len(self.variables):
             raise FieldMismatch(
                 "point has %d coordinates, form has %d variables"
                 % (len(coords), len(self.variables))
             )
-        if not self.terms:
-            first = coords[0]
-            return first * 0 if isinstance(first, NFElem) else ZERO
-        if self.degree == 0:
-            return self.terms[(0,) * len(coords)]
         field = next((c.owner for c in coords if isinstance(c, NFElem)), None)
+        if self.degree == 0:
+            value = self.terms.get((0,) * len(coords), ZERO)
+            return value if field is None else field.from_rat(value)
+        if not self.terms:
+            return ZERO if field is None else field.zero()
         if field is None:
             images = [BinForm(0, [c]) for c in coords]
         else:

@@ -12,9 +12,7 @@ deterministic.  ``rank_naive`` is plain rational Gaussian elimination, kept
 as the oracle the tests compare the core against.
 """
 
-import math
-
-from .scalars import QQ, ZERO, ONE, clear_denominators, denom, numer
+from .scalars import QQ, ZERO, ONE, clear_denominators, over_common_denominator
 
 
 def _int_rows(rows):
@@ -213,8 +211,7 @@ def mat_det(a):
     m_int = []
     scale = 1
     for row in a:
-        row = [QQ(x) for x in row]
-        lcm = math.lcm(*(denom(x) for x in row))
-        m_int.append([numer(x) * (lcm // denom(x)) for x in row])
-        scale *= lcm
-    return QQ(det_bareiss(m_int)) / QQ(scale)
+        ints, den = over_common_denominator([QQ(x) for x in row])
+        m_int.append(ints)
+        scale *= den
+    return QQ(det_bareiss(m_int), scale)

@@ -43,7 +43,7 @@ CENTER = ProjPoint([ZERO, ZERO, ZERO, ONE])
 class QuarticSurface:
     """Quartic surface with a distinguished node moved to (0:0:0:1)."""
 
-    __slots__ = ("g2", "g3", "g4", "move")
+    __slots__ = ("g2", "g3", "g4", "move", "_projection")
 
     def __init__(self, g2, g3, g4, move=None):
         if (g2.degree, g3.degree, g4.degree) != (2, 3, 4):
@@ -53,6 +53,7 @@ class QuarticSurface:
         self.g4 = g4
         # coordinate move applied to reach the node-centered shape
         self.move = move
+        self._projection = None
 
     @classmethod
     def from_raw(cls, quartic, node):
@@ -86,6 +87,15 @@ class QuarticSurface:
             + _lift(self.g3).scale(2) * w
             + _lift(self.g4)
         )
+
+    def projection(self):
+        """``project_quartic(self, check_contact=False)``, computed on first use.
+
+        The surface is immutable, so one projection serves every caller.
+        """
+        if self._projection is None:
+            self._projection = project_quartic(self, check_contact=False)
+        return self._projection
 
     def __repr__(self):
         return "QuarticSurface(g2=%r)" % (self.g2,)
@@ -352,7 +362,7 @@ def surface_singular_locus_complete(surface, claimed):
             rest.append(p)
     if not saw_center:
         return False
-    gamma_x, _delta_x, info = project_quartic(surface, check_contact=False)
+    gamma_x, _delta_x, info = surface.projection()
     if "param" not in info:
         raise PointNotOnConic("conic has no rational point")
     if not all(rep.is_singular for rep in verify_node(quartic, rest)):

@@ -300,7 +300,7 @@ def load_example(example_id):
         curve = c3 * c3 - conic * w2 * w2
         nodes = [parse_node_spec(s) for s in raw["nodes"]]
     elif example_id == "split7-24":
-        from .quartics import QuarticSurface, project_quartic
+        from .quartics import QuarticSurface
 
         f1 = parse_form(raw["f1"], SPACE_VARS)
         f2 = parse_form(raw["f2"], SPACE_VARS)
@@ -308,7 +308,7 @@ def load_example(example_id):
         quartic = f3 * f3 - (f1 * f2).scale(4)
         surface_nodes = [parse_node_spec(s, 4) for s in raw["surface_nodes"]]
         surface = QuarticSurface.from_raw(quartic, surface_nodes[0])
-        curve, conic, _info = project_quartic(surface, check_contact=False)
+        curve, conic, _info = surface.projection()
         nodes = [
             ProjPoint(list(p.coords[:3]))
             for p in surface_nodes[1:]

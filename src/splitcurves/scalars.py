@@ -25,19 +25,6 @@ ZERO = QQ(0)
 ONE = QQ(1)
 
 
-def rat(value, den=None):
-    """Coerce ``value`` (int, str like ``"3/4"``, or rational) to a scalar."""
-    if den is not None:
-        return QQ(value) / QQ(den)
-    if isinstance(value, str):
-        value = value.strip()
-        if "/" in value:
-            num, _, d = value.partition("/")
-            return QQ(int(num)) / QQ(int(d))
-        return QQ(int(value))
-    return QQ(value)
-
-
 def numer(q):
     return int(q.numerator)
 
@@ -71,18 +58,20 @@ def rat_str(q):
     return str(n) if d == 1 else "%d/%d" % (n, d)
 
 
+def over_common_denominator(values):
+    """(ints, den): values[i] == ints[i] / den, den the lcm of the denominators."""
+    dens = [denom(v) for v in values]
+    den = math.lcm(*dens)
+    return [numer(v) * (den // d) for v, d in zip(values, dens)], den
+
+
 def clear_denominators(values):
     """Scale rationals to coprime integers; returns list of ints.
 
     The common sign is preserved; an all-zero input maps to all zeros.
     """
-    lcm = 1
-    for v in values:
-        lcm = lcm * denom(v) // math.gcd(lcm, denom(v))
-    ints = [numer(v) * (lcm // denom(v)) for v in values]
-    g = 0
-    for i in ints:
-        g = math.gcd(g, i)
+    ints, _den = over_common_denominator(values)
+    g = math.gcd(*ints)
     if g > 1:
         ints = [i // g for i in ints]
     return ints

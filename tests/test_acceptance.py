@@ -373,13 +373,12 @@ def test_criterion_9_coordinate_robustness():
         assert rep.outcome == "split" and (rep.m, rep.n) == (3, 3)
 
 
-def test_verify_example_split7_24_analyzes_contact_and_criterion_once(monkeypatch):
+def _count_calls(monkeypatch, targets):
+    """Count calls of each (module, name); a function imported by name is
+    replaced in every module holding it."""
     import sys
 
-    from splitcurves import conics, splitting
-
     calls = {}
-    targets = ((conics, "contact_profile"), (splitting, "criterion_24_7nodal"))
     for module, name in targets:
         fn = getattr(module, name)
 
@@ -387,13 +386,31 @@ def test_verify_example_split7_24_analyzes_contact_and_criterion_once(monkeypatc
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
 
-        # a function imported by name is replaced in every module holding it
         for held in list(sys.modules.values()):
             if held.__name__.startswith("splitcurves"):
                 if getattr(held, name, None) is fn:
                     monkeypatch.setattr(held, name, counted)
+    return calls
+
+
+def test_verify_example_split7_24_analyzes_contact_and_criterion_once(monkeypatch):
+    from splitcurves import conics, splitting
+
+    calls = _count_calls(
+        monkeypatch, ((conics, "contact_profile"), (splitting, "criterion_24_7nodal"))
+    )
     assert run_verify_example("split7-24").overall
     assert calls == {"contact_profile": 1, "criterion_24_7nodal": 1}
+
+
+def test_verify_example_split7_24_projects_the_quartic_once(monkeypatch):
+    # the example's plane data and the surface's locus check share the
+    # projection the surface holds
+    from splitcurves import quartics
+
+    calls = _count_calls(monkeypatch, ((quartics, "project_quartic"),))
+    assert run_verify_example("split7-24").overall
+    assert calls == {"project_quartic": 1}
 
 
 def test_split7_24_criterion_check_fails_when_the_decision_skipped_it():

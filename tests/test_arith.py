@@ -295,6 +295,91 @@ def test_field_arithmetic_properties():
             assert (a * a.inv()) == field.one()
 
 
+# -- number fields: the integer kernels against rational oracles -------------
+#
+# The oracles are the rational kernels the integer ones replaced: a
+# convolution in rationals folded with the table of a^k mod p, the extended
+# Euclidean algorithm over Q, and the remainder of UPoly division by p.
+
+_ORACLE_FIELDS = [
+    (QQ(5, 3), 1),
+    (QQ(-1, 2), 0, 1),
+    (QQ(1, 3), QQ(3, 4), 0, 1),
+    (QQ(5, 7), QQ(-2, 3), 0, 0, 1),
+    (-1, -1, 0, 0, 0, 1),
+    (QQ(2, 9), 0, 0, QQ(-1, 2), 0, 0, 1),
+    (1, 3, 3, 1, 3, 3, 1),
+]
+
+
+def _reduction_table(field):
+    """a^k mod p for k = n .. 2n - 2, rational coordinates."""
+    n = field.degree
+    table = []
+    cur = [-c for c in field.minimal_polynomial.coeffs[:-1]]
+    for _ in range(n - 1):
+        table.append(tuple(cur))
+        top = cur[-1]
+        cur = [QQ(0)] + cur[:-1]
+        cur = [c + top * r for c, r in zip(cur, table[0])]
+    return table
+
+
+def _mul_oracle(a, b):
+    n = a.owner.degree
+    conv = [QQ(0)] * (2 * n - 1)
+    for i, x in enumerate(a.coords):
+        for j, y in enumerate(b.coords):
+            conv[i + j] += x * y
+    coords = conv[:n]
+    for c, row in zip(conv[n:], _reduction_table(a.owner)):
+        coords = [x + c * r for x, r in zip(coords, row)]
+    return tuple(coords)
+
+
+def _inv_oracle(a):
+    """s with s a + t p = 1 by the extended Euclidean algorithm over Q."""
+    r0, r1 = UPoly(list(a.coords)), a.owner.minimal_polynomial
+    s0, s1 = poly(1), UPoly.zero()
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    assert r0.degree() == 0
+    coords = list(s0.scale(QQ(1) / r0.lc()).coeffs)
+    return tuple(coords + [QQ(0)] * (a.owner.degree - len(coords)))
+
+
+def _elem_oracle(field, coeffs):
+    coords = list((UPoly([QQ(c) for c in coeffs]) % field.minimal_polynomial).coeffs)
+    return tuple(coords + [QQ(0)] * (field.degree - len(coords)))
+
+
+def _random_coords(rng, length):
+    # about a third of the coordinates are zero, as in sparse node data
+    return [QQ(0) if rng.random() < 0.3 else random_rat(rng, 12) for _ in range(length)]
+
+
+@pytest.mark.parametrize("coeffs", _ORACLE_FIELDS, ids=lambda c: "degree%d" % (len(c) - 1))
+def test_number_field_kernels_match_rational_oracles(coeffs):
+    field = NumberField(UPoly(list(coeffs)))
+    n = field.degree
+    rng = rng_for("nf-oracles-%d-%s" % (n, coeffs))
+    elements = [field.elem(_random_coords(rng, n)) for _ in range(24)]
+    elements += [field.one(), field.gen(), field.from_rat(QQ(-3, 4))]
+    for a, b in zip(elements, elements[1:] + elements[:1]):
+        assert (a * b).coords == _mul_oracle(a, b)
+        if not a.is_zero():
+            inverse = a.inv()
+            assert inverse.coords == _inv_oracle(a)
+            assert a * inverse == field.one()
+    for length in range(3 * n + 1):
+        vector = _random_coords(rng, length)
+        assert field.elem(vector).coords == _elem_oracle(field, vector)
+    with pytest.raises(ZeroDivisionError):
+        field.zero().inv()
+
+
 def test_rational_canonical_form():
     assert QQ(2, 4) == QQ(1, 2)
     assert str(QQ(2, 4)) == "1/2"

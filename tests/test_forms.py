@@ -1,6 +1,6 @@
 import pytest
 
-from splitcurves.arith import BinForm, NumberField, UPoly
+from splitcurves.arith import BinForm, NFElem, NumberField, UPoly
 from splitcurves.errors import InhomogeneousImage, NotHomogeneous, ParseError
 from splitcurves.forms import (
     BiForm,
@@ -281,20 +281,22 @@ def test_eval_matches_oracle_at_rational_and_number_field_points():
 
 
 def test_eval_of_zero_and_constant_forms():
+    # the value lies in the point's field: an NFElem as soon as one
+    # coordinate is a field element, wherever it sits, a rational otherwise
     field = NumberField(UPoly([-2, 0, 1]))
     a = field.gen()
     rational = [QQ(1), QQ(2), QQ(3)]
-    algebraic = [a, QQ(1), a + 1]
+    mixed = [[a, QQ(1), a + 1], [QQ(1), a, a], [QQ(0), QQ(5), a], [a, a, a]]
     zero = Form.zero(PLANE, 3)
-    assert zero.eval(rational) == 0 and type(zero.eval(rational)) is QQ
-    value = zero.eval(algebraic)
-    assert value.is_zero() and value.owner == field
-    # a zero form is zero in the field of the first coordinate
-    assert type(zero.eval([QQ(1), a, a])) is QQ
     constant = Form(PLANE, 0, {(0, 0, 0): QQ(-7, 3)})
-    for coords in (rational, algebraic):
-        value = constant.eval(coords)
-        assert value == QQ(-7, 3) and type(value) is QQ
+    zero_constant = Form.zero(PLANE, 0)
+    for form, expected in ((zero, 0), (constant, QQ(-7, 3)), (zero_constant, 0)):
+        value = form.eval(rational)
+        assert value == expected and type(value) is QQ
+        for coords in mixed:
+            value = form.eval(coords)
+            assert type(value) is NFElem and value.owner == field
+            assert value == field.from_rat(expected)
 
 
 def test_eval_matches_oracle_over_fields_of_several_degrees():

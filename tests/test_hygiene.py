@@ -1,6 +1,6 @@
-"""Static hygiene of the package: no unused import, no private helper or
-method nothing calls, and no benchmark tracer target that the package no
-longer defines.
+"""Static hygiene of the package: no unused import, no private helper,
+public function, class or method nothing reads, and no benchmark tracer
+target that the package no longer defines.
 
 The checks read the source with ``ast`` only; nothing of the package is
 imported (a base class from the standard library is, to see what it defines).
@@ -14,7 +14,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "splitcurves"
 SPANS = ROOT / "perfbench" / "spans.py"
-# the code whose reads keep a method of the package alive
+# the code whose reads keep a method or a public name of the package alive
 READERS = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
 
 
@@ -89,6 +89,44 @@ def test_every_private_name_is_referenced():
     assert unreferenced == []
 
 
+def _public_definitions(tree):
+    """Module-level functions and classes whose names do not start with "_"."""
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def _reader_trees():
+    return [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for root in READERS
+        for path in sorted(root.rglob("*.py"))
+    ]
+
+
+def _unread_public(modules, readers):
+    """``module.name`` of each public definition that no reader reads as a
+    variable or attribute and the package's ``__init__`` does not export."""
+    read = set()
+    for tree in readers:
+        read |= _used_names(tree)
+    if "__init__" in modules:
+        read |= {bound for bound, _line in _imported_names(modules["__init__"])}
+    return [
+        "%s.%s" % (name, public)
+        for name, tree in modules.items()
+        for public in _public_definitions(tree)
+        if public not in read
+    ]
+
+
+def test_every_public_name_is_read():
+    assert _unread_public(_modules(), _reader_trees()) == []
+
+
 def _classes(modules):
     """{name: class node} of every class of the package, at any depth."""
     return {
@@ -138,9 +176,8 @@ def _unread_methods(classes, read):
 
 def test_every_method_is_read():
     read = set()
-    for root in READERS:
-        for path in sorted(root.rglob("*.py")):
-            read |= _attributes_read(ast.parse(path.read_text(encoding="utf-8")))
+    for tree in _reader_trees():
+        read |= _attributes_read(tree)
     assert _unread_methods(_classes(_modules()), read) == []
 
 
@@ -166,6 +203,18 @@ def test_the_checks_see_a_violation():
     )
     classes = _classes({"m": tree})
     assert _unread_methods(classes, _attributes_read(tree)) == ["P.spare"]
+    modules = {
+        "__init__": ast.parse("from .m import exported\n"),
+        "m": ast.parse(
+            "def exported(): pass\n"
+            "def called(): pass\n"
+            "def dead(): pass\n"
+            "class Dead: pass\n"
+            "def _private(): pass\n"
+        ),
+    }
+    reader = ast.parse("import m\nm.called()\n")
+    assert _unread_public(modules, [*modules.values(), reader]) == ["m.dead", "m.Dead"]
 
 
 def _tracer_targets():
