@@ -92,6 +92,14 @@ def _zz_trunc(f, m):
     return _trim([_sym_mod(a, m) for a in f])
 
 
+def _horner(f, x):
+    """f(x) for an integer list f (constant first) and an integer x."""
+    acc = 0
+    for a in reversed(f):
+        acc = acc * x + a
+    return acc
+
+
 def _zz_primitive(f):
     g = 0
     for a in f:
@@ -595,15 +603,52 @@ def _zz_prem(f, g):
     return r, k
 
 
-def _zz_gcd(f, g):
-    """Primitive gcd, positive leading coefficient, of nonzero integer lists.
+def _zz_divides(d, f):
+    """Does the integer list d divide f in Z[x]?  (Long division that stops
+    at the first quotient coefficient that is not an integer.)"""
+    r = list(f)
+    dd = len(d) - 1
+    lc = d[-1]
+    while len(r) > dd:
+        q, rem = divmod(r[-1], lc)
+        if rem:
+            return False
+        shift = len(r) - 1 - dd
+        for j, b in enumerate(d):
+            r[shift + j] -= q * b
+        r.pop()
+        _trim(r)
+    return not r
 
-    The primitive remainder sequence: each pseudo-remainder is divided by
-    its content, which keeps the coefficients no larger than the gcd's
-    cofactors need.
+
+def _zz_gcd_heuristic(f, g):
+    """GCDHEU (Char, Geddes & Gonnet): the gcd of primitive f, g, or None.
+
+    For xi >= 2 min(|f|, |g|) + 2 (max norms), the balanced base-xi digits
+    of gcd(f(xi), g(xi)) are the coefficients of a polynomial G, and if
+    pp(G) divides f and g it is their gcd (Geddes, Czapor & Labahn,
+    Theorem 7.7).  A false candidate only makes xi grow; after six tries
+    the caller falls back to the remainder sequence.
     """
-    f = _zz_primitive(f)[0]
-    g = _zz_primitive(g)[0]
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(6):
+        gamma = math.gcd(_horner(f, xi), _horner(g, xi))
+        digits = []
+        while gamma:
+            d = _sym_mod(gamma, xi)
+            digits.append(d)
+            gamma = (gamma - d) // xi
+        cand = _zz_primitive(digits)[0]
+        if cand and _zz_divides(cand, f) and _zz_divides(cand, g):
+            return cand
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _zz_gcd_prs(f, g):
+    """The gcd of primitive f, g by the primitive remainder sequence: each
+    pseudo-remainder is divided by its content, which keeps the
+    coefficients no larger than the gcd's cofactors need."""
     if len(f) < len(g):
         f, g = g, f
     while g:
@@ -611,12 +656,24 @@ def _zz_gcd(f, g):
     return f
 
 
+def _zz_gcd(f, g):
+    """Primitive gcd, positive leading coefficient, of nonzero integer lists.
+
+    GCDHEU on the primitive parts, and the primitive remainder sequence
+    only when its tries fail.
+    """
+    f = _zz_primitive(f)[0]
+    g = _zz_primitive(g)[0]
+    return _zz_gcd_heuristic(f, g) or _zz_gcd_prs(f, g)
+
+
 def upoly_gcd(a, b):
     """Monic gcd over the coefficient field.
 
     Over the rationals it runs in integers: both operands are scaled to
-    integer coefficients and the primitive pseudo-remainder sequence of
-    ``_zz_gcd`` gives the gcd up to a rational unit, which ``monic`` removes.
+    integer coefficients and ``_zz_gcd`` (GCDHEU, the primitive
+    pseudo-remainder sequence as its fallback) gives the gcd up to a
+    rational unit, which ``monic`` removes.
     Over a number field it is the Euclidean algorithm with each remainder
     rescaled by ``_content_scale``.
     """

@@ -11,11 +11,15 @@ those orbits; ``singular_locus_complete`` checks a claimed point list
 against them.
 
 The resultants are exact and run in integers.  Each bivariate is scaled to
-coprime integer coefficients, so its Sylvester matrix at an integer x has
-integer entries and a fraction-free determinant; the scaled resultant lies
-in Z[x], and the divided differences of a polynomial in Z[x] at distinct
-integer nodes are integers, so the Newton interpolation divides exactly.
-One rational rescaling at the end gives the resultant of the inputs.
+coprime integer coefficients, so at an integer x its y-coefficients are
+integers, and the Sylvester determinant there is one subresultant-PRS
+resultant of the two value lists (with a closed-form correction where a
+leading value vanishes); the scaled resultant lies in Z[x], and the divided
+differences of a polynomial in Z[x] at distinct integer nodes are integers,
+so the Newton interpolation divides exactly.  One rational rescaling at the
+end gives the resultant of the inputs.  The gcd of the two eliminants is
+``upoly_gcd``'s: GCDHEU, with the primitive remainder sequence as fallback.
+A curve keeps its locus, so every check on one Form shares one search.
 """
 
 import functools
@@ -28,8 +32,10 @@ from .arith import (
     NFElem,
     NumberField,
     UPoly,
+    _horner,
     _trim,
     _zz_mul,
+    _zz_prem,
     binform_gcd,
     scalar_is_zero,
     upoly_factor,
@@ -43,7 +49,7 @@ from .errors import (
     TooManyNodes,
 )
 from .forms import ProjPoint, compose_form, transform_point
-from .linalg import det_bareiss, mat_det, mat_inv, rank_bareiss, rref
+from .linalg import mat_det, mat_inv, rank_bareiss, rref
 from .scalars import QQ, ZERO, ONE, clear_denominators, denom, numer
 
 
@@ -179,13 +185,6 @@ def _scaled_y_columns(biv):
     return [_trim(col) for col in cols], scale
 
 
-def _horner(col, x):
-    acc = 0
-    for a in reversed(col):
-        acc = acc * x + a
-    return acc
-
-
 def _zz_pow(col, e):
     out = [1]
     for _ in range(e):
@@ -220,6 +219,62 @@ def _zz_newton(xs, ys):
     return _trim(poly)
 
 
+def _zz_subresultant(f, g):
+    """Res(f, g) of nonzero integer lists (constant first) of their actual
+    degrees, by the subresultant PRS (Collins; Brown & Traub).
+
+    Each full pseudo-remainder lc(g)^(delta + 1) f mod g is divided by
+    lead h^delta (lead the leading coefficient of the previous divisor),
+    which the subresultant theorem makes exact, so the coefficients stay
+    those of the subresultants; the last nonzero constant, rescaled by h,
+    is the resultant.
+    """
+    s = 1
+    if len(f) < len(g):
+        f, g = g, f
+        if (len(f) - 1) & (len(g) - 1) & 1:
+            s = -1
+    lead = h = 1
+    while len(g) > 1:
+        delta = len(f) - len(g)
+        if (len(f) - 1) & (len(g) - 1) & 1:
+            s = -s
+        r, k = _zz_prem(f, g)
+        if not r:
+            return 0
+        scale = g[-1] ** (delta + 1 - k)
+        div = lead * h**delta
+        f, g = g, [a * scale // div for a in r]
+        lead = f[-1]
+        if delta == 1:
+            h = lead
+        elif delta > 1:
+            h = lead**delta // h ** (delta - 1)
+    d = len(f) - 1
+    return s * g[0] ** d if d <= 1 else s * g[0] ** d // h ** (d - 1)
+
+
+def _sylvester_det(f, g):
+    """The (m, n) Sylvester determinant of integer lists f, g (constant
+    first, m = len(f) - 1 >= 1 and n = len(g) - 1 >= 1 their formal degrees).
+
+    When f's leading values vanish (its degree drops by k) the determinant
+    is (-1)^(k n) lc(g)^k Res(f, g); when g's drop by k, lc(f)^k Res(f, g);
+    when both do, the first column is zero.
+    """
+    m, n = len(f) - 1, len(g) - 1
+    f, g = _trim(list(f)), _trim(list(g))
+    if not f or not g:
+        return 0
+    kf, kg = m + 1 - len(f), n + 1 - len(g)
+    if kf and kg:
+        return 0
+    res = _zz_subresultant(f, g)
+    if kf:
+        return (-1) ** (kf * n) * g[-1] ** kf * res
+    return f[-1] ** kg * res
+
+
 def resultant_y(biv1, biv2):
     """Res_y of two bivariate polynomials, as a UPoly in x.
 
@@ -227,11 +282,12 @@ def resultant_y(biv1, biv2):
     rationals that scale biv1, biv2 to coprime integer polynomials,
     Res_y(c f, d g) = c^n d^m Res_y(f, g) (m, n the y-degrees), and
     Res_y(c f, d g) lies in Z[x].  It is evaluated at the integer nodes
-    0, 1, -1, 2, ... (integer Horner for the y-coefficients, an integer
-    Sylvester matrix, a fraction-free Bareiss determinant) up to a degree
-    bound, then interpolated by Newton divided differences, which are
-    integers for a polynomial in Z[x] at integer nodes, so every division
-    is exact.  The scaling is undone once at the end.
+    0, 1, -1, 2, ... (integer Horner for the y-coefficients, one
+    subresultant-PRS resultant of the two value lists, corrected where a
+    leading value vanishes) up to a degree bound, then interpolated by
+    Newton divided differences, which are integers for a polynomial in Z[x]
+    at integer nodes, so every division is exact.  The scaling is undone
+    once at the end.
     """
     c1, s1 = _scaled_y_columns(biv1)
     c2, s2 = _scaled_y_columns(biv2)
@@ -255,12 +311,10 @@ def resultant_y(biv1, biv2):
         ys = []
         x0 = 0
         while len(xs) < max_deg + 1:
-            v1 = [_horner(col, x0) for col in reversed(c1)]
-            v2 = [_horner(col, x0) for col in reversed(c2)]
-            rows = [[0] * k + v1 + [0] * (n - 1 - k) for k in range(n)]
-            rows += [[0] * k + v2 + [0] * (m - 1 - k) for k in range(m)]
+            v1 = [_horner(col, x0) for col in c1]
+            v2 = [_horner(col, x0) for col in c2]
             xs.append(x0)
-            ys.append(det_bareiss(rows))
+            ys.append(_sylvester_det(v1, v2))
             x0 = -x0 + (0 if x0 > 0 else 1)
         res = _zz_newton(xs, ys)
     scale = s1**n * s2**m
@@ -377,12 +431,18 @@ def _sheared_locus(gamma, m, idx):
 
 def _first_locus(gamma):
     """(shear, locus): the first shear matrix at which ``_sheared_locus``
-    separates the singular points, and the locus it gives there."""
+    separates the singular points, and the locus it gives there.
+
+    The curve keeps the pair, so later calls on the same Form reuse it.
+    """
+    if gamma._locus is not None:
+        return gamma._locus
     for idx in range(MAX_SHEARS):
         m = shear_matrix(idx)
         locus = _sheared_locus(gamma, m, idx)
         if locus is not None:
-            return m, locus
+            gamma._locus = m, locus
+            return gamma._locus
     _raise_if_not_reduced(gamma)
     raise ShearExhausted("%d shears failed to separate the singular points" % MAX_SHEARS)
 

@@ -42,9 +42,14 @@ _EXPONENTS = {}
 
 
 class Form:
-    """Homogeneous multivariate form in 3 or 4 variables over QQ."""
+    """Homogeneous multivariate form in 3 or 4 variables over QQ.
 
-    __slots__ = ("variables", "degree", "terms")
+    A plane curve keeps its singular locus once ``curves`` has computed it
+    (``_locus``: the shear and the locus there), so every check on the same
+    curve shares one shear search.
+    """
+
+    __slots__ = ("variables", "degree", "terms", "_locus")
 
     def __init__(self, variables, degree, terms):
         variables = tuple(variables)
@@ -65,6 +70,7 @@ class Form:
         self.variables = variables
         self.degree = degree
         self.terms = clean
+        self._locus = None
 
     # -- constructors
     @classmethod

@@ -17,7 +17,7 @@ from .arith import NFElem, UPoly
 from .errors import FieldMismatch
 from .forms import BiForm, Form, biform_basis, monomial_basis
 from .linalg import kernel_basis, rank_bareiss
-from .scalars import QQ, ZERO
+from .scalars import ONE, QQ, ZERO
 
 
 class FormSpace:
@@ -77,15 +77,24 @@ class LinSysReport:
         )
 
 
-def _monomial_eval(coords, expo):
+def _power_table(coords, degree):
+    """Each coordinate's powers 0..degree, built once per point."""
+    table = []
+    for c in coords:
+        powers = [ONE, c]
+        while len(powers) <= degree:
+            powers.append(powers[-1] * c)
+        table.append(powers)
+    return table
+
+
+def _monomial_value(table, expo):
+    """The monomial at the point: one table entry per variable it contains."""
     term = None
-    for c, e in zip(coords, expo):
+    for powers, e in zip(table, expo):
         if e:
-            p = c**e
-            term = p if term is None else term * p
-    if term is None:
-        return QQ(1)
-    return term
+            term = powers[e] if term is None else term * powers[e]
+    return ONE if term is None else term
 
 
 def _rows_from_values(values, field):
@@ -107,7 +116,8 @@ def cond_point(space, p):
         return cond_point_biform(space, p)
     if len(p.coords) != len(space.variables):
         raise FieldMismatch("point dimension does not match the space")
-    values = [_monomial_eval(p.coords, e) for e in space.basis]
+    table = _power_table(p.coords, space.degree)
+    values = [_monomial_value(table, e) for e in space.basis]
     return _rows_from_values(values, p.field)
 
 
@@ -133,6 +143,7 @@ def cond_singular(space, p):
     nvars = len(space.variables)
     if len(p.coords) != nvars:
         raise FieldMismatch("point dimension does not match the space")
+    table = _power_table(p.coords, space.degree - 1)
     rows = []
     for k in range(nvars):
         values = []
@@ -142,7 +153,7 @@ def cond_singular(space, p):
                 continue
             de = list(expo)
             de[k] -= 1
-            values.append(expo[k] * _monomial_eval(p.coords, tuple(de)))
+            values.append(expo[k] * _monomial_value(table, de))
         rows.extend(_rows_from_values(values, p.field))
     return rows
 

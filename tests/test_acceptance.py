@@ -413,6 +413,16 @@ def test_verify_example_split7_24_projects_the_quartic_once(monkeypatch):
     assert calls == {"project_quartic": 1}
 
 
+def test_verify_example_split7_24_searches_the_plane_locus_once(monkeypatch):
+    # the plane check and the surface's locus check ask about the same
+    # sextic, which keeps its locus: one search over three shears
+    from splitcurves import curves
+
+    calls = _count_calls(monkeypatch, ((curves, "_sheared_locus"),))
+    assert run_verify_example("split7-24").overall
+    assert calls == {"_sheared_locus": 3}
+
+
 def test_split7_24_criterion_check_fails_when_the_decision_skipped_it():
     from types import SimpleNamespace
 

@@ -8,6 +8,7 @@ from splitcurves.arith import (
     UPoly,
     _bounded_rational_roots,
     _zz_gcd,
+    _zz_gcd_prs,
     _zz_mul,
     _zz_primitive,
     binary_form_sqrt,
@@ -230,6 +231,48 @@ def test_gcd_finds_a_shared_factor_of_degree_three_or_more():
             # the integer kernel returns the primitive part, lc > 0
             ints = _zz_gcd(_ints(a * c), _ints(b * c))
             assert ints == _ints(expected)
+
+
+def _planted_gcd_cases(name, count):
+    """(a, b): seeded integer products a0 c, b0 c with a common factor c of
+    degree 1-8, every coefficient of height up to 2^200."""
+    rng = rng_for(name)
+    cases = []
+    for k in range(count):
+        height = 2 ** rng.choice((1, 3, 30, 200))
+
+        def draw(degree):
+            coeffs = [rng.randint(-height, height) for _ in range(degree + 1)]
+            coeffs[-1] = coeffs[-1] or 1
+            return UPoly([QQ(c) for c in coeffs])
+
+        c = draw(1 + k % 8)
+        cases.append((draw(rng.randint(0, 6)) * c, draw(rng.randint(0, 6)) * c))
+    return cases
+
+
+def test_integer_gcd_matches_rational_oracle_on_planted_factors():
+    for a, b in _planted_gcd_cases("gcd-planted", 48):
+        expected = _upoly_gcd_oracle(a, b)
+        assert expected.degree() >= 1
+        assert _zz_gcd(_ints(a), _ints(b)) == _ints(expected)
+        assert upoly_gcd(a, b) == expected
+
+
+def test_heuristic_gcd_rejects_a_candidate_that_divides_only_one_input():
+    # f = (x + 1)(x - 1) and g = x^2 - 30x + 1 = (x + 1) + x (x - 31) are
+    # coprime, but at the first evaluation point 31 the values are 960 and
+    # 32, whose gcd 32 reads as the candidate x + 1: it divides f only
+    f, g = [-1, 0, 1], [1, -30, 1]
+    assert _zz_gcd(f, g) == _zz_gcd(g, f) == [1]
+
+
+def test_remainder_sequence_fallback_matches_rational_oracle():
+    for a, b in _planted_gcd_cases("gcd-prs", 24):
+        assert _zz_gcd_prs(_ints(a), _ints(b)) == _ints(_upoly_gcd_oracle(a, b))
+    # coprime inputs and a constant
+    assert _zz_gcd_prs([-1, 1], [1, 1]) == [1]
+    assert _zz_gcd_prs([3, 2], [1]) == [1]
 
 
 def _ints(p):

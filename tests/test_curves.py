@@ -7,6 +7,7 @@ from splitcurves.arith import NumberField, UPoly, scalar_is_zero
 from splitcurves import curves
 from splitcurves.curves import (
     _first_locus,
+    _sylvester_det,
     _zz_newton,
     curve_is_reduced,
     irreducibility_sextic,
@@ -30,7 +31,7 @@ from splitcurves.forms import (
     point,
     transform_point,
 )
-from splitcurves.linalg import mat_det, mat_inv
+from splitcurves.linalg import det_bareiss, mat_det, mat_inv
 from splitcurves.registry import load_example, parse_node_spec
 from splitcurves.scalars import QQ, isqrt_exact
 
@@ -427,10 +428,17 @@ def test_claim_check_and_singular_points_share_one_shear_search(
     singular_points(record.curve)
     search = list(calls)
     del calls[:]
+    # a fresh record: the first curve keeps its locus
+    record = load_example(example_id)
     assert singular_locus_complete(record.curve, record.nodes)
     # the same shears, and the locus is computed once
     assert calls == search and len(calls) == shears
     assert [found for _idx, found in calls].count(True) == 1
+    # on the same curve the kept locus answers both entry points
+    del calls[:]
+    assert singular_locus_complete(record.curve, record.nodes)
+    singular_points(record.curve)
+    assert calls == []
 
 
 def test_rational_points_over_one_x_are_kept_and_conjugate_ones_are_not():
@@ -559,6 +567,55 @@ def test_resultant_edge_cases_match_oracle():
     assert resultant_y({}, f).is_zero()
     assert resultant_y(x_free, f) == _resultant_y_oracle(x_free, f) != UPoly.zero()
     assert all(resultant_y(f1, f2).is_zero() for f1, f2 in cases[-20:])
+
+
+def _with_top_factor(biv, factor):
+    """biv with its top y-column multiplied by the x-polynomial factor."""
+    top = max(j for (_i, j) in biv)
+    out = {k: c for k, c in biv.items() if k[1] != top}
+    for (i, j), c in biv.items():
+        if j == top:
+            for e, a in enumerate(factor):
+                if a:
+                    out[(i + e, j)] = out.get((i + e, j), QQ(0)) + a * c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+@pytest.mark.parametrize("where", ["f", "g", "both"])
+def test_resultant_with_leading_coefficient_vanishing_at_nodes_matches_oracle(where):
+    # x (x - 1) and x (x + 1) on a top y-column: the leading value vanishes
+    # at the nodes 0 and 1, or 0 and -1, so the degree drops there
+    rng = rng_for("resultant-lc-" + where)
+    factors = ([0, -1, 1], [0, 1, 1])
+    for _ in range(30):
+        f = _random_bivariate(rng, rng.randint(0, 3), rng.randint(1, 4))
+        g = _random_bivariate(rng, rng.randint(0, 3), rng.randint(1, 4))
+        f[(0, max((j for (_i, j) in f), default=0) + 1)] = random_rat(rng) or QQ(1)
+        g[(1, max((j for (_i, j) in g), default=0) + 1)] = random_rat(rng) or QQ(1)
+        if where in ("f", "both"):
+            f = _with_top_factor(f, rng.choice(factors))
+        if where in ("g", "both"):
+            g = _with_top_factor(g, rng.choice(factors))
+        assert resultant_y(f, g) == _resultant_y_oracle(f, g)
+
+
+def test_sylvester_determinant_matches_bareiss_when_leading_values_vanish():
+    # formal degrees m, n >= 1; zero leading values on f, on g and on both
+    rng = rng_for("sylvester-det")
+    for case in range(400):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        f = [rng.randint(-40, 40) for _ in range(m + 1)]
+        g = [rng.randint(-40, 40) for _ in range(n + 1)]
+        if case % 4 in (1, 3):
+            k = rng.randint(1, m + 1)
+            f[m + 1 - k:] = [0] * k
+        if case % 4 in (2, 3):
+            k = rng.randint(1, n + 1)
+            g[n + 1 - k:] = [0] * k
+        v1, v2 = f[::-1], g[::-1]
+        rows = [[0] * k + v1 + [0] * (n - 1 - k) for k in range(n)]
+        rows += [[0] * k + v2 + [0] * (m - 1 - k) for k in range(m)]
+        assert _sylvester_det(f, g) == det_bareiss(rows)
 
 
 def _biv_mul(a, b):

@@ -11,7 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 from splitcurves import cli
 from splitcurves.arith import UPoly
 from splitcurves.errors import SplitCurvesError
-from splitcurves.forms import Form, ProjPoint, parse_form, parse_univariate
+from splitcurves.forms import (
+    Form,
+    ProjPoint,
+    form_to_str,
+    monomial_basis,
+    parse_form,
+    parse_univariate,
+)
 from splitcurves.registry import parse_node_spec
 
 # short texts over the polynomial alphabet: long enough to parse, short
@@ -75,3 +82,30 @@ def test_pullback_command_exits_0_or_65(text):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = cli.main(["pullback", "--curve=" + text])
     assert code in (0, 65)
+
+
+# contact curves g^2 - (z^2 - 4xy) h by construction: deg g in {2, 3},
+# deg h = 2 deg g - 2, small coefficients
+_CONTACT = "z^2-4xy"
+
+
+@st.composite
+def _contact_curves(draw):
+    d = draw(st.sampled_from([2, 3]))
+
+    def form(degree):
+        basis = monomial_basis(3, degree)
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
+        return Form(("x", "y", "z"), degree, dict(zip(basis, coeffs)))
+
+    g, h = form(d), form(2 * d - 2)
+    return form_to_str(g * g - parse_form(_CONTACT, ("x", "y", "z")) * h)
+
+
+@pytest.mark.parametrize("command", ["split-type", "analyze"])
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(curve=_contact_curves())
+def test_split_type_and_analyze_exit_with_a_status_on_contact_curves(command, curve):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = cli.main([command, "--curve=" + curve, "--conic=" + _CONTACT])
+    assert code in (0, 1, 2, 65)
