@@ -328,18 +328,22 @@ class BiForm:
     def __mul__(self, other):
         if not isinstance(other, BiForm):
             return self.scale(other)
-        d1 = self.bidegree[0] + other.bidegree[0]
-        d2 = self.bidegree[1] + other.bidegree[1]
-        # index (i1 + i2) * w + (j1 + j2) is the sum of the factors' indices
-        w = d2 + 1
-        left = [(i * w + j, c) for (i, j), c in self._nonzero()]
-        right = [(i * w + j, c) for (i, j), c in other._nonzero()]
-        coeffs = [ZERO] * ((d1 + 1) * w)
-        for k1, c1 in left:
-            for k2, c2 in right:
-                k = k1 + k2
-                coeffs[k] = coeffs[k] + c1 * c2
-        return BiForm._dense((d1, d2), coeffs)
+        (a1, a2), (b1, b2) = self.bidegree, other.bidegree
+        # in the product's rows of width w, index (i1 + i2) * w + (j1 + j2)
+        # is the sum of the factors' indices remapped to that width
+        w = a2 + b2 + 1
+        right = [
+            (k + k // (b2 + 1) * (w - b2 - 1), c)
+            for k, c in enumerate(other.coeffs)
+            if c
+        ]
+        coeffs = [ZERO] * ((a1 + b1 + 1) * w)
+        for k1, c1 in enumerate(self.coeffs):
+            if c1:
+                base = k1 + k1 // (a2 + 1) * (w - a2 - 1)
+                for k2, c2 in right:
+                    coeffs[base + k2] += c1 * c2
+        return BiForm._dense((a1 + b1, a2 + b2), coeffs)
 
     __rmul__ = __mul__
 

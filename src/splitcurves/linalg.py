@@ -1,10 +1,12 @@
 """Small dense exact linear algebra over the rationals.
 
 Every exact solve runs through one fraction-free integer elimination
-(Bareiss 1968).  Each row is first scaled to coprime integers, which
-changes neither rank, pivots, reduced echelon form, kernel nor solutions.
-The forward pass alone gives the rank and, on integer rows taken as they
-are, the determinant.  A back-reduction on the same integers then turns
+(Bareiss 1968).  Each row is first scaled to coprime integers, reading the
+numerators and denominators directly, which changes neither rank, pivots,
+reduced echelon form, kernel nor solutions.  The forward pass alone gives
+the rank and, on integer rows taken as they are, the determinant; a pivot
+step touches the rows below it only from its column on, since they are
+zero to its left.  A back-reduction on the same integers then turns
 every pivot row into d times the corresponding row of the unique reduced
 row echelon form, d being the last pivot, so kernels, solutions and
 inverses are read off with a single division and every result is
@@ -23,10 +25,12 @@ def _bareiss(m, ncols):
     """Forward fraction-free elimination of integer rows ``m``, in place.
 
     Pivots are searched in the first ``ncols`` columns, in column order,
-    taking the first row with a nonzero entry; row operations span the
-    whole row.  After the pass, row k is zero left of its pivot and every
-    entry is a minor of the row-permuted input, so each division is exact.
-    Returns (pivot columns, sign of the row permutation).
+    taking the first row with a nonzero entry.  The rows below a pivot are
+    already zero left of the pivot column, so each update rewrites them from
+    the column after it on and sets the pivot column to zero.  After the
+    pass, row k is zero left of its pivot and every entry is a minor of the
+    row-permuted input, so each division is exact.  Returns (pivot columns,
+    sign of the row permutation).
     """
     pivots = []
     sign = 1
@@ -43,9 +47,12 @@ def _bareiss(m, ncols):
             sign = -sign
         top = m[row]
         piv = top[col]
+        rest = top[col + 1:]
         for i in range(row + 1, len(m)):
-            coef = m[i][col]
-            m[i] = [(x * piv - coef * y) // prev for x, y in zip(m[i], top)]
+            r = m[i]
+            coef = r[col]
+            r[col] = 0
+            r[col + 1:] = [(x * piv - coef * y) // prev for x, y in zip(r[col + 1:], rest)]
         prev = piv
         pivots.append(col)
         row += 1

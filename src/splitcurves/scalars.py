@@ -59,10 +59,15 @@ def rat_str(q):
 
 
 def over_common_denominator(values):
-    """(ints, den): values[i] == ints[i] / den, den the lcm of the denominators."""
-    dens = [denom(v) for v in values]
-    den = math.lcm(*dens)
-    return [numer(v) * (den // d) for v, d in zip(values, dens)], den
+    """(ints, den): values[i] == ints[i] / den, den the lcm of the denominators.
+
+    Reads ``numerator`` and ``denominator``, which Python ints and both
+    rational backends provide.
+    """
+    den = math.lcm(*[v.denominator for v in values])
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def clear_denominators(values):

@@ -52,9 +52,9 @@ from .errors import (
     WrongNodeCount,
 )
 from .forms import BiForm, compose_form, substitute_form, transform_point
-from .linalg import kernel_basis, mat_inv, rank_bareiss
+from .linalg import kernel_basis, mat_inv, primitive_vector, rank_bareiss
 from .linsys import FormSpace, cond_point, cond_divisible_on_conic, system_solve
-from .scalars import QQ, ZERO, ONE, numer, rat_sqrt
+from .scalars import QQ, ZERO, ONE, numer, over_common_denominator, rat_sqrt
 
 # groupings the factor search tries before it gives up
 FACTOR_SEARCH_BUDGET = 2000
@@ -440,34 +440,28 @@ def factor_pullback(f_pull, m, n):
 
     Specializes the second ruling at n+1 rational parameters and factors
     each specialized binary form.  Every grouping of the factors into one
-    degree-m divisor per specialization gives a linear system for A with one
+    degree-m divisor per specialization gives a linear system with one
     scalar unknown per specialization and ruling; each kernel candidate is
-    verified by exact expansion.  The rational pass comes first, then one
-    pass over each field QQ(sqrt(e)) that splits a quadratic factor of a
-    specialization, where A = A1 + sqrt(e) A2.  A factor whose irrational
-    part does not show in quadratic factors of the specializations is not
-    found.  The search may miss factorizations; it never fabricates one,
-    since only exactly verified products are returned.  More than
-    FACTOR_SEARCH_BUDGET groupings raise SearchBudgetExceeded.
+    verified by exact expansion.  The system is solved in those 2(n+1)
+    scalars alone: A(s, t; u_k, v_k) = lambda_k * G_k at n+1 distinct
+    points fixes A by interpolation, so substituting it changes neither the
+    kernel nor, once lifted back, its basis (see ``_grouping_kernel``).  The
+    rational pass comes first, then one pass over each field QQ(sqrt(e))
+    that splits a quadratic factor of a specialization, where
+    A = A1 + sqrt(e) A2.  A factor whose irrational part does not show in
+    quadratic factors of the specializations is not found.  The search may
+    miss factorizations; it never fabricates one, since only exactly
+    verified products are returned.  More than FACTOR_SEARCH_BUDGET
+    groupings raise SearchBudgetExceeded.
     """
     d1, d2 = f_pull.bidegree
     if d1 != d2 or m + n != d1 or not 0 < m <= n:
         raise DegreeMismatch("factor search needs bidegree (d, d) with m+n = d")
     if involution_biform(f_pull) != f_pull:
         raise ValueError("pullback must be involution-invariant")
-    specs = []
-    for u0, v0 in _SPECIALIZATION_POINTS:
-        b = f_pull.specialize_second(u0, v0)
-        if not b.is_zero():
-            specs.append((QQ(u0), QQ(v0), b))
-        if len(specs) == n + 1:
-            break
-    if len(specs) < n + 1:
-        raise SearchBudgetExceeded(
-            "found %d nonzero specializations of the %d needed" % (len(specs), n + 1)
-        )
-
+    specs = _specializations(f_pull, n)
     factored = [b.factor() for (_u, _v, b) in specs]
+    interp = None  # built at the first grouping: most misses reach none
     groupings = 0
     for ext, divisor_lists in _search_passes(factored, m):
         for combo in itertools.product(*divisor_lists):
@@ -479,13 +473,41 @@ def factor_pullback(f_pull, m, n):
                     % FACTOR_SEARCH_BUDGET
                 )
             groupings += 1
-            factor = _factor_from_grouping(f_pull, m, n, specs, combo, ext)
+            if interp is None:
+                interp = _interpolation_matrix(n, specs)
+            factor = _factor_from_grouping(f_pull, m, n, specs, interp, combo, ext)
             if factor is not None:
                 return factor
     return None
 
 
-def _factor_from_grouping(f_pull, m, n, specs, combo, ext):
+def _specializations(f_pull, n):
+    """(u0, v0, F(s, t; u0, v0)) at the first n+1 points where it is nonzero."""
+    specs = []
+    for u0, v0 in _SPECIALIZATION_POINTS:
+        b = f_pull.specialize_second(u0, v0)
+        if not b.is_zero():
+            specs.append((QQ(u0), QQ(v0), b))
+        if len(specs) == n + 1:
+            return specs
+    raise SearchBudgetExceeded(
+        "found %d nonzero specializations of the %d needed" % (len(specs), n + 1)
+    )
+
+
+def _interpolation_matrix(n, specs):
+    """W = V^-1 for V[k][j] = u_k^j v_k^(n-j): the coefficients of a degree-n
+    binary form from its values at the specialization points.
+
+    Values c_k at (u_k, v_k) come from the coefficients a_j = sum_l W[j][l] c_l;
+    V is invertible because no two specialization points are proportional.
+    """
+    return mat_inv(
+        [[u0**j * v0 ** (n - j) for j in range(n + 1)] for u0, v0, _b in specs]
+    )
+
+
+def _factor_from_grouping(f_pull, m, n, specs, interp, combo, ext):
     """The first verified factor whose specializations are the divisors in combo."""
     cofactors = []
     for (_u0, _v0, b), g in zip(specs, combo):
@@ -493,29 +515,37 @@ def _factor_from_grouping(f_pull, m, n, specs, combo, ext):
         if h is None:
             return None
         cofactors.append(h)
-    rows, na, nl, ncols = _consistency_rows(m, n, specs, combo, cofactors, ext)
-    for vec in _kernel_candidates(kernel_basis(rows, ncols)):
-        factor = _candidate_factor(vec, m, n, na, nl, ext, f_pull)
+    kern = _grouping_kernel(m, n, specs, interp, combo, cofactors, ext)
+    na = (m + 1) * (n + 1)
+    for vec in _kernel_candidates(kern):
+        factor = _candidate_factor(vec, m, n, na, len(specs), ext, f_pull)
         if factor is not None:
             return factor
     return None
 
 
-def _scalar_table(g, ext):
-    """table[p][q]: coefficients of part q of a scalar in part p of scalar * g.
+def _scalar_table(g1, g2, ext):
+    """table[p][q]: entries of part q of a scalar in part p of scalar * g.
 
-    Over QQ one part; over QQ(sqrt(e)), (rho + sqrt(e) omega)(g1 + sqrt(e) g2)
-    = (rho g1 + e omega g2) + sqrt(e) (rho g2 + omega g1).
+    g = g1 + sqrt(ext) g2 is given by two equal-length lists (coefficients
+    or values).  Over QQ one part; over QQ(sqrt(e)),
+    (rho + sqrt(e) omega)(g1 + sqrt(e) g2) = (rho g1 + e omega g2)
+    + sqrt(e) (rho g2 + omega g1).
     """
-    g1, g2 = g[0].coeffs, g[1].coeffs
     if ext is None:
         return ((g1,),)
     e = QQ(ext)
     return ((g1, [e * c for c in g2]), (g2, g1))
 
 
-def _consistency_rows(m, n, specs, gs, hs, ext):
-    """Linear system pinning A from both rulings of each specialization.
+def _values(coeffs, powers):
+    """Values of a binary form at the points whose monomial rows are ``powers``."""
+    ints, den = over_common_denominator(coeffs)
+    return [QQ(sum(c * w for c, w in zip(ints, row)), den) for row in powers]
+
+
+def _grouping_kernel(m, n, specs, interp, gs, hs, ext):
+    """Kernel of the consistency system of one grouping, in the full layout.
 
     For every specialization k the candidate divisor G_k and its exact
     cofactor H_k = F_k / G_k give two families of equations,
@@ -523,43 +553,77 @@ def _consistency_rows(m, n, specs, gs, hs, ext):
         A(s, t; u_k, v_k)      = lambda_k * G_k(s, t)
         A(u_k, v_k; s, t)      = mu_k     * H_k(s, t),
 
-    linear in the (m+1)(n+1) coefficients of A and the 2K scalars.  Over
-    QQ(sqrt(ext)) each unknown and each equation has a rational and a surd
-    part.  Columns: the parts of A (a_{ij} flattened i*(n+1)+j), then the
-    parts of the lambdas, then those of the mus; rows per specialization,
-    per coefficient, per part.
+    linear in the (m+1)(n+1) coefficients a_ij of A and the 2(n+1) scalars.
+    The first family is interpolation at n+1 distinct points, so it fixes
+    a_ij = sum_l W[j][l] lambda_l G_l[i] (W from ``_interpolation_matrix``),
+    and the second becomes (n+1)^2 equations in the scalars alone,
+
+        sum_l W[j][l] G_l(u_k, v_k) lambda_l - H_k[j] mu_k = 0.
+
+    Over QQ(sqrt(ext)) each unknown and each equation has a rational and a
+    surd part.  Each kernel vector (lambda parts, then mu parts) is lifted to
+    the layout of the system in all unknowns: the parts of A (a_ij flattened
+    i*(n+1)+j), then those of the lambdas, then those of the mus.  Lifting
+    is a bijection between the two kernels, and since the A columns come
+    first, a lifted vector's last nonzero entry is its scalar part's.  So
+    both systems' reduced echelon forms have the same free columns (the
+    last nonzero positions of kernel vectors), and the basis vector of a
+    free column is the kernel vector that is 1 there and 0 at the other free
+    columns.  The lifts of ``kernel_basis`` of the reduced system, made
+    primitive, are therefore ``kernel_basis`` of the full system, in the
+    same order.
     """
     parts = 1 if ext is None else 2
-    na = (m + 1) * (n + 1)
     nl = len(specs)
-    ncols = parts * (na + 2 * nl)
-    off_lambda = parts * na
-    off_mu = off_lambda + parts * nl
+    off_mu = parts * nl
+    powers = [
+        [u0**i * v0 ** (m - i) for i in range(m + 1)]
+        for u0, v0 in ((numer(u), numer(v)) for u, v, _b in specs)
+    ]
+    # part tables of G_l's values at every point, and of its coefficients
+    g_vals = [
+        _scalar_table(_values(g1.coeffs, powers), _values(g2.coeffs, powers), ext)
+        for g1, g2 in gs
+    ]
     rows = []
-    for kk, (u0, v0, _b) in enumerate(specs):
-        upow_n = [u0**j * v0 ** (n - j) for j in range(n + 1)]
-        upow_m = [u0**i * v0 ** (m - i) for i in range(m + 1)]
-        # coefficient i of A(s, t; u_k, v_k) involves a_{i, *}, and
-        # coefficient j of A(u_k, v_k; s, t) involves a_{*, j}
-        by_g = [
-            [(i * (n + 1) + j, upow_n[j]) for j in range(n + 1)] for i in range(m + 1)
+    for k, (h1, h2) in enumerate(hs):
+        h_table = _scalar_table(h1.coeffs, h2.coeffs, ext)
+        for j in range(n + 1):
+            w_row = interp[j]
+            for p in range(parts):
+                row = [ZERO] * (2 * off_mu)
+                for q in range(parts):
+                    for l in range(nl):
+                        row[q * nl + l] = w_row[l] * g_vals[l][p][q][k]
+                    row[off_mu + q * nl + k] = -h_table[p][q][j]
+                rows.append(row)
+    g_tables = [_scalar_table(g1.coeffs, g2.coeffs, ext) for g1, g2 in gs]
+    return [
+        _lift(vec, m, n, interp, g_tables, ext)
+        for vec in kernel_basis(rows, 2 * off_mu)
+    ]
+
+
+def _lift(vec, m, n, interp, g_tables, ext):
+    """Primitive full-layout vector (A parts, lambda parts, mu parts) of a
+    kernel vector in the scalars, with a_ij = sum_l W[j][l] (lambda_l G_l)[i]."""
+    parts = 1 if ext is None else 2
+    nl = len(g_tables)
+    lam = [vec[q * nl:(q + 1) * nl] for q in range(parts)]
+    a_parts = []
+    for p in range(parts):
+        # (lambda_l G_l)[i], part p, for every l
+        prods = [
+            [
+                sum(lam[q][l] * table[p][q][i] for q in range(parts))
+                for i in range(m + 1)
+            ]
+            for l, table in enumerate(g_tables)
         ]
-        by_h = [
-            [(i * (n + 1) + j, upow_m[i]) for i in range(m + 1)] for j in range(n + 1)
-        ]
-        for cells, table, off in (
-            (by_g, _scalar_table(gs[kk], ext), off_lambda),
-            (by_h, _scalar_table(hs[kk], ext), off_mu),
-        ):
-            for c, a_cells in enumerate(cells):
-                for p in range(parts):
-                    row = [ZERO] * ncols
-                    for col, val in a_cells:
-                        row[p * na + col] = val
-                    for q in range(parts):
-                        row[off + q * nl + kk] = -table[p][q][c]
-                    rows.append(row)
-    return rows, na, nl, ncols
+        for i in range(m + 1):
+            for j in range(n + 1):
+                a_parts.append(sum(w * c[i] for w, c in zip(interp[j], prods)))
+    return primitive_vector(a_parts + list(vec))
 
 
 def _biform_from_block(vec, m, n, offset=0):

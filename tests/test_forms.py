@@ -420,3 +420,37 @@ def test_substitute_form_edge_cases():
     for images in [mixed_kind] + mixed_degree:
         with pytest.raises(InhomogeneousImage):
             substitute_form(f, images)
+
+
+def _biform_product_oracle(a, b):
+    """The product term by term from the keyed coefficients."""
+    acc = {}
+    for (i1, j1), c1 in a.terms.items():
+        for (i2, j2), c2 in b.terms.items():
+            key = (i1 + i2, j1 + j2)
+            acc[key] = acc.get(key, QQ(0)) + c1 * c2
+    bidegree = (a.bidegree[0] + b.bidegree[0], a.bidegree[1] + b.bidegree[1])
+    return BiForm(bidegree, acc)
+
+
+def test_biform_product_matches_the_termwise_oracle():
+    rng = rng_for("biform-product-oracle")
+    seen_zero = False
+    for _ in range(300):
+        factors = []
+        for _side in range(2):
+            bidegree = (rng.randint(0, 4), rng.randint(0, 4))
+            density = rng.choice((0.0, 0.3, 0.8, 1.0))
+            terms = {
+                (i, j): random_rat(rng, 5)
+                for i in range(bidegree[0] + 1)
+                for j in range(bidegree[1] + 1)
+                if rng.random() < density
+            }
+            factors.append(BiForm(bidegree, terms))
+        a, b = factors
+        seen_zero |= a.is_zero() or b.is_zero()
+        product = a * b
+        assert product == _biform_product_oracle(a, b)
+        assert b * a == product
+    assert seen_zero

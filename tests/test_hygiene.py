@@ -255,3 +255,39 @@ def test_every_tracer_target_is_defined():
         if module not in modules or attribute not in _definitions(modules[module])
     ]
     assert missing == []
+
+
+# the rational backends; only ``scalars`` chooses between them
+BACKEND_MODULES = {"fractions", "gmpy2"}
+
+
+def _backend_imports(tree):
+    """(module, line) of each import of a backend module, at any depth."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out.extend(
+            (name, node.lineno) for name in names if name.split(".")[0] in BACKEND_MODULES
+        )
+    return out
+
+
+def test_only_scalars_imports_a_rational_backend():
+    imports = [
+        "%s.py:%d imports %s" % (name, line, module)
+        for name, tree in _modules().items()
+        if name != "scalars"
+        for module, line in _backend_imports(tree)
+    ]
+    assert imports == []
+    assert _backend_imports(_modules()["scalars"])
+    tree = ast.parse(
+        "import math\nfrom fractions import Fraction\n"
+        "def f():\n    import gmpy2.mpq\n    from .fractions import x\n"
+    )
+    assert _backend_imports(tree) == [("fractions", 2), ("gmpy2.mpq", 4)]

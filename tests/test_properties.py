@@ -1,6 +1,9 @@
 """Property tests (Hypothesis, derandomized so every run draws the same cases)."""
 
 import io
+import json
+import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -109,3 +112,64 @@ def test_split_type_and_analyze_exit_with_a_status_on_contact_curves(command, cu
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = cli.main([command, "--curve=" + curve, "--conic=" + _CONTACT])
     assert code in (0, 1, 2, 65)
+
+
+def _run(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+@pytest.mark.parametrize("command", ["split-type", "analyze"])
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(curve=_FORM_TEXT, conic=st.sampled_from([_CONTACT, "x^2-y^2"]) | _FORM_TEXT)
+def test_split_type_and_analyze_reject_malformed_curve_texts(command, curve, conic):
+    malformed = False
+    for text in (curve, conic):
+        try:
+            # a curve of large degree would run for long: keep draws small
+            assume(parse_form(text, ("x", "y", "z")).degree <= 6)
+        except (ValueError, SplitCurvesError):
+            malformed = True
+    code = _run([command, "--curve=" + curve, "--conic=" + conic])
+    assert code == 65 if malformed else code in (0, 1, 2, 65)
+
+
+# a quartic with the contact conic z^2 - 4xy and one node, at (0 : 0 : 1)
+_NODAL_QUARTIC = "(x^2+y*z)^2-(z^2-4xy)*(x-y)*(x+2*y)"
+
+
+def _malformed_claim(text):
+    """True when the node file text is not a JSON array of node specs."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError):
+        return True
+    if not isinstance(data, list):
+        return True
+    try:
+        for spec in data:
+            parse_node_spec(spec)
+    except (ValueError, SplitCurvesError):
+        return True
+    return False
+
+
+_NODE_FILE = (
+    _JSON.map(json.dumps)
+    | st.lists(_ORBITS | st.lists(_TEXT | st.integers(-3, 3), max_size=4), max_size=3).map(json.dumps)
+    | st.text(alphabet='[]{},:"0123456789-a minpolyt', max_size=12)
+)
+
+
+@pytest.mark.parametrize("command", ["split-type", "analyze"])
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(text=_NODE_FILE)
+def test_split_type_and_analyze_reject_malformed_node_files(command, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "nodes.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        code = _run(
+            [command, "--curve=" + _NODAL_QUARTIC, "--conic=" + _CONTACT, "--nodes=" + path]
+        )
+    assert code == 65 if _malformed_claim(text) else code in (0, 1, 2, 65)

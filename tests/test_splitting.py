@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from splitcurves import splitting
@@ -10,7 +12,7 @@ from splitcurves.errors import (
     SearchBudgetExceeded,
     WrongNodeCount,
 )
-from splitcurves.forms import Form, compose_form, monomial_basis, parse_form, point
+from splitcurves.forms import BiForm, Form, compose_form, monomial_basis, parse_form, point
 from splitcurves.registry import example_ids, load_example
 from splitcurves.splitting import (
     SplitCertificate,
@@ -29,10 +31,10 @@ from splitcurves.splitting import (
     _restrict_to_line,
 )
 from splitcurves.arith import BinForm
-from splitcurves.linalg import solve_linear
+from splitcurves.linalg import kernel_basis, primitive_vector, solve_linear
 from splitcurves.scalars import ONE, QQ
 
-from conftest import PLANE, random_form, rng_for
+from conftest import PLANE, random_form, random_rat, rng_for
 
 
 def test_alpha_of():
@@ -489,3 +491,147 @@ def test_tangent_line_pick_is_settled_within_the_degree_bound():
     # a multiple component meets every line twice: the bound is reached
     with pytest.raises(NotTangentLine, match="j = 0..12.*multiple component"):
         _pick_tangent_line(parse_form("(x - y)^2*z", PLANE))
+
+
+# -- the consistency system in all unknowns, kept as an oracle ----------------
+
+
+def _scalar_table_oracle(g, ext):
+    g1, g2 = g[0].coeffs, g[1].coeffs
+    if ext is None:
+        return ((g1,),)
+    e = QQ(ext)
+    return ((g1, [e * c for c in g2]), (g2, g1))
+
+
+def _consistency_rows_oracle(m, n, specs, gs, hs, ext):
+    """The parent's system: rows in the (m+1)(n+1) coefficients of A and the
+    2(n+1) scalars, each split into parts over QQ(sqrt(ext))."""
+    parts = 1 if ext is None else 2
+    na = (m + 1) * (n + 1)
+    nl = len(specs)
+    ncols = parts * (na + 2 * nl)
+    off_lambda = parts * na
+    off_mu = off_lambda + parts * nl
+    rows = []
+    for kk, (u0, v0, _b) in enumerate(specs):
+        upow_n = [u0**j * v0 ** (n - j) for j in range(n + 1)]
+        upow_m = [u0**i * v0 ** (m - i) for i in range(m + 1)]
+        by_g = [
+            [(i * (n + 1) + j, upow_n[j]) for j in range(n + 1)] for i in range(m + 1)
+        ]
+        by_h = [
+            [(i * (n + 1) + j, upow_m[i]) for i in range(m + 1)] for j in range(n + 1)
+        ]
+        for cells, table, off in (
+            (by_g, _scalar_table_oracle(gs[kk], ext), off_lambda),
+            (by_h, _scalar_table_oracle(hs[kk], ext), off_mu),
+        ):
+            for c, a_cells in enumerate(cells):
+                for p in range(parts):
+                    row = [QQ(0)] * ncols
+                    for col, val in a_cells:
+                        row[p * na + col] = val
+                    for q in range(parts):
+                        row[off + q * nl + kk] = -table[p][q][c]
+                    rows.append(row)
+    return rows, ncols
+
+
+def _grouping_kernels(f_pull, m, n, limit):
+    """(ext, kernel, oracle kernel) for the first ``limit`` groupings of every
+    pass of the factor search whose cofactors all exist."""
+    specs = splitting._specializations(f_pull, n)
+    interp = splitting._interpolation_matrix(n, specs)
+    factored = [b.factor() for _u, _v, b in specs]
+    for ext, divisor_lists in splitting._search_passes(factored, m):
+        tried = 0
+        for combo in itertools.product(*divisor_lists):
+            if ext is not None and all(g2.is_zero() for _g1, g2 in combo):
+                continue
+            hs = [splitting._cofactor(b, g, ext) for (_u, _v, b), g in zip(specs, combo)]
+            if any(h is None for h in hs):
+                continue
+            tried += 1
+            if tried > limit:
+                break
+            rows, ncols = _consistency_rows_oracle(m, n, specs, combo, hs, ext)
+            kern = splitting._grouping_kernel(m, n, specs, interp, combo, hs, ext)
+            yield ext, kern, kernel_basis(rows, ncols)
+
+
+def _random_biform(rng, bidegree):
+    d1, d2 = bidegree
+    return BiForm(
+        bidegree,
+        {(i, j): QQ(rng.randint(-2, 2)) for i in range(d1 + 1) for j in range(d2 + 1)},
+    )
+
+
+def _split_pullbacks(rng, m, n):
+    """Pullbacks A * sigma(A) for random A of bidegree (m, n), A also a
+    product with a factor of bidegree (1, 0), (0, 1) or (1, 1)."""
+    out = []
+    for piece in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        if piece[0] > m or piece[1] > n:
+            continue
+        rest = _random_biform(rng, (m - piece[0], n - piece[1]))
+        a = rest * _random_biform(rng, piece) if piece != (0, 0) else rest
+        if not a.is_zero():
+            out.append(a * involution_biform(a))
+    return out
+
+
+def test_reduced_consistency_system_has_the_oracle_kernel():
+    rng = rng_for("consistency-kernel-oracle")
+    cases = [(f, m, n) for m, n in ((1, 5), (2, 4), (3, 3)) for f in _split_pullbacks(rng, m, n)]
+    # plane curves split by construction: c3^2 - delta c2^2 and a syzygetic (2, 4)
+    for _ in range(2):
+        c3, c2 = random_form(rng, 3, height=3), random_form(rng, 2, height=3)
+        cases.append((pullback_curve(c3 * c3 - delta2() * c2 * c2), 3, 3))
+    # l^2 - e delta splits only over QQ(sqrt(e)); its kernels there are planes
+    for e in (3, 11, -7, 2):
+        gamma = parse_form("(x+y+z)^2", PLANE) - delta2().scale(e)
+        cases.append((pullback_curve(gamma), 1, 1))
+    seen = {"groupings": 0, "ext": 0, "dim2": 0, "types": set()}
+    for f, m, n in cases:
+        for ext, kern, expected in _grouping_kernels(f, m, n, limit=6):
+            assert kern == expected
+            seen["groupings"] += 1
+            seen["ext"] += ext is not None
+            seen["dim2"] += len(kern) >= 2
+            seen["types"].add((m, n))
+    assert seen["types"] == {(1, 5), (2, 4), (3, 3), (1, 1)}
+    assert seen["groupings"] >= 100 and seen["ext"] >= 4 and seen["dim2"] >= 4
+
+
+def test_lifted_kernel_basis_is_the_full_kernel_basis():
+    # a system [I | -L; 0 | R] in (a, x) forces a = L x, so its kernel is the
+    # lift x -> (L x, x) of the kernel of R: lifting kernel_basis(R) and making
+    # each vector primitive gives kernel_basis of the whole system
+    rng = rng_for("lifted-kernel-basis")
+    dims = set()
+    for _ in range(80):
+        nx, na = rng.randint(3, 9), rng.randint(1, 6)
+        rank = rng.randint(max(1, nx - 5), nx - 2)
+        left = [[QQ(rng.randint(-3, 3)) for _ in range(rank)] for _ in range(rank + 2)]
+        right = [[random_rat(rng, 4) for _ in range(nx)] for _ in range(rank)]
+        r_rows = [
+            [sum((a * b for a, b in zip(row, col)), QQ(0)) for col in zip(*right)]
+            for row in left
+        ]
+        lmat = [[random_rat(rng, 4) if rng.random() < 0.7 else QQ(0) for _ in range(nx)] for _ in range(na)]
+        full = [
+            [QQ(int(i == j)) for j in range(na)] + [-c for c in lrow]
+            for i, lrow in enumerate(lmat)
+        ] + [[QQ(0)] * na + row for row in r_rows]
+        reduced = kernel_basis(r_rows, nx)
+        lifted = [
+            primitive_vector(
+                [sum((c * x for c, x in zip(lrow, v)), QQ(0)) for lrow in lmat] + v
+            )
+            for v in reduced
+        ]
+        assert lifted == kernel_basis(full, na + nx)
+        dims.add(len(reduced))
+    assert {2, 3, 4, 5} <= dims
