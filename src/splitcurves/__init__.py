@@ -46,13 +46,11 @@ from .forms import (
     substitute_form,
 )
 from .linsys import (
-    BiFormSpace,
     FormSpace,
     LinSysReport,
     cond_divisible_on_conic,
     cond_point,
     cond_singular,
-    general_position_p1xp1,
     system_solve,
 )
 from .quartics import (

@@ -4,9 +4,11 @@ Univariate polynomials over the rationals or over a number field
 ``QQ[a]/(p)``, complete factorization over the rationals (squarefree
 decomposition, a scan for the rational roots p/q with |p|, q <= 30 that
 tries only the divisors the rational root theorem allows and evaluates in
-integers, then Berlekamp + Hensel lifting + Zassenhaus recombination from a
-single good prime), and binary forms in two variables with exact
-square-root extraction.
+integers, then Berlekamp + Hensel lifting + Zassenhaus recombination at the
+first good prime: the first odd prime that divides no leading coefficient
+and keeps the polynomial squarefree), binary forms in two variables with
+exact square-root extraction, and the one square-and-multiply power that
+every ring of the package uses.
 
 Everything here is immutable after construction and all operations are
 pure functions, so values can be shared freely between threads.
@@ -43,6 +45,19 @@ def _primes():
                 sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
         _PRIMES.extend(i for i in range(2000) if sieve[i])
     return _PRIMES
+
+
+def power(base, e, one):
+    """base**e for an integer e >= 0 by square-and-multiply; ``one`` is the
+    unit of base's ring, returned for e = 0."""
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +191,6 @@ def _gf_gcdex(f, g, p):
     return scale(s0), scale(t0), scale(r0)
 
 
-def _gf_pow_mod(f, e, mod, p):
-    out = [1]
-    base = _gf_divmod(f, mod, p)[1]
-    while e:
-        if e & 1:
-            out = _gf_divmod(_gf_mul(out, base, p), mod, p)[1]
-        base = _gf_divmod(_gf_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return out
-
-
 def _gf_deriv(f, p):
     return _trim([(i * a) % p for i, a in enumerate(f)][1:])
 
@@ -235,7 +239,14 @@ def _gf_berlekamp_basis(f, p):
     one vector per irreducible factor of f.
     """
     n = len(f) - 1
-    xp = _gf_pow_mod([0, 1], p, f, p)
+    # x^p mod f by p shifts, each folding the top term back with the monic f
+    xp = [1]
+    for _ in range(p):
+        xp = [0] + xp
+        if len(xp) > n:
+            top = xp.pop()
+            xp = [(a - top * b) % p for a, b in zip(xp, f)]
+    xp = _trim(xp)
     rows = []
     cur = [1]
     for _ in range(n):
@@ -246,11 +257,9 @@ def _gf_berlekamp_basis(f, p):
     return _gf_nullspace(rows, p)
 
 
-def _gf_berlekamp(f, p, basis):
-    """Monic irreducible factors of a monic squarefree f over GF(p).
-
-    ``basis`` is ``_gf_berlekamp_basis(f, p)``.
-    """
+def _gf_berlekamp(f, p):
+    """Monic irreducible factors of a monic squarefree f over GF(p)."""
+    basis = _gf_berlekamp_basis(f, p)
     r = len(basis)
     factors = [f]
     if r == 1:
@@ -350,24 +359,16 @@ def _zassenhaus(f):
     lc = f[-1]
     norm = max(abs(a) for a in f)
     B = (math.isqrt(n + 1) + 1) * 2**n * norm * abs(lc)
-    # pick the good prime with the fewest modular factors among candidates
-    candidates = []
+    # the first good prime: p does not divide lc and f stays squarefree mod p
     for p in _primes():
         if p == 2 or lc % p == 0:
             continue
         fp = _gf_monic(_gf(f, p), p)
-        if len(fp) - 1 != n:
-            continue
-        if len(_gf_gcd(fp, _gf_deriv(fp, p), p)) - 1 != 0:
-            continue
-        candidates.append((p, fp))
-        if len(candidates) == 5:
+        if len(_gf_gcd(fp, _gf_deriv(fp, p), p)) == 1:
             break
-    if not candidates:
+    else:
         raise ArithmeticError("no good prime found")
-    bases = [(_gf_berlekamp_basis(fp, p), p, fp) for p, fp in candidates]
-    basis, p, fp = min(bases, key=lambda bpf: (len(bpf[0]), bpf[1]))
-    modular = _gf_berlekamp(fp, p, basis)
+    modular = _gf_berlekamp(fp, p)
     if len(modular) == 1:
         return [f]
     l = max(1, math.ceil(math.log(2 * B + 1, p)))
@@ -496,14 +497,8 @@ class UPoly:
         return UPoly([a * c for a in self.coeffs], self.field)
 
     def __pow__(self, e):
-        out = UPoly([1] if self.field is None else [self.field.one()], self.field)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        one = [1] if self.field is None else [self.field.one()]
+        return power(self, e, UPoly(one, self.field))
 
     def _inv_c(self, c):
         return ONE / c if self.field is None else c.inv()
@@ -1007,14 +1002,7 @@ class NFElem:
     def __pow__(self, e):
         if e < 0:
             return self.inv() ** (-e)
-        out = self.owner.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, self.owner.one())
 
     def __repr__(self):
         name = self.owner.name
@@ -1114,14 +1102,7 @@ class BinForm:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        out = BinForm(0, [ONE])
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, BinForm(0, [ONE]))
 
     def eval(self, s, t):
         """Evaluate at scalars (rational or NFElem)."""

@@ -19,7 +19,7 @@ from .conics import classify_conic, contact_profile
 from .cover import pullback_curve
 from .curves import irreducibility_sextic, singular_locus_complete, verify_node
 from .errors import CannotCertify, ParseError, SplitCurvesError
-from .forms import biform_to_str, form_to_str, parse_form, parse_univariate
+from .forms import PLANE_VARS, SPACE_VARS, biform_to_str, form_to_str, parse_form
 from .registry import example_ids, parse_node_spec
 from .reports import (
     certificate_payload,
@@ -29,9 +29,6 @@ from .reports import (
 )
 from .quartics import QuarticSurface, project_quartic, syzygetic_test
 from .splitting import normalize_configuration, splitting_type, splitting_type_normalized
-
-PLANE_VARS = ("x", "y", "z")
-SPACE_VARS = ("x", "y", "z", "w")
 
 EX_USAGE = 64
 EX_DATA = 65
@@ -59,13 +56,7 @@ def _read_form(value, variables):
 
 def _load_nodes(path, form):
     """The node claim of a file, for a plane curve or (in four variables)
-    the quartic surface ``form``.
-
-    An orbit cannot be larger than the most singular points the input can
-    have: d(d-1)/2 for a reduced plane curve of degree d, 16 for a quartic
-    surface.  A minimal polynomial of larger degree is rejected before its
-    number field (and its irreducibility test) is built.
-    """
+    the quartic surface ``form``; ``parse_node_spec`` bounds each orbit."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -73,17 +64,7 @@ def _load_nodes(path, form):
             raise ValueError("node file nests too deeply") from None
     if not isinstance(data, list):
         raise ValueError("node file must hold a JSON array")
-    ambient = len(form.variables)
-    bound = 16 if ambient == 4 else form.degree * (form.degree - 1) // 2
-    for spec in data:
-        if isinstance(spec, dict) and isinstance(spec.get("minpoly"), str):
-            degree = parse_univariate(spec["minpoly"], "a").degree()
-            if degree > bound:
-                raise ValueError(
-                    "an orbit of %d points is more than the %d singular points "
-                    "this input can have" % (degree, bound)
-                )
-    return [parse_node_spec(spec, ambient) for spec in data]
+    return [parse_node_spec(spec, form) for spec in data]
 
 
 def _emit(payload, as_json, text):

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from .arith import BinForm, binform_gcd
 from .errors import CannotCertify, CommonComponent, ConicNotSmooth, PointNotOnConic
-from .forms import Form, ProjPoint, compose_form, substitute_form
+from .forms import PLANE_VARS, Form, ProjPoint, compose_form, substitute_form
 from .linalg import kernel_basis, mat_inv, mat_mul, rank_bareiss
 from .scalars import QQ, ZERO, ONE, denom, numer
 
@@ -48,14 +48,13 @@ class ConicParam:
     """Rational parametrization (p0 : p1 : p2) of a smooth conic.
 
     The three binary quadratics are linearly independent and satisfy
-    q(p0, p1, p2) = 0 identically; the base point is recovered at (0 : 1).
+    q(p0, p1, p2) = 0 identically.
     """
 
-    __slots__ = ("conic", "base", "p0", "p1", "p2")
+    __slots__ = ("conic", "p0", "p1", "p2")
 
-    def __init__(self, conic, base, p0, p1, p2):
+    def __init__(self, conic, p0, p1, p2):
         self.conic = conic
-        self.base = base
         self.p0 = p0
         self.p1 = p1
         self.p2 = p2
@@ -90,7 +89,8 @@ def _bilinear(a, x, y):
 
 
 def parametrize_conic(q, base):
-    """Stereographic parametrization of a smooth conic from a rational point."""
+    """Stereographic parametrization of a smooth conic from a rational point,
+    which is its image of (0 : 1)."""
     if classify_conic(q) != "smooth":
         raise ConicNotSmooth(repr(q))
     if base.field is not None:
@@ -117,7 +117,7 @@ def parametrize_conic(q, base):
         st = qd[1] * b[k] - 2 * (bd[0] * v_t[k] + bd[1] * u[k])
         t2 = qd[2] * b[k] - 2 * bd[1] * v_t[k]
         comps.append(BinForm(2, [t2, st, s2]))
-    param = ConicParam(q, ProjPoint([QQ(c) for c in b]), *comps)
+    param = ConicParam(q, *comps)
     if not restrict_to_conic(q, param).is_zero():
         raise ConicNotSmooth("parametrization identity failed for %r" % (q,))
     return param
@@ -262,14 +262,13 @@ def rational_parametrization(q):
 class ContactProfile:
     """Outcome of the contact analysis of a curve against a smooth conic."""
 
-    __slots__ = ("kind", "contact_form", "tangent_count", "multiplicities", "content")
+    __slots__ = ("kind", "contact_form", "tangent_count", "multiplicities")
 
-    def __init__(self, kind, contact_form, tangent_count, multiplicities, content):
+    def __init__(self, kind, contact_form, tangent_count, multiplicities):
         self.kind = kind
         self.contact_form = contact_form
         self.tangent_count = tangent_count
         self.multiplicities = multiplicities
-        self.content = content
 
     def __repr__(self):
         return "ContactProfile(%s, tangents=%d)" % (self.kind, self.tangent_count)
@@ -280,16 +279,17 @@ def contact_profile(gamma, q, param=None):
 
     Simple contact means every intersection is an ordinary tangency at a
     smooth point of the curve; the returned contact form has the tangency
-    parameters as its roots.
+    parameters as its roots.  A singular conic raises ConicNotSmooth, from
+    ``rational_parametrization`` when no parametrization is given.
     """
-    if classify_conic(q) != "smooth":
-        raise ConicNotSmooth(repr(q))
     if param is None:
         param = rational_parametrization(q)
+    elif classify_conic(q) != "smooth":
+        raise ConicNotSmooth(repr(q))
     restriction = restrict_to_conic(gamma, param)
     if restriction.is_zero():
         raise CommonComponent("curve contains the conic")
-    content, factors = restriction.factor()
+    _content, factors = restriction.factor()
     mults = [m for _, m in factors]
     squarefree = BinForm(0, [ONE])
     for h, _ in factors:
@@ -298,7 +298,7 @@ def contact_profile(gamma, q, param=None):
     tangent_count = squarefree.degree
 
     if any(m == 1 for m in mults):
-        return ContactProfile(NOT_CONTACT, squarefree, tangent_count, mults, content)
+        return ContactProfile(NOT_CONTACT, squarefree, tangent_count, mults)
 
     # the contact meets Sing(gamma) iff the contact form shares a root with
     # the restrictions of all three partials
@@ -308,18 +308,16 @@ def contact_profile(gamma, q, param=None):
             break
         common = binform_gcd(common, restrict_to_conic(p, param))
     if common.degree >= 1:
-        return ContactProfile(NOT_CONTACT, squarefree, tangent_count, mults, content)
+        return ContactProfile(NOT_CONTACT, squarefree, tangent_count, mults)
 
     if all(m == 2 for m in mults):
-        return ContactProfile(
-            SIMPLE_CONTACT, squarefree, tangent_count, mults, content
-        )
+        return ContactProfile(SIMPLE_CONTACT, squarefree, tangent_count, mults)
     if all(m % 2 == 0 for m in mults):
-        return ContactProfile(EVEN_CONTACT, squarefree, tangent_count, mults, content)
-    return ContactProfile(CONTACT, squarefree, tangent_count, mults, content)
+        return ContactProfile(EVEN_CONTACT, squarefree, tangent_count, mults)
+    return ContactProfile(CONTACT, squarefree, tangent_count, mults)
 
 
-def delta2(variables=("x", "y", "z")):
+def delta2(variables=PLANE_VARS):
     """The normalized conic z^2 - 4xy."""
     return Form(
         variables,
@@ -333,7 +331,6 @@ def delta2_param():
     q = delta2()
     return ConicParam(
         q,
-        ProjPoint([ONE, ZERO, ZERO]),
         BinForm(2, [ZERO, ZERO, ONE]),
         BinForm(2, [ONE, ZERO, ZERO]),
         BinForm(2, [ZERO, QQ(2), ZERO]),

@@ -25,7 +25,7 @@ checks its result by exact expansion:
 from math import comb
 
 from .errors import NotTangentLine
-from .forms import BiForm, Form, monomial_basis, substitute_form
+from .forms import PLANE_VARS, BiForm, Form, monomial_basis, substitute_form
 from .scalars import QQ, ZERO, ONE
 
 
@@ -34,7 +34,7 @@ def ram_form():
     return BiForm((1, 1), {(1, 0): ONE, (0, 1): QQ(-1)})
 
 
-def cover_images(variables=("x", "y", "z")):
+def cover_images(variables=PLANE_VARS):
     """Substitution images x -> su, y -> tv, z -> sv + tu."""
     x, y, z = variables
     return {
@@ -59,7 +59,7 @@ def involution_biform(biform):
     return biform.involution()
 
 
-def descend(b, variables=("x", "y", "z")):
+def descend(b, variables=PLANE_VARS):
     """The plane form c with pullback_curve(c) == b, or None."""
     d, d2 = b.bidegree
     if d != d2:
@@ -117,4 +117,4 @@ def tangent_line(s0, t0):
     if pulled != l * involution_biform(l):
         raise NotTangentLine("pullback of the tangent line did not split")
     expos = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return Form(("x", "y", "z"), 1, dict(zip(expos, coeffs))), l
+    return Form(PLANE_VARS, 1, dict(zip(expos, coeffs))), l

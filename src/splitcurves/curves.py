@@ -49,7 +49,7 @@ from .errors import (
     TooManyNodes,
 )
 from .forms import ProjPoint, compose_form, transform_point
-from .linalg import mat_det, mat_inv, rank_bareiss, rref
+from .linalg import dependent_subsets, mat_det, mat_inv, rref
 from .scalars import QQ, ZERO, ONE, clear_denominators, denom, numer
 
 
@@ -540,16 +540,6 @@ def curve_is_reduced(gamma):
 # ---------------------------------------------------------------------------
 
 
-def _no_five_collinear_rational(points):
-    if len(points) < 5:
-        return True
-    for subset in itertools.combinations(points, 5):
-        rows = [p.primitive() for p in subset]
-        if rank_bareiss(rows) <= 2:
-            return False
-    return True
-
-
 def irreducibility_sextic(gamma, nodes):
     """Irreducibility of an r-nodal sextic, r <= 7: no 5 nodes collinear.
 
@@ -564,7 +554,8 @@ def irreducibility_sextic(gamma, nodes):
     if r > 7:
         raise TooManyNodes("criterion valid for at most 7 nodes, got %d" % r)
     if all(p.field is None for p in nodes):
-        return _no_five_collinear_rational(nodes)
+        rows = [p.primitive() for p in nodes]
+        return next(dependent_subsets(rows, 5, 2), None) is None
 
     from .conics import classify_conic
     from .linsys import FormSpace, cond_point, system_solve

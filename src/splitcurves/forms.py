@@ -10,7 +10,7 @@ in descending graded-lexicographic order so output is reproducible, and
 
 import math
 
-from .arith import BinForm, NFElem, scalar_is_zero
+from .arith import BinForm, NFElem, power, scalar_is_zero
 from .errors import (
     FieldMismatch,
     InhomogeneousImage,
@@ -19,6 +19,10 @@ from .errors import (
 )
 from .linalg import mat_vec, primitive_vector
 from .scalars import QQ, ZERO, ONE, denom, numer, rat_str
+
+# the variables of plane forms and of forms on P^3
+PLANE_VARS = ("x", "y", "z")
+SPACE_VARS = ("x", "y", "z", "w")
 
 
 def monomial_basis(nvars, degree):
@@ -152,14 +156,7 @@ class Form:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        out = Form(self.variables, 0, {(0,) * len(self.variables): ONE})
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, Form(self.variables, 0, {(0,) * len(self.variables): ONE}))
 
     def eval(self, coords):
         """Exact value at coordinates (rationals or NFElem of one field).
@@ -348,14 +345,7 @@ class BiForm:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        out = BiForm((0, 0), {(0, 0): ONE})
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, BiForm((0, 0), {(0, 0): ONE}))
 
     def involution(self):
         """Swap the rulings: (s,t) <-> (u,v); bidegree (d1,d2) -> (d2,d1)."""
@@ -917,53 +907,43 @@ def parse_form(text, variables):
     return Form(variables, degrees.pop(), raw)
 
 
-def form_to_str(f):
-    """Deterministic rendering, graded-lex descending; parses back exactly."""
-    if f.is_zero():
-        return "0"
-    chunks = []
-    for expo, coeff in f.sorted_terms():
-        mono = _monomial_str(f.variables, expo)
+def _signed_sum(terms):
+    """"c1*m1 + c2*m2 - ..." from (monomial text, nonzero coefficient) pairs;
+    a unit coefficient is left out, and a constant monomial is "1"."""
+    out = ""
+    for mono, coeff in terms:
         if mono == "1":
             body = rat_str(abs(coeff))
         elif abs(coeff) == 1:
             body = mono
         else:
             body = "%s*%s" % (rat_str(abs(coeff)), mono)
-        chunks.append(("-" if coeff < 0 else "+", body))
-    first_sign, first_body = chunks[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        out += " %s %s" % (sign, body)
-    return out
+        if not out:
+            out = ("-" if coeff < 0 else "") + body
+        else:
+            out += " %s %s" % ("-" if coeff < 0 else "+", body)
+    return out or "0"
+
+
+def form_to_str(f):
+    """Deterministic rendering, graded-lex descending; parses back exactly."""
+    return _signed_sum(
+        (_monomial_str(f.variables, expo), coeff) for expo, coeff in f.sorted_terms()
+    )
 
 
 def biform_to_str(f):
-    if f.is_zero():
-        return "0"
     d1, d2 = f.bidegree
-    chunks = []
-    for (i, j), coeff in f.sorted_terms():
-        parts = []
-        if i:
-            parts.append("s^%d" % i if i > 1 else "s")
-        if d1 - i:
-            parts.append("t^%d" % (d1 - i) if d1 - i > 1 else "t")
-        if j:
-            parts.append("u^%d" % j if j > 1 else "u")
-        if d2 - j:
-            parts.append("v^%d" % (d2 - j) if d2 - j > 1 else "v")
-        mono = "*".join(parts) if parts else "1"
-        if mono == "1":
-            body = rat_str(abs(coeff))
-        elif abs(coeff) == 1:
-            body = mono
-        else:
-            body = "%s*%s" % (rat_str(abs(coeff)), mono)
-        chunks.append(("-" if coeff < 0 else "+", body))
-    first_sign, first_body = chunks[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        out += " %s %s" % (sign, body)
-    return out
+    return _signed_sum(
+        (_monomial_str("stuv", (i, d1 - i, j, d2 - j)), coeff)
+        for (i, j), coeff in f.sorted_terms()
+    )
 
+
+def w_slices(form):
+    """The coefficient forms of w^0, ..., w^d of a form of degree d in
+    (x, y, z, w), as plane forms: slice k has degree d - k."""
+    slices = [{} for _ in range(form.degree + 1)]
+    for (ex, ey, ez, ew), c in form.terms.items():
+        slices[ew][(ex, ey, ez)] = c
+    return [Form(PLANE_VARS, form.degree - k, t) for k, t in enumerate(slices)]

@@ -14,6 +14,8 @@ deterministic.  ``rank_naive`` is plain rational Gaussian elimination, kept
 as the oracle the tests compare the core against.
 """
 
+import itertools
+
 from .scalars import QQ, ZERO, ONE, clear_denominators, over_common_denominator
 
 
@@ -89,6 +91,15 @@ def rank_bareiss(rows):
     if not rows:
         return 0
     return len(_bareiss(_int_rows(rows), len(rows[0]))[0])
+
+
+def dependent_subsets(rows, size, rank):
+    """Index tuples of the ``size``-subsets of ``rows`` of rank at most
+    ``rank`` (points on a line, a plane, ...), in ``itertools.combinations``
+    order."""
+    for subset in itertools.combinations(range(len(rows)), size):
+        if rank_bareiss([rows[i] for i in subset]) <= rank:
+            yield subset
 
 
 def det_bareiss(m_int):

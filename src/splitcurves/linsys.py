@@ -1,4 +1,4 @@
-"""Linear systems of plane curves, space quadrics, and biforms.
+"""Linear systems of plane curves and of forms on P^3.
 
 A condition (incidence, singularity, divisor divisibility on a conic) is a
 row: a plain tuple of rationals indexed by a fixed monomial basis.  A
@@ -11,19 +11,17 @@ vectors read off the reduced echelon form, and the rank is the number of
 columns minus the kernel dimension.
 """
 
-import itertools
-
 from .arith import NFElem, UPoly
 from .errors import FieldMismatch
-from .forms import BiForm, Form, biform_basis, monomial_basis
-from .linalg import kernel_basis, rank_bareiss
+from .forms import PLANE_VARS, Form, monomial_basis
+from .linalg import kernel_basis
 from .scalars import ONE, QQ, ZERO
 
 
 class FormSpace:
     """All forms of a fixed degree in 3 (plane) or 4 (space) variables."""
 
-    def __init__(self, degree, variables=("x", "y", "z")):
+    def __init__(self, degree, variables=PLANE_VARS):
         self.degree = degree
         self.variables = tuple(variables)
         self.basis = monomial_basis(len(self.variables), degree)
@@ -39,23 +37,6 @@ class FormSpace:
             self.degree,
             len(self.variables),
         )
-
-
-class BiFormSpace:
-    """All biforms of a fixed bidegree on P1 x P1."""
-
-    def __init__(self, bidegree):
-        self.bidegree = tuple(bidegree)
-        self.basis = biform_basis(*self.bidegree)
-
-    def size(self):
-        return len(self.basis)
-
-    def from_vector(self, vec):
-        return BiForm(self.bidegree, dict(zip(self.basis, vec)))
-
-    def describe(self):
-        return "biforms of bidegree (%d,%d)" % self.bidegree
 
 
 class LinSysReport:
@@ -112,26 +93,11 @@ def _rows_from_values(values, field):
 
 def cond_point(space, p):
     """Vanishing at a point (or at its full conjugate orbit)."""
-    if isinstance(space, BiFormSpace):
-        return cond_point_biform(space, p)
     if len(p.coords) != len(space.variables):
         raise FieldMismatch("point dimension does not match the space")
     table = _power_table(p.coords, space.degree)
     values = [_monomial_value(table, e) for e in space.basis]
     return _rows_from_values(values, p.field)
-
-
-def cond_point_biform(space, pair):
-    """Vanishing of a biform at a point of P1 x P1 given as a pair."""
-    p, q = pair
-    if p.field is not None or q.field is not None:
-        raise FieldMismatch("biform point conditions require rational points")
-    s, t = p.coords
-    u, v = q.coords
-    d1, d2 = space.bidegree
-    return [
-        tuple(s**i * t ** (d1 - i) * u**j * v ** (d2 - j) for (i, j) in space.basis)
-    ]
 
 
 def cond_singular(space, p):
@@ -198,25 +164,3 @@ def system_solve(space, rows):
         dimension=ncols - rank - 1,
         kernel=[space.from_vector(v) for v in kernel_vecs],
     )
-
-
-def general_position_p1xp1(points):
-    """General position on P1 x P1 for up to 8 points.
-
-    (a) every ruling fiber contains at most two of the points;
-    (b) no (1,1)-curve passes through five of them.
-    """
-    keys1 = [p.canonical_key() for p, _ in points]
-    keys2 = [q.canonical_key() for _, q in points]
-    for keys in (keys1, keys2):
-        counts = {}
-        for k in keys:
-            counts[k] = counts.get(k, 0) + 1
-            if counts[k] > 2:
-                return False
-    space = BiFormSpace((1, 1))
-    rows = [cond_point_biform(space, pair)[0] for pair in points]
-    for subset in itertools.combinations(rows, 5):
-        if rank_bareiss(subset) < 4:
-            return False
-    return True

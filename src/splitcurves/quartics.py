@@ -29,13 +29,18 @@ from .errors import (
     QuadricSingularAtNode,
     SplitCurvesError,
 )
-from .forms import Form, ProjPoint, compose_form, monomial_basis
-from .linalg import kernel_basis, rank_bareiss, solve_linear
+from .forms import (
+    PLANE_VARS,
+    SPACE_VARS,
+    Form,
+    ProjPoint,
+    compose_form,
+    monomial_basis,
+    w_slices,
+)
+from .linalg import dependent_subsets, kernel_basis, rank_bareiss, solve_linear
 from .linsys import FormSpace, cond_point, system_solve
 from .scalars import QQ, ZERO, ONE
-
-SPACE_VARS = ("x", "y", "z", "w")
-PLANE_VARS = ("x", "y", "z")
 
 CENTER = ProjPoint([ZERO, ZERO, ZERO, ONE])
 
@@ -43,16 +48,14 @@ CENTER = ProjPoint([ZERO, ZERO, ZERO, ONE])
 class QuarticSurface:
     """Quartic surface with a distinguished node moved to (0:0:0:1)."""
 
-    __slots__ = ("g2", "g3", "g4", "move", "_projection")
+    __slots__ = ("g2", "g3", "g4", "_projection")
 
-    def __init__(self, g2, g3, g4, move=None):
+    def __init__(self, g2, g3, g4):
         if (g2.degree, g3.degree, g4.degree) != (2, 3, 4):
             raise FieldMismatch("node-centered data needs degrees (2, 3, 4)")
         self.g2 = g2
         self.g3 = g3
         self.g4 = g4
-        # coordinate move applied to reach the node-centered shape
-        self.move = move
         self._projection = None
 
     @classmethod
@@ -72,12 +75,10 @@ class QuarticSurface:
         # matrix sending e4 to the node: columns (c2, c3, c4, node)
         move = [[cols[1][i], cols[2][i], cols[3][i], cols[0][i]] for i in range(4)]
         recentered = compose_form(quartic, move)
-        slices = _w_slices(recentered)
+        slices = w_slices(recentered)
         if not slices[4].is_zero() or not slices[3].is_zero():
             raise NodeDegenerate("recentering did not kill the top w-terms")
-        return cls(
-            slices[2], slices[1].scale(QQ(1, 2)), slices[0], move=move
-        )
+        return cls(slices[2], slices[1].scale(QQ(1, 2)), slices[0])
 
     def form(self):
         """The defining quartic g2 w^2 + 2 g3 w + g4 in (x, y, z, w)."""
@@ -99,14 +100,6 @@ class QuarticSurface:
 
     def __repr__(self):
         return "QuarticSurface(g2=%r)" % (self.g2,)
-
-
-def _w_slices(quartic):
-    """Coefficient forms of w^k, k = 0..4, as plane forms in (x, y, z)."""
-    slices = [dict() for _ in range(5)]
-    for (ex, ey, ez, ew), c in quartic.terms.items():
-        slices[ew][(ex, ey, ez)] = c
-    return [Form(PLANE_VARS, 4 - k, t) for k, t in enumerate(slices)]
 
 
 def _lift(plane_form_):
@@ -163,26 +156,17 @@ def alpha1_map(surface, hyperplane):
     plane variables or as a 4-variable linear form with nonzero
     w-coefficient, which is normalized to 1).
     """
-    ell = _coerce_hyperplane(hyperplane)
+    ell = hyperplane
+    if len(hyperplane.variables) == 4:
+        if hyperplane.degree != 1:
+            raise FieldMismatch("hyperplane must be linear")
+        ell, wc = w_slices(hyperplane)
+        if wc.is_zero():
+            raise HyperplaneThroughNode("hyperplane contains the projection center")
+        ell = ell.scale(ONE / wc.terms[(0, 0, 0)])
     cubic = surface.g2 * ell - surface.g3
     _check_contact_divisor(surface, cubic)
     return cubic
-
-
-def _coerce_hyperplane(hyperplane):
-    if len(hyperplane.variables) == 3:
-        return hyperplane
-    if hyperplane.degree != 1:
-        raise FieldMismatch("hyperplane must be linear")
-    wc = hyperplane.terms.get((0, 0, 0, 1), ZERO)
-    if wc == 0:
-        raise HyperplaneThroughNode("hyperplane contains the projection center")
-    scaled = hyperplane.scale(ONE / wc)
-    terms = {}
-    for (ex, ey, ez, ew), c in scaled.terms.items():
-        if ew == 0:
-            terms[(ex, ey, ez)] = c
-    return Form(PLANE_VARS, 1, terms)
 
 
 def alpha2_map(surface, a1, a2):
@@ -199,12 +183,11 @@ def alpha2_map(surface, a1, a2):
 def _check_contact_divisor(surface, curve):
     """The image curve meets the conic exactly along the tangency divisor.
 
-    Checked on a rational parametrization of g2, so skipped only when g2
-    has no rational point.
+    Checked on the rational parametrization of g2 that the surface's
+    projection keeps, so skipped only when g2 has no rational point.
     """
-    try:
-        param = rational_parametrization(surface.g2)
-    except PointNotOnConic:
+    param = surface.projection()[2].get("param")
+    if param is None:
         return
     restriction = restrict_to_conic(curve, param)
     if restriction.is_zero():
@@ -237,12 +220,9 @@ def general_position_p3(points):
     if any(p.field is not None for p in points):
         raise CannotCertify("general position over number fields not supported")
     rows = [p.primitive() for p in points]
-    for triple in itertools.combinations(range(len(points)), 3):
-        if rank_bareiss([rows[i] for i in triple]) <= 2:
-            return GeneralPositionResult(False, "collinear_triple", triple)
-    for five in itertools.combinations(range(len(points)), 5):
-        if rank_bareiss([rows[i] for i in five]) <= 3:
-            return GeneralPositionResult(False, "coplanar_five", five)
+    for kind, size, rank in (("collinear_triple", 3, 2), ("coplanar_five", 5, 3)):
+        for subset in dependent_subsets(rows, size, rank):
+            return GeneralPositionResult(False, kind, subset)
     return GeneralPositionResult(True)
 
 
@@ -313,12 +293,8 @@ def detect_33_configuration(surface, nodes):
             plane_pts.append(ProjPoint(sol))
         if not ok:
             continue
-        four_collinear = False
-        for quad in itertools.combinations(plane_pts, 4):
-            if rank_bareiss([q.primitive() for q in quad]) <= 2:
-                four_collinear = True
-                break
-        if four_collinear:
+        plane_rows = [q.primitive() for q in plane_pts]
+        if next(dependent_subsets(plane_rows, 4, 2), None) is not None:
             continue
         space = FormSpace(2, PLANE_VARS)
         conds = []

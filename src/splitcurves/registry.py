@@ -14,11 +14,8 @@ recorded here.
 """
 
 from .arith import NumberField
-from .forms import ProjPoint, parse_form, parse_univariate, point
+from .forms import PLANE_VARS, SPACE_VARS, ProjPoint, parse_form, parse_univariate, point
 from .scalars import QQ
-
-PLANE_VARS = ("x", "y", "z")
-SPACE_VARS = ("x", "y", "z", "w")
 
 EXAMPLE_IDS = (
     "split6",
@@ -218,12 +215,18 @@ def _rational(c):
         raise ValueError("coordinate %r is not a finite rational" % (c,)) from None
 
 
-def parse_node_spec(spec, ambient=3):
-    """A node entry: a list of ``ambient`` numbers or numeric strings, or an
-    orbit {"minpoly": text, "point": ``ambient`` numbers or texts in a}.
+def parse_node_spec(spec, form):
+    """A node of ``form`` (a plane curve, or a surface in four variables):
+    a list of one number or numeric string per variable, or an orbit
+    {"minpoly": text, "point": one number or text in a per variable}.
 
-    Any other shape raises ValueError; a bad polynomial, a SplitCurvesError.
+    An orbit cannot be larger than the most singular points the form can
+    have: d(d-1)/2 for a reduced plane curve of degree d, 16 for a quartic
+    surface.  A minimal polynomial of larger degree is rejected before its
+    number field (and its irreducibility test) is built.  Any other shape
+    raises ValueError; a bad polynomial, a SplitCurvesError.
     """
+    ambient = len(form.variables)
     if isinstance(spec, (list, tuple)):
         if len(spec) != ambient:
             raise ValueError("expected %d coordinates" % ambient)
@@ -235,7 +238,14 @@ def parse_node_spec(spec, ambient=3):
     exprs = spec.get("point")
     if not isinstance(exprs, (list, tuple)) or len(exprs) != ambient:
         raise ValueError('"point" must be a list of %d entries' % ambient)
-    field = NumberField(parse_univariate(spec["minpoly"], "a"))
+    minpoly = parse_univariate(spec["minpoly"], "a")
+    bound = 16 if ambient == 4 else form.degree * (form.degree - 1) // 2
+    if minpoly.degree() > bound:
+        raise ValueError(
+            "an orbit of %d points is more than the %d singular points "
+            "this input can have" % (minpoly.degree(), bound)
+        )
+    field = NumberField(minpoly)
     coords = []
     for expr in exprs:
         if isinstance(expr, str):
@@ -282,23 +292,23 @@ def load_example(example_id):
     if example_id == "split6":
         curve = parse_form(raw["curve"], PLANE_VARS)
         conic = parse_form(conic_text, PLANE_VARS)
-        nodes = [parse_node_spec(s) for s in raw["nodes"]]
+        nodes = [parse_node_spec(s, curve) for s in raw["nodes"]]
     elif example_id == "nonsplit6a":
         curve = parse_form(raw["curve"], PLANE_VARS)
         conic = parse_form(conic_text, PLANE_VARS)
-        nodes = [parse_node_spec(s) for s in raw["nodes"]]
+        nodes = [parse_node_spec(s, curve) for s in raw["nodes"]]
     elif example_id == "nonsplit6b":
         c3 = parse_form(raw["c3"], PLANE_VARS)
         c4 = parse_form(raw["c4"], PLANE_VARS)
         conic = parse_form(conic_text, PLANE_VARS)
         curve = c3 * c3 - (conic * c4).scale(raw["curve_factor"])
-        nodes = [parse_node_spec(s) for s in raw["nodes"]]
+        nodes = [parse_node_spec(s, curve) for s in raw["nodes"]]
     elif example_id == "split7-33":
         c3 = parse_form(raw["c3"], PLANE_VARS)
         w2 = parse_form(raw["w2"], PLANE_VARS)
         conic = parse_form(conic_text, PLANE_VARS)
         curve = c3 * c3 - conic * w2 * w2
-        nodes = [parse_node_spec(s) for s in raw["nodes"]]
+        nodes = [parse_node_spec(s, curve) for s in raw["nodes"]]
     elif example_id == "split7-24":
         from .quartics import QuarticSurface
 
@@ -306,7 +316,7 @@ def load_example(example_id):
         f2 = parse_form(raw["f2"], SPACE_VARS)
         f3 = parse_form(raw["f3"], SPACE_VARS)
         quartic = f3 * f3 - (f1 * f2).scale(4)
-        surface_nodes = [parse_node_spec(s, 4) for s in raw["surface_nodes"]]
+        surface_nodes = [parse_node_spec(s, quartic) for s in raw["surface_nodes"]]
         surface = QuarticSurface.from_raw(quartic, surface_nodes[0])
         curve, conic, _info = surface.projection()
         nodes = [
@@ -319,7 +329,7 @@ def load_example(example_id):
         c4 = parse_form(raw["c4"], PLANE_VARS)
         conic = c2
         curve = c3 * c3 - (c2 * c4).scale(4)
-        nodes = [parse_node_spec(s) for s in raw["nodes"]]
+        nodes = [parse_node_spec(s, curve) for s in raw["nodes"]]
     else:  # pragma: no cover
         raise AssertionError(example_id)
     return ExampleRecord(

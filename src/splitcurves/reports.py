@@ -14,7 +14,16 @@ from .conics import SIMPLE_CONTACT
 from .cover import involution_biform, pullback_curve
 from .curves import irreducibility_sextic, singular_locus_complete, verify_node
 from .errors import SplitCurvesError
-from .forms import BiForm, Form, biform_to_str, form_to_str, parse_form
+from .forms import (
+    PLANE_VARS,
+    SPACE_VARS,
+    BiForm,
+    Form,
+    biform_to_str,
+    form_to_str,
+    parse_form,
+    w_slices,
+)
 from .linsys import FormSpace, cond_point, system_solve
 from .registry import load_example
 from .scalars import rat_str
@@ -26,8 +35,6 @@ from .splitting import (
     SplitCertificate,
     _match_scalar,
 )
-
-PLANE_VARS = ("x", "y", "z")
 
 
 def _point_str(p):
@@ -354,9 +361,9 @@ def _split7_24_checks(report, record, split_report):
     surface = record.surface
     quartic = surface.form()
     raw = record.raw
-    f1 = parse_form(raw["f1"], ("x", "y", "z", "w"))
-    f2 = parse_form(raw["f2"], ("x", "y", "z", "w"))
-    f3 = parse_form(raw["f3"], ("x", "y", "z", "w"))
+    f1 = parse_form(raw["f1"], SPACE_VARS)
+    f2 = parse_form(raw["f2"], SPACE_VARS)
+    f3 = parse_form(raw["f3"], SPACE_VARS)
     built = f3 * f3 - (f1 * f2).scale(4)
     report.add(
         "surface equation f3^2 - 4 f1 f2",
@@ -394,10 +401,9 @@ def _split7_24_checks(report, record, split_report):
         expected=form_to_str(target),
         actual=form_to_str(record.conic),
     )
-    # displayed biform product: u^2 pb(b2) - uv pb(c2) + v^2 pb(a2)
-    a2 = _linear_w_part(f1)
-    b2 = _linear_w_part(f2)
-    c2 = _linear_w_part(f3)
+    # displayed biform product: u^2 pb(b2) - uv pb(c2) + v^2 pb(a2), with
+    # a2, b2, c2 the w-free parts of f1, f2, f3
+    a2, b2, c2 = (w_slices(f)[0] for f in (f1, f2, f3))
     u2 = BiForm((0, 2), {(0, 2): 1})
     uv = BiForm((0, 2), {(0, 1): 1})
     v2 = BiForm((0, 2), {(0, 0): 1})
@@ -426,18 +432,6 @@ def _split7_24_checks(report, record, split_report):
         expected=True,
         actual=crit and {"holds": crit["holds"], "failed": crit["failed"]},
     )
-
-
-def _linear_w_part(f):
-    """For f = a1*w + a2 (quadric through the center), return a2's negative pair.
-
-    Returns the degree-2 plane part a2 of f, i.e. f with w = 0.
-    """
-    terms = {}
-    for (ex, ey, ez, ew), c in f.terms.items():
-        if ew == 0:
-            terms[(ex, ey, ez)] = c
-    return Form(PLANE_VARS, 2, terms)
 
 
 def claim_dim(record):

@@ -52,7 +52,7 @@ from .errors import (
     WrongNodeCount,
 )
 from .forms import BiForm, compose_form, substitute_form, transform_point
-from .linalg import kernel_basis, mat_inv, primitive_vector, rank_bareiss
+from .linalg import dependent_subsets, kernel_basis, mat_inv, primitive_vector
 from .linsys import FormSpace, cond_point, cond_divisible_on_conic, system_solve
 from .scalars import QQ, ZERO, ONE, numer, over_common_denominator, rat_sqrt
 
@@ -332,8 +332,9 @@ def _split_quadratic(h, ext):
     return (g1, g2)
 
 
-def _quadratic_fields(factored):
-    """The fields QQ(sqrt(e)) that split a quadratic factor of a specialization.
+def _quadratic_fields(factor_lists):
+    """The fields QQ(sqrt(e)) that split a quadratic factor of a specialization,
+    given the irreducible factors of each specialization.
 
     Each irreducible quadratic factor with discriminant D splits over
     QQ(sqrt(D)) and over no other quadratic field; e is the square-free part
@@ -341,7 +342,7 @@ def _quadratic_fields(factored):
     same field).  Sorted by |e|, positive first.
     """
     fields = set()
-    for _content, factors in factored:
+    for factors in factor_lists:
         for h, _mult in factors:
             if h.degree == 2:
                 disc = _discriminant(h)
@@ -364,12 +365,14 @@ def _pair_mul(a, b, ext):
     return (a1 * b1 + (a2 * b2).scale(ext), a1 * b2 + a2 * b1)
 
 
-def _degree_m_divisors(factors, m, ext=None):
-    """Degree-m divisors of a factored binary form in pair form (g1, g2).
+def _degree_m_divisors(b, factors, m, ext=None):
+    """(divisor, cofactor) pairs of the degree-m divisors of the binary form
+    b with the given irreducible factors, both in pair form (g1, g2).
 
     Over QQ (ext None): the distinct primitive rational divisors.  Over
     QQ(sqrt(ext)): the divisors that are not rational, built from the
-    halves of the quadratic factors that split there.  Sorted by coefficients.
+    halves of the quadratic factors that split there.  Sorted by the
+    divisors' coefficients.
     """
     pool = []
     for h, mult in factors:
@@ -393,21 +396,21 @@ def _degree_m_divisors(factors, m, ext=None):
             elif prod[1].is_zero():
                 continue  # rational: listed by the ext=None enumeration
             seen[(prod[0].coeffs, prod[1].coeffs)] = prod
-    return [seen[k] for k in sorted(seen)]
+    return [(seen[k], _cofactor(b, seen[k], ext)) for k in sorted(seen)]
 
 
 def _cofactor(f, g, ext):
-    """Exact cofactor of f by g1 + sqrt(ext) g2 in pair form, or None."""
+    """The cofactor f / (g1 + sqrt(ext) g2) in pair form, for a divisor g of f.
+
+    Over QQ(sqrt(ext)) it is f (g1 - sqrt(ext) g2) / N(g), the norm
+    N(g) = g1^2 - ext g2^2 being rational; both quotients are exact.
+    """
     g1, g2 = g
     if g2.is_zero():
         h1 = binform_quotient(f, g1)
-        return None if h1 is None else (h1, BinForm.zero(h1.degree))
+        return (h1, BinForm.zero(h1.degree))
     norm = g1 * g1 - (g2 * g2).scale(ext)
-    h1 = binform_quotient(f * g1, norm)
-    h2 = binform_quotient(-(f * g2), norm)
-    if h1 is None or h2 is None:
-        return None
-    return (h1, h2)
+    return (binform_quotient(f * g1, norm), binform_quotient(-(f * g2), norm))
 
 
 def _match_scalar(candidate, target):
@@ -420,17 +423,19 @@ def _match_scalar(candidate, target):
     return c if candidate == target.scale(c) else None
 
 
-def _search_passes(factored, m):
-    """(ext, divisor lists) for QQ, then for each field the specializations name.
+def _search_passes(specs, m):
+    """(ext, lists of (divisor, cofactor) pairs, one list per specialization)
+    for QQ, then for each field the specializations' factors name.
 
     Over QQ(sqrt(e)) the lists hold the rational divisors followed by the
     irrational ones; a field whose specializations give no irrational
     divisor is skipped.
     """
-    rational = [_degree_m_divisors(factors, m) for _content, factors in factored]
+    factored = [(b, b.factor()[1]) for _u, _v, b in specs]
+    rational = [_degree_m_divisors(b, factors, m) for b, factors in factored]
     yield None, rational
-    for ext in _quadratic_fields(factored):
-        irrational = [_degree_m_divisors(factors, m, ext) for _c, factors in factored]
+    for ext in _quadratic_fields(factors for _b, factors in factored):
+        irrational = [_degree_m_divisors(b, factors, m, ext) for b, factors in factored]
         if any(irrational):
             yield ext, [r + i for r, i in zip(rational, irrational)]
 
@@ -460,12 +465,11 @@ def factor_pullback(f_pull, m, n):
     if involution_biform(f_pull) != f_pull:
         raise ValueError("pullback must be involution-invariant")
     specs = _specializations(f_pull, n)
-    factored = [b.factor() for (_u, _v, b) in specs]
     interp = None  # built at the first grouping: most misses reach none
     groupings = 0
-    for ext, divisor_lists in _search_passes(factored, m):
-        for combo in itertools.product(*divisor_lists):
-            if ext is not None and all(g2.is_zero() for _g1, g2 in combo):
+    for ext, pair_lists in _search_passes(specs, m):
+        for combo in itertools.product(*pair_lists):
+            if ext is not None and all(g[1].is_zero() for g, _h in combo):
                 continue  # all rational: tried in the rational pass
             if groupings >= FACTOR_SEARCH_BUDGET:
                 raise SearchBudgetExceeded(
@@ -508,14 +512,11 @@ def _interpolation_matrix(n, specs):
 
 
 def _factor_from_grouping(f_pull, m, n, specs, interp, combo, ext):
-    """The first verified factor whose specializations are the divisors in combo."""
-    cofactors = []
-    for (_u0, _v0, b), g in zip(specs, combo):
-        h = _cofactor(b, g, ext)
-        if h is None:
-            return None
-        cofactors.append(h)
-    kern = _grouping_kernel(m, n, specs, interp, combo, cofactors, ext)
+    """The first verified factor whose specializations are the divisors of
+    the (divisor, cofactor) pairs in combo."""
+    gs = [g for g, _h in combo]
+    hs = [h for _g, h in combo]
+    kern = _grouping_kernel(m, n, specs, interp, gs, hs, ext)
     na = (m + 1) * (n + 1)
     for vec in _kernel_candidates(kern):
         factor = _candidate_factor(vec, m, n, na, len(specs), ext, f_pull)
@@ -791,11 +792,7 @@ def criterion_24_7nodal(gamma, nodes, contact_form):
     space3 = FormSpace(3, gamma.variables)
     div_rows = cond_divisible_on_conic(3, contact_form)
     rows3 = [cond_point(space3, p) for p in nodes]
-    collinear = []
-    for triple in itertools.combinations(range(7), 3):
-        rows = [nodes[i].primitive() for i in triple]
-        if rank_bareiss(rows) <= 2:
-            collinear.append(triple)
+    collinear = list(dependent_subsets([p.primitive() for p in nodes], 3, 2))
     details["collinear_triples"] = collinear
     for triple in collinear:
         rep = system_solve(space3, div_rows + [r for i in triple for r in rows3[i]])
@@ -835,12 +832,11 @@ class SplittingReport:
         "factor",
         "evidence",
         "notes",
-        "normalization",
         "nodes",
     )
 
     def __init__(self, outcome, m=None, n=None, certificate=None, factor=None,
-                 evidence=None, notes=None, normalization=None):
+                 evidence=None, notes=None):
         self.outcome = outcome
         self.m = m
         self.n = n
@@ -848,7 +844,6 @@ class SplittingReport:
         self.factor = factor
         self.evidence = evidence or []
         self.notes = notes or []
-        self.normalization = normalization
         self.nodes = None
 
     def __repr__(self):
@@ -860,12 +855,11 @@ class SplittingReport:
 class NormalizedConfiguration:
     """Curve, nodes and contact data moved to the normalized conic."""
 
-    __slots__ = ("gamma", "nodes", "matrix", "profile")
+    __slots__ = ("gamma", "nodes", "profile")
 
-    def __init__(self, gamma, nodes, matrix, profile):
+    def __init__(self, gamma, nodes, profile):
         self.gamma = gamma
         self.nodes = nodes
-        self.matrix = matrix
         self.profile = profile
 
 
@@ -877,15 +871,13 @@ def normalize_configuration(gamma, conic, nodes):
     target = delta2(gamma.variables)
     lam = _match_scalar(conic, target)
     if lam is not None:
-        matrix = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
         gamma_n, nodes_n = gamma, list(nodes)
     else:
         matrix = normalize_conic(conic)
-        inv = mat_inv(matrix)
-        gamma_n = compose_form(gamma, inv)
+        gamma_n = compose_form(gamma, mat_inv(matrix))
         nodes_n = [transform_point(matrix, p) for p in nodes]
     profile = contact_profile(gamma_n, target, delta2_param())
-    return NormalizedConfiguration(gamma_n, nodes_n, matrix, profile)
+    return NormalizedConfiguration(gamma_n, nodes_n, profile)
 
 
 def splitting_type(gamma, conic, nodes=None):
@@ -1023,25 +1015,14 @@ def splitting_type_normalized(config):
             factor=factor,
             evidence=evidence,
             notes=notes,
-            normalization=config.matrix,
         )
     if not inconclusive:
-        return SplittingReport(
-            "non_splitting",
-            evidence=evidence,
-            notes=notes,
-            normalization=config.matrix,
-        )
+        return SplittingReport("non_splitting", evidence=evidence, notes=notes)
     notes.append(
         "types %s passed necessary conditions but the factorization search "
         "was inconclusive" % ", ".join("(%d,%d)" % t for t in inconclusive)
     )
-    return SplittingReport(
-        "undetermined",
-        evidence=evidence,
-        notes=notes,
-        normalization=config.matrix,
-    )
+    return SplittingReport("undetermined", evidence=evidence, notes=notes)
 
 
 def _summarize_failures(nec, m, n):

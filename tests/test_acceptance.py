@@ -30,11 +30,9 @@ from splitcurves.forms import (
 )
 from splitcurves.linalg import mat_det, mat_inv
 from splitcurves.linsys import (
-    BiFormSpace,
     FormSpace,
     cond_point,
     cond_divisible_on_conic,
-    general_position_p1xp1,
     system_solve,
 )
 from splitcurves.registry import load_example, raw_record
@@ -307,30 +305,6 @@ def test_criterion_8_property_suites():
             for _ in range(nrows)
         ]
         check_elimination(rng, mat)
-
-    # 7 general points on P1 x P1 cut the (2,2) system to dimension 1
-    rng = rng_for("acc-seven")
-
-    def random_p1():
-        while True:
-            coords = [QQ(rng.randint(-9, 9)), QQ(rng.randint(-9, 9))]
-            if any(c != 0 for c in coords):
-                return ProjPoint(coords)
-
-    def general_pairs(count):
-        while True:
-            pts = [(random_p1(), random_p1()) for _ in range(count)]
-            keys = {(p.canonical_key(), q.canonical_key()) for p, q in pts}
-            if len(keys) == count and general_position_p1xp1(pts):
-                return pts
-
-    space22 = BiFormSpace((2, 2))
-    for _ in range(50):
-        pts = general_pairs(7)
-        conds = []
-        for pair in pts:
-            conds.extend(cond_point(space22, pair))
-        assert system_solve(space22, conds).dimension == 1
 
     # 8 general points in P^3: quadric system dimension in [1, 2]
     rng = rng_for("acc-eight")

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import pytest
 
+from splitcurves import arith
 from splitcurves.arith import (
     BinForm,
     NumberField,
@@ -119,6 +121,111 @@ def test_factor_reconstruction_deterministic_random():
         assert rebuilt == f
         for g, _m in facs:
             assert g.lc() == 1
+
+
+def _zassenhaus_best_of_five(f):
+    """The parent's Zassenhaus step, kept as the oracle: Berlekamp bases for
+    the first five good primes, and the prime with the fewest modular
+    factors (then the smallest) is lifted and recombined."""
+    n = len(f) - 1
+    if n <= 1:
+        return [f]
+    lc = f[-1]
+    norm = max(abs(a) for a in f)
+    B = (math.isqrt(n + 1) + 1) * 2**n * norm * abs(lc)
+    candidates = []
+    for p in arith._primes():
+        if p == 2 or lc % p == 0:
+            continue
+        fp = arith._gf_monic(arith._gf(f, p), p)
+        if len(fp) - 1 != n:
+            continue
+        if len(arith._gf_gcd(fp, arith._gf_deriv(fp, p), p)) - 1 != 0:
+            continue
+        candidates.append((p, fp))
+        if len(candidates) == 5:
+            break
+    bases = [(arith._gf_berlekamp_basis(fp, p), p, fp) for p, fp in candidates]
+    _basis, p, fp = min(bases, key=lambda bpf: (len(bpf[0]), bpf[1]))
+    modular = arith._gf_berlekamp(fp, p)
+    if len(modular) == 1:
+        return [f]
+    l = max(1, math.ceil(math.log(2 * B + 1, p)))
+    lifted = arith._hensel_lift(p, f, modular, l)
+    pl = p**l
+    result = []
+    T = list(range(len(lifted)))
+    s = 1
+    while 2 * s <= len(T):
+        found = None
+        for S in itertools.combinations(T, s):
+            G = [f[-1]]
+            for i in S:
+                G = arith._zz_trunc(_zz_mul(G, lifted[i]), pl)
+            H = [f[-1]]
+            for i in T:
+                if i not in S:
+                    H = arith._zz_trunc(_zz_mul(H, lifted[i]), pl)
+            if _zz_mul(G, H) == [a * f[-1] for a in f]:
+                found = (S, _zz_primitive(G)[0], _zz_primitive(H)[0])
+                break
+        if found is None:
+            s += 1
+            continue
+        S, Gp, Hp = found
+        result.append(Gp)
+        f = Hp
+        T = [i for i in T if i not in S]
+    result.append(f)
+    return result
+
+
+# x^8 - 40 x^6 + 352 x^4 - 960 x^2 + 576, the minimal polynomial of
+# sqrt 2 + sqrt 3 + sqrt 5: irreducible, but a product of factors of degree
+# at most 2 modulo every prime, so recombination does all the work
+_SWINNERTON_DYER_8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]
+
+
+def _random_factor_products(rng, count):
+    """Seeded integer polynomials built from factors: linear ones (inside and
+    outside the rational root scan), powers of x, repeated factors, the
+    Swinnerton-Dyer octic and random ones of degree up to 8.  Most have
+    degree <= 6, one in ten up to 12 and one in fifty up to 32."""
+    out = []
+    while len(out) < count:
+        r = rng.random()
+        top = 32 if r < 0.02 else 12 if r < 0.12 else 6
+        f = [rng.randint(-5, 5) or 1]
+        while True:
+            kind = rng.random()
+            if kind < 0.15:
+                g = [0, 1]
+            elif kind < 0.4:
+                g = [rng.randint(-40, 40), rng.randint(1, 40)]
+            elif kind < 0.45 and top == 32:
+                g = _SWINNERTON_DYER_8
+            else:
+                deg = rng.randint(2, min(8, top))
+                g = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 4)]
+            mult = rng.choice((1, 1, 1, 2, 3))
+            if len(f) - 1 + mult * (len(g) - 1) > top:
+                break
+            for _ in range(mult):
+                f = _zz_mul(f, g)
+        if len(f) > 1:
+            out.append(f)
+    return out
+
+
+def test_factorization_equals_the_best_of_five_oracle(monkeypatch):
+    rng = rng_for("zassenhaus-best-of-five")
+    inputs = [_SWINNERTON_DYER_8] + _random_factor_products(rng, 2000)
+    assert 28 <= max(len(f) - 1 for f in inputs) <= 32
+    got = [upoly_factor(UPoly(f)) for f in inputs]
+    monkeypatch.setattr(arith, "_zassenhaus", _zassenhaus_best_of_five)
+    expected = [upoly_factor(UPoly(f)) for f in inputs]
+    assert got == expected
+    assert got[0] == [(UPoly(_SWINNERTON_DYER_8), 1)]
 
 
 def brute_force_rational_roots(ints, bound=30):

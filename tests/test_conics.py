@@ -113,6 +113,28 @@ def test_contact_profiles(gamma6, gamma7_prime, gamma7_prime_nodes):
     del gamma7_prime_nodes
 
 
+def test_contact_profile_tests_smoothness_once(monkeypatch, gamma6):
+    # rational_parametrization tests the rank in find_rational_point and in
+    # parametrize_conic; contact_profile adds a test only for a given param
+    from splitcurves import conics
+
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return classify_conic(q)
+
+    monkeypatch.setattr(conics, "classify_conic", counted)
+    assert contact_profile(gamma6, delta2()).kind == SIMPLE_CONTACT
+    assert len(calls) == 2
+    del calls[:]
+    assert contact_profile(gamma6, delta2(), delta2_param()).kind == SIMPLE_CONTACT
+    assert len(calls) == 1
+    for param in (None, delta2_param()):
+        with pytest.raises(ConicNotSmooth):
+            contact_profile(gamma6, parse_form("x*y", PLANE), param)
+
+
 def test_contact_kind_ladder():
     # conic osculating to fourth order at (0:1:0): even but not simple
     quad = contact_profile(

@@ -402,7 +402,9 @@ def test_orbit_whose_x_lies_in_a_subfield_is_rejected():
     # a rational point written over Q(sqrt 2) is no orbit of size two: it
     # is rejected at the locus shear instead of exhausting the shears
     record = load_example("nonsplit6a")
-    orbit = parse_node_spec({"minpoly": "a^2-2", "point": ["1", "1", "1"]})
+    orbit = parse_node_spec(
+        {"minpoly": "a^2-2", "point": ["1", "1", "1"]}, record.curve
+    )
     nodes = [p for p in record.nodes if not p.eq_proj(point(1, 1, 1))]
     assert len(nodes) == 5
     assert singular_locus_complete(record.curve, nodes + [point(1, 1, 1)])
@@ -467,7 +469,7 @@ def test_a_node_claimed_twice_does_not_stand_in_for_another_on_its_line():
     # an x; (1:-1:0) once as a rational point and once over QQ[a]/(a - 5),
     # in place of (2:4:3), must not pass for the three points
     record = load_example("nonsplit6a")
-    twin = parse_node_spec({"minpoly": "a-5", "point": ["1", "-1", "0"]})
+    twin = parse_node_spec({"minpoly": "a-5", "point": ["1", "-1", "0"]}, record.curve)
     assert twin.field is not None and twin.eq_proj(point(1, -1, 0)) is False
     assert not singular_locus_complete(record.curve, record.nodes[:-1] + [twin])
 

@@ -1,6 +1,7 @@
 """Static hygiene of the package: no unused import, no private helper,
-public function, class or method nothing reads, and no benchmark tracer
-target that the package no longer defines.
+public function, class, method or stored attribute nothing reads, no
+constant defined in two modules, and no benchmark tracer target that the
+package no longer defines.
 
 The checks read the source with ``ast`` only; nothing of the package is
 imported (a base class from the standard library is, to see what it defines).
@@ -215,6 +216,100 @@ def test_the_checks_see_a_violation():
     }
     reader = ast.parse("import m\nm.called()\n")
     assert _unread_public(modules, [*modules.values(), reader]) == ["m.dead", "m.Dead"]
+
+
+def _slot_attributes(tree):
+    """``Class.attribute`` of each name in the ``__slots__`` of a class."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+            ):
+                slots = ast.literal_eval(item.value)
+                if isinstance(slots, str):
+                    slots = (slots,)
+                out.extend("%s.%s" % (cls.name, name) for name in slots)
+    return out
+
+
+def _attributes_loaded(tree):
+    """Every attribute name read (not only assigned) in the tree."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _unread_slots(modules, readers):
+    read = set()
+    for tree in readers:
+        read |= _attributes_loaded(tree)
+    return [
+        slot
+        for tree in modules.values()
+        for slot in _slot_attributes(tree)
+        if slot.split(".")[1] not in read
+    ]
+
+
+def test_every_stored_attribute_is_read():
+    assert _unread_slots(_modules(), _reader_trees()) == []
+
+
+def _module_literals(tree):
+    """(literal, name) of each module-level assignment of a literal value;
+    a fresh empty container is state, not a constant, and is left out."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, ast.Assign):
+            continue
+        try:
+            value = ast.literal_eval(node.value)
+        except (ValueError, TypeError):
+            continue
+        if isinstance(value, (list, dict, set)) and not value:
+            continue
+        out.extend((repr(value), t.id) for t in node.targets if isinstance(t, ast.Name))
+    return out
+
+
+def _constants_defined_twice(modules):
+    """``module.name`` of each literal constant that another module also defines."""
+    where = {}
+    for name, tree in modules.items():
+        for literal, constant in _module_literals(tree):
+            where.setdefault(literal, []).append("%s.%s" % (name, constant))
+    return sorted(
+        place
+        for places in where.values()
+        if len({p.split(".")[0] for p in places}) > 1
+        for place in places
+    )
+
+
+def test_every_constant_is_defined_once():
+    assert _constants_defined_twice(_modules()) == []
+
+
+def test_the_attribute_and_constant_checks_see_a_violation():
+    modules = {
+        "a": ast.parse(
+            "VARS = ('x', 'y')\n_CACHE = {}\n"
+            "class P:\n"
+            "    __slots__ = ('kept', 'spare')\n"
+            "    def __init__(self):\n"
+            "        self.kept = self.spare = 1\n"
+            "    def value(self):\n"
+            "        return self.kept\n"
+        ),
+        "b": ast.parse("NAMES = ('x', 'y')\n_SEEN = {}\nLIMIT = 3\n"),
+    }
+    assert _unread_slots(modules, modules.values()) == ["P.spare"]
+    assert _constants_defined_twice(modules) == ["a.VARS", "b.NAMES"]
 
 
 def _tracer_targets():

@@ -3,13 +3,10 @@ from splitcurves.conics import delta2_param, restrict_to_conic
 from splitcurves.forms import Form, ProjPoint, parse_form, point
 from splitcurves.linalg import rank_bareiss
 from splitcurves.linsys import (
-    BiFormSpace,
     FormSpace,
     cond_divisible_on_conic,
     cond_point,
-    cond_point_biform,
     cond_singular,
-    general_position_p1xp1,
     system_solve,
 )
 from splitcurves.registry import example_ids, load_example
@@ -155,69 +152,6 @@ def test_fraction_free_rank_matches_naive_200_cases():
 def test_dimension_formulas_without_conditions():
     for d in range(1, 5):
         assert system_solve(FormSpace(d), []).dimension == (d + 1) * (d + 2) // 2 - 1
-    for d1 in range(1, 4):
-        for d2 in range(1, 4):
-            space = BiFormSpace((d1, d2))
-            assert system_solve(space, []).dimension == (d1 + 1) * (d2 + 1) - 1
-
-
-def _random_p1(rng):
-    while True:
-        coords = [QQ(rng.randint(-9, 9)), QQ(rng.randint(-9, 9))]
-        if any(c != 0 for c in coords):
-            return ProjPoint(coords)
-
-
-def _random_general_pairs(rng, count):
-    while True:
-        pts = [(_random_p1(rng), _random_p1(rng)) for _ in range(count)]
-        keys = {(p.canonical_key(), q.canonical_key()) for p, q in pts}
-        if len(keys) == count and general_position_p1xp1(pts):
-            return pts
-
-
-def test_general_position_p1xp1_examples():
-    one = QQ(1)
-    pts3 = [
-        (ProjPoint([one, QQ(0)]), ProjPoint([one, QQ(0)])),
-        (ProjPoint([QQ(0), one]), ProjPoint([QQ(0), one])),
-        (ProjPoint([one, one]), ProjPoint([one, one])),
-    ]
-    assert general_position_p1xp1(pts3)
-    space = BiFormSpace((1, 1))
-    conds = []
-    for pair in pts3:
-        conds.extend(cond_point(space, pair))
-    assert system_solve(space, conds).dimension == 0
-
-    bad = [
-        (ProjPoint([one, QQ(0)]), ProjPoint([one, QQ(0)])),
-        (ProjPoint([one, QQ(0)]), ProjPoint([QQ(0), one])),
-        (ProjPoint([one, QQ(0)]), ProjPoint([one, one])),
-    ]
-    assert not general_position_p1xp1(bad)
-
-
-def test_seven_general_points_give_dimension_one():
-    rng = rng_for("seven-points")
-    space = BiFormSpace((2, 2))
-    for _ in range(50):
-        pts = _random_general_pairs(rng, 7)
-        conds = []
-        for pair in pts:
-            conds.extend(cond_point(space, pair))
-        assert system_solve(space, conds).dimension == 1
-
-
-def test_eight_general_points_dimension_bounds():
-    rng = rng_for("eight-points")
-    space = BiFormSpace((2, 2))
-    for _ in range(50):
-        pts = _random_general_pairs(rng, 8)
-        conds = []
-        for pair in pts:
-            conds.extend(cond_point(space, pair))
-        assert 0 <= system_solve(space, conds).dimension <= 1
 
 
 def _random_general_p3(rng, count):
@@ -288,21 +222,9 @@ def _rows_from_values_oracle(values, field, provenance):
 
 
 def _cond_point_oracle(space, p, provenance=None):
-    if isinstance(space, BiFormSpace):
-        return _cond_point_biform_oracle(space, p, provenance)
     prov = provenance or "through %r" % (p,)
     values = [_monomial_eval_oracle(p.coords, e) for e in space.basis]
     return _rows_from_values_oracle(values, p.field, prov)
-
-
-def _cond_point_biform_oracle(space, pair, provenance=None):
-    p, q = pair
-    s, t = p.coords
-    u, v = q.coords
-    d1, d2 = space.bidegree
-    prov = provenance or "through (%r, %r)" % (p, q)
-    row = [s**i * t ** (d1 - i) * u**j * v ** (d2 - j) for (i, j) in space.basis]
-    return [LinCondition(row, prov)]
 
 
 def _cond_singular_oracle(space, p, provenance=None):
@@ -356,18 +278,6 @@ def test_point_and_singular_rows_match_oracle():
                 assert cond_singular(space, p) == [
                     c.row for c in _cond_singular_oracle(space, p)
                 ]
-
-
-def test_biform_rows_match_oracle():
-    rng = rng_for("biform-rows-oracle")
-    for d1 in range(1, 4):
-        for d2 in range(1, 4):
-            space = BiFormSpace((d1, d2))
-            for _ in range(5):
-                pair = (_random_p1(rng), _random_p1(rng))
-                expected = [c.row for c in _cond_point_biform_oracle(space, pair)]
-                assert cond_point_biform(space, pair) == expected
-                assert cond_point(space, pair) == expected
 
 
 def _divisibility_rows_oracle(degree, t_form, provenance=None):

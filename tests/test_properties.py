@@ -24,6 +24,9 @@ from splitcurves.forms import (
 )
 from splitcurves.registry import parse_node_spec
 
+# the plane curve whose nodes the node specs name
+_SEXTIC = parse_form("x^6 + y^6 + z^6", ("x", "y", "z"))
+
 # short texts over the polynomial alphabet: long enough to parse, short
 # enough that no exponent builds a polynomial of large degree
 _TEXT = st.text(alphabet="a0123456789+-*/^() e.", max_size=5)
@@ -44,7 +47,7 @@ _ORBITS = st.fixed_dictionaries(
 @given(_JSON | _ORBITS | st.lists(_TEXT | st.integers() | st.floats(), min_size=3, max_size=3))
 def test_parse_node_spec_returns_a_point_or_a_data_error(spec):
     try:
-        node = parse_node_spec(spec)
+        node = parse_node_spec(spec, _SEXTIC)
     except (ValueError, SplitCurvesError):
         return
     assert isinstance(node, ProjPoint) and len(node.coords) == 3
@@ -148,7 +151,7 @@ def _malformed_claim(text):
         return True
     try:
         for spec in data:
-            parse_node_spec(spec)
+            parse_node_spec(spec, _SEXTIC)
     except (ValueError, SplitCurvesError):
         return True
     return False

@@ -10,6 +10,7 @@ from splitcurves.errors import (
 )
 from splitcurves.forms import Form, ProjPoint, parse_form, point
 from splitcurves.linsys import FormSpace, cond_point, system_solve
+from splitcurves.conics import rational_parametrization
 from splitcurves.quartics import (
     QuarticSurface,
     alpha1_map,
@@ -110,6 +111,31 @@ def test_alpha1_requires_w_coefficient(syz_surface):
 
     with pytest.raises(HyperplaneThroughNode):
         alpha1_map(surface, parse_form("x + y", SPACE))
+
+
+def test_alpha_maps_check_contact_on_the_projection_parametrization(monkeypatch, syz_surface):
+    from splitcurves import quartics
+
+    _quartic, syz, _nodes, _fs = syz_surface
+    surface = QuarticSurface(syz.g2, syz.g3, syz.g4)
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return rational_parametrization(q)
+
+    monkeypatch.setattr(quartics, "rational_parametrization", counted)
+    x = Form.variable(PLANE, "x")
+    for ell in (x, Form.variable(PLANE, "y"), parse_form("w + z", SPACE)):
+        alpha1_map(surface, ell)
+    alpha2_map(surface, x, parse_form("x*z - x^2", PLANE))
+    # one decision of g2's rational point: the projection's
+    assert calls == [surface.g2]
+    # no rational point on g2: the check is skipped, the images still built
+    g2 = parse_form("x^2 + y^2 + z^2", PLANE)
+    bare = QuarticSurface(g2, syz.g3, syz.g4)
+    assert alpha1_map(bare, x) == g2 * x - syz.g3
+    assert "param" not in bare.projection()[2]
 
 
 def test_alpha2_examples(syz_surface):

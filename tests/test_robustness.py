@@ -163,5 +163,24 @@ def test_mixed_number_fields_rejected():
 def test_node_spec_wrong_ambient():
     from splitcurves.registry import parse_node_spec
 
+    quartic = parse_form("x^4 + y^4 + z^4 + w^4", ("x", "y", "z", "w"))
     with pytest.raises(ValueError):
-        parse_node_spec([1, 2, 3], ambient=4)
+        parse_node_spec([1, 2, 3], quartic)
+
+
+def test_node_spec_orbit_larger_than_the_singular_locus_is_rejected_at_once():
+    import time
+
+    from splitcurves.registry import parse_node_spec
+
+    sextic = parse_form("x^6 + y^6 + z^6", PLANE)
+    spec = {"minpoly": "a^400+a+1", "point": ["a", "1", "1"]}
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="more than the 15 singular points"):
+        parse_node_spec(spec, sextic)
+    assert time.perf_counter() - start < 0.1
+    quartic = parse_form("x^4 + y^4 + z^4 + w^4", ("x", "y", "z", "w"))
+    spec["minpoly"] = "a^17+a+1"
+    spec["point"].append("1")
+    with pytest.raises(ValueError, match="more than the 16 singular points"):
+        parse_node_spec(spec, quartic)

@@ -540,23 +540,25 @@ def _consistency_rows_oracle(m, n, specs, gs, hs, ext):
 
 def _grouping_kernels(f_pull, m, n, limit):
     """(ext, kernel, oracle kernel) for the first ``limit`` groupings of every
-    pass of the factor search whose cofactors all exist."""
+    pass of the factor search; each listed divisor times its listed cofactor
+    must give its specialization back."""
     specs = splitting._specializations(f_pull, n)
     interp = splitting._interpolation_matrix(n, specs)
-    factored = [b.factor() for _u, _v, b in specs]
-    for ext, divisor_lists in splitting._search_passes(factored, m):
+    for ext, pair_lists in splitting._search_passes(specs, m):
+        for (_u, _v, b), pairs in zip(specs, pair_lists):
+            for g, h in pairs:
+                assert splitting._pair_mul(g, h, ext) == (b, BinForm.zero(b.degree))
         tried = 0
-        for combo in itertools.product(*divisor_lists):
-            if ext is not None and all(g2.is_zero() for _g1, g2 in combo):
-                continue
-            hs = [splitting._cofactor(b, g, ext) for (_u, _v, b), g in zip(specs, combo)]
-            if any(h is None for h in hs):
+        for combo in itertools.product(*pair_lists):
+            gs = [g for g, _h in combo]
+            hs = [h for _g, h in combo]
+            if ext is not None and all(g2.is_zero() for _g1, g2 in gs):
                 continue
             tried += 1
             if tried > limit:
                 break
-            rows, ncols = _consistency_rows_oracle(m, n, specs, combo, hs, ext)
-            kern = splitting._grouping_kernel(m, n, specs, interp, combo, hs, ext)
+            rows, ncols = _consistency_rows_oracle(m, n, specs, gs, hs, ext)
+            kern = splitting._grouping_kernel(m, n, specs, interp, gs, hs, ext)
             yield ext, kern, kernel_basis(rows, ncols)
 
 
