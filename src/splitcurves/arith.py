@@ -560,25 +560,6 @@ class UPoly:
         return "UPoly(%s)" % " + ".join(terms)
 
 
-def _content_scale(p):
-    """A rational c such that p.scale(c) has small integer-ish coefficients.
-
-    Rescaling by a nonzero rational is free over a field; this keeps
-    coefficient heights bounded during Euclidean remainder sequences.
-    """
-    if p.is_zero():
-        return ONE
-    if p.field is None:
-        flat = list(p.coeffs)
-    else:
-        flat = [c for e in p.coeffs for c in e.coords]
-    ints = clear_denominators(flat)
-    for orig, scaled in zip(flat, ints):
-        if scaled != 0:
-            return QQ(scaled) / orig
-    return ONE
-
-
 def _zz_prem(f, g):
     """A pseudo-remainder of f by g: (r, k) with r = lc(g)^k * f mod g."""
     r = _trim(list(f))
@@ -662,27 +643,74 @@ def _zz_gcd(f, g):
     return _zz_gcd_heuristic(f, g) or _zz_gcd_prs(f, g)
 
 
-def upoly_gcd(a, b):
-    """Monic gcd over the coefficient field.
+def _zk_prem(f, g, field):
+    """A pseudo-remainder of f by g over Z[a], a the generator of ``field``.
 
-    Over the rationals it runs in integers: both operands are scaled to
-    integer coefficients and ``_zz_gcd`` (GCDHEU, the primitive
-    pseudo-remainder sequence as its fallback) gives the gcd up to a
-    rational unit, which ``monic`` removes.
-    Over a number field it is the Euclidean algorithm with each remainder
-    rescaled by ``_content_scale``.
+    f and g are lists (constant term first) of integer coordinate vectors
+    in the power basis.  Each step replaces r by P_n^(n - 1) (lc(g) r -
+    lc(r) x^k g), whose products ``_zz_product`` keeps in integers, so the
+    result is f mod g times a nonzero element of Z[a].
+    """
+    product = field._zz_product
+    r = list(f)
+    dg = len(g) - 1
+    lc = g[-1]
+    while len(r) > dg:
+        c = r.pop()
+        shift = len(r) - dg
+        r = [product(lc, v) for v in r]
+        for j, b in enumerate(g[:-1]):
+            r[shift + j] = [x - y for x, y in zip(r[shift + j], product(c, b))]
+        while r and not any(r[-1]):
+            r.pop()
+    return r
+
+
+def _zk_primitive(f):
+    """f divided by the gcd of all its integer coordinates."""
+    g = math.gcd(*(x for v in f for x in v))
+    return [[x // g for x in v] for v in f] if g > 1 else f
+
+
+def _zk_ints(p):
+    """The coefficients of p over a number field as integer coordinate
+    vectors, over one denominator and without integer content."""
+    n = p.field.degree
+    ints = clear_denominators([c for e in p.coeffs for c in e.coords])
+    return [ints[i : i + n] for i in range(0, len(ints), n)]
+
+
+def upoly_gcd(a, b):
+    """Monic gcd over the coefficient field, in integers.
+
+    Over the rationals both operands are scaled to integer coefficients and
+    ``_zz_gcd`` (GCDHEU, the primitive pseudo-remainder sequence as its
+    fallback) gives the gcd up to a rational unit, which ``monic`` removes.
+    Over a number field the coefficients are power-basis coordinate
+    vectors, put over one denominator, and the remainder sequence runs on
+    the integer vectors: a pseudo-remainder by ``_zk_prem``, then its
+    integer content removed.  The last nonzero remainder is the gcd up to a
+    unit of the field; one inverse of its leading coefficient makes it
+    monic.
     """
     if a.field != b.field:
         raise FieldMismatch("mixed coefficient fields")
-    if a.field is None:
-        if a.is_zero() or b.is_zero():
-            return (b if a.is_zero() else a).monic()
+    if a.is_zero() or b.is_zero():
+        return (b if a.is_zero() else a).monic()
+    field = a.field
+    if field is None:
         g = _zz_gcd(clear_denominators(list(a.coeffs)), clear_denominators(list(b.coeffs)))
         return UPoly([QQ(c, g[-1]) for c in g])
-    while not b.is_zero():
-        r = a % b
-        a, b = b, r.scale(_content_scale(r))
-    return a.monic() if not a.is_zero() else a
+    f, g = _zk_ints(a), _zk_ints(b)
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f, g = g, _zk_primitive(_zk_prem(f, g, field))
+    one = field.one()
+    if len(f) == 1:
+        return UPoly([one], field)
+    inv = NFElem(field, tuple(QQ(x) for x in f[-1])).inv()
+    return UPoly([NFElem(field, tuple(QQ(x) for x in v)) * inv for v in f[:-1]] + [one], field)
 
 
 def upoly_from_int(coeffs):
@@ -862,6 +890,27 @@ class NumberField:
             return v
         return self.from_rat(v)
 
+    def _zz_product(self, a, b):
+        """P_n^(n - 1) a b for integer coordinate vectors a, b, in integers.
+
+        The convolution A * B has its top n - 1 terms folded in with the
+        integer rows of a^k mod p, which share the denominator P_n^(n - 1).
+        """
+        n = self.degree
+        conv = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+        coords = conv[:n]
+        red_den = self._red_den
+        if red_den != 1:
+            coords = [x * red_den for x in coords]
+        for c, row in zip(conv[n:], self._red_rows):
+            if c:
+                coords = [x + c * r for x, r in zip(coords, row)]
+        return coords
+
     def elem(self, coeffs):
         """Element from a coefficient list in the power basis (low first).
 
@@ -933,35 +982,20 @@ class NFElem:
         return NFElem(self.owner, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
-        """Product: both operands over integers, one convolution, one fold.
+        """Product: both operands over integers, one ``_zz_product``.
 
-        With a = A / s and b = B / t (A, B integer vectors), the convolution
-        A * B has its top n - 1 terms folded in with the integer rows of
-        a^k mod p, and each coordinate is one rational over s t P_n^(n - 1).
+        With a = A / s and b = B / t (A, B integer vectors), each coordinate
+        is one rational over s t P_n^(n - 1).
         """
         if not isinstance(other, NFElem):
             q = QQ(other)
             return NFElem(self.owner, tuple(a * q for a in self.coords))
         other = self._coerce(other)
         field = self.owner
-        n = field.degree
         a, s = over_common_denominator(self.coords)
         b, t = over_common_denominator(other.coords)
-        conv = [0] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        den = s * t
-        coords = conv[:n]
-        red_den = field._red_den
-        if red_den != 1:
-            coords = [x * red_den for x in coords]
-            den *= red_den
-        for c, row in zip(conv[n:], field._red_rows):
-            if c:
-                coords = [x + c * r for x, r in zip(coords, row)]
-        return NFElem(field, tuple(QQ(x, den) for x in coords))
+        den = s * t * field._red_den
+        return NFElem(field, tuple(QQ(x, den) for x in field._zz_product(a, b)))
 
     __rmul__ = __mul__
 
@@ -1157,11 +1191,10 @@ class BinForm:
                 b = BinForm.from_upoly(fac, fac.degree()).primitive()
                 out.append((b, mult))
         ordered = sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
-        prod = BinForm(0, [ONE])
-        for fac, mult in ordered:
-            prod = prod * fac**mult
-        content = self.coeffs[self.s_degree()] / prod.coeffs[prod.s_degree()]
-        return content, ordered
+        # leading coefficients (in s) multiply, so the product of the factor
+        # powers has lc prod lc(h)^m
+        lead = math.prod(fac.coeffs[fac.s_degree()] ** mult for fac, mult in ordered)
+        return self.coeffs[self.s_degree()] / lead, ordered
 
     def __repr__(self):
         terms = []

@@ -19,10 +19,12 @@ differences of a polynomial in Z[x] at distinct integer nodes are integers,
 so the Newton interpolation divides exactly.  One rational rescaling at the
 end gives the resultant of the inputs.  The gcd of the two eliminants is
 ``upoly_gcd``'s: GCDHEU, with the primitive remainder sequence as fallback.
-A curve keeps its locus, so every check on one Form shares one search.
+A shear that leaves a singular point on z = 0 is refused from two binary
+substitutions, before the curve is composed with it, and the fibers over
+the eliminant's factors are built in integers.  A curve keeps its locus, so
+every check on one Form shares one search.
 """
 
-import functools
 import itertools
 import random
 from operator import mul
@@ -48,7 +50,7 @@ from .errors import (
     ShearExhausted,
     TooManyNodes,
 )
-from .forms import ProjPoint, compose_form, transform_point
+from .forms import ProjPoint, compose_form, substitute_form, transform_point
 from .linalg import dependent_subsets, mat_det, mat_inv, rref
 from .scalars import QQ, ZERO, ONE, clear_denominators, denom, numer
 
@@ -172,7 +174,7 @@ def _scaled_y_columns(biv):
     There is one column per power of y up to the largest one keyed, so an
     empty polynomial has the single column [] (the zero polynomial).
     """
-    values = [QQ(v) for v in biv.values()]
+    values = list(biv.values())
     ints = clear_denominators(values)
     cols = [[] for _ in range(max((j for (_i, j) in biv), default=0) + 1)]
     for (i, j), a in zip(biv, ints):
@@ -344,17 +346,26 @@ def _x_minimal_polynomial(xi):
     return UPoly([-m[r][k] for r in range(k)] + [ONE])
 
 
-def _fiber_gcd(combos, field, alpha):
-    """Monic gcd in y of the combinations at x = alpha (field None: alpha in QQ)."""
-    zero, one = (ZERO, ONE) if field is None else (field.zero(), field.one())
-    powers = [one]
+def _fiber_gcd(combos, field, x):
+    """Gcd in y of the combinations over x, monic once two are combined.
+
+    Over a rational x = a / b (field None) the y-coefficients of each
+    combination, scaled to integers, are b^D c(a / b) by integer Horner (D
+    the combination's x-degree).  Over x = alpha, the generator of
+    ``field``, each is its x-column reduced once by ``field.elem``.  Each
+    combination is a nonzero rational multiple of the polynomial in y, and
+    the gcd does not see it.
+    """
+    if field is None:
+        a, b = numer(x), denom(x)
     g = None
     for biv in combos:
-        coeffs = [zero] * (max(j for (_i, j) in biv) + 1)
-        for (i, j), c in biv.items():
-            while len(powers) <= i:
-                powers.append(powers[-1] * alpha)
-            coeffs[j] = coeffs[j] + powers[i] * c
+        cols, _scale = _scaled_y_columns(biv)
+        if field is None:
+            top = max(len(col) for col in cols)
+            coeffs = [_zz_value_at(col, a, b) * b ** (top - len(col)) for col in cols]
+        else:
+            coeffs = [field.elem(col) for col in cols]
         p = UPoly(coeffs, field)
         g = p if g is None else upoly_gcd(g, p)
         if g.degree() == 0:
@@ -362,14 +373,45 @@ def _fiber_gcd(combos, field, alpha):
     return g
 
 
-def _infinity_singular_points_exist(partials):
-    """Do the three partials share a zero on the line z = 0?"""
-    restricted = [
-        BinForm(p.degree, [p.terms.get((i, p.degree - i, 0), ZERO) for i in range(p.degree + 1)])
-        for p in partials
-    ]
+def _zz_value_at(col, a, b):
+    """b^k col(a / b) for an integer list col of length k + 1, by Horner."""
+    acc, bk = 0, 1
+    for c in reversed(col):
+        acc = acc * a + c * bk
+        bk *= b
+    return acc
+
+
+def _restrict(form, images):
+    """form(images) for binary images; a constant restricts to itself."""
+    if form.degree == 0:
+        return BinForm(0, [form.terms.get((0, 0, 0), ZERO)])
+    return substitute_form(form, images)
+
+
+def _infinity_singular_points_exist(gamma, m):
+    """Does gamma o m have a singular point on the line z = 0?
+
+    Decided before gamma is composed with m.  On (x : y : 0) the gradient
+    of gamma o m is m^T (grad gamma)(m (x, y, 0)).  Its first two entries
+    are the partials of the restriction r(x, y) = gamma(m (x, y, 0)), one
+    binary substitution; when they share no root, no point of z = 0 is
+    singular.  Otherwise the third entry, w . grad gamma at m (x, y, 0)
+    with w the last column of m, is a second binary substitution.
+    """
+    line = {v: BinForm(1, [row[1], row[0]]) for v, row in zip(gamma.variables, m)}
+    r = _restrict(gamma, line).coeffs
+    d = len(r) - 1
     # a partial that vanishes identically on z = 0 adds no condition there
-    g = functools.reduce(binform_gcd, restricted)
+    g = binform_gcd(
+        BinForm(max(d - 1, 0), [i * c for i, c in enumerate(r)][1:] or [ZERO]),
+        BinForm(max(d - 1, 0), [(d - i) * c for i, c in enumerate(r)][:-1] or [ZERO]),
+    )
+    if not g.is_zero() and g.degree == 0:
+        return False
+    partials = gamma.partials()
+    slope = partials[0].scale(m[0][2]) + partials[1].scale(m[1][2]) + partials[2].scale(m[2][2])
+    g = binform_gcd(g, _restrict(slope, line))
     return g.is_zero() or g.degree >= 1
 
 
@@ -382,27 +424,27 @@ def _sheared_locus(gamma, m, idx):
     Galois orbit of points over the x-orbit.  y is eliminated by resultants
     of two of three generic combinations of the dehomogenized partials (a
     common zero of the partials is one of all three, and conversely:
-    Vandermonde in the weights); the eliminant is factored and each
+    Vandermonde in the weights), in integers; the eliminant is factored and each
     factor's fiber is the gcd of the combinations over it.  Returns None
     when the shear leaves a singular point on z = 0, conjugate points on
     one line x = const, or a vanishing resultant; raises CommonComponent
     when a whole line x = const is singular.
     """
-    partials = compose_form(gamma, m).partials()
-    if _infinity_singular_points_exist(partials):
+    if _infinity_singular_points_exist(gamma, m):
         return None
-    affs = [_affine_xy(p) for p in partials]
+    # the combinations are built in integers from gamma o m scaled to
+    # coprime integer coefficients: its partials in x, y and z, weighted 1,
+    # w and w^2, at z = 1
+    composed = compose_form(gamma, m)
+    ints = clear_denominators(list(composed.terms.values()))
     combos = []
     for w in _elimination_weights(idx):
         out = {}
-        for wt, biv in zip((1, w, w * w), affs):
-            for k, c in biv.items():
-                v = out.get(k, ZERO) + wt * c
-                if v == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = v
-        combos.append(out)
+        for (i, j, k), a in zip(composed.terms, ints):
+            for key, v in (((i - 1, j), i * a), ((i, j - 1), j * w * a), ((i, j), k * w * w * a)):
+                if v:
+                    out[key] = out.get(key, 0) + v
+        combos.append({key: v for key, v in out.items() if v})
     r1 = resultant_y(combos[0], combos[1])
     r2 = resultant_y(combos[1], combos[2])
     if r1.is_zero() or r2.is_zero():

@@ -18,7 +18,7 @@ from .errors import (
     ParseError,
 )
 from .linalg import mat_vec, primitive_vector
-from .scalars import QQ, ZERO, ONE, denom, numer, rat_str
+from .scalars import QQ, ZERO, ONE, denom, numer, over_common_denominator, rat_str
 
 # the variables of plane forms and of forms on P^3
 PLANE_VARS = ("x", "y", "z")
@@ -163,10 +163,14 @@ class Form:
 
         The value lies in the point's field: an ``NFElem`` when any
         coordinate is one, also for a zero or constant form, and a rational
-        otherwise.  One substitution: a rational coordinate c is the
-        constant BinForm (c), an element of a degree-n field QQ[a]/(p) is
-        its power-basis polynomial in a, a BinForm of degree n - 1.  The
-        value is then a polynomial in a, reduced modulo p once.
+        otherwise.  It is one integer sum, divided once: the coefficients
+        are put over one denominator C and the coordinates over one
+        denominator D, so at a rational point the value is an integer over
+        C D^d.  Over a degree-n field QQ[a]/(p) a coordinate is an integer
+        vector in the power basis, its powers and the monomials are
+        products by ``NumberField._zz_product``, each of which carries one
+        factor P_n^(n - 1), so every monomial of degree d carries d - 1 of
+        them and the vector of the sum is over C D^d P_n^((n - 1)(d - 1)).
         """
         if len(coords) != len(self.variables):
             raise FieldMismatch(
@@ -174,17 +178,37 @@ class Form:
                 % (len(coords), len(self.variables))
             )
         field = next((c.owner for c in coords if isinstance(c, NFElem)), None)
-        if self.degree == 0:
-            value = self.terms.get((0,) * len(coords), ZERO)
-            return value if field is None else field.from_rat(value)
-        if not self.terms:
-            return ZERO if field is None else field.zero()
+        nums, cden = over_common_denominator(list(self.terms.values()))
         if field is None:
-            images = [BinForm(0, [c]) for c in coords]
-        else:
-            images = [BinForm(field.degree - 1, field.coerce(c).coords) for c in coords]
-        value = substitute_form(self, dict(zip(self.variables, images)))
-        return value.coeffs[0] if field is None else field.elem(value.coeffs)
+            xs, den = over_common_denominator(coords)
+            total = 0
+            for expo, a in zip(self.terms, nums):
+                for x, e in zip(xs, expo):
+                    if e:
+                        a *= x**e
+                total += a
+            return QQ(total, cden * den**self.degree)
+        n = field.degree
+        flat, den = over_common_denominator(
+            [c for x in coords for c in field.coerce(x).coords]
+        )
+        # powers[i][e] is P_n^((n - 1)(e - 1)) X_i^e, X_i = D x_i
+        powers = [[None, flat[i : i + n]] for i in range(0, len(flat), n)]
+        product = field._zz_product
+        total = [0] * n
+        for expo, a in zip(self.terms, nums):
+            mono = None
+            for pw, e in zip(powers, expo):
+                if e:
+                    while len(pw) <= e:
+                        pw.append(product(pw[-1], pw[1]))
+                    mono = pw[e] if mono is None else product(mono, pw[e])
+            if mono is None:
+                total[0] += a
+            else:
+                total = [t + a * v for t, v in zip(total, mono)]
+        den = cden * den**self.degree * field._red_den ** max(self.degree - 1, 0)
+        return NFElem(field, tuple(QQ(t, den) for t in total))
 
     def partial(self, i):
         terms = {}

@@ -23,7 +23,7 @@ from splitcurves.errors import (
     DegreeMismatch,
     ReducibleMinimalPolynomial,
 )
-from splitcurves.scalars import QQ
+from splitcurves.scalars import QQ, clear_denominators
 
 from conftest import rng_for, random_rat
 
@@ -528,6 +528,110 @@ def test_number_field_kernels_match_rational_oracles(coeffs):
         assert field.elem(vector).coords == _elem_oracle(field, vector)
     with pytest.raises(ZeroDivisionError):
         field.zero().inv()
+
+
+# -- gcd over a number field: the parent's NFElem Euclid, kept as an oracle --
+
+
+def _content_scale_oracle(p):
+    """A rational c such that p.scale(c) has small integer-ish coefficients."""
+    if p.is_zero():
+        return QQ(1)
+    flat = [c for e in p.coeffs for c in e.coords]
+    ints = clear_denominators(flat)
+    for orig, scaled in zip(flat, ints):
+        if scaled != 0:
+            return QQ(scaled) / orig
+    return QQ(1)
+
+
+def _nf_gcd_oracle(a, b):
+    """Monic gcd by Euclid on NFElem remainders, each rescaled by a
+    rational, as the parent computed it over a number field."""
+    while not b.is_zero():
+        r = a % b
+        a, b = b, r.scale(_content_scale_oracle(r))
+    return a.monic() if not a.is_zero() else a
+
+
+def _random_field(rng):
+    """A seeded number field of degree 1-4; the minimal polynomial has
+    rational coefficients, so its integer scaling mostly has lc != 1."""
+    while True:
+        n = rng.randint(1, 4)
+        coeffs = [random_rat(rng, 6) for _ in range(n)] + [QQ(1)]
+        if coeffs[0] == 0:
+            continue
+        try:
+            return NumberField(UPoly(coeffs))
+        except ReducibleMinimalPolynomial:
+            continue
+
+
+def _random_nf_poly(rng, field, degree):
+    coeffs = [field.elem(_random_coords(rng, field.degree)) for _ in range(degree + 1)]
+    if coeffs[-1].is_zero():
+        coeffs[-1] = field.one()
+    return UPoly(coeffs, field)
+
+
+def test_number_field_gcd_matches_the_euclid_oracle():
+    rng = rng_for("nf-gcd-oracle")
+    fields = [_random_field(rng) for _ in range(12)]
+    fields += [NumberField(UPoly(list(c))) for c in _ORACLE_FIELDS]
+    # the integer scaling of most minimal polynomials has lc != 1
+    assert sum(field._red_den != 1 for field in fields) >= 8
+    degrees = set()
+    for field in fields:
+        for _ in range(6):
+            common = _random_nf_poly(rng, field, rng.randint(0, 3))
+            a = _random_nf_poly(rng, field, rng.randint(0, 4)) * common
+            b = _random_nf_poly(rng, field, rng.randint(0, 4)) * common
+            expected = _nf_gcd_oracle(a, b)
+            assert upoly_gcd(a, b) == expected == upoly_gcd(b, a)
+            degrees.add(min(expected.degree(), 2))
+        # the squarefree part of a fiber with a repeated root
+        root = _random_nf_poly(rng, field, 1)
+        fiber = root * root * _random_nf_poly(rng, field, rng.randint(0, 3))
+        expected = fiber // _nf_gcd_oracle(fiber, fiber.derivative())
+        assert fiber // upoly_gcd(fiber, fiber.derivative()) == expected
+        # zero operands
+        zero = UPoly.zero(field)
+        assert upoly_gcd(zero, zero) == zero == _nf_gcd_oracle(zero, zero)
+        assert upoly_gcd(fiber, zero) == upoly_gcd(zero, fiber) == fiber.monic()
+        assert upoly_gcd(zero, fiber) == _nf_gcd_oracle(zero, fiber)
+    assert degrees == {0, 1, 2}
+
+
+def test_number_field_gcd_of_coprime_and_constant_operands():
+    field = NumberField(UPoly([QQ(-1, 2), 0, 1]))
+    a = field.gen()
+    one = UPoly([field.one()], field)
+    x_minus_a = UPoly([-a, field.one()], field)
+    x_plus_a = UPoly([a, field.one()], field)
+    assert upoly_gcd(x_minus_a, x_plus_a) == one
+    assert upoly_gcd(x_minus_a * x_plus_a, x_plus_a.scale(a + 3)) == x_plus_a
+    assert upoly_gcd(UPoly([a], field), x_minus_a) == one
+
+
+# -- binary form factorization: the content, multiplied out, as the oracle --
+
+
+def test_binform_factor_content_matches_the_multiplied_out_product():
+    rng = rng_for("binform-content")
+    for _ in range(60):
+        degree = rng.randint(0, 7)
+        f = BinForm(degree, [random_rat(rng, 9) for _ in range(degree + 1)])
+        if rng.random() < 0.3:
+            f = f * BinForm(1, [1, 0]) ** rng.randint(1, 2)
+        if f.is_zero():
+            continue
+        content, factors = f.factor()
+        product = BinForm(0, [QQ(1)])
+        for fac, mult in factors:
+            product = product * fac**mult
+        assert content == f.coeffs[f.s_degree()] / product.coeffs[product.s_degree()]
+        assert product.scale(content) == f
 
 
 def test_rational_canonical_form():

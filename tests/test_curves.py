@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from splitcurves.arith import NumberField, UPoly, scalar_is_zero
+from splitcurves.arith import BinForm, NumberField, UPoly, binform_gcd, scalar_is_zero, upoly_gcd
 from splitcurves import curves
 from splitcurves.curves import (
     _first_locus,
@@ -474,6 +474,72 @@ def test_a_node_claimed_twice_does_not_stand_in_for_another_on_its_line():
     assert not singular_locus_complete(record.curve, record.nodes[:-1] + [twin])
 
 
+# -- the z = 0 refusal: the composed form's partials, kept as an oracle ------
+
+
+def _infinity_singular_points_oracle(gamma, m):
+    """Do the partials of gamma o m share a zero on z = 0?  As the parent
+    decided it: compose the whole form, then restrict its partials."""
+    restricted = []
+    for p in compose_form(gamma, m).partials():
+        coeffs = [p.terms.get((i, p.degree - i, 0), QQ(0)) for i in range(p.degree + 1)]
+        restricted.append(BinForm(p.degree, coeffs))
+    g = restricted[0]
+    for r in restricted[1:]:
+        g = binform_gcd(g, r)
+    return g.is_zero() or g.degree >= 1
+
+
+_CATALOG_CURVES = ("split6", "nonsplit6a", "nonsplit6b", "split7-33", "split7-24", "nonsplit7")
+_REFUSAL_CURVES = {
+    # the conjugate nodes (0 : +-i : 1), a line, a conic, a singular conic
+    "conjugate": "(x^2+y^2+z^2)^2-(z^2-4xy)*x^2",
+    "line": "2x-3y+5z",
+    "conic": "x^2+y^2+z^2",
+    "line-pair": "x^2-y^2",
+    # a double component and a curve without z
+    "non-reduced": "(x-2z)^2*(x^2+y^2-4z^2)",
+    "cone": "x^3-2x*y^2+y^3",
+    # z = 0 tangent at a smooth point and an inflectional tangent there:
+    # the restriction has a multiple root, the z-partial does not vanish
+    "tangent-conic": "y*z-x^2",
+    "flex-cubic": "y^2*z-x^3-x*z^2",
+}
+
+
+def _refusal_curve(name):
+    from splitcurves.splitting import normalize_configuration
+
+    example_id, normalized, _ = name.partition("-normalized")
+    if example_id not in _CATALOG_CURVES:
+        return parse_form(_REFUSAL_CURVES[name], PLANE)
+    record = load_example(example_id)
+    if normalized:
+        return normalize_configuration(record.curve, record.conic, record.nodes).gamma
+    return record.curve
+
+
+@pytest.mark.parametrize(
+    "name",
+    list(_CATALOG_CURVES) + [c + "-normalized" for c in _CATALOG_CURVES] + list(_REFUSAL_CURVES),
+)
+def test_shear_refusal_matches_the_composed_partials(name):
+    gamma = _refusal_curve(name)
+    refused = []
+    for idx in range(curves.MAX_SHEARS):
+        m = shear_matrix(idx)
+        expected = _infinity_singular_points_oracle(gamma, m)
+        assert curves._infinity_singular_points_exist(gamma, m) == expected, (name, idx)
+        refused.append(expected)
+    if name == "non-reduced":
+        # the double line meets every line z = 0 of a shear
+        assert all(refused)
+    elif name == "split7-33":
+        assert any(refused) and not all(refused)
+    elif name in ("tangent-conic", "flex-cubic"):
+        assert not refused[0]
+
+
 def test_non_reduced_curve_is_named():
     curve = parse_form("(x-2z)^2*(x^2+y^2-4z^2)", PLANE)
     message = "the curve is not reduced: it has a multiple component"
@@ -636,3 +702,42 @@ def test_newton_interpolation_is_exact_or_raises():
     # x (x + 1) / 2 is integer-valued at integers but not in Z[x]
     with pytest.raises(ArithmeticError):
         _zz_newton([0, 1, -1], [0, 1, 0])
+
+
+# -- fibers: NFElem and Fraction Horner, kept as an oracle -------------------
+
+
+def _fiber_gcd_oracle(combos, field, alpha):
+    """The gcd in y of the combinations at x = alpha, as the parent built it:
+    each y-coefficient by Horner in NFElem or Fraction arithmetic."""
+    zero, one = (QQ(0), QQ(1)) if field is None else (field.zero(), field.one())
+    g = None
+    for biv in combos:
+        coeffs = [zero] * (max(j for (_i, j) in biv) + 1)
+        for (i, j), c in biv.items():
+            coeffs[j] = coeffs[j] + alpha**i * c if field is None else coeffs[j] + one * c * alpha**i
+        p = UPoly(coeffs, field)
+        g = p if g is None else upoly_gcd(g, p)
+        if g.degree() == 0:
+            break
+    return g
+
+
+def test_fiber_gcd_matches_horner_oracle_over_rationals_and_fields():
+    rng = rng_for("fiber-gcd-oracle")
+    fields = [NumberField(UPoly([-2, 0, 1])), NumberField(UPoly([QQ(-1, 3), 1, 0, 2, 0, 0, 1]))]
+    for k in range(60):
+        field = fields[k % 2] if k % 3 else None
+        x = random_rat(rng, 7) if field is None else field.gen()
+        # a common factor y - phi(x) through the fiber in half the cases
+        shared = {(0, 1): QQ(1), (0, 0): random_rat(rng), (1, 0): random_rat(rng)}
+        combos = []
+        for _ in range(3):
+            biv = _random_bivariate(rng, rng.randint(0, 3), rng.randint(0, 3)) or {(0, 0): QQ(1)}
+            combos.append(_biv_mul(biv, shared) if k % 2 else biv)
+        got = curves._fiber_gcd(combos, field, x)
+        expected = _fiber_gcd_oracle(combos, field, x)
+        # equal up to a rational unit before a gcd is taken, monic after
+        assert got.monic() == expected.monic()
+        if k % 2:
+            assert got.degree() >= 1

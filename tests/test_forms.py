@@ -280,6 +280,57 @@ def test_eval_matches_oracle_at_rational_and_number_field_points():
     assert g.eval(point4) == _eval_oracle(g, point4)
 
 
+# -- evaluation by one BinForm substitution, as the parent computed it -------
+
+
+def _eval_by_substitution(f, coords):
+    """The value of f at coords by one substitution of BinForm images: a
+    rational coordinate is a constant BinForm, a number-field one its
+    power-basis polynomial, reduced modulo p once at the end."""
+    field = next((c.owner for c in coords if isinstance(c, NFElem)), None)
+    if f.degree == 0:
+        value = f.terms.get((0,) * len(coords), QQ(0))
+        return value if field is None else field.from_rat(value)
+    if not f.terms:
+        return QQ(0) if field is None else field.zero()
+    if field is None:
+        images = [BinForm(0, [c]) for c in coords]
+    else:
+        images = [BinForm(field.degree - 1, field.coerce(c).coords) for c in coords]
+    value = substitute_form(f, dict(zip(f.variables, images)))
+    return value.coeffs[0] if field is None else field.elem(value.coeffs)
+
+
+@pytest.mark.parametrize("nvars", [3, 4])
+def test_integer_eval_matches_substitution_on_curves_and_surfaces(nvars):
+    rng = rng_for("eval-substitution-%d" % nvars)
+    variables = PLANE if nvars == 3 else SPACE
+    # the second field's integer scaling has leading coefficient 2
+    fields = [NumberField(UPoly([-2, 0, 1])), NumberField(UPoly([QQ(1, 2), 0, 0, 1]))]
+    forms = [random_form(rng, rng.randint(1, 6), nvars=nvars) for _ in range(40)]
+    forms += [
+        Form.zero(variables, 3),
+        Form.zero(variables, 0),
+        Form(variables, 0, {(0,) * nvars: QQ(-7, 3)}),
+        Form(variables, 1, {(0,) * (nvars - 1) + (1,): QQ(5, 2)}),
+    ]
+    for f in forms:
+        for _ in range(3):
+            rational = [random_rat(rng, 7) for _ in range(nvars)]
+            value = f.eval(rational)
+            assert value == _eval_by_substitution(f, rational) and type(value) is QQ
+        assert f.eval([0] * nvars) == _eval_by_substitution(f, [QQ(0)] * nvars)
+        field = fields[rng.randint(0, 1)]
+        conjugate = [field.elem(_coords(rng, field.degree)) for _ in range(nvars - 1)]
+        conjugate.insert(rng.randint(0, nvars - 1), field.gen())
+        value = f.eval(conjugate)
+        assert value == _eval_by_substitution(f, conjugate) and value.owner == field
+
+
+def _coords(rng, n):
+    return [QQ(0) if rng.random() < 0.3 else random_rat(rng, 12) for _ in range(n)]
+
+
 def test_eval_of_zero_and_constant_forms():
     # the value lies in the point's field: an NFElem as soon as one
     # coordinate is a field element, wherever it sits, a rational otherwise
