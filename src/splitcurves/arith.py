@@ -1,14 +1,13 @@
 """Exact scalar and univariate-polynomial arithmetic.
 
 Univariate polynomials over the rationals or over a number field
-``QQ[a]/(p)``, complete factorization over the rationals (squarefree
-decomposition, a scan for the rational roots p/q with |p|, q <= 30 that
-tries only the divisors the rational root theorem allows and evaluates in
-integers, then Berlekamp + Hensel lifting + Zassenhaus recombination at the
-first good prime: the first odd prime that divides no leading coefficient
-and keeps the polynomial squarefree), binary forms in two variables with
-exact square-root extraction, and the one square-and-multiply power that
-every ring of the package uses.
+``QQ[a]/(p)``, complete factorization over the rationals (Yun's squarefree
+decomposition in integers, then Berlekamp + Hensel lifting + Zassenhaus
+recombination of each squarefree part at the first good prime: the first
+odd prime that divides no leading coefficient and keeps the part
+squarefree), binary forms in two variables with exact square-root
+extraction, and the one square-and-multiply power that every ring of the
+package uses.
 
 Everything here is immutable after construction and all operations are
 pure functions, so values can be shared freely between threads.
@@ -107,12 +106,18 @@ def _zz_trunc(f, m):
     return _trim([_sym_mod(a, m) for a in f])
 
 
-def _horner(f, x):
-    """f(x) for an integer list f (constant first) and an integer x."""
-    acc = 0
-    for a in reversed(f):
-        acc = acc * x + a
+def _horner(f, a, b=1):
+    """b^k f(a / b) for an integer list f of length k + 1 (constant first)
+    and integers a, b: f(a) for b = 1."""
+    acc, bk = 0, 1
+    for c in reversed(f):
+        acc = acc * a + c * bk
+        bk *= b
     return acc
+
+
+def _zz_deriv(f):
+    return _trim([i * a for i, a in enumerate(f)][1:])
 
 
 def _zz_primitive(f):
@@ -579,22 +584,25 @@ def _zz_prem(f, g):
     return r, k
 
 
-def _zz_divides(d, f):
-    """Does the integer list d divide f in Z[x]?  (Long division that stops
-    at the first quotient coefficient that is not an integer.)"""
+def _zz_exquo(f, d):
+    """The quotient f / d in Z[x] of integer lists, or None when d does not
+    divide f there: long division that stops at the first quotient
+    coefficient that is not an integer."""
     r = list(f)
     dd = len(d) - 1
     lc = d[-1]
+    q = [0] * max(0, len(r) - dd)
     while len(r) > dd:
-        q, rem = divmod(r[-1], lc)
+        c, rem = divmod(r[-1], lc)
         if rem:
-            return False
+            return None
         shift = len(r) - 1 - dd
+        q[shift] = c
         for j, b in enumerate(d):
-            r[shift + j] -= q * b
+            r[shift + j] -= c * b
         r.pop()
         _trim(r)
-    return not r
+    return None if r else q
 
 
 def _zz_gcd_heuristic(f, g):
@@ -615,7 +623,7 @@ def _zz_gcd_heuristic(f, g):
             digits.append(d)
             gamma = (gamma - d) // xi
         cand = _zz_primitive(digits)[0]
-        if cand and _zz_divides(cand, f) and _zz_divides(cand, g):
+        if cand and _zz_exquo(f, cand) is not None and _zz_exquo(g, cand) is not None:
             return cand
         xi = xi * 73794 // 27011
     return None
@@ -713,71 +721,39 @@ def upoly_gcd(a, b):
     return UPoly([NFElem(field, tuple(QQ(x) for x in v)) * inv for v in f[:-1]] + [one], field)
 
 
-def upoly_from_int(coeffs):
-    return UPoly([QQ(c) for c in coeffs])
-
-
-def _to_primitive_int(p):
-    ints = clear_denominators(list(p.coeffs))
-    prim, _ = _zz_primitive(ints)
-    return prim
-
-
 def upoly_squarefree(p):
-    """Yun decomposition: list of (monic squarefree factor, multiplicity)."""
-    f = p.monic()
-    df = f.derivative()
-    a0 = upoly_gcd(f, df)
-    if a0.degree() == 0:
+    """Yun's squarefree decomposition of a nonzero rational polynomial.
+
+    Runs on the primitive integer vector f of p and returns (primitive
+    squarefree part, multiplicity) pairs, each part an integer list with a
+    positive leading coefficient.  Every gcd is primitive, so by Gauss's
+    lemma each cofactor is an exact quotient in Z[x], which ``_zz_exquo``
+    finds; a constant or squarefree p is one part.
+    """
+    f = _zz_primitive(clear_denominators(list(p.coeffs)))[0]
+    df = _zz_deriv(f)
+    a = _zz_gcd(f, df) if df else [1]
+    if len(a) == 1:
         return [(f, 1)]
-    b = f // a0
-    c = df // a0
-    d = c - b.derivative()
+    b = _zz_exquo(f, a)
+    d = _zz_sub(_zz_exquo(df, a), _zz_deriv(b))
     out = []
     i = 1
-    while b.degree() > 0:
-        ai = upoly_gcd(b, d)
-        if ai.degree() > 0:
-            out.append((ai, i))
-        b = b // ai
-        c = d // ai
-        d = c - b.derivative()
+    while len(b) > 1:
+        # d = 0 exactly when the rest of b all has multiplicity i
+        a = _zz_gcd(b, d) if d else b
+        if len(a) > 1:
+            out.append((a, i))
+        b = _zz_exquo(b, a)
+        d = _zz_sub(_zz_exquo(d, a), _zz_deriv(b))
         i += 1
     return out
-
-
-def _bounded_rational_roots(ints, bound=30):
-    """Rational roots p/q with |p|, q <= bound of a primitive int poly.
-
-    By the rational root theorem a root p/q in lowest terms has p dividing
-    the lowest nonzero coefficient and q dividing the leading one, so only
-    those divisors up to ``bound`` are tried, and each candidate is tested
-    in integers as sum a_i p^i q^(n-i) == 0 (n the degree).  Root 0 is
-    present exactly when the constant term is 0.
-    """
-    low = next(a for a in ints if a)
-    nums = [p for p in range(1, bound + 1) if low % p == 0]
-    roots = [ZERO] if ints[0] == 0 else []
-    for q in range(1, bound + 1):
-        if ints[-1] % q:
-            continue
-        for p in nums:
-            if math.gcd(p, q) != 1:
-                continue
-            for sp in (p, -p):
-                acc = 0
-                qpow = 1
-                for a in reversed(ints):
-                    acc = acc * sp + a * qpow
-                    qpow *= q
-                if acc == 0:
-                    roots.append(QQ(sp, q))
-    return sorted(roots)
 
 
 def upoly_factor(p):
     """Factor a nonzero rational polynomial into monic irreducibles.
 
+    Each squarefree part from ``upoly_squarefree`` goes to ``_zassenhaus``.
     Returns a list of (factor, multiplicity) pairs, sorted by degree then
     coefficients; the product of factor**multiplicity differs from p by the
     rational unit p.lc().
@@ -788,16 +764,10 @@ def upoly_factor(p):
         raise ValueError("cannot factor the zero polynomial")
     result = {}
     for part, mult in upoly_squarefree(p):
-        ints = _to_primitive_int(part)
-        for root in _bounded_rational_roots(ints):
-            lin = UPoly([-root, 1])
-            result[lin] = result.get(lin, 0) + mult
-            part = part // lin
-        if part.degree() == 0:
+        if len(part) == 1:
             continue
-        ints = _to_primitive_int(part)
-        for fac in _zassenhaus(ints):
-            mf = upoly_from_int(fac).monic()
+        for fac in _zassenhaus(part):
+            mf = UPoly(fac).monic()
             result[mf] = result.get(mf, 0) + mult
     return sorted(result.items(), key=lambda fm: (fm[0].degree(), fm[0].coeffs))
 

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from .arith import BinForm, binform_gcd
 from .errors import CannotCertify, CommonComponent, ConicNotSmooth, PointNotOnConic
-from .forms import PLANE_VARS, Form, ProjPoint, compose_form, substitute_form
+from .forms import PLANE_VARS, Form, ProjPoint, compose_form, form_to_str, substitute_form
 from .linalg import kernel_basis, mat_inv, mat_mul, rank_bareiss
 from .scalars import QQ, ZERO, ONE, denom, numer
 
@@ -88,11 +88,16 @@ def _bilinear(a, x, y):
     )
 
 
+def not_smooth(q):
+    """The error for the singular conic q, which names it."""
+    return ConicNotSmooth("the conic %s is not smooth" % form_to_str(q))
+
+
 def parametrize_conic(q, base):
     """Stereographic parametrization of a smooth conic from a rational point,
     which is its image of (0 : 1)."""
     if classify_conic(q) != "smooth":
-        raise ConicNotSmooth(repr(q))
+        raise not_smooth(q)
     if base.field is not None:
         raise PointNotOnConic("base point must be rational")
     b = base.primitive()
@@ -231,7 +236,7 @@ def find_rational_point(q):
     checked on the conic; a singular conic raises ConicNotSmooth.
     """
     if classify_conic(q) != "smooth":
-        raise ConicNotSmooth(repr(q))
+        raise not_smooth(q)
     a = conic_matrix(q)
     basis = []
     while len(basis) < 3:
@@ -285,7 +290,7 @@ def contact_profile(gamma, q, param=None):
     if param is None:
         param = rational_parametrization(q)
     elif classify_conic(q) != "smooth":
-        raise ConicNotSmooth(repr(q))
+        raise not_smooth(q)
     restriction = restrict_to_conic(gamma, param)
     if restriction.is_zero():
         raise CommonComponent("curve contains the conic")

@@ -363,7 +363,7 @@ def _fiber_gcd(combos, field, x):
         cols, _scale = _scaled_y_columns(biv)
         if field is None:
             top = max(len(col) for col in cols)
-            coeffs = [_zz_value_at(col, a, b) * b ** (top - len(col)) for col in cols]
+            coeffs = [_horner(col, a, b) * b ** (top - len(col)) for col in cols]
         else:
             coeffs = [field.elem(col) for col in cols]
         p = UPoly(coeffs, field)
@@ -371,15 +371,6 @@ def _fiber_gcd(combos, field, x):
         if g.degree() == 0:
             break
     return g
-
-
-def _zz_value_at(col, a, b):
-    """b^k col(a / b) for an integer list col of length k + 1, by Horner."""
-    acc, bk = 0, 1
-    for c in reversed(col):
-        acc = acc * a + c * bk
-        bk *= b
-    return acc
 
 
 def _restrict(form, images):

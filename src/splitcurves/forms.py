@@ -9,6 +9,7 @@ in descending graded-lexicographic order so output is reproducible, and
 """
 
 import math
+from operator import mul
 
 from .arith import BinForm, NFElem, power, scalar_is_zero
 from .errors import (
@@ -38,6 +39,51 @@ def monomial_basis(nvars, degree):
 
     rec(tuple(), degree, nvars)
     return out
+
+
+def monomial_values(coords, expos, field):
+    """The monomials ``expos``, all of one degree d, at a point, in integers.
+
+    Returns (values, D): the value of monomial i is values[i] / D.  At a
+    rational point (``field`` None) the coordinates are put over one
+    denominator, so each value is an integer and D is that denominator to
+    the power d.  Over a degree-n field QQ[a]/(p) a coordinate is an
+    integer vector in the power basis, its powers and the monomials are
+    products by ``NumberField._zz_product``, each of which carries one
+    factor P_n^(n - 1), so every monomial carries d - 1 of them: each value
+    is an integer vector and D also has the factor P_n^((n - 1)(d - 1)).
+    """
+    if not expos:
+        return [], 1
+    degree = sum(expos[0])
+    if field is None:
+        xs, den = over_common_denominator(coords)
+        values = []
+        for expo in expos:
+            v = 1
+            for x, e in zip(xs, expo):
+                if e:
+                    v *= x**e
+            values.append(v)
+        return values, den**degree
+    n = field.degree
+    flat, den = over_common_denominator(
+        [c for x in coords for c in field.coerce(x).coords]
+    )
+    # powers[i][e] is P_n^((n - 1)(e - 1)) X_i^e, X_i = D x_i
+    powers = [[None, flat[i : i + n]] for i in range(0, len(flat), n)]
+    product = field._zz_product
+    one = [1] + [0] * (n - 1)
+    values = []
+    for expo in expos:
+        mono = None
+        for pw, e in zip(powers, expo):
+            if e:
+                while len(pw) <= e:
+                    pw.append(product(pw[-1], pw[1]))
+                mono = pw[e] if mono is None else product(mono, pw[e])
+        values.append(one if mono is None else mono)
+    return values, den**degree * field._red_den ** max(degree - 1, 0)
 
 
 # Every Form keys its terms by the same exponent tuple objects: own key
@@ -164,13 +210,8 @@ class Form:
         The value lies in the point's field: an ``NFElem`` when any
         coordinate is one, also for a zero or constant form, and a rational
         otherwise.  It is one integer sum, divided once: the coefficients
-        are put over one denominator C and the coordinates over one
-        denominator D, so at a rational point the value is an integer over
-        C D^d.  Over a degree-n field QQ[a]/(p) a coordinate is an integer
-        vector in the power basis, its powers and the monomials are
-        products by ``NumberField._zz_product``, each of which carries one
-        factor P_n^(n - 1), so every monomial of degree d carries d - 1 of
-        them and the vector of the sum is over C D^d P_n^((n - 1)(d - 1)).
+        are put over one denominator C, and ``monomial_values`` gives every
+        monomial's value over one denominator D.
         """
         if len(coords) != len(self.variables):
             raise FieldMismatch(
@@ -179,35 +220,13 @@ class Form:
             )
         field = next((c.owner for c in coords if isinstance(c, NFElem)), None)
         nums, cden = over_common_denominator(list(self.terms.values()))
+        values, den = monomial_values(coords, list(self.terms), field)
+        den *= cden
         if field is None:
-            xs, den = over_common_denominator(coords)
-            total = 0
-            for expo, a in zip(self.terms, nums):
-                for x, e in zip(xs, expo):
-                    if e:
-                        a *= x**e
-                total += a
-            return QQ(total, cden * den**self.degree)
-        n = field.degree
-        flat, den = over_common_denominator(
-            [c for x in coords for c in field.coerce(x).coords]
-        )
-        # powers[i][e] is P_n^((n - 1)(e - 1)) X_i^e, X_i = D x_i
-        powers = [[None, flat[i : i + n]] for i in range(0, len(flat), n)]
-        product = field._zz_product
-        total = [0] * n
-        for expo, a in zip(self.terms, nums):
-            mono = None
-            for pw, e in zip(powers, expo):
-                if e:
-                    while len(pw) <= e:
-                        pw.append(product(pw[-1], pw[1]))
-                    mono = pw[e] if mono is None else product(mono, pw[e])
-            if mono is None:
-                total[0] += a
-            else:
-                total = [t + a * v for t, v in zip(total, mono)]
-        den = cden * den**self.degree * field._red_den ** max(self.degree - 1, 0)
+            return QQ(sum(map(mul, nums, values)), den)
+        total = [0] * field.degree
+        for a, vec in zip(nums, values):
+            total = [t + a * v for t, v in zip(total, vec)]
         return NFElem(field, tuple(QQ(t, den) for t in total))
 
     def partial(self, i):

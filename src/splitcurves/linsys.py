@@ -3,7 +3,9 @@
 A condition (incidence, singularity, divisor divisibility on a conic) is a
 row: a plain tuple of rationals indexed by a fixed monomial basis.  A
 conjugate point over QQ[a]/(p) contributes deg(p) rows, one per power-basis
-coordinate, which encodes vanishing along its whole Galois orbit.  Rows are
+coordinate, which encodes vanishing along its whole Galois orbit.  The
+entries of point and singularity rows come from ``forms.monomial_values``,
+the integer evaluation kernel of ``Form.eval``.  Rows are
 immutable, so a caller that solves over many subsets of one node list builds
 each node's rows once and joins them per subset.  Dimensions and kernels are
 exact: one fraction-free elimination gives the kernel, as content-normalized
@@ -11,11 +13,11 @@ vectors read off the reduced echelon form, and the rank is the number of
 columns minus the kernel dimension.
 """
 
-from .arith import NFElem, UPoly
+from .arith import UPoly
 from .errors import FieldMismatch
-from .forms import PLANE_VARS, Form, monomial_basis
+from .forms import PLANE_VARS, Form, monomial_basis, monomial_values
 from .linalg import kernel_basis
-from .scalars import ONE, QQ, ZERO
+from .scalars import QQ, ZERO
 
 
 class FormSpace:
@@ -58,69 +60,52 @@ class LinSysReport:
         )
 
 
-def _power_table(coords, degree):
-    """Each coordinate's powers 0..degree, built once per point."""
-    table = []
-    for c in coords:
-        powers = [ONE, c]
-        while len(powers) <= degree:
-            powers.append(powers[-1] * c)
-        table.append(powers)
-    return table
+def _values(p, expos):
+    """The monomials ``expos`` at p as integer vectors over one denominator:
+    ``monomial_values``, with a rational value as a vector of length one."""
+    values, den = monomial_values(p.coords, expos, p.field)
+    if p.field is None:
+        values = [[v] for v in values]
+    return values, den
 
 
-def _monomial_value(table, expo):
-    """The monomial at the point: one table entry per variable it contains."""
-    term = None
-    for powers, e in zip(table, expo):
-        if e:
-            term = powers[e] if term is None else term * powers[e]
-    return ONE if term is None else term
-
-
-def _rows_from_values(values, field):
-    """Turn per-monomial scalar values into 1 (rational) or deg (NF) rows."""
-    if field is None:
-        return [tuple(values)]
-    return [
-        tuple(
-            v.coords[k] if isinstance(v, NFElem) else (v if k == 0 else ZERO)
-            for v in values
-        )
-        for k in range(field.degree)
-    ]
+def _rows(columns, den):
+    """One row of exact entries per coordinate of the integer columns."""
+    return [tuple(QQ(x, den) for x in row) for row in zip(*columns)]
 
 
 def cond_point(space, p):
     """Vanishing at a point (or at its full conjugate orbit)."""
     if len(p.coords) != len(space.variables):
         raise FieldMismatch("point dimension does not match the space")
-    table = _power_table(p.coords, space.degree)
-    values = [_monomial_value(table, e) for e in space.basis]
-    return _rows_from_values(values, p.field)
+    return _rows(*_values(p, space.basis))
 
 
 def cond_singular(space, p):
     """Vanishing of all partial derivatives at a point (orbit-aware).
 
     The Euler relation makes the value condition redundant; all partial rows
-    are emitted and rank computation absorbs any redundancy.
+    are emitted and rank computation absorbs any redundancy.  The monomials
+    of degree one less are evaluated once and shared by the partials.
     """
     nvars = len(space.variables)
     if len(p.coords) != nvars:
         raise FieldMismatch("point dimension does not match the space")
-    table = _power_table(p.coords, space.degree - 1)
+    lower = monomial_basis(nvars, space.degree - 1)
+    values, den = _values(p, lower)
+    at = dict(zip(lower, values))
+    zero = [0] * p.orbit_size()
     rows = []
     for k in range(nvars):
-        values = []
+        columns = []
         for expo in space.basis:
             if expo[k] == 0:
-                values.append(ZERO if p.field is None else p.field.zero())
+                columns.append(zero)
                 continue
             de = list(expo)
             de[k] -= 1
-            values.append(expo[k] * _monomial_value(table, de))
-        rows.extend(_rows_from_values(values, p.field))
+            columns.append([expo[k] * x for x in at[tuple(de)]])
+        rows.extend(_rows(columns, den))
     return rows
 
 

@@ -289,11 +289,7 @@ def load_example(example_id):
     conic_text = raw.get("conic")
     surface = None
     surface_nodes = None
-    if example_id == "split6":
-        curve = parse_form(raw["curve"], PLANE_VARS)
-        conic = parse_form(conic_text, PLANE_VARS)
-        nodes = [parse_node_spec(s, curve) for s in raw["nodes"]]
-    elif example_id == "nonsplit6a":
+    if example_id in ("split6", "nonsplit6a"):
         curve = parse_form(raw["curve"], PLANE_VARS)
         conic = parse_form(conic_text, PLANE_VARS)
         nodes = [parse_node_spec(s, curve) for s in raw["nodes"]]

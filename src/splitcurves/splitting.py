@@ -31,6 +31,7 @@ from .conics import (
     delta2,
     delta2_param,
     normalize_conic,
+    not_smooth,
     restrict_to_conic,
     square_class,
 )
@@ -153,7 +154,7 @@ def verify_certificate(gamma, delta, cert):
         line = cert.line
         inv = mat_inv(conic_matrix(delta))
         if inv is None:
-            raise ConicNotSmooth(repr(delta))
+            raise not_smooth(delta)
         vec = line.coefficient_vector()
         if line.degree != 1 or line.is_zero() or sum(
             vec[i] * inv[i][j] * vec[j] for i in range(3) for j in range(3)

@@ -8,7 +8,7 @@ from splitcurves.arith import (
     BinForm,
     NumberField,
     UPoly,
-    _bounded_rational_roots,
+    _zz_exquo,
     _zz_gcd,
     _zz_gcd_prs,
     _zz_mul,
@@ -18,6 +18,7 @@ from splitcurves.arith import (
     upoly_factor,
     upoly_gcd,
     upoly_is_irreducible,
+    upoly_squarefree,
 )
 from splitcurves.errors import (
     DegreeMismatch,
@@ -187,8 +188,8 @@ _SWINNERTON_DYER_8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]
 
 
 def _random_factor_products(rng, count):
-    """Seeded integer polynomials built from factors: linear ones (inside and
-    outside the rational root scan), powers of x, repeated factors, the
+    """Seeded integer polynomials built from factors: linear ones (roots p/q
+    with |p|, q up to 40), powers of x, repeated factors, the
     Swinnerton-Dyer octic and random ones of degree up to 8.  Most have
     degree <= 6, one in ten up to 12 and one in fifty up to 32."""
     out = []
@@ -228,7 +229,7 @@ def test_factorization_equals_the_best_of_five_oracle(monkeypatch):
     assert got[0] == [(UPoly(_SWINNERTON_DYER_8), 1)]
 
 
-def brute_force_rational_roots(ints, bound=30):
+def brute_force_rational_roots(ints, bound):
     """Oracle: evaluate every p/q with |p|, q <= bound in rationals."""
     f = UPoly([QQ(c) for c in ints])
     roots = set()
@@ -239,17 +240,20 @@ def brute_force_rational_roots(ints, bound=30):
     return sorted(roots)
 
 
-def test_rational_root_scan_matches_brute_force():
+def test_linear_factors_are_the_brute_force_rational_roots():
+    # every rational root of these inputs has |p|, q <= 35: the base has
+    # coefficients of absolute value <= 5, and each linear factor qx - p has
+    # |p|, q <= 35, so the brute force over that box finds them all
     rng = rng_for("rational-root-scan")
-    zero_constant = repeated = beyond_bound = 0
+    inputs = [[-2, 31], [-31, 1], _zz_mul([-2, 31], [-31, 1]), [-35, 0, 0, 35]]
+    zero_constant = repeated = beyond_thirty = 0
     for _ in range(80):
         ints = [rng.choice([-3, -2, -1, 1, 2, 3, 5]) for _ in range(rng.randint(1, 3))]
         linears = []
         for _k in range(rng.randint(0, 4)):
-            # roots p/q up to 35, so some lie outside the scan bound of 30
             p, q = rng.randint(-35, 35), rng.randint(1, 35)
             linears.append([-p, q])
-            beyond_bound += abs(p) > 30 or q > 30
+            beyond_thirty += abs(p) > 30 or q > 30
         if linears and rng.random() < 0.3:
             linears.append(linears[0])
             repeated += 1
@@ -258,22 +262,95 @@ def test_rational_root_scan_matches_brute_force():
             zero_constant += 1
         for lin in linears:
             ints = _zz_mul(ints, lin)
-        ints, _ = _zz_primitive(ints)
+        inputs.append(ints)
+    assert zero_constant and repeated and beyond_thirty
+    for ints in inputs:
         if len(ints) < 2:
             continue
-        assert _bounded_rational_roots(ints) == brute_force_rational_roots(ints), ints
-    assert zero_constant and repeated and beyond_bound
+        linear = sorted(-g.coeffs[0] for g, _m in upoly_factor(UPoly(ints)) if g.degree() == 1)
+        assert linear == brute_force_rational_roots(ints, 35), ints
 
 
 def test_linear_factor_outside_scan_bound():
-    # 31x - 2 has its root 2/31 outside the scan; Zassenhaus still finds it
+    # 31x - 2 has its root 2/31 beyond |p|, q <= 30
     f = poly(-2, 31) * poly(1, 0, 1)
-    assert _bounded_rational_roots([-2, 31, -2, 31]) == []
     facs = upoly_factor(f)
     assert [(g.coeffs, m) for g, m in facs] == [
         ((QQ(-2, 31), QQ(1)), 1),
         ((QQ(1), QQ(0), QQ(1)), 1),
     ]
+
+
+# -- squarefree decomposition: the parent's Yun over Q, kept as the oracle ---
+
+
+def _yun_fraction_oracle(p):
+    """Yun's algorithm in rational arithmetic: (monic part, multiplicity)."""
+    f = p.monic()
+    df = f.derivative()
+    a0 = upoly_gcd(f, df)
+    if a0.degree() == 0:
+        return [(f, 1)]
+    b = f // a0
+    c = df // a0
+    d = c - b.derivative()
+    out = []
+    i = 1
+    while b.degree() > 0:
+        ai = upoly_gcd(b, d)
+        if ai.degree() > 0:
+            out.append((ai, i))
+        b = b // ai
+        c = d // ai
+        d = c - b.derivative()
+        i += 1
+    return out
+
+
+def _squarefree_inputs(rng, count):
+    """Seeded products of random factors to multiplicity 4, powers of x,
+    constants, degrees 0 and 1, scaled by a rational unit of either sign."""
+    out = [poly(7), poly(QQ(-3, 5)), poly(2, -3), poly(QQ(1, 2), QQ(-4, 3)), poly(0, 1)]
+    while len(out) < count:
+        f = poly(1)
+        for _k in range(rng.randint(0, 4)):
+            if rng.random() < 0.2:
+                g = poly(0, 1)
+            else:
+                deg = rng.randint(1, 3)
+                g = UPoly([random_rat(rng, 6) for _ in range(deg)] + [random_rat(rng, 6) or 1])
+            f = f * g ** rng.randint(1, 4)
+        if f.degree() <= 16:
+            out.append(f.scale(random_rat(rng, 7) or -1))
+    return out
+
+
+def test_integer_yun_matches_the_fraction_oracle():
+    inputs = _squarefree_inputs(rng_for("integer-yun"), 300)
+    assert any(f.lc() < 0 for f in inputs) and any(f.lc().denominator > 1 for f in inputs)
+    assert max(m for f in inputs for _g, m in _yun_fraction_oracle(f)) >= 4
+    for f in inputs:
+        got = [(UPoly(part).monic(), m) for part, m in upoly_squarefree(f)]
+        assert got == _yun_fraction_oracle(f), f
+        for part, _m in upoly_squarefree(f):
+            assert part[-1] > 0 and _zz_primitive(part)[0] == part
+
+
+def test_exact_quotient_in_integers():
+    # (2x + 1)(x^2 - 3) = 2x^3 + x^2 - 6x - 3
+    assert _zz_exquo([-3, -6, 1, 2], [1, 2]) == [-3, 0, 1]
+    # 2x + 1 divides 2x^2 + x over Z; 2x + 2 does not divide x^2 + 1
+    assert _zz_exquo([0, 1, 2], [1, 2]) == [0, 1]
+    assert _zz_exquo([1, 0, 1], [2, 2]) is None
+    # 3x / 2x = 3/2: the remainder vanishes, the quotient is not an integer
+    assert _zz_exquo([0, 3], [0, 2]) is None
+    # x + 1 divides 2x + 2 with quotient 2; 2x + 2 divides x + 1 only over Q
+    assert _zz_exquo([2, 2], [1, 1]) == [2]
+    assert _zz_exquo([1, 1], [2, 2]) is None
+    # a divisor of higher degree divides only the zero polynomial
+    assert _zz_exquo([1, 2], [1, 0, 1]) is None
+    assert _zz_exquo([], [1, 0, 1]) == []
+    assert _zz_exquo([], [5]) == []
 
 
 def test_multiplicities():

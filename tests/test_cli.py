@@ -393,6 +393,15 @@ def test_split_type_on_singular_conic_exits_data_error(tmp_path, capsys):
     assert "branch conic must be smooth" in err
 
 
+def test_analyze_on_singular_conic_says_the_conic_is_not_smooth(capsys):
+    code, _out, err = run_cli(
+        capsys, "analyze", "--curve", "x^2+y^2-z^2", "--conic", "x^2"
+    )
+    assert code == 65
+    assert "not smooth" in err
+    assert "x^2" in err and "Form(" not in err
+
+
 @pytest.mark.parametrize(
     "argv, code, message",
     [

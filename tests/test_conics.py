@@ -131,7 +131,7 @@ def test_contact_profile_tests_smoothness_once(monkeypatch, gamma6):
     assert contact_profile(gamma6, delta2(), delta2_param()).kind == SIMPLE_CONTACT
     assert len(calls) == 1
     for param in (None, delta2_param()):
-        with pytest.raises(ConicNotSmooth):
+        with pytest.raises(ConicNotSmooth, match=r"the conic x\*y is not smooth"):
             contact_profile(gamma6, parse_form("x*y", PLANE), param)
 
 
@@ -197,7 +197,7 @@ def test_find_rational_point():
 
 
 def test_find_rational_point_singular_conic_raises():
-    with pytest.raises(ConicNotSmooth):
+    with pytest.raises(ConicNotSmooth, match=r"the conic x\^2 - 2\*y\^2 is not smooth"):
         find_rational_point(parse_form("x^2-2y^2", PLANE))
 
 

@@ -386,3 +386,40 @@ def test_only_scalars_imports_a_rational_backend():
         "def f():\n    import gmpy2.mpq\n    from .fractions import x\n"
     )
     assert _backend_imports(tree) == [("fractions", 2), ("gmpy2.mpq", 4)]
+
+
+def _fraction_names(tree):
+    """Line of each mention of ``Fraction``: a name, an attribute or an
+    imported alias, at any depth."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "Fraction":
+            out.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "Fraction":
+            out.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.extend(
+                node.lineno
+                for alias in node.names
+                if "Fraction" in (alias.name.split(".")[-1], alias.asname)
+            )
+    return sorted(out)
+
+
+def test_only_scalars_names_fraction():
+    # Every kernel reads numerators and denominators through ``scalars``;
+    # a module that names Fraction would bypass the gmpy2 backend.
+    names = [
+        "%s.py:%d names Fraction" % (name, line)
+        for name, tree in _modules().items()
+        if name != "scalars"
+        for line in _fraction_names(tree)
+    ]
+    assert names == []
+    assert _fraction_names(_modules()["scalars"])
+    tree = ast.parse(
+        "import fractions as f\nx = f.Fraction(1)\n"
+        "def g():\n    from .scalars import Q as Fraction\n    return Fraction\n"
+        "y = isinstance(x, Fractions)\n"
+    )
+    assert _fraction_names(tree) == [2, 4, 5]

@@ -138,7 +138,7 @@ def test_eval_dimension_mismatch():
 def test_parametrize_rejects_singular_conic():
     from splitcurves.conics import parametrize_conic
 
-    with pytest.raises(ConicNotSmooth):
+    with pytest.raises(ConicNotSmooth, match=r"the conic x\*y is not smooth"):
         parametrize_conic(parse_form("x*y", PLANE), point(1, 0, 0))
 
 

@@ -474,7 +474,7 @@ def test_no_rational_line_is_tangent_to_a_conic_without_rational_points():
     conic = parse_form("x^2 + y^2 + z^2", PLANE)
     for text in ("x", "x + y", "x - 3*y + 2*z"):
         assert not _passes_tangency(parse_form(text, PLANE), conic)
-    with pytest.raises(ConicNotSmooth):
+    with pytest.raises(ConicNotSmooth, match=r"the conic x\*y is not smooth"):
         _passes_tangency(parse_form("x", PLANE), parse_form("x*y", PLANE))
 
 
