@@ -721,16 +721,17 @@ def upoly_gcd(a, b):
     return UPoly([NFElem(field, tuple(QQ(x) for x in v)) * inv for v in f[:-1]] + [one], field)
 
 
-def upoly_squarefree(p):
-    """Yun's squarefree decomposition of a nonzero rational polynomial.
+def upoly_squarefree(f):
+    """Yun's squarefree decomposition of a nonzero integer polynomial.
 
-    Runs on the primitive integer vector f of p and returns (primitive
-    squarefree part, multiplicity) pairs, each part an integer list with a
-    positive leading coefficient.  Every gcd is primitive, so by Gauss's
-    lemma each cofactor is an exact quotient in Z[x], which ``_zz_exquo``
-    finds; a constant or squarefree p is one part.
+    f is an integer list, constant term first; trailing zeros are ignored.
+    Runs on its primitive part and returns (primitive squarefree part,
+    multiplicity) pairs, each part an integer list with a positive leading
+    coefficient.  Every gcd is primitive, so by Gauss's lemma each cofactor
+    is an exact quotient in Z[x], which ``_zz_exquo`` finds; a constant or
+    squarefree f is one part.
     """
-    f = _zz_primitive(clear_denominators(list(p.coeffs)))[0]
+    f = _zz_primitive(_trim(list(f)))[0]
     df = _zz_deriv(f)
     a = _zz_gcd(f, df) if df else [1]
     if len(a) == 1:
@@ -763,7 +764,7 @@ def upoly_factor(p):
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     result = {}
-    for part, mult in upoly_squarefree(p):
+    for part, mult in upoly_squarefree(clear_denominators(list(p.coeffs))):
         if len(part) == 1:
             continue
         for fac in _zassenhaus(part):
@@ -1051,14 +1052,6 @@ class BinForm:
     def zero(cls, degree):
         return cls(degree, [ZERO] * (degree + 1))
 
-    @classmethod
-    def from_upoly(cls, poly, degree):
-        """Homogenize a rational UPoly in s to the given total degree."""
-        if poly.degree() > degree:
-            raise ValueError("polynomial degree exceeds form degree")
-        coeffs = list(poly.coeffs) + [ZERO] * (degree - poly.degree())
-        return cls(degree, coeffs)
-
     def to_upoly(self):
         """Dehomogenize at t = 1 (chart x = s/t)."""
         return UPoly(list(self.coeffs))
@@ -1108,20 +1101,6 @@ class BinForm:
     def __pow__(self, e):
         return power(self, e, BinForm(0, [ONE]))
 
-    def eval(self, s, t):
-        """Evaluate at scalars (rational or NFElem)."""
-        acc = None
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = c * s**i * t ** (self.degree - i) if i < self.degree else c * s**i
-            if i == 0:
-                term = c * t**self.degree
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return s * 0
-        return acc
-
     def s_degree(self):
         """Largest i with a nonzero s^i coefficient (-1 for the zero form)."""
         for i in range(self.degree, -1, -1):
@@ -1137,12 +1116,8 @@ class BinForm:
 
     def primitive(self):
         """Integer-primitive representative with positive leading coefficient."""
-        ints = clear_denominators(list(self.coeffs))
-        prim, _ = _zz_primitive(ints)
-        sd = self.s_degree()
-        if sd >= 0 and prim[sd] < 0:
-            prim = [-c for c in prim]
-        return BinForm(self.degree, prim)
+        prim = _dehomogenized(self)[0]
+        return BinForm(self.degree, prim + [0] * (self.degree + 1 - len(prim)))
 
     def factor(self):
         """Full factorization: (content, [(primitive irreducible, mult)]).
@@ -1155,16 +1130,13 @@ class BinForm:
         tmult = self.t_multiplicity()
         if tmult:
             out.append((BinForm(1, [ONE, ZERO]), tmult))
-        dehom = self.to_upoly()
-        if dehom.degree() > 0:
-            for fac, mult in upoly_factor(dehom):
-                b = BinForm.from_upoly(fac, fac.degree()).primitive()
-                out.append((b, mult))
-        ordered = sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
-        # leading coefficients (in s) multiply, so the product of the factor
-        # powers has lc prod lc(h)^m
-        lead = math.prod(fac.coeffs[fac.s_degree()] ** mult for fac, mult in ordered)
-        return self.coeffs[self.s_degree()] / lead, ordered
+        # the factors of the primitive F multiply to F, so the content of
+        # self = c F is c
+        ints, content = _dehomogenized(self)
+        for part, mult in upoly_squarefree(ints):
+            if len(part) > 1:
+                out.extend((BinForm(len(fac) - 1, fac), mult) for fac in _zassenhaus(part))
+        return content, sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
 
     def __repr__(self):
         terms = []
@@ -1183,22 +1155,37 @@ class BinForm:
         return " + ".join(terms) if terms else "0"
 
 
+def _dehomogenized(f):
+    """(F, c) with f(s, 1) = c F for a binary form f: F is a primitive
+    integer list, constant term first, with a positive leading coefficient,
+    and c is rational ([] and 0 for the zero form)."""
+    ints, den = over_common_denominator(f.coeffs)
+    prim, content = _zz_primitive(_trim(ints))
+    return prim, QQ(content, den)
+
+
 def binform_gcd(f, g):
-    """Primitive gcd of two binary forms (1 for coprime forms)."""
+    """Primitive gcd of two binary forms (1 for coprime forms).
+
+    The gcd of f(s, 1) and g(s, 1) is ``_zz_gcd`` of their primitive integer
+    vectors; the root (1 : 0) adds the smaller t-multiplicity.
+    """
     if f.is_zero():
         return g.primitive()
     if g.is_zero():
         return f.primitive()
     tm = min(f.t_multiplicity(), g.t_multiplicity())
-    h = upoly_gcd(f.to_upoly(), g.to_upoly())
-    core = BinForm.from_upoly(h, h.degree() + tm)
-    return core.primitive()
+    h = _zz_gcd(_dehomogenized(f)[0], _dehomogenized(g)[0])
+    return BinForm(len(h) - 1 + tm, h + [0] * tm)
 
 
 def binform_quotient(f, g):
     """The exact quotient f / g of binary forms, or None when g does not divide f.
 
     The quotient has degree deg f - deg g, also when f is the zero form.
+    With f(s, 1) = a F and g(s, 1) = b G, G primitive, G divides F over Q
+    exactly when it does over Z (Gauss's lemma), so one exact division in
+    integers, ``_zz_exquo``, decides it and f / g = (a / b) F / G.
     """
     if g.is_zero() or g.degree > f.degree:
         return None
@@ -1206,10 +1193,14 @@ def binform_quotient(f, g):
         return BinForm.zero(f.degree - g.degree)
     if g.t_multiplicity() > f.t_multiplicity():
         return None
-    q, r = f.to_upoly().divmod(g.to_upoly())
-    if not r.is_zero():
+    f_ints, a = _dehomogenized(f)
+    g_ints, b = _dehomogenized(g)
+    q = _zz_exquo(f_ints, g_ints)
+    if q is None:
         return None
-    return BinForm.from_upoly(q, f.degree - g.degree)
+    c = a / b
+    degree = f.degree - g.degree
+    return BinForm(degree, [c * x for x in q] + [ZERO] * (degree + 1 - len(q)))
 
 
 def binary_form_sqrt(f):

@@ -66,10 +66,6 @@ class ConicParam:
         """3x3 matrix, rows = coordinates, columns = (s^2, st, t^2)."""
         return [[p.coeffs[2], p.coeffs[1], p.coeffs[0]] for p in self.components()]
 
-    def point_at(self, s, t):
-        coords = [p.eval(s, t) for p in self.components()]
-        return ProjPoint(coords)
-
 
 def _with_sums(vectors):
     """The vectors, then their pairwise sums, in a fixed order."""

@@ -43,6 +43,7 @@ from .arith import (
     upoly_factor,
     upoly_gcd,
 )
+from .conics import classify_conic
 from .errors import (
     CannotCertify,
     CommonComponent,
@@ -52,6 +53,7 @@ from .errors import (
 )
 from .forms import ProjPoint, compose_form, substitute_form, transform_point
 from .linalg import dependent_subsets, mat_det, mat_inv, rref
+from .linsys import FormSpace, cond_point, system_solve
 from .scalars import QQ, ZERO, ONE, clear_denominators, denom, numer
 
 
@@ -589,9 +591,6 @@ def irreducibility_sextic(gamma, nodes):
     if all(p.field is None for p in nodes):
         rows = [p.primitive() for p in nodes]
         return next(dependent_subsets(rows, 5, 2), None) is None
-
-    from .conics import classify_conic
-    from .linsys import FormSpace, cond_point, system_solve
 
     units = sorted(nodes, key=lambda p: -p.orbit_size())
     space = FormSpace(2, gamma.variables)

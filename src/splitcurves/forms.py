@@ -11,7 +11,7 @@ in descending graded-lexicographic order so output is reproducible, and
 import math
 from operator import mul
 
-from .arith import BinForm, NFElem, power, scalar_is_zero
+from .arith import BinForm, NFElem, UPoly, power, scalar_is_zero
 from .errors import (
     FieldMismatch,
     InhomogeneousImage,
@@ -398,14 +398,6 @@ class BiForm:
             (d2, d1), [c for j in range(w) for c in self.coeffs[j::w]]
         )
 
-    def eval(self, s, t, u, v):
-        d1, d2 = self.bidegree
-        total = None
-        for (i, j), coeff in self._nonzero():
-            term = coeff * s**i * t ** (d1 - i) * u**j * v ** (d2 - j)
-            total = term if total is None else total + term
-        return ZERO if total is None else total
-
     def specialize_second(self, u0, v0):
         """Plug (u,v) = (u0,v0); returns the (s,t) binary form coefficients.
 
@@ -419,24 +411,11 @@ class BiForm:
             coeffs[i] = coeffs[i] + coeff * u0**j * v0 ** (d2 - j)
         return BinForm(d1, coeffs)
 
-    def coefficient_vector(self, basis=None):
-        if basis is None:
-            basis = biform_basis(*self.bidegree)
-        terms = self.terms
-        return [terms.get(e, ZERO) for e in basis]
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
     def __repr__(self):
         return "BiForm(%s)" % biform_to_str(self)
-
-
-def biform_basis(d1, d2):
-    """(i, j) exponent pairs in deterministic descending order."""
-    return [
-        (i, j) for i in range(d1, -1, -1) for j in range(d2, -1, -1)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -917,8 +896,6 @@ def parse_polynomial_raw(text, variables):
 
 def parse_univariate(text, name="a"):
     """Parse a univariate polynomial in the named variable into a UPoly."""
-    from .arith import UPoly
-
     raw = parse_polynomial_raw(text, (name,))
     if not raw:
         return UPoly.zero()

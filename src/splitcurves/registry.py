@@ -14,7 +14,9 @@ recorded here.
 """
 
 from .arith import NumberField
+from .errors import UnknownExample
 from .forms import PLANE_VARS, SPACE_VARS, ProjPoint, parse_form, parse_univariate, point
+from .quartics import QuarticSurface
 from .scalars import QQ
 
 EXAMPLE_IDS = (
@@ -196,8 +198,6 @@ def example_ids():
 
 
 def raw_record(example_id):
-    from .errors import UnknownExample
-
     if example_id not in _RAW:
         raise UnknownExample(
             "unknown example %r (known: %s)" % (example_id, ", ".join(EXAMPLE_IDS))
@@ -306,8 +306,6 @@ def load_example(example_id):
         curve = c3 * c3 - conic * w2 * w2
         nodes = [parse_node_spec(s, curve) for s in raw["nodes"]]
     elif example_id == "split7-24":
-        from .quartics import QuarticSurface
-
         f1 = parse_form(raw["f1"], SPACE_VARS)
         f2 = parse_form(raw["f2"], SPACE_VARS)
         f3 = parse_form(raw["f3"], SPACE_VARS)

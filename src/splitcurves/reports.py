@@ -9,7 +9,7 @@ and to plain text; both are byte-identical across runs.
 
 import itertools
 
-from .arith import NFElem
+from .arith import NFElem, scalar_is_zero
 from .conics import SIMPLE_CONTACT
 from .cover import involution_biform, pullback_curve
 from .curves import irreducibility_sextic, singular_locus_complete, verify_node
@@ -25,6 +25,7 @@ from .forms import (
     w_slices,
 )
 from .linsys import FormSpace, cond_point, system_solve
+from .quartics import general_position_p3, surface_singular_locus_complete, syzygetic_test
 from .registry import load_example
 from .scalars import rat_str
 from .splitting import (
@@ -281,22 +282,9 @@ def _construction_checks(report, record):
 
 def _example_specific_checks(report, record, config, split_report):
     example_id = record.example_id
-    claim = record.claim
-    gamma = record.curve
     if example_id == "split6":
-        cert = SplitCertificate(
-            3,
-            3,
-            None,
-            parse_form(claim["certificate"]["c_n"], PLANE_VARS),
-            parse_form(claim["certificate"]["c_n1"], PLANE_VARS),
-        )
-        report.add(
-            "catalog certificate verifies",
-            verify_certificate(gamma, record.conic, cert),
-            expected=True,
-        )
-        for text in claim["nodes_on"]:
+        _catalog_certificate_check(report, record)
+        for text in record.claim["nodes_on"]:
             curve = parse_form(text, PLANE_VARS)
             ok = all(
                 _vanishes(curve, p) for p in record.nodes
@@ -327,37 +315,35 @@ def _example_specific_checks(report, record, config, split_report):
             expected={"on_conic": True, "count": 6},
             actual={"on_conic": ok, "count": count},
         )
-        cert = SplitCertificate(
-            3,
-            3,
-            None,
-            parse_form(claim["certificate"]["c_n"], PLANE_VARS),
-            parse_form(claim["certificate"]["c_n1"], PLANE_VARS),
-        )
-        report.add(
-            "catalog certificate verifies",
-            verify_certificate(gamma, record.conic, cert),
-            expected=True,
-        )
+        _catalog_certificate_check(report, record)
     elif example_id == "split7-24":
         _split7_24_checks(report, record, split_report)
     elif example_id == "nonsplit7":
         _nonsplit7_checks(report, record, config)
 
 
-def _vanishes(form, p):
-    from .arith import scalar_is_zero
+def _catalog_certificate_check(report, record):
+    """Verify the (3, 3) certificate the catalog records for the example."""
+    claim = record.claim["certificate"]
+    cert = SplitCertificate(
+        3,
+        3,
+        None,
+        parse_form(claim["c_n"], PLANE_VARS),
+        parse_form(claim["c_n1"], PLANE_VARS),
+    )
+    report.add(
+        "catalog certificate verifies",
+        verify_certificate(record.curve, record.conic, cert),
+        expected=True,
+    )
 
+
+def _vanishes(form, p):
     return scalar_is_zero(form.eval(list(p.coords)))
 
 
 def _split7_24_checks(report, record, split_report):
-    from .quartics import (
-        general_position_p3,
-        surface_singular_locus_complete,
-        syzygetic_test,
-    )
-
     surface = record.surface
     quartic = surface.form()
     raw = record.raw

@@ -22,7 +22,7 @@ given list once, as a claim; ``splitting_type_normalized`` trusts its nodes.
 
 import itertools
 
-from .arith import BinForm, binform_quotient, upoly_gcd
+from .arith import BinForm, binform_quotient, upoly_squarefree
 from .conics import (
     SIMPLE_CONTACT,
     classify_conic,
@@ -52,7 +52,7 @@ from .errors import (
     SplitCurvesError,
     WrongNodeCount,
 )
-from .forms import BiForm, compose_form, substitute_form, transform_point
+from .forms import BiForm, compose_form, monomial_values, substitute_form, transform_point
 from .linalg import dependent_subsets, kernel_basis, mat_inv, primitive_vector
 from .linsys import FormSpace, cond_point, cond_divisible_on_conic, system_solve
 from .scalars import QQ, ZERO, ONE, numer, over_common_denominator, rat_sqrt
@@ -125,13 +125,15 @@ def _restrict_to_line(f, line):
 
 
 def _binform_squarefree(b):
-    """No repeated linear factor: t divides b at most once and b(s, 1) is
-    coprime to its derivative."""
-    p = b.to_upoly()
+    """No repeated linear factor: t divides b at most once and Yun's
+    decomposition of b(s, 1) has no part of multiplicity above 1."""
     return (
         not b.is_zero()
         and b.t_multiplicity() <= 1
-        and upoly_gcd(p, p.derivative()).degree() == 0
+        and all(
+            mult == 1
+            for _part, mult in upoly_squarefree(over_common_denominator(b.coeffs)[0])
+        )
     )
 
 
@@ -500,6 +502,14 @@ def _specializations(f_pull, n):
     )
 
 
+def _monomial_rows(degree, specs):
+    """Row k: the monomials u_k^j v_k^(degree-j), j = 0..degree, at the
+    specialization points, from ``monomial_values``; the points are
+    integers, so the values are too (their denominator is 1)."""
+    expos = [(j, degree - j) for j in range(degree + 1)]
+    return [monomial_values((u0, v0), expos, None)[0] for u0, v0, _b in specs]
+
+
 def _interpolation_matrix(n, specs):
     """W = V^-1 for V[k][j] = u_k^j v_k^(n-j): the coefficients of a degree-n
     binary form from its values at the specialization points.
@@ -507,9 +517,7 @@ def _interpolation_matrix(n, specs):
     Values c_k at (u_k, v_k) come from the coefficients a_j = sum_l W[j][l] c_l;
     V is invertible because no two specialization points are proportional.
     """
-    return mat_inv(
-        [[u0**j * v0 ** (n - j) for j in range(n + 1)] for u0, v0, _b in specs]
-    )
+    return mat_inv(_monomial_rows(n, specs))
 
 
 def _factor_from_grouping(f_pull, m, n, specs, interp, combo, ext):
@@ -578,10 +586,7 @@ def _grouping_kernel(m, n, specs, interp, gs, hs, ext):
     parts = 1 if ext is None else 2
     nl = len(specs)
     off_mu = parts * nl
-    powers = [
-        [u0**i * v0 ** (m - i) for i in range(m + 1)]
-        for u0, v0 in ((numer(u), numer(v)) for u, v, _b in specs)
-    ]
+    powers = _monomial_rows(m, specs)
     # part tables of G_l's values at every point, and of its coefficients
     g_vals = [
         _scalar_table(_values(g1.coeffs, powers), _values(g2.coeffs, powers), ext)
@@ -987,9 +992,7 @@ def splitting_type_normalized(config):
                 inconclusive.append((m, n))
                 continue
             if factor is not None and factor.verify(f_pull):
-                cert = None
-                if factor.is_rational() and factor.scalar == 1:
-                    cert = certificate_from_factor(gamma_n, factor, m, n)
+                cert = certificate_from_factor(gamma_n, factor, m, n)
                 entry["status"] = "split"
                 entry["reason"] = "verified_factorization"
                 evidence.append(entry)

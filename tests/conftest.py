@@ -30,6 +30,26 @@ def random_rat(rng, height=9):
     return QQ(num) / QQ(den)
 
 
+def param_point(param, s, t):
+    """The point of a conic parametrization at (s : t), read off its
+    coefficient matrix (rows: coordinates; columns: s^2, st, t^2)."""
+    return ProjPoint([a * s * s + b * s * t + c * t * t for a, b, c in param.coefficient_matrix()])
+
+
+def binform_value(b, s, t):
+    """A binary form's value at (s, t), from its coefficients."""
+    return sum((c * s**i * t ** (b.degree - i) for i, c in enumerate(b.coeffs)), QQ(0))
+
+
+def biform_value(b, s, t, u, v):
+    """A biform's value at (s, t; u, v), from its terms."""
+    d1, d2 = b.bidegree
+    return sum(
+        (c * s**i * t ** (d1 - i) * u**j * v ** (d2 - j) for (i, j), c in b.terms.items()),
+        QQ(0),
+    )
+
+
 def _dot(row, vec):
     return sum((a * b for a, b in zip(row, vec)), QQ(0))
 

@@ -48,7 +48,15 @@ from splitcurves.splitting import (
     _match_scalar,
 )
 
-from conftest import PLANE, SPACE, check_elimination, rng_for, random_form, random_rat
+from conftest import (
+    PLANE,
+    SPACE,
+    biform_value,
+    check_elimination,
+    rng_for,
+    random_form,
+    random_rat,
+)
 
 BUDGETS = {}
 
@@ -274,7 +282,9 @@ def test_criterion_8_property_suites():
     rng = rng_for("acc-ram")
     for _ in range(200):
         s, t, u, v = (QQ(rng.randint(-9, 9)) for _ in range(4))
-        assert image.eval(s, t, u, v) == r.eval(s, t, u, v) ** 2
+        value = biform_value(image, s, t, u, v)
+        assert value == biform_value(r, s, t, u, v) ** 2
+        assert value == delta2().eval([s * u, t * v, s * v + t * u])
 
     # Euler identity (200 cases)
     rng = rng_for("acc-euler")

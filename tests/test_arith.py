@@ -14,6 +14,7 @@ from splitcurves.arith import (
     _zz_mul,
     _zz_primitive,
     binary_form_sqrt,
+    binform_gcd,
     binform_quotient,
     upoly_factor,
     upoly_gcd,
@@ -25,6 +26,7 @@ from splitcurves.errors import (
     ReducibleMinimalPolynomial,
 )
 from splitcurves.scalars import QQ, clear_denominators
+from splitcurves.splitting import _binform_squarefree
 
 from conftest import rng_for, random_rat
 
@@ -330,9 +332,10 @@ def test_integer_yun_matches_the_fraction_oracle():
     assert any(f.lc() < 0 for f in inputs) and any(f.lc().denominator > 1 for f in inputs)
     assert max(m for f in inputs for _g, m in _yun_fraction_oracle(f)) >= 4
     for f in inputs:
-        got = [(UPoly(part).monic(), m) for part, m in upoly_squarefree(f)]
+        ints = clear_denominators(list(f.coeffs))
+        got = [(UPoly(part).monic(), m) for part, m in upoly_squarefree(ints)]
         assert got == _yun_fraction_oracle(f), f
-        for part, _m in upoly_squarefree(f):
+        for part, _m in upoly_squarefree(ints):
             assert part[-1] > 0 and _zz_primitive(part)[0] == part
 
 
@@ -737,3 +740,162 @@ def test_binform_quotient():
     # the zero form divided by g is the zero form of the quotient's degree
     assert binform_quotient(BinForm.zero(5), g) == BinForm.zero(3)
     assert binform_quotient(BinForm.zero(1), g) is None
+
+
+# -- binary forms on the integer kernels: the parent's paths through --------
+# -- ``to_upoly`` (rational polynomials in s at t = 1), kept as oracles -----
+
+
+def _homogenized(poly, degree):
+    """The binary form of the given degree whose value at t = 1 is poly."""
+    return BinForm(degree, list(poly.coeffs) + [QQ(0)] * (degree - poly.degree()))
+
+
+def _primitive_oracle(b):
+    prim = _zz_primitive(clear_denominators(list(b.coeffs)))[0]
+    sd = b.s_degree()
+    if sd >= 0 and prim[sd] < 0:
+        prim = [-c for c in prim]
+    return BinForm(b.degree, prim)
+
+
+def _factor_oracle(f):
+    out = []
+    tmult = f.t_multiplicity()
+    if tmult:
+        out.append((BinForm(1, [1, 0]), tmult))
+    dehom = f.to_upoly()
+    if dehom.degree() > 0:
+        for fac, mult in upoly_factor(dehom):
+            out.append((_primitive_oracle(_homogenized(fac, fac.degree())), mult))
+    ordered = sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    lead = math.prod(fac.coeffs[fac.s_degree()] ** mult for fac, mult in ordered)
+    return f.coeffs[f.s_degree()] / lead, ordered
+
+
+def _gcd_oracle(f, g):
+    if f.is_zero():
+        return _primitive_oracle(g)
+    if g.is_zero():
+        return _primitive_oracle(f)
+    tm = min(f.t_multiplicity(), g.t_multiplicity())
+    h = upoly_gcd(f.to_upoly(), g.to_upoly())
+    return _primitive_oracle(_homogenized(h, h.degree() + tm))
+
+
+def _quotient_oracle(f, g):
+    if g.is_zero() or g.degree > f.degree:
+        return None
+    if f.is_zero():
+        return BinForm.zero(f.degree - g.degree)
+    if g.t_multiplicity() > f.t_multiplicity():
+        return None
+    q, r = f.to_upoly().divmod(g.to_upoly())
+    if not r.is_zero():
+        return None
+    return _homogenized(q, f.degree - g.degree)
+
+
+def _squarefree_oracle(b):
+    p = b.to_upoly()
+    return (
+        not b.is_zero()
+        and b.t_multiplicity() <= 1
+        and upoly_gcd(p, p.derivative()).degree() == 0
+    )
+
+
+_T = BinForm(1, [1, 0])
+
+
+def _random_binform(rng):
+    """A product of up to three random forms of degree 1 or 2 (a zero top
+    coefficient gives a factor t), one of them repeated at times, times t^0
+    to t^3 and a rational unit of either sign."""
+    factors = [
+        BinForm(k, [random_rat(rng, 5) for _ in range(k + 1)])
+        for k in (rng.choice((1, 2)) for _ in range(rng.randint(0, 3)))
+    ]
+    if factors and rng.random() < 0.4:
+        factors.append(rng.choice(factors))
+    b = BinForm(0, [random_rat(rng, 7) or QQ(-1)])
+    for f in factors:
+        b = b * f
+    return b * _T ** rng.randint(0, 3)
+
+
+def _binform_inputs(rng, count):
+    out = [
+        BinForm.zero(0),
+        BinForm.zero(3),
+        BinForm(0, [QQ(-3, 5)]),
+        BinForm(2, [QQ(7), 0, 0]),
+        _T**3,
+        BinForm(3, [0, QQ(-1, 2), 0, 0]),
+    ]
+    while len(out) < count:
+        out.append(_random_binform(rng))
+    return out
+
+
+def test_binform_inputs_cover_the_cases():
+    forms = [f for f in _binform_inputs(rng_for("binform-kernels"), 250) if not f.is_zero()]
+    assert {f.t_multiplicity() for f in forms} >= {0, 1, 2, 3}
+    leads = [f.coeffs[f.s_degree()] for f in forms]
+    assert any(c < 0 for c in leads) and any(c.denominator > 1 for c in leads)
+    assert any(f.degree == 0 for f in forms) and any(f.s_degree() == 0 for f in forms)
+
+
+def test_binform_factor_matches_the_rational_oracle():
+    for f in _binform_inputs(rng_for("binform-kernels"), 250):
+        assert f.primitive() == _primitive_oracle(f), f
+        if f.is_zero():
+            with pytest.raises(ValueError):
+                f.factor()
+            continue
+        assert f.factor() == _factor_oracle(f), f
+
+
+def test_binform_gcd_matches_the_rational_oracle():
+    rng = rng_for("binform-gcd")
+    inputs = _binform_inputs(rng, 60)
+    pairs = [(f, g) for f in inputs[:8] for g in inputs[:8]]
+    for _ in range(200):
+        common = rng.choice(inputs)
+        pairs.append((common * _random_binform(rng), common * _random_binform(rng)))
+    degrees = set()
+    for f, g in pairs:
+        got = binform_gcd(f, g)
+        assert got == _gcd_oracle(f, g), (f, g)
+        degrees.add(got.degree)
+    assert {0, 1, 2, 3} <= degrees
+
+
+def test_binform_quotient_matches_the_rational_oracle():
+    rng = rng_for("binform-quotient")
+    inputs = _binform_inputs(rng, 60)
+    pairs = [(f, g) for f in inputs[:8] for g in inputs[:8]]
+    for _ in range(200):
+        g, h = rng.choice(inputs), _random_binform(rng)
+        pairs.append((g * h, g))
+        # a non-divisor: g times h plus a form that g does not divide
+        extra = BinForm(g.degree + h.degree, [random_rat(rng, 5) for _ in range(g.degree + h.degree + 1)])
+        pairs.append((g * h + extra, g))
+        pairs.append((h, g * _T))
+    outcomes = set()
+    for f, g in pairs:
+        got = binform_quotient(f, g)
+        assert got == _quotient_oracle(f, g), (f, g)
+        if got is not None and not f.is_zero():
+            assert got * g == f
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_binform_squarefree_matches_the_rational_oracle():
+    seen = set()
+    for b in _binform_inputs(rng_for("binform-squarefree-oracle"), 250):
+        expected = _squarefree_oracle(b)
+        assert _binform_squarefree(b) == expected, b
+        seen.add(expected)
+    assert seen == {True, False}

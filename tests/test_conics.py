@@ -37,7 +37,7 @@ from splitcurves.forms import (
 from splitcurves.linalg import mat_det, mat_inv
 from splitcurves.scalars import ONE, QQ
 
-from conftest import PLANE, rng_for, random_form
+from conftest import PLANE, binform_value, param_point, rng_for, random_form
 
 
 def test_classification():
@@ -50,7 +50,7 @@ def test_parametrization_identity_and_base():
     for base in (point(1, 0, 0), point(0, 1, 0)):
         param = parametrize_conic(delta2(), base)
         assert restrict_to_conic(delta2(), param).is_zero()
-        assert param.point_at(QQ(0), QQ(1)).eq_proj(base)
+        assert param_point(param, QQ(0), QQ(1)).eq_proj(base)
 
 
 def test_point_not_on_conic():
@@ -91,8 +91,8 @@ def test_gamma6_restriction_is_content_times_square(gamma6):
         s0, t0 = QQ(rng.randint(-9, 9)), QQ(rng.randint(-9, 9))
         if s0 == 0 and t0 == 0:
             continue
-        coords = [p.eval(s0, t0) for p in param.components()]
-        assert r.eval(s0, t0) == gamma6.eval(coords)
+        coords = list(param_point(param, s0, t0).coords)
+        assert binform_value(r, s0, t0) == gamma6.eval(coords)
     del content
 
 
@@ -274,7 +274,7 @@ def test_parametrize_random_transformed_conics():
         assert base is not None
         param = parametrize_conic(q, base)
         assert restrict_to_conic(q, param).is_zero()
-        assert param.point_at(QQ(0), QQ(1)).eq_proj(base)
+        assert param_point(param, QQ(0), QQ(1)).eq_proj(base)
         # coefficient matrix invertible: the three quadratics independent
         from splitcurves.linalg import rank_naive
 

@@ -14,7 +14,6 @@ from splitcurves.errors import InhomogeneousImage
 from splitcurves.forms import (
     BiForm,
     Form,
-    biform_basis,
     monomial_basis,
     parse_form,
     substitute_form,
@@ -22,7 +21,7 @@ from splitcurves.forms import (
 from splitcurves.linalg import solve_linear
 from splitcurves.scalars import QQ, ZERO, ONE
 
-from conftest import PLANE, rng_for, random_form, substitute_form_oracle
+from conftest import PLANE, param_point, rng_for, random_form, substitute_form_oracle
 
 
 def test_pullback_of_coordinates():
@@ -119,14 +118,10 @@ def test_pullback_edge_cases():
 
 def _pullback_preimage_oracle(target, degree, variables=PLANE):
     """Solve pullback(c) == target for a plane form c of the given degree."""
-    basis = biform_basis(degree, degree)
     mono = monomial_basis(3, degree)
-    cols = [
-        pullback_curve(Form.monomial(variables, expo)).coefficient_vector(basis)
-        for expo in mono
-    ]
+    cols = [pullback_curve(Form.monomial(variables, expo)).coeffs for expo in mono]
     rows = [list(r) for r in zip(*cols)]
-    sol = solve_linear(rows, target.coefficient_vector(basis))
+    sol = solve_linear(rows, target.coeffs)
     if sol is None:
         return None
     return Form(variables, degree, dict(zip(mono, sol)))
@@ -135,15 +130,11 @@ def _pullback_preimage_oracle(target, degree, variables=PLANE):
 def _divide_by_ram_oracle(biform):
     """Exact quotient by r = sv - tu, or None when not divisible."""
     d1, d2 = biform.bidegree
-    q_basis = biform_basis(d1 - 1, d2 - 1)
-    target_basis = biform_basis(d1, d2)
+    q_basis = [(i, j) for i in range(d1) for j in range(d2)]
     r = ram_form()
-    cols = [
-        (BiForm((d1 - 1, d2 - 1), {e: ONE}) * r).coefficient_vector(target_basis)
-        for e in q_basis
-    ]
+    cols = [(BiForm((d1 - 1, d2 - 1), {e: ONE}) * r).coeffs for e in q_basis]
     rows = [list(rw) for rw in zip(*cols)]
-    sol = solve_linear(rows, biform.coefficient_vector(target_basis))
+    sol = solve_linear(rows, biform.coeffs)
     if sol is None:
         return None
     quot = BiForm((d1 - 1, d2 - 1), dict(zip(q_basis, sol)))
@@ -174,7 +165,7 @@ def _split_11_biform_oracle(q):
 def _tangent_line_oracle(s0, t0):
     """The parent's line at (s0 : t0), rescaled to pull back to l * sigma(l)."""
     param = delta2_param()
-    p = param.point_at(QQ(s0), QQ(t0))
+    p = param_point(param, QQ(s0), QQ(t0))
     a = conic_matrix(param.conic)
     coeffs = [sum((p.coords[i] * a[i][j] for i in range(3)), ZERO) for j in range(3)]
     line = Form(PLANE, 1, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), coeffs)))

@@ -1,7 +1,8 @@
 """Static hygiene of the package: no unused import, no private helper,
 public function, class, method or stored attribute nothing reads, no
-constant defined in two modules, and no benchmark tracer target that the
-package no longer defines.
+constant defined in two modules, no import inside a function that no import
+cycle needs, and no benchmark tracer target that the package no longer
+defines.
 
 The checks read the source with ``ast`` only; nothing of the package is
 imported (a base class from the standard library is, to see what it defines).
@@ -88,6 +89,65 @@ def test_every_private_name_is_referenced():
         if private not in referenced
     ]
     assert unreferenced == []
+
+
+def _relative_imports(tree):
+    """(line, target module, inside a function) of each ``from .x import``
+    and ``from . import x`` of the tree."""
+    local = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            local.update(id(node) for node in ast.walk(fn))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            targets = [node.module] if node.module else [a.name for a in node.names]
+            out.extend((node.lineno, t.split(".")[0], id(node) in local) for t in targets)
+    return out
+
+
+def _needless_local_imports(modules):
+    """``module.py:line imports target`` of each import inside a function of a
+    module that the target does not import back, directly or through other
+    modules, at module level: only such a cycle needs a local import."""
+    graph = {
+        name: {t for _line, t, local in _relative_imports(tree) if not local}
+        for name, tree in modules.items()
+    }
+
+    def reaches(start, goal):
+        seen, todo = set(), [start]
+        while todo:
+            name = todo.pop()
+            if name == goal:
+                return True
+            if name not in seen:
+                seen.add(name)
+                todo.extend(graph.get(name, ()))
+        return False
+
+    return [
+        "%s.py:%d imports %s" % (name, line, target)
+        for name, tree in modules.items()
+        for line, target, local in _relative_imports(tree)
+        if local and not reaches(target, name)
+    ]
+
+
+def test_a_function_imports_only_to_break_a_cycle():
+    assert _needless_local_imports(_modules()) == []
+
+
+def test_the_local_import_check_sees_a_violation():
+    modules = {
+        "a": ast.parse("from .b import f\ndef g():\n    from .c import h\n    return h\n"),
+        "b": ast.parse("def f():\n    from .a import g\n    return g\n"),
+        "c": ast.parse("from . import d\nh = 1\n"),
+        "d": ast.parse("from .a import g\n"),
+        "e": ast.parse("import os\nclass K:\n    def m(self):\n        from . import b\n"),
+    }
+    # b and a import each other, and c reaches a through d; nothing imports e
+    assert _needless_local_imports(modules) == ["e.py:4 imports b"]
 
 
 def _public_definitions(tree):

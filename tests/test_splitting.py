@@ -34,7 +34,7 @@ from splitcurves.arith import BinForm
 from splitcurves.linalg import kernel_basis, primitive_vector, solve_linear
 from splitcurves.scalars import ONE, QQ
 
-from conftest import PLANE, random_form, random_rat, rng_for
+from conftest import PLANE, param_point, random_form, random_rat, rng_for
 
 
 def test_alpha_of():
@@ -239,12 +239,9 @@ def test_factor_pullback_extension_case():
     assert factor.verify(f)
     # the found factor is (a + b*sqrt(2)) * (pullback(l) + sqrt(2) r):
     # solve a1 = a*pl + 2b*r, a2 = b*pl + a*r for rational a, b
-    from splitcurves.forms import biform_basis
-    from splitcurves.linalg import solve_linear
-
     pl = pullback_curve(line)
     r = ram_form()
-    basis = biform_basis(1, 1)
+    basis = [(1, 1), (1, 0), (0, 1), (0, 0)]
     rows = []
     rhs = []
     for key in basis:
@@ -328,7 +325,7 @@ def test_criterion_24_conic_through_all_seven(gamma6):
     k = 0
     while len(pts) < 7:
         s, t = QQ(1), QQ(k)
-        p = delta2_param().point_at(s, t)
+        p = param_point(delta2_param(), s, t)
         pts.append(p)
         k += 1
     prof = _profile_for(gamma6)
@@ -459,7 +456,7 @@ def test_tangency_in_closed_form_matches_the_parametrization_test():
             if (s, t) == (0, 0):
                 continue
             # the tangent line at a point P of the conic has coefficients A P
-            p = param.point_at(QQ(s), QQ(t)).coords
+            p = param_point(param, QQ(s), QQ(t)).coords
             vec = [sum(r * x for r, x in zip(row, p)) for row in a]
             lines.append(Form(PLANE, 1, dict(zip(monomial_basis(3, 1), vec))))
             lines.append(random_form(rng, 1, height=5))
