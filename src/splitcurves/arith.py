@@ -423,7 +423,7 @@ class UPoly:
     def __init__(self, coeffs, field=None):
         coeffs = list(coeffs)
         if field is None:
-            coeffs = [QQ(c) if not isinstance(c, type(ZERO)) else c for c in coeffs]
+            coeffs = [c if isinstance(c, QQ) else QQ(c) for c in coeffs]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
         else:
@@ -526,9 +526,6 @@ class UPoly:
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
 
     def monic(self):
         if self.is_zero():
@@ -793,6 +790,10 @@ def _times_gen(vec, p):
     return [p[-1] * x - top * c for x, c in zip([0] + vec[:-1], p)]
 
 
+# the generator's name in printed elements and parsed minimal polynomials
+GENERATOR = "a"
+
+
 class NumberField:
     """The field QQ[a]/(p) for a monic irreducible rational polynomial p.
 
@@ -803,7 +804,7 @@ class NumberField:
     and each further power is one shift and one fold of the top term.
     """
 
-    def __init__(self, minimal_polynomial, name="a", check=True):
+    def __init__(self, minimal_polynomial, check=True):
         mp = minimal_polynomial.monic()
         if mp.degree() < 1:
             raise ValueError("minimal polynomial must have degree >= 1")
@@ -811,7 +812,6 @@ class NumberField:
             raise ReducibleMinimalPolynomial(repr(minimal_polynomial))
         self.minimal_polynomial = mp
         self.degree = n = mp.degree()
-        self.name = name
         # monic p has coprime integer coefficients after one lcm scaling
         self._int_poly = ints = clear_denominators(list(mp.coeffs))
         lc = ints[-1]
@@ -834,7 +834,7 @@ class NumberField:
         return hash(self.minimal_polynomial.coeffs)
 
     def __repr__(self):
-        return "NumberField(%s, %s)" % (self.name, self.minimal_polynomial)
+        return "NumberField(%s, %s)" % (GENERATOR, self.minimal_polynomial)
 
     def zero(self):
         return NFElem(self, (ZERO,) * self.degree)
@@ -1010,7 +1010,6 @@ class NFElem:
         return power(self, e, self.owner.one())
 
     def __repr__(self):
-        name = self.owner.name
         terms = []
         for i, c in enumerate(self.coords):
             if c == 0:
@@ -1018,9 +1017,9 @@ class NFElem:
             if i == 0:
                 terms.append(rat_str(c))
             elif i == 1:
-                terms.append("%s*%s" % (rat_str(c), name))
+                terms.append("%s*%s" % (rat_str(c), GENERATOR))
             else:
-                terms.append("%s*%s^%d" % (rat_str(c), name, i))
+                terms.append("%s*%s^%d" % (rat_str(c), GENERATOR, i))
         return " + ".join(terms) if terms else "0"
 
 
@@ -1051,10 +1050,6 @@ class BinForm:
     @classmethod
     def zero(cls, degree):
         return cls(degree, [ZERO] * (degree + 1))
-
-    def to_upoly(self):
-        """Dehomogenize at t = 1 (chart x = s/t)."""
-        return UPoly(list(self.coeffs))
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)

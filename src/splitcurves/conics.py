@@ -14,7 +14,7 @@ from .arith import BinForm, binform_gcd
 from .errors import CannotCertify, CommonComponent, ConicNotSmooth, PointNotOnConic
 from .forms import PLANE_VARS, Form, ProjPoint, compose_form, form_to_str, substitute_form
 from .linalg import kernel_basis, mat_inv, mat_mul, rank_bareiss
-from .scalars import QQ, ZERO, ONE, denom, numer
+from .scalars import QQ, ZERO, ONE
 
 NOT_CONTACT = "not_contact"
 CONTACT = "contact"
@@ -159,7 +159,7 @@ def _factor(n):
 
 def square_class(r):
     """(k, m) with r = k * m^2, k a square-free integer and m rational > 0."""
-    n, d = numer(r), denom(r)
+    n, d = r.numerator, r.denominator
     k = m = 1
     for p, e in _factor(n * d).items():
         k *= p ** (e % 2)
@@ -220,7 +220,7 @@ def _legendre(a, b):
     if sol is None:
         return None
     x, y, z = sol
-    return t * x + b * z, k * numer(m) * y, x + t * z
+    return t * x + b * z, k * m.numerator * y, x + t * z
 
 
 def find_rational_point(q):

@@ -44,14 +44,14 @@ def cover_images(variables=PLANE_VARS):
     }
 
 
-def pullback_curve(f, variables=None):
+def pullback_curve(f):
     """Pullback of a plane curve under the cover; bidegree (d, d)."""
     if len(f.variables) != 3:
         raise ValueError("the cover pulls back plane curves only")
     # The pullback is invariant under the deck involution, so the terms
     # (i, j) and (j, i) are equal; substitute_form keeps one coefficient
     # object for both.
-    return substitute_form(f, cover_images(variables or f.variables))
+    return substitute_form(f, cover_images(f.variables))
 
 
 def involution_biform(biform):

@@ -54,7 +54,7 @@ from .errors import (
 from .forms import ProjPoint, compose_form, substitute_form, transform_point
 from .linalg import dependent_subsets, mat_det, mat_inv, rref
 from .linsys import FormSpace, cond_point, system_solve
-from .scalars import QQ, ZERO, ONE, clear_denominators, denom, numer
+from .scalars import QQ, ZERO, ONE, clear_denominators
 
 
 class NodeReport:
@@ -127,15 +127,15 @@ def _det(m):
 MAX_SHEARS = 20
 
 
-def shear_matrix(index, size=3):
-    """Deterministic invertible integer matrix number ``index``."""
+def shear_matrix(index):
+    """Deterministic invertible integer 3 x 3 matrix number ``index``."""
     if index == 0:
-        return [[QQ(1) if i == j else ZERO for j in range(size)] for i in range(size)]
-    rng = random.Random(0xD1CE + 7 * index + size)
+        return [[QQ(1) if i == j else ZERO for j in range(3)] for i in range(3)]
+    rng = random.Random(0xD1CE + 7 * index + 3)
     for _ in range(200):
         m = [
-            [QQ(1) if i == j else QQ(rng.randint(-3, 3)) for j in range(size)]
-            for i in range(size)
+            [QQ(1) if i == j else QQ(rng.randint(-3, 3)) for j in range(3)]
+            for i in range(3)
         ]
         if mat_det(m) != 0:
             return m
@@ -185,7 +185,7 @@ def _scaled_y_columns(biv):
             col.extend([0] * (i + 1 - len(col)))
             col[i] = a
     k = next((k for k, a in enumerate(ints) if a), None)
-    scale = ONE if k is None else QQ(ints[k] * denom(values[k]), numer(values[k]))
+    scale = ONE if k is None else QQ(ints[k] * values[k].denominator, values[k].numerator)
     return [_trim(col) for col in cols], scale
 
 
@@ -322,7 +322,7 @@ def resultant_y(biv1, biv2):
             x0 = -x0 + (0 if x0 > 0 else 1)
         res = _zz_newton(xs, ys)
     scale = s1**n * s2**m
-    num, den = denom(scale), numer(scale)
+    num, den = scale.denominator, scale.numerator
     return UPoly([QQ(a * num, den) for a in res])
 
 
@@ -359,7 +359,7 @@ def _fiber_gcd(combos, field, x):
     the gcd does not see it.
     """
     if field is None:
-        a, b = numer(x), denom(x)
+        a, b = x.numerator, x.denominator
     g = None
     for biv in combos:
         cols, _scale = _scaled_y_columns(biv)

@@ -11,7 +11,7 @@ in descending graded-lexicographic order so output is reproducible, and
 import math
 from operator import mul
 
-from .arith import BinForm, NFElem, UPoly, power, scalar_is_zero
+from .arith import GENERATOR, BinForm, NFElem, UPoly, power, scalar_is_zero
 from .errors import (
     FieldMismatch,
     InhomogeneousImage,
@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
 )
 from .linalg import mat_vec, primitive_vector
-from .scalars import QQ, ZERO, ONE, denom, numer, over_common_denominator, rat_str
+from .scalars import QQ, ZERO, ONE, over_common_denominator, rat_str
 
 # the variables of plane forms and of forms on P^3
 PLANE_VARS = ("x", "y", "z")
@@ -128,8 +128,8 @@ class Form:
         return cls(variables, degree, {})
 
     @classmethod
-    def monomial(cls, variables, expo, coeff=ONE):
-        return cls(variables, sum(expo), {tuple(expo): coeff})
+    def monomial(cls, variables, expo):
+        return cls(variables, sum(expo), {tuple(expo): ONE})
 
     @classmethod
     def variable(cls, variables, name):
@@ -242,9 +242,8 @@ class Form:
     def partials(self):
         return [self.partial(i) for i in range(len(self.variables))]
 
-    def coefficient_vector(self, basis=None):
-        if basis is None:
-            basis = monomial_basis(len(self.variables), self.degree)
+    def coefficient_vector(self):
+        basis = monomial_basis(len(self.variables), self.degree)
         return [self.terms.get(e, ZERO) for e in basis]
 
     def sorted_terms(self):
@@ -583,17 +582,17 @@ def substitute_form(f, images):
     powers = []
     top = [max(expo[i] for expo in f.terms) for i in range(len(vals))]
     for row, e_max in zip(rows, top):
-        s = math.lcm(*(denom(c) for _, c in row))
+        s = math.lcm(*(c.denominator for _, c in row))
         scales.append(s)
-        poly = {key: numer(c) * (s // denom(c)) for key, c in row}
+        poly = {key: c.numerator * (s // c.denominator) for key, c in row}
         pw = [{0: 1}]
         for _ in range(e_max):
             pw.append(_packed_mul(pw[-1], poly))
         powers.append(pw)
-    den = math.lcm(*(denom(c) for c in f.terms.values()))
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
     total = {}
     for expo, c in f.terms.items():
-        scalar = numer(c) * (den // denom(c))
+        scalar = c.numerator * (den // c.denominator)
         for s, e in zip(scales, expo):
             scalar *= s ** (d - e)
         term = {0: scalar}
@@ -643,16 +642,6 @@ def transform_point(matrix, p):
             acc = acc + x * QQ(c)
         rows.append(acc)
     return ProjPoint(rows)
-
-
-def euler_check(f):
-    """Euler identity: sum_i x_i df/dx_i == deg(f) * f."""
-    n = len(f.variables)
-    total = Form.zero(f.variables, f.degree)
-    for i in range(n):
-        xi = Form.variable(f.variables, f.variables[i])
-        total = total + xi * f.partial(i)
-    return total == f.scale(f.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -894,9 +883,9 @@ def parse_polynomial_raw(text, variables):
     return raw
 
 
-def parse_univariate(text, name="a"):
-    """Parse a univariate polynomial in the named variable into a UPoly."""
-    raw = parse_polynomial_raw(text, (name,))
+def parse_univariate(text):
+    """Parse a univariate polynomial in the generator ``a`` into a UPoly."""
+    raw = parse_polynomial_raw(text, (GENERATOR,))
     if not raw:
         return UPoly.zero()
     degree = max(e[0] for e in raw)

@@ -142,14 +142,9 @@ def rank_naive(rows):
     return rank
 
 
-def rref(rows, ncols=None):
-    """Reduced row echelon form over QQ; returns (matrix, pivot columns).
-
-    Pivots are taken in the first ``ncols`` columns (all by default).
-    """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    m, pivots, d = _reduced(rows, ncols)
+def rref(rows):
+    """Reduced row echelon form over QQ; returns (matrix, pivot columns)."""
+    m, pivots, d = _reduced(rows, len(rows[0]) if rows else 0)
     d = QQ(d)
     return [[QQ(x) / d for x in row] for row in m], pivots
 

@@ -1,9 +1,10 @@
 """Linear systems of plane curves and of forms on P^3.
 
 A condition (incidence, singularity, divisor divisibility on a conic) is a
-row: a plain tuple of rationals indexed by a fixed monomial basis.  A
-conjugate point over QQ[a]/(p) contributes deg(p) rows, one per power-basis
-coordinate, which encodes vanishing along its whole Galois orbit.  The
+row: a plain tuple of exact numbers (rationals, or integers for
+divisibility) indexed by a fixed monomial basis.  A conjugate point over
+QQ[a]/(p) contributes deg(p) rows, one per power-basis coordinate, which
+encodes vanishing along its whole Galois orbit.  The
 entries of point and singularity rows come from ``forms.monomial_values``,
 the integer evaluation kernel of ``Form.eval``.  Rows are
 immutable, so a caller that solves over many subsets of one node list builds
@@ -13,11 +14,11 @@ vectors read off the reduced echelon form, and the rank is the number of
 columns minus the kernel dimension.
 """
 
-from .arith import UPoly
+from .arith import _dehomogenized, _times_gen
 from .errors import FieldMismatch
 from .forms import PLANE_VARS, Form, monomial_basis, monomial_values
 from .linalg import kernel_basis
-from .scalars import QQ, ZERO
+from .scalars import QQ
 
 
 class FormSpace:
@@ -117,22 +118,41 @@ def cond_divisible_on_conic(degree, t_form):
     candidate's coefficients, so the remainder of its restriction by T is
     the combination of the remainders of the monomials' restrictions:
     remainder row i holds coefficient i of each monomial's remainder.
+
+    The rows are integers.  With T(s, 1) = c P, P a primitive integer
+    vector of degree k and leading coefficient p, the remainder of s^i by P
+    times p^(i - k + 1) is integral and follows from that of s^(i - 1) by
+    one shift and one fold (``arith._times_gen``).  Every column is scaled
+    by the same p^e, e = max(2 degree - k + 1, 0), so each remainder row is p^e
+    times the rational one and the kernel is unchanged; a power of p that
+    differed between columns would change it.
     """
     if t_form.degree == 0:
         return []
     big = 2 * degree
-    # column m: the coefficients of s^i t^(big-i) in restrict(mono_m)
-    cols = []
-    for a, _b, c in monomial_basis(3, degree):
-        col = [ZERO] * (big + 1)
-        col[2 * a + c] = QQ(2**c)
-        cols.append(col)
+    basis = monomial_basis(3, degree)
     # t^tm divides the restriction: top s-coefficients vanish
     tm = t_form.t_multiplicity()
-    rows = [tuple(col[i] for col in cols) for i in range(big - tm + 1, big + 1)]
-    t0 = t_form.to_upoly()
-    rems = [UPoly(col) % t0 for col in cols]
-    rows.extend(tuple(r[i] for r in rems) for i in range(t0.degree()))
+    rows = [
+        tuple(2**c if 2 * a + c == i else 0 for a, _b, c in basis)
+        for i in range(big - tm + 1, big + 1)
+    ]
+    prim = _dehomogenized(t_form)[0]
+    k = len(prim) - 1
+    if k == 0:
+        return rows
+    # rems[i] is p^(i - k + 1) (s^i mod P), and s^i itself below degree k
+    rems = [[int(i == j) for j in range(k)] for i in range(min(k, big + 1))]
+    while len(rems) <= big:
+        rems.append(_times_gen(rems[-1], prim))
+    p = prim[-1]
+    e = max(big - k + 1, 0)
+    cols = []
+    for a, _b, c in basis:
+        i = 2 * a + c
+        scale = 2**c * p ** (e - max(i - k + 1, 0))
+        cols.append([scale * x for x in rems[i]])
+    rows.extend(zip(*cols))
     return rows
 
 

@@ -238,7 +238,7 @@ def parse_node_spec(spec, form):
     exprs = spec.get("point")
     if not isinstance(exprs, (list, tuple)) or len(exprs) != ambient:
         raise ValueError('"point" must be a list of %d entries' % ambient)
-    minpoly = parse_univariate(spec["minpoly"], "a")
+    minpoly = parse_univariate(spec["minpoly"])
     bound = 16 if ambient == 4 else form.degree * (form.degree - 1) // 2
     if minpoly.degree() > bound:
         raise ValueError(
@@ -249,7 +249,7 @@ def parse_node_spec(spec, form):
     coords = []
     for expr in exprs:
         if isinstance(expr, str):
-            coords.append(field.elem(parse_univariate(expr, "a").coeffs))
+            coords.append(field.elem(parse_univariate(expr).coeffs))
         else:
             coords.append(field.from_rat(_rational(expr)))
     return ProjPoint(coords)

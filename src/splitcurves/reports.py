@@ -117,12 +117,16 @@ class VerificationReport:
 
 
 def certificate_payload(cert):
-    """A splitting certificate as JSON: c_n, c_(n-1) and the line (or None)."""
-    return {
+    """A splitting certificate as JSON: c_n, c_(n-1), the line (or None),
+    and the scale when it is not 1."""
+    payload = {
         "c_n": form_to_str(cert.c_n),
         "c_n1": form_to_str(cert.c_n1),
         "line": form_to_str(cert.line) if cert.line is not None else None,
     }
+    if cert.scale != 1:
+        payload["scale"] = rat_str(cert.scale)
+    return payload
 
 
 def _splitting_summary(rep):

@@ -1,36 +1,19 @@
 """Exact rational scalars.
 
-All coefficient arithmetic in this package runs in exact rational numbers.
-Two interchangeable backends are supported and one is selected at import
-time: the compiled ``gmpy2.mpq`` type when gmpy2 is installed, and the
-pure-Python ``fractions.Fraction`` otherwise.
-
-Both types are kept in canonical reduced form by their constructors, and
-their arithmetic semantics agree exactly, so every result of this package
-is byte-identical under either backend.
+All coefficient arithmetic in this package runs in exact rational numbers,
+``fractions.Fraction``, kept in canonical reduced form by its constructor.
+``QQ`` is the one name the other modules use for it.
 """
 
 import math
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as QQ  # type: ignore
-
-    BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - environment dependent
-    QQ = Fraction
-    BACKEND = "fraction"
+QQ = Fraction
+# the benchmark header prints it
+BACKEND = "fraction"
 
 ZERO = QQ(0)
 ONE = QQ(1)
-
-
-def numer(q):
-    return int(q.numerator)
-
-
-def denom(q):
-    return int(q.denominator)
 
 
 def isqrt_exact(n):
@@ -43,10 +26,10 @@ def isqrt_exact(n):
 
 def rat_sqrt(q):
     """Exact nonnegative square root of a rational, or None if not a square."""
-    num = isqrt_exact(numer(q))
+    num = isqrt_exact(q.numerator)
     if num is None:
         return None
-    den = isqrt_exact(denom(q))
+    den = isqrt_exact(q.denominator)
     if den is None:
         return None
     return QQ(num) / QQ(den)
@@ -54,15 +37,14 @@ def rat_sqrt(q):
 
 def rat_str(q):
     """Canonical string form, ``p/q`` or ``p``."""
-    n, d = numer(q), denom(q)
+    n, d = q.numerator, q.denominator
     return str(n) if d == 1 else "%d/%d" % (n, d)
 
 
 def over_common_denominator(values):
     """(ints, den): values[i] == ints[i] / den, den the lcm of the denominators.
 
-    Reads ``numerator`` and ``denominator``, which Python ints and both
-    rational backends provide.
+    Reads ``numerator`` and ``denominator``, which Python ints provide too.
     """
     den = math.lcm(*[v.denominator for v in values])
     if den == 1:

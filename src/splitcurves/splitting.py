@@ -55,7 +55,7 @@ from .errors import (
 from .forms import BiForm, compose_form, monomial_values, substitute_form, transform_point
 from .linalg import dependent_subsets, kernel_basis, mat_inv, primitive_vector
 from .linsys import FormSpace, cond_point, cond_divisible_on_conic, system_solve
-from .scalars import QQ, ZERO, ONE, numer, over_common_denominator, rat_sqrt
+from .scalars import QQ, ZERO, ONE, over_common_denominator, rat_sqrt
 
 # groupings the factor search tries before it gives up
 FACTOR_SEARCH_BUDGET = 2000
@@ -91,11 +91,15 @@ def type_candidates(d):
 
 
 class SplitCertificate:
-    """Exact witness gamma * l^k = c_n^2 - delta * c_{n-1}^2."""
+    """Exact witness scale * gamma * l^k = c_n^2 - delta * c_{n-1}^2.
 
-    __slots__ = ("m", "n", "line", "c_n", "c_n1")
+    ``scale`` is the rational c of a factor A with A * sigma(A) = c * F, F the
+    pullback of gamma; it is 1 whenever c is a square.
+    """
 
-    def __init__(self, m, n, line, c_n, c_n1):
+    __slots__ = ("m", "n", "line", "c_n", "c_n1", "scale")
+
+    def __init__(self, m, n, line, c_n, c_n1, scale=ONE):
         if not 0 < m <= n:
             raise ValueError("need 0 < m <= n")
         if (n > m) != (line is not None):
@@ -105,6 +109,7 @@ class SplitCertificate:
         self.line = line
         self.c_n = c_n
         self.c_n1 = c_n1
+        self.scale = scale
 
     def __repr__(self):
         return "SplitCertificate(type=(%d,%d))" % (self.m, self.n)
@@ -172,7 +177,7 @@ def verify_certificate(gamma, delta, cert):
     else:
         lhs = gamma
     rhs = cert.c_n * cert.c_n - delta * cert.c_n1 * cert.c_n1
-    return lhs == rhs
+    return lhs.scale(cert.scale) == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +357,7 @@ def _quadratic_fields(factor_lists):
                 try:
                     fields.add(square_class(disc)[0])
                 except CannotCertify:
-                    fields.add(numer(disc))
+                    fields.add(disc.numerator)
     return sorted(fields, key=lambda e: (abs(e), e < 0))
 
 
@@ -671,17 +676,16 @@ def _candidate_factor(vec, m, n, na, nl, ext, f_pull):
     blocks = [_biform_from_block(vec, m, n, p * na) for p in range(parts)]
     if blocks[-1].is_zero():
         return None
-    cand = PullbackFactor(blocks[0], blocks[1] if ext is not None else None, ext)
-    real, surd = cand.sigma_product()
+    a1, a2 = blocks[0], blocks[1] if ext is not None else None
+    real, surd = PullbackFactor(a1, a2, ext).sigma_product()
     c = _match_scalar(real, f_pull)
     c_surd = ZERO if surd is None else _match_scalar(surd, f_pull)
     if c is None or c_surd is None or c == c_surd == 0:
         return None
     root = rat_sqrt(c) if surd is None and c > 0 else None
     if root is not None:
-        return PullbackFactor(cand.a1.scale(ONE / root))
-    cand.scalar, cand.scalar_surd = c, c_surd
-    return cand
+        return PullbackFactor(a1.scale(ONE / root))
+    return PullbackFactor(a1, a2, ext, c, c_surd)
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +714,13 @@ def _pick_tangent_line(gamma):
 
 
 def certificate_from_factor(gamma, factor, m, n):
-    """Build and verify a rational certificate from a rational factor A."""
-    if not factor.is_rational() or factor.scalar != 1:
+    """Build and verify a rational certificate from a rational factor A.
+
+    With A * sigma(A) = c * F and d = A * l^k, the forms c_n and c_{n-1} with
+    pullbacks (d + sigma(d)) / 2 and (d - sigma(d)) / (2 r) satisfy
+    c_n^2 - delta * c_{n-1}^2 = c * gamma * line^k, so c is the scale.
+    """
+    if not factor.is_rational():
         return None
     a = factor.a1
     k = n - m
@@ -731,7 +740,7 @@ def certificate_from_factor(gamma, factor, m, n):
     if c_n1 is None:
         return None
     cert = SplitCertificate(
-        m, n, line, c_n.scale(QQ(1, 2)), c_n1.scale(QQ(1, 2))
+        m, n, line, c_n.scale(QQ(1, 2)), c_n1.scale(QQ(1, 2)), factor.scalar
     )
     delta = delta2(gamma.variables)
     try:

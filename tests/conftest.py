@@ -36,6 +36,16 @@ def param_point(param, s, t):
     return ProjPoint([a * s * s + b * s * t + c * t * t for a, b, c in param.coefficient_matrix()])
 
 
+def euler_check(f):
+    """Euler identity: sum_i x_i df/dx_i == deg(f) * f."""
+    n = len(f.variables)
+    total = Form.zero(f.variables, f.degree)
+    for i in range(n):
+        xi = Form.variable(f.variables, f.variables[i])
+        total = total + xi * f.partial(i)
+    return total == f.scale(f.degree)
+
+
 def binform_value(b, s, t):
     """A binary form's value at (s, t), from its coefficients."""
     return sum((c * s**i * t ** (b.degree - i) for i, c in enumerate(b.coeffs)), QQ(0))

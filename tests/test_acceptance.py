@@ -24,7 +24,6 @@ from splitcurves.forms import (
     BiForm,
     ProjPoint,
     compose_form,
-    euler_check,
     parse_form,
     transform_point,
 )
@@ -53,6 +52,7 @@ from conftest import (
     SPACE,
     biform_value,
     check_elimination,
+    euler_check,
     rng_for,
     random_form,
     random_rat,

@@ -48,7 +48,7 @@ def _cauchy_bound(p):
 
 
 def _divides(p, q):
-    return (p % q).is_zero()
+    return p.divmod(q)[1].is_zero()
 
 
 def oracle_has_small_factor(p):
@@ -381,7 +381,7 @@ def test_gcd_and_divmod():
 def _upoly_gcd_oracle(a, b):
     """Monic gcd by Euclid on rational remainders, as the parent computed it."""
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, a.divmod(b)[1]
     return a.monic()
 
 
@@ -581,7 +581,7 @@ def _inv_oracle(a):
 
 
 def _elem_oracle(field, coeffs):
-    coords = list((UPoly([QQ(c) for c in coeffs]) % field.minimal_polynomial).coeffs)
+    coords = list(UPoly([QQ(c) for c in coeffs]).divmod(field.minimal_polynomial)[1].coeffs)
     return tuple(coords + [QQ(0)] * (field.degree - len(coords)))
 
 
@@ -629,7 +629,7 @@ def _nf_gcd_oracle(a, b):
     """Monic gcd by Euclid on NFElem remainders, each rescaled by a
     rational, as the parent computed it over a number field."""
     while not b.is_zero():
-        r = a % b
+        r = a.divmod(b)[1]
         a, b = b, r.scale(_content_scale_oracle(r))
     return a.monic() if not a.is_zero() else a
 
@@ -742,8 +742,13 @@ def test_binform_quotient():
     assert binform_quotient(BinForm.zero(1), g) is None
 
 
-# -- binary forms on the integer kernels: the parent's paths through --------
-# -- ``to_upoly`` (rational polynomials in s at t = 1), kept as oracles -----
+# -- binary forms on the integer kernels, against rational oracles that ----
+# -- work on the polynomial in s at t = 1 -----------------------------------
+
+
+def _dehomogenized_oracle(b):
+    """The rational polynomial b(s, 1)."""
+    return UPoly(list(b.coeffs))
 
 
 def _homogenized(poly, degree):
@@ -764,7 +769,7 @@ def _factor_oracle(f):
     tmult = f.t_multiplicity()
     if tmult:
         out.append((BinForm(1, [1, 0]), tmult))
-    dehom = f.to_upoly()
+    dehom = _dehomogenized_oracle(f)
     if dehom.degree() > 0:
         for fac, mult in upoly_factor(dehom):
             out.append((_primitive_oracle(_homogenized(fac, fac.degree())), mult))
@@ -779,7 +784,7 @@ def _gcd_oracle(f, g):
     if g.is_zero():
         return _primitive_oracle(f)
     tm = min(f.t_multiplicity(), g.t_multiplicity())
-    h = upoly_gcd(f.to_upoly(), g.to_upoly())
+    h = upoly_gcd(_dehomogenized_oracle(f), _dehomogenized_oracle(g))
     return _primitive_oracle(_homogenized(h, h.degree() + tm))
 
 
@@ -790,14 +795,14 @@ def _quotient_oracle(f, g):
         return BinForm.zero(f.degree - g.degree)
     if g.t_multiplicity() > f.t_multiplicity():
         return None
-    q, r = f.to_upoly().divmod(g.to_upoly())
+    q, r = _dehomogenized_oracle(f).divmod(_dehomogenized_oracle(g))
     if not r.is_zero():
         return None
     return _homogenized(q, f.degree - g.degree)
 
 
 def _squarefree_oracle(b):
-    p = b.to_upoly()
+    p = _dehomogenized_oracle(b)
     return (
         not b.is_zero()
         and b.t_multiplicity() <= 1

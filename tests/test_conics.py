@@ -326,7 +326,7 @@ def test_restriction_matches_oracle_on_sextics_and_monomials():
             assert restrict_to_conic(f, param) == _restrict_to_conic_oracle(f, param)
         for expo in monomial_basis(3, 4):
             c = QQ(rng.randint(1, 9), rng.randint(1, 9))
-            mono = Form.monomial(PLANE, expo, c)
+            mono = Form.monomial(PLANE, expo).scale(c)
             assert restrict_to_conic(mono, param) == _restrict_to_conic_oracle(mono, param)
 
 

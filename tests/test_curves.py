@@ -316,11 +316,28 @@ def test_registry_node_counts(gamma6_orbit, gamma6_prime_nodes, gamma7_prime_nod
     assert sum(p.orbit_size() for p in gamma7_prime_nodes) == 7
 
 
+def _shear_matrix_oracle(index, size):
+    """The shear sequence as a function of the matrix size, seeded with it."""
+    if index == 0:
+        return [[QQ(int(i == j)) for j in range(size)] for i in range(size)]
+    rng = random.Random(0xD1CE + 7 * index + size)
+    for _ in range(200):
+        m = [
+            [QQ(1) if i == j else QQ(rng.randint(-3, 3)) for j in range(size)]
+            for i in range(size)
+        ]
+        if mat_det(m) != 0:
+            return m
+    raise AssertionError("could not build a shear matrix")
+
+
 def test_shear_sequence_deterministic_invertible():
-    for idx in range(10):
+    # every shear, and so the order of every singular-point list, is the
+    # 3 x 3 member of the size-seeded sequence
+    for idx in range(20):
         a = shear_matrix(idx)
         b = shear_matrix(idx)
-        assert a == b and mat_det(a) != 0
+        assert a == b == _shear_matrix_oracle(idx, 3) and mat_det(a) != 0
 
 
 def test_irreducibility(gamma6, gamma6_orbit, gamma6_prime, gamma6_prime_nodes,

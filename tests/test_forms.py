@@ -7,7 +7,6 @@ from splitcurves.forms import (
     Form,
     ProjPoint,
     compose_form,
-    euler_check,
     form_to_str,
     parse_form,
     parse_univariate,
@@ -19,6 +18,7 @@ from splitcurves.scalars import QQ
 from conftest import (
     PLANE,
     SPACE,
+    euler_check,
     rng_for,
     random_form,
     random_rat,

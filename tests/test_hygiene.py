@@ -412,8 +412,109 @@ def test_every_tracer_target_is_defined():
     assert missing == []
 
 
-# the rational backends; only ``scalars`` chooses between them
-BACKEND_MODULES = {"fractions", "gmpy2"}
+# defaulted parameters that no call in the package sets, each with its reason
+UNSET_DEFAULT_EXEMPT = {
+    # the console script calls main() and the benchmark's catalog workload
+    # passes a list: two callers with different values, one outside src/
+    "cli.main(argv)",
+}
+
+
+def _defaulted_parameters(modules):
+    """(``module.qualname(param)``, call name, index, param) of each parameter
+    with a default of a function, method or class constructor.  The call name
+    of ``__init__`` is its class; ``index`` is the parameter's place among
+    the arguments a call passes positionally (None for keyword-only), so the
+    ``self`` or ``cls`` of a method does not count."""
+    out = []
+
+    def visit(body, prefix, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, prefix + node.name + ".", node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                decorators = {d.id for d in node.decorator_list if isinstance(d, ast.Name)}
+                args = node.args
+                positional = args.posonlyargs + args.args
+                if cls is not None and "staticmethod" not in decorators:
+                    positional = positional[1:]
+                if node.name == "__init__" and cls is not None:
+                    call, where = cls, prefix[:-1]
+                else:
+                    call, where = node.name, prefix + node.name
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    out.append(("%s(%s)" % (where, arg.arg), call, i, arg.arg))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out.append(("%s(%s)" % (where, arg.arg), call, None, arg.arg))
+                visit(node.body, prefix + node.name + ".", None)
+
+    for name, tree in modules.items():
+        visit(tree.body, name + ".", None)
+    return out
+
+
+def _calls(trees):
+    """{name: [(positional count, keyword names)]} of every call by name;
+    ``*args`` counts as every position and ``**kwargs`` as every keyword."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            npos = len(node.args)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                npos = float("inf")
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((npos, keywords))
+    return calls
+
+
+def _unset_defaults(modules):
+    """``module.qualname(param)`` of each defaulted parameter that no call in
+    the modules passes, positionally or by keyword."""
+    calls = _calls(modules.values())
+    return [
+        where
+        for where, call, index, param in _defaulted_parameters(modules)
+        if not any(
+            (index is not None and npos > index) or param in keywords or None in keywords
+            for npos, keywords in calls.get(call, ())
+        )
+    ]
+
+
+def test_every_default_is_overridden_by_a_caller():
+    # a parameter that every caller leaves at its default is a constant
+    unset = [p for p in _unset_defaults(_modules()) if p not in UNSET_DEFAULT_EXEMPT]
+    assert unset == []
+
+
+def test_the_default_check_sees_a_violation():
+    tree = ast.parse(
+        "def f(a, b=1, *, c=2, d=3):\n    return a\n"
+        "class K:\n"
+        "    def __init__(self, x, y=0, z=0):\n        self.x = x\n"
+        "    def m(self, p=1, q=2):\n        return p\n"
+        "    @staticmethod\n"
+        "    def s(p=1):\n        return p\n"
+        "def g(*args, **kwargs):\n"
+        "    f(0, 5, c=1)\n    K(1, 2)\n    K(1, **kwargs)\n"
+        "    K(1).m(3)\n    K.s(*args)\n"
+    )
+    assert _unset_defaults({"m": tree}) == ["m.f(d)", "m.K.m(q)"]
+
+
+# the rational type's module; only ``scalars`` imports it, as ``QQ``
+BACKEND_MODULES = {"fractions"}
 
 
 def _backend_imports(tree):
@@ -443,9 +544,9 @@ def test_only_scalars_imports_a_rational_backend():
     assert _backend_imports(_modules()["scalars"])
     tree = ast.parse(
         "import math\nfrom fractions import Fraction\n"
-        "def f():\n    import gmpy2.mpq\n    from .fractions import x\n"
+        "def f():\n    import fractions as q\n    from .fractions import x\n"
     )
-    assert _backend_imports(tree) == [("fractions", 2), ("gmpy2.mpq", 4)]
+    assert _backend_imports(tree) == [("fractions", 2), ("fractions", 4)]
 
 
 def _fraction_names(tree):
@@ -467,8 +568,8 @@ def _fraction_names(tree):
 
 
 def test_only_scalars_names_fraction():
-    # Every kernel reads numerators and denominators through ``scalars``;
-    # a module that names Fraction would bypass the gmpy2 backend.
+    # Every module names the one rational type ``QQ``, from ``scalars``,
+    # so that the type is chosen in one place.
     names = [
         "%s.py:%d names Fraction" % (name, line)
         for name, tree in _modules().items()

@@ -7,6 +7,7 @@ entry, what textbook Gauss-Jordan elimination over QQ gives.
 
 import math
 
+from splitcurves import linalg
 from splitcurves.linalg import det_bareiss, kernel_basis, rref, solve_linear
 from splitcurves.scalars import QQ
 
@@ -136,13 +137,16 @@ def test_rref_kernel_and_solve_match_gauss_jordan():
 
 
 def test_rref_restricted_to_leading_columns_matches_gauss_jordan():
-    # rows past the rank vanish in the leading columns, but what they hold
-    # further right depends on the row operations: only the pivot rows are
-    # the same in both eliminations
+    # the reduction with pivots in the leading columns only, which
+    # solve_linear and mat_inv run on augmented rows; rows past the rank
+    # vanish in the leading columns, but what they hold further right
+    # depends on the row operations: only the pivot rows are the same in
+    # both eliminations
     rng = rng_for("linalg-gauss-jordan-leading")
     for mat in _matrices(rng)[:80]:
         ncols = rng.randint(0, len(mat[0]))
-        red, pivots = rref(mat, ncols)
+        m, pivots, d = linalg._reduced(mat, ncols)
+        red = [[QQ(x, d) for x in row] for row in m]
         expected, expected_pivots = _gauss_jordan(mat, ncols)
         assert pivots == expected_pivots
         assert red[:len(pivots)] == expected[:len(pivots)]

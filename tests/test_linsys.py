@@ -1,7 +1,7 @@
 from splitcurves.arith import BinForm, NFElem, NumberField, UPoly
 from splitcurves.conics import delta2_param, restrict_to_conic
 from splitcurves.forms import Form, ProjPoint, parse_form, point
-from splitcurves.linalg import rank_bareiss
+from splitcurves.linalg import kernel_basis, rank_bareiss, rank_naive
 from splitcurves.linsys import (
     FormSpace,
     cond_divisible_on_conic,
@@ -281,7 +281,8 @@ def test_point_and_singular_rows_match_oracle():
 
 
 def _divisibility_rows_oracle(degree, t_form, provenance=None):
-    """The parent's rows: each monomial restricted to the conic by substitution."""
+    """Rational rows: each monomial restricted to the conic by substitution,
+    and its restriction's remainder by T(s, 1) from a long division in QQ."""
     space = FormSpace(degree)
     if t_form.degree == 0:
         return []
@@ -296,13 +297,26 @@ def _divisibility_rows_oracle(degree, t_form, provenance=None):
         LinCondition([col[i] for col in cols], "%s [t-power row]" % prov)
         for i in range(big - tm + 1, big + 1)
     ]
-    t0 = t_form.to_upoly()
-    rems = [UPoly(col) % t0 for col in cols]
+    t0 = UPoly(list(t_form.coeffs))
+    rems = [UPoly(col).divmod(t0)[1] for col in cols]
     for i in range(t0.degree()):
         rows.append(
             LinCondition([r[i] for r in rems], "%s [remainder row %d]" % (prov, i))
         )
     return rows
+
+
+def _assert_same_row_space(degree, t_form):
+    """The integer rows span the rational rows' space: equal ranks, also
+    of the two sets together, and so one kernel."""
+    got = cond_divisible_on_conic(degree, t_form)
+    expected = [r.row for r in _divisibility_rows_oracle(degree, t_form)]
+    assert len(got) == len(expected)
+    assert all(type(x) is int for row in got for x in row)
+    rank = rank_naive(expected)
+    assert rank_naive(got) == rank == rank_naive(got + expected)
+    ncols = FormSpace(degree).size()
+    assert kernel_basis(got, ncols) == kernel_basis(expected, ncols)
 
 
 def test_divisibility_rows_match_oracle_on_catalog_contact_forms():
@@ -315,6 +329,24 @@ def test_divisibility_rows_match_oracle_on_catalog_contact_forms():
     t_forms += [BinForm(2, [0, 1, 0]), BinForm(4, [2, -1, 3, 0, 0])]
     for t_form in t_forms:
         for degree in range(1, 7):
-            got = cond_divisible_on_conic(degree, t_form)
-            expected = _divisibility_rows_oracle(degree, t_form)
-            assert got == [r.row for r in expected]
+            _assert_same_row_space(degree, t_form)
+
+
+def test_divisibility_rows_match_oracle_on_seeded_binary_forms():
+    # non-monic rational forms of degree 1-12 with a root of multiplicity
+    # 0-2 at (1 : 0); deg T(s, 1) runs from below to above 2 * degree
+    rng = rng_for("divisibility-rows-seeded")
+    seen = set()
+    for form_degree in range(1, 13):
+        for tm in range(min(2, form_degree) + 1):
+            top = form_degree - tm
+            coeffs = [random_rat(rng) for _ in range(top)]
+            lead = random_rat(rng)
+            while lead in (0, 1):
+                lead = random_rat(rng)
+            t_form = BinForm(form_degree, coeffs + [lead] + [QQ(0)] * tm)
+            assert t_form.t_multiplicity() == tm
+            for degree in range(1, 7):
+                seen.add(top > 2 * degree)
+                _assert_same_row_space(degree, t_form)
+    assert seen == {False, True}

@@ -71,7 +71,7 @@ def test_parse_form_returns_a_form_or_a_data_error(text):
 @given(_TEXT)
 def test_parse_univariate_returns_a_polynomial_or_a_data_error(text):
     try:
-        poly = parse_univariate(text, "a")
+        poly = parse_univariate(text)
     except (ValueError, SplitCurvesError):
         return
     assert isinstance(poly, UPoly)

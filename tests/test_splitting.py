@@ -14,6 +14,7 @@ from splitcurves.errors import (
 )
 from splitcurves.forms import BiForm, Form, compose_form, monomial_basis, parse_form, point
 from splitcurves.registry import example_ids, load_example
+from splitcurves.reports import certificate_payload
 from splitcurves.splitting import (
     SplitCertificate,
     alpha_of,
@@ -381,6 +382,44 @@ def test_certificate_extraction_with_tangent_line():
     lhs = record.curve * cert.line * cert.line
     rhs = cert.c_n * cert.c_n - delta2() * cert.c_n1 * cert.c_n1
     assert lhs == rhs
+
+
+def test_rescaled_catalog_curves_carry_a_scaled_certificate():
+    # the factor of c * gamma has A * sigma(A) = s * F with s = c times a
+    # square, and no rational rescaling of A removes a non-square s: the
+    # certificate states s * gamma * l^k = c_n^2 - delta * c_(n-1)^2
+    scales = {
+        ("split6", 3): 3,
+        ("split6", -1): -1,
+        ("split7-33", 3): 12,
+        ("split7-33", -1): -4,
+        ("split7-24", 3): 48,
+        ("split7-24", -1): -16,
+    }
+    for (example_id, c), scale in scales.items():
+        record = load_example(example_id)
+        gamma = record.curve.scale(c)
+        rep = splitting_type(gamma, record.conic, record.nodes)
+        cert = rep.certificate
+        assert rep.outcome == "split" and cert is not None
+        assert cert.scale == rep.factor.scalar == scale
+        assert certificate_payload(cert)["scale"] == str(scale)
+        gamma_n = normalize_configuration(gamma, record.conic, record.nodes).gamma
+        assert verify_certificate(gamma_n, delta2(), cert)
+        unscaled = SplitCertificate(cert.m, cert.n, cert.line, cert.c_n, cert.c_n1)
+        assert not verify_certificate(gamma_n, delta2(), unscaled)
+        expo = min(cert.c_n.terms)
+        changed = cert.c_n + Form.monomial(PLANE, expo)
+        wrong = SplitCertificate(cert.m, cert.n, cert.line, changed, cert.c_n1, cert.scale)
+        assert not verify_certificate(gamma_n, delta2(), wrong)
+    # the unscaled curve's certificate has scale 1, which the payload omits,
+    # and fails with any other scale
+    record = load_example("split6")
+    cert = splitting_type(record.curve, record.conic, record.nodes).certificate
+    assert cert.scale == 1 and "scale" not in certificate_payload(cert)
+    gamma_n = normalize_configuration(record.curve, record.conic, record.nodes).gamma
+    rescaled = SplitCertificate(3, 3, None, cert.c_n, cert.c_n1, QQ(3))
+    assert not verify_certificate(gamma_n, delta2(), rescaled)
 
 
 def test_split_positive_satisfies_node_bound(gamma6, gamma6_orbit):
