@@ -73,6 +73,7 @@ from .splitting import (
     alpha_of,
     criterion_24_7nodal,
     factor_pullback,
+    linear_route,
     necessary_dim_check,
     node_bound_filter,
     splitting_type,

@@ -1114,23 +1114,41 @@ class BinForm:
         prim = _dehomogenized(self)[0]
         return BinForm(self.degree, prim + [0] * (self.degree + 1 - len(prim)))
 
+    def squarefree_parts(self):
+        """Yun's decomposition: (content, [(primitive squarefree part, mult)]).
+
+        The parts are pairwise coprime, their multiplicities distinct, and
+        the product of part**mult is self / content.  Yun's algorithm on
+        f(s, 1) misses the root (1:0), so t^k, k its multiplicity, is a part
+        of its own, listed first; a constant form has no parts.
+        """
+        if self.is_zero():
+            raise ValueError("cannot decompose the zero form")
+        tmult = self.t_multiplicity()
+        out = [(BinForm(1, [ONE, ZERO]), tmult)] if tmult else []
+        # the parts of the primitive F multiply to F, so the content of
+        # self = c F is c
+        ints, content = _dehomogenized(self)
+        out.extend(
+            (BinForm(len(part) - 1, part), mult)
+            for part, mult in upoly_squarefree(ints)
+            if len(part) > 1
+        )
+        return content, out
+
     def factor(self):
         """Full factorization: (content, [(primitive irreducible, mult)]).
 
         The root (1:0) appears as the factor ``t`` (that is, BinForm(1,[1,0])).
         """
-        if self.is_zero():
-            raise ValueError("cannot factor the zero form")
+        content, parts = self.squarefree_parts()
         out = []
-        tmult = self.t_multiplicity()
-        if tmult:
-            out.append((BinForm(1, [ONE, ZERO]), tmult))
-        # the factors of the primitive F multiply to F, so the content of
-        # self = c F is c
-        ints, content = _dehomogenized(self)
-        for part, mult in upoly_squarefree(ints):
-            if len(part) > 1:
-                out.extend((BinForm(len(fac) - 1, fac), mult) for fac in _zassenhaus(part))
+        for part, mult in parts:
+            if part.degree == 1:
+                out.append((part, mult))
+            else:
+                ints = _dehomogenized(part)[0]
+                out.extend((BinForm(len(fac) - 1, fac), mult) for fac in _zassenhaus(ints))
         return content, sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
 
     def __repr__(self):
@@ -1198,37 +1216,60 @@ def binform_quotient(f, g):
     return BinForm(degree, [c * x for x in q] + [ZERO] * (degree + 1 - len(q)))
 
 
+def sqrt_terms(terms):
+    """Exact square root of a polynomial given as {exponent tuple: rational}.
+
+    Returns the terms of the g with g * g == f whose leading coefficient is
+    positive, or None when f is not the square of a rational polynomial.
+    Leading monomial first, in descending lexicographic order of the
+    exponent tuples: g's leading term is the square root of f's, and each
+    further term is the leading term of the remainder f - g^2 divided by
+    twice g's leading term.  The remainder is kept exactly, so the loop ends
+    with the exact check: g is returned only when it reaches zero.  Each
+    step lowers the remainder's leading monomial, which stays below f's, so
+    each new exponent of g is below the first; the result does not depend
+    on the order of ``terms``.
+    """
+    rest = {e: c for e, c in terms.items() if c}
+    if not rest:
+        return {}
+    top = max(rest)
+    if any(x % 2 for x in top) or rest[top] < 0:
+        return None
+    lead = rat_sqrt(rest.pop(top))
+    if lead is None:
+        return None
+    g_top = tuple(x // 2 for x in top)
+    root = {g_top: lead}
+    while rest:
+        mono = max(rest)
+        expo = tuple(a - b for a, b in zip(mono, g_top))
+        if min(expo) < 0:
+            return None
+        c = rest[mono] / (2 * lead)
+        # adding c x^expo to g adds 2 c x^expo g + c^2 x^(2 expo) to g^2
+        changes = [(tuple(a + b for a, b in zip(e, expo)), 2 * c * v) for e, v in root.items()]
+        changes.append((tuple(2 * a for a in expo), c * c))
+        for key, v in changes:
+            left = rest.get(key, ZERO) - v
+            if left:
+                rest[key] = left
+            else:
+                rest.pop(key, None)
+        root[expo] = c
+    return root
+
+
 def binary_form_sqrt(f):
-    """Exact square root of a binary form over QQ, or None.
+    """Exact square root of a binary form over QQ, or None (``sqrt_terms``).
 
     Returns g with g*g == f when f is a rational square; the leading
-    coefficient of g is chosen positive.
+    coefficient of g (that of the highest power of s) is positive.
     """
     if f.degree % 2 != 0:
         return None
     e = f.degree // 2
-    if f.is_zero():
-        return BinForm.zero(e)
-    top = f.s_degree()
-    if top % 2 != 0:
+    root = sqrt_terms({(i, f.degree - i): c for i, c in enumerate(f.coeffs)})
+    if root is None:
         return None
-    gtop = top // 2
-    lead = rat_sqrt(f.coeffs[top])
-    if lead is None:
-        return None
-    g = [ZERO] * (e + 1)
-    g[gtop] = lead
-    for m in range(gtop - 1, -1, -1):
-        # coefficient of s^(m+gtop) in g*g is 2*g[gtop]*g[m] + cross terms
-        acc = ZERO
-        for i in range(m + 1, gtop):
-            j = m + gtop - i
-            if 0 <= j <= e and j < i:
-                acc = acc + 2 * g[i] * g[j]
-            elif j == i:
-                acc = acc + g[i] * g[i]
-        g[m] = (f.coeffs[m + gtop] - acc) / (2 * lead)
-    cand = BinForm(e, g)
-    if cand * cand == f:
-        return cand
-    return None
+    return BinForm(e, [root.get((i, e - i), ZERO) for i in range(e + 1)])

@@ -15,7 +15,12 @@ import json
 import os
 import sys
 
-from .conics import classify_conic, contact_profile
+from .conics import (
+    classify_conic,
+    contact_profile,
+    rational_parametrization,
+    restrict_to_conic,
+)
 from .cover import pullback_curve
 from .curves import irreducibility_sextic, singular_locus_complete, verify_node
 from .errors import CannotCertify, ParseError, SplitCurvesError
@@ -100,11 +105,13 @@ def _cmd_analyze(args):
         "conic": form_to_str(conic),
         "conic_class": classify_conic(conic),
     }
-    profile = contact_profile(gamma, conic)
+    param = rational_parametrization(conic)
+    profile = contact_profile(gamma, conic, param)
     payload["contact"] = {
         "kind": profile.kind,
         "tangent_count": profile.tangent_count,
-        "multiplicities": list(profile.multiplicities),
+        # per irreducible factor; the profile reads Yun's parts only
+        "multiplicities": [m for _, m in restrict_to_conic(gamma, param).factor()[1]],
         "contact_form": str(profile.contact_form),
     }
     exit_code = 0

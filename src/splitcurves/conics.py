@@ -263,13 +263,12 @@ def rational_parametrization(q):
 class ContactProfile:
     """Outcome of the contact analysis of a curve against a smooth conic."""
 
-    __slots__ = ("kind", "contact_form", "tangent_count", "multiplicities")
+    __slots__ = ("kind", "contact_form", "tangent_count")
 
-    def __init__(self, kind, contact_form, tangent_count, multiplicities):
+    def __init__(self, kind, contact_form, tangent_count):
         self.kind = kind
         self.contact_form = contact_form
         self.tangent_count = tangent_count
-        self.multiplicities = multiplicities
 
     def __repr__(self):
         return "ContactProfile(%s, tangents=%d)" % (self.kind, self.tangent_count)
@@ -282,6 +281,12 @@ def contact_profile(gamma, q, param=None):
     smooth point of the curve; the returned contact form has the tangency
     parameters as its roots.  A singular conic raises ConicNotSmooth, from
     ``rational_parametrization`` when no parametrization is given.
+
+    The multiplicity of every root of the restriction is read from Yun's
+    squarefree decomposition (``BinForm.squarefree_parts``): the kind needs
+    only the multiplicities, and the contact form is the product of the
+    squarefree parts, so the restriction is not factored here (``analyze``
+    factors it to print the multiplicity of each irreducible factor).
     """
     if param is None:
         param = rational_parametrization(q)
@@ -290,16 +295,16 @@ def contact_profile(gamma, q, param=None):
     restriction = restrict_to_conic(gamma, param)
     if restriction.is_zero():
         raise CommonComponent("curve contains the conic")
-    _content, factors = restriction.factor()
-    mults = [m for _, m in factors]
+    _content, parts = restriction.squarefree_parts()
+    mults = [m for _, m in parts]
     squarefree = BinForm(0, [ONE])
-    for h, _ in factors:
+    for h, _ in parts:
         squarefree = squarefree * h
-    squarefree = squarefree.primitive() if factors else squarefree
+    squarefree = squarefree.primitive()
     tangent_count = squarefree.degree
 
     if any(m == 1 for m in mults):
-        return ContactProfile(NOT_CONTACT, squarefree, tangent_count, mults)
+        return ContactProfile(NOT_CONTACT, squarefree, tangent_count)
 
     # the contact meets Sing(gamma) iff the contact form shares a root with
     # the restrictions of all three partials
@@ -309,13 +314,13 @@ def contact_profile(gamma, q, param=None):
             break
         common = binform_gcd(common, restrict_to_conic(p, param))
     if common.degree >= 1:
-        return ContactProfile(NOT_CONTACT, squarefree, tangent_count, mults)
+        return ContactProfile(NOT_CONTACT, squarefree, tangent_count)
 
     if all(m == 2 for m in mults):
-        return ContactProfile(SIMPLE_CONTACT, squarefree, tangent_count, mults)
+        return ContactProfile(SIMPLE_CONTACT, squarefree, tangent_count)
     if all(m % 2 == 0 for m in mults):
-        return ContactProfile(EVEN_CONTACT, squarefree, tangent_count, mults)
-    return ContactProfile(CONTACT, squarefree, tangent_count, mults)
+        return ContactProfile(EVEN_CONTACT, squarefree, tangent_count)
+    return ContactProfile(CONTACT, squarefree, tangent_count)
 
 
 def delta2(variables=PLANE_VARS):

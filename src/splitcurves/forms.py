@@ -122,6 +122,18 @@ class Form:
         self.terms = clean
         self._locus = None
 
+    @classmethod
+    def _clean(cls, variables, degree, terms):
+        """A form from terms that are already clean: nonzero rationals keyed
+        by shared exponent tuples of total degree ``degree``, as the
+        arithmetic below produces them."""
+        out = cls.__new__(cls)
+        out.variables = variables
+        out.degree = degree
+        out.terms = terms
+        out._locus = None
+        return out
+
     # -- constructors
     @classmethod
     def zero(cls, variables, degree):
@@ -169,14 +181,18 @@ class Form:
             )
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, ZERO) + c
-        return Form(self.variables, self.degree, terms)
+            total = terms.get(e, ZERO) + c
+            if total:
+                terms[e] = total
+            else:
+                del terms[e]
+        return Form._clean(self.variables, self.degree, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Form(
+        return Form._clean(
             self.variables, self.degree, {e: -c for e, c in self.terms.items()}
         )
 
@@ -184,20 +200,24 @@ class Form:
         c = QQ(c)
         if c == 0:
             return Form.zero(self.variables, self.degree)
-        return Form(
+        return Form._clean(
             self.variables, self.degree, {e: c * v for e, v in self.terms.items()}
         )
 
     def __mul__(self, other):
+        """The product, expanded in integers as ``substitute_form`` expands:
+        each factor's coefficients over one denominator, exponents packed
+        into integer keys, one ``_packed_mul`` and one division at the end."""
         if not isinstance(other, Form):
             return self.scale(other)
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, ZERO) + c1 * c2
-        return Form(self.variables, self.degree + other.degree, terms)
+        degree = self.degree + other.degree
+        if self.is_zero() or other.is_zero():
+            return Form.zero(self.variables, degree)
+        base = degree + 1
+        places = [base**j for j in range(len(self.variables))]
+        (a, da), (b, db) = (_packed_terms(f.terms, places) for f in (self, other))
+        return _unpacked_form(self.variables, degree, _packed_mul(a, b), da * db)
 
     __rmul__ = __mul__
 
@@ -543,14 +563,11 @@ def substitute_form(f, images):
         ]
 
         def build(coeffs):
-            terms = {}
-            for key, c in coeffs.items():
-                expo = []
-                for _ in variables:
-                    key, e = divmod(key, base)
-                    expo.append(e)
-                terms[tuple(expo)] = c
-            return Form(variables, d * k, terms)
+            return Form(
+                variables,
+                d * k,
+                {_unpacked(key, base, len(variables)): c for key, c in coeffs.items()},
+            )
 
     elif kind is BinForm:
         if len({v.degree for v in vals}) != 1:
@@ -619,6 +636,33 @@ def compose_form(f, matrix):
         for v, row in zip(f.variables, matrix)
     }
     return substitute_form(f, images)
+
+
+def _packed_terms(terms, places):
+    """A form's terms as integers keyed by packed exponents (digit j of a key
+    in base ``places[1]`` is exponent j), and their common denominator."""
+    nums, den = over_common_denominator(list(terms.values()))
+    return {sum(map(mul, expo, places)): c for expo, c in zip(terms, nums)}, den
+
+
+def _unpacked(key, base, nvars):
+    """The exponent vector whose packed key in base ``base`` is ``key``."""
+    expo = []
+    for _ in range(nvars):
+        key, e = divmod(key, base)
+        expo.append(e)
+    return tuple(expo)
+
+
+def _unpacked_form(variables, degree, packed, den):
+    """The form of degree ``degree`` with coefficients packed[key] / den."""
+    base = degree + 1
+    terms = {}
+    for key, v in packed.items():
+        if v:
+            expo = _unpacked(key, base, len(variables))
+            terms[_EXPONENTS.setdefault(expo, expo)] = QQ(v, den)
+    return Form._clean(variables, degree, terms)
 
 
 def _packed_mul(a, b):

@@ -118,7 +118,7 @@ class VerificationReport:
 
 def certificate_payload(cert):
     """A splitting certificate as JSON: c_n, c_(n-1), the line (or None),
-    and the scale when it is not 1."""
+    the scale when it is not 1 and the field's e when it is not 1."""
     payload = {
         "c_n": form_to_str(cert.c_n),
         "c_n1": form_to_str(cert.c_n1),
@@ -126,6 +126,8 @@ def certificate_payload(cert):
     }
     if cert.scale != 1:
         payload["scale"] = rat_str(cert.scale)
+    if cert.e != 1:
+        payload["e"] = cert.e
     return payload
 
 

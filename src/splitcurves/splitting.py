@@ -5,12 +5,19 @@ along a smooth conic decomposes, for each candidate type (m, n):
 
 * a node-count filter (2r >= m^2 + n^2 - d) rules types out cheaply;
 * necessary linear-system conditions on node subsets rule out more;
-* a specialization/interpolation search reconstructs an exact biform factor
-  A with A * sigma(A) equal to the pullback, over QQ or over a field
-  QQ(sqrt(e)) named by a quadratic factor of a specialization; it is the
-  only way a positive verdict is ever produced;
 * for 7-nodal sextics the four configuration conditions of the syzygetic
-  criterion decide type (2, 4) outright.
+  criterion decide type (2, 4) outright when they fail;
+* the linear route (``linear_route``) reads the splitting off the degree-n
+  system of each witness of exact dimension n - m: one member c_n, a
+  constant mu and one square root give the certificate
+  mu gamma l^k = c_n^2 - e delta c_(n-1)^2 and the factor A over QQ(sqrt(e));
+* where no such witness splits, a specialization/interpolation search
+  reconstructs an exact biform factor A with A * sigma(A) equal to the
+  pullback, over QQ or over a field QQ(sqrt(e)) named by a quadratic factor
+  of a specialization.
+
+A positive verdict comes from the route or the search, always with a factor
+checked by exact expansion of A * sigma(A).
 
 Positive answers always carry an exactly verified identity; negative
 answers always cite a failed necessary condition; anything else is
@@ -21,8 +28,9 @@ given list once, as a claim; ``splitting_type_normalized`` trusts its nodes.
 """
 
 import itertools
+from operator import mul
 
-from .arith import BinForm, binform_quotient, upoly_squarefree
+from .arith import BinForm, binform_quotient, sqrt_terms, upoly_squarefree
 from .conics import (
     SIMPLE_CONTACT,
     classify_conic,
@@ -40,6 +48,7 @@ from .cover import (
     divide_by_ram,
     involution_biform,
     pullback_curve,
+    ram_form,
     tangent_line,
 )
 from .curves import singular_locus_complete, singular_points, verify_node
@@ -52,7 +61,7 @@ from .errors import (
     SplitCurvesError,
     WrongNodeCount,
 )
-from .forms import BiForm, compose_form, monomial_values, substitute_form, transform_point
+from .forms import BiForm, Form, compose_form, monomial_values, substitute_form, transform_point
 from .linalg import dependent_subsets, kernel_basis, mat_inv, primitive_vector
 from .linsys import FormSpace, cond_point, cond_divisible_on_conic, system_solve
 from .scalars import QQ, ZERO, ONE, over_common_denominator, rat_sqrt
@@ -91,15 +100,17 @@ def type_candidates(d):
 
 
 class SplitCertificate:
-    """Exact witness scale * gamma * l^k = c_n^2 - delta * c_{n-1}^2.
+    """Exact witness scale * gamma * l^k = c_n^2 - e * delta * c_{n-1}^2.
 
     ``scale`` is the rational c of a factor A with A * sigma(A) = c * F, F the
-    pullback of gamma; it is 1 whenever c is a square.
+    pullback of gamma; the decision reduces it to its square class, so it is
+    1 whenever c is a square.  ``e`` names the field QQ(sqrt(e)) of A: 1 when
+    A is rational, else a square-free integer.
     """
 
-    __slots__ = ("m", "n", "line", "c_n", "c_n1", "scale")
+    __slots__ = ("m", "n", "line", "c_n", "c_n1", "scale", "e")
 
-    def __init__(self, m, n, line, c_n, c_n1, scale=ONE):
+    def __init__(self, m, n, line, c_n, c_n1, scale=ONE, e=1):
         if not 0 < m <= n:
             raise ValueError("need 0 < m <= n")
         if (n > m) != (line is not None):
@@ -110,6 +121,7 @@ class SplitCertificate:
         self.c_n = c_n
         self.c_n1 = c_n1
         self.scale = scale
+        self.e = e
 
     def __repr__(self):
         return "SplitCertificate(type=(%d,%d))" % (self.m, self.n)
@@ -145,7 +157,9 @@ def _binform_squarefree(b):
 def verify_certificate(gamma, delta, cert):
     """Exact verification of a splitting certificate.
 
-    Checks the defining identity and, for m < n, that the chosen line is
+    Checks the defining identity
+    scale * gamma * l^k = c_n^2 - e * delta * c_{n-1}^2 and, for m < n,
+    that the chosen line is
     tangent to the conic and transversal to the curve, with c_n and c_{n-1}
     not vanishing on it.  The line l is tangent to the conic A iff its
     pole A^-1 l, a rational point, lies on the conic: l^T A^-1 l = 0.
@@ -176,8 +190,9 @@ def verify_certificate(gamma, delta, cert):
         lhs = gamma * cert.line**k
     else:
         lhs = gamma
-    rhs = cert.c_n * cert.c_n - delta * cert.c_n1 * cert.c_n1
-    return lhs.scale(cert.scale) == rhs
+    rest = delta * cert.c_n1 * cert.c_n1
+    rhs = cert.c_n * cert.c_n - (rest if cert.e == 1 else rest.scale(cert.e))
+    return (lhs if cert.scale == 1 else lhs.scale(cert.scale)) == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +201,22 @@ def verify_certificate(gamma, delta, cert):
 
 
 class NecessaryOutcome:
-    __slots__ = ("passes", "witnesses", "failures", "alpha")
+    """Outcome of ``necessary_dim_check``.
 
-    def __init__(self, passes, witnesses, failures, alpha):
+    ``kernels`` holds, for each witness whose degree-n system has projective
+    dimension exactly n - m and in witness order, that system's kernel basis
+    (n - m + 1 forms).  It is kept apart from ``witnesses``, whose dicts are
+    printed as evidence.
+    """
+
+    __slots__ = ("passes", "witnesses", "failures", "alpha", "kernels")
+
+    def __init__(self, passes, witnesses, failures, alpha, kernels):
         self.passes = passes
         self.witnesses = witnesses
         self.failures = failures
         self.alpha = alpha
+        self.kernels = kernels
 
     def __repr__(self):
         return "NecessaryOutcome(passes=%s, witnesses=%d)" % (
@@ -228,6 +252,7 @@ def necessary_dim_check(gamma, nodes, contact_form, m, n):
             [],
             [{"reason": "alpha_exceeds_nodes", "alpha": alpha, "nodes": r}],
             alpha,
+            [],
         )
     div_rows = cond_divisible_on_conic(n, contact_form)
     space_n = FormSpace(n, gamma.variables)
@@ -236,6 +261,7 @@ def necessary_dim_check(gamma, nodes, contact_form, m, n):
     rows_n1 = [cond_point(space_n1, p) for p in nodes]
     witnesses = []
     failures = []
+    kernels = []
     for subset in _alpha_subsets(nodes, alpha):
         rep2 = system_solve(space_n1, [r for i in subset for r in rows_n1[i]])
         if rep2.dimension < 0:
@@ -262,7 +288,9 @@ def necessary_dim_check(gamma, nodes, contact_form, m, n):
         witnesses.append(
             {"subset": subset, "dim_n": rep1.dimension, "dim_n1": rep2.dimension}
         )
-    return NecessaryOutcome(bool(witnesses), witnesses, failures, alpha)
+        if rep1.dimension == n - m:
+            kernels.append(rep1.kernel)
+    return NecessaryOutcome(bool(witnesses), witnesses, failures, alpha, kernels)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +493,8 @@ def factor_pullback(f_pull, m, n):
     quadratic factors of the specializations is not found.  The search may
     miss factorizations; it never fabricates one, since only exactly
     verified products are returned.  More than FACTOR_SEARCH_BUDGET
-    groupings raise SearchBudgetExceeded.
+    groupings raise SearchBudgetExceeded.  ``splitting_type_normalized``
+    runs it only where ``linear_route`` proves no splitting.
     """
     d1, d2 = f_pull.bidegree
     if d1 != d2 or m + n != d1 or not 0 < m <= n:
@@ -713,12 +742,13 @@ def _pick_tangent_line(gamma):
     )
 
 
-def certificate_from_factor(gamma, factor, m, n):
+def certificate_from_factor(gamma, factor, m, n, tangent):
     """Build and verify a rational certificate from a rational factor A.
 
     With A * sigma(A) = c * F and d = A * l^k, the forms c_n and c_{n-1} with
     pullbacks (d + sigma(d)) / 2 and (d - sigma(d)) / (2 r) satisfy
     c_n^2 - delta * c_{n-1}^2 = c * gamma * line^k, so c is the scale.
+    ``tangent`` is ``_pick_tangent_line(gamma)``, or None when m == n.
     """
     if not factor.is_rational():
         return None
@@ -729,7 +759,7 @@ def certificate_from_factor(gamma, factor, m, n):
         d_plus = a
     else:
         # the line pulls back to exactly l * sigma(l)
-        line, l = _pick_tangent_line(gamma)
+        line, l = tangent
         d_plus = a * l**k
     d_minus = involution_biform(d_plus)
     c_n = descend(d_plus + d_minus, gamma.variables)
@@ -748,6 +778,193 @@ def certificate_from_factor(gamma, factor, m, n):
     except SplitCurvesError:
         return None
     return cert if ok else None
+
+
+# ---------------------------------------------------------------------------
+# the linear route: the splitting read off the degree-n system
+# ---------------------------------------------------------------------------
+
+
+def _divide_by_ruling(b, lk):
+    """The biform b / lk for a binary form lk in (s, t), or None.
+
+    Column j (the coefficients of u^j v^(d2-j)) is a binary form in (s, t),
+    divided exactly by ``binform_quotient``.
+    """
+    if lk.degree == 0:
+        return b.scale(ONE / lk.coeffs[0])
+    d1, d2 = b.bidegree
+    w = d2 + 1
+    columns = []
+    for j in range(w):
+        q = binform_quotient(BinForm(d1, b.coeffs[j::w]), lk)
+        if q is None:
+            return None
+        columns.append(q.coeffs)
+    return BiForm._dense((d1 - lk.degree, d2), [c for row in zip(*columns) for c in row])
+
+
+def _leading(f):
+    """The coefficient of f's largest exponent tuple (f nonzero)."""
+    return f.terms[max(f.terms)]
+
+
+def _route_member(kernel, n, lk):
+    """c_n: the member of an exact witness's degree-n system whose restriction
+    to the conic is also divisible by l_+^k, or None when those members are
+    not one point.
+
+    For k = 0 the system is that one member.  For k > 0 the divisibility
+    rows of ``cond_divisible_on_conic`` are applied to the k + 1 kernel
+    forms, and the member is the one combination they leave.
+    """
+    if len(kernel) == 1:
+        return kernel[0]
+    # kernel form j is ints_j / den_j; the rows are integers too
+    vecs = [over_common_denominator(f.coefficient_vector()) for f in kernel]
+    rows = [[sum(map(mul, row, ints)) for ints, _den in vecs]
+            for row in cond_divisible_on_conic(n, lk)]
+    combo = kernel_basis(rows, len(kernel))
+    if len(combo) != 1:
+        return None
+    member = Form.zero(kernel[0].variables, n)
+    for lam, f, (_ints, den) in zip(combo[0], kernel, vecs):
+        if lam:
+            member = member + f.scale(lam * den)
+    return member
+
+
+def linear_route(gamma, f_pull, kernel, m, n, tangent):
+    """Decide type (m, n) from one exact witness's degree-n system.
+
+    Returns (factor, certificate) when the curve splits with respect to the
+    witness, else None.  With k = n - m and l_+ the ruling of the tangent
+    line l, c_n is the member whose restriction to the conic is h l_+^k, h
+    the contact form (``_route_member``).  Then
+
+        mu = gamma|delta l|delta^k / (c_n|delta)^2
+
+    is a constant, R = mu c_n^2 - gamma l^k vanishes on the conic, and the
+    curve splits iff R / delta = eps c_(n-1)^2 for a rational form c_(n-1)
+    (a leading-term-first square root, ``arith.sqrt_terms``).  Then
+    mu gamma l^k = (mu c_n)^2 - eps mu delta c_(n-1)^2, the field is
+    QQ(sqrt(e)) for e the square class of eps mu, and A is the pullback of
+    mu c_n + sqrt(eps mu) r c_(n-1), r = sv - tu, with l^k divided out.
+
+    With mu = s v^2, s square-free, c_n and c_(n-1) are divided by v, so
+    that s gamma l^k = c_n^2 - e delta c_(n-1)^2, and c_n's leading
+    coefficient is made positive.  A rational A (e = 1) is returned
+    primitive with its first coefficient positive and, for k = 0, as the one
+    of A and sigma(A) whose specialization sorts first (``_oriented``); its
+    certificate comes from ``certificate_from_factor``, so None is returned
+    in its place.  For e != 1, c_(n-1) has a positive leading coefficient
+    too, the certificate is returned with scale s, and A = A1 + sqrt(e) A2
+    is read off it.  Every factor is checked by ``PullbackFactor.verify``
+    and every returned certificate by ``verify_certificate``.
+    """
+    k = n - m
+    param = delta2_param()
+    line = None
+    if k:
+        line, l = tangent
+        lk = BinForm(1, list(l.coeffs)) ** k
+    else:
+        lk = BinForm(0, [ONE])
+    c_n = _route_member(kernel, n, lk)
+    if c_n is None:
+        return None
+    c_res = restrict_to_conic(c_n, param)
+    if c_res.is_zero():
+        return None
+    target = gamma * line**k if k else gamma
+    top = c_res.s_degree()
+    mu = restrict_to_conic(target, param).coeffs[2 * top] / (c_res.coeffs[top] ** 2)
+    # R / delta: R pulls back to r^2 (R / delta), r = sv - tu
+    pulled = divide_by_ram(pullback_curve((c_n * c_n).scale(mu) - target))
+    pulled = None if pulled is None else divide_by_ram(pulled)
+    quotient = None if pulled is None else descend(pulled, gamma.variables)
+    if quotient is None or quotient.is_zero():
+        return None
+    eps = _leading(quotient)
+    root = sqrt_terms(quotient.scale(ONE / eps).terms)
+    if root is None:
+        return None
+    try:
+        e, w = square_class(eps * mu)
+        scale, v = square_class(mu)
+    except CannotCertify:
+        return None
+    # scale gamma l^k = (mu c_n / v)^2 - e delta (w c_(n-1) / v)^2
+    c_n = c_n.scale(mu / v)
+    c_n1 = Form(gamma.variables, n - 1, root).scale(w / v)
+    if _leading(c_n) < 0:
+        c_n = -c_n
+    even, odd = pullback_curve(c_n), ram_form() * pullback_curve(c_n1)
+    if e == 1:
+        for d_plus in (even + odd, even - odd)[: 2 if k else 1]:
+            a = _divide_by_ruling(d_plus, lk)
+            if a is not None:
+                # A * sigma(A) = scale F: D * sigma(D) is the pullback of
+                # c_n^2 - delta c_(n-1)^2 = scale gamma l^k
+                factor = _primitive_factor(_oriented(a, f_pull), QQ(scale))
+                if factor.verify(f_pull):
+                    return factor, None
+        return None
+    a1, a2 = _divide_by_ruling(even, lk), _divide_by_ruling(odd, lk)
+    if a1 is None or a2 is None:
+        return None
+    factor = PullbackFactor(a1, a2, e, QQ(scale), ZERO)
+    cert = SplitCertificate(m, n, line, c_n, c_n1, QQ(scale), e)
+    try:
+        ok = factor.verify(f_pull) and verify_certificate(gamma, delta2(gamma.variables), cert)
+    except SplitCurvesError:
+        return None
+    return (factor, cert) if ok else None
+
+
+def _oriented(a, f_pull):
+    """Of A and sigma(A) (bidegree (n, n)), the one whose specialization at
+    the search's first specialization point, made primitive, has the smaller
+    coefficients: the divisor the search's sorted enumeration tries first.
+    A of bidegree (m, n), m < n, is returned as it is."""
+    d1, d2 = a.bidegree
+    if d1 != d2:
+        return a
+    u0, v0 = next(
+        pt for pt in _SPECIALIZATION_POINTS
+        if not f_pull.specialize_second(*pt).is_zero()
+    )
+    b = involution_biform(a)
+
+    def key(g):
+        return g.specialize_second(u0, v0).primitive().coeffs
+
+    return b if key(b) < key(a) else a
+
+
+def _primitive_factor(a, scalar):
+    """The rational factor p A, made primitive with its first coefficient
+    positive as in ``_candidate_factor``, for A with A * sigma(A) = scalar F:
+    its scalar is p^2 scalar (to be checked by ``PullbackFactor.verify``)."""
+    prim = primitive_vector(list(a.coeffs))
+    p = next(x / y for x, y in zip(prim, a.coeffs) if y)
+    return PullbackFactor(BiForm._dense(a.bidegree, prim), None, None, p * p * scalar)
+
+
+def _square_class_factor(factor):
+    """The factor scaled by 1/w when its scalar s = k w^2, k square-free
+    (``conics.square_class``): then A * sigma(A) = k F.  A scalar with a surd
+    part, or one trial division cannot factor, is left as it is."""
+    if factor.scalar_surd != 0:
+        return factor
+    try:
+        k, w = square_class(factor.scalar)
+    except CannotCertify:
+        return factor
+    if w == 1:
+        return factor
+    a2 = None if factor.a2 is None else factor.a2.scale(ONE / w)
+    return PullbackFactor(factor.a1.scale(ONE / w), a2, factor.ext, QQ(k), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -923,8 +1140,12 @@ def splitting_type_normalized(config):
     Its nodes are taken to be the singular locus, all nodes.  Runs, for
     every candidate type (m, n) in order: the node-count filter, the
     necessary dimension conditions, the exact (2,4) criterion when it
-    applies, and finally the pullback factorization search whose verified
-    product is the only source of a positive verdict.
+    applies, the linear route on each witness of exact dimension n - m, and
+    the pullback factorization search where the route proves nothing.  A
+    verified factor from either is rescaled so that A * sigma(A) = s F with
+    s square-free (``_square_class_factor``); a rational one gets its
+    certificate from ``certificate_from_factor``.  All types share one
+    tangent line, picked at first need.
     """
     if config.profile.kind != SIMPLE_CONTACT:
         raise SplitCurvesError(
@@ -949,6 +1170,7 @@ def splitting_type_normalized(config):
     evidence = []
     split_hit = None
     inconclusive = []
+    tangent = None  # one tangent line per curve, picked for the first m < n
     for m, n in candidates:
         entry = {"type": (m, n)}
         if not node_bound_filter(r, m, n, d):
@@ -991,17 +1213,31 @@ def splitting_type_normalized(config):
                 evidence.append(entry)
                 continue
         if split_hit is None:
-            try:
-                factor = factor_pullback(f_pull, m, n)
-            except SearchBudgetExceeded as exc:
-                entry["status"] = "inconclusive"
-                entry["reason"] = "factor_search_budget"
-                entry["detail"] = str(exc)
-                evidence.append(entry)
-                inconclusive.append((m, n))
-                continue
-            if factor is not None and factor.verify(f_pull):
-                cert = certificate_from_factor(gamma_n, factor, m, n)
+            k = n - m
+            if k and tangent is None:
+                tangent = _pick_tangent_line(gamma_n)
+            found = None
+            for kernel in nec.kernels:
+                found = linear_route(gamma_n, f_pull, kernel, m, n, tangent)
+                if found is not None:
+                    break
+            if found is None:
+                try:
+                    factor = factor_pullback(f_pull, m, n)
+                except SearchBudgetExceeded as exc:
+                    entry["status"] = "inconclusive"
+                    entry["reason"] = "factor_search_budget"
+                    entry["detail"] = str(exc)
+                    evidence.append(entry)
+                    inconclusive.append((m, n))
+                    continue
+                if factor is not None and factor.verify(f_pull):
+                    found = (factor, None)
+            if found is not None:
+                factor, cert = found
+                factor = _square_class_factor(factor)
+                if cert is None:
+                    cert = certificate_from_factor(gamma_n, factor, m, n, tangent)
                 entry["status"] = "split"
                 entry["reason"] = "verified_factorization"
                 evidence.append(entry)

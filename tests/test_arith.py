@@ -16,6 +16,7 @@ from splitcurves.arith import (
     binary_form_sqrt,
     binform_gcd,
     binform_quotient,
+    sqrt_terms,
     upoly_factor,
     upoly_gcd,
     upoly_is_irreducible,
@@ -28,7 +29,7 @@ from splitcurves.errors import (
 from splitcurves.scalars import QQ, clear_denominators
 from splitcurves.splitting import _binform_squarefree
 
-from conftest import rng_for, random_rat
+from conftest import random_form, rng_for, random_rat
 
 
 def poly(*coeffs):
@@ -493,6 +494,32 @@ def test_sqrt_roundtrip_200_cases():
         hits += 1
         root = binary_form_sqrt(g * g)
         assert root is not None and root in (g, -g)
+
+
+def test_ternary_sqrt_roundtrip_and_refusals():
+    rng = rng_for("ternary-sqrt")
+    for _ in range(60):
+        g = random_form(rng, rng.randint(0, 4), sparsity=rng.choice((0.3, 0.8)))
+        square = (g * g).terms
+        root = sqrt_terms(square)
+        assert root is not None
+        lead = max(root)
+        assert root[lead] > 0 and root in (g.terms, (-g).terms)
+        # the result does not depend on the order of the terms
+        keys = list(square)
+        rng.shuffle(keys)
+        assert sqrt_terms({k: square[k] for k in keys}) == root
+        # a non-square multiple, and a square with one coefficient moved, are refused
+        assert sqrt_terms({k: 3 * v for k, v in square.items()}) is None
+        assert sqrt_terms({k: -v for k, v in square.items()}) is None
+        moved = dict(square)
+        key = rng.choice(keys)
+        moved[key] = moved[key] + 1
+        assert sqrt_terms(moved) is None
+    assert sqrt_terms({}) == {}
+    # an odd leading exponent, or an odd power of a variable, is no square
+    assert sqrt_terms({(3, 1, 0): QQ(1), (0, 4, 0): QQ(1)}) is None
+    assert sqrt_terms({(2, 0, 0): QQ(1), (0, 1, 1): QQ(1)}) is None
 
 
 # -- number fields -----------------------------------------------------------

@@ -35,6 +35,7 @@ from splitcurves.forms import (
     point,
 )
 from splitcurves.linalg import mat_det, mat_inv
+from splitcurves.registry import example_ids, load_example
 from splitcurves.scalars import ONE, QQ
 
 from conftest import PLANE, binform_value, param_point, rng_for, random_form
@@ -140,19 +141,23 @@ def test_contact_kind_ladder():
     quad = contact_profile(
         parse_form("z^2-4xy+x^2", PLANE), delta2(), delta2_param()
     )
-    assert quad.kind == EVEN_CONTACT and quad.multiplicities == [4]
+    assert quad.kind == EVEN_CONTACT
+    assert contact_multiplicities(
+        parse_form("z^2-4xy+x^2", PLANE), delta2(), delta2_param()
+    ) == [4]
     # cubic restricting to s^3 t^3, smooth at both contact points:
     # contact with odd multiplicities, so neither even nor simple
     cubic = parse_form("1/2*x*y*z + (z^2-4*x*y)*(x+y)", PLANE)
     prof = contact_profile(cubic, delta2(), delta2_param())
-    assert prof.kind == CONTACT and prof.multiplicities == [3, 3]
+    assert prof.kind == CONTACT
+    assert contact_multiplicities(cubic, delta2(), delta2_param()) == [3, 3]
 
 
 def test_contact_at_singular_point_rejected():
     # three lines: restriction s^3 t^3 but the tangency points are nodes
     cubic = parse_form("1/2*x*y*z", PLANE)
     prof = contact_profile(cubic, delta2(), delta2_param())
-    assert prof.multiplicities == [3, 3]
+    assert contact_multiplicities(cubic, delta2(), delta2_param()) == [3, 3]
     assert prof.kind == NOT_CONTACT
 
 
@@ -162,8 +167,80 @@ def test_contact_at_conjugate_singular_points_rejected():
     # components, so it is a node and the conic is no contact conic
     c = parse_form("x^2+y^2-3z^2+xz", PLANE)
     prof = contact_profile(c * (c + delta2()), delta2(), delta2_param())
-    assert prof.multiplicities == [2] and prof.contact_form.degree == 4
+    assert contact_multiplicities(c * (c + delta2()), delta2(), delta2_param()) == [2]
+    assert prof.contact_form.degree == 4
     assert prof.kind == NOT_CONTACT
+
+
+def contact_multiplicities(gamma, q, param):
+    """The multiplicity of each irreducible factor of the restriction, as
+    ``analyze`` prints them."""
+    return [m for _, m in restrict_to_conic(gamma, param).factor()[1]]
+
+
+def _factoring_profile(gamma, q, param):
+    """The parent's contact profile, kept as an oracle: the restriction is
+    factored, and the contact form is the product of its irreducible factors.
+    Returns (kind, contact form, tangent count, multiplicities)."""
+    from splitcurves.arith import binform_gcd
+
+    restriction = restrict_to_conic(gamma, param)
+    _content, factors = restriction.factor()
+    mults = [m for _, m in factors]
+    squarefree = BinForm(0, [ONE])
+    for h, _ in factors:
+        squarefree = squarefree * h
+    squarefree = squarefree.primitive()
+    kind = CONTACT
+    if any(m == 1 for m in mults):
+        kind = NOT_CONTACT
+    else:
+        common = squarefree
+        for p in gamma.partials():
+            if common.degree == 0:
+                break
+            common = binform_gcd(common, restrict_to_conic(p, param))
+        if common.degree >= 1:
+            kind = NOT_CONTACT
+        elif all(m == 2 for m in mults):
+            kind = SIMPLE_CONTACT
+        elif all(m % 2 == 0 for m in mults):
+            kind = EVEN_CONTACT
+    return kind, squarefree, squarefree.degree, mults
+
+
+def _assert_profile_matches_oracle(gamma, q, param):
+    profile = contact_profile(gamma, q, param)
+    kind, form, count, mults = _factoring_profile(gamma, q, param)
+    assert (profile.kind, profile.contact_form, profile.tangent_count) == (kind, form, count)
+    return kind
+
+
+def test_yun_profile_matches_the_factoring_oracle():
+    kinds = set()
+    for example_id in example_ids():
+        record = load_example(example_id)
+        kinds.add(_assert_profile_matches_oracle(record.curve, record.conic, delta2_param()))
+    rng = rng_for("yun contact profile")
+    delta = delta2()
+    # seeded sextics of every contact kind: c3^2 - delta c4 (simple or not),
+    # a square times a transversal part, and y^3 times a cubic, whose
+    # restriction has the root (1 : 0), which Yun's algorithm on f(s, 1) misses
+    x, y = Form.variable(PLANE, "x"), Form.variable(PLANE, "y")
+    for _ in range(12):
+        c3 = random_form(rng, 3, height=4)
+        curves = [
+            c3 * c3 - delta * random_form(rng, 4, height=4),
+            c3 * c3 - delta * c3 * random_form(rng, 1, height=4),
+            (c3 * c3).scale(QQ(-2, 3)) - delta * delta * random_form(rng, 2, height=4),
+            x * x * random_form(rng, 4, height=4),
+            y * y * y * random_form(rng, 3, height=4),
+            (x * x - delta) * (x * x - delta) * (y * y - delta),
+        ]
+        for gamma in curves:
+            if not restrict_to_conic(gamma, delta2_param()).is_zero():
+                kinds.add(_assert_profile_matches_oracle(gamma, delta, delta2_param()))
+    assert {SIMPLE_CONTACT, NOT_CONTACT, EVEN_CONTACT} <= kinds
 
 
 def test_common_component_detection(gamma6):

@@ -505,3 +505,42 @@ def test_biform_product_matches_the_termwise_oracle():
         assert product == _biform_product_oracle(a, b)
         assert b * a == product
     assert seen_zero
+
+
+def _form_product_oracle(f, g):
+    """The product as the parent computed it, kept as an oracle: termwise in
+    rationals, exponent vectors added componentwise."""
+    terms = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, QQ(0)) + c1 * c2
+    return Form(f.variables, f.degree + g.degree, terms)
+
+
+@pytest.mark.parametrize("variables", [PLANE, SPACE])
+def test_form_product_matches_the_termwise_oracle(variables):
+    rng = rng_for("form-product-oracle-%d" % len(variables))
+    seen = set()
+    for _ in range(150):
+        factors = []
+        for _side in range(2):
+            degree = rng.randint(0, 4)
+            kind = rng.choice(("zero", "dense", "sparse"))
+            if kind == "zero":
+                factors.append(Form.zero(variables, degree))
+            else:
+                sparsity = 1.0 if kind == "dense" else 0.3
+                f = random_form(rng, degree, nvars=len(variables), sparsity=sparsity)
+                factors.append(f.scale(QQ(1, rng.randint(1, 12))))
+        a, b = factors
+        seen.add((a.is_zero() or b.is_zero(), min(a.degree, b.degree) == 0))
+        product = a * b
+        assert product == _form_product_oracle(a, b)
+        assert b * a == product
+        assert all(type(c) is QQ and c for c in product.terms.values())
+        # the product keys its terms by the shared exponent tuples
+        g = Form(variables, product.degree, dict(product.terms))
+        assert all(k1 is k2 for k1, k2 in zip(product.terms, g.terms))
+    # zero factors and constant factors were both drawn
+    assert {(True, False), (False, True), (False, False)} <= seen

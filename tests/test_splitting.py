@@ -153,7 +153,7 @@ def test_factor_pullback_split6(gamma6):
 def test_certificate_extraction(gamma6):
     f = pullback_curve(gamma6)
     factor = factor_pullback(f, 3, 3)
-    cert = certificate_from_factor(gamma6, factor, 3, 3)
+    cert = certificate_from_factor(gamma6, factor, 3, 3, None)
     assert cert is not None
     assert verify_certificate(gamma6, delta2(), cert)
     assert cert.c_n in (
@@ -386,15 +386,16 @@ def test_certificate_extraction_with_tangent_line():
 
 def test_rescaled_catalog_curves_carry_a_scaled_certificate():
     # the factor of c * gamma has A * sigma(A) = s * F with s = c times a
-    # square, and no rational rescaling of A removes a non-square s: the
+    # square; the decision rescales A so that s is its square class, c
+    # itself here, and no rational rescaling of A removes a non-square s: the
     # certificate states s * gamma * l^k = c_n^2 - delta * c_(n-1)^2
     scales = {
         ("split6", 3): 3,
         ("split6", -1): -1,
-        ("split7-33", 3): 12,
-        ("split7-33", -1): -4,
-        ("split7-24", 3): 48,
-        ("split7-24", -1): -16,
+        ("split7-33", 3): 3,
+        ("split7-33", -1): -1,
+        ("split7-24", 3): 3,
+        ("split7-24", -1): -1,
     }
     for (example_id, c), scale in scales.items():
         record = load_example(example_id)
