@@ -14,14 +14,12 @@ along a smooth conic decomposes, for each candidate type (m, n):
 * where no such witness splits, a specialization/interpolation search
   reconstructs an exact biform factor A with A * sigma(A) equal to the
   pullback, over QQ or over a field QQ(sqrt(e)) named by a quadratic factor
-  of a specialization.
+  of a specialization; a rational A gets its certificate from
+  ``certificate_from_factor``.
 
-A positive verdict comes from the route or the search, always with a factor
-checked by exact expansion of A * sigma(A).
-
-Positive answers always carry an exactly verified identity; negative
-answers always cite a failed necessary condition; anything else is
-reported as undetermined.
+Positive answers always carry an exactly verified identity, a factor
+checked by exact expansion of A * sigma(A); negative answers always cite a
+failed necessary condition; anything else is reported as undetermined.
 
 ``splitting_type`` computes the nodes when none are given and checks a
 given list once, as a claim; ``splitting_type_normalized`` trusts its nodes.
@@ -103,9 +101,10 @@ class SplitCertificate:
     """Exact witness scale * gamma * l^k = c_n^2 - e * delta * c_{n-1}^2.
 
     ``scale`` is the rational c of a factor A with A * sigma(A) = c * F, F the
-    pullback of gamma; the decision reduces it to its square class, so it is
-    1 whenever c is a square.  ``e`` names the field QQ(sqrt(e)) of A: 1 when
-    A is rational, else a square-free integer.
+    pullback of gamma.  In a decision it is square-free, so 1 whenever c is
+    a square: the linear route finds it so, and a factor the search finds is
+    first reduced to its square class.  ``e`` names the field QQ(sqrt(e)) of
+    A: 1 when A is rational, else a square-free integer.
     """
 
     __slots__ = ("m", "n", "line", "c_n", "c_n1", "scale", "e")
@@ -853,14 +852,15 @@ def linear_route(gamma, f_pull, kernel, m, n, tangent):
 
     With mu = s v^2, s square-free, c_n and c_(n-1) are divided by v, so
     that s gamma l^k = c_n^2 - e delta c_(n-1)^2, and c_n's leading
-    coefficient is made positive.  A rational A (e = 1) is returned
-    primitive with its first coefficient positive and, for k = 0, as the one
-    of A and sigma(A) whose specialization sorts first (``_oriented``); its
-    certificate comes from ``certificate_from_factor``, so None is returned
-    in its place.  For e != 1, c_(n-1) has a positive leading coefficient
-    too, the certificate is returned with scale s, and A = A1 + sqrt(e) A2
-    is read off it.  Every factor is checked by ``PullbackFactor.verify``
-    and every returned certificate by ``verify_certificate``.
+    coefficient is made positive; the certificate has scale s, and so has A:
+    A * sigma(A) = s F.  For e != 1, c_(n-1) has a positive leading
+    coefficient too, and A = A1 + sqrt(e) A2 is read off the certificate.  A
+    rational A (e = 1) is lam (C_n + sign r C_(n-1)) / l^k, C the pullbacks:
+    sign = +-1 is the one ``_oriented`` picks and lam = +-1 makes A's first
+    coefficient positive, and the certificate is (lam c_n, lam sign c_(n-1)),
+    the one ``certificate_from_factor`` reads off A.  The factor is checked
+    by ``PullbackFactor.verify`` and the certificate by
+    ``verify_certificate``.
     """
     k = n - m
     param = delta2_param()
@@ -901,19 +901,22 @@ def linear_route(gamma, f_pull, kernel, m, n, tangent):
         c_n = -c_n
     even, odd = pullback_curve(c_n), ram_form() * pullback_curve(c_n1)
     if e == 1:
-        for d_plus in (even + odd, even - odd)[: 2 if k else 1]:
-            a = _divide_by_ruling(d_plus, lk)
-            if a is not None:
-                # A * sigma(A) = scale F: D * sigma(D) is the pullback of
-                # c_n^2 - delta c_(n-1)^2 = scale gamma l^k
-                factor = _primitive_factor(_oriented(a, f_pull), QQ(scale))
-                if factor.verify(f_pull):
-                    return factor, None
-        return None
-    a1, a2 = _divide_by_ruling(even, lk), _divide_by_ruling(odd, lk)
-    if a1 is None or a2 is None:
-        return None
-    factor = PullbackFactor(a1, a2, e, QQ(scale), ZERO)
+        found = _oriented(even, odd, lk, f_pull)
+        if found is None:
+            return None
+        # A l^k = lam (even + sign odd), lam = +-1 making A's first
+        # coefficient positive: the certificate is (lam c_n, lam sign c_(n-1))
+        sign, a = found
+        if next(c for c in a.coeffs if c) < 0:
+            a, c_n, sign = -a, -c_n, -sign
+        if sign < 0:
+            c_n1 = -c_n1
+        factor = PullbackFactor(a, None, None, QQ(scale))
+    else:
+        a1, a2 = _divide_by_ruling(even, lk), _divide_by_ruling(odd, lk)
+        if a1 is None or a2 is None:
+            return None
+        factor = PullbackFactor(a1, a2, e, QQ(scale), ZERO)
     cert = SplitCertificate(m, n, line, c_n, c_n1, QQ(scale), e)
     try:
         ok = factor.verify(f_pull) and verify_certificate(gamma, delta2(gamma.variables), cert)
@@ -922,33 +925,28 @@ def linear_route(gamma, f_pull, kernel, m, n, tangent):
     return (factor, cert) if ok else None
 
 
-def _oriented(a, f_pull):
-    """Of A and sigma(A) (bidegree (n, n)), the one whose specialization at
+def _oriented(even, odd, lk, f_pull):
+    """(sign, A) with A l^k = even + sign odd for sign = 1 or -1, or None.
+
+    For k > 0, the first sign for which l^k divides.  For k = 0, of
+    A = even + odd and sigma(A) = even - odd the one whose specialization at
     the search's first specialization point, made primitive, has the smaller
     coefficients: the divisor the search's sorted enumeration tries first.
-    A of bidegree (m, n), m < n, is returned as it is."""
-    d1, d2 = a.bidegree
-    if d1 != d2:
-        return a
+    """
+    pairs = ((1, even + odd), (-1, even - odd))
+    if lk.degree:
+        for sign, d_plus in pairs:
+            a = _divide_by_ruling(d_plus, lk)
+            if a is not None:
+                return sign, a
+        return None
     u0, v0 = next(
         pt for pt in _SPECIALIZATION_POINTS
         if not f_pull.specialize_second(*pt).is_zero()
     )
-    b = involution_biform(a)
-
-    def key(g):
-        return g.specialize_second(u0, v0).primitive().coeffs
-
-    return b if key(b) < key(a) else a
-
-
-def _primitive_factor(a, scalar):
-    """The rational factor p A, made primitive with its first coefficient
-    positive as in ``_candidate_factor``, for A with A * sigma(A) = scalar F:
-    its scalar is p^2 scalar (to be checked by ``PullbackFactor.verify``)."""
-    prim = primitive_vector(list(a.coeffs))
-    p = next(x / y for x, y in zip(prim, a.coeffs) if y)
-    return PullbackFactor(BiForm._dense(a.bidegree, prim), None, None, p * p * scalar)
+    return min(
+        pairs, key=lambda pair: pair[1].specialize_second(u0, v0).primitive().coeffs
+    )
 
 
 def _square_class_factor(factor):
@@ -1141,11 +1139,12 @@ def splitting_type_normalized(config):
     every candidate type (m, n) in order: the node-count filter, the
     necessary dimension conditions, the exact (2,4) criterion when it
     applies, the linear route on each witness of exact dimension n - m, and
-    the pullback factorization search where the route proves nothing.  A
-    verified factor from either is rescaled so that A * sigma(A) = s F with
-    s square-free (``_square_class_factor``); a rational one gets its
-    certificate from ``certificate_from_factor``.  All types share one
-    tangent line, picked at first need.
+    the pullback factorization search where the route proves nothing.  The
+    route returns its factor with its certificate, A * sigma(A) = s F with s
+    square-free.  A factor the search finds is rescaled to that form
+    (``_square_class_factor``) and, when rational, gets its certificate from
+    ``certificate_from_factor``.  All types share one tangent line, picked
+    at first need.
     """
     if config.profile.kind != SIMPLE_CONTACT:
         raise SplitCurvesError(
@@ -1231,13 +1230,11 @@ def splitting_type_normalized(config):
                     evidence.append(entry)
                     inconclusive.append((m, n))
                     continue
-                if factor is not None and factor.verify(f_pull):
-                    found = (factor, None)
+                if factor is not None:
+                    factor = _square_class_factor(factor)
+                    found = (factor, certificate_from_factor(gamma_n, factor, m, n, tangent))
             if found is not None:
                 factor, cert = found
-                factor = _square_class_factor(factor)
-                if cert is None:
-                    cert = certificate_from_factor(gamma_n, factor, m, n, tangent)
                 entry["status"] = "split"
                 entry["reason"] = "verified_factorization"
                 evidence.append(entry)

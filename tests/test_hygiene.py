@@ -400,16 +400,44 @@ def _definitions(tree):
     return names
 
 
-def test_every_tracer_target_is_defined():
-    modules = _modules()
-    targets = _tracer_targets()
-    assert targets
-    missing = [
+def _undefined_targets(modules, targets):
+    """``module.attribute`` of each target that its module does not define:
+    the tracer's ``install`` would fail on it."""
+    return [
         "%s.%s" % (module, attribute)
         for module, attribute in targets
         if module not in modules or attribute not in _definitions(modules[module])
     ]
-    assert missing == []
+
+
+def test_every_tracer_target_is_defined():
+    targets = _tracer_targets()
+    assert targets
+    assert _undefined_targets(_modules(), targets) == []
+
+
+def test_the_tracer_target_check_sees_a_violation():
+    # a traced function deleted from its module, a method from its class,
+    # a module that is gone
+    modules = {
+        "splitting": ast.parse(
+            "def factor_pullback(): pass\n"
+            "class SplitCertificate:\n"
+            "    def __init__(self): pass\n"
+        ),
+    }
+    targets = [
+        ("splitting", "factor_pullback"),
+        ("splitting", "certificate_from_factor"),
+        ("splitting", "SplitCertificate.__init__"),
+        ("splitting", "SplitCertificate.__repr__"),
+        ("cover", "pullback_curve"),
+    ]
+    assert _undefined_targets(modules, targets) == [
+        "splitting.certificate_from_factor",
+        "splitting.SplitCertificate.__repr__",
+        "cover.pullback_curve",
+    ]
 
 
 # defaulted parameters that no call in the package sets, each with its reason

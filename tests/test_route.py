@@ -131,6 +131,41 @@ def test_k_positive_splits_come_from_the_route(no_search):
         assert verify_certificate(gamma_n, delta2(), cert)
 
 
+def test_the_factor_path_reads_the_route_certificate_off_its_factor(monkeypatch):
+    # the route builds its e = 1 certificate itself; certificate_from_factor,
+    # which the search's rational factors still take, is its oracle
+    calls = []
+    route = splitting.linear_route
+
+    def recorded(*args):
+        found = route(*args)
+        calls.append((args, found))
+        return found
+
+    monkeypatch.setattr(splitting, "linear_route", recorded)
+    reports = []
+    for example_id in ("split6", "split7-33", "split7-24"):
+        record = load_example(example_id)
+        for c in (1, 3, -1):
+            gamma = record.curve.scale(c)
+            reports.append(splitting_type(gamma, record.conic, record.nodes))
+    for name, make in (
+        ("six rational nodes 1", lambda rng: _six_node_curve(rng, 1)),
+        ("quartic (1,3)", _quartic_13),
+    ):
+        rng = rng_for(name)
+        reports.extend(rep for _g, _n, rep in _accepted(lambda: make(rng), 3))
+    routed = [(args, found) for args, found in calls if found is not None]
+    assert len(routed) == len(reports) == 15
+    for rep, (args, (factor, cert)) in zip(reports, routed):
+        assert rep.outcome == "split" and rep.certificate is cert
+        assert cert is not None and cert.e == 1 and factor.is_rational()
+        gamma, _f_pull, _kernel, m, n, tangent = args
+        oracle = splitting.certificate_from_factor(gamma, factor, m, n, tangent)
+        assert oracle is not None
+        assert certificate_payload(cert) == certificate_payload(oracle)
+
+
 def test_one_tangent_line_per_curve(monkeypatch):
     picked = []
     pick = splitting._pick_tangent_line

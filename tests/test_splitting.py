@@ -162,6 +162,25 @@ def test_certificate_extraction(gamma6):
     )
 
 
+def test_the_decision_expands_a_search_factor_once(monkeypatch):
+    # _candidate_factor has matched A * sigma(A) against F exactly; the
+    # decision takes its factor without expanding the product again
+    monkeypatch.setattr(splitting, "linear_route", lambda *_args: None)
+    expanded = []
+    verify = splitting.PullbackFactor.verify
+
+    def counted(factor, f_pull):
+        expanded.append(factor)
+        return verify(factor, f_pull)
+
+    monkeypatch.setattr(splitting.PullbackFactor, "verify", counted)
+    for example_id in ("split6", "split7-24"):
+        record = load_example(example_id)
+        rep = splitting_type(record.curve, record.conic, record.nodes)
+        assert rep.outcome == "split" and rep.certificate is not None
+        assert expanded == []
+
+
 def test_factor_search_budget(monkeypatch):
     gamma6 = parse_form("(x^3+y^3+z^3)^2-(z^2-4xy)*(xy+yz+zx)^2", PLANE)
     monkeypatch.setattr(splitting, "FACTOR_SEARCH_BUDGET", 0)
