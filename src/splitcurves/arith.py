@@ -5,9 +5,9 @@ Univariate polynomials over the rationals or over a number field
 decomposition in integers, then Berlekamp + Hensel lifting + Zassenhaus
 recombination of each squarefree part at the first good prime: the first
 odd prime that divides no leading coefficient and keeps the part
-squarefree), binary forms in two variables with exact square-root
-extraction, and the one square-and-multiply power that every ring of the
-package uses.
+squarefree), binary forms in two variables, one exact division and one
+exact square root of polynomials in any number of variables, and the one
+square-and-multiply power that every ring of the package uses.
 
 Everything here is immutable after construction and all operations are
 pure functions, so values can be shared freely between threads.
@@ -508,24 +508,17 @@ class UPoly:
     def _inv_c(self, c):
         return ONE / c if self.field is None else c.inv()
 
-    def divmod(self, other):
+    def quotient(self, other):
+        """The exact quotient self / other (``quotient_terms``), or None."""
         self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dg = other.degree()
-        inv = self._inv_c(other.lc())
-        q = [self._zero_c()] * max(0, len(rem) - dg)
-        for i in range(len(rem) - 1, dg - 1, -1):
-            c = rem[i] * inv
-            q[i - dg] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i - dg + j] = rem[i - dg + j] - c * b
-            rem[i] = self._zero_c()
-        return UPoly(q, self.field), UPoly(rem[:dg], self.field)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
+        q = quotient_terms(
+            {(i,): c for i, c in enumerate(self.coeffs)},
+            {(i,): c for i, c in enumerate(other.coeffs)},
+        )
+        if q is None:
+            return None
+        degree = len(self.coeffs) - len(other.coeffs)
+        return UPoly([q.get((i,), self._zero_c()) for i in range(degree + 1)], self.field)
 
     def monic(self):
         if self.is_zero():
@@ -1214,6 +1207,43 @@ def binform_quotient(f, g):
     c = a / b
     degree = f.degree - g.degree
     return BinForm(degree, [c * x for x in q] + [ZERO] * (degree + 1 - len(q)))
+
+
+def quotient_terms(f, g):
+    """Exact quotient f / g of polynomials given as {exponent tuple: coefficient}.
+
+    Coefficients are rationals or elements of one number field.  Returns the
+    terms of the q with q * g == f, or None when g does not divide f.
+    Leading monomial first, in descending lexicographic order: each term of
+    q is the leading term of the remainder f - q g divided by g's leading
+    term, with one inverse of g's leading coefficient.  The remainder is
+    kept exactly and each step lowers its leading monomial, so the loop
+    ends, and q is returned only when the remainder reaches zero.  If g
+    divides f, g's leading monomial divides that of every remainder, so a
+    step where it does not proves that g does not divide f.
+    """
+    rest = {e: c for e, c in f.items() if c}
+    divisor = [(e, c) for e, c in g.items() if c]
+    if not divisor:
+        raise ZeroDivisionError("division by the zero polynomial")
+    g_top, lead = max(divisor)
+    inv = ONE / lead
+    quotient = {}
+    while rest:
+        mono = max(rest)
+        expo = tuple(a - b for a, b in zip(mono, g_top))
+        if min(expo) < 0:
+            return None
+        c = rest[mono] * inv
+        for e, v in divisor:
+            key = tuple(a + b for a, b in zip(e, expo))
+            left = rest.get(key, ZERO) - c * v
+            if left:
+                rest[key] = left
+            else:
+                rest.pop(key, None)
+        quotient[expo] = c
+    return quotient
 
 
 def sqrt_terms(terms):

@@ -5,7 +5,7 @@ swaps the two rulings, and the ramification divisor is cut out by
 r = sv - tu, whose square is the pullback of the branch conic.  Curves must
 be brought to the normalized conic first (conics.normalize_conic).
 
-In this frame three inverses of the cover have closed forms, and each
+In this frame two inverses of the cover have closed forms, and each
 checks its result by exact expansion:
 
 * ``descend(b)``: the plane form c with pullback(c) = b.  The monomial
@@ -14,12 +14,12 @@ checks its result by exact expansion:
   a = j term is s^i u^j itself.  So the coefficients of c are read off in
   order of j, each from one coefficient of b minus known terms, and c is
   unique.  A biform with no preimage fails the final check.
-* ``divide_by_ram(b)``: b / (sv - tu).  At t = v = 1 the divisor is s - u,
-  monic in s, so synthetic division over Q[u] gives the only possible
-  quotient; the final check q * r == b decides divisibility.
 * ``tangent_line(s0, t0)``: the line t0^2 x + s0^2 y - s0 t0 z, tangent to
   the conic at the image of (s0 : t0), pulls back to l * sigma(l) with
   l = t0 s - s0 t, since t0^2 su + s0^2 tv - s0 t0 (sv + tu) factors so.
+
+A division by r needs no closed form of its own: it is the exact division
+of biforms, ``BiForm.quotient``.
 """
 
 from math import comb
@@ -77,25 +77,6 @@ def descend(b, variables=PLANE_VARS):
             c[(a, d - k + a, e)] = val
     form = Form(variables, d, c)
     return form if pullback_curve(form) == b else None
-
-
-def divide_by_ram(b):
-    """The quotient b / (sv - tu), or None when r does not divide b."""
-    d1, d2 = b.bidegree
-    if d1 == 0 or d2 == 0:
-        return None
-    w = d2 + 1
-    # row i: the coefficients of s^i as a polynomial in u (t = v = 1)
-    rows = [b.coeffs[i * w:(i + 1) * w] for i in range(d1 + 1)]
-    quotient = []
-    carry = [ZERO] * w
-    for i in range(d1, 0, -1):
-        # q_(i-1) = row_i + u * q_i
-        carry = [x + y for x, y in zip(rows[i], [ZERO] + carry[:-1])]
-        quotient.append(carry[:d2])
-    quotient.reverse()
-    q = BiForm._dense((d1 - 1, d2 - 1), [x for row in quotient for x in row])
-    return q if q * ram_form() == b else None
 
 
 def tangent_line(s0, t0):

@@ -451,7 +451,7 @@ def _sheared_locus(gamma, m, idx):
             raise CommonComponent("the curve is singular along a line")
         if fiber.degree() >= 2:
             # a multiple root is still one point
-            fiber = fiber // upoly_gcd(fiber, fiber.derivative())
+            fiber = fiber.quotient(upoly_gcd(fiber, fiber.derivative()))
         if fiber.degree() >= 2 and field is None:
             ys = [-f.coeffs[0] for f, _mult in upoly_factor(fiber) if f.degree() == 1]
         else:

@@ -11,7 +11,7 @@ in descending graded-lexicographic order so output is reproducible, and
 import math
 from operator import mul
 
-from .arith import GENERATOR, BinForm, NFElem, UPoly, power, scalar_is_zero
+from .arith import GENERATOR, BinForm, NFElem, UPoly, power, quotient_terms, scalar_is_zero
 from .errors import (
     FieldMismatch,
     InhomogeneousImage,
@@ -408,6 +408,24 @@ class BiForm:
 
     def __pow__(self, k):
         return power(self, k, BiForm((0, 0), {(0, 0): ONE}))
+
+    def quotient(self, g):
+        """The exact quotient self / g, or None when g does not divide self.
+
+        The division (``arith.quotient_terms``) runs on the full exponents
+        (i, d1 - i, j, d2 - j) of s, t, u and v, so that a power of t, a
+        constant in (i, j), divides only what its exponents do.
+        """
+        (d1, d2), (e1, e2) = self.bidegree, g.bidegree
+        if e1 > d1 or e2 > d2:
+            return None
+        q = quotient_terms(
+            {(i, d1 - i, j, d2 - j): c for (i, j), c in self._nonzero()},
+            {(i, e1 - i, j, e2 - j): c for (i, j), c in g._nonzero()},
+        )
+        if q is None:
+            return None
+        return BiForm((d1 - e1, d2 - e2), {(i, j): c for (i, _t, j, _v), c in q.items()})
 
     def involution(self):
         """Swap the rulings: (s,t) <-> (u,v); bidegree (d1,d2) -> (d2,d1)."""

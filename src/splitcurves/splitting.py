@@ -9,8 +9,9 @@ along a smooth conic decomposes, for each candidate type (m, n):
   criterion decide type (2, 4) outright when they fail;
 * the linear route (``linear_route``) reads the splitting off the degree-n
   system of each witness of exact dimension n - m: one member c_n, a
-  constant mu and one square root give the certificate
-  mu gamma l^k = c_n^2 - e delta c_(n-1)^2 and the factor A over QQ(sqrt(e));
+  constant mu, one exact division by delta and one square root give the
+  certificate mu gamma l^k = c_n^2 - e delta c_(n-1)^2 and the factor A
+  over QQ(sqrt(e));
 * where no such witness splits, a specialization/interpolation search
   reconstructs an exact biform factor A with A * sigma(A) equal to the
   pullback, over QQ or over a field QQ(sqrt(e)) named by a quadratic factor
@@ -28,7 +29,7 @@ given list once, as a claim; ``splitting_type_normalized`` trusts its nodes.
 import itertools
 from operator import mul
 
-from .arith import BinForm, binform_quotient, sqrt_terms, upoly_squarefree
+from .arith import BinForm, binform_quotient, quotient_terms, sqrt_terms, upoly_squarefree
 from .conics import (
     SIMPLE_CONTACT,
     classify_conic,
@@ -43,7 +44,6 @@ from .conics import (
 )
 from .cover import (
     descend,
-    divide_by_ram,
     involution_biform,
     pullback_curve,
     ram_form,
@@ -301,7 +301,8 @@ class PullbackFactor:
     """A factor A with A * sigma(A) = scalar * F.
 
     Either rational (a2 is None) or defined over QQ(sqrt(ext)) as
-    a1 + sqrt(ext) * a2; the scalar is (1) whenever possible.
+    a1 + sqrt(ext) * a2; a scalar with no surd part is square-free whenever
+    trial division can factor it.
     """
 
     __slots__ = ("a1", "a2", "ext", "scalar", "scalar_surd")
@@ -693,8 +694,10 @@ def _candidate_factor(vec, m, n, na, nl, ext, f_pull):
     """The verified factor a kernel vector describes, or None.
 
     Every lambda and mu must be nonzero, and over QQ(sqrt(ext)) the surd
-    part of A too (a rational A belongs to the rational pass).  A rational
-    factor is scaled so that A * sigma(A) = F when the scalar is a square.
+    part of A too (a rational A belongs to the rational pass).  A scalar
+    c = k w^2 with no surd part, k square-free (``conics.square_class``),
+    is reduced to k: A / w has A * sigma(A) = k F.  A scalar that trial
+    division cannot factor is left as it is.
     """
     parts = 1 if ext is None else 2
     for off in (parts * na, parts * (na + nl)):
@@ -710,10 +713,13 @@ def _candidate_factor(vec, m, n, na, nl, ext, f_pull):
     c_surd = ZERO if surd is None else _match_scalar(surd, f_pull)
     if c is None or c_surd is None or c == c_surd == 0:
         return None
-    root = rat_sqrt(c) if surd is None and c > 0 else None
-    if root is not None:
-        return PullbackFactor(a1.scale(ONE / root))
-    return PullbackFactor(a1, a2, ext, c, c_surd)
+    if c_surd == 0:
+        try:
+            c, w = square_class(c)
+        except CannotCertify:
+            w = ONE
+        a1, a2 = a1.scale(ONE / w), a2 if a2 is None else a2.scale(ONE / w)
+    return PullbackFactor(a1, a2, ext, QQ(c), c_surd)
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +768,7 @@ def certificate_from_factor(gamma, factor, m, n, tangent):
         d_plus = a * l**k
     d_minus = involution_biform(d_plus)
     c_n = descend(d_plus + d_minus, gamma.variables)
-    w = divide_by_ram(d_plus - d_minus)
+    w = (d_plus - d_minus).quotient(ram_form())
     if c_n is None or w is None:
         return None
     c_n1 = descend(w, gamma.variables)
@@ -782,25 +788,6 @@ def certificate_from_factor(gamma, factor, m, n, tangent):
 # ---------------------------------------------------------------------------
 # the linear route: the splitting read off the degree-n system
 # ---------------------------------------------------------------------------
-
-
-def _divide_by_ruling(b, lk):
-    """The biform b / lk for a binary form lk in (s, t), or None.
-
-    Column j (the coefficients of u^j v^(d2-j)) is a binary form in (s, t),
-    divided exactly by ``binform_quotient``.
-    """
-    if lk.degree == 0:
-        return b.scale(ONE / lk.coeffs[0])
-    d1, d2 = b.bidegree
-    w = d2 + 1
-    columns = []
-    for j in range(w):
-        q = binform_quotient(BinForm(d1, b.coeffs[j::w]), lk)
-        if q is None:
-            return None
-        columns.append(q.coeffs)
-    return BiForm._dense((d1 - lk.degree, d2), [c for row in zip(*columns) for c in row])
 
 
 def _leading(f):
@@ -844,8 +831,9 @@ def linear_route(gamma, f_pull, kernel, m, n, tangent):
         mu = gamma|delta l|delta^k / (c_n|delta)^2
 
     is a constant, R = mu c_n^2 - gamma l^k vanishes on the conic, and the
-    curve splits iff R / delta = eps c_(n-1)^2 for a rational form c_(n-1)
-    (a leading-term-first square root, ``arith.sqrt_terms``).  Then
+    curve splits iff R / delta = eps c_(n-1)^2 for a rational form c_(n-1):
+    one exact division in the plane (``arith.quotient_terms``) and one
+    leading-term-first square root (``arith.sqrt_terms``).  Then
     mu gamma l^k = (mu c_n)^2 - eps mu delta c_(n-1)^2, the field is
     QQ(sqrt(e)) for e the square class of eps mu, and A is the pullback of
     mu c_n + sqrt(eps mu) r c_(n-1), r = sv - tu, with l^k divided out.
@@ -864,13 +852,11 @@ def linear_route(gamma, f_pull, kernel, m, n, tangent):
     """
     k = n - m
     param = delta2_param()
-    line = None
+    line, ruling = None, BiForm((0, 0), {(0, 0): ONE})
     if k:
         line, l = tangent
-        lk = BinForm(1, list(l.coeffs)) ** k
-    else:
-        lk = BinForm(0, [ONE])
-    c_n = _route_member(kernel, n, lk)
+        ruling = l**k
+    c_n = _route_member(kernel, n, BinForm(k, list(ruling.coeffs)))
     if c_n is None:
         return None
     c_res = restrict_to_conic(c_n, param)
@@ -879,14 +865,12 @@ def linear_route(gamma, f_pull, kernel, m, n, tangent):
     target = gamma * line**k if k else gamma
     top = c_res.s_degree()
     mu = restrict_to_conic(target, param).coeffs[2 * top] / (c_res.coeffs[top] ** 2)
-    # R / delta: R pulls back to r^2 (R / delta), r = sv - tu
-    pulled = divide_by_ram(pullback_curve((c_n * c_n).scale(mu) - target))
-    pulled = None if pulled is None else divide_by_ram(pulled)
-    quotient = None if pulled is None else descend(pulled, gamma.variables)
-    if quotient is None or quotient.is_zero():
+    delta = delta2(gamma.variables)
+    quotient = quotient_terms(((c_n * c_n).scale(mu) - target).terms, delta.terms)
+    if not quotient:
         return None
-    eps = _leading(quotient)
-    root = sqrt_terms(quotient.scale(ONE / eps).terms)
+    eps = quotient[max(quotient)]
+    root = sqrt_terms({expo: c / eps for expo, c in quotient.items()})
     if root is None:
         return None
     try:
@@ -901,7 +885,7 @@ def linear_route(gamma, f_pull, kernel, m, n, tangent):
         c_n = -c_n
     even, odd = pullback_curve(c_n), ram_form() * pullback_curve(c_n1)
     if e == 1:
-        found = _oriented(even, odd, lk, f_pull)
+        found = _oriented(even, odd, ruling, f_pull)
         if found is None:
             return None
         # A l^k = lam (even + sign odd), lam = +-1 making A's first
@@ -913,19 +897,19 @@ def linear_route(gamma, f_pull, kernel, m, n, tangent):
             c_n1 = -c_n1
         factor = PullbackFactor(a, None, None, QQ(scale))
     else:
-        a1, a2 = _divide_by_ruling(even, lk), _divide_by_ruling(odd, lk)
+        a1, a2 = even.quotient(ruling), odd.quotient(ruling)
         if a1 is None or a2 is None:
             return None
         factor = PullbackFactor(a1, a2, e, QQ(scale), ZERO)
     cert = SplitCertificate(m, n, line, c_n, c_n1, QQ(scale), e)
     try:
-        ok = factor.verify(f_pull) and verify_certificate(gamma, delta2(gamma.variables), cert)
+        ok = factor.verify(f_pull) and verify_certificate(gamma, delta, cert)
     except SplitCurvesError:
         return None
     return (factor, cert) if ok else None
 
 
-def _oriented(even, odd, lk, f_pull):
+def _oriented(even, odd, ruling, f_pull):
     """(sign, A) with A l^k = even + sign odd for sign = 1 or -1, or None.
 
     For k > 0, the first sign for which l^k divides.  For k = 0, of
@@ -934,9 +918,9 @@ def _oriented(even, odd, lk, f_pull):
     coefficients: the divisor the search's sorted enumeration tries first.
     """
     pairs = ((1, even + odd), (-1, even - odd))
-    if lk.degree:
+    if ruling.bidegree[0]:
         for sign, d_plus in pairs:
-            a = _divide_by_ruling(d_plus, lk)
+            a = d_plus.quotient(ruling)
             if a is not None:
                 return sign, a
         return None
@@ -947,22 +931,6 @@ def _oriented(even, odd, lk, f_pull):
     return min(
         pairs, key=lambda pair: pair[1].specialize_second(u0, v0).primitive().coeffs
     )
-
-
-def _square_class_factor(factor):
-    """The factor scaled by 1/w when its scalar s = k w^2, k square-free
-    (``conics.square_class``): then A * sigma(A) = k F.  A scalar with a surd
-    part, or one trial division cannot factor, is left as it is."""
-    if factor.scalar_surd != 0:
-        return factor
-    try:
-        k, w = square_class(factor.scalar)
-    except CannotCertify:
-        return factor
-    if w == 1:
-        return factor
-    a2 = None if factor.a2 is None else factor.a2.scale(ONE / w)
-    return PullbackFactor(factor.a1.scale(ONE / w), a2, factor.ext, QQ(k), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -1141,10 +1109,9 @@ def splitting_type_normalized(config):
     applies, the linear route on each witness of exact dimension n - m, and
     the pullback factorization search where the route proves nothing.  The
     route returns its factor with its certificate, A * sigma(A) = s F with s
-    square-free.  A factor the search finds is rescaled to that form
-    (``_square_class_factor``) and, when rational, gets its certificate from
-    ``certificate_from_factor``.  All types share one tangent line, picked
-    at first need.
+    square-free, and so does a factor the search finds; a rational one gets
+    its certificate from ``certificate_from_factor``.  All types share one
+    tangent line, picked at first need.
     """
     if config.profile.kind != SIMPLE_CONTACT:
         raise SplitCurvesError(
@@ -1231,7 +1198,6 @@ def splitting_type_normalized(config):
                     inconclusive.append((m, n))
                     continue
                 if factor is not None:
-                    factor = _square_class_factor(factor)
                     found = (factor, certificate_from_factor(gamma_n, factor, m, n, tangent))
             if found is not None:
                 factor, cert = found

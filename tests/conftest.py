@@ -4,7 +4,8 @@ import zlib
 import pytest
 
 from splitcurves.arith import NumberField, UPoly
-from splitcurves.forms import Form, ProjPoint, parse_form, point
+from splitcurves.cover import ram_form
+from splitcurves.forms import BiForm, Form, ProjPoint, parse_form, point
 from splitcurves.linalg import (
     kernel_basis,
     mat_det,
@@ -128,11 +129,53 @@ def random_form(rng, degree, nvars=3, height=9, sparsity=0.8):
     return Form(variables, degree, terms)
 
 
+def upoly_divmod(a, b):
+    """(q, r) with a = q b + r and deg r < deg b: the long division that
+    ``UPoly.divmod`` was, kept for the remainders the oracles read."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    dg = b.degree()
+    inv = b.lc() ** -1
+    zero = b.coeffs[0] * 0
+    q = [zero] * max(0, len(rem) - dg)
+    for i in range(len(rem) - 1, dg - 1, -1):
+        c = rem[i] * inv
+        q[i - dg] = c
+        for j, x in enumerate(b.coeffs):
+            rem[i - dg + j] = rem[i - dg + j] - c * x
+        rem[i] = zero
+    return UPoly(q, a.field), UPoly(rem[:dg], a.field)
+
+
+def divide_by_ram_oracle(b):
+    """b / (sv - tu), or None: the closed form ``cover.divide_by_ram`` was,
+    kept as an oracle.  At t = v = 1 the divisor is s - u, monic in s, so
+    synthetic division over Q[u] gives the only possible quotient, and the
+    final check q * r == b decides divisibility."""
+    d1, d2 = b.bidegree
+    if d1 == 0 or d2 == 0:
+        return None
+    w = d2 + 1
+    # row i: the coefficients of s^i as a polynomial in u (t = v = 1)
+    rows = [b.coeffs[i * w:(i + 1) * w] for i in range(d1 + 1)]
+    quotient = []
+    carry = [QQ(0)] * w
+    for i in range(d1, 0, -1):
+        # q_(i-1) = row_i + u * q_i
+        carry = [x + y for x, y in zip(rows[i], [QQ(0)] + carry[:-1])]
+        quotient.append(carry[:d2])
+    quotient.reverse()
+    q = BiForm((d1 - 1, d2 - 1), {
+        (i, j): c for i, row in enumerate(quotient) for j, c in enumerate(row)
+    })
+    return q if q * ram_form() == b else None
+
+
 def substitute_form_oracle(f, images):
     """Substitution as the parent computed it, kept as an oracle: rational
     Form or BiForm products, each power of an image built once per call."""
     from splitcurves.errors import InhomogeneousImage
-    from splitcurves.forms import BiForm
 
     vals = [images[v] for v in f.variables]
     if len({type(v) for v in vals}) != 1:

@@ -16,6 +16,7 @@ from splitcurves.arith import (
     binary_form_sqrt,
     binform_gcd,
     binform_quotient,
+    quotient_terms,
     sqrt_terms,
     upoly_factor,
     upoly_gcd,
@@ -26,10 +27,12 @@ from splitcurves.errors import (
     DegreeMismatch,
     ReducibleMinimalPolynomial,
 )
+from splitcurves.forms import monomial_basis
+from splitcurves.linalg import solve_linear
 from splitcurves.scalars import QQ, clear_denominators
 from splitcurves.splitting import _binform_squarefree
 
-from conftest import random_form, rng_for, random_rat
+from conftest import random_form, rng_for, random_rat, upoly_divmod
 
 
 def poly(*coeffs):
@@ -49,7 +52,7 @@ def _cauchy_bound(p):
 
 
 def _divides(p, q):
-    return p.divmod(q)[1].is_zero()
+    return upoly_divmod(p, q)[1].is_zero()
 
 
 def oracle_has_small_factor(p):
@@ -294,8 +297,8 @@ def _yun_fraction_oracle(p):
     a0 = upoly_gcd(f, df)
     if a0.degree() == 0:
         return [(f, 1)]
-    b = f // a0
-    c = df // a0
+    b = upoly_divmod(f, a0)[0]
+    c = upoly_divmod(df, a0)[0]
     d = c - b.derivative()
     out = []
     i = 1
@@ -303,8 +306,8 @@ def _yun_fraction_oracle(p):
         ai = upoly_gcd(b, d)
         if ai.degree() > 0:
             out.append((ai, i))
-        b = b // ai
-        c = d // ai
+        b = upoly_divmod(b, ai)[0]
+        c = upoly_divmod(d, ai)[0]
         d = c - b.derivative()
         i += 1
     return out
@@ -372,8 +375,10 @@ def test_gcd_and_divmod():
     a = poly(-1, 0, 1)
     b = poly(1, 1)
     assert upoly_gcd(a, b) == b
-    q, r = a.divmod(b)
+    q, r = upoly_divmod(a, b)
     assert q * b + r == a and r.is_zero()
+    assert a.quotient(b) == q == poly(-1, 1)
+    assert (a + poly(1)).quotient(b) is None
 
 
 # -- gcd over Q: the rational Euclidean algorithm, kept as an oracle ---------
@@ -382,7 +387,7 @@ def test_gcd_and_divmod():
 def _upoly_gcd_oracle(a, b):
     """Monic gcd by Euclid on rational remainders, as the parent computed it."""
     while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
+        a, b = b, upoly_divmod(a, b)[1]
     return a.monic()
 
 
@@ -522,6 +527,88 @@ def test_ternary_sqrt_roundtrip_and_refusals():
     assert sqrt_terms({(2, 0, 0): QQ(1), (0, 1, 1): QQ(1)}) is None
 
 
+# -- exact division: quotient_terms against a linear solve --------------------
+
+
+def _times(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def _quotient_terms_oracle(f, g, basis):
+    """q with q * g == f by a linear solve on q's monomial basis, or None."""
+    products = [_times({e: QQ(1)}, g) for e in basis]
+    keys = sorted(set(f).union(*products))
+    rows = [[p.get(k, QQ(0)) for p in products] for k in keys]
+    sol = solve_linear(rows, [f.get(k, QQ(0)) for k in keys])
+    if sol is None:
+        return None
+    return {e: c for e, c in zip(basis, sol) if c}
+
+
+def test_quotient_terms_matches_the_oracle_on_plane_forms():
+    rng = rng_for("quotient-terms-plane")
+    delta = {(0, 0, 2): QQ(1), (1, 1, 0): QQ(-4)}
+    for degree in range(9):
+        divisors = [delta]
+        while len(divisors) < 3:
+            g = random_form(rng, rng.randint(0, min(3, degree)), height=5).terms
+            divisors.append(g)
+        for g in divisors:
+            g_degree = sum(next(iter(g)))
+            if g_degree > degree:
+                # no nonzero form of lower degree is a multiple of g
+                f = random_form(rng, degree, height=5).terms
+                assert quotient_terms(f, g) is None
+                continue
+            basis = monomial_basis(3, degree - g_degree)
+            q = random_form(rng, degree - g_degree, height=5).terms
+            f = _times(q, g)
+            assert quotient_terms(f, g) == _quotient_terms_oracle(f, g, basis) == q
+            assert quotient_terms({}, g) == {}
+            if len(g) > 1:
+                # a monomial is a multiple of no form with two terms
+                off = dict(f)
+                bump = rng.choice(monomial_basis(3, degree))
+                off[bump] = off.get(bump, 0) + 1
+                assert quotient_terms(off, g) is None
+                assert _quotient_terms_oracle(off, g, basis) is None
+    with pytest.raises(ZeroDivisionError):
+        quotient_terms(delta, {(0, 0, 0): QQ(0)})
+
+
+def test_upoly_quotient_matches_the_oracles_over_q_and_a_cubic_field():
+    rng = rng_for("upoly-quotient")
+    cubic = NumberField(UPoly([QQ(1, 3), QQ(3, 4), 0, 1]))
+    for field in (None, cubic):
+        for _ in range(30):
+            if field is None:
+                g = _random_upoly(rng, rng.randint(0, 4))
+                q = _random_upoly(rng, rng.randint(0, 5))
+            else:
+                g = _random_nf_poly(rng, field, rng.randint(0, 4))
+                q = _random_nf_poly(rng, field, rng.randint(0, 5))
+            if g.is_zero() or q.is_zero():
+                continue
+            f = q * g
+            assert f.quotient(g) == upoly_divmod(f, g)[0] == q
+            if field is None:
+                basis = [(i,) for i in range(q.degree() + 1)]
+                terms = {(i,): c for i, c in enumerate(f.coeffs)}
+                g_terms = {(i,): c for i, c in enumerate(g.coeffs)}
+                oracle = _quotient_terms_oracle(terms, g_terms, basis)
+                assert oracle == {(i,): c for i, c in enumerate(q.coeffs) if c}
+            if g.degree() > 0:
+                one = UPoly([1], field)
+                assert not upoly_divmod(f + one, g)[1].is_zero()
+                assert (f + one).quotient(g) is None
+                assert g.quotient(f * g) is None
+
+
 # -- number fields -----------------------------------------------------------
 
 
@@ -599,7 +686,7 @@ def _inv_oracle(a):
     r0, r1 = UPoly(list(a.coords)), a.owner.minimal_polynomial
     s0, s1 = poly(1), UPoly.zero()
     while not r1.is_zero():
-        q, r = r0.divmod(r1)
+        q, r = upoly_divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
     assert r0.degree() == 0
@@ -608,7 +695,7 @@ def _inv_oracle(a):
 
 
 def _elem_oracle(field, coeffs):
-    coords = list(UPoly([QQ(c) for c in coeffs]).divmod(field.minimal_polynomial)[1].coeffs)
+    coords = list(upoly_divmod(UPoly([QQ(c) for c in coeffs]), field.minimal_polynomial)[1].coeffs)
     return tuple(coords + [QQ(0)] * (field.degree - len(coords)))
 
 
@@ -656,7 +743,7 @@ def _nf_gcd_oracle(a, b):
     """Monic gcd by Euclid on NFElem remainders, each rescaled by a
     rational, as the parent computed it over a number field."""
     while not b.is_zero():
-        r = a.divmod(b)[1]
+        r = upoly_divmod(a, b)[1]
         a, b = b, r.scale(_content_scale_oracle(r))
     return a.monic() if not a.is_zero() else a
 
@@ -700,8 +787,8 @@ def test_number_field_gcd_matches_the_euclid_oracle():
         # the squarefree part of a fiber with a repeated root
         root = _random_nf_poly(rng, field, 1)
         fiber = root * root * _random_nf_poly(rng, field, rng.randint(0, 3))
-        expected = fiber // _nf_gcd_oracle(fiber, fiber.derivative())
-        assert fiber // upoly_gcd(fiber, fiber.derivative()) == expected
+        expected = upoly_divmod(fiber, _nf_gcd_oracle(fiber, fiber.derivative()))[0]
+        assert fiber.quotient(upoly_gcd(fiber, fiber.derivative())) == expected
         # zero operands
         zero = UPoly.zero(field)
         assert upoly_gcd(zero, zero) == zero == _nf_gcd_oracle(zero, zero)
@@ -822,7 +909,7 @@ def _quotient_oracle(f, g):
         return BinForm.zero(f.degree - g.degree)
     if g.t_multiplicity() > f.t_multiplicity():
         return None
-    q, r = _dehomogenized_oracle(f).divmod(_dehomogenized_oracle(g))
+    q, r = upoly_divmod(_dehomogenized_oracle(f), _dehomogenized_oracle(g))
     if not r.is_zero():
         return None
     return _homogenized(q, f.degree - g.degree)

@@ -4,7 +4,6 @@ from splitcurves.conics import conic_matrix, delta2, delta2_param
 from splitcurves.cover import (
     cover_images,
     descend,
-    divide_by_ram,
     involution_biform,
     pullback_curve,
     ram_form,
@@ -21,7 +20,14 @@ from splitcurves.forms import (
 from splitcurves.linalg import solve_linear
 from splitcurves.scalars import QQ, ZERO, ONE
 
-from conftest import PLANE, param_point, rng_for, random_form, substitute_form_oracle
+from conftest import (
+    PLANE,
+    divide_by_ram_oracle,
+    param_point,
+    random_form,
+    rng_for,
+    substitute_form_oracle,
+)
 
 
 def test_pullback_of_coordinates():
@@ -112,8 +118,8 @@ def test_pullback_edge_cases():
 
 
 # The parent's inverses of the cover, kept as oracles: they solve linear
-# systems where ``descend``, ``divide_by_ram`` and ``tangent_line`` read the
-# answer off in closed form.
+# systems where ``descend`` and ``tangent_line`` read the answer off in
+# closed form, and ``BiForm.quotient`` divides leading term first.
 
 
 def _pullback_preimage_oracle(target, degree, variables=PLANE):
@@ -127,18 +133,21 @@ def _pullback_preimage_oracle(target, degree, variables=PLANE):
     return Form(variables, degree, dict(zip(mono, sol)))
 
 
-def _divide_by_ram_oracle(biform):
-    """Exact quotient by r = sv - tu, or None when not divisible."""
-    d1, d2 = biform.bidegree
-    q_basis = [(i, j) for i in range(d1) for j in range(d2)]
-    r = ram_form()
-    cols = [(BiForm((d1 - 1, d2 - 1), {e: ONE}) * r).coeffs for e in q_basis]
+def _quotient_oracle(biform, g):
+    """Exact quotient biform / g by a linear solve of q * g == biform on the
+    monomial basis of q, or None when g does not divide it."""
+    (d1, d2), (e1, e2) = biform.bidegree, g.bidegree
+    if e1 > d1 or e2 > d2:
+        return None
+    shape = (d1 - e1, d2 - e2)
+    q_basis = [(i, j) for i in range(shape[0] + 1) for j in range(shape[1] + 1)]
+    cols = [(BiForm(shape, {e: ONE}) * g).coeffs for e in q_basis]
     rows = [list(rw) for rw in zip(*cols)]
     sol = solve_linear(rows, biform.coeffs)
     if sol is None:
         return None
-    quot = BiForm((d1 - 1, d2 - 1), dict(zip(q_basis, sol)))
-    return quot if quot * r == biform else None
+    quot = BiForm(shape, dict(zip(q_basis, sol)))
+    return quot if quot * g == biform else None
 
 
 def _split_11_biform_oracle(q):
@@ -203,17 +212,49 @@ def test_descend_matches_oracle_on_pullbacks_of_degree_1_to_6():
 
 
 def test_divide_by_ram_matches_oracle():
+    # the division by r is BiForm.quotient; the parent's closed form and
+    # linear solve are its oracles
     rng = rng_for("divide-by-ram-oracle")
     r = ram_form()
     for _ in range(30):
         d1, d2 = rng.randint(1, 5), rng.randint(1, 5)
         q = _random_biform(rng, (d1 - 1, d2 - 1))
         product = q * r
-        assert divide_by_ram(product) == _divide_by_ram_oracle(product) == q
+        assert product.quotient(r) == _quotient_oracle(product, r) == q
+        assert divide_by_ram_oracle(product) == q
         off = product + BiForm((d1, d2), {(d1, d2): ONE})
-        assert divide_by_ram(off) is None
-        assert _divide_by_ram_oracle(off) is None
-    assert divide_by_ram(BiForm((0, 3), {(0, 1): ONE})) is None
+        assert off.quotient(r) is None
+        assert _quotient_oracle(off, r) is None and divide_by_ram_oracle(off) is None
+    assert BiForm((0, 3), {(0, 1): ONE}).quotient(r) is None
+
+
+def test_biform_quotient_matches_oracle_for_rulings_and_r():
+    # l = t is a constant in the (i, j) layout, so only full exponents
+    # tell a multiple of t^k from any other biform
+    rng = rng_for("biform-quotient-oracle")
+    t = BiForm((1, 0), {(0, 0): ONE})
+    l = BiForm((1, 0), {(1, 0): ONE, (0, 0): QQ(-1, 2)})
+    v = BiForm((0, 1), {(0, 0): ONE})
+    divisors = [ram_form()] + [g**k for g in (t, l, v) for k in (1, 2, 3)]
+    for g in divisors:
+        for _ in range(8):
+            q = _random_biform(rng, (rng.randint(0, 3), rng.randint(0, 3)))
+            product = q * g
+            assert product.quotient(g) == _quotient_oracle(product, g) == q
+            d1, d2 = product.bidegree
+            # s^d1 u^d2 is divisible by none of the divisors
+            off = product + BiForm((d1, d2), {(d1, d2): ONE})
+            assert off.quotient(g) is None and _quotient_oracle(off, g) is None
+        zero = BiForm.zero((4, 4))
+        assert zero.quotient(g) == _quotient_oracle(zero, g) == BiForm.zero(
+            (4 - g.bidegree[0], 4 - g.bidegree[1])
+        )
+    s2u = BiForm((2, 1), {(2, 1): ONE})
+    assert s2u.quotient(t) is None and _quotient_oracle(s2u, t) is None
+    # a divisor of larger bidegree
+    big = _random_biform(rng, (1, 3))
+    for g in (t**2, v**4, ram_form() ** 2):
+        assert big.quotient(g) is None and _quotient_oracle(big, g) is None
 
 
 def test_tangent_line_matches_oracle():

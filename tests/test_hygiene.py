@@ -1,8 +1,9 @@
 """Static hygiene of the package: no unused import, no private helper,
 public function, class, method or stored attribute nothing reads, no
 constant defined in two modules, no import inside a function that no import
-cycle needs, and no benchmark tracer target that the package no longer
-defines.
+cycle needs, no benchmark tracer target that the package no longer
+defines, and no call in the README's python examples to a name that the
+package does not define.
 
 The checks read the source with ``ast`` only; nothing of the package is
 imported (a base class from the standard library is, to see what it defines).
@@ -12,10 +13,12 @@ import ast
 import builtins
 import importlib
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "splitcurves"
 SPANS = ROOT / "perfbench" / "spans.py"
+README = ROOT / "README.md"
 # the code whose reads keep a method or a public name of the package alive
 READERS = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
 
@@ -612,3 +615,45 @@ def test_only_scalars_names_fraction():
         "y = isinstance(x, Fractions)\n"
     )
     assert _fraction_names(tree) == [2, 4, 5]
+
+
+def _readme_calls(text):
+    """The name of each ``name(`` that starts a line of a fenced python block."""
+    names, inside = [], False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            inside = not inside and line.strip() == "```python"
+            continue
+        match = re.match(r"([A-Za-z_]\w*)\(", line) if inside else None
+        if match:
+            names.append(match.group(1))
+    return names
+
+
+def _undefined_calls(modules, names):
+    """The names that no module defines as a function or class at top level."""
+    defined = {
+        node.name
+        for tree in modules.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    return sorted({name for name in names if name not in defined})
+
+
+def test_every_readme_call_is_defined():
+    names = _readme_calls(README.read_text(encoding="utf-8"))
+    assert names
+    assert _undefined_calls(_modules(), names) == []
+
+
+def test_the_readme_check_sees_a_violation():
+    # a deleted function named in a python block; calls that are indented,
+    # in another language's block or in prose are not read
+    text = (
+        "prose(x)\n```python\ndescend(b)\ndivide_by_ram(b)\n  indented(x)\n"
+        "report = assigned(x)\n```\n```sh\nshell(1)\n```\nlater(x)\n"
+    )
+    modules = {"cover": ast.parse("def descend(b): pass\nclass Other: pass\n")}
+    assert _readme_calls(text) == ["descend", "divide_by_ram"]
+    assert _undefined_calls(modules, _readme_calls(text)) == ["divide_by_ram"]

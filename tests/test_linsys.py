@@ -13,7 +13,7 @@ from splitcurves.registry import example_ids, load_example
 from splitcurves.scalars import QQ, ZERO
 from splitcurves.splitting import normalize_configuration
 
-from conftest import PLANE, SPACE, check_elimination, rng_for, random_rat
+from conftest import PLANE, SPACE, check_elimination, rng_for, random_rat, upoly_divmod
 
 
 def dot(row, vec):
@@ -298,7 +298,7 @@ def _divisibility_rows_oracle(degree, t_form, provenance=None):
         for i in range(big - tm + 1, big + 1)
     ]
     t0 = UPoly(list(t_form.coeffs))
-    rems = [UPoly(col).divmod(t0)[1] for col in cols]
+    rems = [upoly_divmod(UPoly(col), t0)[1] for col in cols]
     for i in range(t0.degree()):
         rows.append(
             LinCondition([r[i] for r in rems], "%s [remainder row %d]" % (prov, i))

@@ -9,9 +9,11 @@ set order.
 import pytest
 
 from splitcurves import splitting
+from splitcurves.arith import BinForm, binform_quotient
 from splitcurves.conics import delta2
+from splitcurves.cover import descend, pullback_curve, ram_form
 from splitcurves.errors import SplitCurvesError
-from splitcurves.forms import Form, biform_to_str, point
+from splitcurves.forms import BiForm, Form, biform_to_str, point
 from splitcurves.linsys import FormSpace, cond_point, system_solve
 from splitcurves.registry import load_example
 from splitcurves.reports import certificate_payload
@@ -22,7 +24,7 @@ from splitcurves.splitting import (
     verify_certificate,
 )
 
-from conftest import PLANE, random_form, rng_for
+from conftest import PLANE, divide_by_ram_oracle, random_form, rng_for
 
 X, Y, Z = (Form.variable(PLANE, v) for v in PLANE)
 
@@ -281,3 +283,85 @@ def test_a_field_splitting_prints_the_same_certificate_under_every_hash_seed():
     assert rep.factor.scalar == 1 and biform_to_str(rep.factor.a2) == (
         "s^3*u*v^2 + 3*s^2*t*u*v^2 - s*t^2*u^3 - 3*s*t^2*u^2*v - s*t^2*v^3 + t^3*u*v^2"
     )
+
+
+# The parent's divisions, kept as oracles: the ruling divided out of each
+# column (u^j v^(d2 - j)) by ``binform_quotient``, and R / delta as the
+# pullback of R divided twice by r = sv - tu, then descended.
+
+
+def _divide_by_ruling_oracle(b, lk):
+    if lk.degree == 0:
+        return b.scale(1 / lk.coeffs[0])
+    d1, d2 = b.bidegree
+    w = d2 + 1
+    columns = []
+    for j in range(w):
+        q = binform_quotient(BinForm(d1, b.coeffs[j::w]), lk)
+        if q is None:
+            return None
+        columns.append(q.coeffs)
+    return BiForm(
+        (d1 - lk.degree, d2),
+        {(i, j): c for j, column in enumerate(columns) for i, c in enumerate(column)},
+    )
+
+
+def _r_over_delta_oracle(r_form):
+    pulled = divide_by_ram_oracle(pullback_curve(r_form))
+    pulled = None if pulled is None else divide_by_ram_oracle(pulled)
+    return None if pulled is None else descend(pulled, r_form.variables)
+
+
+def test_the_route_divisions_match_the_parent_paths(monkeypatch):
+    plane, biform = [], []
+    divide_terms, divide_biform = splitting.quotient_terms, BiForm.quotient
+
+    def plane_recorded(f, g):
+        q = divide_terms(f, g)
+        plane.append((f, g, q))
+        return q
+
+    def biform_recorded(b, g):
+        q = divide_biform(b, g)
+        biform.append((b, g, q))
+        return q
+
+    monkeypatch.setattr(splitting, "quotient_terms", plane_recorded)
+    monkeypatch.setattr(BiForm, "quotient", biform_recorded)
+    reports = []
+    for example_id in ("split6", "nonsplit6a", "nonsplit6b", "split7-33", "split7-24", "nonsplit7"):
+        record = load_example(example_id)
+        config = normalize_configuration(record.curve, record.conic, record.nodes)
+        reports.append((config.gamma, splitting_type(record.curve, record.conic, record.nodes)))
+    for name, make in (
+        ("six rational nodes 3", lambda rng: _six_node_curve(rng, 3)),
+        ("six rational nodes -7", lambda rng: _six_node_curve(rng, -7)),
+        ("quartic (1,3)", _quartic_13),
+        ("route oracle _split24 1", _split24),
+    ):
+        rng = rng_for(name)
+        for gamma, _nodes, rep in _accepted(lambda: make(rng), 2):
+            config = normalize_configuration(gamma, delta2(), rep.nodes)
+            reports.append((config.gamma, rep))
+    # a rational factor also takes the certificate path's division by r
+    for gamma_n, rep in reports:
+        if rep.outcome == "split" and rep.factor.is_rational():
+            tangent = splitting._pick_tangent_line(gamma_n) if rep.m != rep.n else None
+            assert splitting.certificate_from_factor(gamma_n, rep.factor, rep.m, rep.n, tangent)
+    delta = delta2().terms
+    for f, g, q in plane:
+        assert g == delta and f
+        degree = sum(next(iter(f)))
+        expected = _r_over_delta_oracle(Form(PLANE, degree, f))
+        assert (q is None) == (expected is None)
+        assert q is None or Form(PLANE, degree - 2, q) == expected
+    kinds = set()
+    for b, g, q in biform:
+        if g == ram_form():
+            kinds.add("r")
+            assert q == divide_by_ram_oracle(b)
+        else:
+            kinds.add(g.bidegree)
+            assert q == _divide_by_ruling_oracle(b, BinForm(g.bidegree[0], list(g.coeffs)))
+    assert len(plane) >= 10 and kinds == {"r", (0, 0), (2, 0)}

@@ -150,6 +150,18 @@ def test_factor_pullback_split6(gamma6):
     assert ratio is not None or sigma_ratio is not None
 
 
+def test_a_search_factor_is_rescaled_to_its_square_class(gamma6):
+    # 12 = 3 * 2^2: A / 2 has A * sigma(A) = 3 F
+    f = pullback_curve(gamma6.scale(12))
+    factor = factor_pullback(f, 3, 3)
+    assert factor.is_rational() and factor.scalar == 3 and factor.verify(f)
+    # so is a QQ(sqrt(3)) factor whose scalar has no surd part: 36 = 6^2
+    f = pullback_curve((parse_form("x^2", PLANE) - delta2().scale(3)).scale(12))
+    factor = factor_pullback(f, 1, 1)
+    assert factor.ext == 3 and factor.verify(f)
+    assert (factor.scalar, factor.scalar_surd) == (1, 0)
+
+
 def test_certificate_extraction(gamma6):
     f = pullback_curve(gamma6)
     factor = factor_pullback(f, 3, 3)
