@@ -10,8 +10,7 @@ zero to its left.  A back-reduction on the same integers then turns
 every pivot row into d times the corresponding row of the unique reduced
 row echelon form, d being the last pivot, so kernels, solutions and
 inverses are read off with a single division and every result is
-deterministic.  ``rank_naive`` is plain rational Gaussian elimination, kept
-as the oracle the tests compare the core against.
+deterministic.
 """
 
 import itertools
@@ -110,36 +109,6 @@ def det_bareiss(m_int):
     if len(pivots) < n:
         return 0
     return sign * m[n - 1][n - 1] if n else 1
-
-
-def rank_naive(rows):
-    """Rank by plain rational Gaussian elimination (oracle for Bareiss)."""
-    if not rows:
-        return 0
-    m = [[QQ(x) for x in row] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        sel = None
-        for i in range(row, nrows):
-            if m[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[row], m[sel] = m[sel], m[row]
-        inv = ONE / m[row][col]
-        m[row] = [a * inv for a in m[row]]
-        for i in range(row + 1, nrows):
-            if m[i][col] != 0:
-                c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[row])]
-        rank += 1
-        row += 1
-    return rank
 
 
 def rref(rows):

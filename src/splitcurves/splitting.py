@@ -13,10 +13,9 @@ along a smooth conic decomposes, for each candidate type (m, n):
   certificate mu gamma l^k = c_n^2 - e delta c_(n-1)^2 and the factor A
   over QQ(sqrt(e));
 * where no such witness splits, a specialization/interpolation search
-  reconstructs an exact biform factor A with A * sigma(A) equal to the
-  pullback, over QQ or over a field QQ(sqrt(e)) named by a quadratic factor
-  of a specialization; a rational A gets its certificate from
-  ``certificate_from_factor``.
+  reconstructs a rational biform factor A with A * sigma(A) a multiple of
+  the pullback, and ``certificate_from_factor`` reads the certificate off
+  it.  A splitting over QQ(sqrt(e)), e != 1, comes from the route alone.
 
 Positive answers always carry an exactly verified identity, a factor
 checked by exact expansion of A * sigma(A); negative answers always cite a
@@ -62,7 +61,7 @@ from .errors import (
 from .forms import BiForm, Form, compose_form, monomial_values, substitute_form, transform_point
 from .linalg import dependent_subsets, kernel_basis, mat_inv, primitive_vector
 from .linsys import FormSpace, cond_point, cond_divisible_on_conic, system_solve
-from .scalars import QQ, ZERO, ONE, over_common_denominator, rat_sqrt
+from .scalars import QQ, ZERO, ONE, over_common_denominator
 
 # groupings the factor search tries before it gives up
 FACTOR_SEARCH_BUDGET = 2000
@@ -298,21 +297,20 @@ def necessary_dim_check(gamma, nodes, contact_form, m, n):
 
 
 class PullbackFactor:
-    """A factor A with A * sigma(A) = scalar * F.
+    """A factor A with A * sigma(A) = scalar * F, the scalar rational.
 
-    Either rational (a2 is None) or defined over QQ(sqrt(ext)) as
-    a1 + sqrt(ext) * a2; a scalar with no surd part is square-free whenever
+    Rational (a2 is None), or, from ``linear_route`` only, defined over
+    QQ(sqrt(ext)) as a1 + sqrt(ext) * a2.  The scalar is square-free whenever
     trial division can factor it.
     """
 
-    __slots__ = ("a1", "a2", "ext", "scalar", "scalar_surd")
+    __slots__ = ("a1", "a2", "ext", "scalar")
 
-    def __init__(self, a1, a2=None, ext=None, scalar=ONE, scalar_surd=ZERO):
+    def __init__(self, a1, a2=None, ext=None, scalar=ONE):
         self.a1 = a1
         self.a2 = a2
         self.ext = ext
         self.scalar = scalar
-        self.scalar_surd = scalar_surd
 
     @property
     def bidegree(self):
@@ -321,23 +319,17 @@ class PullbackFactor:
     def is_rational(self):
         return self.a2 is None
 
-    def sigma_product(self):
-        """A * sigma(A) as (rational part, surd part) biforms."""
+    def verify(self, f_pull):
+        """A * sigma(A) == scalar * F by exact expansion; over QQ(sqrt(ext))
+        the product's surd part a1 sigma(a2) + a2 sigma(a1) must vanish."""
         s1 = involution_biform(self.a1)
         if self.a2 is None:
-            return self.a1 * s1, None
+            return self.a1 * s1 == f_pull.scale(self.scalar)
         s2 = involution_biform(self.a2)
         real = self.a1 * s1 + (self.a2 * s2).scale(self.ext)
-        surd = self.a1 * s2 + self.a2 * s1
-        return real, surd
-
-    def verify(self, f_pull):
-        real, surd = self.sigma_product()
-        if self.a2 is None:
-            return real == f_pull.scale(self.scalar)
-        return real == f_pull.scale(self.scalar) and surd == f_pull.scale(
-            self.scalar_surd
-        )
+        return real == f_pull.scale(self.scalar) and (
+            self.a1 * s2 + self.a2 * s1
+        ).is_zero()
 
     def __repr__(self):
         if self.a2 is None:
@@ -345,108 +337,22 @@ class PullbackFactor:
         return "PullbackFactor(bidegree=%r, ext=sqrt(%d))" % (self.bidegree, self.ext)
 
 
-def _discriminant(h):
-    c0, c1, c2 = h.coeffs
-    return c1 * c1 - 4 * c2 * c0
-
-
-def _split_quadratic(h, ext):
-    """Split an irreducible binary quadratic over QQ(sqrt(ext)).
-
-    Returns the pair representation (g1, g2) of one root factor
-    g1 + sqrt(ext) g2 (degree 1), or None when h stays irreducible.
-    """
-    c2, c1 = h.coeffs[2], h.coeffs[1]
-    if c2 == 0:
-        return None
-    ratio = _discriminant(h) / QQ(ext)
-    w = rat_sqrt(ratio) if ratio > 0 else (None if ratio != 0 else ZERO)
-    if w is None or w == 0:
-        return None
-    g1 = BinForm(1, [c1, 2 * c2])
-    g2 = BinForm(1, [-w, ZERO])
-    return (g1, g2)
-
-
-def _quadratic_fields(factor_lists):
-    """The fields QQ(sqrt(e)) that split a quadratic factor of a specialization,
-    given the irreducible factors of each specialization.
-
-    Each irreducible quadratic factor with discriminant D splits over
-    QQ(sqrt(D)) and over no other quadratic field; e is the square-free part
-    of D, or D itself when trial division cannot reduce it (it names the
-    same field).  Sorted by |e|, positive first.
-    """
-    fields = set()
-    for factors in factor_lists:
-        for h, _mult in factors:
-            if h.degree == 2:
-                disc = _discriminant(h)
-                try:
-                    fields.add(square_class(disc)[0])
-                except CannotCertify:
-                    fields.add(disc.numerator)
-    return sorted(fields, key=lambda e: (abs(e), e < 0))
-
-
-def _pair_mul(a, b, ext):
-    """(a1 + sqrt(ext) a2)(b1 + sqrt(ext) b2) in pair form.
-
-    Over QQ (ext None) the surd parts are zero.
-    """
-    a1, a2 = a
-    b1, b2 = b
-    if ext is None:
-        return (a1 * b1, BinForm.zero(a1.degree + b1.degree))
-    return (a1 * b1 + (a2 * b2).scale(ext), a1 * b2 + a2 * b1)
-
-
-def _degree_m_divisors(b, factors, m, ext=None):
-    """(divisor, cofactor) pairs of the degree-m divisors of the binary form
-    b with the given irreducible factors, both in pair form (g1, g2).
-
-    Over QQ (ext None): the distinct primitive rational divisors.  Over
-    QQ(sqrt(ext)): the divisors that are not rational, built from the
-    halves of the quadratic factors that split there.  Sorted by the
-    divisors' coefficients.
-    """
-    pool = []
-    for h, mult in factors:
-        halves = None
-        if ext is not None and h.degree == 2:
-            halves = _split_quadratic(h, ext)
-        if halves is None:
-            pool.extend([(h, BinForm.zero(h.degree))] * mult)
-        else:
-            pool.extend([halves, (halves[0], -halves[1])] * mult)
+def _degree_m_divisors(b, factors, m):
+    """(divisor, cofactor) pairs of the distinct primitive degree-m divisors
+    of the binary form b with the given irreducible factors, sorted by the
+    divisors' coefficients."""
+    pool = [h for h, mult in factors for _ in range(mult)]
     seen = {}
     for take in range(len(pool) + 1):
-        for subset in itertools.combinations(range(len(pool)), take):
-            if sum(pool[i][0].degree for i in subset) != m:
+        for subset in itertools.combinations(pool, take):
+            if sum(h.degree for h in subset) != m:
                 continue
-            prod = (BinForm(0, [ONE]), BinForm.zero(0))
-            for i in subset:
-                prod = _pair_mul(prod, pool[i], ext)
-            if ext is None:
-                prod = (prod[0].primitive(), prod[1])
-            elif prod[1].is_zero():
-                continue  # rational: listed by the ext=None enumeration
-            seen[(prod[0].coeffs, prod[1].coeffs)] = prod
-    return [(seen[k], _cofactor(b, seen[k], ext)) for k in sorted(seen)]
-
-
-def _cofactor(f, g, ext):
-    """The cofactor f / (g1 + sqrt(ext) g2) in pair form, for a divisor g of f.
-
-    Over QQ(sqrt(ext)) it is f (g1 - sqrt(ext) g2) / N(g), the norm
-    N(g) = g1^2 - ext g2^2 being rational; both quotients are exact.
-    """
-    g1, g2 = g
-    if g2.is_zero():
-        h1 = binform_quotient(f, g1)
-        return (h1, BinForm.zero(h1.degree))
-    norm = g1 * g1 - (g2 * g2).scale(ext)
-    return (binform_quotient(f * g1, norm), binform_quotient(-(f * g2), norm))
+            prod = BinForm(0, [ONE])
+            for h in subset:
+                prod = prod * h
+            prod = prod.primitive()
+            seen[prod.coeffs] = prod
+    return [(seen[k], binform_quotient(b, seen[k])) for k in sorted(seen)]
 
 
 def _match_scalar(candidate, target):
@@ -459,42 +365,23 @@ def _match_scalar(candidate, target):
     return c if candidate == target.scale(c) else None
 
 
-def _search_passes(specs, m):
-    """(ext, lists of (divisor, cofactor) pairs, one list per specialization)
-    for QQ, then for each field the specializations' factors name.
-
-    Over QQ(sqrt(e)) the lists hold the rational divisors followed by the
-    irrational ones; a field whose specializations give no irrational
-    divisor is skipped.
-    """
-    factored = [(b, b.factor()[1]) for _u, _v, b in specs]
-    rational = [_degree_m_divisors(b, factors, m) for b, factors in factored]
-    yield None, rational
-    for ext in _quadratic_fields(factors for _b, factors in factored):
-        irrational = [_degree_m_divisors(b, factors, m, ext) for b, factors in factored]
-        if any(irrational):
-            yield ext, [r + i for r, i in zip(rational, irrational)]
-
-
 def factor_pullback(f_pull, m, n):
-    """Search for A of bidegree (m, n) with A * sigma(A) = pullback.
+    """Search for a rational A of bidegree (m, n) with A * sigma(A) = c * F.
 
     Specializes the second ruling at n+1 rational parameters and factors
-    each specialized binary form.  Every grouping of the factors into one
-    degree-m divisor per specialization gives a linear system with one
-    scalar unknown per specialization and ruling; each kernel candidate is
-    verified by exact expansion.  The system is solved in those 2(n+1)
+    each specialized binary form over QQ.  Every grouping of the factors
+    into one degree-m divisor per specialization gives a linear system with
+    one scalar unknown per specialization and ruling; each kernel candidate
+    is verified by exact expansion.  The system is solved in those 2(n+1)
     scalars alone: A(s, t; u_k, v_k) = lambda_k * G_k at n+1 distinct
     points fixes A by interpolation, so substituting it changes neither the
-    kernel nor, once lifted back, its basis (see ``_grouping_kernel``).  The
-    rational pass comes first, then one pass over each field QQ(sqrt(e))
-    that splits a quadratic factor of a specialization, where
-    A = A1 + sqrt(e) A2.  A factor whose irrational part does not show in
-    quadratic factors of the specializations is not found.  The search may
-    miss factorizations; it never fabricates one, since only exactly
-    verified products are returned.  More than FACTOR_SEARCH_BUDGET
-    groupings raise SearchBudgetExceeded.  ``splitting_type_normalized``
-    runs it only where ``linear_route`` proves no splitting.
+    kernel nor, once lifted back, its basis (see ``_grouping_kernel``).
+    Returns a rational factor or None: a splitting over QQ(sqrt(e)) comes
+    from ``linear_route`` alone.  The search may miss factorizations; it
+    never fabricates one, since only exactly verified products are
+    returned.  More than FACTOR_SEARCH_BUDGET groupings raise
+    SearchBudgetExceeded.  ``splitting_type_normalized`` runs it only where
+    ``linear_route`` proves no splitting.
     """
     d1, d2 = f_pull.bidegree
     if d1 != d2 or m + n != d1 or not 0 < m <= n:
@@ -502,23 +389,19 @@ def factor_pullback(f_pull, m, n):
     if involution_biform(f_pull) != f_pull:
         raise ValueError("pullback must be involution-invariant")
     specs = _specializations(f_pull, n)
+    pair_lists = [_degree_m_divisors(b, b.factor()[1], m) for _u, _v, b in specs]
     interp = None  # built at the first grouping: most misses reach none
-    groupings = 0
-    for ext, pair_lists in _search_passes(specs, m):
-        for combo in itertools.product(*pair_lists):
-            if ext is not None and all(g[1].is_zero() for g, _h in combo):
-                continue  # all rational: tried in the rational pass
-            if groupings >= FACTOR_SEARCH_BUDGET:
-                raise SearchBudgetExceeded(
-                    "factor grouping budget of %d groupings exhausted"
-                    % FACTOR_SEARCH_BUDGET
-                )
-            groupings += 1
-            if interp is None:
-                interp = _interpolation_matrix(n, specs)
-            factor = _factor_from_grouping(f_pull, m, n, specs, interp, combo, ext)
-            if factor is not None:
-                return factor
+    for groupings, combo in enumerate(itertools.product(*pair_lists)):
+        if groupings >= FACTOR_SEARCH_BUDGET:
+            raise SearchBudgetExceeded(
+                "factor grouping budget of %d groupings exhausted"
+                % FACTOR_SEARCH_BUDGET
+            )
+        if interp is None:
+            interp = _interpolation_matrix(n, specs)
+        factor = _factor_from_grouping(f_pull, m, n, specs, interp, combo)
+        if factor is not None:
+            return factor
     return None
 
 
@@ -554,32 +437,16 @@ def _interpolation_matrix(n, specs):
     return mat_inv(_monomial_rows(n, specs))
 
 
-def _factor_from_grouping(f_pull, m, n, specs, interp, combo, ext):
+def _factor_from_grouping(f_pull, m, n, specs, interp, combo):
     """The first verified factor whose specializations are the divisors of
     the (divisor, cofactor) pairs in combo."""
     gs = [g for g, _h in combo]
     hs = [h for _g, h in combo]
-    kern = _grouping_kernel(m, n, specs, interp, gs, hs, ext)
-    na = (m + 1) * (n + 1)
-    for vec in _kernel_candidates(kern):
-        factor = _candidate_factor(vec, m, n, na, len(specs), ext, f_pull)
+    for vec in _kernel_candidates(_grouping_kernel(m, n, specs, interp, gs, hs)):
+        factor = _candidate_factor(vec, m, n, f_pull)
         if factor is not None:
             return factor
     return None
-
-
-def _scalar_table(g1, g2, ext):
-    """table[p][q]: entries of part q of a scalar in part p of scalar * g.
-
-    g = g1 + sqrt(ext) g2 is given by two equal-length lists (coefficients
-    or values).  Over QQ one part; over QQ(sqrt(e)),
-    (rho + sqrt(e) omega)(g1 + sqrt(e) g2) = (rho g1 + e omega g2)
-    + sqrt(e) (rho g2 + omega g1).
-    """
-    if ext is None:
-        return ((g1,),)
-    e = QQ(ext)
-    return ((g1, [e * c for c in g2]), (g2, g1))
 
 
 def _values(coeffs, powers):
@@ -588,7 +455,7 @@ def _values(coeffs, powers):
     return [QQ(sum(c * w for c, w in zip(ints, row)), den) for row in powers]
 
 
-def _grouping_kernel(m, n, specs, interp, gs, hs, ext):
+def _grouping_kernel(m, n, specs, interp, gs, hs):
     """Kernel of the consistency system of one grouping, in the full layout.
 
     For every specialization k the candidate divisor G_k and its exact
@@ -604,74 +471,47 @@ def _grouping_kernel(m, n, specs, interp, gs, hs, ext):
 
         sum_l W[j][l] G_l(u_k, v_k) lambda_l - H_k[j] mu_k = 0.
 
-    Over QQ(sqrt(ext)) each unknown and each equation has a rational and a
-    surd part.  Each kernel vector (lambda parts, then mu parts) is lifted to
-    the layout of the system in all unknowns: the parts of A (a_ij flattened
-    i*(n+1)+j), then those of the lambdas, then those of the mus.  Lifting
-    is a bijection between the two kernels, and since the A columns come
-    first, a lifted vector's last nonzero entry is its scalar part's.  So
-    both systems' reduced echelon forms have the same free columns (the
-    last nonzero positions of kernel vectors), and the basis vector of a
-    free column is the kernel vector that is 1 there and 0 at the other free
-    columns.  The lifts of ``kernel_basis`` of the reduced system, made
-    primitive, are therefore ``kernel_basis`` of the full system, in the
-    same order.
+    Each kernel vector (lambdas, then mus) is lifted to the layout of the
+    system in all unknowns: A (a_ij flattened i*(n+1)+j), then the lambdas,
+    then the mus.  Lifting is a bijection between the two kernels, and since
+    the A columns come first, a lifted vector's last nonzero entry is its
+    scalar part's.  So both systems' reduced echelon forms have the same
+    free columns (the last nonzero positions of kernel vectors), and the
+    basis vector of a free column is the kernel vector that is 1 there and
+    0 at the other free columns.  The lifts of ``kernel_basis`` of the
+    reduced system, made primitive, are therefore ``kernel_basis`` of the
+    full system, in the same order.
     """
-    parts = 1 if ext is None else 2
     nl = len(specs)
-    off_mu = parts * nl
     powers = _monomial_rows(m, specs)
-    # part tables of G_l's values at every point, and of its coefficients
-    g_vals = [
-        _scalar_table(_values(g1.coeffs, powers), _values(g2.coeffs, powers), ext)
-        for g1, g2 in gs
-    ]
+    g_vals = [_values(g.coeffs, powers) for g in gs]
     rows = []
-    for k, (h1, h2) in enumerate(hs):
-        h_table = _scalar_table(h1.coeffs, h2.coeffs, ext)
+    for k, h in enumerate(hs):
         for j in range(n + 1):
-            w_row = interp[j]
-            for p in range(parts):
-                row = [ZERO] * (2 * off_mu)
-                for q in range(parts):
-                    for l in range(nl):
-                        row[q * nl + l] = w_row[l] * g_vals[l][p][q][k]
-                    row[off_mu + q * nl + k] = -h_table[p][q][j]
-                rows.append(row)
-    g_tables = [_scalar_table(g1.coeffs, g2.coeffs, ext) for g1, g2 in gs]
-    return [
-        _lift(vec, m, n, interp, g_tables, ext)
-        for vec in kernel_basis(rows, 2 * off_mu)
+            row = [w * vals[k] for w, vals in zip(interp[j], g_vals)] + [ZERO] * nl
+            row[nl + k] = -h.coeffs[j]
+            rows.append(row)
+    return [_lift(vec, m, n, interp, gs) for vec in kernel_basis(rows, 2 * nl)]
+
+
+def _lift(vec, m, n, interp, gs):
+    """Primitive full-layout vector (A, lambdas, mus) of a kernel vector in
+    the scalars, with a_ij = sum_l W[j][l] (lambda_l G_l)[i]."""
+    # (lambda_l G_l)[i] for every l
+    prods = [[lam * c for c in g.coeffs] for lam, g in zip(vec, gs)]
+    a = [
+        sum(w * c[i] for w, c in zip(interp[j], prods))
+        for i in range(m + 1)
+        for j in range(n + 1)
     ]
+    return primitive_vector(a + list(vec))
 
 
-def _lift(vec, m, n, interp, g_tables, ext):
-    """Primitive full-layout vector (A parts, lambda parts, mu parts) of a
-    kernel vector in the scalars, with a_ij = sum_l W[j][l] (lambda_l G_l)[i]."""
-    parts = 1 if ext is None else 2
-    nl = len(g_tables)
-    lam = [vec[q * nl:(q + 1) * nl] for q in range(parts)]
-    a_parts = []
-    for p in range(parts):
-        # (lambda_l G_l)[i], part p, for every l
-        prods = [
-            [
-                sum(lam[q][l] * table[p][q][i] for q in range(parts))
-                for i in range(m + 1)
-            ]
-            for l, table in enumerate(g_tables)
-        ]
-        for i in range(m + 1):
-            for j in range(n + 1):
-                a_parts.append(sum(w * c[i] for w, c in zip(interp[j], prods)))
-    return primitive_vector(a_parts + list(vec))
-
-
-def _biform_from_block(vec, m, n, offset=0):
+def _biform_from_block(vec, m, n):
     terms = {}
     for i in range(m + 1):
         for j in range(n + 1):
-            c = vec[offset + i * (n + 1) + j]
+            c = vec[i * (n + 1) + j]
             if c != 0:
                 terms[(i, j)] = c
     return BiForm((m, n), terms)
@@ -690,36 +530,26 @@ def _kernel_candidates(kern):
                     yield [x + sb * y for x, y in zip(kern[a], kern[b])]
 
 
-def _candidate_factor(vec, m, n, na, nl, ext, f_pull):
-    """The verified factor a kernel vector describes, or None.
+def _candidate_factor(vec, m, n, f_pull):
+    """The verified rational factor a kernel vector describes, or None.
 
-    Every lambda and mu must be nonzero, and over QQ(sqrt(ext)) the surd
-    part of A too (a rational A belongs to the rational pass).  A scalar
-    c = k w^2 with no surd part, k square-free (``conics.square_class``),
-    is reduced to k: A / w has A * sigma(A) = k F.  A scalar that trial
-    division cannot factor is left as it is.
+    Every lambda and mu must be nonzero.  A scalar c = k w^2, k square-free
+    (``conics.square_class``), is reduced to k: A / w has
+    A * sigma(A) = k F.  A scalar that trial division cannot factor is left
+    as it is.
     """
-    parts = 1 if ext is None else 2
-    for off in (parts * na, parts * (na + nl)):
-        for kk in range(nl):
-            if all(vec[off + q * nl + kk] == 0 for q in range(parts)):
-                return None
-    blocks = [_biform_from_block(vec, m, n, p * na) for p in range(parts)]
-    if blocks[-1].is_zero():
+    # vec is A's coefficients, then the lambdas and the mus
+    if any(c == 0 for c in vec[(m + 1) * (n + 1):]):
         return None
-    a1, a2 = blocks[0], blocks[1] if ext is not None else None
-    real, surd = PullbackFactor(a1, a2, ext).sigma_product()
-    c = _match_scalar(real, f_pull)
-    c_surd = ZERO if surd is None else _match_scalar(surd, f_pull)
-    if c is None or c_surd is None or c == c_surd == 0:
+    a = _biform_from_block(vec, m, n)
+    c = _match_scalar(a * involution_biform(a), f_pull)
+    if c is None or c == 0:
         return None
-    if c_surd == 0:
-        try:
-            c, w = square_class(c)
-        except CannotCertify:
-            w = ONE
-        a1, a2 = a1.scale(ONE / w), a2 if a2 is None else a2.scale(ONE / w)
-    return PullbackFactor(a1, a2, ext, QQ(c), c_surd)
+    try:
+        c, w = square_class(c)
+    except CannotCertify:
+        w = ONE
+    return PullbackFactor(a.scale(ONE / w), scalar=QQ(c))
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +585,6 @@ def certificate_from_factor(gamma, factor, m, n, tangent):
     c_n^2 - delta * c_{n-1}^2 = c * gamma * line^k, so c is the scale.
     ``tangent`` is ``_pick_tangent_line(gamma)``, or None when m == n.
     """
-    if not factor.is_rational():
-        return None
     a = factor.a1
     k = n - m
     line = None
@@ -883,7 +711,13 @@ def linear_route(gamma, f_pull, kernel, m, n, tangent):
     c_n1 = Form(gamma.variables, n - 1, root).scale(w / v)
     if _leading(c_n) < 0:
         c_n = -c_n
-    even, odd = pullback_curve(c_n), ram_form() * pullback_curve(c_n1)
+    even = pullback_curve(c_n)
+    if n > 1:
+        odd = ram_form() * pullback_curve(c_n1)
+    else:
+        # type (1, 1): c_(n-1) is a constant, its own pullback, which
+        # pullback_curve refuses to substitute
+        odd = ram_form().scale(_leading(c_n1))
     if e == 1:
         found = _oriented(even, odd, ruling, f_pull)
         if found is None:
@@ -900,7 +734,7 @@ def linear_route(gamma, f_pull, kernel, m, n, tangent):
         a1, a2 = even.quotient(ruling), odd.quotient(ruling)
         if a1 is None or a2 is None:
             return None
-        factor = PullbackFactor(a1, a2, e, QQ(scale), ZERO)
+        factor = PullbackFactor(a1, a2, e, QQ(scale))
     cert = SplitCertificate(m, n, line, c_n, c_n1, QQ(scale), e)
     try:
         ok = factor.verify(f_pull) and verify_certificate(gamma, delta, cert)
@@ -1107,11 +941,12 @@ def splitting_type_normalized(config):
     every candidate type (m, n) in order: the node-count filter, the
     necessary dimension conditions, the exact (2,4) criterion when it
     applies, the linear route on each witness of exact dimension n - m, and
-    the pullback factorization search where the route proves nothing.  The
-    route returns its factor with its certificate, A * sigma(A) = s F with s
-    square-free, and so does a factor the search finds; a rational one gets
-    its certificate from ``certificate_from_factor``.  All types share one
-    tangent line, picked at first need.
+    the pullback factorization search over QQ where the route proves
+    nothing.  The route returns its factor with its certificate,
+    A * sigma(A) = s F with s square-free; a factor the search finds is
+    rational, has such an s too, and gets its certificate from
+    ``certificate_from_factor``.  All types share one tangent line, picked
+    at first need.
     """
     if config.profile.kind != SIMPLE_CONTACT:
         raise SplitCurvesError(

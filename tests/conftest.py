@@ -11,7 +11,6 @@ from splitcurves.linalg import (
     mat_det,
     mat_inv,
     rank_bareiss,
-    rank_naive,
     solve_linear,
 )
 from splitcurves.scalars import QQ
@@ -63,6 +62,37 @@ def biform_value(b, s, t, u, v):
 
 def _dot(row, vec):
     return sum((a * b for a, b in zip(row, vec)), QQ(0))
+
+
+def rank_naive(rows):
+    """Rank by plain rational Gaussian elimination: the oracle the tests
+    compare the fraction-free (Bareiss) core against."""
+    if not rows:
+        return 0
+    m = [[QQ(x) for x in row] for row in rows]
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        sel = None
+        for i in range(row, nrows):
+            if m[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        m[row], m[sel] = m[sel], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [a * inv for a in m[row]]
+        for i in range(row + 1, nrows):
+            if m[i][col] != 0:
+                c = m[i][col]
+                m[i] = [a - c * b for a, b in zip(m[i], m[row])]
+        rank += 1
+        row += 1
+    return rank
 
 
 def _cofactor_det(m):

@@ -38,7 +38,7 @@ from splitcurves.linalg import mat_det, mat_inv
 from splitcurves.registry import example_ids, load_example
 from splitcurves.scalars import ONE, QQ
 
-from conftest import PLANE, binform_value, param_point, rng_for, random_form
+from conftest import PLANE, binform_value, param_point, rank_naive, rng_for, random_form
 
 
 def test_classification():
@@ -353,8 +353,6 @@ def test_parametrize_random_transformed_conics():
         assert restrict_to_conic(q, param).is_zero()
         assert param_point(param, QQ(0), QQ(1)).eq_proj(base)
         # coefficient matrix invertible: the three quadratics independent
-        from splitcurves.linalg import rank_naive
-
         assert rank_naive(param.coefficient_matrix()) == 3
         norm = normalize_conic(q)
         transformed = compose_form(q, mat_inv(norm))

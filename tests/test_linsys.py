@@ -1,7 +1,7 @@
 from splitcurves.arith import BinForm, NFElem, NumberField, UPoly
 from splitcurves.conics import delta2_param, restrict_to_conic
 from splitcurves.forms import Form, ProjPoint, parse_form, point
-from splitcurves.linalg import kernel_basis, rank_bareiss, rank_naive
+from splitcurves.linalg import kernel_basis, rank_bareiss
 from splitcurves.linsys import (
     FormSpace,
     cond_divisible_on_conic,
@@ -13,7 +13,15 @@ from splitcurves.registry import example_ids, load_example
 from splitcurves.scalars import QQ, ZERO
 from splitcurves.splitting import normalize_configuration
 
-from conftest import PLANE, SPACE, check_elimination, rng_for, random_rat, upoly_divmod
+from conftest import (
+    PLANE,
+    SPACE,
+    check_elimination,
+    rank_naive,
+    rng_for,
+    random_rat,
+    upoly_divmod,
+)
 
 
 def dot(row, vec):

@@ -6,19 +6,23 @@ because the orientation rule and the square root must not depend on dict or
 set order.
 """
 
+import json
+
 import pytest
 
 from splitcurves import splitting
 from splitcurves.arith import BinForm, binform_quotient
+from splitcurves.cli import main
 from splitcurves.conics import delta2
 from splitcurves.cover import descend, pullback_curve, ram_form
 from splitcurves.errors import SplitCurvesError
-from splitcurves.forms import BiForm, Form, biform_to_str, point
+from splitcurves.forms import BiForm, Form, biform_to_str, parse_form, point
 from splitcurves.linsys import FormSpace, cond_point, system_solve
 from splitcurves.registry import load_example
 from splitcurves.reports import certificate_payload
 from splitcurves.splitting import (
     SplitCertificate,
+    factor_pullback,
     normalize_configuration,
     splitting_type,
     verify_certificate,
@@ -96,7 +100,60 @@ def test_six_rational_node_family_splits_over_its_field(e, no_search):
             assert rep.factor.is_rational() and "e" not in payload
         else:
             assert rep.factor.ext == e and payload["e"] == e
-            assert rep.factor.scalar == cert.scale and rep.factor.scalar_surd == 0
+            assert rep.factor.scalar == cert.scale
+
+
+# l^2 - e delta for a line l that is not tangent to the conic: the conic
+# touches the curve at the two points where l meets it, and the pullback is
+# L^2 - e r^2 = (L - sqrt(e) r)(L + sqrt(e) r), L the pullback of l and
+# r = sv - tu: type (1, 1), with c_(n-1) a constant.
+@pytest.mark.parametrize(
+    "line, e",
+    [
+        ("x-y+3*z", 11),
+        ("x-y+3*z", 1),
+        ("x-y+3*z", -7),
+        ("x+2*y-z", 2),
+        ("x+2*y-z", 3),
+    ],
+)
+def test_a_conic_touching_a_conic_twice_splits_over_its_field(line, e, no_search):
+    l = parse_form(line, PLANE)
+    gamma = l * l - delta2().scale(e)
+    rep = splitting_type(gamma, delta2())
+    assert rep.outcome == "split" and (rep.m, rep.n) == (1, 1)
+    cert = rep.certificate
+    assert cert.e == e and cert.scale == 1 and cert.c_n1.degree == 0
+    assert verify_certificate(gamma, delta2(), cert)
+    f_pull = pullback_curve(gamma)
+    assert rep.factor.verify(f_pull)
+    if e == 1:
+        assert rep.factor.is_rational()
+    else:
+        assert rep.factor.ext == e and certificate_payload(cert)["e"] == e
+        # no rational factor exists, so the search finds none
+        assert factor_pullback(f_pull, 1, 1) is None
+
+
+def test_split_type_decides_a_conic_with_two_tangency_points(capsys):
+    code = main(["split-type", "--curve", "(x-y+3*z)^2 - 11*(z^2-4*x*y)",
+                 "--conic", "z^2-4*x*y", "--json"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["outcome"], out["type"]) == ("split", [1, 1])
+    assert out["certificate"] == {"c_n": "x - y + 3*z", "c_n1": "1", "e": 11, "line": None}
+
+
+def test_a_field_factor_is_rescaled_to_its_square_class(no_search):
+    # 12 (l^2 - 3 delta): 3 * 12 (l^2 - 3 delta) = (6 l)^2 - 3 delta 6^2, and
+    # 12 = 3 * 2^2 is not a square, so the scale is 3
+    l = parse_form("x-y+3*z", PLANE)
+    gamma = (l * l - delta2().scale(3)).scale(12)
+    rep = splitting_type(gamma, delta2())
+    cert = rep.certificate
+    assert (rep.outcome, cert.e, cert.scale, rep.factor.scalar) == ("split", 3, 3, 3)
+    assert rep.factor.ext == 3 and rep.factor.verify(pullback_curve(gamma))
+    assert verify_certificate(gamma, delta2(), cert)
 
 
 def test_the_search_leaves_the_field_splittings_undetermined(monkeypatch):
