@@ -14,7 +14,7 @@ from .arith import BinForm, binform_gcd
 from .errors import CannotCertify, CommonComponent, ConicNotSmooth, PointNotOnConic
 from .forms import PLANE_VARS, Form, ProjPoint, compose_form, form_to_str, substitute_form
 from .linalg import kernel_basis, mat_inv, mat_mul, rank_bareiss
-from .scalars import QQ, ZERO, ONE
+from .scalars import QQ, ZERO, ONE, over_common_denominator
 
 NOT_CONTACT = "not_contact"
 CONTACT = "contact"
@@ -77,11 +77,19 @@ _UNITS = [[ONE if j == k else ZERO for j in range(3)] for k in range(3)]
 _CANDIDATES = _with_sums(_UNITS)  # the directions tried first
 
 
+def _gram(q):
+    """(M, d): the conic matrix of q as integers over one denominator, A = M / d."""
+    ints, den = over_common_denominator([c for row in conic_matrix(q) for c in row])
+    return [ints[0:3], ints[3:6], ints[6:9]], den
+
+
 def _bilinear(a, x, y):
-    return sum(
-        (x[i] * sum((a[i][j] * y[j] for j in range(3)), ZERO) for i in range(3)),
-        ZERO,
-    )
+    """x^T A y for a = _gram(q), summed in integers and divided once."""
+    m, den = a
+    xs, dx = over_common_denominator(x)
+    (y0, y1, y2), dy = over_common_denominator(y)
+    total = sum(u * (r[0] * y0 + r[1] * y1 + r[2] * y2) for u, r in zip(xs, m))
+    return QQ(total, den * dx * dy)
 
 
 def not_smooth(q):
@@ -99,7 +107,7 @@ def parametrize_conic(q, base):
     b = base.primitive()
     if q.eval(b) != 0:
         raise PointNotOnConic("%r does not lie on the conic" % (base,))
-    a = conic_matrix(q)
+    a = _gram(q)
     # tangent direction v_t at the base point: a vector of ker(b^T A) other
     # than b; any u off the tangent line then completes the basis
     row = [_bilinear(a, b, e) for e in _UNITS]
@@ -233,7 +241,7 @@ def find_rational_point(q):
     """
     if classify_conic(q) != "smooth":
         raise not_smooth(q)
-    a = conic_matrix(q)
+    a = _gram(q)
     basis = []
     while len(basis) < 3:
         rows = [[_bilinear(a, v, e) for e in _UNITS] for v in basis]

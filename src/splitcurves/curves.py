@@ -51,10 +51,19 @@ from .errors import (
     ShearExhausted,
     TooManyNodes,
 )
-from .forms import ProjPoint, compose_form, substitute_form, transform_point
+from .forms import (
+    ProjPoint,
+    combine_values,
+    compose_form,
+    coordinate_field,
+    monomial_basis,
+    monomial_values,
+    substitute_form,
+    transform_point,
+)
 from .linalg import dependent_subsets, mat_det, mat_inv, rref
-from .linsys import FormSpace, cond_point, system_solve
-from .scalars import QQ, ZERO, ONE, clear_denominators
+from .linsys import FormSpace, SubsetSystems, cond_point, system_solve
+from .scalars import QQ, ZERO, ONE, clear_denominators, over_common_denominator
 
 
 class NodeReport:
@@ -95,16 +104,34 @@ def verify_node(form, points):
         return [NodeReport(p, singular, False, disc) for p in points]
     first = form.partials()
     second = {(i, j): first[i].partial(j) for i in range(n) for j in range(i, n)}
+    # each second partial as integers over one denominator, on one basis
+    lower = monomial_basis(n, form.degree - 2)
+    nums, cden = over_common_denominator(
+        [q.terms.get(e, ZERO) for q in second.values() for e in lower]
+    )
+    width = len(lower)
+    rows = {key: nums[k * width:(k + 1) * width] for k, key in enumerate(second)}
     reports = []
     for p in points:
         coords = list(p.coords)
-        vals = {key: q.eval(coords) for key, q in second.items()}
+        field = coordinate_field(coords)
+        values, den = monomial_values(coords, lower, field)
+        den *= cden
+        if field is None:
+            # den H(p) and an integer multiple of p: the same zero tests, and
+            # the minor is divided by den^(n - 1) once
+            vals = {key: sum(map(mul, row, values)) for key, row in rows.items()}
+            coords = over_common_denominator(coords)[0]
+        else:
+            vals = {key: combine_values(row, values, den, field) for key, row in rows.items()}
         hess = [[vals[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
         if not all(scalar_is_zero(sum(map(mul, coords, row))) for row in hess):
             reports.append(NodeReport(p, False, False, None))
             continue
         rest = [i for i in range(n) if i != p.last_nonzero()]
         minor = _det([[hess[i][j] for j in rest] for i in rest])
+        if field is None:
+            minor = QQ(minor, den ** (n - 1))
         reports.append(NodeReport(p, True, not scalar_is_zero(minor), minor))
     return reports
 
@@ -594,15 +621,14 @@ def irreducibility_sextic(gamma, nodes):
 
     units = sorted(nodes, key=lambda p: -p.orbit_size())
     space = FormSpace(2, gamma.variables)
-    rows = [cond_point(space, p) for p in units]
+    systems = SubsetSystems(space, [], units)
     for take in range(len(units), 0, -1):
         for subset in itertools.combinations(range(len(units)), take):
             k = sum(units[i].orbit_size() for i in subset)
-            if k < r - 2:
+            if k < r - 2 or systems.dimension(subset) < 0:
                 continue
-            report = system_solve(space, [row for i in subset for row in rows[i]])
-            if report.dimension < 0:
-                continue
+            rows = [row for i in subset for row in cond_point(space, units[i])]
+            report = system_solve(space, rows)
             for conic in report.kernel:
                 if classify_conic(conic) == "smooth":
                     return True

@@ -86,6 +86,23 @@ def monomial_values(coords, expos, field):
     return values, den**degree * field._red_den ** max(degree - 1, 0)
 
 
+def coordinate_field(coords):
+    """The number field of the first ``NFElem`` coordinate, or None."""
+    return next((c.owner for c in coords if isinstance(c, NFElem)), None)
+
+
+def combine_values(nums, values, den, field):
+    """sum(nums[i] * values[i]) / den, for integer ``nums`` and the integer
+    monomial values of ``monomial_values`` (vectors over a ``field``): a
+    rational, or an ``NFElem`` of that field."""
+    if field is None:
+        return QQ(sum(map(mul, nums, values)), den)
+    total = [0] * field.degree
+    for a, vec in zip(nums, values):
+        total = [t + a * v for t, v in zip(total, vec)]
+    return NFElem(field, tuple(QQ(t, den) for t in total))
+
+
 # Every Form keys its terms by the same exponent tuple objects: own key
 # tuples would be about a third of the memory of a form that is kept.
 _EXPONENTS = {}
@@ -238,16 +255,10 @@ class Form:
                 "point has %d coordinates, form has %d variables"
                 % (len(coords), len(self.variables))
             )
-        field = next((c.owner for c in coords if isinstance(c, NFElem)), None)
+        field = coordinate_field(coords)
         nums, cden = over_common_denominator(list(self.terms.values()))
         values, den = monomial_values(coords, list(self.terms), field)
-        den *= cden
-        if field is None:
-            return QQ(sum(map(mul, nums, values)), den)
-        total = [0] * field.degree
-        for a, vec in zip(nums, values):
-            total = [t + a * v for t, v in zip(total, vec)]
-        return NFElem(field, tuple(QQ(t, den) for t in total))
+        return combine_values(nums, values, den * cden, field)
 
     def partial(self, i):
         terms = {}

@@ -11,13 +11,14 @@ immutable, so a caller that solves over many subsets of one node list builds
 each node's rows once and joins them per subset.  Dimensions and kernels are
 exact: one fraction-free elimination gives the kernel, as content-normalized
 vectors read off the reduced echelon form, and the rank is the number of
-columns minus the kernel dimension.
+columns minus the kernel dimension.  Where only the dimension is read,
+``SubsetSystems`` decides a family of systems by rank and builds no kernel.
 """
 
 from .arith import _dehomogenized, _times_gen
 from .errors import FieldMismatch
 from .forms import PLANE_VARS, Form, monomial_basis, monomial_values
-from .linalg import kernel_basis
+from .linalg import SubsetRanks, kernel_basis
 from .scalars import QQ
 
 
@@ -169,3 +170,26 @@ def system_solve(space, rows):
         dimension=ncols - rank - 1,
         kernel=[space.from_vector(v) for v in kernel_vecs],
     )
+
+
+class SubsetSystems:
+    """Projective dimensions of the systems of one space cut out by the
+    ``shared`` rows and by vanishing at a subset of ``points``, decided by
+    rank alone (``linalg.SubsetRanks``).  A point's rows are its
+    ``cond_point`` rows times one common denominator, built in integers
+    once; no kernel is built, and ``system_solve`` gives it where one is
+    read.
+    """
+
+    def __init__(self, space, shared, points):
+        ncols = space.size()
+        if any(len(r) != ncols for r in shared):
+            raise FieldMismatch("condition row length does not match the space")
+        if any(len(p.coords) != len(space.variables) for p in points):
+            raise FieldMismatch("point dimension does not match the space")
+        blocks = [list(zip(*_values(p, space.basis)[0])) for p in points]
+        self._ncols = ncols
+        self._ranks = SubsetRanks(shared, blocks, ncols)
+
+    def dimension(self, subset):
+        return self._ncols - self._ranks.rank(subset) - 1

@@ -39,7 +39,7 @@ from .forms import (
     w_slices,
 )
 from .linalg import dependent_subsets, kernel_basis, rank_bareiss, solve_linear
-from .linsys import FormSpace, cond_point, system_solve
+from .linsys import FormSpace, SubsetSystems, cond_point, system_solve
 from .scalars import QQ, ZERO, ONE
 
 CENTER = ProjPoint([ZERO, ZERO, ZERO, ONE])
@@ -227,12 +227,21 @@ def general_position_p3(points):
 
 
 class SyzygeticResult:
-    __slots__ = ("syzygetic", "subset", "report")
+    """Outcome of ``syzygetic_test``.
 
-    def __init__(self, syzygetic, subset=None, report=None):
+    ``position`` is the ``general_position_p3`` verdict of the last 8-subset
+    tried (of the nodes themselves when there are exactly eight), or None
+    when there are fewer than eight nodes; ``report`` is the witness
+    subset's system, kernel included.
+    """
+
+    __slots__ = ("syzygetic", "subset", "report", "position")
+
+    def __init__(self, syzygetic, subset, report, position):
         self.syzygetic = syzygetic
         self.subset = subset
         self.report = report
+        self.position = position
 
     def __bool__(self):
         return self.syzygetic
@@ -248,19 +257,20 @@ def syzygetic_test(surface_form, nodes):
 
     Detected exactly when some 8-subset passes general_position_p3 and the
     linear system of quadrics through it has projective dimension 2; the
-    witness subset consists of the assigned nodes.
+    witness subset consists of the assigned nodes.  Each subset is decided
+    by rank, and only the witness's system is solved for its net.
     """
     if len(nodes) < 8:
-        return SyzygeticResult(False)
+        return SyzygeticResult(False, None, None, None)
     space = FormSpace(2, surface_form.variables)
-    rows = [cond_point(space, p) for p in nodes]
+    systems = SubsetSystems(space, [], nodes)
+    position = None
     for subset in itertools.combinations(range(len(nodes)), 8):
-        if not general_position_p3([nodes[i] for i in subset]):
-            continue
-        report = system_solve(space, [r for i in subset for r in rows[i]])
-        if report.dimension == 2:
-            return SyzygeticResult(True, subset, report)
-    return SyzygeticResult(False)
+        position = general_position_p3([nodes[i] for i in subset])
+        if position and systems.dimension(subset) == 2:
+            report = system_solve(space, [r for i in subset for r in cond_point(space, nodes[i])])
+            return SyzygeticResult(True, subset, report, position)
+    return SyzygeticResult(False, None, None, position)
 
 
 def detect_33_configuration(surface, nodes):

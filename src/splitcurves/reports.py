@@ -24,8 +24,8 @@ from .forms import (
     parse_form,
     w_slices,
 )
-from .linsys import FormSpace, cond_point, system_solve
-from .quartics import general_position_p3, surface_singular_locus_complete, syzygetic_test
+from .linsys import FormSpace, SubsetSystems
+from .quartics import surface_singular_locus_complete, syzygetic_test
 from .registry import load_example
 from .scalars import rat_str
 from .splitting import (
@@ -300,15 +300,12 @@ def _example_specific_checks(report, record, config, split_report):
             )
     elif example_id in ("nonsplit6a", "nonsplit6b"):
         space = FormSpace(2, PLANE_VARS)
-        conds = []
-        for p in record.nodes:
-            conds.extend(cond_point(space, p))
-        rep = system_solve(space, conds)
+        dim = SubsetSystems(space, [], record.nodes).dimension(range(len(record.nodes)))
         report.add(
             "no conic through the six nodes (dimension -1)",
-            rep.dimension == -1,
+            dim == -1,
             expected=-1,
-            actual=rep.dimension,
+            actual=dim,
         )
     elif example_id == "split7-33":
         w2 = parse_form(record.raw["w2"], PLANE_VARS)
@@ -370,15 +367,16 @@ def _split7_24_checks(report, record, split_report):
         expected=True,
         actual=[rep.is_node for rep in node_reports],
     )
-    gp = general_position_p3(record.surface_nodes)
-    report.add("surface nodes in general position", bool(gp), expected=True, actual=bool(gp))
+    # the eight nodes are the one subset the syzygetic test tries
+    syz = syzygetic_test(quartic, record.surface_nodes)
+    gp = bool(syz.position)
+    report.add("surface nodes in general position", gp, expected=True, actual=gp)
     try:
         complete = surface_singular_locus_complete(surface, record.surface_nodes)
     except SplitCurvesError as exc:
         report.add("surface singular locus complete", False, True, str(exc))
     else:
         report.add("surface singular locus complete", complete, True, complete)
-    syz = syzygetic_test(quartic, record.surface_nodes)
     report.add(
         "syzygetic: dim of quadrics through the 8 nodes",
         bool(syz) and syz.report.dimension == claim_dim(record),
@@ -433,11 +431,8 @@ def claim_dim(record):
 def _nonsplit7_checks(report, record, config):
     nodes_n = config.nodes
     space2 = FormSpace(2, PLANE_VARS)
-    rows2 = [cond_point(space2, p) for p in nodes_n]
-    dims = [
-        system_solve(space2, [r for i in subset for r in rows2[i]]).dimension
-        for subset in itertools.combinations(range(7), 6)
-    ]
+    systems = SubsetSystems(space2, [], nodes_n)
+    dims = [systems.dimension(subset) for subset in itertools.combinations(range(7), 6)]
     report.add(
         "all seven 6-node conic systems are empty",
         all(d == -1 for d in dims),

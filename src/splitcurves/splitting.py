@@ -60,7 +60,13 @@ from .errors import (
 )
 from .forms import BiForm, Form, compose_form, monomial_values, substitute_form, transform_point
 from .linalg import dependent_subsets, kernel_basis, mat_inv, primitive_vector
-from .linsys import FormSpace, cond_point, cond_divisible_on_conic, system_solve
+from .linsys import (
+    FormSpace,
+    SubsetSystems,
+    cond_divisible_on_conic,
+    cond_point,
+    system_solve,
+)
 from .scalars import QQ, ZERO, ONE, over_common_denominator
 
 # groupings the factor search tries before it gives up
@@ -255,39 +261,42 @@ def necessary_dim_check(gamma, nodes, contact_form, m, n):
     div_rows = cond_divisible_on_conic(n, contact_form)
     space_n = FormSpace(n, gamma.variables)
     space_n1 = FormSpace(n - 1, gamma.variables)
-    rows_n = [cond_point(space_n, p) for p in nodes]
-    rows_n1 = [cond_point(space_n1, p) for p in nodes]
+    systems_n1 = SubsetSystems(space_n1, [], nodes)
     witnesses = []
     failures = []
     kernels = []
     for subset in _alpha_subsets(nodes, alpha):
-        rep2 = system_solve(space_n1, [r for i in subset for r in rows_n1[i]])
-        if rep2.dimension < 0:
+        dim_n1 = systems_n1.dimension(subset)
+        if dim_n1 < 0:
             failures.append(
                 {
                     "subset": subset,
                     "reason": "degree_n_minus_1_system",
-                    "dimension": rep2.dimension,
+                    "dimension": dim_n1,
                     "required": 0,
                 }
             )
             continue
-        rep1 = system_solve(space_n, div_rows + [r for i in subset for r in rows_n[i]])
-        if rep1.dimension < n - m:
+        # a subset that gets here is mostly a witness of exact dimension,
+        # whose kernel the linear route reads: solve it outright rather than
+        # eliminate its rows twice
+        rep = system_solve(
+            space_n, div_rows + [r for i in subset for r in cond_point(space_n, nodes[i])]
+        )
+        dim_n = rep.dimension
+        if dim_n < n - m:
             failures.append(
                 {
                     "subset": subset,
                     "reason": "degree_n_system",
-                    "dimension": rep1.dimension,
+                    "dimension": dim_n,
                     "required": n - m,
                 }
             )
             continue
-        witnesses.append(
-            {"subset": subset, "dim_n": rep1.dimension, "dim_n1": rep2.dimension}
-        )
-        if rep1.dimension == n - m:
-            kernels.append(rep1.kernel)
+        witnesses.append({"subset": subset, "dim_n": dim_n, "dim_n1": dim_n1})
+        if dim_n == n - m:
+            kernels.append(rep.kernel)
     return NecessaryOutcome(bool(witnesses), witnesses, failures, alpha, kernels)
 
 
@@ -805,39 +814,37 @@ def criterion_24_7nodal(gamma, nodes, contact_form):
         raise WrongNodeCount("need a simple contact divisor of degree 6")
     details = {}
 
+    every = range(len(nodes))
     space2 = FormSpace(2, gamma.variables)
-    rep = system_solve(space2, [r for p in nodes for r in cond_point(space2, p)])
-    details["conic_dimension"] = rep.dimension
-    if rep.dimension >= 0:
+    dim = SubsetSystems(space2, [], nodes).dimension(every)
+    details["conic_dimension"] = dim
+    if dim >= 0:
         return Criterion24Result(False, "iii-a", details)
 
     space4 = FormSpace(4, gamma.variables)
-    rep = system_solve(
-        space4,
-        cond_divisible_on_conic(4, contact_form)
-        + [r for p in nodes for r in cond_point(space4, p)],
-    )
-    details["quartic_dimension"] = rep.dimension
-    if rep.dimension < 2:
+    dim = SubsetSystems(space4, cond_divisible_on_conic(4, contact_form), nodes).dimension(every)
+    details["quartic_dimension"] = dim
+    if dim < 2:
         return Criterion24Result(False, "iii-b", details)
 
     space3 = FormSpace(3, gamma.variables)
     div_rows = cond_divisible_on_conic(3, contact_form)
-    rows3 = [cond_point(space3, p) for p in nodes]
     collinear = list(dependent_subsets([p.primitive() for p in nodes], 3, 2))
     details["collinear_triples"] = collinear
     for triple in collinear:
-        rep = system_solve(space3, div_rows + [r for i in triple for r in rows3[i]])
+        rows = div_rows + [r for i in triple for r in cond_point(space3, nodes[i])]
+        rep = system_solve(space3, rows)
         for member in rep.kernel:
             if not restrict_to_conic(member, delta2_param()).is_zero():
                 details["bad_triple"] = triple
                 return Criterion24Result(False, "iii-c", details)
 
-    for five in itertools.combinations(range(7), 5):
-        rep = system_solve(space3, div_rows + [r for i in five for r in rows3[i]])
-        if rep.dimension >= 0:
+    systems3 = SubsetSystems(space3, div_rows, nodes)
+    for five in itertools.combinations(every, 5):
+        dim = systems3.dimension(five)
+        if dim >= 0:
             details["bad_five"] = five
-            details["cubic_dimension"] = rep.dimension
+            details["cubic_dimension"] = dim
             return Criterion24Result(False, "iii-d", details)
 
     return Criterion24Result(True, None, details)
@@ -1086,4 +1093,6 @@ def _summarize_failures(nec, m, n):
             "degree-%d system through nodes and contact divisor has "
             "dimension < %d for every subset" % (n, n - m)
         )
+    if not nec.failures:
+        return "no union of node orbits has alpha = %d nodes" % nec.alpha
     return "all %d candidate subsets fail a dimension condition" % len(nec.failures)

@@ -295,3 +295,117 @@ def gamma7_prime_nodes():
         point(-1, 6, 3),
         point(1, 2, -3),
     ]
+
+
+def necessary_dim_oracle(gamma, nodes, contact_form, m, n):
+    """(witnesses, failures, kernels) of ``splitting.necessary_dim_check``,
+    with one ``system_solve`` per system and its dimension read off the
+    kernel: the way the check computed them before it decided by rank."""
+    from splitcurves.linsys import FormSpace, cond_divisible_on_conic, cond_point, system_solve
+    from splitcurves.splitting import _alpha_subsets, alpha_of
+
+    alpha = alpha_of(m, n)
+    div_rows = cond_divisible_on_conic(n, contact_form)
+    space_n, space_n1 = FormSpace(n, gamma.variables), FormSpace(n - 1, gamma.variables)
+    witnesses, failures, kernels = [], [], []
+    for subset in _alpha_subsets(nodes, alpha):
+        chosen = [nodes[i] for i in subset]
+        rep1 = system_solve(space_n1, [r for p in chosen for r in cond_point(space_n1, p)])
+        if rep1.dimension < 0:
+            failures.append({"subset": subset, "reason": "degree_n_minus_1_system",
+                             "dimension": rep1.dimension, "required": 0})
+            continue
+        rep = system_solve(space_n, div_rows + [r for p in chosen for r in cond_point(space_n, p)])
+        if rep.dimension < n - m:
+            failures.append({"subset": subset, "reason": "degree_n_system",
+                             "dimension": rep.dimension, "required": n - m})
+            continue
+        witnesses.append({"subset": subset, "dim_n": rep.dimension, "dim_n1": rep1.dimension})
+        if rep.dimension == n - m:
+            kernels.append(rep.kernel)
+    return witnesses, failures, kernels
+
+
+def criterion_24_oracle(gamma, nodes, contact_form):
+    """(holds, failed, details) of ``splitting.criterion_24_7nodal`` from one
+    ``system_solve`` per system and collinear triples by ``rank_naive``."""
+    import itertools
+
+    from splitcurves.conics import delta2_param, restrict_to_conic
+    from splitcurves.linsys import FormSpace, cond_divisible_on_conic, cond_point, system_solve
+
+    def solve(degree, shared, points):
+        space = FormSpace(degree, gamma.variables)
+        return system_solve(space, shared + [r for p in points for r in cond_point(space, p)])
+
+    details = {"conic_dimension": solve(2, [], nodes).dimension}
+    if details["conic_dimension"] >= 0:
+        return False, "iii-a", details
+    quartic_rows = cond_divisible_on_conic(4, contact_form)
+    details["quartic_dimension"] = solve(4, quartic_rows, nodes).dimension
+    if details["quartic_dimension"] < 2:
+        return False, "iii-b", details
+    div_rows = cond_divisible_on_conic(3, contact_form)
+    rows = [p.primitive() for p in nodes]
+    collinear = [t for t in itertools.combinations(range(7), 3)
+                 if rank_naive([rows[i] for i in t]) <= 2]
+    details["collinear_triples"] = collinear
+    for triple in collinear:
+        for member in solve(3, div_rows, [nodes[i] for i in triple]).kernel:
+            if not restrict_to_conic(member, delta2_param()).is_zero():
+                details["bad_triple"] = triple
+                return False, "iii-c", details
+    for five in itertools.combinations(range(7), 5):
+        dim = solve(3, div_rows, [nodes[i] for i in five]).dimension
+        if dim >= 0:
+            details["bad_five"] = five
+            details["cubic_dimension"] = dim
+            return False, "iii-d", details
+    return True, None, details
+
+
+def irreducibility_sextic_oracle(gamma, nodes):
+    """``curves.irreducibility_sextic`` (r <= 7) from ``rank_naive`` on the
+    rational 5-subsets, or from one ``system_solve`` per subset of orbits."""
+    import itertools
+
+    from splitcurves.conics import classify_conic
+    from splitcurves.linsys import FormSpace, cond_point, system_solve
+
+    r = sum(p.orbit_size() for p in nodes)
+    if all(p.field is None for p in nodes):
+        rows = [p.primitive() for p in nodes]
+        return all(rank_naive([rows[i] for i in five]) > 2
+                   for five in itertools.combinations(range(len(nodes)), 5))
+    units = sorted(nodes, key=lambda p: -p.orbit_size())
+    space = FormSpace(2, gamma.variables)
+    for take in range(len(units), 0, -1):
+        for subset in itertools.combinations(range(len(units)), take):
+            if sum(units[i].orbit_size() for i in subset) < r - 2:
+                continue
+            rep = system_solve(space, [row for i in subset for row in cond_point(space, units[i])])
+            if any(classify_conic(conic) == "smooth" for conic in rep.kernel):
+                return True
+    return None
+
+
+def seven_nodal_construction(rng):
+    """(sextic, conic) of a quartic surface f3^2 - 4 f1 f2 projected from its
+    node (0:0:0:1), where f1, f2, f3 span the quadrics through that node and
+    six seeded rational points.  The net's eighth base point is rational too,
+    so the sextic's seven nodes are rational; it splits as (2, 4)."""
+    from splitcurves.linsys import FormSpace, cond_point, system_solve
+    from splitcurves.quartics import QuarticSurface, project_quartic
+
+    center = point(0, 0, 0, 1)
+    space = FormSpace(2, SPACE)
+    net = []
+    while len(net) != 3:  # six points that impose independent conditions
+        points = [center] + [
+            ProjPoint([QQ(rng.randint(-3, 3)) for _ in range(4)]) for _ in range(6)
+        ]
+        net = system_solve(space, [r for p in points for r in cond_point(space, p)]).kernel
+    f1, f2, f3 = net
+    surface = QuarticSurface.from_raw(f3 * f3 - (f1 * f2).scale(4), center)
+    gamma, conic, _info = project_quartic(surface, check_contact=False)
+    return gamma, conic

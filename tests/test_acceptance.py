@@ -397,6 +397,20 @@ def test_verify_example_split7_24_projects_the_quartic_once(monkeypatch):
     assert calls == {"project_quartic": 1}
 
 
+def test_verify_example_split7_24_tests_general_position_once(monkeypatch):
+    # the report reads the verdict that the syzygetic test computed on the
+    # same eight nodes
+    from splitcurves import quartics
+
+    calls = _count_calls(monkeypatch, ((quartics, "general_position_p3"),))
+    assert run_verify_example("split7-24").overall
+    assert calls == {"general_position_p3": 1}
+    record = load_example("split7-24")
+    syz = quartics.syzygetic_test(record.surface.form(), record.surface_nodes)
+    assert syz.subset == tuple(range(8)) and bool(syz.position)
+    assert syz.report.dimension == 2 and len(syz.report.kernel) == 3
+
+
 def test_verify_example_split7_24_searches_the_plane_locus_once(monkeypatch):
     # the plane check and the surface's locus check ask about the same
     # sextic, which keeps its locus: one search over three shears

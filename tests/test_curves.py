@@ -101,6 +101,23 @@ def _parent_node_verdict(gamma, p):
     return True, not scalar_is_zero(disc)
 
 
+def _hessian_minor_oracle(form, p):
+    """The principal minor of H(p) at p's last nonzero coordinate, each
+    entry one ``Form.eval`` of a second partial: the value ``verify_node``
+    reports as the local quadratic discriminant."""
+    n = len(form.variables)
+    coords = list(p.coords)
+    rest = [i for i in range(n) if i != p.last_nonzero()]
+    h = [[form.partial(i).partial(j).eval(coords) for j in rest] for i in rest]
+    if len(h) == 2:
+        return h[0][0] * h[1][1] - h[0][1] * h[1][0]
+    return (
+        h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
+        - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
+        + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0])
+    )
+
+
 def _orbit_and_ideal(rng, nvars, quadratic):
     """(point, generators): a rational point, or one of a conjugate pair, and
     forms generating the ideal of its orbit.  The generators are linear
@@ -222,6 +239,8 @@ def test_verify_node_matches_the_parent_chart_test(gamma6, gamma6_orbit):
             disc = rep.local_quadratic_discriminant
             if rep.is_singular:
                 assert scalar_is_zero(disc) == (not rep.is_node)
+                if form.degree >= 2:
+                    assert disc == _hessian_minor_oracle(form, p)
             else:
                 assert disc is None
             seen.add((len(form.variables), p.orbit_size(), verdict))

@@ -2,8 +2,9 @@
 public function, class, method or stored attribute nothing reads, no
 constant defined in two modules, no import inside a function that no import
 cycle needs, no benchmark tracer target that the package no longer
-defines, and no call in the README's python examples to a name that the
-package does not define.
+defines, no call in the README's python examples to a name that the
+package does not define, and no linear system solved for a kernel that
+nothing reads.
 
 The checks read the source with ``ast`` only; nothing of the package is
 imported (a base class from the standard library is, to see what it defines).
@@ -657,3 +658,86 @@ def test_the_readme_check_sees_a_violation():
     modules = {"cover": ast.parse("def descend(b): pass\nclass Other: pass\n")}
     assert _readme_calls(text) == ["descend", "divide_by_ram"]
     assert _undefined_calls(modules, _readme_calls(text)) == ["divide_by_ram"]
+
+
+# what a caller may read of a solved system without reading its kernel
+RANK_ONLY = {"dimension", "rank"}
+
+
+def _is_solve(node):
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id == "system_solve")
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == "system_solve")
+    )
+
+
+def _kernel_free_solves(modules):
+    """``module.py:line`` of each ``system_solve`` call whose result is read
+    only for ``.dimension`` or ``.rank``: directly, or through a name that
+    its function reads for nothing else (or not at all) before the name is
+    bound again.  Such a system is decided by rank (``linsys.SubsetSystems``)
+    without building a kernel."""
+    out = set()
+    for name, tree in modules.items():
+        parents = {
+            child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+        }
+        for node in ast.walk(tree):
+            if _is_solve(node):
+                parent = parents[node]
+                if isinstance(parent, ast.Attribute) and parent.attr in RANK_ONLY:
+                    out.add((name, node.lineno))
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bindings = {}  # variable -> [(first line, last line, solve?)]
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Assign):
+                    for target in inner.targets:
+                        if isinstance(target, ast.Name):
+                            bindings.setdefault(target.id, []).append(
+                                (inner.lineno, inner.end_lineno, _is_solve(inner.value))
+                            )
+            for var, binds in bindings.items():
+                binds.sort()
+                reads = [
+                    n
+                    for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and n.id == var and isinstance(n.ctx, ast.Load)
+                ]
+                for k, (line, last, solve) in enumerate(binds):
+                    if not solve:
+                        continue
+                    until = binds[k + 1][0] if k + 1 < len(binds) else float("inf")
+                    uses = [parents[n] for n in reads if last < n.lineno < until]
+                    if all(isinstance(u, ast.Attribute) and u.attr in RANK_ONLY for u in uses):
+                        out.add((name, line))
+    return ["%s.py:%d" % place for place in sorted(out)]
+
+
+def test_no_system_is_solved_only_for_its_dimension():
+    assert _kernel_free_solves(_modules()) == []
+
+
+def test_the_solve_check_sees_a_violation():
+    tree = ast.parse(
+        "def a(space, rows):\n"
+        "    return system_solve(space, rows).dimension\n"
+        "def b(space, rows):\n"
+        "    rep = linsys.system_solve(space, rows)\n"
+        "    if rep.dimension < 0:\n        return rep.rank\n"
+        "def c(space, rows):\n"
+        "    rep = system_solve(space, rows)\n"
+        "    return rep.kernel if rep.dimension >= 0 else []\n"
+        "def d(space, rows):\n"
+        "    rep = system_solve(space, rows)\n"
+        "    return Result(rep)\n"
+        "def e(space, rows):\n"
+        "    unread = system_solve(space, rows)\n"
+        "    return system_solve(space, rows).kernel\n"
+        "def f(space, rows):\n"
+        "    rep = system_solve(space, rows)\n"
+        "    if rep.dimension >= 0:\n        return []\n"
+        "    rep = system_solve(\n        space, rows)\n"
+        "    return rep.kernel\n"
+    )
+    assert _kernel_free_solves({"m": tree}) == ["m.py:2", "m.py:4", "m.py:14", "m.py:17"]

@@ -5,13 +5,17 @@ inverses satisfy their equations; here every result must equal, entry for
 entry, what textbook Gauss-Jordan elimination over QQ gives.
 """
 
+import itertools
 import math
 
 from splitcurves import linalg
-from splitcurves.linalg import det_bareiss, kernel_basis, rref, solve_linear
+from splitcurves.arith import NumberField, UPoly
+from splitcurves.forms import ProjPoint
+from splitcurves.linalg import SubsetRanks, det_bareiss, kernel_basis, rref, solve_linear
+from splitcurves.linsys import FormSpace, cond_point
 from splitcurves.scalars import QQ
 
-from conftest import random_rat, rng_for
+from conftest import random_rat, rank_naive, rng_for
 
 
 def _gauss_jordan(rows, ncols):
@@ -166,3 +170,86 @@ def test_integer_determinant_matches_gauss_jordan():
         assert det == _det_oracle(square)
         seen_zero |= det == 0
     assert seen_zero
+
+
+def _combination(rng, rows, ncols):
+    """A random rational combination of ``rows`` (zero when there are none)."""
+    out = [QQ(0)] * ncols
+    for row in rows:
+        c = random_rat(rng, 3)
+        out = [x + c * y for x, y in zip(out, row)]
+    return out
+
+
+def _subset_families(rng):
+    """(shared, blocks, ncols): shared rows that vanish in the first ``lead``
+    columns, so the blocks hold pivots left of every shared pivot; shared
+    parts of low rank; and blocks with zero rows, duplicates and rows that
+    are combinations of the shared rows and of other blocks' rows, whose
+    replay must reach zero exactly."""
+    out = []
+    for _ in range(120):
+        ncols = rng.randint(2, 8)
+        lead = rng.randint(0, 2) if ncols > 2 else 0
+        shared = [
+            [QQ(0)] * lead + [random_rat(rng, 5) for _ in range(ncols - lead)]
+            for _ in range(rng.randint(0, ncols))
+        ]
+        if shared and rng.random() < 0.5:
+            shared += [_combination(rng, shared, ncols) for _ in range(rng.randint(1, 2))]
+        blocks = []
+        for _ in range(rng.randint(1, 5)):
+            block = []
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.choice(("random", "random", "zero", "shared", "mixed", "copy"))
+                earlier = [row for b in blocks for row in b]
+                if kind == "zero":
+                    block.append([QQ(0)] * ncols)
+                elif kind == "shared":
+                    block.append(_combination(rng, shared, ncols))
+                elif kind == "mixed":
+                    block.append(_combination(rng, shared + earlier + block, ncols))
+                elif kind == "copy" and earlier:
+                    block.append(list(rng.choice(earlier)))
+                else:
+                    block.append([random_rat(rng, 5) for _ in range(ncols)])
+            blocks.append(block)
+        out.append((shared, blocks, ncols))
+    return out
+
+
+def test_subset_ranks_match_the_naive_rank_of_the_joined_rows():
+    rng = rng_for("subset ranks")
+    deficient = 0
+    for shared, blocks, ncols in _subset_families(rng):
+        ranks = SubsetRanks(shared, blocks, ncols)
+        subsets = [()] + [
+            tuple(sorted(rng.sample(range(len(blocks)), rng.randint(1, len(blocks)))))
+            for _ in range(4)
+        ]
+        for subset in subsets:
+            joined = shared + [row for i in subset for row in blocks[i]]
+            rank = rank_naive(joined) if joined else 0
+            assert ranks.rank(subset) == rank
+            deficient += rank < min(len(joined), ncols)
+    assert deficient > 100
+
+
+def test_subset_ranks_on_number_field_point_rows():
+    # a conjugate point contributes one row per power-basis coordinate
+    rng = rng_for("subset ranks over a field")
+    field = NumberField(UPoly([QQ(-2), QQ(0), QQ(0), QQ(1)]))
+    a = field.gen()
+    space = FormSpace(2, ("x", "y", "z"))
+    for _ in range(20):
+        points = [
+            ProjPoint([a * random_rat(rng, 3) + random_rat(rng, 3) for _ in range(2)] + [field.one()])
+            for _ in range(3)
+        ] + [ProjPoint([random_rat(rng, 4) for _ in range(2)] + [QQ(1)]) for _ in range(2)]
+        blocks = [cond_point(space, p) for p in points]
+        shared = blocks[-1] + [_combination(rng, blocks[0], space.size())]
+        ranks = SubsetRanks(shared, blocks, space.size())
+        for size in range(len(blocks) + 1):
+            for subset in itertools.combinations(range(len(blocks)), size):
+                joined = shared + [row for i in subset for row in blocks[i]]
+                assert ranks.rank(subset) == rank_naive(joined)

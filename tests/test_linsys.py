@@ -1,9 +1,15 @@
+import itertools
+
+import pytest
+
 from splitcurves.arith import BinForm, NFElem, NumberField, UPoly
 from splitcurves.conics import delta2_param, restrict_to_conic
 from splitcurves.forms import Form, ProjPoint, parse_form, point
 from splitcurves.linalg import kernel_basis, rank_bareiss
+from splitcurves.errors import FieldMismatch
 from splitcurves.linsys import (
     FormSpace,
+    SubsetSystems,
     cond_divisible_on_conic,
     cond_point,
     cond_singular,
@@ -127,6 +133,24 @@ def test_system_examples(gamma6_prime_nodes, gamma7_prime, gamma7_prime_nodes):
     for p in config.nodes:
         conds.extend(cond_point(space4, p))
     assert system_solve(space4, conds).dimension == 1
+
+
+def test_subset_systems_have_the_dimensions_system_solve_gives(gamma7_prime, gamma7_prime_nodes):
+    gamma, conic = gamma7_prime
+    config = normalize_configuration(gamma, conic, gamma7_prime_nodes)
+    for degree in (2, 3, 4):
+        space = FormSpace(degree)
+        shared = cond_divisible_on_conic(degree, config.profile.contact_form)
+        blocks = [cond_point(space, p) for p in config.nodes]
+        systems = SubsetSystems(space, shared, config.nodes)
+        for size in (0, 3, 5, 7):
+            for subset in itertools.combinations(range(7), size):
+                rows = shared + [r for i in subset for r in blocks[i]]
+                assert systems.dimension(subset) == system_solve(space, rows).dimension
+    with pytest.raises(FieldMismatch):
+        SubsetSystems(FormSpace(2), [], [point(1, 2, 3, 4)])
+    with pytest.raises(FieldMismatch):
+        SubsetSystems(FormSpace(2), cond_point(FormSpace(3), point(1, 2, 3)), [])
 
 
 def test_kernel_vectors_satisfy_conditions():

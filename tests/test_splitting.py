@@ -4,12 +4,14 @@ import pytest
 
 from splitcurves import splitting
 from splitcurves.conics import contact_profile, delta2, delta2_param
-from splitcurves.curves import singular_locus_complete, singular_points
+from splitcurves.curves import irreducibility_sextic, singular_locus_complete, singular_points
 from splitcurves.cover import involution_biform, pullback_curve, ram_form
 from splitcurves.errors import (
+    CannotCertify,
     ConicNotSmooth,
     NotTangentLine,
     SearchBudgetExceeded,
+    SplitCurvesError,
     WrongNodeCount,
 )
 from splitcurves.forms import BiForm, Form, compose_form, monomial_basis, parse_form, point
@@ -35,7 +37,17 @@ from splitcurves.arith import BinForm
 from splitcurves.linalg import kernel_basis, primitive_vector, solve_linear
 from splitcurves.scalars import ONE, QQ
 
-from conftest import PLANE, param_point, random_form, random_rat, rng_for
+from conftest import (
+    PLANE,
+    criterion_24_oracle,
+    irreducibility_sextic_oracle,
+    necessary_dim_oracle,
+    param_point,
+    random_form,
+    random_rat,
+    rng_for,
+    seven_nodal_construction,
+)
 
 
 def test_alpha_of():
@@ -93,6 +105,82 @@ def test_alpha_exceeds_nodes():
     )
     assert not out.passes
     assert out.failures[0]["reason"] == "alpha_exceeds_nodes"
+
+
+def test_the_detail_names_orbit_sizes_that_cannot_sum_to_alpha():
+    # three node orbits of size 4: no union of them has 10, 7 or 6 nodes
+    gamma = parse_form(
+        "((x+2*y+z)^2-2*(z^2-4*x*y))*((x-y+3*z)^2-3*(z^2-4*x*y))"
+        "*((2*x+y-z)^2-5*(z^2-4*x*y))",
+        PLANE,
+    )
+    nodes = singular_points(gamma)
+    assert sorted(p.orbit_size() for p in nodes) == [4, 4, 4]
+    rep = splitting_type(gamma, delta2(), nodes)
+    details = {tuple(e["type"]): (e["reason"], e["detail"]) for e in rep.evidence}
+    assert details == {
+        (m, n): ("necessary_dim", "no union of node orbits has alpha = %d nodes" % alpha_of(m, n))
+        for m, n in ((1, 5), (2, 4), (3, 3))
+    }
+
+
+def _decided_configurations():
+    """Normalized configurations of the catalog curves and of three seeded
+    7-nodal constructions (a draw that is not a valid input is redrawn)."""
+    configs = []
+    for example_id in example_ids():
+        record = load_example(example_id)
+        if record.nodes is not None:
+            configs.append(normalize_configuration(record.curve, record.conic, record.nodes))
+    rng = rng_for("seven-nodal constructions")
+    drawn = rejected = 0
+    while drawn < 3:
+        try:
+            gamma, conic = seven_nodal_construction(rng)
+            configs.append(normalize_configuration(gamma, conic, singular_points(gamma)))
+            drawn += 1
+        except SplitCurvesError:
+            rejected += 1
+            assert rejected <= 3
+    return configs
+
+
+def test_rank_decisions_match_the_system_solve_oracle():
+    criteria = []
+    checked = []
+    for config in _decided_configurations():
+        contact = config.profile.contact_form
+        for m in range(1, 4):
+            n = config.gamma.degree - m
+            if m > n:
+                continue
+            out = necessary_dim_check(config.gamma, config.nodes, contact, m, n)
+            if out.failures and out.failures[0]["reason"] == "alpha_exceeds_nodes":
+                continue
+            witnesses, failures, kernels = necessary_dim_oracle(
+                config.gamma, config.nodes, contact, m, n
+            )
+            assert (out.witnesses, out.failures) == (witnesses, failures)
+            assert out.passes == bool(witnesses)
+            assert out.kernels == kernels
+        r = sum(p.orbit_size() for p in config.nodes)
+        if r <= 7:
+            try:
+                irreducible = irreducibility_sextic(config.gamma, config.nodes)
+            except CannotCertify:
+                irreducible = None
+            assert irreducible == irreducibility_sextic_oracle(config.gamma, config.nodes)
+            checked.append(irreducible)
+        rational = all(p.field is None for p in config.nodes)
+        if r == 7 and rational and contact.degree == 6:
+            crit = criterion_24_7nodal(config.gamma, config.nodes, contact)
+            oracle = criterion_24_oracle(config.gamma, config.nodes, contact)
+            assert (crit.holds, crit.failed, crit.details) == oracle
+            criteria.append(crit.failed)
+    # split7-24 and the constructions with seven nodes pass every condition,
+    # so (iii-d) ran on all 21 five-subsets; nonsplit7 fails at (iii-b)
+    assert criteria.count(None) >= 2 and "iii-b" in criteria
+    assert checked and all(checked)
 
 
 def test_verify_certificate_catalog(gamma6):
