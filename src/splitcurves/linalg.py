@@ -14,9 +14,8 @@ deterministic.
 
 A family of systems that share rows and differ in which blocks of further
 rows join them (the node subsets of one linear system, say) is ranked by
-``SubsetRanks``: the shared rows are eliminated once, each block is
-carried through their pivot steps once, and each system's forward pass
-starts from the last shared pivot.
+``SubsetRanks``, which reduces every further row modulo the shared rows
+once.
 """
 
 import itertools
@@ -28,7 +27,7 @@ def _int_rows(rows):
     return [clear_denominators(row) for row in rows]
 
 
-def _bareiss(m, ncols, prev):
+def _bareiss(m, ncols):
     """Forward fraction-free elimination of integer rows ``m``, in place.
 
     Pivots are searched in the first ``ncols`` columns, in column order,
@@ -36,13 +35,12 @@ def _bareiss(m, ncols, prev):
     already zero left of the pivot column, so each update rewrites them from
     the column after it on and sets the pivot column to zero.  After the
     pass, row k is zero left of its pivot and every entry is a minor of the
-    row-permuted input, so each division is exact.  ``prev`` is the pivot
-    before the first one: 1 on a fresh matrix, or the last pivot of earlier
-    steps that ``m`` continues (``SubsetRanks``).  Returns (pivot columns,
+    row-permuted input, so each division is exact.  Returns (pivot columns,
     sign of the row permutation).
     """
     pivots = []
     sign = 1
+    prev = 1
     row = 0
     for col in range(ncols):
         if row == len(m):
@@ -76,65 +74,60 @@ def _reduced(rows, ncols):
     entries; they vanish in the first ``ncols`` columns.
     """
     m = _int_rows(rows)
-    pivots, _sign = _bareiss(m, ncols, 1)
+    pivots, _sign = _bareiss(m, ncols)
     if not pivots:
         return m, pivots, 1
     d = m[len(pivots) - 1][pivots[-1]]
     for k in range(len(pivots) - 2, -1, -1):
-        row = m[k]
-        acc = [d * x for x in row]
-        for j in range(k + 1, len(pivots)):
-            c = row[pivots[j]]
-            if c:
-                acc = [a - c * y for a, y in zip(acc, m[j])]
-        pk = row[pivots[k]]
+        acc = _reduce(m[k], m[k + 1:len(pivots)], pivots[k + 1:], d)
+        pk = m[k][pivots[k]]
         m[k] = [a // pk for a in acc]
     return m, pivots, d
+
+
+def _reduce(row, echelon, pivots, d):
+    """d times ``row`` minus the multiples of the ``echelon`` rows that clear
+    it at their ``pivots``; the echelon rows are d times rows of a reduced
+    echelon form, so each is d at its own pivot and 0 at the others."""
+    acc = [d * x for x in row]
+    for top, col in zip(echelon, pivots):
+        c = row[col]
+        if c:
+            acc = [a - c * y for a, y in zip(acc, top)]
+    return acc
 
 
 def rank_bareiss(rows):
     """Rank by the fraction-free forward pass on integer-cleared rows."""
     if not rows:
         return 0
-    return len(_bareiss(_int_rows(rows), len(rows[0]), 1)[0])
+    return len(_bareiss(_int_rows(rows), len(rows[0]))[0])
 
 
 class SubsetRanks:
     """Ranks of the ``shared`` rows joined with the rows of a subset of ``blocks``.
 
-    The shared rows are forward-eliminated once.  Each block is cleared to
-    integers and replayed through the shared pivot steps once, and
-    ``rank`` continues the forward pass on the replayed rows of a subset
-    from the last shared pivot.  That is the forward pass on the joined
-    matrix, shared rows first, with the shared pivot columns moved to the
-    front: by Sylvester's identity every entry after pivot step j is a
-    minor of order j + 1 of the joined matrix, so each division is exact
-    and the rank is the number of pivots.  A step updates a row using only
-    that row and the pivot row, so a block's replay does not depend on the
-    subset.  A replayed row need not vanish left of a shared pivot column,
-    so each step rewrites, and rescales, all of it.
+    The shared rows are brought to reduced echelon form once, and each block
+    row is reduced modulo them once: it then vanishes at the shared pivot
+    columns, so no combination of reduced rows is a nonzero combination of
+    shared rows, and the rank of a subset is the shared rank plus the rank
+    of its blocks' reduced rows.
     """
 
     def __init__(self, shared, blocks, ncols):
-        m = _int_rows(shared)
-        pivots, _sign = _bareiss(m, ncols, 1)
-        blocks = [_int_rows(block) for block in blocks]
-        prev = 1
-        for top, col in zip(m, pivots):
-            piv = top[col]
-            for block in blocks:
-                for i, r in enumerate(block):
-                    coef = r[col]
-                    block[i] = [(x * piv - coef * y) // prev for x, y in zip(r, top)]
-            prev = piv
+        m, pivots, d = _reduced(shared, ncols)
+        echelon = m[:len(pivots)]
         self._shared_rank = len(pivots)
-        self._prev = prev
-        self._blocks = blocks
+        self._blocks = [_int_rows(block) for block in blocks]
+        if pivots:
+            self._blocks = [
+                [_reduce(row, echelon, pivots, d) for row in block] for block in self._blocks
+            ]
         self._ncols = ncols
 
     def rank(self, subset):
         rows = [list(row) for i in subset for row in self._blocks[i]]
-        return self._shared_rank + len(_bareiss(rows, self._ncols, self._prev)[0])
+        return self._shared_rank + len(_bareiss(rows, self._ncols)[0])
 
 
 def dependent_subsets(rows, size, rank):
@@ -151,7 +144,7 @@ def det_bareiss(m_int):
     """Determinant of a square integer matrix by the fraction-free forward pass."""
     m = [list(r) for r in m_int]
     n = len(m)
-    pivots, sign = _bareiss(m, n, 1)
+    pivots, sign = _bareiss(m, n)
     if len(pivots) < n:
         return 0
     return sign * m[n - 1][n - 1] if n else 1

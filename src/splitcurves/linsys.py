@@ -12,13 +12,14 @@ each node's rows once and joins them per subset.  Dimensions and kernels are
 exact: one fraction-free elimination gives the kernel, as content-normalized
 vectors read off the reduced echelon form, and the rank is the number of
 columns minus the kernel dimension.  Where only the dimension is read,
-``SubsetSystems`` decides a family of systems by rank and builds no kernel.
+``system_dimension`` decides one system, and ``SubsetSystems`` a family of
+them, by rank and builds no kernel.
 """
 
 from .arith import _dehomogenized, _times_gen
 from .errors import FieldMismatch
 from .forms import PLANE_VARS, Form, monomial_basis, monomial_values
-from .linalg import SubsetRanks, kernel_basis
+from .linalg import SubsetRanks, kernel_basis, rank_bareiss
 from .scalars import QQ
 
 
@@ -172,24 +173,40 @@ def system_solve(space, rows):
     )
 
 
+def _point_rows(space, p):
+    """The ``cond_point`` rows of p times one common denominator, in integers."""
+    if len(p.coords) != len(space.variables):
+        raise FieldMismatch("point dimension does not match the space")
+    return list(zip(*_values(p, space.basis)[0]))
+
+
+def _check_shared(space, shared):
+    if any(len(r) != space.size() for r in shared):
+        raise FieldMismatch("condition row length does not match the space")
+
+
+def system_dimension(space, shared, points):
+    """Exact projective dimension of the system of one space cut out by the
+    ``shared`` rows and by vanishing at ``points``, by rank alone: no kernel
+    is built, and the point rows are built in integers."""
+    _check_shared(space, shared)
+    rows = list(shared) + [r for p in points for r in _point_rows(space, p)]
+    return space.size() - rank_bareiss(rows) - 1
+
+
 class SubsetSystems:
     """Projective dimensions of the systems of one space cut out by the
     ``shared`` rows and by vanishing at a subset of ``points``, decided by
-    rank alone (``linalg.SubsetRanks``).  A point's rows are its
-    ``cond_point`` rows times one common denominator, built in integers
-    once; no kernel is built, and ``system_solve`` gives it where one is
-    read.
+    rank alone (``linalg.SubsetRanks``).  Each point's rows are built in
+    integers once; no kernel is built, and ``system_solve`` gives it where
+    one is read.
     """
 
     def __init__(self, space, shared, points):
-        ncols = space.size()
-        if any(len(r) != ncols for r in shared):
-            raise FieldMismatch("condition row length does not match the space")
-        if any(len(p.coords) != len(space.variables) for p in points):
-            raise FieldMismatch("point dimension does not match the space")
-        blocks = [list(zip(*_values(p, space.basis)[0])) for p in points]
-        self._ncols = ncols
-        self._ranks = SubsetRanks(shared, blocks, ncols)
+        _check_shared(space, shared)
+        blocks = [_point_rows(space, p) for p in points]
+        self._ncols = space.size()
+        self._ranks = SubsetRanks(shared, blocks, self._ncols)
 
     def dimension(self, subset):
         return self._ncols - self._ranks.rank(subset) - 1

@@ -229,10 +229,9 @@ def general_position_p3(points):
 class SyzygeticResult:
     """Outcome of ``syzygetic_test``.
 
-    ``position`` is the ``general_position_p3`` verdict of the last 8-subset
-    tried (of the nodes themselves when there are exactly eight), or None
-    when there are fewer than eight nodes; ``report`` is the witness
-    subset's system, kernel included.
+    ``position`` is the ``general_position_p3`` verdict of the nodes when
+    there are exactly eight, the one subset tried, and None otherwise;
+    ``report`` is the witness subset's system, kernel included.
     """
 
     __slots__ = ("syzygetic", "subset", "report", "position")
@@ -264,10 +263,10 @@ def syzygetic_test(surface_form, nodes):
         return SyzygeticResult(False, None, None, None)
     space = FormSpace(2, surface_form.variables)
     systems = SubsetSystems(space, [], nodes)
-    position = None
     for subset in itertools.combinations(range(len(nodes)), 8):
-        position = general_position_p3([nodes[i] for i in subset])
-        if position and systems.dimension(subset) == 2:
+        gp = general_position_p3([nodes[i] for i in subset])
+        position = gp if len(nodes) == 8 else None
+        if gp and systems.dimension(subset) == 2:
             report = system_solve(space, [r for i in subset for r in cond_point(space, nodes[i])])
             return SyzygeticResult(True, subset, report, position)
     return SyzygeticResult(False, None, None, position)

@@ -65,6 +65,7 @@ from .linsys import (
     SubsetSystems,
     cond_divisible_on_conic,
     cond_point,
+    system_dimension,
     system_solve,
 )
 from .scalars import QQ, ZERO, ONE, over_common_denominator
@@ -814,15 +815,14 @@ def criterion_24_7nodal(gamma, nodes, contact_form):
         raise WrongNodeCount("need a simple contact divisor of degree 6")
     details = {}
 
-    every = range(len(nodes))
     space2 = FormSpace(2, gamma.variables)
-    dim = SubsetSystems(space2, [], nodes).dimension(every)
+    dim = system_dimension(space2, [], nodes)
     details["conic_dimension"] = dim
     if dim >= 0:
         return Criterion24Result(False, "iii-a", details)
 
     space4 = FormSpace(4, gamma.variables)
-    dim = SubsetSystems(space4, cond_divisible_on_conic(4, contact_form), nodes).dimension(every)
+    dim = system_dimension(space4, cond_divisible_on_conic(4, contact_form), nodes)
     details["quartic_dimension"] = dim
     if dim < 2:
         return Criterion24Result(False, "iii-b", details)
@@ -840,7 +840,7 @@ def criterion_24_7nodal(gamma, nodes, contact_form):
                 return Criterion24Result(False, "iii-c", details)
 
     systems3 = SubsetSystems(space3, div_rows, nodes)
-    for five in itertools.combinations(every, 5):
+    for five in itertools.combinations(range(7), 5):
         dim = systems3.dimension(five)
         if dim >= 0:
             details["bad_five"] = five

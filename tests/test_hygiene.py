@@ -675,8 +675,8 @@ def _kernel_free_solves(modules):
     """``module.py:line`` of each ``system_solve`` call whose result is read
     only for ``.dimension`` or ``.rank``: directly, or through a name that
     its function reads for nothing else (or not at all) before the name is
-    bound again.  Such a system is decided by rank (``linsys.SubsetSystems``)
-    without building a kernel."""
+    bound again.  Such a system is decided by rank (``linsys.system_dimension``
+    or ``linsys.SubsetSystems``) without building a kernel."""
     out = set()
     for name, tree in modules.items():
         parents = {

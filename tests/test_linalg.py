@@ -185,8 +185,8 @@ def _subset_families(rng):
     """(shared, blocks, ncols): shared rows that vanish in the first ``lead``
     columns, so the blocks hold pivots left of every shared pivot; shared
     parts of low rank; and blocks with zero rows, duplicates and rows that
-    are combinations of the shared rows and of other blocks' rows, whose
-    replay must reach zero exactly."""
+    are combinations of the shared rows and of other blocks' rows, which
+    must reduce to zero exactly."""
     out = []
     for _ in range(120):
         ncols = rng.randint(2, 8)

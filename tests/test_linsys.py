@@ -13,6 +13,7 @@ from splitcurves.linsys import (
     cond_divisible_on_conic,
     cond_point,
     cond_singular,
+    system_dimension,
     system_solve,
 )
 from splitcurves.registry import example_ids, load_example
@@ -146,7 +147,14 @@ def test_subset_systems_have_the_dimensions_system_solve_gives(gamma7_prime, gam
         for size in (0, 3, 5, 7):
             for subset in itertools.combinations(range(7), size):
                 rows = shared + [r for i in subset for r in blocks[i]]
-                assert systems.dimension(subset) == system_solve(space, rows).dimension
+                dim = system_solve(space, rows).dimension
+                assert systems.dimension(subset) == dim
+                nodes = [config.nodes[i] for i in subset]
+                assert system_dimension(space, shared, nodes) == dim
+    with pytest.raises(FieldMismatch):
+        system_dimension(FormSpace(2), cond_point(FormSpace(3), point(1, 2, 3)), [])
+    with pytest.raises(FieldMismatch):
+        system_dimension(FormSpace(2), [], [point(1, 2, 3, 4)])
     with pytest.raises(FieldMismatch):
         SubsetSystems(FormSpace(2), [], [point(1, 2, 3, 4)])
     with pytest.raises(FieldMismatch):

@@ -191,6 +191,22 @@ def test_syzygetic_detection(syz_surface):
     assert rank_bareiss(vecs + fvecs) == 3
 
 
+def test_syzygetic_position_is_the_verdict_on_exactly_eight_nodes(syz_surface):
+    quartic, _surface, nodes, _fs = syz_surface
+    # (2, 2, 1, 1) lies on the line through nodes 3 and 4
+    on_line = point(2, 2, 1, 1)
+    assert bool(syzygetic_test(quartic, nodes).position)
+    result = syzygetic_test(quartic, nodes[:7] + [on_line])
+    assert not result and result.position.kind == "collinear_triple"
+    # nine nodes: the first 8-subset is a witness, but the nine are not in
+    # general position, so no verdict on a subset stands for them
+    result = syzygetic_test(quartic, nodes + [on_line])
+    assert result and result.subset == tuple(range(8))
+    assert result.position is None
+    assert not general_position_p3(nodes + [on_line])
+    assert syzygetic_test(quartic, nodes[:7]).position is None
+
+
 def test_syzygetic_not_detected_generic():
     rng = rng_for("syz-generic")
     space = FormSpace(2, SPACE)
