@@ -6,9 +6,22 @@ is computed by one elimination core under a deterministic shear: y is
 eliminated by resultants, the eliminant is factored over the rationals, and
 the fiber over each irreducible factor gives the singular points there:
 rational points over a rational root, one Galois orbit over an irrational
-one.  ``singular_points`` returns
-those orbits; ``singular_locus_complete`` checks a claimed point list
-against them.
+one.  ``singular_points`` returns those orbits.
+
+``singular_locus_complete`` does not rediscover the locus to check a claim
+of ordinary nodes.  At the first shear whose center (0 : 1 : 0) is off the
+curve, the discriminant D = Res_y(F, dF/dy) has, at each line through the
+center, the order sum over the line's points p of (F, dF/dy)_p, which by
+Teissier's lemma is mu_p + (F, x)_p - 1: at least 2 at a singular point,
+and exactly 2 only at an ordinary node transversal to the line.  So the
+claim is the whole locus, and every claimed point a node, when each
+claimed point is singular and D is P^2 A, P the product of the claimed x
+minimal polynomials, A squarefree and coprime to P, with the degree drop
+of D counting the claimed points on z = 0.  The certificate only accepts
+or declines.  It declines a claim that is wrong or not of nodes, two orbits
+on the same lines, and a curve that is not reduced; then, as on a curve
+that already keeps its locus, the claim is compared with the locus of
+``singular_points``.  ``curve_is_reduced`` reads the same discriminant.
 
 The resultants are exact and run in integers.  Each bivariate is scaled to
 coprime integer coefficients, so at an integer x its y-coefficients are
@@ -36,6 +49,9 @@ from .arith import (
     UPoly,
     _horner,
     _trim,
+    _zz_deriv,
+    _zz_exquo,
+    _zz_gcd,
     _zz_mul,
     _zz_prem,
     binform_gcd,
@@ -526,21 +542,44 @@ def singular_points(gamma):
 def singular_locus_complete(gamma, claimed):
     """Is the claimed point list exactly the singular locus of the curve?
 
-    Number-field points stand for their whole conjugate orbit.  The claim
-    is moved to the shear of ``singular_points``, where no singular point
-    lies on z = 0, the points over a rational x are rational, and an
-    irrational x-orbit holds one orbit of points.  So a claimed point on
-    z = 0, an orbit whose x generates a smaller field than its own, or two
-    orbits with one x minimal polynomial, is not singular there.  Otherwise
-    the claim holds when its x minimal polynomials are those of the locus
-    and its y-coordinates are the locus's; a point so matched is singular,
-    so no node test is needed.
+    Number-field points stand for their whole conjugate orbit.  A claim of
+    ordinary nodes is certified from one discriminant: at the first shear
+    whose center (0 : 1 : 0) is off the curve, every claimed point must be
+    singular and D = Res_y(F, dF/dy) must be P^2 A in Z[x], P the product
+    of the claimed x / z minimal polynomials, A squarefree and coprime to
+    P, and deg D = d (d - 1) - 2 (claimed points on z = 0).  By Teissier's
+    lemma, (F, dF/dy)_p = mu_p + (F, x)_p - 1, a singular point adds at
+    least 2 to the order of D at its line through the center and exactly 2
+    only at an ordinary node, so no singular point is left out
+    (``_node_certificate``).  The certificate declines a wrong claim, a
+    singular point that is no ordinary node or is tangent to its line,
+    two orbits on the same lines, an orbit on z = 0, an orbit over a field
+    its x does not generate, and a curve that is not reduced; then, and on
+    a curve that already keeps its locus, the claim is compared with the
+    locus of ``singular_points`` (``_matches_locus``).
     """
     if len(gamma.variables) != 3:
         raise FieldMismatch("plane curves only")
     keys = [p.canonical_key() for p in claimed]
     if len(set(keys)) != len(keys):
         raise ValueError("claimed points must be pairwise distinct")
+    if gamma._locus is None and _node_certificate(gamma, claimed):
+        return True
+    return _matches_locus(gamma, claimed)
+
+
+def _matches_locus(gamma, claimed):
+    """The claim compared with the locus of ``singular_points``.
+
+    The claim is moved to the locus shear, where no singular point lies on
+    z = 0, the points over a rational x are rational, and an irrational
+    x-orbit holds one orbit of points.  So a claimed point on z = 0, an
+    orbit whose x generates a smaller field than its own, or two orbits
+    with one x minimal polynomial, is not singular there.  Otherwise the
+    claim holds when its x minimal polynomials are those of the locus and
+    its y-coordinates are the locus's; a point so matched is singular, so
+    no node test is needed.
+    """
     m, locus = _first_locus(gamma)
     minv = mat_inv(m)
     units = {}
@@ -570,6 +609,85 @@ def singular_locus_complete(gamma, claimed):
     return True
 
 
+def _discriminant(gamma):
+    """(m, D) for the first shear m whose center m (0 : 1 : 0) is off the
+    curve, with D = Res_y(F, dF/dy) for F = gamma o m at z = 1; None when
+    every shear's center lies on the curve.
+
+    F has a nonzero constant y^d coefficient there, so D is the
+    dehomogenized binary form of degree d (d - 1) whose order at a line
+    x = t z through the center is the sum of (F, dF/dy)_p over the line's
+    points p, and D vanishes exactly when the curve is not reduced.
+    """
+    for idx in range(MAX_SHEARS):
+        m = shear_matrix(idx)
+        if scalar_is_zero(gamma.eval([row[1] for row in m])):
+            continue
+        biv = _affine_xy(compose_form(gamma, m))
+        dbiv = {}
+        for (i, j), c in biv.items():
+            if j:
+                dbiv[(i, j - 1)] = dbiv.get((i, j - 1), ZERO) + j * c
+        return m, resultant_y(biv, dbiv)
+    return None
+
+
+def _node_certificate(gamma, claimed):
+    """True when the discriminant proves the claim to be the singular
+    locus, each claimed point an ordinary node; None when it declines, as
+    it does whenever a condition fails, so it never rejects or raises.
+
+    With (m, D) from ``_discriminant`` and the claim moved by m^-1: every
+    claimed point is singular; P, the product of the primitive minimal
+    polynomials of the claimed x / z, has one factor per point of degree
+    its orbit size and no irrational factor twice; D = P^2 A in Z[x] with
+    A squarefree and coprime to P; and deg D = d (d - 1) - 2 k, k the
+    claimed points on z = 0 (the module docstring gives the argument).  A
+    point over a field of degree one, which may be a second copy of a
+    rational point, and an orbit on z = 0 are declined outright.
+    """
+    if gamma.degree < 2 or any(len(p.coords) != 3 for p in claimed):
+        return None
+    if any(p.field is not None and p.field.degree < 2 for p in claimed):
+        return None
+    partials = gamma.partials()
+    if not all(scalar_is_zero(q.eval(p.coords)) for p in claimed for q in partials):
+        return None
+    found = _discriminant(gamma)
+    if found is None or found[1].is_zero():
+        return None
+    m, disc = found
+    minv = mat_inv(m)
+    prod = [1]
+    seen = set()
+    at_infinity = 0
+    for p in claimed:
+        moved = transform_point(minv, p)
+        if scalar_is_zero(moved.coords[2]):
+            if p.field is not None:
+                return None
+            at_infinity += 1
+            continue
+        q = _x_minimal_polynomial(moved.coords[0] / moved.coords[2])
+        if q.degree() != p.orbit_size() or q in seen:
+            return None
+        if q.degree() > 1:
+            seen.add(q)
+        prod = _zz_mul(prod, clear_denominators(list(q.coeffs)))
+    d = gamma.degree
+    ints = clear_denominators(list(disc.coeffs))
+    if len(ints) - 1 != d * (d - 1) - 2 * at_infinity:
+        return None
+    rest = _zz_exquo(ints, _zz_mul(prod, prod))
+    if rest is None:
+        return None
+    if len(rest) > 1 and len(_zz_gcd(rest, _zz_deriv(rest))) > 1:
+        return None
+    if len(rest) > 1 and len(prod) > 1 and len(_zz_gcd(rest, prod)) > 1:
+        return None
+    return True
+
+
 def _raise_if_not_reduced(gamma):
     """Name the usual reason no shear works: a multiple component meets z = 0
     at every shear, so the elimination core never accepts one."""
@@ -580,21 +698,14 @@ def _raise_if_not_reduced(gamma):
 def curve_is_reduced(gamma):
     """Is the plane curve squarefree?
 
-    After a shear making the curve monic in y, squarefreeness is exactly
-    the nonvanishing of Res_y(g, dg/dy) for the dehomogenized curve.
+    At the shear of ``_discriminant`` the curve is monic in y up to a
+    constant, and squarefreeness is exactly the nonvanishing of
+    Res_y(g, dg/dy) for the dehomogenized curve.
     """
-    for idx in range(MAX_SHEARS):
-        m = shear_matrix(idx)
-        g = compose_form(gamma, m)
-        if g.terms.get((0, gamma.degree, 0), ZERO) == 0:
-            continue
-        biv = _affine_xy(g)
-        dbiv = {}
-        for (i, j), c in biv.items():
-            if j:
-                dbiv[(i, j - 1)] = dbiv.get((i, j - 1), ZERO) + j * c
-        return not resultant_y(biv, dbiv).is_zero()
-    raise ShearExhausted("no shear made the curve monic in y")
+    found = _discriminant(gamma)
+    if found is None:
+        raise ShearExhausted("no shear made the curve monic in y")
+    return not found[1].is_zero()
 
 
 # ---------------------------------------------------------------------------

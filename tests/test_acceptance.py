@@ -411,14 +411,17 @@ def test_verify_example_split7_24_tests_general_position_once(monkeypatch):
     assert syz.report.dimension == 2 and len(syz.report.kernel) == 3
 
 
-def test_verify_example_split7_24_searches_the_plane_locus_once(monkeypatch):
+def test_verify_example_split7_24_searches_no_plane_locus(monkeypatch):
     # the plane check and the surface's locus check ask about the same
-    # sextic, which keeps its locus: one search over three shears
+    # sextic; the discriminant certificate settles both, so no shear of the
+    # elimination core is tried
     from splitcurves import curves
 
-    calls = _count_calls(monkeypatch, ((curves, "_sheared_locus"),))
+    calls = _count_calls(
+        monkeypatch, ((curves, "_sheared_locus"), (curves, "_node_certificate"))
+    )
     assert run_verify_example("split7-24").overall
-    assert calls == {"_sheared_locus": 3}
+    assert calls == {"_node_certificate": 2}
 
 
 def test_split7_24_criterion_check_fails_when_the_decision_skipped_it():

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from splitcurves.arith import BinForm, NumberField, UPoly, binform_gcd, scalar_is_zero, upoly_gcd
+from splitcurves.arith import (
+    BinForm,
+    NFElem,
+    NumberField,
+    UPoly,
+    binform_gcd,
+    scalar_is_zero,
+    upoly_gcd,
+)
 from splitcurves import curves
 from splitcurves.curves import (
     _first_locus,
@@ -466,9 +474,11 @@ def test_claim_check_and_singular_points_share_one_shear_search(
     singular_points(record.curve)
     search = list(calls)
     del calls[:]
-    # a fresh record: the first curve keeps its locus
+    # a fresh record: the first curve keeps its locus; a claim short of one
+    # node is declined by the discriminant certificate, so the comparison
+    # with the locus decides it
     record = load_example(example_id)
-    assert singular_locus_complete(record.curve, record.nodes)
+    assert not singular_locus_complete(record.curve, record.nodes[:-1])
     # the same shears, and the locus is computed once
     assert calls == search and len(calls) == shears
     assert [found for _idx, found in calls].count(True) == 1
@@ -583,6 +593,193 @@ def test_non_reduced_curve_is_named():
         singular_points(curve)
     with pytest.raises(CommonComponent, match=message):
         singular_locus_complete(curve, [point(2, 0, 1)])
+
+
+# -- the discriminant certificate: never True where the comparison is False --
+
+
+_SMALL_CURVES = {
+    # name: (curve, its singular locus as node specs); a cusp, an A5 point
+    # with two cusps, a tacnode with an A5 point, an ordinary quadruple
+    # point, three nodal curves and a smooth conic.  "two-orbits" has two
+    # orbits of nodes on the lines x = +-sqrt(2) z, which the certificate
+    # leaves to the comparison (its factor x^2 - 2 of P would repeat), and a
+    # node on z = 0.
+    "cusp": ("y^2*z - x^3", [[0, 0, 1]]),
+    "pair": ("y^2*z^4 - x^6", [[0, 0, 1], [0, 1, 0]]),
+    "tacnodal": ("(y*z-x^2)*(y*z+x^2)", [[0, 0, 1], [0, 1, 0]]),
+    "four-lines": ("x*y*(x-y)*(x+y)", [[0, 0, 1]]),
+    "line-pair": ("x^2-y^2", [[0, 0, 1]]),
+    "nodal-cubic": ("y^2*z - x^2*(x+z)", [[0, 0, 1]]),
+    "two-orbits": (
+        "y*(y-z)*(x^2+y^2-y*z-2*z^2)",
+        [
+            [1, 0, 0],
+            {"minpoly": "a^2-2", "point": ["a", "0", "1"]},
+            {"minpoly": "a^2-2", "point": ["a", "1", "1"]},
+        ],
+    ),
+    "conic": ("x^2+y^2+z^2", []),
+}
+
+
+def _certificate_case(name):
+    """A fresh curve and its true singular locus."""
+    if name in _SMALL_CURVES:
+        text, specs = _SMALL_CURVES[name]
+        gamma = parse_form(text, PLANE)
+        return gamma, [parse_node_spec(spec, gamma) for spec in specs]
+    record = load_example(name)
+    return record.curve, list(record.nodes)
+
+
+def _line(m, p):
+    """p's line through the certificate's center: the minimal polynomial of
+    the moved x / z, None for z = 0."""
+    x, _y, z = transform_point(mat_inv(m), p).coords
+    return None if scalar_is_zero(z) else curves._x_minimal_polynomial(x / z)
+
+
+def _along_line(m, p, shift):
+    """The point of p's line through the certificate's center m (0 : 1 : 0)
+    whose moved y (or y / x on z = 0) is shifted by ``shift``."""
+    moved = transform_point(mat_inv(m), p)
+    x, y, z = moved.coords
+    if scalar_is_zero(z):
+        return transform_point(m, ProjPoint([x, y + shift * x, z]))
+    return transform_point(m, ProjPoint([x / z, y / z + shift, QQ(1)]))
+
+
+def _doubled_generator(p):
+    """The orbit of p over QQ[b]/(q), b = 2a: one orbit, another field."""
+    field = p.field
+    n = field.degree
+    coeffs = field.minimal_polynomial.coeffs
+    double = NumberField(UPoly([c * 2 ** (n - i) for i, c in enumerate(coeffs)]))
+    coords = [
+        NFElem(double, tuple(QQ(e) / 2**i for i, e in enumerate(c.coords))) for c in p.coords
+    ]
+    return ProjPoint(coords)
+
+
+def _over(field, p):
+    """A rational point written over a number field."""
+    return ProjPoint([field.from_rat(c) for c in p.coords])
+
+
+def _claim_mutants(gamma, locus):
+    """Wrong claims next to the true one: a node dropped, a point that is
+    not singular added, a node moved along its line through the center, an
+    orbit listed twice, an orbit over a larger field, and a node moved onto
+    the line of another."""
+    m = curves._discriminant(gamma)[0]
+    quadratic = NumberField(UPoly([-2, 0, 1]))
+    linear = NumberField(UPoly([-5, 1]))
+    on_curve = [
+        point(a, b, c)
+        for a, b, c in itertools.product(range(-2, 3), repeat=3)
+        if (a, b, c) != (0, 0, 0) and scalar_is_zero(gamma.eval([QQ(a), QQ(b), QQ(c)]))
+    ]
+    smooth = [
+        p for p in on_curve[:4] + [point(1, 0, 0), point(1, 1, 1), point(2, -1, 3)]
+        if not any(p.eq_proj(q) for q in locus)
+    ]
+    for k, p in enumerate(locus):
+        rest = locus[:k] + locus[k + 1:]
+        yield "drop", rest
+        yield "move", rest + [_along_line(m, p, 1)]
+        # listed twice: on top of the locus, and in place of another orbit
+        # on its lines through the center
+        twin = _over(linear, p) if p.field is None else _doubled_generator(p)
+        yield "twice", locus + [twin]
+        for q in rest:
+            if _line(m, q) == _line(m, p):
+                yield "twice", [r for r in locus if r is not q] + [twin]
+        if p.field is None:
+            yield "larger-field", rest + [_over(quadratic, p)]
+            for q in rest:
+                if q.field is None:
+                    yield "one-line", rest + [_along_line(m, q, 1)]
+                    break
+    for p in smooth:
+        yield "add", locus + [p]
+
+
+_CERTIFICATE_CURVES = list(_CATALOG_CURVES) + list(_SMALL_CURVES)
+
+
+@pytest.mark.parametrize("name", _CERTIFICATE_CURVES)
+def test_node_certificate_never_accepts_what_the_comparison_rejects(name):
+    gamma, locus = _certificate_case(name)
+    assert curves._matches_locus(gamma, locus)
+    claims = [("true", locus)] + list(_claim_mutants(gamma, locus))
+    kinds = {kind for kind, _claim in claims}
+    assert {"drop", "move", "add"} <= kinds or not locus
+    for kind, claim in claims:
+        if len({p.canonical_key() for p in claim}) != len(claim):
+            continue
+        verdict = curves._node_certificate(gamma, claim)
+        assert verdict in (True, None), (name, kind)
+        if verdict:
+            # an accepted claim is the locus, and each of its points a node
+            assert curves._matches_locus(gamma, claim), (name, kind, claim)
+            assert all(rep.is_node for rep in verify_node(gamma, claim)), (name, kind)
+        elif kind == "true" and name in _CATALOG_CURVES + ("line-pair", "nodal-cubic", "conic"):
+            pytest.fail("the certificate declined the nodes of %s" % name)
+
+
+def test_node_certificate_counts_the_nodes_on_the_line_at_infinity():
+    # nonsplit6a has three nodes on z = 0 and is certified at the identity:
+    # without one of them D = P^2 A still holds with A squarefree, and only
+    # the degree of D sees the node that is missing
+    record = load_example("nonsplit6a")
+    m, disc = curves._discriminant(record.curve)
+    assert m == shear_matrix(0) and disc.degree() == 30 - 2 * 3
+    at_infinity = [p for p in record.nodes if scalar_is_zero(p.coords[2])]
+    assert len(at_infinity) == 3
+    rest = [p for p in record.nodes if p is not at_infinity[0]]
+    assert curves._node_certificate(record.curve, record.nodes)
+    assert curves._node_certificate(record.curve, rest) is None
+    assert not singular_locus_complete(record.curve, rest)
+
+
+def test_node_certificate_accepts_two_nodes_on_one_line_through_the_center():
+    # nonsplit6b: (0 : 0 : 1) and (0 : 3 : 2) both lie on x = 0, so the
+    # factor x of P is repeated and D has order 4 there
+    record = load_example("nonsplit6b")
+    m, disc = curves._discriminant(record.curve)
+    assert m == shear_matrix(0)
+    on_axis = [p for p in record.nodes if scalar_is_zero(p.coords[0])]
+    assert len(on_axis) == 2
+    assert disc.coeffs[:4] == (0, 0, 0, 0) and disc.coeffs[4] != 0
+    assert curves._node_certificate(record.curve, record.nodes)
+
+
+def test_node_certificate_declines_what_is_no_node():
+    # cusps, tacnodes and ordinary quadruple points are left to the comparison
+    for name in ("cusp", "pair", "tacnodal", "four-lines"):
+        gamma, locus = _certificate_case(name)
+        assert curves._node_certificate(gamma, locus) is None
+        assert singular_locus_complete(gamma, locus)
+    non_reduced = parse_form("(x-2z)^2*(x^2+y^2-4z^2)", PLANE)
+    assert curves._node_certificate(non_reduced, [point(2, 0, 1)]) is None
+
+
+@pytest.mark.parametrize("example_id", _CATALOG_CURVES)
+def test_node_certificate_decides_each_catalog_curve(example_id, monkeypatch):
+    # the comparison with the locus is not reached: a silent fallback to it
+    # fails here, not only in the benchmark
+    def no_search(gamma):
+        raise AssertionError("the singular locus was searched")
+
+    monkeypatch.setattr(curves, "_first_locus", no_search)
+    record = load_example(example_id)
+    assert singular_locus_complete(record.curve, record.nodes)
+    if example_id == "split7-24":
+        from splitcurves.quartics import surface_singular_locus_complete
+
+        record = load_example(example_id)
+        assert surface_singular_locus_complete(record.surface, record.surface_nodes)
 
 
 # -- resultants: the rational Sylvester determinant, kept as an oracle -------
