@@ -11,6 +11,7 @@ undetermined outcome, 64 usage errors, 65 malformed input data.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -293,9 +294,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call of a process and reused after:
+    parsing leaves it as it was, and each call gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SplitCurvesError as exc:

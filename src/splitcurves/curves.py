@@ -34,8 +34,10 @@ end gives the resultant of the inputs.  The gcd of the two eliminants is
 ``upoly_gcd``'s: GCDHEU, with the primitive remainder sequence as fallback.
 A shear that leaves a singular point on z = 0 is refused from two binary
 substitutions, before the curve is composed with it, and the fibers over
-the eliminant's factors are built in integers.  A curve keeps its locus, so
-every check on one Form shares one search.
+the eliminant's factors are built in integers.  A curve keeps its locus
+and its discriminant (the shear and D), never a verdict on a claim, so
+every check on one Form shares one search and one D, and a second claim
+reruns every other check of the certificate.
 """
 
 import itertools
@@ -78,7 +80,7 @@ from .forms import (
     transform_point,
 )
 from .linalg import dependent_subsets, mat_det, mat_inv, rref
-from .linsys import FormSpace, SubsetSystems, cond_point, system_solve
+from .linsys import FormSpace, SubsetSystems, _point_rows, system_solve
 from .scalars import QQ, ZERO, ONE, clear_denominators, over_common_denominator
 
 
@@ -183,6 +185,10 @@ def shear_matrix(index):
         if mat_det(m) != 0:
             return m
     raise AssertionError("could not build a shear matrix")
+
+
+# shear 0: a claim is read at it as it stands
+_IDENTITY = shear_matrix(0)
 
 
 def _elimination_weights(index):
@@ -617,8 +623,11 @@ def _discriminant(gamma):
     F has a nonzero constant y^d coefficient there, so D is the
     dehomogenized binary form of degree d (d - 1) whose order at a line
     x = t z through the center is the sum of (F, dF/dy)_p over the line's
-    points p, and D vanishes exactly when the curve is not reduced.
+    points p, and D vanishes exactly when the curve is not reduced.  The
+    curve keeps the pair, so every check on the same Form reads one D.
     """
+    if gamma._disc is not None:
+        return gamma._disc
     for idx in range(MAX_SHEARS):
         m = shear_matrix(idx)
         if scalar_is_zero(gamma.eval([row[1] for row in m])):
@@ -628,8 +637,38 @@ def _discriminant(gamma):
         for (i, j), c in biv.items():
             if j:
                 dbiv[(i, j - 1)] = dbiv.get((i, j - 1), ZERO) + j * c
-        return m, resultant_y(biv, dbiv)
+        gamma._disc = m, resultant_y(biv, dbiv)
+        return gamma._disc
     return None
+
+
+def _singular_at_all(form, points):
+    """Do all first partials of ``form`` (degree >= 1) vanish at every point?
+
+    Each partial is an integer row over one denominator on the monomial
+    basis of degree d - 1, read against that basis evaluated once per point
+    (``monomial_values``), as ``verify_node`` reads the second partials.
+    """
+    n = len(form.variables)
+    lower = monomial_basis(n, form.degree - 1)
+    index = {e: i for i, e in enumerate(lower)}
+    rows = [[0] * len(lower) for _ in range(n)]
+    for expo, a in zip(form.terms, clear_denominators(list(form.terms.values()))):
+        for k, e in enumerate(expo):
+            if e:
+                lowered = list(expo)
+                lowered[k] -= 1
+                rows[k][index[tuple(lowered)]] = e * a
+    for p in points:
+        values, den = monomial_values(p.coords, lower, p.field)
+        if p.field is None:
+            if any(sum(map(mul, row, values)) for row in rows):
+                return False
+        elif not all(
+            scalar_is_zero(combine_values(row, values, den, p.field)) for row in rows
+        ):
+            return False
+    return True
 
 
 def _node_certificate(gamma, claimed):
@@ -650,19 +689,18 @@ def _node_certificate(gamma, claimed):
         return None
     if any(p.field is not None and p.field.degree < 2 for p in claimed):
         return None
-    partials = gamma.partials()
-    if not all(scalar_is_zero(q.eval(p.coords)) for p in claimed for q in partials):
+    if not _singular_at_all(gamma, claimed):
         return None
     found = _discriminant(gamma)
     if found is None or found[1].is_zero():
         return None
     m, disc = found
-    minv = mat_inv(m)
+    minv = None if m == _IDENTITY else mat_inv(m)
     prod = [1]
     seen = set()
     at_infinity = 0
     for p in claimed:
-        moved = transform_point(minv, p)
+        moved = p if minv is None else transform_point(minv, p)
         if scalar_is_zero(moved.coords[2]):
             if p.field is not None:
                 return None
@@ -738,7 +776,7 @@ def irreducibility_sextic(gamma, nodes):
             k = sum(units[i].orbit_size() for i in subset)
             if k < r - 2 or systems.dimension(subset) < 0:
                 continue
-            rows = [row for i in subset for row in cond_point(space, units[i])]
+            rows = [row for i in subset for row in _point_rows(space, units[i])]
             report = system_solve(space, rows)
             for conic in report.kernel:
                 if classify_conic(conic) == "smooth":

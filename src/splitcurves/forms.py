@@ -111,12 +111,14 @@ _EXPONENTS = {}
 class Form:
     """Homogeneous multivariate form in 3 or 4 variables over QQ.
 
-    A plane curve keeps its singular locus once ``curves`` has computed it
-    (``_locus``: the shear and the locus there), so every check on the same
-    curve shares one shear search.
+    A plane curve keeps what ``curves`` computes about it once: its singular
+    locus (``_locus``: the shear and the locus there) and its discriminant
+    (``_disc``: the shear m and D = Res_y(F, dF/dy) there), so every check
+    on the same curve shares one shear search and one discriminant.  Only
+    these are kept, never a verdict on a claim.
     """
 
-    __slots__ = ("variables", "degree", "terms", "_locus")
+    __slots__ = ("variables", "degree", "terms", "_locus", "_disc")
 
     def __init__(self, variables, degree, terms):
         variables = tuple(variables)
@@ -138,6 +140,7 @@ class Form:
         self.degree = degree
         self.terms = clean
         self._locus = None
+        self._disc = None
 
     @classmethod
     def _clean(cls, variables, degree, terms):
@@ -149,6 +152,7 @@ class Form:
         out.degree = degree
         out.terms = terms
         out._locus = None
+        out._disc = None
         return out
 
     # -- constructors
@@ -263,12 +267,12 @@ class Form:
     def partial(self, i):
         terms = {}
         for expo, coeff in self.terms.items():
-            if expo[i] == 0:
-                continue
-            e = list(expo)
-            e[i] -= 1
-            terms[tuple(e)] = coeff * expo[i]
-        return Form(self.variables, max(self.degree - 1, 0), terms)
+            if expo[i]:
+                e = list(expo)
+                e[i] -= 1
+                e = tuple(e)
+                terms[_EXPONENTS.setdefault(e, e)] = coeff * expo[i]
+        return Form._clean(self.variables, max(self.degree - 1, 0), terms)
 
     def partials(self):
         return [self.partial(i) for i in range(len(self.variables))]

@@ -414,14 +414,16 @@ def test_verify_example_split7_24_tests_general_position_once(monkeypatch):
 def test_verify_example_split7_24_searches_no_plane_locus(monkeypatch):
     # the plane check and the surface's locus check ask about the same
     # sextic; the discriminant certificate settles both, so no shear of the
-    # elimination core is tried
+    # elimination core is tried, and the sextic keeps its one discriminant
+    # (the only resultant taken) for the second check and the reducedness flag
     from splitcurves import curves
 
     calls = _count_calls(
-        monkeypatch, ((curves, "_sheared_locus"), (curves, "_node_certificate"))
+        monkeypatch,
+        ((curves, "_sheared_locus"), (curves, "_node_certificate"), (curves, "resultant_y")),
     )
     assert run_verify_example("split7-24").overall
-    assert calls == {"_node_certificate": 2}
+    assert calls == {"_node_certificate": 2, "resultant_y": 1}
 
 
 def test_split7_24_criterion_check_fails_when_the_decision_skipped_it():

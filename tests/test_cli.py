@@ -35,6 +35,28 @@ def test_verify_example_json_is_byte_identical(capsys):
     assert payload["splitting"]["unassigned_base_points"] == "not certified"
 
 
+def test_the_parser_is_built_once_and_left_as_it_was(capsys):
+    # a usage error, a data error and a call without --json between two
+    # calls leave the bytes of the second the bytes of the first
+    from splitcurves import cli
+
+    cli._parser.cache_clear()
+    first = run_cli(capsys, "verify-example", "split6", "--json")
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-example", "split6", "--height", "5"])
+    assert exc.value.code == 64
+    capsys.readouterr()
+    assert run_cli(capsys, "verify-example", "split6", "--json") == first
+    code, _out, _err = run_cli(capsys, "analyze", "--curve", "x^2+y", "--conic", "z^2-4xy")
+    assert code == 65
+    assert run_cli(capsys, "verify-example", "split6", "--json") == first
+    code, out, _err = run_cli(capsys, "verify-example", "split6")
+    assert code == 0 and "overall: pass" in out
+    assert run_cli(capsys, "verify-example", "split6", "--json") == first
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_failed_factor_verification_shows_in_report(capsys, monkeypatch):
     # the search itself accepts only verified factors, so the re-check in the
     # report is made to fail after the decision has been taken

@@ -782,6 +782,78 @@ def test_node_certificate_decides_each_catalog_curve(example_id, monkeypatch):
         assert surface_singular_locus_complete(record.surface, record.surface_nodes)
 
 
+def test_a_curve_keeps_one_discriminant_for_both_checks(monkeypatch):
+    record = load_example("split6")
+    calls = []
+    original = curves.resultant_y
+
+    def counted(biv1, biv2):
+        calls.append(1)
+        return original(biv1, biv2)
+
+    monkeypatch.setattr(curves, "resultant_y", counted)
+    assert singular_locus_complete(record.curve, record.nodes)
+    assert curve_is_reduced(record.curve)
+    assert curves._discriminant(record.curve) is curves._discriminant(record.curve)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", _CATALOG_CURVES + ("two-orbits", "nodal-cubic"))
+def test_a_kept_discriminant_decides_no_later_claim(name):
+    # the curve keeps D, not a verdict: after the true claim, every wrong
+    # claim on the same Form gets the verdict it gets on a fresh copy
+    gamma, locus = _certificate_case(name)
+    assert curves._node_certificate(gamma, locus) == curves._node_certificate(
+        Form(gamma.variables, gamma.degree, gamma.terms), locus
+    )
+    for kind, claim in _claim_mutants(gamma, locus):
+        fresh = Form(gamma.variables, gamma.degree, gamma.terms)
+        assert curves._node_certificate(gamma, claim) == curves._node_certificate(
+            fresh, claim
+        ), (name, kind)
+
+
+def test_the_singularity_test_reads_every_partial():
+    # at each unit point exactly one partial of x^2 + y^2 + z^2 is nonzero,
+    # and x^2 - y^2 has (0 : 0 : 1) as its only singular point
+    sphere = parse_form("x^2+y^2+z^2", PLANE)
+    for k in range(3):
+        unit = point(*[int(i == k) for i in range(3)])
+        assert not curves._singular_at_all(sphere, [unit])
+    pair = parse_form("x^2-y^2", PLANE)
+    assert curves._singular_at_all(pair, [point(0, 0, 1)])
+    assert curves._singular_at_all(pair, [])
+    assert not curves._singular_at_all(pair, [point(0, 0, 1), point(1, 1, 0)])
+
+
+def test_the_singularity_test_agrees_with_the_partials():
+    rng = rng_for("singularity-test")
+    field = NumberField(UPoly([-2, 0, 1]))
+    cubic = NumberField(UPoly([-3, 1, 0, 1]))
+    for degree in (2, 3, 5):
+        for _ in range(6):
+            gamma = random_form(rng, degree)
+            if gamma.is_zero():
+                continue
+            candidates = [ProjPoint([random_rat(rng, 4) for _ in range(3)]) for _ in range(3)]
+            for f in (field, cubic):
+                coords = [
+                    f.elem([random_rat(rng, 3) for _ in range(f.degree)]) for _ in range(3)
+                ]
+                if not all(scalar_is_zero(c) for c in coords):
+                    candidates.append(ProjPoint(coords))
+            for p in candidates:
+                expected = all(
+                    scalar_is_zero(q.eval(list(p.coords))) for q in gamma.partials()
+                )
+                assert curves._singular_at_all(gamma, [p]) == expected
+    # singular points over Q and over fields of degree 2, 4 and 6, where the
+    # test is true
+    for name in ("split6", "split7-33", "nonsplit7", "two-orbits"):
+        gamma, locus = _certificate_case(name)
+        assert curves._singular_at_all(gamma, locus)
+
+
 # -- resultants: the rational Sylvester determinant, kept as an oracle -------
 
 

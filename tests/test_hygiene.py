@@ -1,8 +1,8 @@
 """Static hygiene of the package: no unused import, no private helper,
-public function, class, method or stored attribute nothing reads, no
-constant defined in two modules, no import inside a function that no import
-cycle needs, no benchmark tracer target that the package no longer
-defines, no call in the README's python examples to a name that the
+public function, class, method or stored attribute nothing reads, no slot
+that a constructor path leaves unassigned, no constant defined in two
+modules, no import inside a function that no import cycle needs, no
+benchmark tracer target that the package no longer defines, no call in the README's python examples to a name that the
 package does not define, and no linear system solved for a kernel that
 nothing reads.
 
@@ -322,6 +322,79 @@ def _unread_slots(modules, readers):
 
 def test_every_stored_attribute_is_read():
     assert _unread_slots(_modules(), _reader_trees()) == []
+
+
+def _constructor_paths(cls):
+    """The methods of a class that build an instance: ``__init__``, and each
+    method that calls ``__new__`` (the ``_clean`` and ``_dense`` paths)."""
+    return [
+        item
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef)
+        and (
+            item.name == "__init__"
+            or any(
+                isinstance(node, ast.Attribute) and node.attr == "__new__"
+                for node in ast.walk(item)
+            )
+        )
+    ]
+
+
+def _unassigned_slots(modules):
+    """``Class.path: slot`` of each slot that a constructor path of its
+    class does not assign: a new instance would keep no value there, or on
+    a path that copies data, the value it was never meant to keep."""
+    out = []
+    for tree in modules.values():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            slots = [s.split(".")[1] for s in _slot_attributes(ast.Module([cls], []))]
+            for path in _constructor_paths(cls):
+                stored = {
+                    node.attr
+                    for node in ast.walk(path)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                }
+                out.extend(
+                    "%s.%s: %s" % (cls.name, path.name, slot)
+                    for slot in slots
+                    if slot not in stored
+                )
+    return out
+
+
+def test_every_constructor_assigns_every_slot():
+    modules = _modules()
+    assert _unassigned_slots(modules) == []
+    paths = {
+        "%s.%s" % (cls.name, path.name)
+        for cls in ast.walk(modules["forms"])
+        if isinstance(cls, ast.ClassDef)
+        for path in _constructor_paths(cls)
+    }
+    assert {"Form.__init__", "Form._clean", "BiForm.__init__", "BiForm._dense"} <= paths
+
+
+def test_the_slot_assignment_check_sees_a_violation():
+    modules = {
+        "a": ast.parse(
+            "class F:\n"
+            "    __slots__ = ('terms', '_kept')\n"
+            "    def __init__(self, terms):\n"
+            "        self.terms = terms\n"
+            "        self._kept = None\n"
+            "    @classmethod\n"
+            "    def _clean(cls, terms):\n"
+            "        out = cls.__new__(cls)\n"
+            "        out.terms = terms\n"
+            "        return out\n"
+            "    def scale(self, c):\n"
+            "        return F({e: c * v for e, v in self.terms.items()})\n"
+        ),
+    }
+    assert _unassigned_slots(modules) == ["F._clean: _kept"]
 
 
 def _module_literals(tree):
