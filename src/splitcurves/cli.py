@@ -238,7 +238,10 @@ def _cmd_syzygetic(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The parser, built on the first call of a process and reused after:
+    parsing leaves it as it was, and each call gets a fresh namespace."""
     parser = _Parser(
         prog="splitcurves",
         description="Exact splitting-type certification for nodal plane "
@@ -294,15 +297,8 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """The parser, built on the first call of a process and reused after:
-    parsing leaves it as it was, and each call gets a fresh namespace."""
-    return build_parser()
-
-
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SplitCurvesError as exc:

@@ -40,7 +40,7 @@ def test_the_parser_is_built_once_and_left_as_it_was(capsys):
     # calls leave the bytes of the second the bytes of the first
     from splitcurves import cli
 
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     first = run_cli(capsys, "verify-example", "split6", "--json")
     assert first[0] == 0
     with pytest.raises(SystemExit) as exc:
@@ -54,7 +54,7 @@ def test_the_parser_is_built_once_and_left_as_it_was(capsys):
     code, out, _err = run_cli(capsys, "verify-example", "split6")
     assert code == 0 and "overall: pass" in out
     assert run_cli(capsys, "verify-example", "split6", "--json") == first
-    assert cli._parser.cache_info().misses == 1
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_failed_factor_verification_shows_in_report(capsys, monkeypatch):
