@@ -50,7 +50,6 @@ from .linsys import (
     LinSysReport,
     cond_divisible_on_conic,
     cond_point,
-    cond_singular,
     system_solve,
 )
 from .quartics import (

@@ -24,7 +24,7 @@ from .conics import (
 )
 from .cover import pullback_curve
 from .curves import irreducibility_sextic, singular_locus_complete, verify_node
-from .errors import CannotCertify, ParseError, SplitCurvesError
+from .errors import CannotCertify, ParseError, SplitCurvesError, TooManyNodes
 from .forms import PLANE_VARS, SPACE_VARS, biform_to_str, form_to_str, parse_form
 from .registry import example_ids, parse_node_spec
 from .reports import (
@@ -126,7 +126,7 @@ def _cmd_analyze(args):
         if gamma.degree == 6:
             try:
                 payload["irreducible"] = irreducibility_sextic(gamma, nodes)
-            except CannotCertify as exc:
+            except (CannotCertify, TooManyNodes) as exc:
                 payload["irreducible"] = "not certified: %s" % exc
         if complete and all(r.is_node for r in reports):
             # the claim is checked: decide without checking it again

@@ -15,13 +15,13 @@ center, the order sum over the line's points p of (F, dF/dy)_p, which by
 Teissier's lemma is mu_p + (F, x)_p - 1: at least 2 at a singular point,
 and exactly 2 only at an ordinary node transversal to the line.  So the
 claim is the whole locus, and every claimed point a node, when each
-claimed point is singular and D is P^2 A, P the product of the claimed x
-minimal polynomials, A squarefree and coprime to P, with the degree drop
-of D counting the claimed points on z = 0.  The certificate only accepts
-or declines.  It declines a claim that is wrong or not of nodes, two orbits
-on the same lines, and a curve that is not reduced; then, as on a curve
-that already keeps its locus, the claim is compared with the locus of
-``singular_points``.  ``curve_is_reduced`` reads the same discriminant.
+claimed point is singular (``verify_node``) and D is P^2 A, P the product
+of the claimed x minimal polynomials, A squarefree and coprime to P, with
+the degree drop of D counting the claimed points on z = 0.  The
+certificate only accepts or declines.  It declines a claim that is wrong or
+not of nodes, two orbits on the same lines, and a curve that is not
+reduced; then the claim is compared with the locus of ``singular_points``.
+``curve_is_reduced`` reads the same discriminant.
 
 The resultants are exact and run in integers.  Each bivariate is scaled to
 coprime integer coefficients, so at an integer x its y-coefficients are
@@ -34,10 +34,10 @@ end gives the resultant of the inputs.  The gcd of the two eliminants is
 ``upoly_gcd``'s: GCDHEU, with the primitive remainder sequence as fallback.
 A shear that leaves a singular point on z = 0 is refused from two binary
 substitutions, before the curve is composed with it, and the fibers over
-the eliminant's factors are built in integers.  A curve keeps its locus
-and its discriminant (the shear and D), never a verdict on a claim, so
-every check on one Form shares one search and one D, and a second claim
-reruns every other check of the certificate.
+the eliminant's factors are built in integers.  A curve keeps one datum,
+its discriminant (the shear and D), never its locus or a verdict on a
+claim, so every check on one Form reads one D, and a second claim reruns
+every other check of the certificate.
 """
 
 import itertools
@@ -80,7 +80,7 @@ from .forms import (
     transform_point,
 )
 from .linalg import dependent_subsets, mat_det, mat_inv, rref
-from .linsys import FormSpace, SubsetSystems, _point_rows, system_solve
+from .linsys import FormSpace, SubsetSystems, cond_point, system_solve
 from .scalars import QQ, ZERO, ONE, clear_denominators, over_common_denominator
 
 
@@ -120,15 +120,20 @@ def verify_node(form, points):
         singular = form.is_zero()
         disc = ZERO if singular else None
         return [NodeReport(p, singular, False, disc) for p in points]
-    first = form.partials()
-    second = {(i, j): first[i].partial(j) for i in range(n) for j in range(i, n)}
-    # each second partial as integers over one denominator, on one basis
+    # each second partial as an integer row over one denominator on the
+    # degree-(d - 2) basis: a x^e adds e_i (e_j - [i = j]) a at x^(e - u_i - u_j)
     lower = monomial_basis(n, form.degree - 2)
-    nums, cden = over_common_denominator(
-        [q.terms.get(e, ZERO) for q in second.values() for e in lower]
-    )
-    width = len(lower)
-    rows = {key: nums[k * width:(k + 1) * width] for k, key in enumerate(second)}
+    index = {e: k for k, e in enumerate(lower)}
+    nums, cden = over_common_denominator(list(form.terms.values()))
+    rows = {(i, j): [0] * len(lower) for i in range(n) for j in range(i, n)}
+    for expo, a in zip(form.terms, nums):
+        for (i, j), row in rows.items():
+            c = expo[i] * (expo[j] - (i == j))
+            if c:
+                lowered = list(expo)
+                lowered[i] -= 1
+                lowered[j] -= 1
+                row[index[tuple(lowered)]] = c * a
     reports = []
     for p in points:
         coords = list(p.coords)
@@ -515,18 +520,12 @@ def _sheared_locus(gamma, m, idx):
 
 def _first_locus(gamma):
     """(shear, locus): the first shear matrix at which ``_sheared_locus``
-    separates the singular points, and the locus it gives there.
-
-    The curve keeps the pair, so later calls on the same Form reuse it.
-    """
-    if gamma._locus is not None:
-        return gamma._locus
+    separates the singular points, and the locus it gives there."""
     for idx in range(MAX_SHEARS):
         m = shear_matrix(idx)
         locus = _sheared_locus(gamma, m, idx)
         if locus is not None:
-            gamma._locus = m, locus
-            return gamma._locus
+            return m, locus
     _raise_if_not_reduced(gamma)
     raise ShearExhausted("%d shears failed to separate the singular points" % MAX_SHEARS)
 
@@ -560,16 +559,16 @@ def singular_locus_complete(gamma, claimed):
     (``_node_certificate``).  The certificate declines a wrong claim, a
     singular point that is no ordinary node or is tangent to its line,
     two orbits on the same lines, an orbit on z = 0, an orbit over a field
-    its x does not generate, and a curve that is not reduced; then, and on
-    a curve that already keeps its locus, the claim is compared with the
-    locus of ``singular_points`` (``_matches_locus``).
+    its x does not generate, and a curve that is not reduced; then the
+    claim is compared with the locus of ``singular_points``
+    (``_matches_locus``).
     """
     if len(gamma.variables) != 3:
         raise FieldMismatch("plane curves only")
     keys = [p.canonical_key() for p in claimed]
     if len(set(keys)) != len(keys):
         raise ValueError("claimed points must be pairwise distinct")
-    if gamma._locus is None and _node_certificate(gamma, claimed):
+    if _node_certificate(gamma, claimed):
         return True
     return _matches_locus(gamma, claimed)
 
@@ -642,54 +641,26 @@ def _discriminant(gamma):
     return None
 
 
-def _singular_at_all(form, points):
-    """Do all first partials of ``form`` (degree >= 1) vanish at every point?
-
-    Each partial is an integer row over one denominator on the monomial
-    basis of degree d - 1, read against that basis evaluated once per point
-    (``monomial_values``), as ``verify_node`` reads the second partials.
-    """
-    n = len(form.variables)
-    lower = monomial_basis(n, form.degree - 1)
-    index = {e: i for i, e in enumerate(lower)}
-    rows = [[0] * len(lower) for _ in range(n)]
-    for expo, a in zip(form.terms, clear_denominators(list(form.terms.values()))):
-        for k, e in enumerate(expo):
-            if e:
-                lowered = list(expo)
-                lowered[k] -= 1
-                rows[k][index[tuple(lowered)]] = e * a
-    for p in points:
-        values, den = monomial_values(p.coords, lower, p.field)
-        if p.field is None:
-            if any(sum(map(mul, row, values)) for row in rows):
-                return False
-        elif not all(
-            scalar_is_zero(combine_values(row, values, den, p.field)) for row in rows
-        ):
-            return False
-    return True
-
-
 def _node_certificate(gamma, claimed):
     """True when the discriminant proves the claim to be the singular
     locus, each claimed point an ordinary node; None when it declines, as
     it does whenever a condition fails, so it never rejects or raises.
 
     With (m, D) from ``_discriminant`` and the claim moved by m^-1: every
-    claimed point is singular; P, the product of the primitive minimal
-    polynomials of the claimed x / z, has one factor per point of degree
-    its orbit size and no irrational factor twice; D = P^2 A in Z[x] with
-    A squarefree and coprime to P; and deg D = d (d - 1) - 2 k, k the
-    claimed points on z = 0 (the module docstring gives the argument).  A
-    point over a field of degree one, which may be a second copy of a
-    rational point, and an orbit on z = 0 are declined outright.
+    claimed point is singular (``verify_node``); P, the product of the
+    primitive minimal polynomials of the claimed x / z, has one factor per
+    point of degree its orbit size and no irrational factor twice;
+    D = P^2 A in Z[x] with A squarefree and coprime to P; and
+    deg D = d (d - 1) - 2 k, k the claimed points on z = 0 (the module
+    docstring gives the argument).  A point over a field of degree one,
+    which may be a second copy of a rational point, and an orbit on z = 0
+    are declined outright.
     """
     if gamma.degree < 2 or any(len(p.coords) != 3 for p in claimed):
         return None
     if any(p.field is not None and p.field.degree < 2 for p in claimed):
         return None
-    if not _singular_at_all(gamma, claimed):
+    if not all(rep.is_singular for rep in verify_node(gamma, claimed)):
         return None
     found = _discriminant(gamma)
     if found is None or found[1].is_zero():
@@ -776,7 +747,7 @@ def irreducibility_sextic(gamma, nodes):
             k = sum(units[i].orbit_size() for i in subset)
             if k < r - 2 or systems.dimension(subset) < 0:
                 continue
-            rows = [row for i in subset for row in _point_rows(space, units[i])]
+            rows = [row for i in subset for row in cond_point(space, units[i])]
             report = system_solve(space, rows)
             for conic in report.kernel:
                 if classify_conic(conic) == "smooth":

@@ -111,14 +111,13 @@ _EXPONENTS = {}
 class Form:
     """Homogeneous multivariate form in 3 or 4 variables over QQ.
 
-    A plane curve keeps what ``curves`` computes about it once: its singular
-    locus (``_locus``: the shear and the locus there) and its discriminant
-    (``_disc``: the shear m and D = Res_y(F, dF/dy) there), so every check
-    on the same curve shares one shear search and one discriminant.  Only
-    these are kept, never a verdict on a claim.
+    A plane curve keeps one datum that ``curves`` computes about it: its
+    discriminant (``_disc``: the shear m and D = Res_y(F, dF/dy) there), so
+    every check on the same curve reads one D.  Nothing else is kept, never
+    a verdict on a claim.
     """
 
-    __slots__ = ("variables", "degree", "terms", "_locus", "_disc")
+    __slots__ = ("variables", "degree", "terms", "_disc")
 
     def __init__(self, variables, degree, terms):
         variables = tuple(variables)
@@ -139,7 +138,6 @@ class Form:
         self.variables = variables
         self.degree = degree
         self.terms = clean
-        self._locus = None
         self._disc = None
 
     @classmethod
@@ -151,7 +149,6 @@ class Form:
         out.variables = variables
         out.degree = degree
         out.terms = terms
-        out._locus = None
         out._disc = None
         return out
 

@@ -1,12 +1,12 @@
 """Linear systems of plane curves and of forms on P^3.
 
-A condition (incidence, singularity, divisor divisibility on a conic) is a
-row: a plain tuple of exact numbers (rationals, or integers for
-divisibility) indexed by a fixed monomial basis.  A conjugate point over
-QQ[a]/(p) contributes deg(p) rows, one per power-basis coordinate, which
-encodes vanishing along its whole Galois orbit.  The
-entries of point and singularity rows come from ``forms.monomial_values``,
-the integer evaluation kernel of ``Form.eval``.  Rows are
+A condition (incidence at a point, divisor divisibility on a conic) is a
+row: a plain tuple of integers indexed by a fixed monomial basis.  A
+conjugate point over QQ[a]/(p) contributes deg(p) rows, one per power-basis
+coordinate, which encodes vanishing along its whole Galois orbit.  The
+entries of point rows come from ``forms.monomial_values``, the integer
+evaluation kernel of ``Form.eval``: the monomial values times one common
+denominator, which scales the rows and leaves their kernel.  Rows are
 immutable, so a caller that solves over many subsets of one node list builds
 each node's rows once and joins them per subset.  Dimensions and kernels are
 exact: one fraction-free elimination gives the kernel, as content-normalized
@@ -20,7 +20,6 @@ from .arith import _dehomogenized, _times_gen
 from .errors import FieldMismatch
 from .forms import PLANE_VARS, Form, monomial_basis, monomial_values
 from .linalg import SubsetRanks, kernel_basis, rank_bareiss
-from .scalars import QQ
 
 
 class FormSpace:
@@ -63,53 +62,16 @@ class LinSysReport:
         )
 
 
-def _values(p, expos):
-    """The monomials ``expos`` at p as integer vectors over one denominator:
-    ``monomial_values``, with a rational value as a vector of length one."""
-    values, den = monomial_values(p.coords, expos, p.field)
-    if p.field is None:
-        values = [[v] for v in values]
-    return values, den
-
-
-def _rows(columns, den):
-    """One row of exact entries per coordinate of the integer columns."""
-    return [tuple(QQ(x, den) for x in row) for row in zip(*columns)]
-
-
 def cond_point(space, p):
-    """Vanishing at a point (or at its full conjugate orbit)."""
+    """Vanishing at a point (or at its full conjugate orbit): the monomial
+    values at p times one common denominator, one integer row per
+    power-basis coordinate."""
     if len(p.coords) != len(space.variables):
         raise FieldMismatch("point dimension does not match the space")
-    return _rows(*_values(p, space.basis))
-
-
-def cond_singular(space, p):
-    """Vanishing of all partial derivatives at a point (orbit-aware).
-
-    The Euler relation makes the value condition redundant; all partial rows
-    are emitted and rank computation absorbs any redundancy.  The monomials
-    of degree one less are evaluated once and shared by the partials.
-    """
-    nvars = len(space.variables)
-    if len(p.coords) != nvars:
-        raise FieldMismatch("point dimension does not match the space")
-    lower = monomial_basis(nvars, space.degree - 1)
-    values, den = _values(p, lower)
-    at = dict(zip(lower, values))
-    zero = [0] * p.orbit_size()
-    rows = []
-    for k in range(nvars):
-        columns = []
-        for expo in space.basis:
-            if expo[k] == 0:
-                columns.append(zero)
-                continue
-            de = list(expo)
-            de[k] -= 1
-            columns.append([expo[k] * x for x in at[tuple(de)]])
-        rows.extend(_rows(columns, den))
-    return rows
+    values, _den = monomial_values(p.coords, space.basis, p.field)
+    if p.field is None:
+        return [tuple(values)]
+    return list(zip(*values))
 
 
 def cond_divisible_on_conic(degree, t_form):
@@ -173,13 +135,6 @@ def system_solve(space, rows):
     )
 
 
-def _point_rows(space, p):
-    """The ``cond_point`` rows of p times one common denominator, in integers."""
-    if len(p.coords) != len(space.variables):
-        raise FieldMismatch("point dimension does not match the space")
-    return list(zip(*_values(p, space.basis)[0]))
-
-
 def _check_shared(space, shared):
     if any(len(r) != space.size() for r in shared):
         raise FieldMismatch("condition row length does not match the space")
@@ -188,23 +143,22 @@ def _check_shared(space, shared):
 def system_dimension(space, shared, points):
     """Exact projective dimension of the system of one space cut out by the
     ``shared`` rows and by vanishing at ``points``, by rank alone: no kernel
-    is built, and the point rows are built in integers."""
+    is built."""
     _check_shared(space, shared)
-    rows = list(shared) + [r for p in points for r in _point_rows(space, p)]
+    rows = list(shared) + [r for p in points for r in cond_point(space, p)]
     return space.size() - rank_bareiss(rows) - 1
 
 
 class SubsetSystems:
     """Projective dimensions of the systems of one space cut out by the
     ``shared`` rows and by vanishing at a subset of ``points``, decided by
-    rank alone (``linalg.SubsetRanks``).  Each point's rows are built in
-    integers once; no kernel is built, and ``system_solve`` gives it where
-    one is read.
+    rank alone (``linalg.SubsetRanks``).  Each point's rows are built once;
+    no kernel is built, and ``system_solve`` gives it where one is read.
     """
 
     def __init__(self, space, shared, points):
         _check_shared(space, shared)
-        blocks = [_point_rows(space, p) for p in points]
+        blocks = [cond_point(space, p) for p in points]
         self._ncols = space.size()
         self._ranks = SubsetRanks(shared, blocks, self._ncols)
 

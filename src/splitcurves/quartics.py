@@ -39,7 +39,7 @@ from .forms import (
     w_slices,
 )
 from .linalg import dependent_subsets, kernel_basis, rank_bareiss, solve_linear
-from .linsys import FormSpace, SubsetSystems, _point_rows, system_solve
+from .linsys import FormSpace, SubsetSystems, cond_point, system_solve
 from .scalars import QQ, ZERO, ONE
 
 CENTER = ProjPoint([ZERO, ZERO, ZERO, ONE])
@@ -267,7 +267,7 @@ def syzygetic_test(surface_form, nodes):
         gp = general_position_p3([nodes[i] for i in subset])
         position = gp if len(nodes) == 8 else None
         if gp and systems.dimension(subset) == 2:
-            report = system_solve(space, [r for i in subset for r in _point_rows(space, nodes[i])])
+            report = system_solve(space, [r for i in subset for r in cond_point(space, nodes[i])])
             return SyzygeticResult(True, subset, report, position)
     return SyzygeticResult(False, None, None, position)
 
@@ -306,7 +306,7 @@ def detect_33_configuration(surface, nodes):
         if next(dependent_subsets(plane_rows, 4, 2), None) is not None:
             continue
         space = FormSpace(2, PLANE_VARS)
-        report = system_solve(space, [r for q in plane_pts for r in _point_rows(space, q)])
+        report = system_solve(space, [r for q in plane_pts for r in cond_point(space, q)])
         if report.dimension < 0:
             continue
         return {

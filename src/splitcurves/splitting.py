@@ -63,8 +63,8 @@ from .linalg import dependent_subsets, kernel_basis, mat_inv, primitive_vector
 from .linsys import (
     FormSpace,
     SubsetSystems,
-    _point_rows,
     cond_divisible_on_conic,
+    cond_point,
     system_dimension,
     system_solve,
 )
@@ -282,7 +282,7 @@ def necessary_dim_check(gamma, nodes, contact_form, m, n):
         # whose kernel the linear route reads: solve it outright rather than
         # eliminate its rows twice
         rep = system_solve(
-            space_n, div_rows + [r for i in subset for r in _point_rows(space_n, nodes[i])]
+            space_n, div_rows + [r for i in subset for r in cond_point(space_n, nodes[i])]
         )
         dim_n = rep.dimension
         if dim_n < n - m:
@@ -832,7 +832,7 @@ def criterion_24_7nodal(gamma, nodes, contact_form):
     collinear = list(dependent_subsets([p.primitive() for p in nodes], 3, 2))
     details["collinear_triples"] = collinear
     for triple in collinear:
-        rows = div_rows + [r for i in triple for r in _point_rows(space3, nodes[i])]
+        rows = div_rows + [r for i in triple for r in cond_point(space3, nodes[i])]
         rep = system_solve(space3, rows)
         for member in rep.kernel:
             if not restrict_to_conic(member, delta2_param()).is_zero():

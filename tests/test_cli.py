@@ -221,6 +221,31 @@ def test_analyze_decides_nothing_on_an_incomplete_node_claim(tmp_path, capsys):
     assert "splitting" not in payload
 
 
+def test_analyze_reports_a_sextic_claim_of_more_than_seven_nodes(tmp_path, capsys):
+    # the irreducibility criterion covers at most 7 nodes: an eight-point
+    # claim is reported as not certified, and the claim is still checked
+    nodes = tmp_path / "eight.json"
+    nodes.write_text(json.dumps(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3], [2, 1, 5], [3, -1, 2], [1, -2, 7]]
+    ))
+    code, out, err = run_cli(
+        capsys,
+        "analyze",
+        "--curve",
+        "x^6+y^6+z^6",
+        "--conic",
+        "z^2-4*x*y",
+        "--nodes",
+        str(nodes),
+        "--json",
+    )
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["irreducible"] == "not certified: criterion valid for at most 7 nodes, got 8"
+    assert payload["nodes_are_nodes"] == [False] * 8
+    assert payload["singular_locus_complete"] is False
+
+
 def test_analyze_rejects_an_orbit_over_a_field_its_point_does_not_need(
     tmp_path, capsys
 ):

@@ -260,26 +260,108 @@ def test_verify_node_matches_the_parent_chart_test(gamma6, gamma6_orbit):
                 assert (nvars, size, verdict) in seen
 
 
+def _orbit_ideal_over(rng, variables, field):
+    """(point, generators): a point whose first coordinate generates
+    ``field`` (a rational point when it is None), and forms generating the
+    ideal of its orbit: the homogenized minimal polynomial of the first
+    coordinate and one linear form per other affine coordinate."""
+    first, last = variables[0], variables[-1]
+    n = len(variables)
+    if field is None:
+        x = QQ(rng.randint(-3, 3))
+        gens = [parse_form("%s - %d*%s" % (first, x, last), variables)]
+    else:
+        x = field.gen()
+        q = field.minimal_polynomial.coeffs
+        degree = len(q) - 1
+        terms = {(k,) + (0,) * (n - 2) + (degree - k,): c for k, c in enumerate(q)}
+        gens = [Form(variables, degree, terms)]
+    coords = [x]
+    for v in variables[1:-1]:
+        a, e = rng.randint(-3, 3), rng.randint(-3, 3)
+        coords.append(x * e + a)
+        gens.append(parse_form("%s - %d*%s - %d*%s" % (v, a, last, e, first), variables))
+    coords.append(QQ(1) if field is None else field.one())
+    return ProjPoint(coords), gens
+
+
+def _hessian_oracle_verdict(form, p):
+    """(is_singular, minor): H(p) read entry by entry as ``Form.eval`` of
+    ``Form.partial`` applied twice; p is singular iff H(p) p = 0."""
+    coords = list(p.coords)
+    n = len(coords)
+    h = [[form.partial(i).partial(j).eval(coords) for j in range(n)] for i in range(n)]
+    singular = all(scalar_is_zero(sum((a * c for a, c in zip(row, coords)), QQ(0))) for row in h)
+    return singular, (_hessian_minor_oracle(form, p) if singular else None)
+
+
+def test_verify_node_agrees_with_the_twice_differentiated_form():
+    # forms of degree 2-5 in 3 and 4 variables, singular at a rational
+    # point, an orbit over Q(sqrt 2) or one over a cubic field (a random
+    # member of the square of its ideal), and random forms through none of
+    # them, moved by a random integer matrix
+    rng = rng_for("verify_node twice-differentiated oracle")
+    fields = [None, NumberField(UPoly([-2, 0, 1])), NumberField(UPoly([-3, 1, 0, 1]))]
+    seen = set()
+    for variables in (PLANE, SPACE):
+        nvars = len(variables)
+        for degree in range(2, 6):
+            for field in fields:
+                p, gens = _orbit_ideal_over(rng, variables, field)
+                squares = [g * h for g, h in itertools.combinations_with_replacement(gens, 2)]
+                while True:
+                    m = [[QQ(rng.randint(-2, 2)) for _ in p.coords] for _ in p.coords]
+                    if mat_det(m) != 0:
+                        break
+                points = [transform_point(mat_inv(m), p)] + [
+                    _random_point(rng, nvars, f) for f in fields
+                ]
+                for form in (
+                    _in_ideal(rng, nvars, degree, squares),
+                    random_form(rng, degree, nvars),
+                ):
+                    moved = compose_form(form, m)
+                    for q, rep in zip(points, verify_node(moved, points)):
+                        singular, minor = _hessian_oracle_verdict(moved, q)
+                        assert rep.is_singular == singular
+                        assert rep.local_quadratic_discriminant == minor
+                        assert rep.is_node == (singular and not scalar_is_zero(minor))
+                        seen.add((nvars, degree, q.orbit_size(), singular, rep.is_node))
+    for nvars in (3, 4):
+        for degree in range(2, 6):
+            for size in (1, 2, 3):
+                assert (nvars, degree, size, False, False) in seen
+                assert {(nvars, degree, size, True, node) for node in (True, False)} & seen
+        # nodes and worse singular points of each variable count
+        assert {(True, True), (True, False)} <= {key[3:] for key in seen if key[0] == nvars}
+
+
 @pytest.mark.parametrize("nvars", [3, 4])
 def test_verify_node_builds_the_hessian_once_per_call(monkeypatch, nvars):
     rng = rng_for("hessian builds %d" % nvars)
     form = random_form(rng, 4, nvars)
     points = [_random_point(rng, nvars, None) for _ in range(6)]
     builds = []
-    partial = Form.partial
+    over_common_denominator = curves.over_common_denominator
 
-    def counted(self, i):
-        builds.append(i)
-        return partial(self, i)
+    def counted(values):
+        # the Hessian rows are read off the form's coefficients over one
+        # denominator; a point's coordinates are other values
+        if values == list(form.terms.values()):
+            builds.append(1)
+        return over_common_denominator(values)
 
-    monkeypatch.setattr(Form, "partial", counted)
+    def no_partial(self, i):
+        raise AssertionError("a partial Form was built")
+
+    monkeypatch.setattr(curves, "over_common_denominator", counted)
+    monkeypatch.setattr(Form, "partial", no_partial)
     counts = []
     for k in (1, 2, 6):
         del builds[:]
         verify_node(form, points[:k])
         counts.append(len(builds))
-    # the nvars first partials and the nvars (nvars + 1) / 2 second ones
-    assert counts == [nvars + nvars * (nvars + 1) // 2] * 3
+    assert counts == [1, 1, 1]
 
 
 def test_verify_node_rejects_a_point_of_another_dimension():
@@ -474,19 +556,12 @@ def test_claim_check_and_singular_points_share_one_shear_search(
     singular_points(record.curve)
     search = list(calls)
     del calls[:]
-    # a fresh record: the first curve keeps its locus; a claim short of one
-    # node is declined by the discriminant certificate, so the comparison
-    # with the locus decides it
-    record = load_example(example_id)
+    # a claim short of one node is declined by the discriminant
+    # certificate, so the comparison with the locus decides it
     assert not singular_locus_complete(record.curve, record.nodes[:-1])
     # the same shears, and the locus is computed once
     assert calls == search and len(calls) == shears
     assert [found for _idx, found in calls].count(True) == 1
-    # on the same curve the kept locus answers both entry points
-    del calls[:]
-    assert singular_locus_complete(record.curve, record.nodes)
-    singular_points(record.curve)
-    assert calls == []
 
 
 def test_rational_points_over_one_x_are_kept_and_conjugate_ones_are_not():
@@ -813,17 +888,21 @@ def test_a_kept_discriminant_decides_no_later_claim(name):
         ), (name, kind)
 
 
+def _singular_at_all(form, points):
+    return all(rep.is_singular for rep in verify_node(form, points))
+
+
 def test_the_singularity_test_reads_every_partial():
     # at each unit point exactly one partial of x^2 + y^2 + z^2 is nonzero,
     # and x^2 - y^2 has (0 : 0 : 1) as its only singular point
     sphere = parse_form("x^2+y^2+z^2", PLANE)
     for k in range(3):
         unit = point(*[int(i == k) for i in range(3)])
-        assert not curves._singular_at_all(sphere, [unit])
+        assert not _singular_at_all(sphere, [unit])
     pair = parse_form("x^2-y^2", PLANE)
-    assert curves._singular_at_all(pair, [point(0, 0, 1)])
-    assert curves._singular_at_all(pair, [])
-    assert not curves._singular_at_all(pair, [point(0, 0, 1), point(1, 1, 0)])
+    assert _singular_at_all(pair, [point(0, 0, 1)])
+    assert _singular_at_all(pair, [])
+    assert not _singular_at_all(pair, [point(0, 0, 1), point(1, 1, 0)])
 
 
 def test_the_singularity_test_agrees_with_the_partials():
@@ -846,12 +925,12 @@ def test_the_singularity_test_agrees_with_the_partials():
                 expected = all(
                     scalar_is_zero(q.eval(list(p.coords))) for q in gamma.partials()
                 )
-                assert curves._singular_at_all(gamma, [p]) == expected
+                assert _singular_at_all(gamma, [p]) == expected
     # singular points over Q and over fields of degree 2, 4 and 6, where the
     # test is true
     for name in ("split6", "split7-33", "nonsplit7", "two-orbits"):
         gamma, locus = _certificate_case(name)
-        assert curves._singular_at_all(gamma, locus)
+        assert _singular_at_all(gamma, locus)
 
 
 # -- resultants: the rational Sylvester determinant, kept as an oracle -------

@@ -12,7 +12,6 @@ from splitcurves.linsys import (
     SubsetSystems,
     cond_divisible_on_conic,
     cond_point,
-    cond_singular,
     system_dimension,
     system_solve,
 )
@@ -63,32 +62,6 @@ def test_cond_point_all_ones():
     rows = cond_point(space, point(1, 1, 1))
     assert len(rows) == 1 and len(rows[0]) == 10
     assert all(c == 1 for c in rows[0])
-
-
-def test_cond_singular_space_point():
-    space = FormSpace(2, SPACE)
-    rows = cond_singular(space, ProjPoint([ZERO, ZERO, ZERO, QQ(1)]))
-    assert len(rows) == 4
-    rep = system_solve(space, rows)
-    assert rep.rank == 4 and rep.dimension == 5
-    # the kernel is exactly the quadrics in x, y, z
-    for quad in rep.kernel:
-        assert all(expo[3] == 0 for expo in quad.terms)
-
-
-def test_cond_singular_plane_point():
-    space = FormSpace(2)
-    rows = cond_singular(space, point(0, 0, 1))
-    rep = system_solve(space, rows)
-    assert rep.dimension == 2
-    kernel_strs = {tuple(sorted(k.terms)) for k in rep.kernel}
-    assert kernel_strs == {((2, 0, 0),), ((1, 1, 0),), ((0, 2, 0),)}
-
-
-def test_cond_singular_generic_rank_three():
-    space = FormSpace(4)
-    rows = cond_singular(space, point(1, 2, 3))
-    assert rank_bareiss(rows) == 3
 
 
 def test_divisibility_rows_on_split6_contact_form(gamma6):
@@ -267,27 +240,6 @@ def _cond_point_oracle(space, p, provenance=None):
     return _rows_from_values_oracle(values, p.field, prov)
 
 
-def _cond_singular_oracle(space, p, provenance=None):
-    nvars = len(space.variables)
-    prov = provenance or "singular at %r" % (p,)
-    rows = []
-    for k in range(nvars):
-        values = []
-        for expo in space.basis:
-            if expo[k] == 0:
-                values.append(ZERO if p.field is None else p.field.zero())
-                continue
-            de = list(expo)
-            de[k] -= 1
-            values.append(expo[k] * _monomial_eval_oracle(p.coords, tuple(de)))
-        rows.extend(
-            _rows_from_values_oracle(
-                values, p.field, "%s [d/d%s]" % (prov, space.variables[k])
-            )
-        )
-    return rows
-
-
 def _random_points(rng, nvars):
     """Rational points and conjugate points over fields of degree 2 and 3."""
     fields = [
@@ -306,18 +258,21 @@ def _random_points(rng, nvars):
     return pts
 
 
-def test_point_and_singular_rows_match_oracle():
+def test_point_rows_match_oracle():
+    # the integer rows are the oracle's rational rows times one positive
+    # denominator per point, so they cut out the same kernel
     rng = rng_for("rows-oracle")
     for variables in (PLANE, SPACE):
         for degree in range(1, 7):
             space = FormSpace(degree, variables)
             for p in _random_points(rng, len(variables)):
                 rows = cond_point(space, p)
-                assert rows == [c.row for c in _cond_point_oracle(space, p)]
-                assert all(type(x) is type(ZERO) for r in rows for x in r)
-                assert cond_singular(space, p) == [
-                    c.row for c in _cond_singular_oracle(space, p)
-                ]
+                expected = [c.row for c in _cond_point_oracle(space, p)]
+                assert all(type(x) is int for r in rows for x in r)
+                assert len(rows) == len(expected)
+                den = next(a / b for r, e in zip(rows, expected) for a, b in zip(r, e) if b)
+                assert den > 0
+                assert rows == [tuple(den * x for x in e) for e in expected]
 
 
 def _divisibility_rows_oracle(degree, t_form, provenance=None):
