@@ -29,6 +29,7 @@ from .conics import (
 from .cover import involution_biform, pullback_curve, ram_form
 from .curves import (
     NodeReport,
+    check_claim,
     irreducibility_sextic,
     singular_locus_complete,
     singular_points,
@@ -56,6 +57,7 @@ from .quartics import (
     QuarticSurface,
     alpha1_map,
     alpha2_map,
+    check_surface_claim,
     detect_33_configuration,
     general_position_p3,
     project_quartic,

@@ -23,7 +23,7 @@ from .conics import (
     restrict_to_conic,
 )
 from .cover import pullback_curve
-from .curves import irreducibility_sextic, singular_locus_complete, verify_node
+from .curves import check_claim, irreducibility_sextic
 from .errors import CannotCertify, ParseError, SplitCurvesError, TooManyNodes
 from .forms import PLANE_VARS, SPACE_VARS, biform_to_str, form_to_str, parse_form
 from .registry import example_ids, parse_node_spec
@@ -119,9 +119,8 @@ def _cmd_analyze(args):
     if args.nodes:
         nodes = _load_nodes(args.nodes, gamma)
         payload["nodes"] = [jsonable(p) for p in nodes]
-        reports = verify_node(gamma, nodes)
+        reports, complete = check_claim(gamma, nodes)
         payload["nodes_are_nodes"] = [r.is_node for r in reports]
-        complete = singular_locus_complete(gamma, nodes)
         payload["singular_locus_complete"] = complete
         if gamma.degree == 6:
             try:

@@ -8,16 +8,20 @@ the fiber over each irreducible factor gives the singular points there:
 rational points over a rational root, one Galois orbit over an irrational
 one.  ``singular_points`` returns those orbits.
 
-``singular_locus_complete`` does not rediscover the locus to check a claim
-of ordinary nodes.  At the first shear whose center (0 : 1 : 0) is off the
-curve, the discriminant D = Res_y(F, dF/dy) has, at each line through the
-center, the order sum over the line's points p of (F, dF/dy)_p, which by
-Teissier's lemma is mu_p + (F, x)_p - 1: at least 2 at a singular point,
-and exactly 2 only at an ordinary node transversal to the line.  So the
-claim is the whole locus, and every claimed point a node, when each
-claimed point is singular (``verify_node``) and D is P^2 A, P the product
-of the claimed x minimal polynomials, A squarefree and coprime to P, with
-the degree drop of D counting the claimed points on z = 0.  The
+``check_claim`` does not rediscover the locus to check a claim of ordinary
+nodes.  It runs ``verify_node`` once on the claim and returns those node
+reports with its verdict (``singular_locus_complete`` is the verdict
+alone), and the certificate reads the same reports, so a caller that needs
+both the node test and the verdict tests each point once.  At the first
+shear whose center (0 : 1 : 0) is off the curve, the discriminant
+D = Res_y(F, dF/dy) has, at each line through the center, the order sum
+over the line's points p of (F, dF/dy)_p, which by Teissier's lemma is
+mu_p + (F, x)_p - 1: at least 2 at a singular point, and exactly 2 only at
+an ordinary node transversal to the line.  So the claim is the whole
+locus, and every claimed point a node, when each claimed point is singular
+in those reports and D is P^2 A, P the product of the claimed x minimal
+polynomials, A squarefree and coprime to P, with the degree drop of D
+counting the claimed points on z = 0.  The
 certificate only accepts or declines.  It declines a claim that is wrong or
 not of nodes, two orbits on the same lines, and a curve that is not
 reduced; then the claim is compared with the locus of ``singular_points``.
@@ -546,7 +550,15 @@ def singular_points(gamma):
 
 def singular_locus_complete(gamma, claimed):
     """Is the claimed point list exactly the singular locus of the curve?
+    The verdict of ``check_claim``."""
+    return check_claim(gamma, claimed)[1]
 
+
+def check_claim(gamma, claimed):
+    """(reports, complete): ``verify_node``'s report on each claimed point,
+    and whether the claim is exactly the singular locus of the curve.
+
+    The node test runs once, and the certificate reads its reports.
     Number-field points stand for their whole conjugate orbit.  A claim of
     ordinary nodes is certified from one discriminant: at the first shear
     whose center (0 : 1 : 0) is off the curve, every claimed point must be
@@ -568,9 +580,10 @@ def singular_locus_complete(gamma, claimed):
     keys = [p.canonical_key() for p in claimed]
     if len(set(keys)) != len(keys):
         raise ValueError("claimed points must be pairwise distinct")
-    if _node_certificate(gamma, claimed):
-        return True
-    return _matches_locus(gamma, claimed)
+    reports = verify_node(gamma, claimed)
+    if _node_certificate(gamma, claimed, reports):
+        return reports, True
+    return reports, _matches_locus(gamma, claimed)
 
 
 def _matches_locus(gamma, claimed):
@@ -641,13 +654,14 @@ def _discriminant(gamma):
     return None
 
 
-def _node_certificate(gamma, claimed):
+def _node_certificate(gamma, claimed, reports):
     """True when the discriminant proves the claim to be the singular
     locus, each claimed point an ordinary node; None when it declines, as
     it does whenever a condition fails, so it never rejects or raises.
 
-    With (m, D) from ``_discriminant`` and the claim moved by m^-1: every
-    claimed point is singular (``verify_node``); P, the product of the
+    ``reports`` are ``verify_node``'s reports on the claim.  With (m, D)
+    from ``_discriminant`` and the claim moved by m^-1: every claimed point
+    is singular (read from ``reports``); P, the product of the
     primitive minimal polynomials of the claimed x / z, has one factor per
     point of degree its orbit size and no irrational factor twice;
     D = P^2 A in Z[x] with A squarefree and coprime to P; and
@@ -656,11 +670,11 @@ def _node_certificate(gamma, claimed):
     which may be a second copy of a rational point, and an orbit on z = 0
     are declined outright.
     """
-    if gamma.degree < 2 or any(len(p.coords) != 3 for p in claimed):
+    if gamma.degree < 2:
         return None
     if any(p.field is not None and p.field.degree < 2 for p in claimed):
         return None
-    if not all(rep.is_singular for rep in verify_node(gamma, claimed)):
+    if not all(rep.is_singular for rep in reports):
         return None
     found = _discriminant(gamma)
     if found is None or found[1].is_zero():

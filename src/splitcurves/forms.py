@@ -706,7 +706,12 @@ def _packed_mul(a, b):
 
 
 def transform_point(matrix, p):
-    """Apply a rational matrix to a point (works over number fields too)."""
+    """Apply a rational matrix to a point (works over number fields too).
+
+    A row whose length is not the point's dimension raises FieldMismatch.
+    """
+    if any(len(row) != len(p.coords) for row in matrix):
+        raise FieldMismatch("point/matrix dimension mismatch")
     if p.field is None:
         return ProjPoint(mat_vec(matrix, list(p.coords)))
     rows = []

@@ -320,11 +320,19 @@ def detect_33_configuration(surface, nodes):
 
 def surface_singular_locus_complete(surface, claimed):
     """Are the claimed points exactly the singular locus of the surface?
+    The verdict of ``check_surface_claim``."""
+    return check_surface_claim(surface, claimed)[1]
 
-    Uses the projection correspondence: away from the center, singular
-    points of the surface are in bijection with the nodes of the projected
-    sextic, the lift over a node P being w = -g3(P) / g2(P).  The claim is
-    therefore reduced to the plane-curve completeness check.
+
+def check_surface_claim(surface, claimed):
+    """(reports, complete): ``verify_node``'s report on each claimed point
+    of the surface, and whether the claim is exactly its singular locus.
+
+    The node test runs once, on the whole claim.  The check uses the
+    projection correspondence: away from the center, singular points of the
+    surface are in bijection with the nodes of the projected sextic, the
+    lift over a node P being w = -g3(P) / g2(P).  The claim is therefore
+    reduced to the plane-curve completeness check.
 
     The correspondence needs g2 to be an even contact conic of the sextic,
     and ``project_quartic``'s line check settles that.  On g2 = 0 the
@@ -334,21 +342,16 @@ def surface_singular_locus_complete(surface, claimed):
     vanish only where r4 does, which the line check excludes.  Without a
     rational point on g2 that check cannot run: ``PointNotOnConic``.
     """
-    quartic = surface.form()
-    rest = []
-    saw_center = False
-    for p in claimed:
-        if p.field is None and p.eq_proj(CENTER):
-            saw_center = True
-        else:
-            rest.append(p)
-    if not saw_center:
-        return False
+    reports = verify_node(surface.form(), claimed)
+    rest = [p for p in claimed if not (p.field is None and p.eq_proj(CENTER))]
+    if len(rest) == len(claimed):
+        return reports, False
     gamma_x, _delta_x, info = surface.projection()
     if "param" not in info:
         raise PointNotOnConic("conic has no rational point")
-    if not all(rep.is_singular for rep in verify_node(quartic, rest)):
-        return False
+    # g2 w^2 + 2 g3 w + g4 is singular at the center, so this tests the rest
+    if not all(rep.is_singular for rep in reports):
+        return reports, False
     projections = []
     for p in rest:
         proj = ProjPoint(list(p.coords[:3]))
@@ -357,12 +360,12 @@ def surface_singular_locus_complete(surface, claimed):
         g2v = surface.g2.eval(list(p.coords[:3]))
         g3v = surface.g3.eval(list(p.coords[:3]))
         if not scalar_is_zero(g2v * p.coords[3] + g3v):
-            return False
+            return reports, False
         projections.append(proj)
     keys = [q.canonical_key() for q in projections]
     if len(set(keys)) != len(keys):
-        return False
-    return singular_locus_complete(gamma_x, projections)
+        return reports, False
+    return reports, singular_locus_complete(gamma_x, projections)
 
 
 def quartic_from_sextic(gamma, conic):

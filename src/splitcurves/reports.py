@@ -12,7 +12,7 @@ import itertools
 from .arith import NFElem, scalar_is_zero
 from .conics import SIMPLE_CONTACT
 from .cover import involution_biform, pullback_curve
-from .curves import irreducibility_sextic, singular_locus_complete, verify_node
+from .curves import check_claim, irreducibility_sextic, verify_node
 from .errors import SplitCurvesError
 from .forms import (
     PLANE_VARS,
@@ -26,8 +26,8 @@ from .forms import (
 )
 from .linsys import FormSpace, SubsetSystems, system_dimension
 from .quartics import (
+    check_surface_claim,
     general_position_p3,
-    surface_singular_locus_complete,
     syzygetic_test,
 )
 from .registry import load_example
@@ -164,7 +164,11 @@ def run_verify_example(example_id):
 
     _construction_checks(report, record)
 
-    node_reports = verify_node(gamma, nodes)
+    try:
+        node_reports, complete = check_claim(gamma, nodes)
+    except SplitCurvesError as exc:
+        # the claim check raised before it could report: test the nodes alone
+        node_reports, complete = verify_node(gamma, nodes), str(exc)
     report.add(
         "nodes verify as nodes",
         all(rep.is_node for rep in node_reports),
@@ -172,14 +176,8 @@ def run_verify_example(example_id):
         actual=[rep.is_node for rep in node_reports],
         detail=[_point_str(p) for p in nodes],
     )
-
-    try:
-        complete = singular_locus_complete(gamma, nodes)
-    except SplitCurvesError as exc:
-        complete = False
-        report.add("singular locus complete", False, True, str(exc))
-    else:
-        report.add("singular locus complete", complete, True, complete)
+    # complete is the verdict, or the message of the error the check raised
+    report.add("singular locus complete", complete is True, True, complete)
 
     config = normalize_configuration(gamma, conic, nodes)
     profile = config.profile
@@ -364,7 +362,10 @@ def _split7_24_checks(report, record, split_report):
         expected=True,
         actual=built == quartic,
     )
-    node_reports = verify_node(quartic, record.surface_nodes)
+    try:
+        node_reports, complete = check_surface_claim(surface, record.surface_nodes)
+    except SplitCurvesError as exc:
+        node_reports, complete = verify_node(quartic, record.surface_nodes), str(exc)
     report.add(
         "eight surface nodes verify",
         all(rep.is_node for rep in node_reports),
@@ -378,12 +379,7 @@ def _split7_24_checks(report, record, split_report):
         gp = general_position_p3(record.surface_nodes)
     gp = bool(gp)
     report.add("surface nodes in general position", gp, expected=True, actual=gp)
-    try:
-        complete = surface_singular_locus_complete(surface, record.surface_nodes)
-    except SplitCurvesError as exc:
-        report.add("surface singular locus complete", False, True, str(exc))
-    else:
-        report.add("surface singular locus complete", complete, True, complete)
+    report.add("surface singular locus complete", complete is True, True, complete)
     report.add(
         "syzygetic: dim of quadrics through the 8 nodes",
         bool(syz) and syz.report.dimension == claim_dim(record),

@@ -48,7 +48,7 @@ from .cover import (
     ram_form,
     tangent_line,
 )
-from .curves import singular_locus_complete, singular_points, verify_node
+from .curves import check_claim, singular_points, verify_node
 from .errors import (
     CannotCertify,
     ConicNotSmooth,
@@ -931,9 +931,12 @@ def splitting_type(gamma, conic, nodes=None):
         raise ConicNotSmooth("branch conic must be smooth")
     if nodes is None:
         nodes = singular_points(gamma)
-    elif not singular_locus_complete(gamma, nodes):
-        raise SplitCurvesError("claimed nodes are not the full singular locus")
-    for rep in verify_node(gamma, nodes):
+        reports = verify_node(gamma, nodes)
+    else:
+        reports, complete = check_claim(gamma, nodes)
+        if not complete:
+            raise SplitCurvesError("claimed nodes are not the full singular locus")
+    for rep in reports:
         if not rep.is_node:
             raise SplitCurvesError("singular point %r is not a node" % (rep.point,))
     report = splitting_type_normalized(normalize_configuration(gamma, conic, nodes))

@@ -377,6 +377,51 @@ def _count_calls(monkeypatch, targets):
     return calls
 
 
+# verify_node calls of one verify-example: one per node claim, plus the
+# check of the surface's center when split7-24 is loaded
+_NODE_TESTS = {
+    "split6": 1,
+    "nonsplit6a": 1,
+    "nonsplit6b": 1,
+    "split7-33": 1,
+    "nonsplit7": 1,
+    # the center, the plane claim, the surface claim and the projected
+    # sextic's claim inside it
+    "split7-24": 4,
+    # the center, loading split7-24
+    "zariski-triple": 1,
+}
+
+
+@pytest.mark.parametrize("example_id", sorted(_NODE_TESTS))
+def test_verify_example_tests_each_node_claim_once(example_id, monkeypatch, capsys):
+    from splitcurves import cli, curves
+
+    calls = _count_calls(monkeypatch, ((curves, "verify_node"),))
+    assert cli.main(["verify-example", example_id, "--json"]) == 0
+    capsys.readouterr()
+    assert calls == {"verify_node": _NODE_TESTS[example_id]}
+
+
+@pytest.mark.parametrize("command", ["analyze", "split-type"])
+@pytest.mark.parametrize("example_id", ["split6", "nonsplit6a"])
+def test_a_node_claim_on_the_command_line_is_tested_once(
+    command, example_id, tmp_path, monkeypatch, capsys
+):
+    import json
+
+    from splitcurves import cli, curves
+
+    raw = raw_record(example_id)
+    node_file = tmp_path / "nodes.json"
+    node_file.write_text(json.dumps(raw["nodes"]))
+    argv = [command, "--curve", raw["curve"], "--conic", raw["conic"], "--nodes", str(node_file)]
+    calls = _count_calls(monkeypatch, ((curves, "verify_node"),))
+    assert cli.main(argv + ["--json"]) == 0
+    capsys.readouterr()
+    assert calls == {"verify_node": 1}
+
+
 def test_verify_example_split7_24_analyzes_contact_and_criterion_once(monkeypatch):
     from splitcurves import conics, splitting
 

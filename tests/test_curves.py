@@ -369,6 +369,21 @@ def test_verify_node_rejects_a_point_of_another_dimension():
         verify_node(parse_form("x*y", PLANE), [point(0, 0, 1), point(0, 0, 0, 1)])
 
 
+def test_a_claimed_point_of_another_dimension_is_no_plane_node():
+    # a fourth coordinate is not dropped: the claim fails before any verdict
+    cubic = parse_form("x^3+y^3-x*y*z", PLANE)
+    assert singular_locus_complete(cubic, [point(0, 0, 1)])
+    for claim in ([point(0, 0, 1, 7)], [point(0, 0, 1, 0)]):
+        with pytest.raises(FieldMismatch):
+            singular_locus_complete(cubic, claim)
+        with pytest.raises(FieldMismatch):
+            curves._matches_locus(cubic, claim)
+    field = NumberField(UPoly([-2, 0, 1]))
+    for p in (point(0, 0, 1, 7), _over(field, point(0, 0, 1, 7)), point(1, 1)):
+        with pytest.raises(FieldMismatch):
+            transform_point(shear_matrix(1), p)
+
+
 def test_completeness_rational(gamma6_prime, gamma6_prime_nodes):
     assert singular_locus_complete(gamma6_prime, gamma6_prime_nodes)
     # a proper subset of the singular locus is rejected
@@ -783,6 +798,11 @@ def _claim_mutants(gamma, locus):
 _CERTIFICATE_CURVES = list(_CATALOG_CURVES) + list(_SMALL_CURVES)
 
 
+def _certificate(gamma, claim):
+    """The node certificate on the node reports that ``check_claim`` passes it."""
+    return curves._node_certificate(gamma, claim, verify_node(gamma, claim))
+
+
 @pytest.mark.parametrize("name", _CERTIFICATE_CURVES)
 def test_node_certificate_never_accepts_what_the_comparison_rejects(name):
     gamma, locus = _certificate_case(name)
@@ -793,7 +813,7 @@ def test_node_certificate_never_accepts_what_the_comparison_rejects(name):
     for kind, claim in claims:
         if len({p.canonical_key() for p in claim}) != len(claim):
             continue
-        verdict = curves._node_certificate(gamma, claim)
+        verdict = _certificate(gamma, claim)
         assert verdict in (True, None), (name, kind)
         if verdict:
             # an accepted claim is the locus, and each of its points a node
@@ -813,8 +833,8 @@ def test_node_certificate_counts_the_nodes_on_the_line_at_infinity():
     at_infinity = [p for p in record.nodes if scalar_is_zero(p.coords[2])]
     assert len(at_infinity) == 3
     rest = [p for p in record.nodes if p is not at_infinity[0]]
-    assert curves._node_certificate(record.curve, record.nodes)
-    assert curves._node_certificate(record.curve, rest) is None
+    assert _certificate(record.curve, record.nodes)
+    assert _certificate(record.curve, rest) is None
     assert not singular_locus_complete(record.curve, rest)
 
 
@@ -827,17 +847,17 @@ def test_node_certificate_accepts_two_nodes_on_one_line_through_the_center():
     on_axis = [p for p in record.nodes if scalar_is_zero(p.coords[0])]
     assert len(on_axis) == 2
     assert disc.coeffs[:4] == (0, 0, 0, 0) and disc.coeffs[4] != 0
-    assert curves._node_certificate(record.curve, record.nodes)
+    assert _certificate(record.curve, record.nodes)
 
 
 def test_node_certificate_declines_what_is_no_node():
     # cusps, tacnodes and ordinary quadruple points are left to the comparison
     for name in ("cusp", "pair", "tacnodal", "four-lines"):
         gamma, locus = _certificate_case(name)
-        assert curves._node_certificate(gamma, locus) is None
+        assert _certificate(gamma, locus) is None
         assert singular_locus_complete(gamma, locus)
     non_reduced = parse_form("(x-2z)^2*(x^2+y^2-4z^2)", PLANE)
-    assert curves._node_certificate(non_reduced, [point(2, 0, 1)]) is None
+    assert _certificate(non_reduced, [point(2, 0, 1)]) is None
 
 
 @pytest.mark.parametrize("example_id", _CATALOG_CURVES)
@@ -855,6 +875,28 @@ def test_node_certificate_decides_each_catalog_curve(example_id, monkeypatch):
 
         record = load_example(example_id)
         assert surface_singular_locus_complete(record.surface, record.surface_nodes)
+
+
+def _node_tests(reports):
+    return [(r.point, r.is_singular, r.is_node, r.local_quadratic_discriminant) for r in reports]
+
+
+@pytest.mark.parametrize("example_id", _CATALOG_CURVES)
+def test_a_claim_check_returns_the_node_test_of_each_claimed_point(example_id):
+    record = load_example(example_id)
+    reports, complete = curves.check_claim(record.curve, record.nodes)
+    assert complete
+    assert _node_tests(reports) == _node_tests(verify_node(record.curve, record.nodes))
+    if example_id == "split7-24":
+        from splitcurves.quartics import check_surface_claim
+
+        nodes = record.surface_nodes
+        reports, complete = check_surface_claim(record.surface, nodes)
+        assert complete
+        assert _node_tests(reports) == _node_tests(verify_node(record.surface.form(), nodes))
+        # a claim without the center is no locus, and still reports each point
+        reports, complete = check_surface_claim(record.surface, nodes[1:])
+        assert not complete and [r.point for r in reports] == nodes[1:]
 
 
 def test_a_curve_keeps_one_discriminant_for_both_checks(monkeypatch):
@@ -878,12 +920,12 @@ def test_a_kept_discriminant_decides_no_later_claim(name):
     # the curve keeps D, not a verdict: after the true claim, every wrong
     # claim on the same Form gets the verdict it gets on a fresh copy
     gamma, locus = _certificate_case(name)
-    assert curves._node_certificate(gamma, locus) == curves._node_certificate(
+    assert _certificate(gamma, locus) == _certificate(
         Form(gamma.variables, gamma.degree, gamma.terms), locus
     )
     for kind, claim in _claim_mutants(gamma, locus):
         fresh = Form(gamma.variables, gamma.degree, gamma.terms)
-        assert curves._node_certificate(gamma, claim) == curves._node_certificate(
+        assert _certificate(gamma, claim) == _certificate(
             fresh, claim
         ), (name, kind)
 
