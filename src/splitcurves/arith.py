@@ -30,6 +30,7 @@ from .scalars import (
     over_common_denominator,
     rat_sqrt,
     rat_str,
+    signed_sum,
 )
 
 _PRIMES = []
@@ -787,6 +788,11 @@ def _times_gen(vec, p):
 GENERATOR = "a"
 
 
+def _generator_power(i):
+    """The monomial a^i as text, "1" at i = 0."""
+    return "1" if i == 0 else GENERATOR if i == 1 else "%s^%d" % (GENERATOR, i)
+
+
 class NumberField:
     """The field QQ[a]/(p) for a monic irreducible rational polynomial p.
 
@@ -802,7 +808,11 @@ class NumberField:
         if mp.degree() < 1:
             raise ValueError("minimal polynomial must have degree >= 1")
         if check and mp.degree() > 1 and not upoly_is_irreducible(mp):
-            raise ReducibleMinimalPolynomial(repr(minimal_polynomial))
+            terms = enumerate(minimal_polynomial.coeffs)
+            text = signed_sum([(_generator_power(i), c) for i, c in terms if c][::-1])
+            raise ReducibleMinimalPolynomial(
+                "the minimal polynomial %s is reducible over the rationals" % text
+            )
         self.minimal_polynomial = mp
         self.degree = n = mp.degree()
         # monic p has coprime integer coefficients after one lcm scaling

@@ -1,31 +1,32 @@
 """Singularity analysis of plane curves.
 
 Node verification reads the Hessian at the point (over the rationals or a
-number field), for plane curves and for surfaces in P^3.  The singular locus
-is computed by one elimination core under a deterministic shear: y is
-eliminated by resultants, the eliminant is factored over the rationals, and
-the fiber over each irreducible factor gives the singular points there:
-rational points over a rational root, one Galois orbit over an irrational
-one.  ``singular_points`` returns those orbits.
+number field), for plane curves and for surfaces in P^3.  One discriminant
+finds the singular locus and certifies a claim of it.  At a deterministic
+shear m whose center m (0 : 1 : 0) is off the curve, F = gamma o m at z = 1
+is monic in y up to a constant, and D = Res_y(F, dF/dy) has, at each line
+x = const through the center, the order sum over the line's points p of
+(F, dF/dy)_p, which by Teissier's lemma is mu_p + (F, x)_p - 1: at least 2
+at a singular point, and exactly 2 only at an ordinary node transversal to
+the line.  So every singular point of the chart z = 1 lies over a factor of
+D's repeated part, and the fiber there, the gcd in y of dF/dy, dF/dx and F,
+gives its singular points: rational points over a rational root, one Galois
+orbit over an irrational one.  ``singular_points`` returns those orbits.
 
 ``check_claim`` does not rediscover the locus to check a claim of ordinary
 nodes.  It runs ``verify_node`` once on the claim and returns those node
 reports with its verdict (``singular_locus_complete`` is the verdict
 alone), and the certificate reads the same reports, so a caller that needs
 both the node test and the verdict tests each point once.  At the first
-shear whose center (0 : 1 : 0) is off the curve, the discriminant
-D = Res_y(F, dF/dy) has, at each line through the center, the order sum
-over the line's points p of (F, dF/dy)_p, which by Teissier's lemma is
-mu_p + (F, x)_p - 1: at least 2 at a singular point, and exactly 2 only at
-an ordinary node transversal to the line.  So the claim is the whole
-locus, and every claimed point a node, when each claimed point is singular
-in those reports and D is P^2 A, P the product of the claimed x minimal
+shear whose center is off the curve, the claim is the whole locus, and
+every claimed point a node, when each claimed point is singular in those
+reports and D is P^2 A, P the product of the claimed x minimal
 polynomials, A squarefree and coprime to P, with the degree drop of D
-counting the claimed points on z = 0.  The
-certificate only accepts or declines.  It declines a claim that is wrong or
-not of nodes, two orbits on the same lines, and a curve that is not
-reduced; then the claim is compared with the locus of ``singular_points``.
-``curve_is_reduced`` reads the same discriminant.
+counting the claimed points on z = 0.  The certificate only accepts or
+declines.  It declines a claim that is wrong or not of nodes, two orbits on
+the same lines, and a curve that is not reduced; then the claim is compared
+with the locus of ``singular_points``.  ``curve_is_reduced`` reads the same
+discriminant.
 
 The resultants are exact and run in integers.  Each bivariate is scaled to
 coprime integer coefficients, so at an integer x its y-coefficients are
@@ -34,16 +35,14 @@ resultant of the two value lists (with a closed-form correction where a
 leading value vanishes); the scaled resultant lies in Z[x], and the divided
 differences of a polynomial in Z[x] at distinct integer nodes are integers,
 so the Newton interpolation divides exactly.  One rational rescaling at the
-end gives the resultant of the inputs.  The gcd of the two eliminants is
-``upoly_gcd``'s: GCDHEU, with the primitive remainder sequence as fallback.
-A shear that leaves a singular point on z = 0 is refused from two binary
-substitutions, before the curve is composed with it, and the fibers over
-the eliminant's factors are built in integers.  A curve keeps one datum,
-its discriminant (the shear and D), never its locus or a verdict on a
-claim, so every check on one Form reads one D, and a second claim reruns
+end gives the resultant of the inputs.  A shear that leaves a singular
+point on z = 0 is refused from two binary substitutions, before the curve
+is composed with it, and the fibers over D's factors are built in
+integers.  A curve keeps one datum, its discriminant (the shear and D),
+never its locus or a verdict on a claim, so every check on one Form reads
+one D, the locus at that shear reads it too, and a second claim reruns
 every other check of the certificate.
 """
-
 import itertools
 import random
 from operator import mul
@@ -55,6 +54,7 @@ from .arith import (
     UPoly,
     _horner,
     _trim,
+    _zassenhaus,
     _zz_deriv,
     _zz_exquo,
     _zz_gcd,
@@ -64,6 +64,7 @@ from .arith import (
     scalar_is_zero,
     upoly_factor,
     upoly_gcd,
+    upoly_squarefree,
 )
 from .conics import classify_conic
 from .errors import (
@@ -200,31 +201,15 @@ def shear_matrix(index):
 _IDENTITY = shear_matrix(0)
 
 
-def _elimination_weights(index):
-    triples = [
-        (2, 3, 5),
-        (5, 7, 11),
-        (3, 5, 7),
-        (2, 7, 13),
-        (11, 13, 17),
-        (3, 11, 19),
-        (5, 13, 23),
-        (7, 11, 29),
-    ]
-    return triples[index % len(triples)]
-
-
 # ---------------------------------------------------------------------------
 # bivariate helpers (dict representation {(i, j): coeff} for x^i y^j)
 # ---------------------------------------------------------------------------
 
 
 def _affine_xy(form):
-    """f(x, y, 1) as a sparse bivariate dictionary."""
-    out = {}
-    for (i, j, _k), c in form.terms.items():
-        out[(i, j)] = out.get((i, j), ZERO) + c
-    return {k: v for k, v in out.items() if v != 0}
+    """f(x, y, 1) as a sparse bivariate dictionary; the form is homogeneous,
+    so (i, j) determines the power of z."""
+    return {(i, j): c for (i, j, _k), c in form.terms.items()}
 
 
 def _scaled_y_columns(biv):
@@ -406,20 +391,19 @@ def _x_minimal_polynomial(xi):
     return UPoly([-m[r][k] for r in range(k)] + [ONE])
 
 
-def _fiber_gcd(combos, field, x):
-    """Gcd in y of the combinations over x, monic once two are combined.
+def _fiber_gcd(bivs, field, x):
+    """Gcd in y of the bivariates over x, monic once two are combined.
 
     Over a rational x = a / b (field None) the y-coefficients of each
-    combination, scaled to integers, are b^D c(a / b) by integer Horner (D
-    the combination's x-degree).  Over x = alpha, the generator of
-    ``field``, each is its x-column reduced once by ``field.elem``.  Each
-    combination is a nonzero rational multiple of the polynomial in y, and
-    the gcd does not see it.
+    bivariate, scaled to integers, are b^D c(a / b) by integer Horner (D
+    its x-degree).  Over x = alpha, the generator of ``field``, each is its
+    x-column reduced once by ``field.elem``.  Each is a nonzero rational
+    multiple of the polynomial in y, and the gcd does not see it.
     """
     if field is None:
         a, b = x.numerator, x.denominator
     g = None
-    for biv in combos:
+    for biv in bivs:
         cols, _scale = _scaled_y_columns(biv)
         if field is None:
             top = max(len(col) for col in cols)
@@ -466,47 +450,61 @@ def _infinity_singular_points_exist(gamma, m):
     return g.is_zero() or g.degree >= 1
 
 
-def _sheared_locus(gamma, m, idx):
+def _center_on_curve(gamma, m):
+    """Does the shear's center m (0 : 1 : 0) lie on the curve?"""
+    return scalar_is_zero(gamma.eval([row[1] for row in m]))
+
+
+def _partial(biv, var):
+    """The partial derivative of a bivariate in x (var 0) or y (var 1)."""
+    out = {}
+    for key, c in biv.items():
+        if key[var]:
+            lowered = list(key)
+            lowered[var] -= 1
+            out[tuple(lowered)] = key[var] * c
+    return out
+
+
+def _y_discriminant(biv):
+    """D = Res_y(F, dF/dy) for a bivariate F, as a UPoly in x."""
+    return resultant_y(biv, _partial(biv, 1))
+
+
+def _sheared_locus(gamma, m):
     """Singular points of gamma o m in the chart z = 1, by x-orbit.
 
     Returns {q: (x, ys)}: q is the monic minimal polynomial of x.  For a
     linear q, x and the ys are rational, one y per point on the line over
     x; otherwise x = a in QQ[a]/(q) and ys is [y] with y in that field, one
-    Galois orbit of points over the x-orbit.  y is eliminated by resultants
-    of two of three generic combinations of the dehomogenized partials (a
-    common zero of the partials is one of all three, and conversely:
-    Vandermonde in the weights), in integers; the eliminant is factored and each
-    factor's fiber is the gcd of the combinations over it.  Returns None
-    when the shear leaves a singular point on z = 0, conjugate points on
-    one line x = const, or a vanishing resultant; raises CommonComponent
-    when a whole line x = const is singular.
+    Galois orbit of points over the x-orbit.  The curve must be reduced.
+    With the center off the curve, every singular point lies on a line
+    x = const where D = Res_y(F, dF/dy) has order at least 2 (the module
+    docstring gives the argument), so the factors of D's repeated part are
+    the candidate lines; at the shear of ``_discriminant`` its D is read.
+    The fiber over a line is the gcd of dF/dy, dF/dx and F there: dF/dx
+    drops a vertical flex and two vertical tangents, which give order 2
+    too.  Returns None when the center lies on the curve, or the shear
+    leaves a singular point on z = 0 or conjugate points on one line.
     """
-    if _infinity_singular_points_exist(gamma, m):
+    if _center_on_curve(gamma, m) or _infinity_singular_points_exist(gamma, m):
         return None
-    # the combinations are built in integers from gamma o m scaled to
-    # coprime integer coefficients: its partials in x, y and z, weighted 1,
-    # w and w^2, at z = 1
-    composed = compose_form(gamma, m)
-    ints = clear_denominators(list(composed.terms.values()))
-    combos = []
-    for w in _elimination_weights(idx):
-        out = {}
-        for (i, j, k), a in zip(composed.terms, ints):
-            for key, v in (((i - 1, j), i * a), ((i, j - 1), j * w * a), ((i, j), k * w * w * a)):
-                if v:
-                    out[key] = out.get(key, 0) + v
-        combos.append({key: v for key, v in out.items() if v})
-    r1 = resultant_y(combos[0], combos[1])
-    r2 = resultant_y(combos[1], combos[2])
-    if r1.is_zero() or r2.is_zero():
-        return None
+    biv = _affine_xy(compose_form(gamma, m))
+    kept, disc = _discriminant(gamma)
+    if kept != m:
+        disc = _y_discriminant(biv)
+    partials = [_partial(biv, 1), _partial(biv, 0), biv]
+    lines = [
+        UPoly(fac).monic()
+        for part, mult in upoly_squarefree(clear_denominators(list(disc.coeffs)))
+        if mult > 1
+        for fac in _zassenhaus(part)
+    ]
     locus = {}
-    for q, _mult in upoly_factor(upoly_gcd(r1, r2)):
+    for q in sorted(lines, key=lambda q: (q.degree(), q.coeffs)):
         field = None if q.degree() == 1 else NumberField(q, check=False)
         x = -q.coeffs[0] if field is None else field.gen()
-        fiber = _fiber_gcd(combos, field, x)
-        if fiber.is_zero():
-            raise CommonComponent("the curve is singular along a line")
+        fiber = _fiber_gcd(partials, field, x)
         if fiber.degree() >= 2:
             # a multiple root is still one point
             fiber = fiber.quotient(upoly_gcd(fiber, fiber.derivative()))
@@ -524,22 +522,25 @@ def _sheared_locus(gamma, m, idx):
 
 def _first_locus(gamma):
     """(shear, locus): the first shear matrix at which ``_sheared_locus``
-    separates the singular points, and the locus it gives there."""
+    separates the singular points, and the locus it gives there.  A curve
+    that is not reduced raises CommonComponent."""
+    if not curve_is_reduced(gamma):
+        raise CommonComponent("the curve is not reduced: it has a multiple component")
     for idx in range(MAX_SHEARS):
         m = shear_matrix(idx)
-        locus = _sheared_locus(gamma, m, idx)
+        locus = _sheared_locus(gamma, m)
         if locus is not None:
             return m, locus
-    _raise_if_not_reduced(gamma)
     raise ShearExhausted("%d shears failed to separate the singular points" % MAX_SHEARS)
 
 
 def singular_points(gamma):
     """The singular points of a plane curve, one ProjPoint per Galois orbit.
 
-    They come in the eliminant's factor order at the first shear that
-    separates them.  A curve that is not reduced has a singular component
-    and raises CommonComponent.
+    They are read off the discriminant at the first shear that separates
+    them (``_sheared_locus``), in the order of their x minimal polynomials,
+    by degree and then coefficients.  A curve that is not reduced has a
+    singular component and raises CommonComponent.
     """
     if len(gamma.variables) != 3:
         raise FieldMismatch("plane curves only")
@@ -642,15 +643,9 @@ def _discriminant(gamma):
         return gamma._disc
     for idx in range(MAX_SHEARS):
         m = shear_matrix(idx)
-        if scalar_is_zero(gamma.eval([row[1] for row in m])):
-            continue
-        biv = _affine_xy(compose_form(gamma, m))
-        dbiv = {}
-        for (i, j), c in biv.items():
-            if j:
-                dbiv[(i, j - 1)] = dbiv.get((i, j - 1), ZERO) + j * c
-        gamma._disc = m, resultant_y(biv, dbiv)
-        return gamma._disc
+        if not _center_on_curve(gamma, m):
+            gamma._disc = m, _y_discriminant(_affine_xy(compose_form(gamma, m)))
+            return gamma._disc
     return None
 
 
@@ -709,13 +704,6 @@ def _node_certificate(gamma, claimed, reports):
     if len(rest) > 1 and len(prod) > 1 and len(_zz_gcd(rest, prod)) > 1:
         return None
     return True
-
-
-def _raise_if_not_reduced(gamma):
-    """Name the usual reason no shear works: a multiple component meets z = 0
-    at every shear, so the elimination core never accepts one."""
-    if not curve_is_reduced(gamma):
-        raise CommonComponent("the curve is not reduced: it has a multiple component")
 
 
 def curve_is_reduced(gamma):

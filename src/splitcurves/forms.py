@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
 )
 from .linalg import mat_vec, primitive_vector
-from .scalars import QQ, ZERO, ONE, over_common_denominator, rat_str
+from .scalars import QQ, ZERO, ONE, over_common_denominator, rat_str, signed_sum
 
 # the variables of plane forms and of forms on P^3
 PLANE_VARS = ("x", "y", "z")
@@ -995,34 +995,16 @@ def parse_form(text, variables):
     return Form(variables, degrees.pop(), raw)
 
 
-def _signed_sum(terms):
-    """"c1*m1 + c2*m2 - ..." from (monomial text, nonzero coefficient) pairs;
-    a unit coefficient is left out, and a constant monomial is "1"."""
-    out = ""
-    for mono, coeff in terms:
-        if mono == "1":
-            body = rat_str(abs(coeff))
-        elif abs(coeff) == 1:
-            body = mono
-        else:
-            body = "%s*%s" % (rat_str(abs(coeff)), mono)
-        if not out:
-            out = ("-" if coeff < 0 else "") + body
-        else:
-            out += " %s %s" % ("-" if coeff < 0 else "+", body)
-    return out or "0"
-
-
 def form_to_str(f):
     """Deterministic rendering, graded-lex descending; parses back exactly."""
-    return _signed_sum(
+    return signed_sum(
         (_monomial_str(f.variables, expo), coeff) for expo, coeff in f.sorted_terms()
     )
 
 
 def biform_to_str(f):
     d1, d2 = f.bidegree
-    return _signed_sum(
+    return signed_sum(
         (_monomial_str("stuv", (i, d1 - i, j, d2 - j)), coeff)
         for (i, j), coeff in f.sorted_terms()
     )

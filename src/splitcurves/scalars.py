@@ -41,6 +41,24 @@ def rat_str(q):
     return str(n) if d == 1 else "%d/%d" % (n, d)
 
 
+def signed_sum(terms):
+    """"c1*m1 + c2*m2 - ..." from (monomial text, nonzero coefficient) pairs;
+    a unit coefficient is left out, and a constant monomial is "1"."""
+    out = ""
+    for mono, coeff in terms:
+        if mono == "1":
+            body = rat_str(abs(coeff))
+        elif abs(coeff) == 1:
+            body = mono
+        else:
+            body = "%s*%s" % (rat_str(abs(coeff)), mono)
+        if not out:
+            out = ("-" if coeff < 0 else "") + body
+        else:
+            out += " %s %s" % ("-" if coeff < 0 else "+", body)
+    return out or "0"
+
+
 def over_common_denominator(values):
     """(ints, den): values[i] == ints[i] / den, den the lcm of the denominators.
 

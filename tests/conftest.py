@@ -409,3 +409,79 @@ def seven_nodal_construction(rng):
     surface = QuarticSurface.from_raw(f3 * f3 - (f1 * f2).scale(4), center)
     gamma, conic, _info = project_quartic(surface, check_contact=False)
     return gamma, conic
+
+
+# -- the singular locus by weighted partials, kept as an oracle --------------
+
+_ELIMINATION_WEIGHTS = [
+    (2, 3, 5),
+    (5, 7, 11),
+    (3, 5, 7),
+    (2, 7, 13),
+    (11, 13, 17),
+    (3, 11, 19),
+    (5, 13, 23),
+    (7, 11, 29),
+]
+
+
+def _sheared_locus_oracle(gamma, m, idx):
+    """The singular points of gamma o m at z = 1, by x-orbit, as the parent
+    found them: y eliminated by resultants of two of three weighted
+    combinations of the partials, the fiber over each factor of their gcd
+    the gcd of the combinations there.  None where a shear is refused."""
+    from splitcurves import curves
+    from splitcurves.arith import upoly_factor, upoly_gcd
+    from splitcurves.forms import compose_form
+    from splitcurves.scalars import clear_denominators
+
+    if curves._infinity_singular_points_exist(gamma, m):
+        return None
+    composed = compose_form(gamma, m)
+    ints = clear_denominators(list(composed.terms.values()))
+    combos = []
+    for w in _ELIMINATION_WEIGHTS[idx % len(_ELIMINATION_WEIGHTS)]:
+        out = {}
+        for (i, j, k), a in zip(composed.terms, ints):
+            for key, v in (((i - 1, j), i * a), ((i, j - 1), j * w * a), ((i, j), k * w * w * a)):
+                if v:
+                    out[key] = out.get(key, 0) + v
+        combos.append({key: v for key, v in out.items() if v})
+    r1 = curves.resultant_y(combos[0], combos[1])
+    r2 = curves.resultant_y(combos[1], combos[2])
+    if r1.is_zero() or r2.is_zero():
+        return None
+    locus = {}
+    for q, _mult in upoly_factor(upoly_gcd(r1, r2)):
+        field = None if q.degree() == 1 else NumberField(q, check=False)
+        x = -q.coeffs[0] if field is None else field.gen()
+        fiber = curves._fiber_gcd(combos, field, x)
+        if fiber.degree() >= 2:
+            fiber = fiber.quotient(upoly_gcd(fiber, fiber.derivative()))
+        if fiber.degree() >= 2 and field is None:
+            ys = [-f.coeffs[0] for f, _mult in upoly_factor(fiber) if f.degree() == 1]
+        else:
+            ys = [-fiber.monic().coeffs[0]] if fiber.degree() == 1 else []
+        if len(ys) < fiber.degree():
+            return None
+        if ys:
+            locus[q] = (x, ys)
+    return locus
+
+
+def singular_points_oracle(gamma):
+    """``curves.singular_points`` by the weighted-partials elimination, at
+    the first shear where it separates the singular points."""
+    from splitcurves import curves
+    from splitcurves.forms import transform_point
+
+    for idx in range(curves.MAX_SHEARS):
+        m = curves.shear_matrix(idx)
+        locus = _sheared_locus_oracle(gamma, m, idx)
+        if locus is not None:
+            return [
+                transform_point(m, ProjPoint([x, y, QQ(1)]))
+                for x, ys in locus.values()
+                for y in ys
+            ]
+    raise AssertionError("no shear separated the singular points")

@@ -458,8 +458,8 @@ def test_verify_example_split7_24_tests_general_position_once(monkeypatch):
 
 def test_verify_example_split7_24_searches_no_plane_locus(monkeypatch):
     # the plane check and the surface's locus check ask about the same
-    # sextic; the discriminant certificate settles both, so no shear of the
-    # elimination core is tried, and the sextic keeps its one discriminant
+    # sextic; the discriminant certificate settles both, so no locus shear is
+    # tried, and the sextic keeps its one discriminant
     # (the only resultant taken) for the second check and the reducedness flag
     from splitcurves import curves
 

@@ -198,6 +198,17 @@ def test_node_orbit_larger_than_the_singular_locus_is_rejected_at_once(tmp_path,
     assert "an orbit of 400 points is more than the 15 singular points" in err
 
 
+@pytest.mark.parametrize("command", ["split-type", "analyze"])
+def test_a_reducible_minimal_polynomial_is_named_in_the_generator(tmp_path, capsys, command):
+    nodes = tmp_path / "nodes.json"
+    nodes.write_text('[{"minpoly": "a^2-4", "point": ["0", "a", "1"]}]')
+    code, _out, err = run_cli(
+        capsys, command, "--curve", "y^2*z-x^3", "--conic", "z^2-4xy", "--nodes", str(nodes)
+    )
+    assert code == 65
+    assert err == "error: the minimal polynomial a^2 - 4 is reducible over the rationals\n"
+
+
 def test_analyze_decides_nothing_on_an_incomplete_node_claim(tmp_path, capsys):
     # five of the six nodes of nonsplit6a
     nodes = tmp_path / "nodes.json"

@@ -35,6 +35,7 @@ from splitcurves.forms import (
     Form,
     ProjPoint,
     compose_form,
+    monomial_basis,
     parse_form,
     point,
     transform_point,
@@ -43,7 +44,7 @@ from splitcurves.linalg import det_bareiss, mat_det, mat_inv
 from splitcurves.registry import load_example, parse_node_spec
 from splitcurves.scalars import QQ, isqrt_exact
 
-from conftest import PLANE, SPACE, random_form, random_rat, rng_for
+from conftest import PLANE, SPACE, random_form, random_rat, rng_for, singular_points_oracle
 
 
 def test_node_versus_cusp():
@@ -562,9 +563,9 @@ def test_claim_check_and_singular_points_share_one_shear_search(
     calls = []
     sheared_locus = curves._sheared_locus
 
-    def counted(gamma, m, idx):
-        locus = sheared_locus(gamma, m, idx)
-        calls.append((idx, locus is not None))
+    def counted(gamma, m):
+        locus = sheared_locus(gamma, m)
+        calls.append((m, locus is not None))
         return locus
 
     monkeypatch.setattr(curves, "_sheared_locus", counted)
@@ -576,7 +577,7 @@ def test_claim_check_and_singular_points_share_one_shear_search(
     assert not singular_locus_complete(record.curve, record.nodes[:-1])
     # the same shears, and the locus is computed once
     assert calls == search and len(calls) == shears
-    assert [found for _idx, found in calls].count(True) == 1
+    assert [found for _m, found in calls].count(True) == 1
 
 
 def test_rational_points_over_one_x_are_kept_and_conjugate_ones_are_not():
@@ -592,7 +593,7 @@ def test_rational_points_over_one_x_are_kept_and_conjugate_ones_are_not():
     # so the locus is taken at a later one
     c2 = parse_form("x^2+y^2+z^2", PLANE)
     gamma = c2 * c2 - parse_form("z^2-4xy", PLANE) * parse_form("x^2", PLANE)
-    assert curves._sheared_locus(gamma, shear_matrix(0), 0) is None
+    assert curves._sheared_locus(gamma, shear_matrix(0)) is None
     field = NumberField(UPoly([1, 0, 1]))
     orbit = ProjPoint([field.zero(), field.gen(), field.one()])
     assert singular_locus_complete(gamma, [orbit])
@@ -899,8 +900,8 @@ def test_a_claim_check_returns_the_node_test_of_each_claimed_point(example_id):
         assert not complete and [r.point for r in reports] == nodes[1:]
 
 
-def test_a_curve_keeps_one_discriminant_for_both_checks(monkeypatch):
-    record = load_example("split6")
+def _count_resultants(monkeypatch):
+    """A list that gets one entry per ``resultant_y`` call."""
     calls = []
     original = curves.resultant_y
 
@@ -909,6 +910,12 @@ def test_a_curve_keeps_one_discriminant_for_both_checks(monkeypatch):
         return original(biv1, biv2)
 
     monkeypatch.setattr(curves, "resultant_y", counted)
+    return calls
+
+
+def test_a_curve_keeps_one_discriminant_for_both_checks(monkeypatch):
+    record = load_example("split6")
+    calls = _count_resultants(monkeypatch)
     assert singular_locus_complete(record.curve, record.nodes)
     assert curve_is_reduced(record.curve)
     assert curves._discriminant(record.curve) is curves._discriminant(record.curve)
@@ -929,6 +936,66 @@ def test_a_kept_discriminant_decides_no_later_claim(name):
             fresh, claim
         ), (name, kind)
 
+
+@pytest.mark.parametrize(
+    "example_id, resultants",
+    [
+        ("split6", 1),
+        ("nonsplit6a", 2),
+        ("nonsplit6b", 2),
+        ("split7-33", 1),
+        ("split7-24", 2),
+        ("nonsplit7", 1),
+    ],
+)
+def test_the_locus_at_the_kept_shear_reads_the_kept_discriminant(
+    example_id, resultants, monkeypatch
+):
+    # the locus and the claim check share the kept D; a locus found at a
+    # later shear takes one D of its own there
+    record = load_example(example_id)
+    calls = _count_resultants(monkeypatch)
+    singular_points(record.curve)
+    assert curves.check_claim(record.curve, record.nodes)[1]
+    assert len(calls) == resultants
+
+
+def _seeded_octic(seed):
+    """c4^2 - (z^2 - 4xy) c3^2, c4 and c3 with seeded coefficients in
+    [-3, 3]: twelve nodes, where c4 = c3 = 0, in one orbit."""
+    rng = random.Random(seed)
+    c4, c3 = (
+        Form(PLANE, d, {e: rng.randint(-3, 3) for e in sorted(monomial_basis(3, d))})
+        for d in (4, 3)
+    )
+    return c4 * c4 - parse_form("z^2-4xy", PLANE) * c3 * c3
+
+
+@pytest.mark.parametrize(
+    "name",
+    _CATALOG_CURVES
+    + ("octic-1", "octic-2", "octic-4", "octic-5", "cusp", "pair", "four-lines", "tacnodal"),
+)
+def test_the_locus_from_the_discriminant_is_the_weighted_partials_locus(name):
+    if name.startswith("octic-"):
+        gamma = _seeded_octic(int(name[len("octic-"):]))
+    else:
+        gamma = _certificate_case(name)[0]
+    expected = singular_points_oracle(gamma)
+    found = singular_points(gamma)
+    assert sorted(p.orbit_size() for p in found) == sorted(p.orbit_size() for p in expected)
+    # the locus shear, and so the fields, may differ: the oracle's points
+    # are compared with the locus at the shear where it is found now
+    assert curves._matches_locus(gamma, expected)
+
+
+def test_repeated_factors_of_the_discriminant_need_not_be_singular():
+    # x^3 + y^3 - x z^2 is smooth, and its lines x = 0, +-z are inflectional
+    # tangents: D has order 2 there, and only dF/dx tells them from nodes
+    gamma = parse_form("x^3+y^3-x*z^2", PLANE)
+    assert singular_points(gamma) == []
+    assert _first_locus(gamma) == (shear_matrix(0), {})
+    assert curves._discriminant(gamma) == (shear_matrix(0), UPoly([0, 0, 27, 0, -54, 0, 27]))
 
 def _singular_at_all(form, points):
     return all(rep.is_singular for rep in verify_node(form, points))
