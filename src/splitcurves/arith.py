@@ -1,7 +1,8 @@
 """Exact scalar and univariate-polynomial arithmetic.
 
-Univariate polynomials over the rationals or over a number field
-``QQ[a]/(p)``, complete factorization over the rationals (Yun's squarefree
+Univariate polynomials over the rationals, number fields ``QQ[a]/(p)``
+with a gcd of polynomials over them kept on integer coordinate vectors
+(``_zk_gcd``), complete factorization over the rationals (Yun's squarefree
 decomposition in integers, then Berlekamp + Hensel lifting + Zassenhaus
 recombination of each squarefree part at the first good prime: the first
 odd prime that divides no leading coefficient and keeps the part
@@ -408,36 +409,29 @@ def _zassenhaus(f):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over QQ or a number field
+# univariate polynomials over QQ
 # ---------------------------------------------------------------------------
 
 
 class UPoly:
-    """Dense univariate polynomial; coefficient list starts at the constant.
+    """Dense univariate polynomial with rational coefficients; the
+    coefficient list starts at the constant.
 
-    ``field`` is None for rational coefficients or a NumberField whose
-    elements the coefficients are.
+    A polynomial over a number field is no UPoly: ``curves`` keeps its
+    fibers over an algebraic x as integer coordinate vectors (``_zk_gcd``).
     """
 
-    __slots__ = ("coeffs", "field")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, field=None):
-        coeffs = list(coeffs)
-        if field is None:
-            coeffs = [c if isinstance(c, QQ) else QQ(c) for c in coeffs]
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-        else:
-            coeffs = [field.coerce(c) for c in coeffs]
-            while coeffs and coeffs[-1].is_zero():
-                coeffs.pop()
+    def __init__(self, coeffs):
+        coeffs = [c if isinstance(c, QQ) else QQ(c) for c in coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
         self.coeffs = tuple(coeffs)
-        self.field = field
 
-    # -- construction helpers
     @classmethod
-    def zero(cls, field=None):
-        return cls([], field)
+    def zero(cls):
+        return cls([])
 
     def degree(self):
         return len(self.coeffs) - 1
@@ -448,91 +442,52 @@ class UPoly:
     def lc(self):
         return self.coeffs[-1]
 
-    def _zero_c(self):
-        return ZERO if self.field is None else self.field.zero()
-
     def __getitem__(self, i):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return self._zero_c()
+        return ZERO
 
     def __eq__(self, other):
-        return (
-            isinstance(other, UPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, UPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise FieldMismatch("mixed coefficient fields")
+        return hash(self.coeffs)
 
     def __add__(self, other):
-        self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly([self[i] + other[i] for i in range(n)], self.field)
+        return UPoly([self[i] + other[i] for i in range(n)])
 
     def __sub__(self, other):
-        self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly([self[i] - other[i] for i in range(n)], self.field)
+        return UPoly([self[i] - other[i] for i in range(n)])
 
     def __neg__(self):
-        return UPoly([-c for c in self.coeffs], self.field)
+        return UPoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if not isinstance(other, UPoly):
             return self.scale(other)
-        self._check(other)
         if self.is_zero() or other.is_zero():
-            return UPoly.zero(self.field)
-        out = [self._zero_c()] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return UPoly.zero()
+        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return UPoly(out, self.field)
+        return UPoly(out)
 
     def scale(self, c):
-        if self.field is not None:
-            c = self.field.coerce(c)
-        else:
-            c = QQ(c)
-        return UPoly([a * c for a in self.coeffs], self.field)
+        return UPoly([a * c for a in self.coeffs])
 
     def __pow__(self, e):
-        one = [1] if self.field is None else [self.field.one()]
-        return power(self, e, UPoly(one, self.field))
-
-    def _inv_c(self, c):
-        return ONE / c if self.field is None else c.inv()
-
-    def quotient(self, other):
-        """The exact quotient self / other (``quotient_terms``), or None."""
-        self._check(other)
-        q = quotient_terms(
-            {(i,): c for i, c in enumerate(self.coeffs)},
-            {(i,): c for i, c in enumerate(other.coeffs)},
-        )
-        if q is None:
-            return None
-        degree = len(self.coeffs) - len(other.coeffs)
-        return UPoly([q.get((i,), self._zero_c()) for i in range(degree + 1)], self.field)
+        return power(self, e, UPoly([1]))
 
     def monic(self):
         if self.is_zero():
             return self
-        return self.scale(self._inv_c(self.lc()))
+        return self.scale(ONE / self.lc())
 
     def derivative(self):
-        if self.field is None:
-            return UPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-        return UPoly(
-            [c * self.field.from_rat(QQ(i)) for i, c in enumerate(self.coeffs)][1:],
-            self.field,
-        )
+        return UPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def eval(self, x):
         """Horner evaluation; x may be rational, NFElem, or any ring element."""
@@ -549,9 +504,9 @@ class UPoly:
         terms = []
         for i in range(self.degree(), -1, -1):
             c = self[i]
-            if (c == 0) if self.field is None else c.is_zero():
+            if c == 0:
                 continue
-            cs = rat_str(c) if self.field is None else str(c)
+            cs = rat_str(c)
             terms.append("%s*x^%d" % (cs, i) if i else cs)
         return "UPoly(%s)" % " + ".join(terms)
 
@@ -671,45 +626,35 @@ def _zk_primitive(f):
     return [[x // g for x in v] for v in f] if g > 1 else f
 
 
-def _zk_ints(p):
-    """The coefficients of p over a number field as integer coordinate
-    vectors, over one denominator and without integer content."""
-    n = p.field.degree
-    ints = clear_denominators([c for e in p.coeffs for c in e.coords])
-    return [ints[i : i + n] for i in range(0, len(ints), n)]
+def _zk_gcd(f, g, field):
+    """A gcd over ``field`` of polynomials given as lists (constant term
+    first) of integer coordinate vectors in the power basis, which may
+    leave out trailing zeros, in integers.
 
-
-def upoly_gcd(a, b):
-    """Monic gcd over the coefficient field, in integers.
-
-    Over the rationals both operands are scaled to integer coefficients and
-    ``_zz_gcd`` (GCDHEU, the primitive pseudo-remainder sequence as its
-    fallback) gives the gcd up to a rational unit, which ``monic`` removes.
-    Over a number field the coefficients are power-basis coordinate
-    vectors, put over one denominator, and the remainder sequence runs on
-    the integer vectors: a pseudo-remainder by ``_zk_prem``, then its
-    integer content removed.  The last nonzero remainder is the gcd up to a
-    unit of the field; one inverse of its leading coefficient makes it
-    monic.
+    The primitive remainder sequence: a pseudo-remainder by ``_zk_prem``,
+    then its integer content removed.  The last nonzero remainder is the
+    gcd up to a nonzero element of Z[a]; no inverse is taken.  The gcd with
+    the zero polynomial, the empty list, is the other operand.
     """
-    if a.field != b.field:
-        raise FieldMismatch("mixed coefficient fields")
-    if a.is_zero() or b.is_zero():
-        return (b if a.is_zero() else a).monic()
-    field = a.field
-    if field is None:
-        g = _zz_gcd(clear_denominators(list(a.coeffs)), clear_denominators(list(b.coeffs)))
-        return UPoly([QQ(c, g[-1]) for c in g])
-    f, g = _zk_ints(a), _zk_ints(b)
     if len(f) < len(g):
         f, g = g, f
     while g:
         f, g = g, _zk_primitive(_zk_prem(f, g, field))
-    one = field.one()
-    if len(f) == 1:
-        return UPoly([one], field)
-    inv = NFElem(field, tuple(QQ(x) for x in f[-1])).inv()
-    return UPoly([NFElem(field, tuple(QQ(x) for x in v)) * inv for v in f[:-1]] + [one], field)
+    return f
+
+
+def upoly_gcd(a, b):
+    """Monic gcd of two rational polynomials, in integers.
+
+    Both operands are scaled to integer coefficients and ``_zz_gcd``
+    (GCDHEU, the primitive pseudo-remainder sequence as its fallback) gives
+    the gcd up to a rational unit, which is divided out.  The gcd with zero
+    is the other operand made monic.
+    """
+    if a.is_zero() or b.is_zero():
+        return (b if a.is_zero() else a).monic()
+    g = _zz_gcd(clear_denominators(list(a.coeffs)), clear_denominators(list(b.coeffs)))
+    return UPoly([QQ(c, g[-1]) for c in g])
 
 
 def upoly_squarefree(f):
@@ -750,8 +695,6 @@ def upoly_factor(p):
     coefficients; the product of factor**multiplicity differs from p by the
     rational unit p.lc().
     """
-    if p.field is not None:
-        raise FieldMismatch("factorization is only over the rationals")
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     result = {}

@@ -37,11 +37,12 @@ differences of a polynomial in Z[x] at distinct integer nodes are integers,
 so the Newton interpolation divides exactly.  One rational rescaling at the
 end gives the resultant of the inputs.  A shear that leaves a singular
 point on z = 0 is refused from two binary substitutions, before the curve
-is composed with it, and the fibers over D's factors are built in
-integers.  A curve keeps one datum, its discriminant (the shear and D),
-never its locus or a verdict on a claim, so every check on one Form reads
-one D, the locus at that shear reads it too, and a second claim reruns
-every other check of the certificate.
+is composed with it.  The fibers over D's factors stay in integers, as
+power-basis coordinate vectors over Z[alpha] at an irrational x, and an
+orbit's point is one division.  A curve keeps one datum, its discriminant
+(the shear and D), never its locus or a verdict on a claim, so every check
+on one Form reads one D, the locus at that shear reads it too, and a second
+claim reruns every other check of the certificate.
 """
 import itertools
 import random
@@ -55,6 +56,7 @@ from .arith import (
     _horner,
     _trim,
     _zassenhaus,
+    _zk_gcd,
     _zz_deriv,
     _zz_exquo,
     _zz_gcd,
@@ -63,7 +65,6 @@ from .arith import (
     binform_gcd,
     scalar_is_zero,
     upoly_factor,
-    upoly_gcd,
     upoly_squarefree,
 )
 from .conics import classify_conic
@@ -392,29 +393,47 @@ def _x_minimal_polynomial(xi):
 
 
 def _fiber_gcd(bivs, field, x):
-    """Gcd in y of the bivariates over x, monic once two are combined.
-
-    Over a rational x = a / b (field None) the y-coefficients of each
-    bivariate, scaled to integers, are b^D c(a / b) by integer Horner (D
-    its x-degree).  Over x = alpha, the generator of ``field``, each is its
-    x-column reduced once by ``field.elem``.  Each is a nonzero rational
-    multiple of the polynomial in y, and the gcd does not see it.
+    """(g, rest): the gcd in y of the bivariates over x, in integers, taken
+    in order until it is linear (its root is far smaller than g, so the
+    caller tests the fibers left, rest, there).  At a rational x = a / b
+    (field None) a fiber is b^D c(a / b) for each integer y-coefficient c
+    (D its x-degree), and ``_zz_gcd`` combines them.  At x = alpha, the
+    generator of ``field``, each column is reduced modulo the integer
+    minimal polynomial, as ``NumberField.elem`` does, to one power of its
+    leading coefficient, and ``_zk_gcd`` combines the coordinate vectors.
     """
     if field is None:
         a, b = x.numerator, x.denominator
-    g = None
+    fibers = []
     for biv in bivs:
         cols, _scale = _scaled_y_columns(biv)
         if field is None:
             top = max(len(col) for col in cols)
-            coeffs = [_horner(col, a, b) * b ** (top - len(col)) for col in cols]
+            fibers.append(_trim([_horner(col, a, b) * b ** (top - len(col)) for col in cols]))
+            continue
+        rems = [_zz_prem(col, field._int_poly) for col in cols]
+        top = max(k for _rem, k in rems)
+        p = [[c * field._int_poly[-1] ** (top - k) for c in rem] for rem, k in rems]
+        while p and not any(p[-1]):
+            p.pop()
+        fibers.append(p)
+    g = []
+    for i, p in enumerate(fibers):
+        if field is None:
+            g = _zz_gcd(g, p) if g and p else g or p
         else:
-            coeffs = [field.elem(col) for col in cols]
-        p = UPoly(coeffs, field)
-        g = p if g is None else upoly_gcd(g, p)
-        if g.degree() == 0:
-            break
-    return g
+            g = _zk_gcd(g, p, field)
+        if 1 <= len(g) <= 2:
+            return g, fibers[i + 1 :]
+    return g, []
+
+
+def _vanishes_at(fiber, y, field):
+    """Does a fiber of ``_fiber_gcd`` vanish at y, rational or in field?"""
+    acc = ZERO
+    for c in reversed(fiber):
+        acc = acc * y + (c if field is None else field.elem(c))
+    return scalar_is_zero(acc)
 
 
 def _restrict(form, images):
@@ -432,8 +451,11 @@ def _infinity_singular_points_exist(gamma, m):
     are the partials of the restriction r(x, y) = gamma(m (x, y, 0)), one
     binary substitution; when they share no root, no point of z = 0 is
     singular.  Otherwise the third entry, w . grad gamma at m (x, y, 0)
-    with w the last column of m, is a second binary substitution.
+    with w the last column of m, is a second binary substitution.  (A
+    nonzero constant has no points: Euler's identity needs degree >= 1.)
     """
+    if gamma.degree == 0:
+        return False
     line = {v: BinForm(1, [row[1], row[0]]) for v, row in zip(gamma.variables, m)}
     r = _restrict(gamma, line).coeffs
     d = len(r) - 1
@@ -489,7 +511,7 @@ def _sheared_locus(gamma, m):
     """
     if _center_on_curve(gamma, m) or _infinity_singular_points_exist(gamma, m):
         return None
-    biv = _affine_xy(compose_form(gamma, m))
+    biv = _affine_xy(gamma if m == _IDENTITY else compose_form(gamma, m))
     kept, disc = _discriminant(gamma)
     if kept != m:
         disc = _y_discriminant(biv)
@@ -504,20 +526,32 @@ def _sheared_locus(gamma, m):
     for q in sorted(lines, key=lambda q: (q.degree(), q.coeffs)):
         field = None if q.degree() == 1 else NumberField(q, check=False)
         x = -q.coeffs[0] if field is None else field.gen()
-        fiber = _fiber_gcd(partials, field, x)
-        if fiber.degree() >= 2:
-            # a multiple root is still one point
-            fiber = fiber.quotient(upoly_gcd(fiber, fiber.derivative()))
-        if fiber.degree() >= 2 and field is None:
-            ys = [-f.coeffs[0] for f, _mult in upoly_factor(fiber) if f.degree() == 1]
-        else:
-            ys = [-fiber.monic().coeffs[0]] if fiber.degree() == 1 else []
-        if len(ys) < fiber.degree():
-            # conjugate points over one x-coordinate need another shear
+        ys = _fiber_points(*_fiber_gcd(partials, field, x), field)
+        if ys is None:
             return None
         if ys:
             locus[q] = (x, ys)
     return locus
+
+
+def _fiber_points(fiber, rest, field):
+    """The ys of the singular points over one x from ``_fiber_gcd``'s
+    (fiber, rest), or None when conjugate points share the line.  Over Q
+    they are the roots of its linear factors; over alpha the fiber must be
+    c (y - y0)^k, so deg gcd(f, f') = k - 1, and y0 = -f_(k-1) / (k f_k) is
+    the orbit's one inverse.  The rest must vanish at the root too."""
+    if field is None:
+        factors = [f for f, _mult in upoly_factor(UPoly(fiber))]
+        ys = [-f.coeffs[0] for f in factors if f.degree() == 1]
+        if len(ys) < len(factors):
+            return None
+    else:
+        k = len(fiber) - 1
+        slope = [[i * c for c in v] for i, v in enumerate(fiber)][1:]
+        if k > 1 and len(_zk_gcd(fiber, slope, field)) != k:
+            return None
+        ys = [field.elem(fiber[-2]) * QQ(-1, k) / field.elem(fiber[-1])] if k else []
+    return [y for y in ys if all(_vanishes_at(p, y, field) for p in rest)]
 
 
 def _first_locus(gamma):
@@ -644,7 +678,8 @@ def _discriminant(gamma):
     for idx in range(MAX_SHEARS):
         m = shear_matrix(idx)
         if not _center_on_curve(gamma, m):
-            gamma._disc = m, _y_discriminant(_affine_xy(compose_form(gamma, m)))
+            composed = gamma if m == _IDENTITY else compose_form(gamma, m)
+            gamma._disc = m, _y_discriminant(_affine_xy(composed))
             return gamma._disc
     return None
 

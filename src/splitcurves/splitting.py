@@ -48,7 +48,7 @@ from .cover import (
     ram_form,
     tangent_line,
 )
-from .curves import check_claim, singular_points, verify_node
+from .curves import check_claim, irreducibility_sextic, singular_points, verify_node
 from .errors import (
     CannotCertify,
     ConicNotSmooth,
@@ -56,6 +56,7 @@ from .errors import (
     NotTangentLine,
     SearchBudgetExceeded,
     SplitCurvesError,
+    TooManyNodes,
     WrongNodeCount,
 )
 from .forms import BiForm, Form, compose_form, monomial_values, substitute_form, transform_point
@@ -1073,13 +1074,33 @@ def splitting_type_normalized(config):
             evidence=evidence,
             notes=notes,
         )
-    if not inconclusive:
-        return SplittingReport("non_splitting", evidence=evidence, notes=notes)
-    notes.append(
-        "types %s passed necessary conditions but the factorization search "
-        "was inconclusive" % ", ".join("(%d,%d)" % t for t in inconclusive)
-    )
+    if inconclusive:
+        notes.append(
+            "types %s passed necessary conditions but the factorization search "
+            "was inconclusive" % ", ".join("(%d,%d)" % t for t in inconclusive)
+        )
+    else:
+        gap = _irreducibility_gap(gamma_n, nodes_n, r)
+        if gap is None:
+            return SplittingReport("non_splitting", evidence=evidence, notes=notes)
+        notes.append(
+            "every type failed a necessary condition, but the conditions hold "
+            "only for an absolutely irreducible curve: %s" % gap
+        )
     return SplittingReport("undetermined", evidence=evidence, notes=notes)
+
+
+def _irreducibility_gap(gamma, nodes, r):
+    """Why the r-nodal curve is not certified absolutely irreducible, or
+    None: r < d - 1 certifies it (a component of degree e meets the rest in
+    e (d - e) >= d - 1 nodes), and so does ``irreducibility_sextic``."""
+    d = gamma.degree
+    try:
+        if r < d - 1 or d == 6 and irreducibility_sextic(gamma, nodes):
+            return None
+    except (CannotCertify, TooManyNodes) as exc:
+        return "no irreducibility certificate (%s)" % exc
+    return "no irreducibility certificate for degree %d with %d nodes" % (d, r)
 
 
 def _summarize_failures(nec, m, n):

@@ -3,7 +3,7 @@ import zlib
 
 import pytest
 
-from splitcurves.arith import NumberField, UPoly
+from splitcurves.arith import NumberField, UPoly, _zk_gcd, upoly_gcd
 from splitcurves.cover import ram_form
 from splitcurves.forms import BiForm, Form, ProjPoint, parse_form, point
 from splitcurves.linalg import (
@@ -13,7 +13,7 @@ from splitcurves.linalg import (
     rank_bareiss,
     solve_linear,
 )
-from splitcurves.scalars import QQ
+from splitcurves.scalars import QQ, clear_denominators
 
 PLANE = ("x", "y", "z")
 SPACE = ("x", "y", "z", "w")
@@ -161,21 +161,105 @@ def random_form(rng, degree, nvars=3, height=9, sparsity=0.8):
 
 def upoly_divmod(a, b):
     """(q, r) with a = q b + r and deg r < deg b: the long division that
-    ``UPoly.divmod`` was, kept for the remainders the oracles read."""
-    if b.is_zero():
+    ``UPoly.divmod`` was, kept for the remainders the oracles read.  a and
+    b are rational UPolys, or trimmed lists of NFElem (constant term
+    first) over one number field, and q and r are of the same kind."""
+    over_q = isinstance(a, UPoly)
+    num, den = (a.coeffs, b.coeffs) if over_q else (a, b)
+    if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    dg = b.degree()
-    inv = b.lc() ** -1
-    zero = b.coeffs[0] * 0
+    rem = list(num)
+    dg = len(den) - 1
+    inv = den[-1] ** -1
+    zero = den[0] * 0
     q = [zero] * max(0, len(rem) - dg)
     for i in range(len(rem) - 1, dg - 1, -1):
         c = rem[i] * inv
         q[i - dg] = c
-        for j, x in enumerate(b.coeffs):
+        for j, x in enumerate(den):
             rem[i - dg + j] = rem[i - dg + j] - c * x
         rem[i] = zero
-    return UPoly(q, a.field), UPoly(rem[:dg], a.field)
+    if over_q:
+        return UPoly(q), UPoly(rem[:dg])
+    return nf_trim(q), nf_trim(rem[:dg])
+
+
+# -- polynomials over a number field: plain lists of NFElem, constant first --
+
+
+def nf_trim(p):
+    p = list(p)
+    while p and p[-1].is_zero():
+        p.pop()
+    return p
+
+
+def nf_mul(a, b):
+    if not a or not b:
+        return []
+    out = [a[0] * 0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return nf_trim(out)
+
+
+def nf_derivative(p):
+    return nf_trim([c * i for i, c in enumerate(p)][1:])
+
+
+def nf_monic(p):
+    if not p:
+        return p
+    inv = p[-1].inv()
+    return [c * inv for c in p[:-1]] + [p[-1].owner.one()]
+
+
+def nf_ints(p):
+    """The coefficients of an NFElem list as integer coordinate vectors,
+    over one denominator and without integer content."""
+    if not p:
+        return []
+    n = p[0].owner.degree
+    ints = clear_denominators([c for e in p for c in e.coords])
+    return [ints[i : i + n] for i in range(0, len(ints), n)]
+
+
+def nf_from_ints(f, field):
+    """The monic NFElem list whose integer coordinate vectors are f up to a
+    unit of the field: one inverse of the leading coefficient."""
+    return nf_monic([field.elem(v) for v in f])
+
+
+def nf_gcd(a, b):
+    """Monic gcd of NFElem lists, as ``upoly_gcd`` computed it over a number
+    field: the remainder sequence of ``_zk_gcd`` on the integer vectors,
+    then one inverse of its leading coefficient."""
+    if not a or not b:
+        return nf_monic(b if not a else a)
+    field = a[0].owner
+    return nf_from_ints(_zk_gcd(nf_ints(a), nf_ints(b), field), field)
+
+
+def fiber_gcd_oracle(combos, field, alpha):
+    """The monic gcd in y of the bivariates at x = alpha, as the parent built
+    it: each y-coefficient by Horner in NFElem or Fraction arithmetic, a
+    rational UPoly over Q and an NFElem list over a number field."""
+    zero, one = (QQ(0), QQ(1)) if field is None else (field.zero(), field.one())
+    g = None
+    for biv in combos:
+        coeffs = [zero] * (max(j for (_i, j) in biv) + 1)
+        for (i, j), c in biv.items():
+            coeffs[j] = coeffs[j] + alpha**i * c if field is None else coeffs[j] + one * c * alpha**i
+        if field is None:
+            p = UPoly(coeffs)
+            g = p if g is None else upoly_gcd(g, p)
+        else:
+            p = nf_trim(coeffs)
+            g = p if g is None else nf_gcd(g, p)
+        if len(g.coeffs if field is None else g) == 1:
+            break
+    return g.monic() if field is None else nf_monic(g)
 
 
 def divide_by_ram_oracle(b):
@@ -429,11 +513,11 @@ def _sheared_locus_oracle(gamma, m, idx):
     """The singular points of gamma o m at z = 1, by x-orbit, as the parent
     found them: y eliminated by resultants of two of three weighted
     combinations of the partials, the fiber over each factor of their gcd
-    the gcd of the combinations there.  None where a shear is refused."""
+    the gcd of the combinations there (``fiber_gcd_oracle``), made
+    squarefree.  None where a shear is refused."""
     from splitcurves import curves
-    from splitcurves.arith import upoly_factor, upoly_gcd
+    from splitcurves.arith import upoly_factor
     from splitcurves.forms import compose_form
-    from splitcurves.scalars import clear_denominators
 
     if curves._infinity_singular_points_exist(gamma, m):
         return None
@@ -455,14 +539,21 @@ def _sheared_locus_oracle(gamma, m, idx):
     for q, _mult in upoly_factor(upoly_gcd(r1, r2)):
         field = None if q.degree() == 1 else NumberField(q, check=False)
         x = -q.coeffs[0] if field is None else field.gen()
-        fiber = curves._fiber_gcd(combos, field, x)
-        if fiber.degree() >= 2:
-            fiber = fiber.quotient(upoly_gcd(fiber, fiber.derivative()))
-        if fiber.degree() >= 2 and field is None:
-            ys = [-f.coeffs[0] for f, _mult in upoly_factor(fiber) if f.degree() == 1]
+        fiber = fiber_gcd_oracle(combos, field, x)
+        if field is None:
+            if fiber.degree() >= 2:
+                fiber = upoly_divmod(fiber, upoly_gcd(fiber, fiber.derivative()))[0]
+            if fiber.degree() >= 2:
+                ys = [-f.coeffs[0] for f, _mult in upoly_factor(fiber) if f.degree() == 1]
+            else:
+                ys = [-fiber.monic().coeffs[0]] if fiber.degree() == 1 else []
+            degree = fiber.degree()
         else:
-            ys = [-fiber.monic().coeffs[0]] if fiber.degree() == 1 else []
-        if len(ys) < fiber.degree():
+            if len(fiber) > 2:
+                fiber = upoly_divmod(fiber, nf_gcd(fiber, nf_derivative(fiber)))[0]
+            ys = [-nf_monic(fiber)[0]] if len(fiber) == 2 else []
+            degree = len(fiber) - 1
+        if len(ys) < degree:
             return None
         if ys:
             locus[q] = (x, ys)

@@ -8,6 +8,7 @@ from splitcurves.arith import (
     BinForm,
     NumberField,
     UPoly,
+    _zk_gcd,
     _zz_exquo,
     _zz_gcd,
     _zz_gcd_prs,
@@ -32,7 +33,18 @@ from splitcurves.linalg import solve_linear
 from splitcurves.scalars import QQ, clear_denominators
 from splitcurves.splitting import _binform_squarefree
 
-from conftest import random_form, rng_for, random_rat, upoly_divmod
+from conftest import (
+    nf_derivative,
+    nf_from_ints,
+    nf_gcd,
+    nf_ints,
+    nf_monic,
+    nf_mul,
+    random_form,
+    random_rat,
+    rng_for,
+    upoly_divmod,
+)
 
 
 def poly(*coeffs):
@@ -371,14 +383,23 @@ def test_factor_has_no_degree_bound():
     assert upoly_factor(poly(1, 1) ** 25) == [(poly(1, 1), 25)]
 
 
+def _quotient(f, g):
+    """f / g by ``quotient_terms`` for coefficient lists (constant term
+    first) of rationals or of NFElem, or None."""
+    q = quotient_terms({(i,): c for i, c in enumerate(f)}, {(i,): c for i, c in enumerate(g)})
+    if q is None:
+        return None
+    return [q.get((i,), g[0] * 0) for i in range(len(f) - len(g) + 1)]
+
+
 def test_gcd_and_divmod():
     a = poly(-1, 0, 1)
     b = poly(1, 1)
     assert upoly_gcd(a, b) == b
     q, r = upoly_divmod(a, b)
     assert q * b + r == a and r.is_zero()
-    assert a.quotient(b) == q == poly(-1, 1)
-    assert (a + poly(1)).quotient(b) is None
+    assert UPoly(_quotient(a.coeffs, b.coeffs)) == q == poly(-1, 1)
+    assert _quotient((a + poly(1)).coeffs, b.coeffs) is None
 
 
 # -- gcd over Q: the rational Euclidean algorithm, kept as an oracle ---------
@@ -589,24 +610,31 @@ def test_upoly_quotient_matches_the_oracles_over_q_and_a_cubic_field():
             if field is None:
                 g = _random_upoly(rng, rng.randint(0, 4))
                 q = _random_upoly(rng, rng.randint(0, 5))
-            else:
-                g = _random_nf_poly(rng, field, rng.randint(0, 4))
-                q = _random_nf_poly(rng, field, rng.randint(0, 5))
-            if g.is_zero() or q.is_zero():
-                continue
-            f = q * g
-            assert f.quotient(g) == upoly_divmod(f, g)[0] == q
-            if field is None:
+                if g.is_zero() or q.is_zero():
+                    continue
+                f = q * g
+                assert UPoly(_quotient(f.coeffs, g.coeffs)) == upoly_divmod(f, g)[0] == q
                 basis = [(i,) for i in range(q.degree() + 1)]
                 terms = {(i,): c for i, c in enumerate(f.coeffs)}
                 g_terms = {(i,): c for i, c in enumerate(g.coeffs)}
                 oracle = _quotient_terms_oracle(terms, g_terms, basis)
                 assert oracle == {(i,): c for i, c in enumerate(q.coeffs) if c}
-            if g.degree() > 0:
-                one = UPoly([1], field)
-                assert not upoly_divmod(f + one, g)[1].is_zero()
-                assert (f + one).quotient(g) is None
-                assert g.quotient(f * g) is None
+                if g.degree() > 0:
+                    one = UPoly([1])
+                    assert not upoly_divmod(f + one, g)[1].is_zero()
+                    assert _quotient((f + one).coeffs, g.coeffs) is None
+                    assert _quotient(g.coeffs, (f * g).coeffs) is None
+                continue
+            # over the field, lists of NFElem
+            g = _random_nf_poly(rng, field, rng.randint(0, 4))
+            q = _random_nf_poly(rng, field, rng.randint(0, 5))
+            f = nf_mul(q, g)
+            assert _quotient(f, g) == upoly_divmod(f, g)[0] == q
+            if len(g) > 1:
+                shifted = [f[0] + 1] + f[1:]
+                assert upoly_divmod(shifted, g)[1]
+                assert _quotient(shifted, g) is None
+                assert _quotient(g, nf_mul(f, g)) is None
 
 
 # -- number fields -----------------------------------------------------------
@@ -728,10 +756,8 @@ def test_number_field_kernels_match_rational_oracles(coeffs):
 
 
 def _content_scale_oracle(p):
-    """A rational c such that p.scale(c) has small integer-ish coefficients."""
-    if p.is_zero():
-        return QQ(1)
-    flat = [c for e in p.coeffs for c in e.coords]
+    """A rational c such that c p has small integer-ish coefficients."""
+    flat = [c for e in p for c in e.coords]
     ints = clear_denominators(flat)
     for orig, scaled in zip(flat, ints):
         if scaled != 0:
@@ -742,10 +768,10 @@ def _content_scale_oracle(p):
 def _nf_gcd_oracle(a, b):
     """Monic gcd by Euclid on NFElem remainders, each rescaled by a
     rational, as the parent computed it over a number field."""
-    while not b.is_zero():
+    while b:
         r = upoly_divmod(a, b)[1]
-        a, b = b, r.scale(_content_scale_oracle(r))
-    return a.monic() if not a.is_zero() else a
+        a, b = b, [c * _content_scale_oracle(r) for c in r]
+    return nf_monic(a)
 
 
 def _random_field(rng):
@@ -766,7 +792,12 @@ def _random_nf_poly(rng, field, degree):
     coeffs = [field.elem(_random_coords(rng, field.degree)) for _ in range(degree + 1)]
     if coeffs[-1].is_zero():
         coeffs[-1] = field.one()
-    return UPoly(coeffs, field)
+    return coeffs
+
+
+def _zk_gcd_monic(a, b, field):
+    """``_zk_gcd`` on the integer vectors of NFElem lists, made monic."""
+    return nf_from_ints(_zk_gcd(nf_ints(a), nf_ints(b), field), field)
 
 
 def test_number_field_gcd_matches_the_euclid_oracle():
@@ -779,33 +810,36 @@ def test_number_field_gcd_matches_the_euclid_oracle():
     for field in fields:
         for _ in range(6):
             common = _random_nf_poly(rng, field, rng.randint(0, 3))
-            a = _random_nf_poly(rng, field, rng.randint(0, 4)) * common
-            b = _random_nf_poly(rng, field, rng.randint(0, 4)) * common
+            a = nf_mul(_random_nf_poly(rng, field, rng.randint(0, 4)), common)
+            b = nf_mul(_random_nf_poly(rng, field, rng.randint(0, 4)), common)
             expected = _nf_gcd_oracle(a, b)
-            assert upoly_gcd(a, b) == expected == upoly_gcd(b, a)
-            degrees.add(min(expected.degree(), 2))
+            assert _zk_gcd_monic(a, b, field) == expected == _zk_gcd_monic(b, a, field)
+            assert nf_gcd(a, b) == expected
+            degrees.add(min(len(expected) - 1, 2))
         # the squarefree part of a fiber with a repeated root
         root = _random_nf_poly(rng, field, 1)
-        fiber = root * root * _random_nf_poly(rng, field, rng.randint(0, 3))
-        expected = upoly_divmod(fiber, _nf_gcd_oracle(fiber, fiber.derivative()))[0]
-        assert fiber.quotient(upoly_gcd(fiber, fiber.derivative())) == expected
-        # zero operands
-        zero = UPoly.zero(field)
-        assert upoly_gcd(zero, zero) == zero == _nf_gcd_oracle(zero, zero)
-        assert upoly_gcd(fiber, zero) == upoly_gcd(zero, fiber) == fiber.monic()
-        assert upoly_gcd(zero, fiber) == _nf_gcd_oracle(zero, fiber)
+        fiber = nf_mul(nf_mul(root, root), _random_nf_poly(rng, field, rng.randint(0, 3)))
+        slope = nf_derivative(fiber)
+        expected = upoly_divmod(fiber, _nf_gcd_oracle(fiber, slope))[0]
+        assert upoly_divmod(fiber, _zk_gcd_monic(fiber, slope, field))[0] == expected
+        # zero operands: the gcd with the empty list is the other operand
+        assert _zk_gcd([], [], field) == [] == _nf_gcd_oracle([], [])
+        ints = nf_ints(fiber)
+        assert _zk_gcd(ints, [], field) == _zk_gcd([], ints, field) == ints
+        assert _zk_gcd_monic([], fiber, field) == nf_monic(fiber) == _nf_gcd_oracle([], fiber)
     assert degrees == {0, 1, 2}
 
 
 def test_number_field_gcd_of_coprime_and_constant_operands():
     field = NumberField(UPoly([QQ(-1, 2), 0, 1]))
     a = field.gen()
-    one = UPoly([field.one()], field)
-    x_minus_a = UPoly([-a, field.one()], field)
-    x_plus_a = UPoly([a, field.one()], field)
-    assert upoly_gcd(x_minus_a, x_plus_a) == one
-    assert upoly_gcd(x_minus_a * x_plus_a, x_plus_a.scale(a + 3)) == x_plus_a
-    assert upoly_gcd(UPoly([a], field), x_minus_a) == one
+    one = [field.one()]
+    x_minus_a = [-a, field.one()]
+    x_plus_a = [a, field.one()]
+    assert _zk_gcd_monic(x_minus_a, x_plus_a, field) == one
+    product = nf_mul(x_minus_a, x_plus_a)
+    assert _zk_gcd_monic(product, [c * (a + 3) for c in x_plus_a], field) == x_plus_a
+    assert _zk_gcd_monic([a], x_minus_a, field) == one
 
 
 # -- binary form factorization: the content, multiplied out, as the oracle --

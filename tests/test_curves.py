@@ -10,7 +10,6 @@ from splitcurves.arith import (
     UPoly,
     binform_gcd,
     scalar_is_zero,
-    upoly_gcd,
 )
 from splitcurves import curves
 from splitcurves.curves import (
@@ -44,7 +43,16 @@ from splitcurves.linalg import det_bareiss, mat_det, mat_inv
 from splitcurves.registry import load_example, parse_node_spec
 from splitcurves.scalars import QQ, isqrt_exact
 
-from conftest import PLANE, SPACE, random_form, random_rat, rng_for, singular_points_oracle
+from conftest import (
+    PLANE,
+    SPACE,
+    fiber_gcd_oracle,
+    nf_from_ints,
+    random_form,
+    random_rat,
+    rng_for,
+    singular_points_oracle,
+)
 
 
 def test_node_versus_cusp():
@@ -989,6 +997,43 @@ def test_the_locus_from_the_discriminant_is_the_weighted_partials_locus(name):
     assert curves._matches_locus(gamma, expected)
 
 
+@pytest.mark.parametrize(
+    "name, inverses",
+    [("split6", 1), ("split7-33", 2), ("octic-1", 1), ("octic-2", 1), ("octic-4", 1), ("octic-5", 1)],
+)
+def test_singular_points_takes_one_inverse_per_irrational_orbit(name, inverses, monkeypatch):
+    # the fiber over an irrational x stays in integers, and its point is
+    # one division; split7-33 has orbits of 4 and 2 besides a rational node
+    if name.startswith("octic-"):
+        gamma = _seeded_octic(int(name[len("octic-"):]))
+    else:
+        gamma = load_example(name).curve
+    calls = []
+    inv = NFElem.inv
+
+    def counted(self):
+        calls.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(NFElem, "inv", counted)
+    found = singular_points(gamma)
+    assert len(calls) == inverses == sum(p.field is not None for p in found)
+
+
+def test_an_irrational_fiber_gives_a_point_only_as_a_power():
+    # over QQ(sqrt 2), in the power basis (1, a): 3 (y - a)^2 is the one
+    # point y = a, and y^2 - 2 = (y - a)(y + a) is two conjugate points
+    field = NumberField(UPoly([-2, 0, 1]))
+    a = field.gen()
+    assert curves._fiber_points([[6, 0], [0, -6], [3, 0]], [], field) == [a]
+    assert curves._fiber_points([[-2, 0], [0, 0], [1, 0]], [], field) is None
+    # a linear gcd's root is a point only where the fibers left vanish
+    root = [[0, -5], [5, 0]]
+    assert curves._fiber_points(root, [[[-2, 0], [0, 0], [1, 0]]], field) == [a]
+    assert curves._fiber_points(root, [[[2, 0], [0, 0], [1, 0]]], field) == []
+    assert curves._fiber_points([[7, 1]], [], field) == []
+
+
 def test_repeated_factors_of_the_discriminant_need_not_be_singular():
     # x^3 + y^3 - x z^2 is smooth, and its lines x = 0, +-z are inflectional
     # tangents: D has order 2 there, and only dF/dx tells them from nodes
@@ -1197,23 +1242,7 @@ def test_newton_interpolation_is_exact_or_raises():
         _zz_newton([0, 1, -1], [0, 1, 0])
 
 
-# -- fibers: NFElem and Fraction Horner, kept as an oracle -------------------
-
-
-def _fiber_gcd_oracle(combos, field, alpha):
-    """The gcd in y of the combinations at x = alpha, as the parent built it:
-    each y-coefficient by Horner in NFElem or Fraction arithmetic."""
-    zero, one = (QQ(0), QQ(1)) if field is None else (field.zero(), field.one())
-    g = None
-    for biv in combos:
-        coeffs = [zero] * (max(j for (_i, j) in biv) + 1)
-        for (i, j), c in biv.items():
-            coeffs[j] = coeffs[j] + alpha**i * c if field is None else coeffs[j] + one * c * alpha**i
-        p = UPoly(coeffs, field)
-        g = p if g is None else upoly_gcd(g, p)
-        if g.degree() == 0:
-            break
-    return g
+# -- fibers: NFElem and Fraction Horner as the oracle (conftest) --------------
 
 
 def test_fiber_gcd_matches_horner_oracle_over_rationals_and_fields():
@@ -1228,9 +1257,14 @@ def test_fiber_gcd_matches_horner_oracle_over_rationals_and_fields():
         for _ in range(3):
             biv = _random_bivariate(rng, rng.randint(0, 3), rng.randint(0, 3)) or {(0, 0): QQ(1)}
             combos.append(_biv_mul(biv, shared) if k % 2 else biv)
-        got = curves._fiber_gcd(combos, field, x)
-        expected = _fiber_gcd_oracle(combos, field, x)
-        # equal up to a rational unit before a gcd is taken, monic after
-        assert got.monic() == expected.monic()
+        got, rest = curves._fiber_gcd(combos, field, x)
+        # the gcd of the bivariates up to the first linear one, then the
+        # fibers of the rest, each equal to the oracle's up to a unit
+        used = len(combos) - len(rest)
+        assert used == len(combos) or len(got) <= 2
+        monic = (lambda f: UPoly(f).monic()) if field is None else (lambda f: nf_from_ints(f, field))
+        assert monic(got) == fiber_gcd_oracle(combos[:used], field, x)
+        for p, biv in zip(rest, combos[used:]):
+            assert monic(p) == fiber_gcd_oracle([biv], field, x)
         if k % 2:
-            assert got.degree() >= 1
+            assert len(got) >= 2

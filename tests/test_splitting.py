@@ -124,6 +124,40 @@ def test_the_detail_names_orbit_sizes_that_cannot_sum_to_alpha():
     }
 
 
+def test_a_curve_not_certified_irreducible_is_never_non_splitting():
+    # pullback(delta) = r^2, so this product splits over QQ(sqrt 2, sqrt 3,
+    # sqrt 5) as A sigma(A) with A the product of the L_i + sqrt(e_i) r,
+    # though every type fails a condition that holds for an irreducible
+    # curve; its 12 nodes are beyond the sextic irreducibility certificate
+    gamma = parse_form(
+        "((x+2*y+z)^2-2*(z^2-4*x*y))*((x-y+3*z)^2-3*(z^2-4*x*y))"
+        "*((2*x+y-z)^2-5*(z^2-4*x*y))",
+        PLANE,
+    )
+    rep = splitting_type(gamma, delta2())
+    assert rep.outcome == "undetermined"
+    assert [e["reason"] for e in rep.evidence] == ["necessary_dim"] * 3
+    assert rep.notes == [
+        "every type failed a necessary condition, but the conditions hold only "
+        "for an absolutely irreducible curve: no irreducibility certificate "
+        "(criterion valid for at most 7 nodes, got 12)"
+    ]
+
+
+def test_the_irreducibility_gap_names_the_missing_certificate():
+    gap = splitting._irreducibility_gap
+    record = load_example("nonsplit7")
+    assert gap(record.curve, record.nodes, 7) is None
+    # r < d - 1: two components would meet in at least d - 1 nodes
+    quartic = parse_form("(x^2+y^2-z^2)^2-x*y*z^2", PLANE)
+    assert gap(quartic, [], 2) is None
+    assert "degree 4" in gap(quartic, [point(0, 0, 1)] * 3, 3)
+    # five collinear nodes leave room for a line component
+    sextic = parse_form("z*(x^5+y^5+z^5)", PLANE)
+    line = [point(1, k, 0) for k in range(5)]
+    assert gap(sextic, line, 5) == "no irreducibility certificate for degree 6 with 5 nodes"
+
+
 def _decided_configurations():
     """Normalized configurations of the catalog curves and of three seeded
     7-nodal constructions (a draw that is not a valid input is redrawn)."""
