@@ -17,13 +17,14 @@ import os
 import sys
 
 from .conics import (
+    SIMPLE_CONTACT,
     classify_conic,
     contact_profile,
     rational_parametrization,
     restrict_to_conic,
 )
 from .cover import pullback_curve
-from .curves import check_claim, irreducibility_sextic
+from .curves import check_claim, irreducibility_sextic, singular_points, verify_node
 from .errors import CannotCertify, ParseError, SplitCurvesError, TooManyNodes
 from .forms import PLANE_VARS, SPACE_VARS, biform_to_str, form_to_str, parse_form
 from .registry import example_ids, parse_node_spec
@@ -34,7 +35,12 @@ from .reports import (
     zariski_triple_outcomes,
 )
 from .quartics import QuarticSurface, project_quartic, syzygetic_test
-from .splitting import normalize_configuration, splitting_type, splitting_type_normalized
+from .splitting import (
+    normalize_configuration,
+    splitting_type,
+    splitting_type_normalized,
+    type_candidates,
+)
 
 EX_USAGE = 64
 EX_DATA = 65
@@ -115,32 +121,39 @@ def _cmd_analyze(args):
         "multiplicities": [m for _, m in restrict_to_conic(gamma, param).factor()[1]],
         "contact_form": str(profile.contact_form),
     }
-    exit_code = 0
     if args.nodes:
         nodes = _load_nodes(args.nodes, gamma)
-        payload["nodes"] = [jsonable(p) for p in nodes]
         reports, complete = check_claim(gamma, nodes)
-        payload["nodes_are_nodes"] = [r.is_node for r in reports]
+        # a claim is decided whenever it checks
+        decidable = True
+    else:
+        # the singular locus itself, as split-type computes it; a curve is
+        # decided when a splitting type can exist for it
+        nodes = singular_points(gamma)
+        reports, complete = verify_node(gamma, nodes), True
+        decidable = profile.kind == SIMPLE_CONTACT and bool(type_candidates(gamma.degree))
+    payload["nodes"] = [jsonable(p) for p in nodes]
+    payload["nodes_are_nodes"] = [r.is_node for r in reports]
+    if args.nodes:
         payload["singular_locus_complete"] = complete
-        if gamma.degree == 6:
-            try:
-                payload["irreducible"] = irreducibility_sextic(gamma, nodes)
-            except (CannotCertify, TooManyNodes) as exc:
-                payload["irreducible"] = "not certified: %s" % exc
-        if complete and all(r.is_node for r in reports):
-            # the claim is checked: decide without checking it again
-            split = splitting_type_normalized(
-                normalize_configuration(gamma, conic, nodes)
-            )
-            payload["splitting"] = {
-                "outcome": split.outcome,
-                "type": [split.m, split.n] if split.outcome == "split" else None,
-                "evidence": split.evidence,
-            }
-            if split.outcome == "undetermined":
-                exit_code = 2
-        else:
-            exit_code = 1
+    if gamma.degree == 6:
+        try:
+            payload["irreducible"] = irreducibility_sextic(gamma, nodes)
+        except (CannotCertify, TooManyNodes) as exc:
+            payload["irreducible"] = "not certified: %s" % exc
+    exit_code = 0
+    if not (complete and all(r.is_node for r in reports)):
+        exit_code = 1
+    elif decidable:
+        # the nodes are checked: decide without checking them again
+        split = splitting_type_normalized(normalize_configuration(gamma, conic, nodes))
+        payload["splitting"] = {
+            "outcome": split.outcome,
+            "type": [split.m, split.n] if split.outcome == "split" else None,
+            "evidence": split.evidence,
+        }
+        if split.outcome == "undetermined":
+            exit_code = 2
     text_lines = ["analysis of %s" % payload["curve"]]
     for key in sorted(payload):
         if key == "curve":
@@ -260,7 +273,7 @@ def build_parser():
     common(p)
     p.set_defaults(func=_cmd_verify_example)
 
-    p = sub.add_parser("analyze", help="contact analysis and optional splitting")
+    p = sub.add_parser("analyze", help="contact analysis, the nodes and the splitting")
     p.add_argument("--curve", required=True, help="curve expression or file")
     p.add_argument("--conic", required=True, help="conic expression")
     p.add_argument("--nodes", help="JSON node file")

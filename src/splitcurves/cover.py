@@ -26,7 +26,7 @@ from math import comb
 
 from .errors import NotTangentLine
 from .forms import PLANE_VARS, BiForm, Form, monomial_basis, substitute_form
-from .scalars import QQ, ZERO, ONE
+from .scalars import QQ, ONE, over_common_denominator
 
 
 def ram_form():
@@ -64,18 +64,18 @@ def descend(b, variables=PLANE_VARS):
     d, d2 = b.bidegree
     if d != d2:
         return None
-    coeffs = b.coeffs
+    # in integers: c's numerators over b's denominator
+    nums = b.nums
     c = {}
     for a, _b, e in reversed(monomial_basis(3, d)):
         k = 2 * a + e
         # coefficient of s^(k-a) u^a, less the monomials with a smaller a
-        val = coeffs[(k - a) * (d + 1) + a]
+        val = nums[(k - a) * (d + 1) + a]
         for a2 in range(max(0, k - d), a):
-            prior = c.get((a2, d - k + a2, k - 2 * a2), ZERO)
-            val -= comb(k - 2 * a2, a - a2) * prior
+            val -= comb(k - 2 * a2, a - a2) * c.get((a2, d - k + a2, k - 2 * a2), 0)
         if val:
             c[(a, d - k + a, e)] = val
-    form = Form(variables, d, c)
+    form = Form(variables, d, {e: QQ(v, b.den) for e, v in c.items()})
     return form if pullback_curve(form) == b else None
 
 
@@ -85,17 +85,15 @@ def tangent_line(s0, t0):
     Both are scaled so that l has leading coefficient 1 (that of s, or of t
     when that is 0); the line then pulls back to exactly l * sigma(l).
     """
-    s0, t0 = QQ(s0), QQ(t0)
+    (s0, t0), _den = over_common_denominator([QQ(s0), QQ(t0)])
     lead = t0 if t0 != 0 else -s0
     if lead == 0:
         raise ValueError("(0 : 0) is not a point of P1")
-    l = BiForm((1, 0), {(1, 0): t0 / lead, (0, 0): -s0 / lead})
-    coeffs = [c / (lead * lead) for c in (t0 * t0, s0 * s0, -s0 * t0)]
-    # a line pulls back to the same combination of the cover images
-    pulled = BiForm.zero((1, 1))
-    for image, c in zip(cover_images().values(), coeffs):
-        pulled = pulled + image.scale(c)
-    if pulled != l * involution_biform(l):
-        raise NotTangentLine("pullback of the tangent line did not split")
+    # l = (t0 s - s0 t) / lead, in the dense order t, s
+    l = BiForm._dense((1, 0), [-s0, t0], lead)
     expos = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return Form(PLANE_VARS, 1, dict(zip(expos, coeffs))), l
+    coeffs = [QQ(c, lead * lead) for c in (t0 * t0, s0 * s0, -s0 * t0)]
+    line = Form(PLANE_VARS, 1, dict(zip(expos, coeffs)))
+    if pullback_curve(line) != l * involution_biform(l):
+        raise NotTangentLine("pullback of the tangent line did not split")
+    return line, l

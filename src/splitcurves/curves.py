@@ -46,7 +46,8 @@ claim reruns every other check of the certificate.
 """
 import itertools
 import random
-from operator import mul
+from functools import reduce
+from operator import add, mul, sub
 
 from .arith import (
     BinForm,
@@ -77,9 +78,9 @@ from .errors import (
 )
 from .forms import (
     ProjPoint,
-    combine_values,
     compose_form,
     coordinate_field,
+    integer_combination,
     monomial_basis,
     monomial_values,
     substitute_form,
@@ -118,6 +119,12 @@ def verify_node(form, points):
     principal minor of H(p) at a nonzero coordinate c of p, lam p_c^2, is
     nonzero; it is the report's ``local_quadratic_discriminant``.  A form
     of degree below 2 is singular only when it is zero, and then no node.
+
+    Both tests run in integers: H(p) times a denominator D, and p times
+    another, over a number field as integer coordinate vectors whose
+    products (``NumberField._zz_product``) each carry the factor
+    R = P_n^(n - 1).  Those factors change no zero test, and the k x k
+    minor is divided once, by D^k (times R^(k - 1) over a field).
     """
     n = len(form.variables)
     if any(len(p.coords) != n for p in points):
@@ -146,33 +153,56 @@ def verify_node(form, points):
         field = coordinate_field(coords)
         values, den = monomial_values(coords, lower, field)
         den *= cden
+        vals = {key: integer_combination(row, values, field) for key, row in rows.items()}
         if field is None:
-            # den H(p) and an integer multiple of p: the same zero tests, and
-            # the minor is divided by den^(n - 1) once
-            vals = {key: sum(map(mul, row, values)) for key, row in rows.items()}
+            ring = (mul, add, sub)
             coords = over_common_denominator(coords)[0]
         else:
-            vals = {key: combine_values(row, values, den, field) for key, row in rows.items()}
+            ring = (field._zz_product, _vec_add, _vec_sub)
+            flat = over_common_denominator(
+                [c for x in coords for c in field.coerce(x).coords]
+            )[0]
+            coords = [flat[i : i + field.degree] for i in range(0, len(flat), field.degree)]
+        times, plus = ring[:2]
         hess = [[vals[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
-        if not all(scalar_is_zero(sum(map(mul, coords, row))) for row in hess):
+        if any(_nonzero(reduce(plus, map(times, coords, row))) for row in hess):
             reports.append(NodeReport(p, False, False, None))
             continue
         rest = [i for i in range(n) if i != p.last_nonzero()]
-        minor = _det([[hess[i][j] for j in rest] for i in rest])
+        minor = _det([[hess[i][j] for j in rest] for i in rest], ring)
         if field is None:
             minor = QQ(minor, den ** (n - 1))
+        else:
+            scale = field._red_den ** (n - 2) * den ** (n - 1)
+            minor = NFElem(field, tuple(QQ(x, scale) for x in minor))
         reports.append(NodeReport(p, True, not scalar_is_zero(minor), minor))
     return reports
 
 
-def _det(m):
-    """Determinant by cofactor expansion (the minors here are 2x2 or 3x3)."""
+def _vec_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def _vec_sub(a, b):
+    return [x - y for x, y in zip(a, b)]
+
+
+def _nonzero(v):
+    """An integer, or an integer coordinate vector, is not zero."""
+    return any(v) if isinstance(v, list) else v != 0
+
+
+def _det(m, ring):
+    """Determinant by cofactor expansion (the minors here are 2x2 or 3x3),
+    with the (times, plus, minus) of ``ring``."""
+    times, plus, minus = ring
     if len(m) == 1:
         return m[0][0]
-    return sum(
-        (-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]])
-        for j, a in enumerate(m[0])
-    )
+    total = None
+    for j, a in enumerate(m[0]):
+        term = times(a, _det([row[:j] + row[j + 1:] for row in m[1:]], ring))
+        total = term if total is None else (minus if j % 2 else plus)(total, term)
+    return total
 
 
 # ---------------------------------------------------------------------------

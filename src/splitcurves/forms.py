@@ -1,8 +1,8 @@
 """Homogeneous forms over the rationals, biforms on P1 x P1, and points.
 
 Forms are sparse term maps from exponent vectors to rational coefficients,
-always homogeneous; a biform keeps a dense tuple of its coefficients and
-shows the same term map as ``terms``.  The text grammar accepted by
+always homogeneous; a biform keeps a dense tuple of integer numerators
+over one denominator and shows the same term map as ``terms``.  The text grammar accepted by
 ``parse_form`` is the wire format used by the CLI.  Printing iterates terms
 in descending graded-lexicographic order so output is reproducible, and
 ``parse_form(form_to_str(f)) == f`` exactly.
@@ -11,7 +11,7 @@ in descending graded-lexicographic order so output is reproducible, and
 import math
 from operator import mul
 
-from .arith import GENERATOR, BinForm, NFElem, UPoly, power, quotient_terms, scalar_is_zero
+from .arith import GENERATOR, BinForm, NFElem, UPoly, power, scalar_is_zero
 from .errors import (
     FieldMismatch,
     InhomogeneousImage,
@@ -91,15 +91,25 @@ def coordinate_field(coords):
     return next((c.owner for c in coords if isinstance(c, NFElem)), None)
 
 
-def combine_values(nums, values, den, field):
-    """sum(nums[i] * values[i]) / den, for integer ``nums`` and the integer
-    monomial values of ``monomial_values`` (vectors over a ``field``): a
-    rational, or an ``NFElem`` of that field."""
+def integer_combination(nums, values, field):
+    """sum(nums[i] * values[i]) in integers, for integer ``nums`` and the
+    integer monomial values of ``monomial_values``: an int, or over a
+    ``field`` an integer coordinate vector."""
     if field is None:
-        return QQ(sum(map(mul, nums, values)), den)
+        return sum(map(mul, nums, values))
     total = [0] * field.degree
     for a, vec in zip(nums, values):
-        total = [t + a * v for t, v in zip(total, vec)]
+        if a:
+            total = [t + a * v for t, v in zip(total, vec)]
+    return total
+
+
+def combine_values(nums, values, den, field):
+    """``integer_combination`` divided by den: a rational, or an ``NFElem``
+    of the field."""
+    total = integer_combination(nums, values, field)
+    if field is None:
+        return QQ(total, den)
     return NFElem(field, tuple(QQ(t, den) for t in total))
 
 
@@ -285,11 +295,13 @@ class Form:
         return "Form(%s)" % form_to_str(self)
 
 
-# A biform of bidegree (d1, d2) keeps its coefficients densely: the
-# coefficient of s^i t^(d1-i) u^j v^(d2-j) sits at index i * (d2 + 1) + j.
-# A kept biform (a pullback, a factor) is mostly its coefficient store, and
-# a tuple holds a (6, 6) pullback in a fifth of the memory of a dict.  Each
-# bidegree has one shared bidegree tuple and one tuple of (i, j) keys.
+# A biform of bidegree (d1, d2) keeps its coefficients densely, in integers:
+# the coefficient of s^i t^(d1-i) u^j v^(d2-j) is nums[i * (d2 + 1) + j] / den.
+# A kept biform (a pullback, a factor) is mostly its numerator tuple, and
+# ints in a tuple hold a (6, 6) pullback in half the memory of Fractions;
+# equal numerators share one int object, so the mirrored pairs of a pullback
+# are stored once.  Each bidegree has one shared bidegree tuple and one
+# tuple of (i, j) keys.
 _LAYOUTS = {}
 
 
@@ -302,64 +314,80 @@ def _layout(d1, d2):
     return layout
 
 
-class BiForm:
-    """Bihomogeneous form on P1 x P1 in (s,t) x (u,v).
+def _canonical(nums, den):
+    """(nums, den) of the biform nums / den (den != 0) in canonical form:
+    den > 0 and gcd(den, *nums) = 1, equal numerators one object."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [v // g for v in nums]
+        den //= g
+    shared = {}
+    return tuple([shared.setdefault(v, v) for v in nums]), den
 
-    ``terms[(i, j)]`` is the coefficient of s^i t^(d1-i) u^j v^(d2-j);
-    ``coeffs`` holds all (d1+1)(d2+1) coefficients, zeros included, with
-    that of (i, j) at index i * (d2 + 1) + j.
+
+class BiForm:
+    """Bihomogeneous form on P1 x P1 in (s,t) x (u,v), over QQ.
+
+    The store is one integer numerator tuple over one denominator: the
+    coefficient of s^i t^(d1-i) u^j v^(d2-j) is nums[i * (d2 + 1) + j] / den,
+    zeros included.  It is canonical: den > 0 and gcd(den, *nums) = 1, and
+    the zero biform is all 0 over 1, so equal biforms have equal stores.
+    Every kernel runs in integers and divides at most once; ``terms`` is the
+    exact rational view, keyed by (i, j), for readers off the hot path.
     """
 
-    __slots__ = ("bidegree", "coeffs")
+    __slots__ = ("bidegree", "nums", "den")
 
     def __init__(self, bidegree, terms):
         d1, d2 = bidegree
         coeffs = [ZERO] * ((d1 + 1) * (d2 + 1))
         for (i, j), coeff in terms.items():
-            if type(coeff) is not QQ:
-                coeff = QQ(coeff)
+            coeff = QQ(coeff)
             if coeff == 0:
                 continue
             if not (0 <= i <= d1 and 0 <= j <= d2):
                 raise NotHomogeneous("exponent (%d,%d) outside bidegree" % (i, j))
             coeffs[i * (d2 + 1) + j] = coeff
+        nums, den = _canonical(*over_common_denominator(coeffs))
         self.bidegree = _layout(d1, d2)[0]
-        self.coeffs = tuple(coeffs)
+        self.nums = nums
+        self.den = den
 
     @classmethod
-    def _dense(cls, bidegree, coeffs):
-        """A biform from rational coefficients already in dense order."""
+    def _dense(cls, bidegree, nums, den=1):
+        """The biform nums / den, for integer numerators in dense order."""
         out = cls.__new__(cls)
         out.bidegree = _layout(*bidegree)[0]
-        out.coeffs = tuple(coeffs)
+        out.nums, out.den = _canonical(nums, den)
         return out
 
     @classmethod
     def zero(cls, bidegree):
-        return cls(bidegree, {})
-
-    def _nonzero(self):
-        """((i, j), coefficient) pairs of the nonzero terms, in index order."""
-        keys = _layout(*self.bidegree)[1]
-        return [(e, c) for e, c in zip(keys, self.coeffs) if c]
+        d1, d2 = bidegree
+        return cls._dense(bidegree, [0] * ((d1 + 1) * (d2 + 1)))
 
     @property
     def terms(self):
-        """The nonzero coefficients, keyed by (i, j)."""
-        return dict(self._nonzero())
+        """The nonzero coefficients as rationals, keyed by (i, j)."""
+        keys = _layout(*self.bidegree)[1]
+        den = self.den
+        return {e: QQ(v, den) for e, v in zip(keys, self.nums) if v}
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def __eq__(self, other):
         return (
             isinstance(other, BiForm)
             and self.bidegree == other.bidegree
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.bidegree, tuple(self._nonzero())))
+        return hash((self.bidegree, self.den, self.nums))
 
     def __add__(self, other):
         if self.is_zero():
@@ -371,32 +399,30 @@ class BiForm:
                 "adding biforms of bidegrees %r and %r"
                 % (self.bidegree, other.bidegree)
             )
-        # a zero summand keeps the other coefficient object as it is
-        return BiForm._dense(
-            self.bidegree,
-            [
-                (a + b if b else a) if a else b
-                for a, b in zip(self.coeffs, other.coeffs)
-            ],
-        )
+        da, db = self.den, other.den
+        if da == db:
+            nums = [a + b for a, b in zip(self.nums, other.nums)]
+        else:
+            den = math.lcm(da, db)
+            ka, kb = den // da, den // db
+            nums = [a * ka + b * kb for a, b in zip(self.nums, other.nums)]
+            da = den
+        return BiForm._dense(self.bidegree, nums, da)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return BiForm._dense(
-            self.bidegree, [-c if c else ZERO for c in self.coeffs]
-        )
+        return BiForm._dense(self.bidegree, [-v for v in self.nums], self.den)
 
     def scale(self, c):
         c = QQ(c)
-        if c == 0:
-            return BiForm.zero(self.bidegree)
-        return BiForm._dense(
-            self.bidegree, [c * v if v else ZERO for v in self.coeffs]
-        )
+        p = c.numerator
+        return BiForm._dense(self.bidegree, [p * v for v in self.nums], self.den * c.denominator)
 
     def __mul__(self, other):
+        """The product: an integer convolution of the numerators, over the
+        product of the denominators."""
         if not isinstance(other, BiForm):
             return self.scale(other)
         (a1, a2), (b1, b2) = self.bidegree, other.bidegree
@@ -405,60 +431,95 @@ class BiForm:
         w = a2 + b2 + 1
         right = [
             (k + k // (b2 + 1) * (w - b2 - 1), c)
-            for k, c in enumerate(other.coeffs)
+            for k, c in enumerate(other.nums)
             if c
         ]
-        coeffs = [ZERO] * ((a1 + b1 + 1) * w)
-        for k1, c1 in enumerate(self.coeffs):
+        nums = [0] * ((a1 + b1 + 1) * w)
+        for k1, c1 in enumerate(self.nums):
             if c1:
                 base = k1 + k1 // (a2 + 1) * (w - a2 - 1)
                 for k2, c2 in right:
-                    coeffs[base + k2] += c1 * c2
-        return BiForm._dense((a1 + b1, a2 + b2), coeffs)
+                    nums[base + k2] += c1 * c2
+        return BiForm._dense((a1 + b1, a2 + b2), nums, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        return power(self, k, BiForm((0, 0), {(0, 0): ONE}))
+        return power(self, k, BiForm._dense((0, 0), [1]))
 
     def quotient(self, g):
         """The exact quotient self / g, or None when g does not divide self.
 
-        The division (``arith.quotient_terms``) runs on the full exponents
-        (i, d1 - i, j, d2 - j) of s, t, u and v, so that a power of t, a
-        constant in (i, j), divides only what its exponents do.
+        Leading term first, in descending lexicographic order of the full
+        exponents (i, d1 - i, j, d2 - j) of s, t, u and v, which is the
+        descending order of the dense index, so that a power of t, a
+        constant in (i, j), divides only what its exponents do.  The
+        division runs on the numerators by g's primitive part G: if G
+        divides them over QQ, the quotient has integer coefficients (Gauss's
+        lemma), so a leading coefficient that G's does not divide in
+        integers proves that g does not divide self.
         """
         (d1, d2), (e1, e2) = self.bidegree, g.bidegree
         if e1 > d1 or e2 > d2:
             return None
-        q = quotient_terms(
-            {(i, d1 - i, j, d2 - j): c for (i, j), c in self._nonzero()},
-            {(i, e1 - i, j, e2 - j): c for (i, j), c in g._nonzero()},
-        )
-        if q is None:
-            return None
-        return BiForm((d1 - e1, d2 - e2), {(i, j): c for (i, _t, j, _v), c in q.items()})
+        content = math.gcd(*g.nums)
+        if not content:
+            raise ZeroDivisionError("division by the zero biform")
+        divisor = [
+            (k // (e2 + 1), k % (e2 + 1), v // content)
+            for k, v in enumerate(g.nums)
+            if v
+        ]
+        top_i, top_j, lead = divisor[-1]
+        q1, q2 = d1 - e1, d2 - e2
+        w = d2 + 1
+        rest = list(self.nums)
+        quot = [0] * ((q1 + 1) * (q2 + 1))
+        top = len(rest) - 1
+        while True:
+            while top >= 0 and not rest[top]:
+                top -= 1
+            if top < 0:
+                break
+            qi, qj = top // w - top_i, top % w - top_j
+            if not (0 <= qi <= q1 and 0 <= qj <= q2):
+                return None
+            c, left = divmod(rest[top], lead)
+            if left:
+                return None
+            quot[qi * (q2 + 1) + qj] = c
+            for i, j, v in divisor:
+                rest[(qi + i) * w + qj + j] -= c * v
+        return BiForm._dense((q1, q2), [v * g.den for v in quot], self.den * content)
 
     def involution(self):
         """Swap the rulings: (s,t) <-> (u,v); bidegree (d1,d2) -> (d2,d1)."""
         d1, d2 = self.bidegree
         w = d2 + 1
-        return BiForm._dense(
-            (d2, d1), [c for j in range(w) for c in self.coeffs[j::w]]
-        )
+        out = BiForm.__new__(BiForm)
+        out.bidegree = _layout(d2, d1)[0]
+        out.nums = tuple([c for j in range(w) for c in self.nums[j::w]])
+        out.den = self.den
+        return out
 
     def specialize_second(self, u0, v0):
-        """Plug (u,v) = (u0,v0); returns the (s,t) binary form coefficients.
+        """Plug (u,v) = (u0,v0); returns the (s,t) binary form.
 
-        The result is a list c of length d1+1 with c[i] the coefficient of
-        s^i t^(d1-i).
+        Its coefficient of s^i t^(d1-i) is one integer sum over the
+        monomials u0^j v0^(d2-j) of the point put over one denominator D,
+        divided once by den D^d2.
         """
         d1, d2 = self.bidegree
-        u0, v0 = QQ(u0), QQ(v0)
-        coeffs = [ZERO] * (d1 + 1)
-        for (i, j), coeff in self._nonzero():
-            coeffs[i] = coeffs[i] + coeff * u0**j * v0 ** (d2 - j)
-        return BinForm(d1, coeffs)
+        values, den = monomial_values(
+            (u0, v0), [(j, d2 - j) for j in range(d2 + 1)], None
+        )
+        den *= self.den
+        w = d2 + 1
+        nums = self.nums
+        return BinForm(
+            d1,
+            [QQ(sum(map(mul, nums[i * w:(i + 1) * w], values)), den) for i in range(d1 + 1)],
+        )
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
@@ -580,23 +641,21 @@ def substitute_form(f, images):
     if kind not in (Form, BinForm, BiForm) or any(type(v) is not kind for v in vals):
         raise InhomogeneousImage("images must all be Form, all BinForm or all BiForm")
     d = f.degree
+    # each image as (P_i keyed by packed exponents, s_i)
     if kind is Form:
         if len({(v.variables, v.degree) for v in vals}) != 1:
             raise InhomogeneousImage("images of mixed degree")
         variables, k = vals[0].variables, vals[0].degree
         base = d * k + 1
         places = [base**j for j in range(len(variables))]
-        rows = [
-            [(sum(e * p for e, p in zip(expo, places)), c)
-             for expo, c in v.terms.items()]
-            for v in vals
-        ]
+        rows = [_packed_terms(v.terms, places) for v in vals]
 
-        def build(coeffs):
+        def build(total, den):
             return Form(
                 variables,
                 d * k,
-                {_unpacked(key, base, len(variables)): c for key, c in coeffs.items()},
+                {_unpacked(key, base, len(variables)): c
+                 for key, c in _shared_values(total, den).items()},
             )
 
     elif kind is BinForm:
@@ -604,9 +663,13 @@ def substitute_form(f, images):
             raise InhomogeneousImage("images of mixed degree")
         k = vals[0].degree
         # the key of s^i t^(k - i) is i, the index of its coefficient
-        rows = [[(i, c) for i, c in enumerate(v.coeffs) if c] for v in vals]
+        rows = []
+        for v in vals:
+            nums, s = over_common_denominator(v.coeffs)
+            rows.append(({i: c for i, c in enumerate(nums) if c}, s))
 
-        def build(coeffs):
+        def build(total, den):
+            coeffs = _shared_values(total, den)
             return BinForm(d * k, [coeffs.get(i, ZERO) for i in range(d * k + 1)])
 
     else:
@@ -615,31 +678,30 @@ def substitute_form(f, images):
         k1, k2 = vals[0].bidegree
         # the key of (i, j) is its index in the result's dense layout
         w = d * k2 + 1
-        rows = [[(i * w + j, c) for (i, j), c in v._nonzero()] for v in vals]
+        rows = [
+            ({k // (k2 + 1) * w + k % (k2 + 1): c for k, c in enumerate(v.nums) if c}, v.den)
+            for v in vals
+        ]
 
-        def build(coeffs):
-            dense = [coeffs.get(i, ZERO) for i in range((d * k1 + 1) * w)]
-            return BiForm._dense((d * k1, d * k2), dense)
+        def build(total, den):
+            dense = [total.get(i, 0) for i in range((d * k1 + 1) * w)]
+            return BiForm._dense((d * k1, d * k2), dense, den)
 
     if f.is_zero():
-        return build({})
+        return build({}, 1)
     if d == 0:
         raise InhomogeneousImage("constant form cannot be substituted")
-    scales = []
     powers = []
     top = [max(expo[i] for expo in f.terms) for i in range(len(vals))]
-    for row, e_max in zip(rows, top):
-        s = math.lcm(*(c.denominator for _, c in row))
-        scales.append(s)
-        poly = {key: c.numerator * (s // c.denominator) for key, c in row}
+    for (poly, _s), e_max in zip(rows, top):
         pw = [{0: 1}]
         for _ in range(e_max):
             pw.append(_packed_mul(pw[-1], poly))
         powers.append(pw)
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    scales = [s for _poly, s in rows]
+    nums, den = over_common_denominator(list(f.terms.values()))
     total = {}
-    for expo, c in f.terms.items():
-        scalar = c.numerator * (den // c.denominator)
+    for expo, scalar in zip(f.terms, nums):
         for s, e in zip(scales, expo):
             scalar *= s ** (d - e)
         term = {0: scalar}
@@ -648,11 +710,14 @@ def substitute_form(f, images):
                 term = _packed_mul(term, pw[e])
         for key, v in term.items():
             total[key] = total.get(key, 0) + v
-    den *= math.prod(scales) ** d
-    # equal coefficients share one object (a kept pullback has ~d^2/2
-    # mirrored pairs of them)
+    return build(total, den * math.prod(scales) ** d)
+
+
+def _shared_values(total, den):
+    """{key: total[key] / den} for the nonzero values; equal coefficients
+    share one Fraction object."""
     values = {v: QQ(v, den) for v in set(total.values()) if v}
-    return build({key: values[v] for key, v in total.items() if v})
+    return {key: values[v] for key, v in total.items() if v}
 
 
 def compose_form(f, matrix):

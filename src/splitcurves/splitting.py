@@ -231,14 +231,36 @@ class NecessaryOutcome:
         )
 
 
-def _alpha_subsets(nodes, alpha):
-    """Index subsets whose orbit sizes sum to alpha (orbits are atomic)."""
-    sizes = [p.orbit_size() for p in nodes]
+def _alpha_subsets(sizes, alpha):
+    """Index subsets whose orbit sizes sum to alpha (orbits are atomic), by
+    number of orbits, then in ``itertools.combinations`` order.
+
+    A depth-first walk over increasing indices that stops where the sizes
+    left cannot reach alpha: ``take`` more orbits from index i on sum to
+    between take times the least and take times the largest size from i
+    on, and both bounds only tighten as i grows.
+    """
+    k = len(sizes)
+    low, high = list(sizes), list(sizes)
+    for i in range(k - 2, -1, -1):
+        low[i] = min(low[i], low[i + 1])
+        high[i] = max(high[i], high[i + 1])
     out = []
-    for take in range(len(nodes) + 1):
-        for subset in itertools.combinations(range(len(nodes)), take):
-            if sum(sizes[i] for i in subset) == alpha:
-                out.append(subset)
+
+    def walk(start, take, need, chosen):
+        if not take:
+            if not need:
+                out.append(tuple(chosen))
+            return
+        for i in range(start, k - take + 1):
+            if not take * low[i] <= need <= take * high[i]:
+                return
+            chosen.append(i)
+            walk(i + 1, take - 1, need - sizes[i], chosen)
+            chosen.pop()
+
+    for take in range(k + 1):
+        walk(0, take, alpha, [])
     return out
 
 
@@ -267,7 +289,7 @@ def necessary_dim_check(gamma, nodes, contact_form, m, n):
     witnesses = []
     failures = []
     kernels = []
-    for subset in _alpha_subsets(nodes, alpha):
+    for subset in _alpha_subsets([p.orbit_size() for p in nodes], alpha):
         dim_n1 = systems_n1.dimension(subset)
         if dim_n1 < 0:
             failures.append(
@@ -367,13 +389,25 @@ def _degree_m_divisors(b, factors, m):
 
 
 def _match_scalar(candidate, target):
-    """c with candidate == c * target, or None."""
+    """c with candidate == c * target, or None, for two Forms or two BiForms.
+
+    Biforms are read off their stores: with P / p and T / t the two and T_k
+    the first nonzero numerator of T, c = P_k t / (T_k p) exactly when
+    P_i T_k == T_i P_k for every i.
+    """
     if target.is_zero():
         return ONE if candidate.is_zero() else None
-    for key, val in target.terms.items():
-        c = candidate.terms.get(key, ZERO) / val
-        break
-    return c if candidate == target.scale(c) else None
+    if not isinstance(target, BiForm):
+        key = next(iter(target.terms))
+        c = candidate.terms.get(key, ZERO) / target.terms[key]
+        return c if candidate == target.scale(c) else None
+    if candidate.bidegree != target.bidegree:
+        return None
+    k, t_k = next((k, v) for k, v in enumerate(target.nums) if v)
+    p_k = candidate.nums[k]
+    if any(p * t_k != t * p_k for p, t in zip(candidate.nums, target.nums)):
+        return None
+    return QQ(p_k * target.den, t_k * candidate.den)
 
 
 def factor_pullback(f_pull, m, n):
@@ -519,13 +553,9 @@ def _lift(vec, m, n, interp, gs):
 
 
 def _biform_from_block(vec, m, n):
-    terms = {}
-    for i in range(m + 1):
-        for j in range(n + 1):
-            c = vec[i * (n + 1) + j]
-            if c != 0:
-                terms[(i, j)] = c
-    return BiForm((m, n), terms)
+    """The biform of A's block of an integer kernel vector, whose layout
+    i * (n + 1) + j is the store's."""
+    return BiForm._dense((m, n), [c.numerator for c in vec[: (m + 1) * (n + 1)]])
 
 
 def _kernel_candidates(kern):
@@ -695,7 +725,7 @@ def linear_route(gamma, f_pull, kernel, m, n, tangent):
     if k:
         line, l = tangent
         ruling = l**k
-    c_n = _route_member(kernel, n, BinForm(k, list(ruling.coeffs)))
+    c_n = _route_member(kernel, n, BinForm(k, [QQ(c, ruling.den) for c in ruling.nums]))
     if c_n is None:
         return None
     c_res = restrict_to_conic(c_n, param)
@@ -736,7 +766,7 @@ def linear_route(gamma, f_pull, kernel, m, n, tangent):
         # A l^k = lam (even + sign odd), lam = +-1 making A's first
         # coefficient positive: the certificate is (lam c_n, lam sign c_(n-1))
         sign, a = found
-        if next(c for c in a.coeffs if c) < 0:
+        if next(c for c in a.nums if c) < 0:
             a, c_n, sign = -a, -c_n, -sign
         if sign < 0:
             c_n1 = -c_n1

@@ -1,9 +1,11 @@
+import itertools
+import math
 import random
 import zlib
 
 import pytest
 
-from splitcurves.arith import NumberField, UPoly, _zk_gcd, upoly_gcd
+from splitcurves.arith import BinForm, NumberField, UPoly, _zk_gcd, quotient_terms, upoly_gcd
 from splitcurves.cover import ram_form
 from splitcurves.forms import BiForm, Form, ProjPoint, parse_form, point
 from splitcurves.linalg import (
@@ -159,6 +161,40 @@ def random_form(rng, degree, nvars=3, height=9, sparsity=0.8):
     return Form(variables, degree, terms)
 
 
+# -- rational polynomial arithmetic, which the package itself no longer needs
+
+
+def up_add(a, b):
+    n = max(len(a.coeffs), len(b.coeffs))
+    return UPoly([a[i] + b[i] for i in range(n)])
+
+
+def up_sub(a, b):
+    n = max(len(a.coeffs), len(b.coeffs))
+    return UPoly([a[i] - b[i] for i in range(n)])
+
+
+def up_mul(a, b):
+    if a.is_zero() or b.is_zero():
+        return UPoly.zero()
+    out = [QQ(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return UPoly(out)
+
+
+def up_pow(a, e):
+    out = UPoly([1])
+    for _ in range(e):
+        out = up_mul(out, a)
+    return out
+
+
+def up_derivative(a):
+    return UPoly([i * c for i, c in enumerate(a.coeffs)][1:])
+
+
 def upoly_divmod(a, b):
     """(q, r) with a = q b + r and deg r < deg b: the long division that
     ``UPoly.divmod`` was, kept for the remainders the oracles read.  a and
@@ -262,6 +298,118 @@ def fiber_gcd_oracle(combos, field, alpha):
     return g.monic() if field is None else nf_monic(g)
 
 
+def dense_coeffs(b):
+    """A biform's coefficients as rationals, in the store's dense order."""
+    return [QQ(v, b.den) for v in b.nums]
+
+
+class FractionBiForm:
+    """The parent's biform, kept as an oracle: a dense tuple of Fractions,
+    every kernel in Fraction arithmetic.  ``of`` and ``store`` convert from
+    and to the integer store of ``BiForm``."""
+
+    __slots__ = ("bidegree", "coeffs")
+
+    def __init__(self, bidegree, coeffs):
+        self.bidegree = tuple(bidegree)
+        self.coeffs = tuple(QQ(c) for c in coeffs)
+
+    @classmethod
+    def of(cls, b):
+        return cls(b.bidegree, dense_coeffs(b))
+
+    def store(self):
+        """(nums, den) of the canonical integer store."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return tuple(int(c * den) for c in self.coeffs), den
+
+    def __eq__(self, other):
+        return self.bidegree == other.bidegree and self.coeffs == other.coeffs
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def __add__(self, other):
+        return FractionBiForm(self.bidegree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return FractionBiForm(self.bidegree, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = QQ(c)
+        return FractionBiForm(self.bidegree, [c * v for v in self.coeffs])
+
+    def __mul__(self, other):
+        (a1, a2), (b1, b2) = self.bidegree, other.bidegree
+        out = [QQ(0)] * ((a1 + b1 + 1) * (a2 + b2 + 1))
+        for k1, c1 in enumerate(self.coeffs):
+            i1, j1 = divmod(k1, a2 + 1)
+            for k2, c2 in enumerate(other.coeffs):
+                i2, j2 = divmod(k2, b2 + 1)
+                out[(i1 + i2) * (a2 + b2 + 1) + j1 + j2] += c1 * c2
+        return FractionBiForm((a1 + b1, a2 + b2), out)
+
+    def involution(self):
+        d1, d2 = self.bidegree
+        w = d2 + 1
+        return FractionBiForm((d2, d1), [c for j in range(w) for c in self.coeffs[j::w]])
+
+    def quotient(self, g):
+        """Exact quotient on the full exponents (i, d1 - i, j, d2 - j)."""
+        (d1, d2), (e1, e2) = self.bidegree, g.bidegree
+        if e1 > d1 or e2 > d2:
+            return None
+        q = quotient_terms(
+            {(k // (d2 + 1), d1 - k // (d2 + 1), k % (d2 + 1), d2 - k % (d2 + 1)): c
+             for k, c in enumerate(self.coeffs) if c},
+            {(k // (e2 + 1), e1 - k // (e2 + 1), k % (e2 + 1), e2 - k % (e2 + 1)): c
+             for k, c in enumerate(g.coeffs) if c},
+        )
+        if q is None:
+            return None
+        w = d2 - e2 + 1
+        out = [QQ(0)] * ((d1 - e1 + 1) * w)
+        for (i, _t, j, _v), c in q.items():
+            out[i * w + j] = c
+        return FractionBiForm((d1 - e1, d2 - e2), out)
+
+    def specialize_second(self, u0, v0):
+        d1, d2 = self.bidegree
+        u0, v0 = QQ(u0), QQ(v0)
+        coeffs = [QQ(0)] * (d1 + 1)
+        for k, c in enumerate(self.coeffs):
+            i, j = divmod(k, d2 + 1)
+            coeffs[i] += c * u0**j * v0 ** (d2 - j)
+        return BinForm(d1, coeffs)
+
+
+def descend_oracle(b, variables=PLANE):
+    """The parent's ``cover.descend`` in Fraction arithmetic on the oracle's
+    coefficients: the plane form c with pullback(c) == b, or None."""
+    from math import comb
+
+    from splitcurves.cover import pullback_curve
+    from splitcurves.forms import monomial_basis
+
+    d, d2 = b.bidegree
+    if d != d2:
+        return None
+    coeffs = FractionBiForm.of(b).coeffs
+    c = {}
+    for a, _b, e in reversed(monomial_basis(3, d)):
+        k = 2 * a + e
+        val = coeffs[(k - a) * (d + 1) + a]
+        for a2 in range(max(0, k - d), a):
+            val -= comb(k - 2 * a2, a - a2) * c.get((a2, d - k + a2, k - 2 * a2), QQ(0))
+        if val:
+            c[(a, d - k + a, e)] = val
+    form = Form(variables, d, c)
+    return form if pullback_curve(form) == b else None
+
+
 def divide_by_ram_oracle(b):
     """b / (sv - tu), or None: the closed form ``cover.divide_by_ram`` was,
     kept as an oracle.  At t = v = 1 the divisor is s - u, monic in s, so
@@ -272,7 +420,8 @@ def divide_by_ram_oracle(b):
         return None
     w = d2 + 1
     # row i: the coefficients of s^i as a polynomial in u (t = v = 1)
-    rows = [b.coeffs[i * w:(i + 1) * w] for i in range(d1 + 1)]
+    coeffs = dense_coeffs(b)
+    rows = [coeffs[i * w:(i + 1) * w] for i in range(d1 + 1)]
     quotient = []
     carry = [QQ(0)] * w
     for i in range(d1, 0, -1):
@@ -381,18 +530,29 @@ def gamma7_prime_nodes():
     ]
 
 
+def alpha_subsets_oracle(sizes, alpha):
+    """The parent's enumeration of the index subsets whose sizes sum to
+    alpha, kept as an oracle: every subset, by size, then filtered."""
+    out = []
+    for take in range(len(sizes) + 1):
+        for subset in itertools.combinations(range(len(sizes)), take):
+            if sum(sizes[i] for i in subset) == alpha:
+                out.append(subset)
+    return out
+
+
 def necessary_dim_oracle(gamma, nodes, contact_form, m, n):
     """(witnesses, failures, kernels) of ``splitting.necessary_dim_check``,
     with one ``system_solve`` per system and its dimension read off the
     kernel: the way the check computed them before it decided by rank."""
     from splitcurves.linsys import FormSpace, cond_divisible_on_conic, cond_point, system_solve
-    from splitcurves.splitting import _alpha_subsets, alpha_of
+    from splitcurves.splitting import alpha_of
 
     alpha = alpha_of(m, n)
     div_rows = cond_divisible_on_conic(n, contact_form)
     space_n, space_n1 = FormSpace(n, gamma.variables), FormSpace(n - 1, gamma.variables)
     witnesses, failures, kernels = [], [], []
-    for subset in _alpha_subsets(nodes, alpha):
+    for subset in alpha_subsets_oracle([p.orbit_size() for p in nodes], alpha):
         chosen = [nodes[i] for i in subset]
         rep1 = system_solve(space_n1, [r for p in chosen for r in cond_point(space_n1, p)])
         if rep1.dimension < 0:
@@ -542,7 +702,7 @@ def _sheared_locus_oracle(gamma, m, idx):
         fiber = fiber_gcd_oracle(combos, field, x)
         if field is None:
             if fiber.degree() >= 2:
-                fiber = upoly_divmod(fiber, upoly_gcd(fiber, fiber.derivative()))[0]
+                fiber = upoly_divmod(fiber, upoly_gcd(fiber, up_derivative(fiber)))[0]
             if fiber.degree() >= 2:
                 ys = [-f.coeffs[0] for f, _mult in upoly_factor(fiber) if f.degree() == 1]
             else:

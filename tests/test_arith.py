@@ -43,6 +43,11 @@ from conftest import (
     random_form,
     random_rat,
     rng_for,
+    up_add,
+    up_derivative,
+    up_mul,
+    up_pow,
+    up_sub,
     upoly_divmod,
 )
 
@@ -129,14 +134,14 @@ def test_factor_reconstruction_deterministic_random():
             deg = rng.randint(1, 3)
             coeffs = [random_rat(rng, 5) for _ in range(deg)] + [QQ(1)]
             cand = UPoly(coeffs)
-            f = f * cand ** rng.randint(1, 2)
+            f = up_mul(f, up_pow(cand, rng.randint(1, 2)))
         f = f.scale(random_rat(rng, 5) or QQ(1))
         if f.degree() > 14 or f.is_zero():
             continue
         facs = upoly_factor(f)
         rebuilt = UPoly([f.lc()])
         for g, m in facs:
-            rebuilt = rebuilt * g**m
+            rebuilt = up_mul(rebuilt, up_pow(g, m))
         assert rebuilt == f
         for g, _m in facs:
             assert g.lc() == 1
@@ -291,7 +296,7 @@ def test_linear_factors_are_the_brute_force_rational_roots():
 
 def test_linear_factor_outside_scan_bound():
     # 31x - 2 has its root 2/31 beyond |p|, q <= 30
-    f = poly(-2, 31) * poly(1, 0, 1)
+    f = up_mul(poly(-2, 31), poly(1, 0, 1))
     facs = upoly_factor(f)
     assert [(g.coeffs, m) for g, m in facs] == [
         ((QQ(-2, 31), QQ(1)), 1),
@@ -305,13 +310,13 @@ def test_linear_factor_outside_scan_bound():
 def _yun_fraction_oracle(p):
     """Yun's algorithm in rational arithmetic: (monic part, multiplicity)."""
     f = p.monic()
-    df = f.derivative()
+    df = up_derivative(f)
     a0 = upoly_gcd(f, df)
     if a0.degree() == 0:
         return [(f, 1)]
     b = upoly_divmod(f, a0)[0]
     c = upoly_divmod(df, a0)[0]
-    d = c - b.derivative()
+    d = up_sub(c, up_derivative(b))
     out = []
     i = 1
     while b.degree() > 0:
@@ -320,7 +325,7 @@ def _yun_fraction_oracle(p):
             out.append((ai, i))
         b = upoly_divmod(b, ai)[0]
         c = upoly_divmod(d, ai)[0]
-        d = c - b.derivative()
+        d = up_sub(c, up_derivative(b))
         i += 1
     return out
 
@@ -337,7 +342,7 @@ def _squarefree_inputs(rng, count):
             else:
                 deg = rng.randint(1, 3)
                 g = UPoly([random_rat(rng, 6) for _ in range(deg)] + [random_rat(rng, 6) or 1])
-            f = f * g ** rng.randint(1, 4)
+            f = up_mul(f, up_pow(g, rng.randint(1, 4)))
         if f.degree() <= 16:
             out.append(f.scale(random_rat(rng, 7) or -1))
     return out
@@ -373,14 +378,14 @@ def test_exact_quotient_in_integers():
 
 
 def test_multiplicities():
-    f = poly(-5, 1) ** 3 * poly(1, 0, 1)
+    f = up_mul(up_pow(poly(-5, 1), 3), poly(1, 0, 1))
     facs = dict((tuple(g.coeffs), m) for g, m in upoly_factor(f))
     assert facs[(QQ(-5), QQ(1))] == 3
     assert facs[(QQ(1), QQ(0), QQ(1))] == 1
 
 
 def test_factor_has_no_degree_bound():
-    assert upoly_factor(poly(1, 1) ** 25) == [(poly(1, 1), 25)]
+    assert upoly_factor(up_pow(poly(1, 1), 25)) == [(poly(1, 1), 25)]
 
 
 def _quotient(f, g):
@@ -397,9 +402,9 @@ def test_gcd_and_divmod():
     b = poly(1, 1)
     assert upoly_gcd(a, b) == b
     q, r = upoly_divmod(a, b)
-    assert q * b + r == a and r.is_zero()
+    assert up_add(up_mul(q, b), r) == a and r.is_zero()
     assert UPoly(_quotient(a.coeffs, b.coeffs)) == q == poly(-1, 1)
-    assert _quotient((a + poly(1)).coeffs, b.coeffs) is None
+    assert _quotient(up_add(a, poly(1)).coeffs, b.coeffs) is None
 
 
 # -- gcd over Q: the rational Euclidean algorithm, kept as an oracle ---------
@@ -424,7 +429,7 @@ def test_gcd_matches_rational_oracle():
         b = _random_upoly(rng, rng.randint(-1, 6))
         if rng.random() < 0.5:
             c = _random_upoly(rng, rng.randint(0, 5))
-            a, b = a * c, b * c
+            a, b = up_mul(a, c), up_mul(b, c)
         assert upoly_gcd(a, b) == _upoly_gcd_oracle(a, b)
     assert upoly_gcd(zero, zero) == zero
     p = poly(QQ(3, 2), 0, QQ(-1, 4))
@@ -439,11 +444,11 @@ def test_gcd_finds_a_shared_factor_of_degree_three_or_more():
             c = _random_upoly(rng, degree)
             a = _random_upoly(rng, rng.randint(1, 5))
             b = _random_upoly(rng, rng.randint(1, 5))
-            expected = _upoly_gcd_oracle(a * c, b * c)
+            expected = _upoly_gcd_oracle(up_mul(a, c), up_mul(b, c))
             assert expected.degree() >= degree
-            assert upoly_gcd(a * c, b * c) == expected
+            assert upoly_gcd(up_mul(a, c), up_mul(b, c)) == expected
             # the integer kernel returns the primitive part, lc > 0
-            ints = _zz_gcd(_ints(a * c), _ints(b * c))
+            ints = _zz_gcd(_ints(up_mul(a, c)), _ints(up_mul(b, c)))
             assert ints == _ints(expected)
 
 
@@ -461,7 +466,7 @@ def _planted_gcd_cases(name, count):
             return UPoly([QQ(c) for c in coeffs])
 
         c = draw(1 + k % 8)
-        cases.append((draw(rng.randint(0, 6)) * c, draw(rng.randint(0, 6)) * c))
+        cases.append((up_mul(draw(rng.randint(0, 6)), c), up_mul(draw(rng.randint(0, 6)), c)))
     return cases
 
 
@@ -612,7 +617,7 @@ def test_upoly_quotient_matches_the_oracles_over_q_and_a_cubic_field():
                 q = _random_upoly(rng, rng.randint(0, 5))
                 if g.is_zero() or q.is_zero():
                     continue
-                f = q * g
+                f = up_mul(q, g)
                 assert UPoly(_quotient(f.coeffs, g.coeffs)) == upoly_divmod(f, g)[0] == q
                 basis = [(i,) for i in range(q.degree() + 1)]
                 terms = {(i,): c for i, c in enumerate(f.coeffs)}
@@ -621,9 +626,9 @@ def test_upoly_quotient_matches_the_oracles_over_q_and_a_cubic_field():
                 assert oracle == {(i,): c for i, c in enumerate(q.coeffs) if c}
                 if g.degree() > 0:
                     one = UPoly([1])
-                    assert not upoly_divmod(f + one, g)[1].is_zero()
-                    assert _quotient((f + one).coeffs, g.coeffs) is None
-                    assert _quotient(g.coeffs, (f * g).coeffs) is None
+                    assert not upoly_divmod(up_add(f, one), g)[1].is_zero()
+                    assert _quotient(up_add(f, one).coeffs, g.coeffs) is None
+                    assert _quotient(g.coeffs, up_mul(f, g).coeffs) is None
                 continue
             # over the field, lists of NFElem
             g = _random_nf_poly(rng, field, rng.randint(0, 4))
@@ -716,7 +721,7 @@ def _inv_oracle(a):
     while not r1.is_zero():
         q, r = upoly_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
+        s0, s1 = s1, up_sub(s0, up_mul(q, s1))
     assert r0.degree() == 0
     coords = list(s0.scale(QQ(1) / r0.lc()).coeffs)
     return tuple(coords + [QQ(0)] * (a.owner.degree - len(coords)))
@@ -954,7 +959,7 @@ def _squarefree_oracle(b):
     return (
         not b.is_zero()
         and b.t_multiplicity() <= 1
-        and upoly_gcd(p, p.derivative()).degree() == 0
+        and upoly_gcd(p, up_derivative(p)).degree() == 0
     )
 
 

@@ -232,6 +232,39 @@ def test_analyze_decides_nothing_on_an_incomplete_node_claim(tmp_path, capsys):
     assert "splitting" not in payload
 
 
+def test_analyze_without_a_node_file_computes_and_tests_the_nodes(capsys):
+    from splitcurves.forms import form_to_str
+    from splitcurves.registry import load_example
+
+    record = load_example("split7-33")
+    code, out, _ = run_cli(
+        capsys, "analyze", "--curve", form_to_str(record.curve),
+        "--conic", form_to_str(record.conic), "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    # one rational node and orbits of 2 and 4, as split-type computes them
+    assert len(payload["nodes"]) == 3 and payload["nodes_are_nodes"] == [True] * 3
+    assert "singular_locus_complete" not in payload
+    assert (payload["splitting"]["outcome"], payload["splitting"]["type"]) == ("split", [3, 3])
+    code, out, _ = run_cli(
+        capsys, "split-type", "--curve", form_to_str(record.curve),
+        "--conic", form_to_str(record.conic), "--json",
+    )
+    assert json.loads(out)["nodes"] == payload["nodes"]
+
+
+def test_analyze_without_a_node_file_decides_nothing_on_a_cusp(capsys):
+    # the cubic y^2 z - x^3 has a cusp at (0 : 0 : 1) and no other singular point
+    code, out, _ = run_cli(
+        capsys, "analyze", "--curve", "y^2*z-x^3", "--conic", "z^2-4xy", "--json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["nodes"] == ["(0 : 0 : 1)"] and payload["nodes_are_nodes"] == [False]
+    assert "splitting" not in payload
+
+
 def test_analyze_reports_a_sextic_claim_of_more_than_seven_nodes(tmp_path, capsys):
     # the irreducibility criterion covers at most 7 nodes: an eight-point
     # claim is reported as not certified, and the claim is still checked

@@ -22,6 +22,7 @@ from splitcurves.scalars import QQ, ZERO, ONE
 
 from conftest import (
     PLANE,
+    dense_coeffs,
     divide_by_ram_oracle,
     param_point,
     random_form,
@@ -104,8 +105,12 @@ def test_pullback_shares_mirrored_coefficients():
         image = pullback_curve(f)
         expected = substitute_form_oracle(f, images)
         assert image == expected and substitute_form(f, images) == expected
-        for (i, j), c in image.terms.items():
-            assert image.terms[(j, i)] is c
+        # the store holds ints, and each mirrored pair one object
+        d = f.degree
+        assert all(type(c) is int for c in image.nums) and type(image.den) is int
+        for i in range(d + 1):
+            for j in range(d + 1):
+                assert image.nums[i * (d + 1) + j] is image.nums[j * (d + 1) + i]
 
 
 def test_pullback_edge_cases():
@@ -125,9 +130,9 @@ def test_pullback_edge_cases():
 def _pullback_preimage_oracle(target, degree, variables=PLANE):
     """Solve pullback(c) == target for a plane form c of the given degree."""
     mono = monomial_basis(3, degree)
-    cols = [pullback_curve(Form.monomial(variables, expo)).coeffs for expo in mono]
+    cols = [dense_coeffs(pullback_curve(Form.monomial(variables, expo))) for expo in mono]
     rows = [list(r) for r in zip(*cols)]
-    sol = solve_linear(rows, target.coeffs)
+    sol = solve_linear(rows, dense_coeffs(target))
     if sol is None:
         return None
     return Form(variables, degree, dict(zip(mono, sol)))
@@ -141,9 +146,9 @@ def _quotient_oracle(biform, g):
         return None
     shape = (d1 - e1, d2 - e2)
     q_basis = [(i, j) for i in range(shape[0] + 1) for j in range(shape[1] + 1)]
-    cols = [(BiForm(shape, {e: ONE}) * g).coeffs for e in q_basis]
+    cols = [dense_coeffs(BiForm(shape, {e: ONE}) * g) for e in q_basis]
     rows = [list(rw) for rw in zip(*cols)]
-    sol = solve_linear(rows, biform.coeffs)
+    sol = solve_linear(rows, dense_coeffs(biform))
     if sol is None:
         return None
     quot = BiForm(shape, dict(zip(q_basis, sol)))

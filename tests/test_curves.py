@@ -52,6 +52,9 @@ from conftest import (
     random_rat,
     rng_for,
     singular_points_oracle,
+    up_add,
+    up_mul,
+    up_pow,
 )
 
 
@@ -267,6 +270,40 @@ def test_verify_node_matches_the_parent_chart_test(gamma6, gamma6_orbit):
         for size in (1, 2):
             for verdict in ((True, True), (True, False), (False, False)):
                 assert (nvars, size, verdict) in seen
+
+
+def test_verify_node_over_fields_whose_minimal_polynomial_is_not_integral():
+    # the integer products of a field whose scaled minimal polynomial has
+    # leading coefficient P_n > 1 carry P_n^(n - 1): the Hessian test and
+    # the reported minor must not see it
+    rng = rng_for("verify_node non-integral fields")
+    fields = [
+        NumberField(UPoly([QQ(-2, 3), 0, 1])),  # 3a^2 - 2
+        NumberField(UPoly([QQ(-1, 3), QQ(1, 2), 0, 1])),  # 6a^3 + 3a - 2
+    ]
+    assert [f._red_den for f in fields] == [3, 36]
+    seen = set()
+    for variables in (PLANE, SPACE):
+        nvars = len(variables)
+        for degree in range(2, 5):
+            for field in fields:
+                p, gens = _orbit_ideal_over(rng, variables, field)
+                squares = [g * h for g, h in itertools.combinations_with_replacement(gens, 2)]
+                flat = gens[0] * gens[0] if nvars == 3 else gens[0] * gens[1]
+                for form in (
+                    _in_ideal(rng, nvars, degree, squares),
+                    _in_ideal(rng, nvars, degree, [flat, gens[-1] * gens[-1]]),
+                    random_form(rng, degree, nvars),
+                ):
+                    points = [p, _random_point(rng, nvars, field)]
+                    for q, rep in zip(points, verify_node(form, points)):
+                        singular, minor = _hessian_oracle_verdict(form, q)
+                        assert rep.is_singular == singular
+                        assert rep.local_quadratic_discriminant == minor
+                        assert rep.is_node == (singular and not scalar_is_zero(minor))
+                        seen.add((nvars, singular, rep.is_node))
+    for nvars in (3, 4):
+        assert {(nvars, True, True), (nvars, True, False), (nvars, False, False)} <= seen
 
 
 def _orbit_ideal_over(rng, variables, field):
@@ -1106,9 +1143,9 @@ def _resultant_y_oracle(biv1, biv2):
     c1, c2 = y_coefficients(biv1), y_coefficients(biv2)
     m, n = len(c1) - 1, len(c2) - 1
     if m == 0:
-        return c1[0] ** n
+        return up_pow(c1[0], n)
     if n == 0:
-        return c2[0] ** m
+        return up_pow(c2[0], m)
     max_deg = min(
         max(i + j for (i, j) in biv1) * max(i + j for (i, j) in biv2),
         m * max((p.degree() for p in c2 if not p.is_zero()), default=0)
@@ -1130,7 +1167,7 @@ def _resultant_y_oracle(biv1, biv2):
             coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
     out = UPoly([coef[-1]])
     for i in range(len(xs) - 2, -1, -1):
-        out = out * UPoly([-xs[i], QQ(1)]) + UPoly([coef[i]])
+        out = up_add(up_mul(out, UPoly([-xs[i], QQ(1)])), UPoly([coef[i]]))
     return out
 
 

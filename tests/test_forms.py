@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from splitcurves.arith import BinForm, NFElem, NumberField, UPoly
@@ -18,6 +20,8 @@ from splitcurves.scalars import QQ
 from conftest import (
     PLANE,
     SPACE,
+    FractionBiForm,
+    descend_oracle,
     euler_check,
     rng_for,
     random_form,
@@ -396,9 +400,12 @@ def test_constructors_convert_to_rationals_and_keep_rationals():
     assert f_coeffs == [QQ(2), QQ(3, 4), half]
     assert b_coeffs == [QQ(2), QQ(-5, 3), half]
     assert list(bin_form.coeffs) == [QQ(2), QQ(7, 2), half]
-    for coeffs in (f_coeffs, b_coeffs, list(bin_form.coeffs)):
+    assert all(type(c) is QQ for c in b_coeffs)
+    for coeffs in (f_coeffs, list(bin_form.coeffs)):
         assert all(type(c) is QQ for c in coeffs)
         assert coeffs[2] is half
+    # a biform keeps integers over one denominator, and shows rationals
+    assert (b.nums, b.den) == ((0, -10, 12, 3), 6)
 
 
 # -- one substitution kernel for every image kind, against the oracle -------
@@ -544,3 +551,86 @@ def test_form_product_matches_the_termwise_oracle(variables):
         assert all(k1 is k2 for k1, k2 in zip(product.terms, g.terms))
     # zero factors and constant factors were both drawn
     assert {(True, False), (False, True), (False, False)} <= seen
+
+
+# -- the integer store of BiForm against the parent's Fraction biform --------
+
+
+def _random_biform(rng, bidegree, density, height=7):
+    """A biform with coefficients p/q, q up to ``height``, at ``density``."""
+    d1, d2 = bidegree
+    terms = {
+        (i, j): random_rat(rng, height)
+        for i in range(d1 + 1)
+        for j in range(d2 + 1)
+        if rng.random() < density
+    }
+    return BiForm(bidegree, terms)
+
+
+def _assert_canonical(b):
+    assert all(type(v) is int for v in b.nums) and type(b.den) is int
+    assert b.den > 0 and math.gcd(b.den, *b.nums) == 1
+    assert (b.nums, b.den) == FractionBiForm.of(b).store()
+
+
+def test_biform_kernels_match_the_fraction_oracle():
+    from splitcurves.cover import descend, pullback_curve
+
+    rng = rng_for("biform-integer-store")
+    seen = set()
+    for _ in range(250):
+        bidegree = (rng.randint(0, 4), rng.randint(0, 4))
+        a, b = (_random_biform(rng, bidegree, rng.choice((0.0, 0.4, 1.0))) for _ in "ab")
+        c = _random_biform(rng, (rng.randint(0, 3), rng.randint(0, 3)), rng.choice((0.0, 0.5, 1.0)))
+        fa, fb, fc = (FractionBiForm.of(x) for x in (a, b, c))
+        seen.add((a.is_zero(), c.is_zero()))
+        for got, want in (
+            (a + b, fa + fb),
+            (a - b, fa - fb),
+            (a - a, fa - fa),
+            (a * c, fa * fc),
+            (a.involution(), fa.involution()),
+        ):
+            _assert_canonical(got)
+            assert FractionBiForm.of(got) == want
+        for k in (random_rat(rng), QQ(0), -1, 3):
+            assert FractionBiForm.of(a.scale(k)) == fa.scale(k)
+        assert (a == b) == (fa == fb) and a == BiForm(bidegree, a.terms)
+        assert hash(a) == hash(BiForm(bidegree, dict(a.terms)))
+        # a product divides by either factor; a perturbed one by neither
+        if not c.is_zero():
+            product = a * c
+            assert product.quotient(c) == a
+            assert FractionBiForm.of(product.quotient(c)) == (fa * fc).quotient(fc)
+            bump = BiForm(product.bidegree, {(0, 0): 1})
+            off = product + bump
+            got = off.quotient(c)
+            want = (fa * fc + FractionBiForm.of(bump)).quotient(fc)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert FractionBiForm.of(got) == want
+        for u0, v0 in ((random_rat(rng), random_rat(rng)), (0, 1), (QQ(2, 3), 0), (3, -2)):
+            assert a.specialize_second(u0, v0) == fa.specialize_second(u0, v0)
+        # descend: pullbacks have a preimage; a random (d, d) biform mostly not
+        f = random_form(rng, rng.randint(1, 4)).scale(random_rat(rng) or 1)
+        pulled = pullback_curve(f)
+        assert descend(pulled) == descend_oracle(pulled) == f
+        square = _random_biform(rng, (bidegree[0] + 1,) * 2, 0.7)
+        assert descend(square) == descend_oracle(square)
+    assert {(True, False), (False, True), (False, False)} <= seen
+
+
+def test_a_kept_sextic_pullback_is_an_int_tuple_with_shared_mirrored_numerators():
+    from splitcurves.cover import pullback_curve
+
+    rng = rng_for("kept-pullback")
+    for _ in range(10):
+        f = random_form(rng, 6, height=4)
+        image = pullback_curve(f.scale(QQ(1, rng.randint(1, 6))))
+        assert image.bidegree == (6, 6) and len(image.nums) == 49
+        _assert_canonical(image)
+        assert not any(isinstance(v, QQ) for v in image.nums)
+        for i in range(7):
+            for j in range(i):
+                assert image.nums[i * 7 + j] is image.nums[j * 7 + i]

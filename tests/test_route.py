@@ -28,7 +28,7 @@ from splitcurves.splitting import (
     verify_certificate,
 )
 
-from conftest import PLANE, divide_by_ram_oracle, random_form, rng_for
+from conftest import PLANE, dense_coeffs, divide_by_ram_oracle, random_form, rng_for
 
 X, Y, Z = (Form.variable(PLANE, v) for v in PLANE)
 
@@ -352,9 +352,10 @@ def _divide_by_ruling_oracle(b, lk):
         return b.scale(1 / lk.coeffs[0])
     d1, d2 = b.bidegree
     w = d2 + 1
+    coeffs = dense_coeffs(b)
     columns = []
     for j in range(w):
-        q = binform_quotient(BinForm(d1, b.coeffs[j::w]), lk)
+        q = binform_quotient(BinForm(d1, coeffs[j::w]), lk)
         if q is None:
             return None
         columns.append(q.coeffs)
@@ -420,5 +421,5 @@ def test_the_route_divisions_match_the_parent_paths(monkeypatch):
             assert q == divide_by_ram_oracle(b)
         else:
             kinds.add(g.bidegree)
-            assert q == _divide_by_ruling_oracle(b, BinForm(g.bidegree[0], list(g.coeffs)))
+            assert q == _divide_by_ruling_oracle(b, BinForm(g.bidegree[0], dense_coeffs(g)))
     assert len(plane) >= 10 and kinds == {"r", (0, 0), (2, 0)}

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -14,7 +15,15 @@ from splitcurves.errors import (
     SplitCurvesError,
     WrongNodeCount,
 )
-from splitcurves.forms import BiForm, Form, compose_form, monomial_basis, parse_form, point
+from splitcurves.forms import (
+    BiForm,
+    Form,
+    biform_to_str,
+    compose_form,
+    monomial_basis,
+    parse_form,
+    point,
+)
 from splitcurves.registry import example_ids, load_example
 from splitcurves.reports import certificate_payload
 from splitcurves.splitting import (
@@ -28,6 +37,7 @@ from splitcurves.splitting import (
     normalize_configuration,
     splitting_type,
     verify_certificate,
+    _alpha_subsets,
     _binform_squarefree,
     _line_param,
     _match_scalar,
@@ -39,6 +49,8 @@ from splitcurves.scalars import ONE, QQ
 
 from conftest import (
     PLANE,
+    FractionBiForm,
+    alpha_subsets_oracle,
     criterion_24_oracle,
     irreducibility_sextic_oracle,
     necessary_dim_oracle,
@@ -54,6 +66,25 @@ def test_alpha_of():
     assert alpha_of(3, 3) == 6
     assert alpha_of(2, 4) == 7
     assert alpha_of(1, 5) == 10
+
+
+def test_alpha_subsets_match_the_full_enumeration():
+    rng = rng_for("alpha-subsets")
+    for _ in range(200):
+        sizes = [rng.choice((1, 1, 1, 2, 3, 4, 6)) for _ in range(rng.randint(0, 9))]
+        alpha = rng.randint(0, sum(sizes) + 2)
+        assert _alpha_subsets(sizes, alpha) == alpha_subsets_oracle(sizes, alpha), (sizes, alpha)
+    assert _alpha_subsets([], 0) == [()] and _alpha_subsets([2, 2], 0) == [()]
+    assert _alpha_subsets([4, 2, 2], 4) == [(0,), (1, 2)]
+
+
+def test_alpha_subsets_of_twenty_rational_nodes_are_quick():
+    # at alpha = 16 only the C(20, 16) = 4845 sets of 16 are walked to the end
+    start = time.perf_counter()
+    subsets = _alpha_subsets([1] * 20, 16)
+    elapsed = time.perf_counter() - start
+    assert subsets == list(itertools.combinations(range(20), 16))
+    assert elapsed < 0.1
 
 
 def test_node_bound_filter():
@@ -819,3 +850,58 @@ def test_lifted_kernel_basis_is_the_full_kernel_basis():
         assert lifted == kernel_basis(full, na + nx)
         dims.add(len(reduced))
     assert {2, 3, 4, 5} <= dims
+
+
+# factor_pullback on the benchmark's three splitting constructions: the
+# factor and scalar the parent's Fraction biforms found, pinned
+_PINNED_FACTORS = {
+    "split33": (
+        "18*s^3*u^3 - 6*s^3*u*v^2 + 6*s^3*v^3 + 6*s^2*t*u*v^2 + 6*s*t^2*u^3"
+        " - 6*s*t^2*u^2*v + 6*s*t^2*u*v^2 - 18*s*t^2*v^3 - 6*t^3*u^3"
+        " + 12*t^3*u^2*v + 6*t^3*u*v^2",
+        QQ(-30),
+    ),
+    "split24": (
+        "10*s^2*u^3*v - 30*s^2*v^4 - 20*s*t*u^3*v - 20*s*t*u^2*v^2"
+        " - 60*s*t*u*v^3 - 15*s*t*v^4 - 20*t^2*u^4 - 30*t^2*u^3*v"
+        " + 10*t^2*u^2*v^2 + 5*t^2*u*v^3",
+        QQ(10),
+    ),
+    # defined over Q(sqrt 3) only: the rational search finds nothing
+    "split33_ext": None,
+}
+
+
+def _construction_form(rng, degree):
+    terms = {
+        e: QQ(rng.randint(-3, 3), rng.randint(1, 2))
+        for e in monomial_basis(3, degree)
+        if rng.random() < 0.6
+    }
+    return Form(PLANE, degree, terms or {(degree, 0, 0): 1})
+
+
+def test_factor_pullback_finds_the_pinned_factors_of_the_benchmark_constructions():
+    import random
+
+    rng = random.Random(35)
+    delta = delta2(PLANE)
+    x, y, z = (Form.variable(PLANE, v) for v in PLANE)
+    scales = {"split33": QQ(-6, 5), "split24": QQ(5, 2), "split33_ext": QQ(1, 3)}
+    for kind, pinned in _PINNED_FACTORS.items():
+        if kind == "split24":
+            a2, b2, c2 = (_construction_form(rng, 2) for _ in range(3))
+            g3 = z * c2 - (x * b2).scale(2) - (y * a2).scale(2)
+            gamma, m, n = g3 * g3 - delta * (c2 * c2 - (a2 * b2).scale(4)), 2, 4
+        else:
+            c3, c2 = _construction_form(rng, 3), _construction_form(rng, 2)
+            e = 1 if kind == "split33" else 3
+            gamma, m, n = c3 * c3 - (delta * c2 * c2).scale(e), 3, 3
+        f_pull = pullback_curve(gamma.scale(scales[kind]))
+        factor = factor_pullback(f_pull, m, n)
+        if pinned is None:
+            assert factor is None
+            continue
+        assert (biform_to_str(factor.a1), factor.scalar) == pinned
+        a1 = FractionBiForm.of(factor.a1)
+        assert a1 * a1.involution() == FractionBiForm.of(f_pull).scale(factor.scalar)
