@@ -1,14 +1,14 @@
 """Exact scalar and univariate-polynomial arithmetic.
 
 Univariate polynomials over the rationals, number fields ``QQ[a]/(p)``
-with a gcd of polynomials over them kept on integer coordinate vectors
-(``_zk_gcd``), complete factorization over the rationals (Yun's squarefree
-decomposition in integers, then Berlekamp + Hensel lifting + Zassenhaus
-recombination of each squarefree part at the first good prime: the first
-odd prime that divides no leading coefficient and keeps the part
-squarefree), binary forms in two variables, one exact division and one
-exact square root of polynomials in any number of variables, and the one
-square-and-multiply power that every ring of the package uses.
+with products, reductions and inverses in integers, complete factorization
+over the rationals (Yun's squarefree decomposition in integers, then
+Berlekamp + Hensel lifting + Zassenhaus recombination of each squarefree
+part at the first good prime: the first odd prime that divides no leading
+coefficient and keeps the part squarefree), binary forms in two variables,
+one exact division and one exact square root of polynomials in any number
+of variables, and the one square-and-multiply power that every ring of the
+package uses.
 
 Everything here is immutable after construction and all operations are
 pure functions, so values can be shared freely between threads.
@@ -417,8 +417,9 @@ class UPoly:
     """Dense univariate polynomial with rational coefficients; the
     coefficient list starts at the constant.
 
-    A polynomial over a number field is no UPoly: ``curves`` keeps its
-    fibers over an algebraic x as integer coordinate vectors (``_zk_gcd``).
+    A polynomial over a number field is no UPoly: ``curves`` reads the
+    point over an algebraic x off two integer polynomials in x, the first
+    subresultant's coefficients, reduced by ``NumberField.elem``.
     """
 
     __slots__ = ("coeffs",)
@@ -567,52 +568,6 @@ def _zz_gcd(f, g):
     f = _zz_primitive(f)[0]
     g = _zz_primitive(g)[0]
     return _zz_gcd_heuristic(f, g) or _zz_gcd_prs(f, g)
-
-
-def _zk_prem(f, g, field):
-    """A pseudo-remainder of f by g over Z[a], a the generator of ``field``.
-
-    f and g are lists (constant term first) of integer coordinate vectors
-    in the power basis.  Each step replaces r by P_n^(n - 1) (lc(g) r -
-    lc(r) x^k g), whose products ``_zz_product`` keeps in integers, so the
-    result is f mod g times a nonzero element of Z[a].
-    """
-    product = field._zz_product
-    r = list(f)
-    dg = len(g) - 1
-    lc = g[-1]
-    while len(r) > dg:
-        c = r.pop()
-        shift = len(r) - dg
-        r = [product(lc, v) for v in r]
-        for j, b in enumerate(g[:-1]):
-            r[shift + j] = [x - y for x, y in zip(r[shift + j], product(c, b))]
-        while r and not any(r[-1]):
-            r.pop()
-    return r
-
-
-def _zk_primitive(f):
-    """f divided by the gcd of all its integer coordinates."""
-    g = math.gcd(*(x for v in f for x in v))
-    return [[x // g for x in v] for v in f] if g > 1 else f
-
-
-def _zk_gcd(f, g, field):
-    """A gcd over ``field`` of polynomials given as lists (constant term
-    first) of integer coordinate vectors in the power basis, which may
-    leave out trailing zeros, in integers.
-
-    The primitive remainder sequence: a pseudo-remainder by ``_zk_prem``,
-    then its integer content removed.  The last nonzero remainder is the
-    gcd up to a nonzero element of Z[a]; no inverse is taken.  The gcd with
-    the zero polynomial, the empty list, is the other operand.
-    """
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        f, g = g, _zk_primitive(_zk_prem(f, g, field))
-    return f
 
 
 def upoly_gcd(a, b):

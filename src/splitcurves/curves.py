@@ -9,9 +9,9 @@ x = const through the center, the order sum over the line's points p of
 (F, dF/dy)_p, which by Teissier's lemma is mu_p + (F, x)_p - 1: at least 2
 at a singular point, and exactly 2 only at an ordinary node transversal to
 the line.  So every singular point of the chart z = 1 lies over a factor of
-D's repeated part, and the fiber there, the gcd in y of dF/dy, dF/dx and F,
-gives its singular points: rational points over a rational root, one Galois
-orbit over an irrational one.  ``singular_points`` returns those orbits.
+D's repeated part, and the gcd in y of F and its partials there gives its
+singular points: rational points over a rational root, one Galois orbit
+over an irrational one.  ``singular_points`` returns those orbits.
 
 ``check_claim`` does not rediscover the locus to check a claim of ordinary
 nodes.  It runs ``verify_node`` once on the claim and returns those node
@@ -37,9 +37,11 @@ differences of a polynomial in Z[x] at distinct integer nodes are integers,
 so the Newton interpolation divides exactly.  One rational rescaling at the
 end gives the resultant of the inputs.  A shear that leaves a singular
 point on z = 0 is refused from two binary substitutions, before the curve
-is composed with it.  The fibers over D's factors stay in integers, as
-power-basis coordinate vectors over Z[alpha] at an irrational x, and an
-orbit's point is one division.  A curve keeps one datum, its discriminant
+is composed with it.  The fiber over a rational factor of D is read in
+integers.  Over an irrational one, x = alpha, the point is read with one
+division from the first subresultant S_j = sum s_ji y^i of F and dF/dy
+with s_jj(alpha) != 0, usually S_1, which the same evaluation and
+interpolation gives in Z[x].  A curve keeps one datum, its discriminant
 (the shear and D), never its locus or a verdict on a claim, so every check
 on one Form reads one D, the locus at that shear reads it too, and a second
 claim reruns every other check of the certificate.
@@ -57,7 +59,6 @@ from .arith import (
     _horner,
     _trim,
     _zassenhaus,
-    _zk_gcd,
     _zz_deriv,
     _zz_exquo,
     _zz_gcd,
@@ -86,7 +87,7 @@ from .forms import (
     substitute_form,
     transform_point,
 )
-from .linalg import dependent_subsets, mat_det, mat_inv, rref
+from .linalg import _bareiss, dependent_subsets, mat_det, mat_inv, rref
 from .linsys import FormSpace, SubsetSystems, cond_point, system_solve
 from .scalars import QQ, ZERO, ONE, clear_denominators, over_common_denominator
 
@@ -353,6 +354,15 @@ def _sylvester_det(f, g):
     return f[-1] ** kg * res
 
 
+def _interpolated(cols1, cols2, count, at_node):
+    """The integer polynomials of degree < count whose values at the nodes
+    0, 1, -1, 2, ... are the entries of at_node(v1, v2), v1 and v2 the
+    integer Horner values of the two column lists there."""
+    xs = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(count)]
+    values = [at_node([_horner(c, x) for c in cols1], [_horner(c, x) for c in cols2]) for x in xs]
+    return [_zz_newton(xs, list(ys)) for ys in zip(*values)]
+
+
 def resultant_y(biv1, biv2):
     """Res_y of two bivariate polynomials, as a UPoly in x.
 
@@ -385,19 +395,54 @@ def resultant_y(biv1, biv2):
             m * max((len(col) - 1 for col in c2 if col), default=0)
             + n * max((len(col) - 1 for col in c1 if col), default=0),
         )
-        xs = []
-        ys = []
-        x0 = 0
-        while len(xs) < max_deg + 1:
-            v1 = [_horner(col, x0) for col in c1]
-            v2 = [_horner(col, x0) for col in c2]
-            xs.append(x0)
-            ys.append(_sylvester_det(v1, v2))
-            x0 = -x0 + (0 if x0 > 0 else 1)
-        res = _zz_newton(xs, ys)
+        (res,) = _interpolated(c1, c2, max_deg + 1, lambda f, g: (_sylvester_det(f, g),))
     scale = s1**n * s2**m
     num, den = scale.denominator, scale.numerator
     return UPoly([QQ(a * num, den) for a in res])
+
+
+def _subresultant_at(f, g, j):
+    """[s_j0, ..., s_jj]: S_j = sum s_ji y^i, the j-th subresultant of the
+    integer lists f, g (constant first) of formal degrees d > j, d - 1.
+
+    Its rows are y^k f (k = d - 2 - j, ..., 0) and y^k g (k = d - 1 - j,
+    ..., 0) on the columns y^(2 d - 2 - j), ..., 1; s_ji is the determinant
+    of the first 2 d - 2 - 2 j columns and that of y^i.  One fraction-free
+    elimination of those columns (``linalg._bareiss``) leaves every s_ji in
+    the last row, up to its row sign, with no case for a defective sequence.
+    """
+    d = len(f) - 1
+    rows = [[0] * k + f[::-1] + [0] * (d - 2 - j - k) for k in range(d - 1 - j)]
+    rows += [[0] * k + g[::-1] + [0] * (d - 1 - j - k) for k in range(d - j)]
+    size = len(rows)
+    pivots, sign = _bareiss(rows, size - 1)
+    if len(pivots) < size - 1:
+        return [0] * (j + 1)
+    return [sign * a for a in reversed(rows[-1][size - 1:])]
+
+
+def _subresultant(biv, j):
+    """[s_j0, ..., s_jj], integer lists: S_j = sum s_ji(x) y^i, the j-th
+    subresultant in y of F = biv and dF/dy, up to a positive factor
+    (0 < j < d).  F has total degree d and a constant y^d coefficient (the
+    shear's center is off the curve), so S_j at x = alpha is that of the
+    fibers: for the first j with s_jj(alpha) != 0, the gcd of the fibers
+    has degree j and is S_j there (the subresultant theorem of Collins and
+    Brown & Traub).
+
+    Degree bound: the y^e coefficients of F and dF/dy have degree at most
+    d - e and d - 1 - e, so the entry of row y^k f at column y^e has degree
+    at most r - e, with r = d + k on the n = d - 1 - j rows of F and
+    d - 1 + k on the n + 1 rows of dF/dy, which sum to
+    n d + (n + 1)(d - 1) + n^2.  The columns y^(j + 1), ..., y^(2 d - 2 - j)
+    and y^i sum to n (2 d - 1) + i, so deg s_ji <= n (n + 1) + j - i, and
+    n (n + 1) + j + 1 integer nodes determine S_j: 44 for S_1 of an octic.
+    """
+    cols, _scale = _scaled_y_columns(biv)
+    d = len(cols) - 1
+    slope = [[e * a for a in col] for e, col in enumerate(cols)][1:]
+    n = d - 1 - j
+    return _interpolated(cols, slope, n * (n + 1) + j + 1, lambda f, g: _subresultant_at(f, g, j))
 
 
 # ---------------------------------------------------------------------------
@@ -420,50 +465,6 @@ def _x_minimal_polynomial(xi):
     m, pivots = rref(list(zip(*powers)))
     k = next(c for c in range(n + 1) if c >= len(pivots) or pivots[c] != c)
     return UPoly([-m[r][k] for r in range(k)] + [ONE])
-
-
-def _fiber_gcd(bivs, field, x):
-    """(g, rest): the gcd in y of the bivariates over x, in integers, taken
-    in order until it is linear (its root is far smaller than g, so the
-    caller tests the fibers left, rest, there).  At a rational x = a / b
-    (field None) a fiber is b^D c(a / b) for each integer y-coefficient c
-    (D its x-degree), and ``_zz_gcd`` combines them.  At x = alpha, the
-    generator of ``field``, each column is reduced modulo the integer
-    minimal polynomial, as ``NumberField.elem`` does, to one power of its
-    leading coefficient, and ``_zk_gcd`` combines the coordinate vectors.
-    """
-    if field is None:
-        a, b = x.numerator, x.denominator
-    fibers = []
-    for biv in bivs:
-        cols, _scale = _scaled_y_columns(biv)
-        if field is None:
-            top = max(len(col) for col in cols)
-            fibers.append(_trim([_horner(col, a, b) * b ** (top - len(col)) for col in cols]))
-            continue
-        rems = [_zz_prem(col, field._int_poly) for col in cols]
-        top = max(k for _rem, k in rems)
-        p = [[c * field._int_poly[-1] ** (top - k) for c in rem] for rem, k in rems]
-        while p and not any(p[-1]):
-            p.pop()
-        fibers.append(p)
-    g = []
-    for i, p in enumerate(fibers):
-        if field is None:
-            g = _zz_gcd(g, p) if g and p else g or p
-        else:
-            g = _zk_gcd(g, p, field)
-        if 1 <= len(g) <= 2:
-            return g, fibers[i + 1 :]
-    return g, []
-
-
-def _vanishes_at(fiber, y, field):
-    """Does a fiber of ``_fiber_gcd`` vanish at y, rational or in field?"""
-    acc = ZERO
-    for c in reversed(fiber):
-        acc = acc * y + (c if field is None else field.elem(c))
-    return scalar_is_zero(acc)
 
 
 def _restrict(form, images):
@@ -534,10 +535,15 @@ def _sheared_locus(gamma, m):
     x = const where D = Res_y(F, dF/dy) has order at least 2 (the module
     docstring gives the argument), so the factors of D's repeated part are
     the candidate lines; at the shear of ``_discriminant`` its D is read.
-    The fiber over a line is the gcd of dF/dy, dF/dx and F there: dF/dx
-    drops a vertical flex and two vertical tangents, which give order 2
-    too.  Returns None when the center lies on the curve, or the shear
-    leaves a singular point on z = 0 or conjugate points on one line.
+    Over a rational line the fiber is the gcd of dF/dy, dF/dx and F
+    (``_fiber_points``): dF/dx drops a vertical flex and two vertical
+    tangents, which give order 2 too.  Over an irrational one the gcd of F
+    and dF/dy is read off a subresultant (``_orbit_points``), and dF/dx is
+    tested only where that gcd is not linear.  Returns None when the center
+    lies on the curve or the shear leaves a singular point on z = 0, or
+    puts two points where F and dF/dy vanish on one line (conjugate points
+    on a rational line, any two on an irrational one): a later shear
+    separates them.
     """
     if _center_on_curve(gamma, m) or _infinity_singular_points_exist(gamma, m):
         return None
@@ -553,10 +559,14 @@ def _sheared_locus(gamma, m):
         for fac in _zassenhaus(part)
     ]
     locus = {}
+    subresultants = {}
     for q in sorted(lines, key=lambda q: (q.degree(), q.coeffs)):
-        field = None if q.degree() == 1 else NumberField(q, check=False)
-        x = -q.coeffs[0] if field is None else field.gen()
-        ys = _fiber_points(*_fiber_gcd(partials, field, x), field)
+        if q.degree() == 1:
+            x = -q.coeffs[0]
+            ys = _fiber_points(partials, x)
+        else:
+            x = NumberField(q, check=False).gen()
+            ys = _orbit_points(biv, subresultants, x.owner)
         if ys is None:
             return None
         if ys:
@@ -564,24 +574,65 @@ def _sheared_locus(gamma, m):
     return locus
 
 
-def _fiber_points(fiber, rest, field):
-    """The ys of the singular points over one x from ``_fiber_gcd``'s
-    (fiber, rest), or None when conjugate points share the line.  Over Q
-    they are the roots of its linear factors; over alpha the fiber must be
-    c (y - y0)^k, so deg gcd(f, f') = k - 1, and y0 = -f_(k-1) / (k f_k) is
-    the orbit's one inverse.  The rest must vanish at the root too."""
-    if field is None:
-        factors = [f for f, _mult in upoly_factor(UPoly(fiber))]
-        ys = [-f.coeffs[0] for f in factors if f.degree() == 1]
-        if len(ys) < len(factors):
+def _fiber_points(bivs, x):
+    """The ys of the singular points over a rational x = a / b, the roots
+    of the gcd in y of the bivariates there, or None when it has a factor
+    of degree 2 or more (conjugate points on one line).  Each fiber is
+    b^D c(a / b) for each integer y-coefficient c (D its x-degree), and
+    ``_zz_gcd`` combines them."""
+    a, b = x.numerator, x.denominator
+    g = []
+    for biv in bivs:
+        cols, _scale = _scaled_y_columns(biv)
+        top = max(len(col) for col in cols)
+        p = _trim([_horner(col, a, b) * b ** (top - len(col)) for col in cols])
+        g = _zz_gcd(g, p) if g and p else g or p
+    factors = [f for f, _mult in upoly_factor(UPoly(g))]
+    ys = [-f.coeffs[0] for f in factors if f.degree() == 1]
+    return ys if len(ys) == len(factors) else None
+
+
+def _orbit_points(biv, subresultants, field):
+    """[y0] over x = alpha, the generator of ``field``, [] when the one
+    point there is smooth, or None when F and dF/dy vanish at two points
+    of the line.
+
+    The gcd of the fibers of F and dF/dy is S_j(alpha, y) for the first j
+    with s_jj(alpha) != 0, usually S_1; each S_j is interpolated once per
+    shear, when it is first reached, into ``subresultants``.  A single
+    point is S_j(alpha, y) = s_jj (y - y0)^j, and y0 = -s_j(j-1) / (j s_jj)
+    is the orbit's one inverse.  For j = 1, p = (alpha, y0) is singular with
+    no partial tested: (F, x - alpha)_p = 2, so p alone gives D the order
+    mu_p + 1 at alpha (Teissier's lemma, as in the module docstring), which
+    is at least 2, so mu_p >= 1.  For j >= 2 the order is mu_p + j, which a
+    vertical flex reaches too, so p is singular iff dF/dx vanishes there.
+    """
+    for j in itertools.count(1):
+        if j not in subresultants:
+            subresultants[j] = _subresultant(biv, j)
+        s = [field.elem(c) for c in subresultants[j]]
+        if not s[j].is_zero():
+            break
+    y0 = _power_root(s)
+    if y0 is None or j == 1:
+        return None if y0 is None else [y0]
+    cols, _scale = _scaled_y_columns(_partial(biv, 0))
+    slope = reduce(lambda acc, col: acc * y0 + field.elem(col), reversed(cols), field.zero())
+    return [] if slope else [y0]
+
+
+def _power_root(s):
+    """y0 when the polynomial of coefficients s (constant first, a nonzero
+    leading one) is s_j (y - y0)^j, else None."""
+    j = len(s) - 1
+    y0 = s[j - 1] * QQ(-1, j) / s[j]
+    term = s[j - 1]
+    for i in range(j - 2, -1, -1):
+        # the y^i coefficient of s_j (y - y0)^j from that of y^(i + 1)
+        term = term * (-y0) * QQ(i + 1, j - i)
+        if s[i] != term:
             return None
-    else:
-        k = len(fiber) - 1
-        slope = [[i * c for c in v] for i, v in enumerate(fiber)][1:]
-        if k > 1 and len(_zk_gcd(fiber, slope, field)) != k:
-            return None
-        ys = [field.elem(fiber[-2]) * QQ(-1, k) / field.elem(fiber[-1])] if k else []
-    return [y for y in ys if all(_vanishes_at(p, y, field) for p in rest)]
+    return y0
 
 
 def _first_locus(gamma):

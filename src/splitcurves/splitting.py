@@ -89,7 +89,9 @@ def alpha_of(m, n):
 
 
 def node_bound_filter(r, m, n, d):
-    """Necessary node count: 2r >= m^2 + n^2 - d."""
+    """Necessary node count: 2r >= m^2 + n^2 - d, for any reduced curve,
+    irreducible or not: A . sigma(A) = m^2 + n^2 counts one point over each
+    of the d tangency points and at most two over each node."""
     if m + n != d:
         raise DegreeMismatch("m + n must equal the degree")
     return 2 * r >= m * m + n * n - d
@@ -988,6 +990,12 @@ def splitting_type_normalized(config):
     rational, has such an s too, and gets its certificate from
     ``certificate_from_factor``.  All types share one tangent line, picked
     at first need.
+
+    The necessary dimension conditions and the (2,4) criterion hold only
+    for an absolutely irreducible curve: where ``_irreducibility_gap``
+    does not certify it, their entries are inconclusive (not excluded with
+    a field that withdraws the status, which every reader would need to
+    know), and the verdict is undetermined.
     """
     if config.profile.kind != SIMPLE_CONTACT:
         raise SplitCurvesError(
@@ -1093,6 +1101,12 @@ def splitting_type_normalized(config):
             entry["status"] = "skipped"
             entry["detail"] = "a verified splitting was already found"
             evidence.append(entry)
+    # exclusions that hold only for an absolutely irreducible curve
+    waiting = [e for e in evidence if e.get("reason") in ("necessary_dim", "criterion_24")]
+    gap = _irreducibility_gap(gamma_n, nodes_n, r) if waiting else None
+    if gap is not None:
+        for entry in waiting:
+            entry["status"] = "inconclusive"
     if split_hit is not None:
         m, n, factor, cert = split_hit
         return SplittingReport(
@@ -1107,17 +1121,20 @@ def splitting_type_normalized(config):
     if inconclusive:
         notes.append(
             "types %s passed necessary conditions but the factorization search "
-            "was inconclusive" % ", ".join("(%d,%d)" % t for t in inconclusive)
+            "was inconclusive" % _type_list(inconclusive)
         )
-    else:
-        gap = _irreducibility_gap(gamma_n, nodes_n, r)
-        if gap is None:
-            return SplittingReport("non_splitting", evidence=evidence, notes=notes)
+    if gap is not None:
         notes.append(
-            "every type failed a necessary condition, but the conditions hold "
-            "only for an absolutely irreducible curve: %s" % gap
+            "types %s failed a necessary condition that holds only for an "
+            "absolutely irreducible curve: %s" % (_type_list(e["type"] for e in waiting), gap)
         )
+    elif not inconclusive:
+        return SplittingReport("non_splitting", evidence=evidence, notes=notes)
     return SplittingReport("undetermined", evidence=evidence, notes=notes)
+
+
+def _type_list(types):
+    return ", ".join("(%d,%d)" % t for t in types)
 
 
 def _irreducibility_gap(gamma, nodes, r):

@@ -5,10 +5,11 @@ import zlib
 
 import pytest
 
-from splitcurves.arith import BinForm, NumberField, UPoly, _zk_gcd, quotient_terms, upoly_gcd
+from splitcurves.arith import BinForm, NumberField, UPoly, quotient_terms, upoly_gcd
 from splitcurves.cover import ram_form
 from splitcurves.forms import BiForm, Form, ProjPoint, parse_form, point
 from splitcurves.linalg import (
+    det_bareiss,
     kernel_basis,
     mat_det,
     mat_inv,
@@ -267,10 +268,47 @@ def nf_from_ints(f, field):
     return nf_monic([field.elem(v) for v in f])
 
 
+def _zk_prem(f, g, field):
+    """A pseudo-remainder of f by g over Z[a], a the generator of ``field``.
+
+    f and g are lists (constant term first) of integer coordinate vectors
+    in the power basis.  Each step replaces r by P_n^(n - 1) (lc(g) r -
+    lc(r) x^k g), whose products ``_zz_product`` keeps in integers, so the
+    result is f mod g times a nonzero element of Z[a].
+    """
+    product = field._zz_product
+    r = list(f)
+    dg = len(g) - 1
+    lc = g[-1]
+    while len(r) > dg:
+        c = r.pop()
+        shift = len(r) - dg
+        r = [product(lc, v) for v in r]
+        for j, b in enumerate(g[:-1]):
+            r[shift + j] = [x - y for x, y in zip(r[shift + j], product(c, b))]
+        while r and not any(r[-1]):
+            r.pop()
+    return r
+
+
+def _zk_gcd(f, g, field):
+    """A gcd over ``field`` of lists of integer coordinate vectors, up to a
+    nonzero element of Z[a]: the primitive remainder sequence over Z[a],
+    each pseudo-remainder by ``_zk_prem`` with its integer content removed.
+    The gcd with the empty list is the other operand."""
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        r = _zk_prem(f, g, field)
+        content = math.gcd(*(x for v in r for x in v))
+        f, g = g, [[x // content for x in v] for v in r] if content > 1 else r
+    return f
+
+
 def nf_gcd(a, b):
-    """Monic gcd of NFElem lists, as ``upoly_gcd`` computed it over a number
-    field: the remainder sequence of ``_zk_gcd`` on the integer vectors,
-    then one inverse of its leading coefficient."""
+    """Monic gcd of NFElem lists, as the package once computed it over a
+    number field: the primitive remainder sequence over Z[a] on the integer
+    vectors (``_zk_gcd``), then one inverse of its leading coefficient."""
     if not a or not b:
         return nf_monic(b if not a else a)
     field = a[0].owner
@@ -736,3 +774,22 @@ def singular_points_oracle(gamma):
                 for y in ys
             ]
     raise AssertionError("no shear separated the singular points")
+
+
+def subresultant_oracle(f, g, j):
+    """[s_j0, ..., s_jj], the coefficients of the j-th subresultant of the
+    integer lists f, g (constant first) of formal degrees m > n > j, from
+    the definition: the matrix of the rows y^k f (k = n - 1 - j, ..., 0)
+    and y^k g (k = m - 1 - j, ..., 0), whose row y^k p holds p_(e - k) at
+    the column of y^e (e = m + n - 1 - j, ..., 0); s_ji is its square
+    submatrix on the columns e > j and e = i, its determinant by
+    ``det_bareiss``."""
+    m, n = len(f) - 1, len(g) - 1
+
+    def row(p, k):
+        return {e: p[e - k] if 0 <= e - k < len(p) else 0 for e in range(m + n - j)}
+
+    rows = [row(f, k) for k in range(n - 1 - j, -1, -1)]
+    rows += [row(g, k) for k in range(m - 1 - j, -1, -1)]
+    top = list(range(m + n - 1 - j, j, -1))
+    return [det_bareiss([[r[e] for e in top + [i]] for r in rows]) for i in range(j + 1)]

@@ -8,7 +8,6 @@ from splitcurves.arith import (
     BinForm,
     NumberField,
     UPoly,
-    _zk_gcd,
     _zz_exquo,
     _zz_gcd,
     _zz_gcd_prs,
@@ -34,11 +33,6 @@ from splitcurves.scalars import QQ, clear_denominators
 from splitcurves.splitting import _binform_squarefree
 
 from conftest import (
-    nf_derivative,
-    nf_from_ints,
-    nf_gcd,
-    nf_ints,
-    nf_monic,
     nf_mul,
     random_form,
     random_rat,
@@ -757,40 +751,7 @@ def test_number_field_kernels_match_rational_oracles(coeffs):
         field.zero().inv()
 
 
-# -- gcd over a number field: the parent's NFElem Euclid, kept as an oracle --
-
-
-def _content_scale_oracle(p):
-    """A rational c such that c p has small integer-ish coefficients."""
-    flat = [c for e in p for c in e.coords]
-    ints = clear_denominators(flat)
-    for orig, scaled in zip(flat, ints):
-        if scaled != 0:
-            return QQ(scaled) / orig
-    return QQ(1)
-
-
-def _nf_gcd_oracle(a, b):
-    """Monic gcd by Euclid on NFElem remainders, each rescaled by a
-    rational, as the parent computed it over a number field."""
-    while b:
-        r = upoly_divmod(a, b)[1]
-        a, b = b, [c * _content_scale_oracle(r) for c in r]
-    return nf_monic(a)
-
-
-def _random_field(rng):
-    """A seeded number field of degree 1-4; the minimal polynomial has
-    rational coefficients, so its integer scaling mostly has lc != 1."""
-    while True:
-        n = rng.randint(1, 4)
-        coeffs = [random_rat(rng, 6) for _ in range(n)] + [QQ(1)]
-        if coeffs[0] == 0:
-            continue
-        try:
-            return NumberField(UPoly(coeffs))
-        except ReducibleMinimalPolynomial:
-            continue
+# -- polynomials over a number field --------------------------------------
 
 
 def _random_nf_poly(rng, field, degree):
@@ -798,53 +759,6 @@ def _random_nf_poly(rng, field, degree):
     if coeffs[-1].is_zero():
         coeffs[-1] = field.one()
     return coeffs
-
-
-def _zk_gcd_monic(a, b, field):
-    """``_zk_gcd`` on the integer vectors of NFElem lists, made monic."""
-    return nf_from_ints(_zk_gcd(nf_ints(a), nf_ints(b), field), field)
-
-
-def test_number_field_gcd_matches_the_euclid_oracle():
-    rng = rng_for("nf-gcd-oracle")
-    fields = [_random_field(rng) for _ in range(12)]
-    fields += [NumberField(UPoly(list(c))) for c in _ORACLE_FIELDS]
-    # the integer scaling of most minimal polynomials has lc != 1
-    assert sum(field._red_den != 1 for field in fields) >= 8
-    degrees = set()
-    for field in fields:
-        for _ in range(6):
-            common = _random_nf_poly(rng, field, rng.randint(0, 3))
-            a = nf_mul(_random_nf_poly(rng, field, rng.randint(0, 4)), common)
-            b = nf_mul(_random_nf_poly(rng, field, rng.randint(0, 4)), common)
-            expected = _nf_gcd_oracle(a, b)
-            assert _zk_gcd_monic(a, b, field) == expected == _zk_gcd_monic(b, a, field)
-            assert nf_gcd(a, b) == expected
-            degrees.add(min(len(expected) - 1, 2))
-        # the squarefree part of a fiber with a repeated root
-        root = _random_nf_poly(rng, field, 1)
-        fiber = nf_mul(nf_mul(root, root), _random_nf_poly(rng, field, rng.randint(0, 3)))
-        slope = nf_derivative(fiber)
-        expected = upoly_divmod(fiber, _nf_gcd_oracle(fiber, slope))[0]
-        assert upoly_divmod(fiber, _zk_gcd_monic(fiber, slope, field))[0] == expected
-        # zero operands: the gcd with the empty list is the other operand
-        assert _zk_gcd([], [], field) == [] == _nf_gcd_oracle([], [])
-        ints = nf_ints(fiber)
-        assert _zk_gcd(ints, [], field) == _zk_gcd([], ints, field) == ints
-        assert _zk_gcd_monic([], fiber, field) == nf_monic(fiber) == _nf_gcd_oracle([], fiber)
-    assert degrees == {0, 1, 2}
-
-
-def test_number_field_gcd_of_coprime_and_constant_operands():
-    field = NumberField(UPoly([QQ(-1, 2), 0, 1]))
-    a = field.gen()
-    one = [field.one()]
-    x_minus_a = [-a, field.one()]
-    x_plus_a = [a, field.one()]
-    assert _zk_gcd_monic(x_minus_a, x_plus_a, field) == one
-    product = nf_mul(x_minus_a, x_plus_a)
-    assert _zk_gcd_monic(product, [c * (a + 3) for c in x_plus_a], field) == x_plus_a
-    assert _zk_gcd_monic([a], x_minus_a, field) == one
 
 
 # -- binary form factorization: the content, multiplied out, as the oracle --

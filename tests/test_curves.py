@@ -8,8 +8,11 @@ from splitcurves.arith import (
     NFElem,
     NumberField,
     UPoly,
+    _horner,
     binform_gcd,
     scalar_is_zero,
+    upoly_factor,
+    upoly_gcd,
 )
 from splitcurves import curves
 from splitcurves.curves import (
@@ -47,11 +50,11 @@ from conftest import (
     PLANE,
     SPACE,
     fiber_gcd_oracle,
-    nf_from_ints,
     random_form,
     random_rat,
     rng_for,
     singular_points_oracle,
+    subresultant_oracle,
     up_add,
     up_mul,
     up_pow,
@@ -1057,18 +1060,123 @@ def test_singular_points_takes_one_inverse_per_irrational_orbit(name, inverses, 
     assert len(calls) == inverses == sum(p.field is not None for p in found)
 
 
+def _monic_bivariate(rng, d):
+    """A seeded bivariate of total degree d, monic in y: the y^j
+    coefficient has degree at most d - j."""
+    biv = {(0, d): QQ(1)}
+    for j in range(d):
+        for i in range(d - j + 1):
+            biv[(i, j)] = QQ(rng.randint(-5, 5))
+    return {k: c for k, c in biv.items() if c}
+
+
+def _with_a_multiple_root(rng, d, power, at):
+    """(y - x)^power G + H prod(x - t, t in at), monic in y of total degree
+    d: at each t the fiber has the root y = t at least power times."""
+    out = _monic_bivariate(rng, d - power)
+    for _ in range(power):
+        out = _biv_mul(out, {(0, 1): QQ(1), (1, 0): QQ(-1)})
+    tail = _monic_bivariate(rng, d - len(at))
+    for t in at:
+        tail = _biv_mul(tail, {(1, 0): QQ(1), (0, 0): QQ(-t)})
+    for key, c in tail.items():
+        out[key] = out.get(key, QQ(0)) + c
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_the_subresultants_are_the_sylvester_minors(d):
+    rng = rng_for("first-subresultant-%d" % d)
+    generic = [_monic_bivariate(rng, d) for _ in range(3)]
+    # defective remainder sequences at interpolation nodes: a double root
+    # at x = 0 and 3 (D vanishes), a triple one at 1 and -2 (s11 too)
+    special = [_with_a_multiple_root(rng, d, 2, (0, 3))] if d >= 3 else []
+    special += [_with_a_multiple_root(rng, d, 3, (1, -2))] if d >= 4 else []
+    for j in range(1, d):
+        n = d - 1 - j
+        bound = n * (n + 1) + j
+        for biv in generic + special:
+            sub = curves._subresultant(biv, j)
+            assert all(len(c) - 1 <= bound - i for i, c in enumerate(sub))
+            cols = [[int(biv.get((i, e), 0)) for i in range(d + 1)] for e in range(d + 1)]
+            xs = list(range(-24, 25)) + [97, -1000] if j == 1 else [-7, 0, 1, -2, 3, 97]
+            for x in xs:
+                f = [_horner(col, x) for col in cols]
+                g = [e * v for e, v in enumerate(f)][1:]
+                assert [_horner(c, x) for c in sub] == subresultant_oracle(f, g, j), (j, x)
+        # a generic draw reaches the degree bound: every node is needed
+        assert max(len(curves._subresultant(biv, j)[0]) for biv in generic) - 1 == bound
+    # the sequences are defective there: D vanishes at a double root, and
+    # s11 too at a triple one
+    for biv, at in zip(special, ((0, 3), (1, -2))):
+        for t in at:
+            f = [_horner([int(biv.get((i, j), 0)) for i in range(d + 1)], t) for j in range(d + 1)]
+            g = [j * v for j, v in enumerate(f)][1:]
+            assert _sylvester_det(f, g) == 0
+            assert subresultant_oracle(f, g, 1)[1] == 0 or biv is special[0]
+
+
 def test_an_irrational_fiber_gives_a_point_only_as_a_power():
     # over QQ(sqrt 2), in the power basis (1, a): 3 (y - a)^2 is the one
     # point y = a, and y^2 - 2 = (y - a)(y + a) is two conjugate points
     field = NumberField(UPoly([-2, 0, 1]))
     a = field.gen()
-    assert curves._fiber_points([[6, 0], [0, -6], [3, 0]], [], field) == [a]
-    assert curves._fiber_points([[-2, 0], [0, 0], [1, 0]], [], field) is None
-    # a linear gcd's root is a point only where the fibers left vanish
-    root = [[0, -5], [5, 0]]
-    assert curves._fiber_points(root, [[[-2, 0], [0, 0], [1, 0]]], field) == [a]
-    assert curves._fiber_points(root, [[[2, 0], [0, 0], [1, 0]]], field) == []
-    assert curves._fiber_points([[7, 1]], [], field) == []
+    assert curves._power_root([field.elem(c) for c in ([6], [0, -6], [3])]) == a
+    assert curves._power_root([field.elem(c) for c in ([-2], [], [1])]) is None
+    assert curves._power_root([field.elem(c) for c in ([0, -5], [5])]) == a
+    # 2 (y - a)^3 = 2 y^3 - 6 a y^2 + 12 y - 4 a, and a wrong y coefficient
+    assert curves._power_root([field.elem(c) for c in ([0, -4], [12], [0, -6], [2])]) == a
+    assert curves._power_root([field.elem(c) for c in ([0, -4], [11], [0, -6], [2])]) is None
+
+
+def test_a_node_tangent_to_its_line_through_the_center_is_read_off_the_second_subresultant():
+    # y (x^2 + 2 y^2 - 2 z^2): the line y = 0 meets the ellipse in the
+    # orbit of nodes (+-sqrt 2 : 0 : 1), where the ellipse is tangent to the
+    # lines x = +-sqrt(2) z through the shear-0 center (0 : 1 : 0)
+    gamma = parse_form("y*(x^2+2*y^2-2*z^2)", PLANE)
+    field = NumberField(UPoly([-2, 0, 1]))
+    biv = curves._affine_xy(gamma)
+    assert field.elem(curves._subresultant(biv, 1)[1]).is_zero()
+    assert not field.elem(curves._subresultant(biv, 2)[2]).is_zero()
+    assert _first_locus(gamma)[0] == shear_matrix(0)
+    found = singular_points(gamma)
+    assert [p.orbit_size() for p in found] == [2]
+    assert all(rep.is_node for rep in verify_node(gamma, found))
+    assert curves._matches_locus(gamma, singular_points_oracle(gamma))
+    assert singular_locus_complete(gamma, [ProjPoint([field.gen(), field.zero(), field.one()])])
+
+
+def test_two_points_on_one_irrational_line_move_the_locus_shear():
+    # the lines y = z and y = x meet the conic x^2 - 2 z^2 + (y - z)(y - x)
+    # in the node orbits (+-sqrt 2 : 1 : 1) and (+-sqrt 2 : +-sqrt 2 : 1),
+    # both on the lines x = +-sqrt(2) z through the shear-0 center
+    gamma = parse_form("(y-z)*(y-x)*(x^2-2*z^2+(y-z)*(y-x))", PLANE)
+    assert curves._sheared_locus(gamma, shear_matrix(0)) is None
+    found = singular_points(gamma)
+    assert sorted(p.orbit_size() for p in found) == [1, 2, 2]
+    assert all(rep.is_node for rep in verify_node(gamma, found))
+    assert curves._matches_locus(gamma, singular_points_oracle(gamma))
+
+
+def test_an_irrational_orbit_of_triple_points_is_located():
+    # three line pairs y = k (x -+ sqrt 2), k = 1, 2, 3: triple points at
+    # (+-sqrt 2 : 0 : 1), every line through which meets the curve there
+    # three times, so s11 vanishes over them at every shear
+    gamma = parse_form("((y-x)^2-2*z^2)*((y-2*x)^2-8*z^2)*((y-3*x)^2-18*z^2)", PLANE)
+    found = singular_points(gamma)
+    assert sorted(p.orbit_size() for p in found) == [1, 1, 1, 2, 2, 2, 2]
+    assert sum(not rep.is_node for rep in verify_node(gamma, found)) == 1
+    assert curves._matches_locus(gamma, singular_points_oracle(gamma))
+
+
+def test_a_vertical_flex_over_an_irrational_line_is_no_point():
+    # the smooth cubic y^3 + (x^2 - 2 z^2)(x + 3 z) has inflectional
+    # tangents x = +-sqrt(2) z through the center: D has order 2 there, and
+    # S_2 = 3 y^2 with dF/dx nonzero tells them from nodes, at shear 0
+    gamma = parse_form("y^3+(x^2-2*z^2)*(x+3*z)", PLANE)
+    assert upoly_gcd(curves._discriminant(gamma)[1], up_pow(UPoly([-2, 0, 1]), 3)).degree() == 4
+    assert _first_locus(gamma) == (shear_matrix(0), {})
+    assert singular_points(gamma) == singular_points_oracle(gamma) == []
 
 
 def test_repeated_factors_of_the_discriminant_need_not_be_singular():
@@ -1279,29 +1387,34 @@ def test_newton_interpolation_is_exact_or_raises():
         _zz_newton([0, 1, -1], [0, 1, 0])
 
 
-# -- fibers: NFElem and Fraction Horner as the oracle (conftest) --------------
+# -- fibers: Fraction Horner as the oracle (conftest) ------------------------
 
 
-def test_fiber_gcd_matches_horner_oracle_over_rationals_and_fields():
+def test_rational_fiber_points_match_the_horner_oracle():
     rng = rng_for("fiber-gcd-oracle")
-    fields = [NumberField(UPoly([-2, 0, 1])), NumberField(UPoly([QQ(-1, 3), 1, 0, 2, 0, 0, 1]))]
-    for k in range(60):
-        field = fields[k % 2] if k % 3 else None
-        x = random_rat(rng, 7) if field is None else field.gen()
-        # a common factor y - phi(x) through the fiber in half the cases
-        shared = {(0, 1): QQ(1), (0, 0): random_rat(rng), (1, 0): random_rat(rng)}
+    shapes = 0
+    for k in range(48):
+        x = random_rat(rng, 7)
+        # a common factor y - phi(x) through the fiber, or y^2 - 2 (two
+        # conjugate points on the line), or none
+        phi = (random_rat(rng), random_rat(rng))
+        shared = [
+            None,
+            {(0, 1): QQ(1), (0, 0): phi[0], (1, 0): phi[1]},
+            {(0, 2): QQ(1), (0, 0): QQ(-2)},
+        ][k % 3]
         combos = []
         for _ in range(3):
             biv = _random_bivariate(rng, rng.randint(0, 3), rng.randint(0, 3)) or {(0, 0): QQ(1)}
-            combos.append(_biv_mul(biv, shared) if k % 2 else biv)
-        got, rest = curves._fiber_gcd(combos, field, x)
-        # the gcd of the bivariates up to the first linear one, then the
-        # fibers of the rest, each equal to the oracle's up to a unit
-        used = len(combos) - len(rest)
-        assert used == len(combos) or len(got) <= 2
-        monic = (lambda f: UPoly(f).monic()) if field is None else (lambda f: nf_from_ints(f, field))
-        assert monic(got) == fiber_gcd_oracle(combos[:used], field, x)
-        for p, biv in zip(rest, combos[used:]):
-            assert monic(p) == fiber_gcd_oracle([biv], field, x)
-        if k % 2:
-            assert len(got) >= 2
+            combos.append(_biv_mul(biv, shared) if shared else biv)
+        got = curves._fiber_points(combos, x)
+        # the gcd in y of all three fibers, factored over Q
+        factors = [f for f, _mult in upoly_factor(fiber_gcd_oracle(combos, None, x))]
+        if any(f.degree() > 1 for f in factors):
+            assert got is None
+            continue
+        assert sorted(got) == sorted(-f.coeffs[0] for f in factors)
+        if k % 3 == 1:
+            assert -(phi[0] + phi[1] * x) in got
+            shapes += 1
+    assert shapes > 10

@@ -167,12 +167,78 @@ def test_a_curve_not_certified_irreducible_is_never_non_splitting():
     )
     rep = splitting_type(gamma, delta2())
     assert rep.outcome == "undetermined"
-    assert [e["reason"] for e in rep.evidence] == ["necessary_dim"] * 3
+    # no type reads excluded, (3,3) among them: each entry keeps the
+    # condition it failed, which excludes nothing without the certificate
+    assert [(e["type"], e["status"], e["reason"]) for e in rep.evidence] == [
+        ((1, 5), "inconclusive", "necessary_dim"),
+        ((2, 4), "inconclusive", "necessary_dim"),
+        ((3, 3), "inconclusive", "necessary_dim"),
+    ]
+    assert all(e["detail"] and "failures" in e for e in rep.evidence)
     assert rep.notes == [
-        "every type failed a necessary condition, but the conditions hold only "
+        "types (1,5), (2,4), (3,3) failed a necessary condition that holds only "
         "for an absolutely irreducible curve: no irreducibility certificate "
         "(criterion valid for at most 7 nodes, got 12)"
     ]
+
+
+_NECESSARY = ("necessary_dim", "criterion_24")
+
+
+@pytest.mark.parametrize("example_id", ["split6", "nonsplit6a", "split7-24", "nonsplit7"])
+def test_only_necessary_conditions_wait_for_the_irreducibility_certificate(
+    example_id, monkeypatch
+):
+    # the catalog curves are certified; with the certificate withheld, the
+    # entries that rest on a necessary condition turn inconclusive, the
+    # node-count exclusions and a split stay, and the certificate is sought
+    # once, only where such an entry needs it
+    record = load_example(example_id)
+    certified = splitting_type(record.curve, record.conic, record.nodes)
+    calls = []
+
+    def withheld(gamma, nodes, r):
+        calls.append(r)
+        return "no irreducibility certificate (withheld)"
+
+    monkeypatch.setattr(splitting, "_irreducibility_gap", withheld)
+    rep = splitting_type(record.curve, record.conic, record.nodes)
+    waiting = [e.get("reason") in _NECESSARY for e in certified.evidence]
+    assert calls == [7 if "7" in example_id else 6] * any(waiting)
+    for before, after, waits in zip(certified.evidence, rep.evidence, waiting):
+        assert after["status"] == ("inconclusive" if waits else before["status"])
+        assert {k: v for k, v in after.items() if k != "status"} == {
+            k: v for k, v in before.items() if k != "status"
+        }
+    if certified.outcome == "split":
+        assert rep.outcome == "split" and (rep.m, rep.n) == (certified.m, certified.n)
+    else:
+        assert rep.outcome == "undetermined"
+        types = ", ".join("(%d,%d)" % e["type"] for e, w in zip(rep.evidence, waiting) if w)
+        assert rep.notes == [
+            "types %s failed a necessary condition that holds only for an absolutely "
+            "irreducible curve: no irreducibility certificate (withheld)" % types
+        ]
+
+
+@pytest.mark.parametrize("certified", [True, False])
+def test_a_failed_criterion_24_waits_for_the_irreducibility_certificate(certified, monkeypatch):
+    # split7-24 with its (2,4) criterion made to fail: both (2,4) and the
+    # necessary_dim (3,3) rest on irreducibility
+    record = load_example("split7-24")
+    monkeypatch.setattr(
+        splitting, "criterion_24_7nodal", lambda *_args: splitting.Criterion24Result(False, "b", {})
+    )
+    if not certified:
+        monkeypatch.setattr(splitting, "_irreducibility_gap", lambda *_args: "withheld")
+    rep = splitting_type(record.curve, record.conic, record.nodes)
+    status = "excluded" if certified else "inconclusive"
+    assert [(e["status"], e["reason"]) for e in rep.evidence] == [
+        ("excluded", "node_bound"),
+        (status, "criterion_24"),
+        (status, "necessary_dim"),
+    ]
+    assert rep.outcome == ("non_splitting" if certified else "undetermined")
 
 
 def test_the_irreducibility_gap_names_the_missing_certificate():
